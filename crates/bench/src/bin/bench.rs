@@ -8,14 +8,14 @@
 //! bench --quick          # the CI profile: fewer iterations/sizes
 //! bench --pr 2           # trajectory index recorded in the document
 //!                        # (defaults to 0, an unlabeled local run)
-//! bench --threads 4      # worker budget for the parallel variants
-//!                        # (defaults to the machine's parallelism)
+//! bench --threads 4      # worker budget for the `compiled@N` and
+//!                        # `full-parallel` variants (defaults to the
+//!                        # machine's parallelism)
 //! ```
 //!
-//! Measures the symbolic reference engine, the compiled engine (dense
-//! ids + bitset closures) and the parallel engine (sharded interning +
-//! frontier-parallel completion) on the `workload` generators; see
-//! `schema_merge_bench::perf` for the record format.
+//! Measures the symbolic reference engine and the compiled engine (at
+//! one thread and at the `--threads` budget) on the `workload`
+//! generators; see `schema_merge_bench::perf` for the record format.
 
 #![forbid(unsafe_code)]
 

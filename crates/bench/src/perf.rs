@@ -1,30 +1,36 @@
 //! The `bench --json` runner: the machine-readable perf trajectory.
 //!
 //! Criterion benches are great for interactive work but CI never ran
-//! them, so no PR could *claim* a speedup. This module measures paired
-//! engine variants on the `workload` generators and emits one
-//! `BENCH_<n>.json` datapoint per run — `(family, op, n_classes,
-//! variant, median_ns, allocs_per_iter, throughput)` records plus
-//! derived baseline-over-improved speedups (time) and allocation ratios
-//! — which CI uploads as an artifact on every PR and guards with the
-//! `guard` binary against the committed trajectory.
+//! them, so no PR could *claim* a speedup. This module measures engine
+//! variants on the `workload` generators and emits one `BENCH_<n>.json`
+//! datapoint per run — `(family, op, n_classes, variant, median_ns,
+//! allocs_per_iter, throughput)` records plus derived
+//! baseline-over-improved speedups (time) and allocation ratios — which
+//! CI uploads as an artifact on every PR and guards with the `guard`
+//! binary against the committed trajectory.
+//!
+//! Every variant of one `(family, op, n_classes)` configuration is
+//! measured in one interleaved group and gets exactly one record, so
+//! `(family, op, n_classes, variant)` is a unique record key; a variant
+//! that appears in two pairs (say `compiled`, against both `symbolic`
+//! and `compiled@N`) is one measurement, not two.
 //!
 //! Variant pairs tracked:
 //!
 //! * `symbolic` vs `compiled` — the retained reference engine against
-//!   the dense-id bitset/CSR core (the PR-2 trajectory);
-//! * `compiled` vs `parallel` — the sequential compiled engine against
-//!   the parallel engine (shared-interner sharded join, tree reduction,
-//!   frontier-parallel completion, end-to-end id space) at the suite's
-//!   `--threads` budget;
+//!   the compiled id-space engine at one thread;
+//! * `compiled` vs `compiled@N` — the compiled engine at one thread
+//!   (`compiled@1`) against the same engine at the suite's `--threads`
+//!   budget (recorded as the document's `threads`): the thread-scaling
+//!   measurement;
 //! * `compiled-nopool` vs `compiled` — the compiled engine with the
 //!   scratch pool disabled (the pre-pool allocation behavior) against
 //!   the pooled engine, making the allocations-per-merge win measurable
 //!   rather than inferable;
 //! * `full` vs `incremental` — one-shot re-merge of every registry
 //!   member against the registry's cached-join incremental publish, and
-//!   `full` vs `full-parallel` for the cold-rebuild path on the
-//!   parallel engine;
+//!   `full` vs `full-parallel` for the cold rebuild at the `--threads`
+//!   budget;
 //! * `durable` vs `memory` — the same warm incremental publish on a
 //!   registry whose commits are WAL'd and fsync'd to a local data dir
 //!   against a purely in-memory one: the measured per-commit cost of
@@ -33,8 +39,8 @@
 //!   adaptive sparse rows disabled (all-dense bitset matrices, the
 //!   pre-adaptive behavior) against the default, on the `taxonomy`
 //!   family where the memory headline (`mem_ratio`) lives;
-//! * `compiled-dense` vs `partitioned` — the same dense monolith
-//!   against the component-split merge on multi-forest taxonomies.
+//! * `full` vs `incremental` on the supergraph — a cold compose of
+//!   every attached registry against the warm incremental recompose.
 //!
 //! JSON schema version 5: records carry a `phases` map — wall time per
 //! pipeline stage (span name → nanoseconds, from one extra untimed
@@ -61,7 +67,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use schema_merge_core::row::set_sparse_enabled;
-use schema_merge_core::{reference, EnginePreference, Merger, WeakSchema};
+use schema_merge_core::{reference, Merger, WeakSchema};
 use schema_merge_er::to_core;
 use schema_merge_registry::storage::{Fault, FaultSchedule, FaultStore, LocalStore, OpKind};
 use schema_merge_registry::{MergeStrategy, Registry, RetryPolicy};
@@ -155,25 +161,12 @@ pub use counting_alloc::{allocations, current_bytes, peak_bytes, reset_peak};
 /// The compiled engine measured THROUGH the `Merger` façade — what every
 /// production caller (CLI, daemon, registry) actually runs, so any
 /// overhead the façade adds (planning, provenance, diagnostics) is part
-/// of the measurement rather than hidden behind it. Pinned to the
-/// sequential compiled plan so the pair against `parallel` measures the
-/// engines, not the auto-planner.
-fn facade_merge_compiled<'a>(schemas: impl IntoIterator<Item = &'a WeakSchema>) {
+/// of the measurement rather than hidden behind it. The budget is pinned
+/// so each variant measures a thread count, not the auto-planner.
+fn facade_merge_at<'a>(schemas: impl IntoIterator<Item = &'a WeakSchema>, threads: usize) {
     black_box(
         Merger::new()
             .schemas(schemas)
-            .engine(EnginePreference::Compiled)
-            .execute()
-            .expect("workload merges"),
-    );
-}
-
-/// The parallel engine through the same façade, at a fixed budget.
-fn facade_merge_parallel<'a>(schemas: impl IntoIterator<Item = &'a WeakSchema>, threads: usize) {
-    black_box(
-        Merger::new()
-            .schemas(schemas)
-            .engine(EnginePreference::Parallel)
             .threads(threads)
             .execute()
             .expect("workload merges"),
@@ -184,18 +177,26 @@ fn facade_join<'a>(schemas: impl IntoIterator<Item = &'a WeakSchema>) -> WeakSch
     crate::facade_join(schemas).expect("workload joins")
 }
 
+/// Runs `f` with the scratch pool disabled — the pre-pool allocation
+/// behavior.
+fn without_pool(f: impl FnOnce()) {
+    schema_merge_core::scratch::set_pool_enabled(false);
+    f();
+    schema_merge_core::scratch::set_pool_enabled(true);
+}
+
 /// The retained pre-compilation `BTreeMap`/`BTreeSet` path.
 pub const VARIANT_SYMBOLIC: &str = "symbolic";
-/// The dense-id bitset/CSR path (sequential).
+/// The compiled id-space engine at one thread (`compiled@1`).
 pub const VARIANT_COMPILED: &str = "compiled";
+/// The compiled engine at the suite's `--threads` budget.
+pub const VARIANT_COMPILED_THREADED: &str = "compiled@N";
 /// The compiled path with the scratch pool disabled — the pre-pool
 /// allocation behavior, kept measurable for the trajectory.
 pub const VARIANT_COMPILED_NOPOOL: &str = "compiled-nopool";
-/// The parallel engine at the suite's thread budget.
-pub const VARIANT_PARALLEL: &str = "parallel";
-/// One-shot re-merge of all registry members.
+/// One-shot re-merge of all registry members, at one thread.
 pub const VARIANT_FULL: &str = "full";
-/// The one-shot re-merge on the parallel engine.
+/// The one-shot re-merge at the suite's `--threads` budget.
 pub const VARIANT_FULL_PARALLEL: &str = "full-parallel";
 /// Registry publish reusing the cached join of unchanged members.
 pub const VARIANT_INCREMENTAL: &str = "incremental";
@@ -212,9 +213,6 @@ pub const VARIANT_DURABLE_FAULTY: &str = "durable-faulty";
 /// The compiled engine with the adaptive sparse rows disabled — every
 /// closure matrix dense, the pre-adaptive memory behavior.
 pub const VARIANT_COMPILED_DENSE: &str = "compiled-dense";
-/// The partitioned engine: split along weakly-connected components,
-/// merged per component, stitched at the seams.
-pub const VARIANT_PARTITIONED: &str = "partitioned";
 
 /// One measurement: an operation on a workload at a size, on one engine
 /// variant.
@@ -282,11 +280,30 @@ pub struct Speedup {
 /// A full run of the suite.
 #[derive(Debug, Clone, Default)]
 pub struct BenchReport {
-    /// All measurements.
+    /// All measurements, one per `(family, op, n_classes, variant)` key.
     pub records: Vec<BenchRecord>,
     /// All derived speedups.
     pub speedups: Vec<Speedup>,
 }
+
+impl BenchReport {
+    /// The record with this key, if one was measured.
+    pub fn record(
+        &self,
+        family: &str,
+        op: &str,
+        n_classes: usize,
+        variant: &str,
+    ) -> Option<&BenchRecord> {
+        self.records.iter().find(|r| {
+            r.family == family && r.op == op && r.n_classes == n_classes && r.variant == variant
+        })
+    }
+}
+
+/// One variant of a measured group: its name and one iteration of its
+/// work.
+type Variant<'a> = (&'static str, Box<dyn FnMut() + 'a>);
 
 struct Suite {
     iters: usize,
@@ -315,70 +332,54 @@ fn capture_phases(f: &mut impl FnMut()) -> Vec<(&'static str, u64)> {
 }
 
 impl Suite {
-    #[allow(clippy::too_many_arguments)]
-    fn measure_pair(
+    /// Measures every variant of one `(family, op, size)` configuration
+    /// and derives one speedup per `(baseline, improved)` pair of variant
+    /// names. Each variant yields exactly one record.
+    fn measure(
         &mut self,
         family: &'static str,
         op: &'static str,
         joined: &WeakSchema,
-        baseline_variant: &'static str,
-        mut baseline: impl FnMut(),
-        improved_variant: &'static str,
-        mut improved: impl FnMut(),
+        mut variants: Vec<Variant<'_>>,
+        pairs: &[(&'static str, &'static str)],
     ) {
         let n_classes = joined.num_classes();
         let n_arrows = joined.num_arrows();
-        // Interleaved A/B: one baseline run then one improved run per
-        // iteration, so clock-speed drift (thermal throttling, noisy
-        // neighbors) biases both sides equally instead of whichever
-        // happened to run second.
-        baseline(); // warmup
-        improved(); // warmup
-                    // Phase attribution runs between warmup and timing: warm caches,
-                    // and the span scope is closed again before any clock starts.
-        let base_phases = capture_phases(&mut baseline);
-        let imp_phases = capture_phases(&mut improved);
-        let mut base_samples: Vec<u128> = Vec::with_capacity(self.iters);
-        let mut imp_samples: Vec<u128> = Vec::with_capacity(self.iters);
-        let mut base_allocs = 0u64;
-        let mut imp_allocs = 0u64;
-        let mut base_peak = 0u64;
-        let mut imp_peak = 0u64;
-        for _ in 0..self.iters {
-            let allocs_before = allocations();
-            let live_before = current_bytes();
-            reset_peak();
-            let start = Instant::now();
-            baseline();
-            base_samples.push(start.elapsed().as_nanos());
-            base_allocs += allocations() - allocs_before;
-            base_peak = base_peak.max(peak_bytes().saturating_sub(live_before));
-
-            let allocs_before = allocations();
-            let live_before = current_bytes();
-            reset_peak();
-            let start = Instant::now();
-            improved();
-            imp_samples.push(start.elapsed().as_nanos());
-            imp_allocs += allocations() - allocs_before;
-            imp_peak = imp_peak.max(peak_bytes().saturating_sub(live_before));
+        for (_, run) in &mut variants {
+            run(); // warmup
         }
-        base_samples.sort_unstable();
-        imp_samples.sort_unstable();
-        let base_ns = base_samples[base_samples.len() / 2];
-        let imp_ns = imp_samples[imp_samples.len() / 2];
-        let base_allocs = base_allocs / self.iters as u64;
-        let imp_allocs = imp_allocs / self.iters as u64;
-        for (variant, ns, allocs, peak, phases) in [
-            (
-                baseline_variant,
-                base_ns,
-                base_allocs,
-                base_peak,
-                base_phases,
-            ),
-            (improved_variant, imp_ns, imp_allocs, imp_peak, imp_phases),
-        ] {
+        // Phase attribution runs between warmup and timing: warm caches,
+        // and the span scope is closed again before any clock starts.
+        let phases: Vec<_> = variants
+            .iter_mut()
+            .map(|(_, run)| capture_phases(run))
+            .collect();
+        // Interleaved: one run of every variant per iteration, so
+        // clock-speed drift (thermal throttling, noisy neighbors) biases
+        // every variant equally instead of whichever happened to run
+        // last.
+        let mut samples: Vec<Vec<u128>> = vec![Vec::with_capacity(self.iters); variants.len()];
+        let mut allocs = vec![0u64; variants.len()];
+        let mut peaks = vec![0u64; variants.len()];
+        for _ in 0..self.iters {
+            for (i, (_, run)) in variants.iter_mut().enumerate() {
+                let allocs_before = allocations();
+                let live_before = current_bytes();
+                reset_peak();
+                let start = Instant::now();
+                run();
+                samples[i].push(start.elapsed().as_nanos());
+                allocs[i] += allocations() - allocs_before;
+                peaks[i] = peaks[i].max(peak_bytes().saturating_sub(live_before));
+            }
+        }
+        for (i, ((variant, _), phases)) in variants.iter().zip(phases).enumerate() {
+            assert!(
+                self.report.record(family, op, n_classes, variant).is_none(),
+                "duplicate bench record key {family}/{op}/{n_classes}/{variant}"
+            );
+            samples[i].sort_unstable();
+            let median_ns = samples[i][samples[i].len() / 2];
             self.report.records.push(BenchRecord {
                 family,
                 op,
@@ -386,77 +387,121 @@ impl Suite {
                 n_arrows,
                 variant,
                 iters: self.iters,
-                median_ns: ns,
-                allocs_per_iter: allocs,
-                peak_bytes: peak,
-                throughput: n_arrows as f64 / (ns.max(1) as f64 / 1e9),
+                median_ns,
+                allocs_per_iter: allocs[i] / self.iters as u64,
+                peak_bytes: peaks[i],
+                throughput: n_arrows as f64 / (median_ns.max(1) as f64 / 1e9),
                 phases,
             });
         }
-        self.report.speedups.push(Speedup {
-            family,
-            op,
-            n_classes,
-            n_arrows,
-            baseline: baseline_variant,
-            improved: improved_variant,
-            speedup: base_ns as f64 / imp_ns.max(1) as f64,
-            alloc_ratio: if imp_allocs == 0 || base_allocs == 0 {
-                0.0
-            } else {
-                base_allocs as f64 / imp_allocs as f64
-            },
-            mem_ratio: if imp_peak == 0 || base_peak == 0 {
-                0.0
-            } else {
-                base_peak as f64 / imp_peak as f64
-            },
-        });
+        for &(baseline, improved) in pairs {
+            let find = |variant| {
+                self.report
+                    .record(family, op, n_classes, variant)
+                    .unwrap_or_else(|| panic!("pair names unmeasured variant {variant}"))
+            };
+            let (base, imp) = (find(baseline), find(improved));
+            let ratio = |b: u64, i: u64| {
+                if b == 0 || i == 0 {
+                    0.0
+                } else {
+                    b as f64 / i as f64
+                }
+            };
+            let speedup = Speedup {
+                family,
+                op,
+                n_classes,
+                n_arrows,
+                baseline,
+                improved,
+                speedup: base.median_ns as f64 / imp.median_ns.max(1) as f64,
+                alloc_ratio: ratio(base.allocs_per_iter, imp.allocs_per_iter),
+                mem_ratio: ratio(base.peak_bytes, imp.peak_bytes),
+            };
+            self.report.speedups.push(speedup);
+        }
     }
 
-    /// The scratch-pool pairs: the compiled engine with the pool disabled
-    /// (per-step allocation behavior) against the pooled default, on the
-    /// whole `complete` operation and on the `fixpoint` alone
+    /// The completion groups: the compiled engine with the scratch pool
+    /// disabled (per-step allocation behavior) against the pooled
+    /// default — and, with `symbolic`, the reference engine against it —
+    /// on the whole `complete` operation and on the `fixpoint` alone
     /// ([`schema_merge_core::complete::imp_state_count`]). The whole-op
     /// ratio is diluted by the symbolic materialization of the result
     /// (BTree nodes the pool cannot recycle); the fixpoint pair is where
     /// the "stops allocating per iteration" claim is measured.
-    fn complete_pool_pairs(&mut self, family: &'static str, joined: &WeakSchema) {
-        self.measure_pair(
-            family,
-            "complete",
-            joined,
+    fn completion(&mut self, family: &'static str, joined: &WeakSchema, symbolic: bool) {
+        let complete = || {
+            black_box(
+                schema_merge_core::complete::complete_with_report(joined).expect("completes"),
+            );
+        };
+        let mut variants: Vec<Variant<'_>> = Vec::new();
+        let mut pairs = Vec::new();
+        if symbolic {
+            variants.push((
+                VARIANT_SYMBOLIC,
+                Box::new(|| {
+                    black_box(reference::complete_with_report(joined).expect("completes"));
+                }),
+            ));
+            pairs.push((VARIANT_SYMBOLIC, VARIANT_COMPILED));
+        }
+        variants.push((
             VARIANT_COMPILED_NOPOOL,
-            || {
-                schema_merge_core::scratch::set_pool_enabled(false);
-                black_box(
-                    schema_merge_core::complete::complete_with_report(joined).expect("completes"),
-                );
-                schema_merge_core::scratch::set_pool_enabled(true);
-            },
-            VARIANT_COMPILED,
-            || {
-                black_box(
-                    schema_merge_core::complete::complete_with_report(joined).expect("completes"),
-                );
-            },
-        );
+            Box::new(move || without_pool(complete)),
+        ));
+        variants.push((VARIANT_COMPILED, Box::new(complete)));
+        pairs.push((VARIANT_COMPILED_NOPOOL, VARIANT_COMPILED));
+        self.measure(family, "complete", joined, variants, &pairs);
+
         let compiled = schema_merge_core::CompiledSchema::compile(joined);
-        self.measure_pair(
+        let fixpoint = || {
+            black_box(schema_merge_core::complete::imp_state_count(&compiled, 1));
+        };
+        self.measure(
             family,
             "fixpoint",
             joined,
-            VARIANT_COMPILED_NOPOOL,
-            || {
-                schema_merge_core::scratch::set_pool_enabled(false);
-                black_box(schema_merge_core::complete::imp_state_count(&compiled, 1));
-                schema_merge_core::scratch::set_pool_enabled(true);
-            },
-            VARIANT_COMPILED,
-            || {
-                black_box(schema_merge_core::complete::imp_state_count(&compiled, 1));
-            },
+            vec![
+                (
+                    VARIANT_COMPILED_NOPOOL,
+                    Box::new(move || without_pool(fixpoint)),
+                ),
+                (VARIANT_COMPILED, Box::new(fixpoint)),
+            ],
+            &[(VARIANT_COMPILED_NOPOOL, VARIANT_COMPILED)],
         );
+    }
+
+    /// The façade merge at one thread and at the suite's budget — the
+    /// thread-scaling pair — plus, with `symbolic`, the reference merge
+    /// against the one-thread engine.
+    fn merges(&mut self, family: &'static str, refs: &[&WeakSchema], symbolic: bool) {
+        let joined = facade_join(refs.iter().copied());
+        let threads = self.threads;
+        let mut variants: Vec<Variant<'_>> = Vec::new();
+        let mut pairs = Vec::new();
+        if symbolic {
+            variants.push((
+                VARIANT_SYMBOLIC,
+                Box::new(|| {
+                    black_box(reference::merge(refs.iter().copied()).expect("merges"));
+                }),
+            ));
+            pairs.push((VARIANT_SYMBOLIC, VARIANT_COMPILED));
+        }
+        variants.push((
+            VARIANT_COMPILED,
+            Box::new(|| facade_merge_at(refs.iter().copied(), 1)),
+        ));
+        variants.push((
+            VARIANT_COMPILED_THREADED,
+            Box::new(move || facade_merge_at(refs.iter().copied(), threads)),
+        ));
+        pairs.push((VARIANT_COMPILED, VARIANT_COMPILED_THREADED));
+        self.measure(family, "merge", &joined, variants, &pairs);
     }
 
     fn random_family(&mut self, classes: usize) {
@@ -477,102 +522,42 @@ impl Suite {
         let refs: Vec<&WeakSchema> = family.iter().collect();
         let joined = facade_join(refs.iter().copied());
 
-        self.measure_pair(
+        self.measure(
             "random",
             "weak_join",
             &joined,
-            VARIANT_SYMBOLIC,
-            || {
-                black_box(reference::weak_join_all(refs.iter().copied()).expect("compatible"));
-            },
-            VARIANT_COMPILED,
-            || {
-                black_box(
-                    Merger::new()
-                        .schemas(refs.iter().copied())
-                        .engine(EnginePreference::Compiled)
-                        .join()
-                        .expect("compatible"),
-                );
-            },
+            vec![
+                (
+                    VARIANT_SYMBOLIC,
+                    Box::new(|| {
+                        black_box(
+                            reference::weak_join_all(refs.iter().copied()).expect("compatible"),
+                        );
+                    }),
+                ),
+                (
+                    VARIANT_COMPILED,
+                    Box::new(|| {
+                        black_box(
+                            Merger::new()
+                                .schemas(refs.iter().copied())
+                                .threads(1)
+                                .join()
+                                .expect("compatible"),
+                        );
+                    }),
+                ),
+            ],
+            &[(VARIANT_SYMBOLIC, VARIANT_COMPILED)],
         );
-        self.measure_pair(
-            "random",
-            "complete",
-            &joined,
-            VARIANT_SYMBOLIC,
-            || {
-                black_box(reference::complete_with_report(&joined).expect("completes"));
-            },
-            VARIANT_COMPILED,
-            || {
-                black_box(
-                    schema_merge_core::complete::complete_with_report(&joined).expect("completes"),
-                );
-            },
-        );
-        self.complete_pool_pairs("random", &joined);
-        self.measure_pair(
-            "random",
-            "merge",
-            &joined,
-            VARIANT_SYMBOLIC,
-            || {
-                black_box(reference::merge(refs.iter().copied()).expect("merges"));
-            },
-            VARIANT_COMPILED,
-            || {
-                facade_merge_compiled(refs.iter().copied());
-            },
-        );
-        let threads = self.threads;
-        self.measure_pair(
-            "random",
-            "merge",
-            &joined,
-            VARIANT_COMPILED,
-            || {
-                facade_merge_compiled(refs.iter().copied());
-            },
-            VARIANT_PARALLEL,
-            || {
-                facade_merge_parallel(refs.iter().copied(), threads);
-            },
-        );
+        self.completion("random", &joined, true);
+        self.merges("random", &refs, true);
     }
 
     fn pathological(&mut self, n: usize) {
         let schema = pathological_nfa(n);
-        self.measure_pair(
-            "pathological",
-            "complete",
-            &schema,
-            VARIANT_SYMBOLIC,
-            || {
-                black_box(reference::complete_with_report(&schema).expect("completes"));
-            },
-            VARIANT_COMPILED,
-            || {
-                black_box(
-                    schema_merge_core::complete::complete_with_report(&schema).expect("completes"),
-                );
-            },
-        );
-        self.complete_pool_pairs("pathological", &schema);
-        let threads = self.threads;
-        self.measure_pair(
-            "pathological",
-            "merge",
-            &schema,
-            VARIANT_COMPILED,
-            || {
-                facade_merge_compiled([&schema]);
-            },
-            VARIANT_PARALLEL,
-            || {
-                facade_merge_parallel([&schema], threads);
-            },
-        );
+        self.completion("pathological", &schema, true);
+        self.merges("pathological", &[&schema], false);
     }
 
     fn er_roundtrip(&mut self, entities: usize) {
@@ -587,126 +572,52 @@ impl Suite {
         };
         let (core1, _) = to_core(&random_er_schema(&params));
         let (core2, _) = to_core(&random_er_schema(&ErParams { seed: 18, ..params }));
-        let refs = [&core1, &core2];
-        let joined = facade_join(refs);
-        self.measure_pair(
-            "er_roundtrip",
-            "merge",
-            &joined,
-            VARIANT_SYMBOLIC,
-            || {
-                black_box(reference::merge(refs).expect("merges"));
-            },
-            VARIANT_COMPILED,
-            || {
-                facade_merge_compiled(refs);
-            },
-        );
-        let threads = self.threads;
-        self.measure_pair(
-            "er_roundtrip",
-            "merge",
-            &joined,
-            VARIANT_COMPILED,
-            || {
-                facade_merge_compiled(refs);
-            },
-            VARIANT_PARALLEL,
-            || {
-                facade_merge_parallel(refs, threads);
-            },
-        );
+        self.merges("er_roundtrip", &[&core1, &core2], true);
     }
 
     /// The *wide* workload — the daemon's real traffic shape: many small
     /// member schemas over one shared vocabulary, with occasional
     /// attribute-target disagreements (so completion has genuine
-    /// implicit-class work). This is the parallel engine's headline
-    /// family: the merge is dominated by walking all the members
-    /// (sharded interning), the fixpoint frontier (sharded waves), and
-    /// the symbolic materializations the id-space pipeline skips.
+    /// implicit-class work). This is the thread-scaling headline family:
+    /// the merge is dominated by walking all the members (sharded
+    /// interning) and the fixpoint frontier (sharded waves).
     fn wide(&mut self, members: usize) {
         let family = wide_family(members, 0x51DE);
         let refs: Vec<&WeakSchema> = family.iter().collect();
-        let joined = facade_join(refs.iter().copied());
-        let threads = self.threads;
-        self.measure_pair(
-            "wide",
-            "merge",
-            &joined,
-            VARIANT_COMPILED,
-            || {
-                facade_merge_compiled(refs.iter().copied());
-            },
-            VARIANT_PARALLEL,
-            || {
-                facade_merge_parallel(refs.iter().copied(), threads);
-            },
-        );
-        self.complete_pool_pairs("wide", &joined);
+        self.merges("wide", &refs, false);
+        self.completion("wide", &facade_join(refs.iter().copied()), false);
     }
 
     /// The taxonomy workload — the 10k-class ontology shape: a
     /// multi-forest class hierarchy *above the sparse-row floor* (4096
-    /// classes), merged as a two-member federated family. Two pairs:
-    ///
-    /// * `compiled-dense` vs `compiled` — the adaptive representation's
-    ///   memory headline. With sparse rows forced off every closure
-    ///   matrix is O(classes²) bits; the default keeps taxonomy rows
-    ///   (a handful of ancestors each) at O(populated ids), and
-    ///   `mem_ratio` reports the peak-heap quotient.
-    /// * `compiled-dense` vs `partitioned` — the pre-adaptive
-    ///   monolithic dense merge against the weakly-connected-component
-    ///   split (one component per forest, merged concurrently across
-    ///   the thread budget). Both taxonomy pairs share the dense
-    ///   monolith as the baseline deliberately: it is the engine this
-    ///   PR retires at scale, and each successor beats it a different
-    ///   way — the sparse monolith through row representation, the
-    ///   partitioned engine by keeping every component's matrices
-    ///   component-sized (components here sit below the sparse floor,
-    ///   so its win is independent of the row representation).
+    /// classes), merged as a two-member federated family. The pair is
+    /// `compiled-dense` vs `compiled` — the adaptive representation's
+    /// memory headline. With sparse rows forced off every closure matrix
+    /// is O(classes²) bits; the default keeps taxonomy rows (a handful of
+    /// ancestors each) at O(populated ids), and `mem_ratio` reports the
+    /// peak-heap quotient.
     fn taxonomy_merges(&mut self, classes: usize, forests: usize) {
         let params = TaxonomyParams::dag(classes, forests, 0xC1A55);
         let family = taxonomy_family(&params, 2);
         let refs: Vec<&WeakSchema> = family.iter().collect();
         let joined = facade_join(refs.iter().copied());
-        self.measure_pair(
+        let merge = || facade_merge_at(refs.iter().copied(), 1);
+        self.measure(
             "taxonomy",
             "merge",
             &joined,
-            VARIANT_COMPILED_DENSE,
-            || {
-                set_sparse_enabled(false);
-                facade_merge_compiled(refs.iter().copied());
-                set_sparse_enabled(true);
-            },
-            VARIANT_COMPILED,
-            || {
-                facade_merge_compiled(refs.iter().copied());
-            },
-        );
-        let threads = self.threads;
-        self.measure_pair(
-            "taxonomy",
-            "merge",
-            &joined,
-            VARIANT_COMPILED_DENSE,
-            || {
-                set_sparse_enabled(false);
-                facade_merge_compiled(refs.iter().copied());
-                set_sparse_enabled(true);
-            },
-            VARIANT_PARTITIONED,
-            || {
-                black_box(
-                    Merger::new()
-                        .schemas(refs.iter().copied())
-                        .engine(EnginePreference::Partitioned)
-                        .threads(threads)
-                        .execute()
-                        .expect("workload merges"),
-                );
-            },
+            vec![
+                (
+                    VARIANT_COMPILED_DENSE,
+                    Box::new(move || {
+                        set_sparse_enabled(false);
+                        merge();
+                        set_sparse_enabled(true);
+                    }),
+                ),
+                (VARIANT_COMPILED, Box::new(merge)),
+            ],
+            &[(VARIANT_COMPILED_DENSE, VARIANT_COMPILED)],
         );
     }
 
@@ -719,8 +630,8 @@ impl Suite {
     /// [`Registry::put`] against a warm cache, which joins the cached
     /// rest-join with the changed member and completes. Both variants
     /// see a *different* changed schema each iteration, so no run
-    /// degenerates into a content-hash no-op. A third pair measures the
-    /// cold full rebuild on the parallel engine.
+    /// degenerates into a content-hash no-op. A second pair measures the
+    /// cold full rebuild at the suite's thread budget.
     fn registry_publish(&mut self, members: usize, classes: usize) {
         // The shared core: attribute-heavy, label-sparse — the federated
         // supergraph shape (each class carries its own field names, label
@@ -774,48 +685,35 @@ impl Suite {
                 .expect("family publishes");
         }
 
-        let mut full_idx = 0usize;
-        let mut inc_pool = variants.clone();
-        self.measure_pair(
-            "registry",
-            "publish",
-            &joined,
-            VARIANT_FULL,
-            || {
-                let mut refs: Vec<&WeakSchema> = rest.clone();
-                refs.push(&variants[full_idx % variants.len()]);
-                full_idx += 1;
-                facade_merge_compiled(refs);
-            },
-            VARIANT_INCREMENTAL,
-            || {
-                let changed = inc_pool.pop().expect("enough variants");
-                black_box(registry.put("member-0", changed).expect("publishes"));
-            },
-        );
         let threads = self.threads;
-        let par_idx = std::cell::Cell::new(0usize);
-        let next_variant = || {
-            let i = par_idx.get();
-            par_idx.set(i + 1);
-            &variants[i % variants.len()]
+        let full_idx = std::cell::Cell::new(0usize);
+        let full_at = |threads: usize| {
+            let mut refs: Vec<&WeakSchema> = rest.clone();
+            let i = full_idx.get();
+            full_idx.set(i + 1);
+            refs.push(&variants[i % variants.len()]);
+            facade_merge_at(refs, threads);
         };
-        self.measure_pair(
+        let mut inc_pool = variants.clone();
+        self.measure(
             "registry",
             "publish",
             &joined,
-            VARIANT_FULL,
-            || {
-                let mut refs: Vec<&WeakSchema> = rest.clone();
-                refs.push(next_variant());
-                facade_merge_compiled(refs);
-            },
-            VARIANT_FULL_PARALLEL,
-            || {
-                let mut refs: Vec<&WeakSchema> = rest.clone();
-                refs.push(next_variant());
-                facade_merge_parallel(refs, threads);
-            },
+            vec![
+                (VARIANT_FULL, Box::new(|| full_at(1))),
+                (
+                    VARIANT_INCREMENTAL,
+                    Box::new(|| {
+                        let changed = inc_pool.pop().expect("enough variants");
+                        black_box(registry.put("member-0", changed).expect("publishes"));
+                    }),
+                ),
+                (VARIANT_FULL_PARALLEL, Box::new(|| full_at(threads))),
+            ],
+            &[
+                (VARIANT_FULL, VARIANT_INCREMENTAL),
+                (VARIANT_FULL, VARIANT_FULL_PARALLEL),
+            ],
         );
     }
 
@@ -915,30 +813,37 @@ impl Suite {
         let (_, full_fleet) = build_fleet(self.threads);
         let mut full_pool = variants.clone();
         let threads = self.threads;
-        self.measure_pair(
+        self.measure(
             "supergraph",
             "recompose",
             &joined,
-            VARIANT_FULL,
-            || {
-                full_fleet[0]
-                    .put("member", full_pool.pop().expect("enough variants"))
-                    .expect("publishes");
-                let supergraph = Supergraph::with_threads(threads);
-                for (i, registry) in full_fleet.iter().enumerate() {
-                    supergraph
-                        .attach(format!("r{i}"), std::sync::Arc::clone(registry))
-                        .expect("fresh names attach");
-                }
-                black_box(supergraph.compose().expect("composes"));
-            },
-            VARIANT_INCREMENTAL,
-            || {
-                inc_fleet[0]
-                    .put("member", inc_pool.pop().expect("enough variants"))
-                    .expect("publishes");
-                black_box(inc_supergraph.compose().expect("composes"));
-            },
+            vec![
+                (
+                    VARIANT_FULL,
+                    Box::new(|| {
+                        full_fleet[0]
+                            .put("member", full_pool.pop().expect("enough variants"))
+                            .expect("publishes");
+                        let supergraph = Supergraph::with_threads(threads);
+                        for (i, registry) in full_fleet.iter().enumerate() {
+                            supergraph
+                                .attach(format!("r{i}"), std::sync::Arc::clone(registry))
+                                .expect("fresh names attach");
+                        }
+                        black_box(supergraph.compose().expect("composes"));
+                    }),
+                ),
+                (
+                    VARIANT_INCREMENTAL,
+                    Box::new(|| {
+                        inc_fleet[0]
+                            .put("member", inc_pool.pop().expect("enough variants"))
+                            .expect("publishes");
+                        black_box(inc_supergraph.compose().expect("composes"));
+                    }),
+                ),
+            ],
+            &[(VARIANT_FULL, VARIANT_INCREMENTAL)],
         );
     }
 
@@ -1003,20 +908,27 @@ impl Suite {
         // pairs identical merge work and only persistence differs.
         let mut durable_pool = variants.clone();
         let mut memory_pool = variants;
-        self.measure_pair(
+        self.measure(
             "registry",
             "durable_publish",
             &joined,
-            VARIANT_DURABLE,
-            || {
-                let changed = durable_pool.pop().expect("enough variants");
-                black_box(durable.put("member-0", changed).expect("publishes"));
-            },
-            VARIANT_MEMORY,
-            || {
-                let changed = memory_pool.pop().expect("enough variants");
-                black_box(memory.put("member-0", changed).expect("publishes"));
-            },
+            vec![
+                (
+                    VARIANT_DURABLE,
+                    Box::new(|| {
+                        let changed = durable_pool.pop().expect("enough variants");
+                        black_box(durable.put("member-0", changed).expect("publishes"));
+                    }),
+                ),
+                (
+                    VARIANT_MEMORY,
+                    Box::new(|| {
+                        let changed = memory_pool.pop().expect("enough variants");
+                        black_box(memory.put("member-0", changed).expect("publishes"));
+                    }),
+                ),
+            ],
+            &[(VARIANT_DURABLE, VARIANT_MEMORY)],
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1101,20 +1013,27 @@ impl Suite {
         }
         let mut faulty_pool = variants.clone();
         let mut clean_pool = variants;
-        self.measure_pair(
+        self.measure(
             "registry",
             "durable_publish_faulty",
             &joined,
-            VARIANT_DURABLE_FAULTY,
-            || {
-                let changed = faulty_pool.pop().expect("enough variants");
-                black_box(faulty.put("member-0", changed).expect("publishes"));
-            },
-            VARIANT_DURABLE,
-            || {
-                let changed = clean_pool.pop().expect("enough variants");
-                black_box(clean.put("member-0", changed).expect("publishes"));
-            },
+            vec![
+                (
+                    VARIANT_DURABLE_FAULTY,
+                    Box::new(|| {
+                        let changed = faulty_pool.pop().expect("enough variants");
+                        black_box(faulty.put("member-0", changed).expect("publishes"));
+                    }),
+                ),
+                (
+                    VARIANT_DURABLE,
+                    Box::new(|| {
+                        let changed = clean_pool.pop().expect("enough variants");
+                        black_box(clean.put("member-0", changed).expect("publishes"));
+                    }),
+                ),
+            ],
+            &[(VARIANT_DURABLE_FAULTY, VARIANT_DURABLE)],
         );
         assert!(
             faulty
@@ -1132,9 +1051,9 @@ impl Suite {
 /// Runs the suite. `quick` is the CI profile: fewer iterations and only
 /// the sizes the acceptance trajectory tracks (including the 200-class
 /// random workload, the 64-member wide workload, the 32-member registry
-/// workload, the 8- and 32-registry supergraph recompose and the
-/// 6000-class taxonomy). `threads` is the parallel variants' worker
-/// budget.
+/// workload, the 8-registry/200-class and 32-registry/256-class
+/// supergraph recompose and the 6000-class taxonomy). `threads` is the
+/// `compiled@N` and `full-parallel` variants' worker budget.
 pub fn run_suite(quick: bool, threads: usize) -> BenchReport {
     let mut suite = Suite {
         iters: if quick { 7 } else { 15 },
@@ -1156,10 +1075,11 @@ pub fn run_suite(quick: bool, threads: usize) -> BenchReport {
     suite.registry_durability(8, 64);
     suite.registry_durability_faulty(8, 64);
     suite.supergraph_recompose(8, 200);
-    suite.supergraph_recompose(32, 200);
+    // A distinct class count keeps the record keys of the two
+    // supergraph configurations apart.
+    suite.supergraph_recompose(32, 256);
     suite.taxonomy_merges(6_000, 6);
     if !quick {
-        suite.registry_publish(16, 200);
         suite.taxonomy_merges(12_000, 8);
     }
     suite.report
@@ -1252,14 +1172,13 @@ pub fn to_table(report: &BenchReport) -> String {
     ));
     out.push_str(&"-".repeat(132));
     out.push('\n');
-    // Records are pushed in pairs, one pair per speedup, in order — index
-    // arithmetic rather than field matching, so repeated (family, op,
-    // size) configurations (e.g. the registry workload at two member
-    // counts) each keep their own row.
-    for (i, s) in report.speedups.iter().enumerate() {
-        let base = &report.records[2 * i];
-        let imp = &report.records[2 * i + 1];
-        debug_assert_eq!((base.variant, imp.variant), (s.baseline, s.improved));
+    for s in &report.speedups {
+        let record = |variant| {
+            report
+                .record(s.family, s.op, s.n_classes, variant)
+                .expect("every speedup pairs two records")
+        };
+        let (base, imp) = (record(s.baseline), record(s.improved));
         out.push_str(&format!(
             "{:<13} {:<9} {:>8} {:>8}  {:>26} {:>12.1} {:>12.1} {:>7.2}x {:>7.2}x {:>8.1} {:>7.2}x\n",
             s.family,
@@ -1293,15 +1212,23 @@ mod tests {
         let report = suite.report;
         assert_eq!(
             report.records.len(),
-            12,
-            "3 engine ops + 2 pool pairs + parallel pair, 2 variants each"
+            10,
+            "weak_join 2 + complete 3 + fixpoint 2 + merge 3 variants"
         );
         assert_eq!(report.speedups.len(), 6);
+        let mut keys: Vec<_> = report
+            .records
+            .iter()
+            .map(|r| (r.family, r.op, r.n_classes, r.variant))
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), report.records.len(), "record keys are unique");
         let json = to_json(&report, 2, 2);
         assert!(json.contains("\"bench_schema_version\": 5"));
         assert!(json.contains("\"threads\": 2"));
         assert!(json.contains("\"variant\": \"compiled\""));
-        assert!(json.contains("\"variant\": \"parallel\""));
+        assert!(json.contains("\"variant\": \"compiled@N\""));
         assert!(json.contains("\"variant\": \"compiled-nopool\""));
         assert!(json.contains("\"op\": \"weak_join\""));
         assert!(json.contains("\"baseline\": \"symbolic\""));
@@ -1352,7 +1279,7 @@ mod tests {
     }
 
     #[test]
-    fn taxonomy_workload_pairs_representations_and_partitioning() {
+    fn taxonomy_workload_pairs_representations() {
         let mut suite = Suite {
             iters: 1,
             threads: 2,
@@ -1363,17 +1290,12 @@ mod tests {
         // which must also measure cleanly).
         suite.taxonomy_merges(400, 4);
         let report = suite.report;
-        assert_eq!(report.records.len(), 4, "2 pairs, 2 variants each");
-        assert_eq!(report.speedups.len(), 2);
+        assert_eq!(report.records.len(), 2, "one pair");
+        assert_eq!(report.speedups.len(), 1);
         let rep = &report.speedups[0];
         assert_eq!(
             (rep.baseline, rep.improved),
             (VARIANT_COMPILED_DENSE, VARIANT_COMPILED)
-        );
-        let part = &report.speedups[1];
-        assert_eq!(
-            (part.baseline, part.improved),
-            (VARIANT_COMPILED_DENSE, VARIANT_PARTITIONED)
         );
         for record in &report.records {
             assert_eq!(record.family, "taxonomy");
@@ -1401,7 +1323,7 @@ mod tests {
             3,
         );
         let joined = facade_join(family.iter());
-        suite.complete_pool_pairs("random", &joined);
+        suite.completion("random", &joined, false);
         let speedup = &suite.report.speedups[0];
         assert_eq!(
             (speedup.baseline, speedup.improved),
@@ -1423,7 +1345,8 @@ mod tests {
         };
         suite.registry_publish(8, 24);
         let report = suite.report;
-        assert_eq!(report.records.len(), 4);
+        assert_eq!(report.records.len(), 3, "full, incremental, full-parallel");
+        assert_eq!(report.speedups.len(), 2);
         assert!(report
             .records
             .iter()
@@ -1492,7 +1415,7 @@ mod tests {
         assert_eq!(merge.family, "wide");
         assert_eq!(
             (merge.baseline, merge.improved),
-            (VARIANT_COMPILED, VARIANT_PARALLEL)
+            (VARIANT_COMPILED, VARIANT_COMPILED_THREADED)
         );
     }
 }

@@ -1,7 +1,8 @@
 //! The ISSUE-2/ISSUE-4 acceptance property: across every `workload`
 //! generator family, **every plan configuration of the `Merger` façade**
-//! — compiled (the default), symbolic, and compiled-onto-base at every
-//! split of the inputs — agrees with the symbolic `reference` merge:
+//! — compiled (the default) at one thread and at several, symbolic, and
+//! compiled-onto-base at every split of the inputs — agrees with the
+//! symbolic `reference` merge:
 //! equal weak joins, equal proper schemas and reports, and (the weaker
 //! public contract) alpha-isomorphism modulo implicit-class naming — and
 //! the compiled representation round-trips losslessly.
@@ -12,23 +13,20 @@ use schema_merge_core::iso::alpha_isomorphic;
 use schema_merge_core::{reference, Class, CompiledSchema, EnginePreference, Merger, WeakSchema};
 use schema_merge_er::to_core;
 use schema_merge_workload::{
-    pathological_nfa, random_er_schema, schema_family, ErParams, SchemaParams,
+    pathological_nfa, random_er_schema, schema_family, taxonomy_family, ErParams, SchemaParams,
+    TaxonomyParams,
 };
 
 fn assert_engines_agree(schemas: &[&WeakSchema]) {
-    // The default (Auto) plan — compiled below the work threshold,
-    // parallel above it; the parallel plan leaves the symbolic join to
-    // an on-demand decompile.
+    // The default (Auto) plan: the compiled engine at whatever budget
+    // the work estimate resolves to; the symbolic join is decompiled on
+    // demand.
     let compiled = Merger::new()
         .schemas(schemas.iter().copied())
         .execute()
         .expect("default merge");
     let symbolic = reference::merge(schemas.iter().copied()).expect("symbolic merge");
-    let compiled_weak = match (compiled.weak.clone(), &compiled.compiled) {
-        (Some(weak), _) => weak,
-        (None, Some(join)) => join.decompile(),
-        (None, None) => unreachable!("batch merges produce a join"),
-    };
+    let compiled_weak = compiled.weak().expect("a join ran").into_owned();
     assert_eq!(compiled_weak, symbolic.weak, "weak joins agree");
     assert_eq!(compiled.proper, symbolic.proper, "proper schemas agree");
     assert_eq!(compiled.implicit, symbolic.report, "reports agree");
@@ -41,29 +39,28 @@ fn assert_engines_agree(schemas: &[&WeakSchema]) {
         "alpha-isomorphic modulo implicit naming"
     );
 
-    // The parallel plan configuration, across thread counts (and with
-    // them every partition shape of the input list): equal AND
-    // report-identical to the reference and the compiled engine.
+    // The compiled engine across thread budgets (and with them every
+    // chunking of the input list): equal AND report-identical to the
+    // reference.
     for threads in [1, 2, 4, 8] {
-        let parallel = Merger::new()
+        let sharded = Merger::new()
             .schemas(schemas.iter().copied())
-            .engine(EnginePreference::Parallel)
             .threads(threads)
             .execute()
-            .expect("parallel plan");
+            .expect("compiled plan");
         assert_eq!(
-            parallel.proper, symbolic.proper,
-            "parallel plan agrees at {threads} threads"
+            sharded.proper, symbolic.proper,
+            "compiled plan agrees at {threads} threads"
         );
-        assert_eq!(parallel.implicit, symbolic.report);
+        assert_eq!(sharded.implicit, symbolic.report);
         assert_eq!(
-            parallel
+            sharded
                 .compiled
                 .as_ref()
-                .expect("parallel keeps the compiled join")
+                .expect("the compiled engine keeps the compiled join")
                 .decompile(),
             compiled_weak,
-            "parallel join is bit-identical at {threads} threads"
+            "compiled join is identical at {threads} threads"
         );
     }
 
@@ -151,6 +148,24 @@ proptest! {
         // The upper range crosses the 8-schemas-per-worker floor, so the
         // sharded join's multi-partition path is exercised too.
         let family = schema_merge_workload::wide_family(members, seed);
+        let refs: Vec<&WeakSchema> = family.iter().collect();
+        assert_engines_agree(&refs);
+    }
+
+    #[test]
+    fn taxonomy_family_engines_agree(seed in any::<u64>(), forests in 1usize..5, members in 2usize..4) {
+        // Multi-forest taxonomies: disconnected subject trees with
+        // multiple inheritance, the shape the sparse rows exist for.
+        let params = TaxonomyParams {
+            classes: 180,
+            branching: 4,
+            forests,
+            dag_extra_parents: 20,
+            labels: 8,
+            arrows: 90,
+            seed,
+        };
+        let family = taxonomy_family(&params, members);
         let refs: Vec<&WeakSchema> = family.iter().collect();
         assert_engines_agree(&refs);
     }

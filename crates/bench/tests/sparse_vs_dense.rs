@@ -14,7 +14,7 @@
 //! isolated from every other (concurrently running) test.
 
 use schema_merge_core::row::set_sparse_enabled;
-use schema_merge_core::{EnginePreference, MergeReport, Merger, WeakSchema};
+use schema_merge_core::{MergeReport, Merger, WeakSchema};
 use schema_merge_workload::{taxonomy, taxonomy_family, TaxonomyParams};
 
 /// Restores the (default-on) sparse policy even if an assertion panics.
@@ -25,36 +25,38 @@ impl Drop for SparseGuard {
     }
 }
 
-fn run(schemas: &[&WeakSchema], engine: EnginePreference, threads: usize) -> MergeReport {
+fn run(schemas: &[&WeakSchema], threads: usize) -> MergeReport {
     Merger::new()
         .schemas(schemas.iter().copied())
-        .engine(engine)
         .threads(threads)
         .execute()
         .expect("merge succeeds")
 }
 
+/// Dense and sparse rows, at one thread and at two: all four merges
+/// must agree exactly.
 fn assert_dense_equals_sparse(schemas: &[&WeakSchema]) {
     let _guard = SparseGuard;
-    for engine in [
-        EnginePreference::Compiled,
-        EnginePreference::Parallel,
-        EnginePreference::Partitioned,
-    ] {
+    let expected = run(schemas, 1);
+    for threads in [1, 2] {
         set_sparse_enabled(false);
-        let dense = run(schemas, engine, 2);
+        let dense = run(schemas, threads);
         set_sparse_enabled(true);
-        let sparse = run(schemas, engine, 2);
-        assert_eq!(dense.proper, sparse.proper, "{engine:?}: proper schemas");
-        assert_eq!(dense.implicit, sparse.implicit, "{engine:?}: reports");
-        assert_eq!(dense.weak, sparse.weak, "{engine:?}: weak joins");
-        match (&dense.compiled, &sparse.compiled) {
-            (Some(d), Some(s)) => assert_eq!(
-                d.decompile(),
-                s.decompile(),
-                "{engine:?}: compiled joins are logically identical"
-            ),
-            (d, s) => assert_eq!(d.is_some(), s.is_some()),
+        let sparse = run(schemas, threads);
+        for (rows, report) in [("dense", &dense), ("sparse", &sparse)] {
+            assert_eq!(
+                report.proper, expected.proper,
+                "{rows} rows at {threads} threads: proper schemas"
+            );
+            assert_eq!(
+                report.implicit, expected.implicit,
+                "{rows}/{threads}: reports"
+            );
+            assert_eq!(
+                report.compiled.as_ref().map(|c| c.decompile()),
+                expected.compiled.as_ref().map(|c| c.decompile()),
+                "{rows}/{threads}: compiled joins are logically identical"
+            );
         }
     }
 }

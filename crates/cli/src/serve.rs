@@ -14,8 +14,8 @@
 
 use std::collections::VecDeque;
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -43,6 +43,21 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 /// minutes) hold a worker indefinitely; the whole block must arrive
 /// within this deadline.
 const PUT_DEADLINE: Duration = Duration::from_secs(60);
+
+/// The longest request or payload line the daemon reads, in bytes. Real
+/// lines are a verb and a member name, or one line of a schema document;
+/// a longer one is rejected with `E-LIMIT` before it can grow further.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// The largest PUT payload the daemon collects, in bytes — far above a
+/// 6,000-class taxonomy view (under 1 MB), so only a runaway or hostile
+/// client reaches it.
+const MAX_PUT_BYTES: usize = 64 << 20;
+
+/// How long an over-limit connection's unread input is drained before
+/// the socket closes, so the client reads the `E-LIMIT` line instead of
+/// a connection reset.
+const LIMIT_DRAIN: Duration = Duration::from_secs(1);
 
 /// Cadence of the background heal probe while the registry is degraded.
 const PROBE_INTERVAL: Duration = Duration::from_millis(200);
@@ -557,15 +572,54 @@ pub fn serve_command(args: &[&String], out: &mut dyn Write) -> Result<(), CliErr
     Ok(())
 }
 
-fn read_line(reader: &mut BufReader<TcpStream>) -> std::io::Result<Option<String>> {
-    let mut buf = String::new();
-    if reader.read_line(&mut buf)? == 0 {
+/// A wire line longer than [`MAX_LINE_BYTES`].
+struct LineTooLong;
+
+/// Reads one line, without its terminator, buffering at most
+/// [`MAX_LINE_BYTES`] of it. `None` at end of input.
+fn read_line(
+    reader: &mut BufReader<TcpStream>,
+) -> std::io::Result<Option<Result<String, LineTooLong>>> {
+    let mut bytes = Vec::new();
+    let limit = MAX_LINE_BYTES as u64 + 1;
+    if reader.by_ref().take(limit).read_until(b'\n', &mut bytes)? == 0 {
         return Ok(None);
     }
+    if bytes.len() > MAX_LINE_BYTES && bytes.last() != Some(&b'\n') {
+        return Ok(Some(Err(LineTooLong)));
+    }
+    let mut buf = String::from_utf8(bytes)
+        .map_err(|err| std::io::Error::new(std::io::ErrorKind::InvalidData, err))?;
     while buf.ends_with('\n') || buf.ends_with('\r') {
         buf.pop();
     }
-    Ok(Some(buf))
+    Ok(Some(Ok(buf)))
+}
+
+/// Answers an over-limit request with the stable `E-LIMIT` error and
+/// ends the connection: the rest of the oversized input is never
+/// buffered. The unread input is discarded for at most [`LIMIT_DRAIN`]
+/// first, so the client sees the error line rather than a reset.
+fn reject_over_limit(
+    reader: &mut BufReader<TcpStream>,
+    writer: &mut TcpStream,
+    what: &str,
+    cap: usize,
+) -> std::io::Result<()> {
+    let detail = format!("[E-LIMIT] {what} exceeds {cap} bytes; closing connection");
+    writeln!(writer, "{}", status_line(Status::Err, &detail))?;
+    writer.flush()?;
+    writer.shutdown(Shutdown::Write)?;
+    writer.set_read_timeout(Some(LIMIT_DRAIN))?;
+    let deadline = Instant::now() + LIMIT_DRAIN;
+    let mut discard = [0u8; 8192];
+    while Instant::now() < deadline {
+        match reader.read(&mut discard) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+    }
+    Ok(())
 }
 
 /// Resolves a protocol member name to its registry: `registry/member`
@@ -624,6 +678,9 @@ fn handle_connection(
     let mut writer = stream;
 
     while let Some(line) = read_line(&mut reader)? {
+        let Ok(line) = line else {
+            return reject_over_limit(&mut reader, &mut writer, "request line", MAX_LINE_BYTES);
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -688,8 +745,26 @@ fn handle_connection(
             Command::Put(name) => {
                 let mut collector = BlockCollector::new();
                 let mut complete = false;
+                let mut body_bytes = 0usize;
                 let block_started = Instant::now();
                 while let Some(payload_line) = read_line(&mut reader)? {
+                    let Ok(payload_line) = payload_line else {
+                        return reject_over_limit(
+                            &mut reader,
+                            &mut writer,
+                            "payload line",
+                            MAX_LINE_BYTES,
+                        );
+                    };
+                    body_bytes += payload_line.len() + 1;
+                    if body_bytes > MAX_PUT_BYTES {
+                        return reject_over_limit(
+                            &mut reader,
+                            &mut writer,
+                            "PUT payload",
+                            MAX_PUT_BYTES,
+                        );
+                    }
                     if collector.push(&payload_line) {
                         complete = true;
                         break;

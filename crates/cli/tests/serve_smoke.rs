@@ -417,3 +417,50 @@ fn daemon_federates_attach_compose_supergraph_and_detach() {
         .expect("daemon exits after SHUTDOWN");
     assert!(status.success());
 }
+
+#[test]
+fn daemon_rejects_over_long_lines_with_e_limit() {
+    // One byte past the daemon's 1 MiB line cap.
+    let oversized = "x".repeat((1 << 20) + 1);
+    let daemon = spawn_daemon(&[]);
+
+    // An over-long request line, and an over-long line inside a PUT
+    // payload: each is answered with the stable E-LIMIT error, then the
+    // connection is closed.
+    for request in [
+        format!("PING {oversized}\n"),
+        format!("PUT alpha\nschema alpha {{ {oversized} }}\n.\n"),
+    ] {
+        let stream = TcpStream::connect(&daemon.addr).expect("connects");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        writer.write_all(request.as_bytes()).expect("request sent");
+        let mut reader = BufReader::new(stream);
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("an error line");
+        assert!(
+            line.starts_with("ERR [E-LIMIT]"),
+            "over-long line rejected: {line}"
+        );
+        line.clear();
+        assert_eq!(
+            reader.read_line(&mut line).unwrap_or(0),
+            0,
+            "connection closed after E-LIMIT: {line}"
+        );
+    }
+
+    // The daemon is unharmed: a fresh connection is served, and nothing
+    // was published.
+    let stream = TcpStream::connect(&daemon.addr).expect("connects");
+    let mut writer = stream.try_clone().unwrap();
+    writeln!(writer, "PING").unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert_eq!(line.trim(), "OK pong");
+    let (ok, text) = client(&daemon.addr, &["get", "alpha"]);
+    assert!(!ok, "the rejected PUT published nothing: {text}");
+}

@@ -876,23 +876,11 @@ fn merge_sorted<'a, T: Ord + ?Sized>(
     out
 }
 
-/// Batch-joins `schemas` with one interning pass: the least upper bound is
-/// computed entirely in id space and returned in both forms, so callers
-/// (notably [`crate::merge::merge_compiled`]) can continue in id space
-/// without recompiling.
-pub(crate) fn join_compiled<'a>(
-    schemas: impl IntoIterator<Item = &'a WeakSchema>,
-) -> Result<(WeakSchema, CompiledSchema), SchemaError> {
-    let schemas: Vec<&WeakSchema> = schemas.into_iter().collect();
-    let compiled = join_compiled_ids(&schemas, 1)?;
-    Ok((compiled.decompile(), compiled))
-}
-
 /// One worker's partition of a sharded join: the direct-edge bit matrix
 /// and raw arrow rows of its input slice, over the *shared* interner
 /// (the global class/label tables every partition indexes with the same
 /// ids). Partials merge by pure bitwise OR — the tree-reduction node of
-/// the parallel engine.
+/// the compiled engine's join.
 struct DensePartial {
     direct: SpecMatrix,
     raw_arrows: Vec<BTreeMap<u32, SpecRow>>,
@@ -962,8 +950,9 @@ impl DensePartial {
     }
 }
 
-/// [`join_compiled`] without the symbolic materialization, sharded over
-/// `threads` workers — the join stage of the parallel engine.
+/// Joins `schemas` entirely in id space, sharded over `threads` workers —
+/// the join stage of the compiled engine. The symbolic join is never
+/// materialized; callers that need it decompile the result.
 ///
 /// The global class/label tables are built first (sorted unions of the
 /// inputs' already-sorted tables — cheaper than per-insert set
@@ -973,8 +962,8 @@ impl DensePartial {
 /// reduced pairwise in a tree of scoped workers. One closure pass at
 /// the root finishes the job: closing once over the OR of the partials
 /// equals closing at every tree node (a union of closed relations
-/// re-closes to the same result), so the result is identical to the
-/// sequential [`join_compiled`] at every thread count — only cheaper.
+/// re-closes to the same result), so the result is identical at every
+/// thread count.
 pub(crate) fn join_compiled_ids(
     schemas: &[&WeakSchema],
     threads: usize,
@@ -1123,7 +1112,7 @@ pub(crate) fn canonical_map(
 /// incremental re-merge: the cached join of the unchanged members enters
 /// the next join as a compiled artifact, so a publish pays interning
 /// proportional to the changed member, not the whole member set. The
-/// result is identical to [`join_compiled`] over the base's decompiled
+/// result is identical to [`join_compiled_ids`] over the base's decompiled
 /// form plus the extras — both feed the same closed relations into the
 /// same closure engine.
 pub(crate) fn join_onto_compiled(
@@ -1200,7 +1189,7 @@ pub(crate) fn join_onto_compiled(
         }
     }
 
-    // Extras: the same symbolic walk as `join_compiled`, unioning into
+    // Extras: the same symbolic walk as `DensePartial::intern`, unioning into
     // the seeded rows.
     let cid: FastMap<&Class, u32> = parts
         .classes
@@ -1969,10 +1958,11 @@ mod tests {
             let sharded = join_compiled_ids(&refs, threads).unwrap();
             assert_eq!(sharded, sequential, "bit-identical at {threads} threads");
         }
-        // And equal to the historical batch join.
-        let (weak, compiled) = join_compiled(refs.iter().copied()).unwrap();
-        assert_eq!(compiled, sequential);
-        assert_eq!(weak, sequential.decompile());
+        // And equal to the symbolic reference join.
+        assert_eq!(
+            sequential.decompile(),
+            crate::reference::weak_join_all(refs.iter().copied()).unwrap()
+        );
     }
 
     #[test]

@@ -144,8 +144,8 @@ pub fn complete_compiled(
 /// id-space pipeline behind the registry's incremental re-merge: the
 /// symbolic schema is materialized exactly once, for the completed
 /// result, instead of once for the join and again for the completion.
-/// The engine behind the merger's onto-base completion pass and the
-/// parallel engine's completion stage. `threads` shards the `Imp`
+/// The engine behind the completion pass of both compiled plans
+/// (fresh and onto a cached base). `threads` shards the `Imp`
 /// fixpoint's frontier (results are identical at every thread count).
 pub(crate) fn complete_from_compiled_impl(
     compiled: &CompiledSchema,

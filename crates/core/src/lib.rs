@@ -39,10 +39,11 @@
 //! Internally every hot path runs on the **compiled schema core**
 //! ([`compile`]): classes and labels are interned to dense `u32` ids,
 //! the specialization closure lives in bitset rows and arrows in CSR
-//! adjacency. Planning picks the engine — batch compiled, incremental
-//! onto a cached base, or the retained symbolic algorithms of
-//! [`reference`](mod@crate::reference) for differential testing — and
-//! all engines produce equal results.
+//! adjacency. Planning picks the engine — the compiled id-space
+//! pipeline, whose only knob is its worker-thread budget; the same
+//! pipeline joining onto a cached base; or the retained symbolic
+//! algorithms of [`reference`](mod@crate::reference) for differential
+//! testing — and all engines produce equal results.
 //!
 //! ## Quick example
 //!
@@ -87,7 +88,6 @@ pub mod name;
 mod order;
 pub mod parallel;
 pub mod participation;
-mod partition;
 pub mod proper;
 pub mod reference;
 pub mod rename;
@@ -115,7 +115,6 @@ pub use merge::{are_compatible, weak_join, MergeOutcome, MergeSession};
 pub use merger::{
     EnginePreference, InputProvenance, Joined, MergeMode, MergePass, MergePlan, MergeReport,
     MergeTrace, Merger, PlannedEngine, PARALLEL_INPUT_THRESHOLD, PARALLEL_WORK_THRESHOLD,
-    PARTITION_CLASS_THRESHOLD,
 };
 pub use name::{Label, Name};
 pub use parallel::default_threads;

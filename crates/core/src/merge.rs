@@ -217,28 +217,36 @@ mod tests {
         Merger::new().schemas(schemas).join().map(Joined::into_weak)
     }
 
-    /// The n-ary join on the batch compiled engine, both representations.
+    /// The n-ary join on the sequential compiled engine, both
+    /// representations (the symbolic one decompiled).
     fn join_all_compiled<'a>(
         schemas: impl IntoIterator<Item = &'a WeakSchema>,
     ) -> Result<(WeakSchema, CompiledSchema), MergeError> {
-        let (weak, compiled) = Merger::new()
+        let compiled = Merger::new()
             .schemas(schemas)
-            .engine(EnginePreference::Compiled)
+            .threads(1)
             .join()?
-            .into_parts();
-        Ok((weak.unwrap(), compiled.unwrap()))
+            .into_parts()
+            .1
+            .expect("the compiled engine keeps the compiled join");
+        Ok((compiled.decompile(), compiled))
     }
 
-    /// The paper's full merge through the façade (compiled engine, so
-    /// the outcome triple carries the symbolic weak join).
+    /// The paper's full merge through the façade, on the compiled engine
+    /// at one thread and at two; the two must agree exactly.
     fn merge_all<'a>(
-        schemas: impl IntoIterator<Item = &'a WeakSchema>,
+        schemas: impl IntoIterator<Item = &'a WeakSchema> + Clone,
     ) -> Result<MergeOutcome, MergeError> {
-        Merger::new()
-            .schemas(schemas)
-            .engine(EnginePreference::Compiled)
-            .execute()
-            .map(crate::merger::MergeReport::into_outcome)
+        let run = |threads| {
+            Merger::new()
+                .schemas(schemas.clone())
+                .threads(threads)
+                .execute()
+                .map(crate::merger::MergeReport::into_outcome)
+        };
+        let outcome = run(1);
+        assert_eq!(outcome, run(2), "thread counts never change results");
+        outcome
     }
 
     fn dog_schema_one() -> WeakSchema {

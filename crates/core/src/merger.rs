@@ -33,9 +33,12 @@
 //! Planning resolves an [`EnginePreference`] into the [`PlannedEngine`]
 //! that actually runs:
 //!
-//! * **`Compiled`** (the default) — inputs are interned once into dense
-//!   ids; join and completion run on bitset closures and CSR adjacency
-//!   ([`crate::compile`]).
+//! * **`Compiled`** (the default) — inputs are interned into dense ids
+//!   against one shared interner, joined by a sharded tree reduction and
+//!   completed by a frontier-parallel `Imp` fixpoint, end to end in id
+//!   space ([`crate::compile`]). [`Merger::threads`] is its only knob:
+//!   `threads(1)` runs every stage on the calling thread, and every
+//!   thread count yields identical results.
 //! * **`CompiledOntoBase`** — chosen automatically when
 //!   [`Merger::onto_base`] supplies a cached [`CompiledSchema`]: the base
 //!   is transferred in id space and only the extra inputs are interned
@@ -68,10 +71,10 @@ use crate::lower::{
 };
 use crate::name::Label;
 use crate::parallel;
-use crate::partition::{self, Partitioning};
 use crate::proper::ProperSchema;
 use crate::weak::WeakSchema;
 use schema_merge_telemetry::{self as telemetry, SpanRecord};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Which engine the caller *prefers*; planning resolves it into the
@@ -79,29 +82,13 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum EnginePreference {
-    /// Let the planner pick: the compiled engine for small merges, the
-    /// parallel engine once the [work estimate](MergePlan::work_units)
-    /// crosses [`PARALLEL_WORK_THRESHOLD`], and the onto-base engine when
-    /// a cached base was supplied. The right choice outside differential
-    /// tests.
+    /// Let the planner pick: the compiled engine, or the onto-base
+    /// engine when a cached base was supplied. The right choice outside
+    /// differential tests; [`Merger::threads`] is the only cost knob.
     #[default]
     Auto,
     /// Force the retained symbolic reference algorithms.
     Symbolic,
-    /// Force the compiled engine (re-interning the base if one was
-    /// supplied).
-    Compiled,
-    /// Force the parallel engine: sharded interning against a shared
-    /// interner, tree-reduction join, frontier-parallel completion —
-    /// end-to-end in id space ([`crate::parallel`]).
-    Parallel,
-    /// Force the partition pass: split the merge along weakly-connected
-    /// components of the combined specialization+arrow graph and merge
-    /// each component independently, joining at the (empty) seams. Falls
-    /// back to `Auto` resolution when the graph is a single component or
-    /// the shape is ineligible (lower mode, annotated inputs, a cached
-    /// base).
-    Partitioned,
 }
 
 /// The engine a [`MergePlan`] resolved to.
@@ -110,28 +97,15 @@ pub enum EnginePreference {
 pub enum PlannedEngine {
     /// Symbolic `BTreeMap`/`BTreeSet` algorithms ([`crate::reference`]).
     Symbolic,
-    /// Dense-id bitset/CSR engine ([`crate::compile`]).
+    /// The id-space engine ([`crate::compile`]): sharded interning
+    /// against a shared interner, tree-reduction join and
+    /// frontier-parallel completion over [`MergePlan::threads`] scoped
+    /// workers. It never materializes the symbolic join
+    /// ([`MergeReport::weak`] decompiles it on demand); results are
+    /// identical at every thread count.
     Compiled,
     /// Compiled engine joining extras onto a cached compiled base.
     CompiledOntoBase,
-    /// Tree-reduction join and frontier-parallel completion over
-    /// [`MergePlan::threads`] scoped workers, never materializing the
-    /// symbolic join ([`MergeReport::weak`] is `None`, as on the
-    /// onto-base path). Bit-identical results to [`Compiled`]
-    /// (`proper`, `implicit` and every downstream pass) at every thread
-    /// count.
-    ///
-    /// [`Compiled`]: PlannedEngine::Compiled
-    Parallel,
-    /// The merge splits along the [`MergePlan::partitions`]
-    /// weakly-connected components of the combined specialization+arrow
-    /// graph; each component merges independently (resolving its own
-    /// sub-engine, so big components still run the parallel pipeline) and
-    /// the results join at the seams as a disjoint union. Results equal
-    /// every other engine's; [`MergeReport::weak`] is stitched from the
-    /// component joins and [`MergeReport::compiled`] is `None` (no single
-    /// interner spans the components).
-    Partitioned,
 }
 
 impl PlannedEngine {
@@ -141,8 +115,6 @@ impl PlannedEngine {
             PlannedEngine::Symbolic => "symbolic",
             PlannedEngine::Compiled => "compiled",
             PlannedEngine::CompiledOntoBase => "compiled-onto-base",
-            PlannedEngine::Parallel => "parallel",
-            PlannedEngine::Partitioned => "partitioned",
         }
     }
 }
@@ -222,30 +194,22 @@ impl fmt::Display for MergePass {
     }
 }
 
-/// The [work-unit](MergePlan::work_units) level at which an `Auto` plan
-/// switches from the sequential compiled engine to the parallel engine.
-/// Below it, the parallel pipeline's setup (shared-interner tables, wave
-/// buffers, worker spawns) costs more than it saves; above it, the merge
-/// is dominated by interning and the `Imp` fixpoint, both of which the
-/// parallel engine shards.
+/// The [work-unit](MergePlan::work_units) level at which a merge
+/// without an explicit [`Merger::threads`] budget runs on
+/// [`default_threads`](crate::default_threads) workers instead of one.
+/// Below it, worker spawns and per-worker buffers cost more than they
+/// save; above it, the merge is dominated by interning and the `Imp`
+/// fixpoint, both of which the compiled engine shards.
 pub const PARALLEL_WORK_THRESHOLD: u64 = 10_000;
 
-/// The input count at which an `Auto` plan switches to the parallel
-/// engine regardless of the work estimate: with this many member
-/// schemas the merge is dominated by walking the inputs (the wide
-/// registry-rebuild shape), which the parallel join shards perfectly —
-/// per-input size signals cannot see this, because the collisions that
-/// make such merges expensive only materialize in the join.
+/// The input count at which a merge without an explicit budget runs on
+/// [`default_threads`](crate::default_threads) workers regardless of the
+/// work estimate: with this many member schemas the merge is dominated
+/// by walking the inputs (the wide registry-rebuild shape), which the
+/// sharded join splits perfectly — per-input size signals cannot see
+/// this, because the collisions that make such merges expensive only
+/// materialize in the join.
 pub const PARALLEL_INPUT_THRESHOLD: usize = 16;
-
-/// The class count at which `Auto` planning pays for the
-/// weakly-connected-component analysis that can split the merge into
-/// independent partitions. Below it the analysis walk costs more than
-/// partitioning could save; above it a disconnected vocabulary (taxonomy
-/// forests, federations of unrelated domains) merges per component,
-/// bounding both wall time and the peak closure footprint by the largest
-/// component instead of the whole vocabulary.
-pub const PARTITION_CLASS_THRESHOLD: usize = 4096;
 
 /// What a [`Merger`] will do when executed: engine, passes and an
 /// estimate of the work involved. Produced by [`Merger::plan`] — cheap,
@@ -262,8 +226,10 @@ pub struct MergePlan {
     /// bookkeeping lives on the symbolic representation.
     pub engine: PlannedEngine,
     /// The worker-thread budget: the caller's [`Merger::threads`] if
-    /// set, the machine's available parallelism when the parallel
-    /// engine was auto-selected, 1 otherwise. At execution time the
+    /// set; otherwise the machine's available parallelism when the
+    /// [work estimate](MergePlan::work_units) reaches
+    /// [`PARALLEL_WORK_THRESHOLD`] or the input count reaches
+    /// [`PARALLEL_INPUT_THRESHOLD`], and 1 below both. At execution time the
     /// budget is additionally capped at the machine's available
     /// parallelism (oversubscribing cores with CPU-bound bit sweeps
     /// only adds scheduler overhead).
@@ -293,16 +259,12 @@ pub struct MergePlan {
     /// this is the inputs' NFA branching — the driver of the `Imp`
     /// fixpoint's state count.
     pub estimated_arrow_pairs: usize,
-    /// The weakly-connected components a
-    /// [`Partitioned`](PlannedEngine::Partitioned) plan merges
-    /// independently. `1` on every other plan (including plans that never
-    /// ran the component analysis).
-    pub partitions: usize,
 }
 
 impl MergePlan {
     /// A scalar work estimate combining input size with closure density,
-    /// used by `Auto` planning to route merges to the parallel engine.
+    /// used by planning to decide whether an unbudgeted merge spawns
+    /// workers.
     ///
     /// Linear terms count the symbols the join walks (classes, arrows)
     /// and the closed specialization pairs the closure and `MinS`/`MaxS`
@@ -325,7 +287,7 @@ impl MergePlan {
     /// instead. The old mild-excess weight was the dense row width
     /// (every extra target paid a `classes`-wide sweep), which
     /// over-routed large *sparse* taxonomies — 10k classes, shallow
-    /// closure — to the parallel engine even when their actual `MinS`
+    /// closure — to worker threads even when their actual `MinS`
     /// sweeps touch only the handful of ancestors each adaptive row
     /// stores. With adaptive rows the sweep cost is the average closed
     /// row population (`spec_pairs / classes`), so that is the weight.
@@ -359,15 +321,8 @@ impl fmt::Display for MergePlan {
             "plan: {} merge, engine={}, inputs={}",
             self.mode, self.engine, self.num_inputs
         )?;
-        if self.engine == PlannedEngine::Parallel {
+        if self.threads > 1 {
             write!(f, ", threads={}", self.threads)?;
-        }
-        if self.engine == PlannedEngine::Partitioned {
-            write!(
-                f,
-                ", partitions={}, threads={}",
-                self.partitions, self.threads
-            )?;
         }
         if self.num_assertions > 0 {
             write!(f, " (+{} assertions)", self.num_assertions)?;
@@ -419,15 +374,14 @@ pub struct InputProvenance {
 
 /// The phase-level execution trace of one merge: every telemetry span
 /// the engine emitted while executing the plan — one per executed
-/// [`MergePass`] (named by [`MergePass::as_str`]), plus the
-/// `partition-split`/`partition-stitch` bookkeeping of a partitioned
-/// plan and one `merge` root span covering the whole execution.
+/// [`MergePass`] (named by [`MergePass::as_str`]) under one `merge`
+/// root span covering the whole execution.
 /// Collected only when [`Merger::trace`] asked for it; a trace never
 /// changes the merge result, only observes it.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MergeTrace {
     /// The captured spans, in completion order (children before
-    /// parents on the same thread; partitioned component spans first).
+    /// parents).
     pub spans: Vec<SpanRecord>,
 }
 
@@ -446,9 +400,8 @@ fn human_ns(ns: u64) -> String {
 }
 
 impl MergeTrace {
-    /// The root `merge` span (the last one captured: a partitioned
-    /// plan's component sub-merges contribute their own inner `merge`
-    /// spans, which finish before the outer root does).
+    /// The root `merge` span (the last one captured: the root finishes
+    /// after every pass under it).
     pub fn root(&self) -> Option<&SpanRecord> {
         self.spans.iter().rev().find(|span| span.name == "merge")
     }
@@ -459,8 +412,7 @@ impl MergeTrace {
     }
 
     /// Total duration per phase name, in first-appearance order —
-    /// every non-root span summed by name, so a partitioned merge's
-    /// per-component `join` spans fold into one `join` entry.
+    /// every non-root span summed by name.
     pub fn phase_ns(&self) -> Vec<(&'static str, u64)> {
         let mut totals: Vec<(&'static str, u64)> = Vec::new();
         for span in &self.spans {
@@ -527,12 +479,10 @@ impl MergeTrace {
 pub struct MergeReport {
     /// The plan that was executed.
     pub plan: MergePlan,
-    /// The weak join of the inputs (upper mode) or the GLB schema (lower
-    /// mode). `None` on the onto-base and parallel paths, where
-    /// materializing the pre-completion join symbolically would cost an
-    /// extra decompile those engines exist to avoid — the completed
-    /// schema is [`MergeReport::proper`] either way.
-    pub weak: Option<WeakSchema>,
+    /// The symbolic join, when the engine produced one (the symbolic,
+    /// participation-aware and lower paths); read through
+    /// [`MergeReport::weak`], which decompiles the compiled join instead.
+    weak: Option<WeakSchema>,
     /// The completed merged schema — the paper's `Ḡ`.
     pub proper: ProperSchema,
     /// The implicit-class table: which meet classes completion introduced
@@ -569,23 +519,35 @@ pub struct MergeReport {
 }
 
 impl MergeReport {
+    /// The weak join of the inputs (upper mode) or the GLB schema (lower
+    /// mode). The compiled engines never materialize it symbolically, so
+    /// for them it is decompiled here, on demand — the completed schema
+    /// is [`MergeReport::proper`] either way. `None` only for a base-only
+    /// plan: nothing was joined, and the caller already holds the base.
+    pub fn weak(&self) -> Option<Cow<'_, WeakSchema>> {
+        match (&self.weak, &self.compiled) {
+            (Some(weak), _) => Some(Cow::Borrowed(weak)),
+            (None, Some(compiled)) => Some(Cow::Owned(compiled.decompile())),
+            (None, None) => None,
+        }
+    }
+
     /// Extracts the historical outcome triple (weak join, proper schema,
-    /// completion report) that pre-façade callers consume. Plans that
-    /// skip the symbolic join (parallel, onto-base with extras)
-    /// decompile their compiled join here, on demand.
+    /// completion report) that pre-façade callers consume, decompiling
+    /// the join on demand like [`MergeReport::weak`].
     ///
     /// # Panics
     ///
     /// When the report came from a base-only plan (nothing was joined,
     /// so no join representation exists — the caller already holds the
-    /// base; see [`MergeReport::weak`]).
+    /// base).
     pub fn into_outcome(self) -> crate::merge::MergeOutcome {
-        let weak = match (self.weak, &self.compiled) {
-            (Some(weak), _) => weak,
-            (None, Some(compiled)) => compiled.decompile(),
-            (None, None) => {
-                panic!("base-only plans carry no join; the caller already holds the base")
-            }
+        let weak = match self.weak {
+            Some(weak) => weak,
+            None => self
+                .compiled
+                .expect("base-only plans carry no join; the caller already holds the base")
+                .decompile(),
         };
         crate::merge::MergeOutcome {
             weak,
@@ -641,8 +603,8 @@ pub struct Joined {
 }
 
 impl Joined {
-    /// The symbolic join, when the engine materialized it (all engines
-    /// except onto-base do).
+    /// The symbolic join, when the engine materialized it (the symbolic
+    /// and participation-aware joins do; the compiled engines do not).
     pub fn weak(&self) -> Option<&WeakSchema> {
         self.weak.as_ref()
     }
@@ -747,9 +709,6 @@ pub struct Merger<'a> {
     /// but the report diagnoses everything the other inputs forced onto
     /// the target's hierarchy.
     target: Option<String>,
-    /// Internal: set on the per-component sub-mergers of a partitioned
-    /// plan so they never re-run the component analysis.
-    no_partition: bool,
     /// Capture a phase-level span trace into [`MergeReport::trace`].
     trace: bool,
 }
@@ -867,12 +826,11 @@ impl<'a> Merger<'a> {
         self
     }
 
-    /// Fixes the worker-thread budget for the parallel engine (and for
-    /// the frontier-parallel completion pass of the other compiled
-    /// plans). Clamped to at least 1 — a budget of 1 keeps the parallel
-    /// engine's end-to-end id-space pipeline but runs every stage on the
-    /// calling thread. Unset, an auto-selected parallel plan uses the
-    /// machine's available parallelism and every other plan stays
+    /// Fixes the worker-thread budget of the compiled engine — its only
+    /// knob. Clamped to at least 1; a budget of 1 runs every stage on the
+    /// calling thread. Unset, a plain compiled merge at or above
+    /// [`PARALLEL_WORK_THRESHOLD`] or [`PARALLEL_INPUT_THRESHOLD`] uses
+    /// the machine's available parallelism and every other plan stays
     /// sequential. Thread counts never change results, only wall time.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
@@ -889,8 +847,7 @@ impl<'a> Merger<'a> {
 
     /// Captures a phase-level execution trace into
     /// [`MergeReport::trace`]: one telemetry span per executed
-    /// [`MergePass`] (plus partition split/stitch bookkeeping) under a
-    /// `merge` root span. Tracing is collected on the executing thread
+    /// [`MergePass`] under a `merge` root span. Tracing is collected on the executing thread
     /// only and never changes the merge result; disabled (the default),
     /// the execution path is the pre-telemetry one — span collection
     /// short-circuits on one flag check.
@@ -919,13 +876,6 @@ impl<'a> Merger<'a> {
     /// Resolves what executing this merger will do — engine, passes and
     /// a work estimate — without running anything.
     pub fn plan(&self) -> MergePlan {
-        self.plan_with_partitioning().0
-    }
-
-    /// [`plan`](Merger::plan), additionally returning the component
-    /// analysis when the plan resolved to the partitioned engine (so
-    /// execution never walks the inputs twice).
-    fn plan_with_partitioning(&self) -> (MergePlan, Option<Partitioning>) {
         let mode = if self.lower {
             MergeMode::Lower
         } else {
@@ -961,8 +911,8 @@ impl<'a> Merger<'a> {
 
         let mut plan = MergePlan {
             mode,
-            engine: PlannedEngine::Compiled, // resolved below, once work is known
-            threads: 1,
+            engine: self.resolved_engine(),
+            threads: 1, // resolved below, once work is known
             passes: Vec::new(),
             num_inputs: self.inputs.len(),
             num_assertions: self.assertions.len(),
@@ -972,26 +922,20 @@ impl<'a> Merger<'a> {
             estimated_arrows,
             estimated_spec_pairs,
             estimated_arrow_pairs,
-            partitions: 1,
         };
-        let analysis = self.partition_analysis(estimated_classes);
-        let components = analysis.as_ref().map_or(1, Partitioning::count);
-        plan.engine = self.resolved_engine(plan.work_units(), components);
-        let analysis = if plan.engine == PlannedEngine::Partitioned {
-            plan.partitions = components;
-            analysis
-        } else {
-            None
-        };
-        plan.threads = match (self.threads, plan.engine) {
-            // An explicit budget always applies (the compiled plans use
-            // it for the frontier-parallel completion pass).
-            (Some(threads), _) => threads,
-            (None, PlannedEngine::Parallel | PlannedEngine::Partitioned) => {
+        plan.threads = self.threads.unwrap_or_else(|| {
+            // Only plain compiled merges big enough to pay for worker
+            // spawns get the machine's parallelism by default: the
+            // onto-base, annotated, symbolic and lower paths keep their
+            // sequential joins.
+            let big = plan.work_units() >= PARALLEL_WORK_THRESHOLD
+                || self.inputs.len() >= PARALLEL_INPUT_THRESHOLD;
+            if big && plan.engine == PlannedEngine::Compiled && !self.has_annotated() {
                 parallel::default_threads()
+            } else {
+                1
             }
-            (None, _) => 1,
-        };
+        });
 
         if !self.is_base_only(plan.engine) {
             plan.passes.push(MergePass::Join);
@@ -1011,36 +955,7 @@ impl<'a> Merger<'a> {
         if self.has_annotated() || mode == MergeMode::Lower {
             plan.passes.push(MergePass::ParticipationTransfer);
         }
-        (plan, analysis)
-    }
-
-    /// Runs the weakly-connected-component analysis when this merger's
-    /// shape and size make partitioning worth considering. `None` means
-    /// "planned as a single component" — either the shape is ineligible
-    /// (lower mode, annotated inputs, a cached base, a partitioned
-    /// sub-merge) or the merge is too small to pay for the walk.
-    fn partition_analysis(&self, estimated_classes: usize) -> Option<Partitioning> {
-        if self.lower || self.base.is_some() || self.has_annotated() || self.no_partition {
-            return None;
-        }
-        let eligible = match self.engine {
-            EnginePreference::Partitioned => true,
-            EnginePreference::Auto => estimated_classes >= PARTITION_CLASS_THRESHOLD,
-            _ => false,
-        };
-        if !eligible {
-            return None;
-        }
-        let weaks: Vec<&WeakSchema> = self.inputs.iter().map(|input| input.kind.weak()).collect();
-        let edges: Vec<(Class, Class)> = self
-            .assertions
-            .iter()
-            .map(|assertion| match assertion {
-                Assertion::Specialization(sub, sup) => (sub.clone(), sup.clone()),
-                Assertion::Arrow(src, _, tgt) => (src.clone(), tgt.clone()),
-            })
-            .collect();
-        Some(partition::analyze(&weaks, &edges))
+        plan
     }
 
     /// Executes the plan: join, completion, and every configured
@@ -1065,17 +980,8 @@ impl<'a> Merger<'a> {
         let _scope = telemetry::thread_span_scope();
         let mark = telemetry::span_mark();
         let result = self.execute_inner();
-        let captured = telemetry::drain_spans_since(mark);
+        let spans = telemetry::drain_spans_since(mark);
         result.map(|mut report| {
-            // A partitioned plan already collected its component
-            // sub-merge spans (recorded on worker threads) into the
-            // report; the calling thread's spans go after them.
-            let mut spans = report
-                .trace
-                .take()
-                .map(|trace| trace.spans)
-                .unwrap_or_default();
-            spans.extend(captured);
             report.trace = Some(MergeTrace { spans });
             report
         })
@@ -1085,17 +991,14 @@ impl<'a> Merger<'a> {
     /// Span emission inside is unconditional code-wise but free when
     /// collection is disabled (see [`telemetry::span`]).
     fn execute_inner(&self) -> Result<MergeReport, MergeError> {
-        let (plan, partitioning) = self.plan_with_partitioning();
+        let plan = self.plan();
         let mut root = telemetry::span("merge");
         root.attr_usize("inputs", plan.num_inputs);
         root.attr_usize("threads", plan.threads);
         root.attr("work_units", plan.work_units());
-        match (plan.mode, partitioning) {
-            (MergeMode::Upper, Some(parts)) if plan.engine == PlannedEngine::Partitioned => {
-                self.execute_partitioned(plan, &parts)
-            }
-            (MergeMode::Upper, _) => self.execute_upper(plan),
-            (MergeMode::Lower, _) => self.execute_lower(plan),
+        match plan.mode {
+            MergeMode::Upper => self.execute_upper(plan),
+            MergeMode::Lower => self.execute_lower(plan),
         }
     }
 
@@ -1119,7 +1022,7 @@ impl<'a> Merger<'a> {
             .any(|input| matches!(input.kind, InputKind::Annotated(_)))
     }
 
-    fn resolved_engine(&self, work_units: u64, components: usize) -> PlannedEngine {
+    fn resolved_engine(&self) -> PlannedEngine {
         if self.lower {
             // The lower pipeline is a symbolic fixpoint (§6); no compiled
             // variant exists yet.
@@ -1127,36 +1030,10 @@ impl<'a> Merger<'a> {
         }
         match self.engine {
             EnginePreference::Symbolic => PlannedEngine::Symbolic,
-            // An explicit `Compiled` forces the batch engine even over a
-            // base (the base is decompiled and re-interned) — that is
-            // the differential-test knob for batch vs onto-base.
-            EnginePreference::Compiled => PlannedEngine::Compiled,
-            // An explicit `Parallel` forces the parallel pipeline even
-            // over a base (decompiled and re-interned like forced
-            // `Compiled`) — the differential knob for parallel vs the
-            // rest.
-            EnginePreference::Parallel => PlannedEngine::Parallel,
-            // A forced `Partitioned` still needs ≥ 2 components to mean
-            // anything; on a connected graph it falls back to the auto
-            // resolution (and `execute_upper` warns).
-            EnginePreference::Partitioned if components >= 2 => PlannedEngine::Partitioned,
-            EnginePreference::Partitioned | EnginePreference::Auto => {
-                if self.base.is_some() && !self.has_annotated() {
-                    PlannedEngine::CompiledOntoBase
-                } else if components >= 2 {
-                    // partition_analysis only ran above the class
-                    // threshold, so ≥ 2 components here means a genuinely
-                    // large disconnected merge.
-                    PlannedEngine::Partitioned
-                } else if !self.has_annotated()
-                    && (work_units >= PARALLEL_WORK_THRESHOLD
-                        || self.inputs.len() >= PARALLEL_INPUT_THRESHOLD)
-                {
-                    PlannedEngine::Parallel
-                } else {
-                    PlannedEngine::Compiled
-                }
+            EnginePreference::Auto if self.base.is_some() && !self.has_annotated() => {
+                PlannedEngine::CompiledOntoBase
             }
+            EnginePreference::Auto => PlannedEngine::Compiled,
         }
     }
 
@@ -1221,32 +1098,16 @@ impl<'a> Merger<'a> {
                 Ok((Some(weak), None, None))
             }
             PlannedEngine::Compiled => {
-                // A forced-compiled plan over a base re-interns the
-                // base's symbolic form like any other input.
-                let decompiled_base = self.base.map(CompiledSchema::decompile);
-                let refs = decompiled_base.iter().chain(weak_refs.iter().copied());
-                let (weak, compiled) = compile::join_compiled(refs).map_err(schema_to_merge)?;
-                Ok((Some(weak), Some(compiled), None))
+                // Sharded interning + tree reduction, straight to the
+                // compiled form: the symbolic join is never materialized.
+                let compiled =
+                    compile::join_compiled_ids(&weak_refs, threads).map_err(schema_to_merge)?;
+                Ok((None, Some(compiled), None))
             }
             PlannedEngine::CompiledOntoBase => {
                 let base = self.base.expect("onto-base engine implies a base");
                 let compiled =
                     compile::join_onto_compiled(base, &weak_refs).map_err(schema_to_merge)?;
-                Ok((None, Some(compiled), None))
-            }
-            PlannedEngine::Parallel | PlannedEngine::Partitioned => {
-                // Sharded interning + tree reduction, straight to the
-                // compiled form: like onto-base, the parallel engine
-                // never materializes the symbolic join. Partitioning
-                // only pays in completion, so a partitioned plan's join
-                // is the same sharded join.
-                let decompiled_base = self.base.map(CompiledSchema::decompile);
-                let refs: Vec<&WeakSchema> = decompiled_base
-                    .iter()
-                    .chain(weak_refs.iter().copied())
-                    .collect();
-                let compiled =
-                    compile::join_compiled_ids(&refs, threads).map_err(schema_to_merge)?;
                 Ok((None, Some(compiled), None))
             }
         }
@@ -1298,14 +1159,10 @@ impl<'a> Merger<'a> {
             (Some(weak), _, PlannedEngine::Symbolic) => {
                 complete_impl(weak, None, CompletionEngine::Symbolic).map_err(MergeError::Schema)?
             }
-            (Some(weak), Some(compiled), _) => {
-                complete_impl(weak, Some(compiled), CompletionEngine::Compiled { threads })
-                    .map_err(MergeError::Schema)?
-            }
-            (Some(weak), None, _) => {
-                complete_impl(weak, None, CompletionEngine::Compiled { threads })
-                    .map_err(MergeError::Schema)?
-            }
+            // The participation-aware join is symbolic; its closure and
+            // completion still run on the compiled engine.
+            (Some(weak), _, _) => complete_impl(weak, None, CompletionEngine::Compiled { threads })
+                .map_err(MergeError::Schema)?,
             (None, Some(compiled), _) => {
                 complete_from_compiled_impl(compiled, threads).map_err(MergeError::Schema)?
             }
@@ -1336,20 +1193,10 @@ impl<'a> Merger<'a> {
             joined.transfer_to(proper.as_weak())
         });
         let mut diagnostics = self.input_diagnostics();
-        if self.engine == EnginePreference::Partitioned && plan.engine != PlannedEngine::Partitioned
-        {
-            diagnostics.push(Diagnostic::warning(
-                "W-PARTITION-CONNECTED",
-                "partitioned engine requested, but the combined \
-                 specialization+arrow graph is a single weakly-connected \
-                 component (or the shape is ineligible); fell back to the \
-                 auto-resolved engine",
-            ));
-        }
         diagnostics.extend(self.target_diagnostics(proper.as_weak(), &implicit));
         // Only the onto-base engine actually transfers the base in id
-        // space; the symbolic/annotated/forced-compiled plans decompile
-        // and re-walk it, so claiming reuse there would be false.
+        // space; the symbolic and annotated plans decompile and re-walk
+        // it, so claiming reuse there would be false.
         if plan.engine == PlannedEngine::CompiledOntoBase {
             diagnostics.push(Diagnostic::info(
                 "I-BASE-REUSED",
@@ -1385,142 +1232,6 @@ impl<'a> Merger<'a> {
             diagnostics,
             compiled,
             trace: None,
-            origins: None,
-        })
-    }
-
-    /// The partitioned pipeline: restrict every input (and assertion
-    /// atom) to each weakly-connected component, merge the components
-    /// independently — each on the engine auto-planned for its size —
-    /// and stitch the results back together. Components never interact
-    /// under any pipeline rule (see [`crate::partition`]), so the
-    /// stitched result is identical to the unpartitioned merge: the
-    /// weak join is the disjoint union of per-component joins, and the
-    /// implicit-class report re-sorted by class is exactly the
-    /// unpartitioned report.
-    fn execute_partitioned(
-        &self,
-        plan: MergePlan,
-        parts: &Partitioning,
-    ) -> Result<MergeReport, MergeError> {
-        let atoms = self.materialize_assertions()?;
-        let threads = execution_threads(&plan);
-
-        // Bucket the restriction of every input by component.
-        let mut buckets: Vec<Vec<WeakSchema>> = Vec::new();
-        buckets.resize_with(parts.count(), Vec::new);
-        {
-            let mut split_span = telemetry::span("partition-split");
-            split_span.attr_usize("components", parts.count());
-            split_span.attr_usize("largest_component", parts.largest());
-            for weak in self
-                .inputs
-                .iter()
-                .map(|input| input.kind.weak())
-                .chain(atoms.iter())
-            {
-                for (component, piece) in parts.split(weak) {
-                    buckets[component as usize].push(piece);
-                }
-            }
-        }
-
-        // Merge each component independently — across the thread budget,
-        // one *single-threaded* sub-merge per component (the components
-        // are the parallelism; nesting the parallel engine underneath
-        // them would oversubscribe the budget). Components are numbered
-        // by their smallest class and stitched in component order, so
-        // the result is deterministic regardless of sizes or scheduling.
-        let work: Vec<&Vec<WeakSchema>> = buckets.iter().filter(|b| !b.is_empty()).collect();
-        // Component sub-merges run on worker threads, where the calling
-        // thread's trace scope does not reach; propagating the flag lets
-        // each sub-merge capture its own spans, collected below.
-        let trace_components = self.trace;
-        let chunk_reports = parallel::map_chunks(work.len(), threads, |range| {
-            range
-                .map(|i| {
-                    let mut sub = Merger::new()
-                        .schemas(work[i].iter())
-                        .threads(1)
-                        .trace(trace_components);
-                    sub.no_partition = true;
-                    sub.execute()
-                })
-                .collect::<Vec<Result<MergeReport, MergeError>>>()
-        });
-
-        let mut component_spans: Vec<SpanRecord> = Vec::new();
-        let mut stitch_span = telemetry::span("partition-stitch");
-        let mut weak = WeakSchema::empty();
-        let mut propers = Vec::with_capacity(work.len());
-        let mut implicit = CompletionReport::default();
-        for report in chunk_reports.into_iter().flatten() {
-            let mut report = report?;
-            if let Some(trace) = report.trace.take() {
-                component_spans.extend(trace.spans);
-            }
-            let piece = match report.weak {
-                Some(piece) => piece,
-                None => report
-                    .compiled
-                    .as_ref()
-                    .expect("a join always produces at least one representation")
-                    .decompile(),
-            };
-            weak.classes.extend(piece.classes);
-            weak.supers.extend(piece.supers);
-            weak.arrows.extend(piece.arrows);
-            implicit.implicit.extend(report.implicit.implicit);
-            propers.push(report.proper);
-        }
-        implicit.implicit.sort_by(|a, b| a.class.cmp(&b.class));
-        let proper = ProperSchema::disjoint_union(propers);
-        stitch_span.attr_usize("classes", proper.as_weak().num_classes());
-        drop(stitch_span);
-
-        if let Some(consistency) = self.consistency {
-            check_consistency(&implicit, consistency)?;
-        }
-        let keys = self.key_pass(&proper);
-
-        let mut diagnostics = self.input_diagnostics();
-        diagnostics.extend(self.target_diagnostics(proper.as_weak(), &implicit));
-        diagnostics.push(Diagnostic::info(
-            "I-PARTITIONED",
-            format!(
-                "split the merge into {} weakly-connected component(s) \
-                 (largest: {} class(es)); each merged independently",
-                parts.count(),
-                parts.largest()
-            ),
-        ));
-        if implicit.num_implicit() > 0 {
-            diagnostics.push(
-                Diagnostic::info(
-                    "I-IMPLICIT-CLASSES",
-                    format!(
-                        "completion introduced {} implicit class(es)",
-                        implicit.num_implicit()
-                    ),
-                )
-                .with_classes(implicit.implicit.iter().map(|info| info.class.clone())),
-            );
-        }
-
-        Ok(MergeReport {
-            plan,
-            provenance: self.provenance(),
-            weak: Some(weak),
-            proper,
-            implicit,
-            keys,
-            annotated: None,
-            lower: None,
-            diagnostics,
-            compiled: None,
-            trace: (!component_spans.is_empty()).then_some(MergeTrace {
-                spans: component_spans,
-            }),
             origins: None,
         })
     }
@@ -1873,7 +1584,11 @@ mod tests {
         let report = Merger::new().schema(&g1).schema(&g2).execute().unwrap();
         let expected = crate::reference::merge([&g1, &g2]).unwrap();
         assert_eq!(report.proper, expected.proper);
-        assert_eq!(report.weak.as_ref().unwrap(), &expected.weak);
+        assert!(
+            report.weak.is_none(),
+            "the compiled engine never materializes the join"
+        );
+        assert_eq!(report.weak().unwrap().as_ref(), &expected.weak);
         assert_eq!(report.implicit, expected.report);
         assert!(report.compiled.is_some());
     }
@@ -1921,23 +1636,12 @@ mod tests {
             .unwrap();
         assert_eq!(sym_onto.plan.engine, PlannedEngine::Symbolic);
         assert_eq!(sym_onto.proper, expected.proper);
-        // And an explicit `Compiled` forces the batch engine even over a
-        // base — the differential knob for batch vs onto-base — again
-        // with the same result.
-        let forced = Merger::new()
-            .onto_base(&base)
-            .schema(&g3)
-            .engine(EnginePreference::Compiled)
-            .execute()
-            .unwrap();
-        assert_eq!(forced.plan.engine, PlannedEngine::Compiled);
-        assert_eq!(forced.proper, expected.proper);
         assert!(
-            !forced
+            !sym_onto
                 .diagnostics
                 .iter()
                 .any(|d| d.code() == "I-BASE-REUSED"),
-            "the forced-compiled plan re-interns the base and must not claim reuse"
+            "the symbolic plan re-walks the base and must not claim reuse"
         );
     }
 
@@ -2154,14 +1858,25 @@ mod tests {
     #[test]
     fn join_returns_both_representations() {
         let (g1, g2) = dogs();
+        let expected = crate::reference::weak_join_all([&g1, &g2]).unwrap();
+        // The symbolic engine produces the symbolic join only.
+        let symbolic = Merger::new()
+            .schemas([&g1, &g2])
+            .engine(EnginePreference::Symbolic)
+            .join()
+            .unwrap();
+        assert!(symbolic.compiled().is_none());
+        assert_eq!(symbolic.weak(), Some(&expected));
+
+        // The compiled engine produces the compiled join only; into_weak
+        // decompiles on demand.
         let joined = Merger::new().schema(&g1).schema(&g2).join().unwrap();
-        assert!(joined.weak().is_some());
+        assert!(joined.weak().is_none());
         assert!(joined.compiled().is_some());
         let weak = joined.into_weak();
-        assert_eq!(weak, crate::reference::weak_join_all([&g1, &g2]).unwrap());
+        assert_eq!(weak, expected);
 
-        // Onto-base join skips the symbolic materialization; into_weak
-        // decompiles on demand.
+        // So does the onto-base join.
         let base = Merger::new()
             .schema(&g1)
             .join()
@@ -2198,7 +1913,7 @@ mod tests {
     fn empty_merger_produces_the_empty_merge() {
         let report = Merger::new().execute().unwrap();
         assert_eq!(report.proper.num_classes(), 0);
-        assert_eq!(report.weak.as_ref().unwrap(), &WeakSchema::empty());
+        assert_eq!(report.weak().unwrap().as_ref(), &WeakSchema::empty());
     }
 
     /// A branchy NFA-shaped schema: few classes and arrows, but every
@@ -2236,10 +1951,10 @@ mod tests {
             nfa_plan.work_units(),
             plain_plan.work_units()
         );
-        // And the estimate routes the NFA to the parallel engine while
-        // the plain schema stays on the sequential compiled one.
-        assert_eq!(nfa_plan.engine, PlannedEngine::Parallel);
-        assert_eq!(plain_plan.engine, PlannedEngine::Compiled);
+        // And the estimate gives the NFA the machine's workers while the
+        // plain schema stays on the calling thread.
+        assert_eq!(nfa_plan.threads, parallel::default_threads());
+        assert_eq!(plain_plan.threads, 1);
     }
 
     #[test]
@@ -2250,41 +1965,66 @@ mod tests {
             .specialize("Sink", "S1")
             .build()
             .unwrap();
-        let compiled = Merger::new()
+        let expected = crate::reference::merge([&nfa, &extra]).unwrap();
+        let sequential = Merger::new()
             .schemas([&nfa, &extra])
-            .engine(EnginePreference::Compiled)
+            .threads(1)
             .execute()
             .unwrap();
-        for threads in [1, 2, 4, 8] {
-            let parallel = Merger::new()
+        assert_eq!(sequential.proper, expected.proper);
+        assert_eq!(sequential.implicit, expected.report);
+        for threads in [2, 4, 8] {
+            let sharded = Merger::new()
                 .schemas([&nfa, &extra])
-                .engine(EnginePreference::Parallel)
                 .threads(threads)
                 .execute()
                 .unwrap();
-            assert_eq!(parallel.plan.engine, PlannedEngine::Parallel);
-            assert_eq!(parallel.plan.threads, threads);
-            assert_eq!(parallel.proper, compiled.proper, "at {threads} threads");
-            assert_eq!(parallel.implicit, compiled.implicit);
+            assert_eq!(sharded.plan.engine, PlannedEngine::Compiled);
+            assert_eq!(sharded.plan.threads, threads);
+            assert_eq!(sharded.proper, sequential.proper, "at {threads} threads");
+            assert_eq!(sharded.implicit, sequential.implicit);
             assert_eq!(
-                parallel.compiled.as_ref().unwrap(),
-                compiled.compiled.as_ref().unwrap(),
+                sharded.compiled.as_ref().unwrap(),
+                sequential.compiled.as_ref().unwrap(),
                 "compiled joins are bit-identical"
-            );
-            assert!(
-                parallel.weak.is_none(),
-                "the parallel engine never materializes the symbolic join"
             );
         }
     }
 
     #[test]
-    fn forced_parallel_over_a_base_reinterns_like_forced_compiled() {
+    fn plan_threads_default_is_sequential_off_the_parallel_engine() {
+        // The thread rule: an unbudgeted compiled plan below both
+        // thresholds stays on the calling thread; at or above either one
+        // it gets the machine's parallelism.
         let (g1, g2) = dogs();
-        let g3 = WeakSchema::builder()
-            .arrow("Dog", "owner", "Company")
-            .build()
-            .unwrap();
+        let plan = Merger::new().schemas([&g1, &g2]).plan();
+        assert_eq!(plan.engine, PlannedEngine::Compiled);
+        assert!(plan.work_units() < PARALLEL_WORK_THRESHOLD);
+        assert_eq!(plan.threads, 1, "small plans stay sequential");
+
+        let heavy = branchy(12);
+        let plan = Merger::new().schema(&heavy).plan();
+        assert!(plan.work_units() >= PARALLEL_WORK_THRESHOLD);
+        assert_eq!(plan.threads, parallel::default_threads());
+
+        let many: Vec<&WeakSchema> = std::iter::repeat_n(&g1, PARALLEL_INPUT_THRESHOLD).collect();
+        let plan = Merger::new().schemas(many.iter().copied()).plan();
+        assert!(plan.work_units() < PARALLEL_WORK_THRESHOLD);
+        assert_eq!(plan.threads, parallel::default_threads());
+        let plan = Merger::new().schemas(many[1..].iter().copied()).plan();
+        assert_eq!(plan.threads, 1, "one input below the threshold");
+
+        // An explicit budget always applies.
+        let plan = Merger::new().schemas([&g1, &g2]).threads(3).plan();
+        assert_eq!(plan.threads, 3);
+        let display = plan.to_string();
+        assert!(
+            display.contains("engine=compiled, inputs=2, threads=3"),
+            "plan display names the budget: {display}"
+        );
+
+        // Onto-base, symbolic and lower plans keep a sequential default
+        // whatever the size.
         let base = Merger::new()
             .schemas([&g1, &g2])
             .join()
@@ -2292,42 +2032,27 @@ mod tests {
             .into_parts()
             .1
             .unwrap();
-        let expected = Merger::new().schemas([&g1, &g2, &g3]).execute().unwrap();
-        let forced = Merger::new()
+        let onto = Merger::new()
             .onto_base(&base)
-            .schema(&g3)
-            .engine(EnginePreference::Parallel)
-            .threads(2)
-            .execute()
-            .unwrap();
-        assert_eq!(forced.plan.engine, PlannedEngine::Parallel);
-        assert_eq!(forced.proper, expected.proper);
-        assert_eq!(forced.implicit, expected.implicit);
+            .schemas(many.iter().copied())
+            .plan();
+        assert_eq!(onto.engine, PlannedEngine::CompiledOntoBase);
+        assert_eq!(onto.threads, 1);
+        let symbolic = Merger::new()
+            .schema(&heavy)
+            .engine(EnginePreference::Symbolic)
+            .plan();
+        assert_eq!(symbolic.threads, 1);
+        assert_eq!(Merger::new().schema(&heavy).lower().plan().threads, 1);
     }
 
     #[test]
-    fn plan_threads_default_is_sequential_off_the_parallel_engine() {
-        let (g1, g2) = dogs();
-        let plan = Merger::new().schemas([&g1, &g2]).plan();
-        assert_eq!(plan.engine, PlannedEngine::Compiled);
-        assert_eq!(plan.threads, 1, "small auto plans stay sequential");
-        let plan = Merger::new().schemas([&g1, &g2]).threads(3).plan();
-        assert_eq!(plan.threads, 3, "an explicit budget always applies");
-        let plan = Merger::new()
-            .schemas([&g1, &g2])
-            .engine(EnginePreference::Parallel)
-            .plan();
-        assert!(plan.threads >= 1, "parallel defaults to the machine");
-        let display = plan.to_string();
-        assert!(
-            display.contains("engine=parallel") && display.contains(", threads="),
-            "plan display names the budget: {display}"
-        );
-    }
-
-    /// Three families (`A*`, `B*`, `C*`) with no edges between them, the
-    /// `B` family branching enough to demand an implicit class.
-    fn three_families() -> (WeakSchema, WeakSchema) {
+    fn assertions_bridge_partition_components() {
+        // Three families (`A*`, `B*`, `C*`) with no edges between them,
+        // the `B` family branching enough to demand an implicit class.
+        // An assertion relates classes like any other input, so a
+        // specialization between the A and B families joins their
+        // components — and the merged result must reflect the bridge.
         let g1 = WeakSchema::builder()
             .specialize("A1", "A0")
             .arrow("A0", "f", "A2")
@@ -2341,93 +2066,23 @@ mod tests {
             .arrow("C0", "h", "C1")
             .build()
             .unwrap();
-        (g1, g2)
-    }
-
-    #[test]
-    fn partitioned_engine_matches_unpartitioned() {
-        let (g1, g2) = three_families();
-        let expected = Merger::new()
-            .schemas([&g1, &g2])
-            .engine(EnginePreference::Compiled)
-            .execute()
+        let bridge = WeakSchema::builder()
+            .specialize("B0", "A0")
+            .build()
             .unwrap();
-        let reference = crate::reference::merge([&g1, &g2]).unwrap();
-        let part = Merger::new()
-            .schemas([&g1, &g2])
-            .engine(EnginePreference::Partitioned)
-            .execute()
-            .unwrap();
-        assert_eq!(part.plan.engine, PlannedEngine::Partitioned);
-        assert_eq!(part.plan.partitions, 3);
-        assert_eq!(part.proper, expected.proper);
-        assert_eq!(part.proper, reference.proper);
-        assert_eq!(part.weak.as_ref().unwrap(), expected.weak.as_ref().unwrap());
-        assert_eq!(part.implicit, expected.implicit);
-        assert_eq!(part.implicit, reference.report);
-        assert!(
-            part.implicit.num_implicit() > 0,
-            "the B family must exercise implicit-class stitching"
-        );
-        assert!(part.diagnostics.iter().any(|d| d.code() == "I-PARTITIONED"));
-        let display = part.plan.to_string();
-        assert!(
-            display.contains("engine=partitioned") && display.contains(", partitions=3, threads="),
-            "plan display names the split: {display}"
-        );
-    }
-
-    #[test]
-    fn forced_partitioned_falls_back_when_connected() {
-        let (g1, g2) = dogs();
-        let report = Merger::new()
-            .schemas([&g1, &g2])
-            .engine(EnginePreference::Partitioned)
-            .execute()
-            .unwrap();
-        assert_ne!(report.plan.engine, PlannedEngine::Partitioned);
-        assert_eq!(report.plan.partitions, 1);
-        assert!(report
-            .diagnostics
-            .iter()
-            .any(|d| d.code() == "W-PARTITION-CONNECTED"));
-        let expected = crate::reference::merge([&g1, &g2]).unwrap();
-        assert_eq!(report.proper, expected.proper);
-    }
-
-    #[test]
-    fn assertions_bridge_partition_components() {
-        // An assertion relates classes like any other input, so a
-        // specialization between the A and B families fuses their
-        // components — and the merged result must reflect the bridge.
-        let (g1, g2) = three_families();
-        let part = Merger::new()
-            .schemas([&g1, &g2])
-            .assert_specialization("B0", "A0")
-            .engine(EnginePreference::Partitioned)
-            .execute()
-            .unwrap();
-        assert_eq!(part.plan.engine, PlannedEngine::Partitioned);
-        assert_eq!(part.plan.partitions, 2, "A+B fused, C separate");
-        let expected = Merger::new()
-            .schemas([&g1, &g2])
-            .assert_specialization("B0", "A0")
-            .engine(EnginePreference::Compiled)
-            .execute()
-            .unwrap();
-        assert_eq!(part.proper, expected.proper);
-        assert_eq!(part.implicit, expected.implicit);
-        assert!(part.proper.specializes(&c("B0"), &c("A0")));
-    }
-
-    #[test]
-    fn auto_partitioning_is_gated_by_size() {
-        // Disconnected but tiny: the auto planner never pays for the
-        // component walk below the class threshold.
-        let g = WeakSchema::builder().class("X").class("Y").build().unwrap();
-        let plan = Merger::new().schema(&g).plan();
-        assert_eq!(plan.engine, PlannedEngine::Compiled);
-        assert_eq!(plan.partitions, 1);
+        let expected = crate::reference::merge([&g1, &g2, &bridge]).unwrap();
+        for threads in [1, 2] {
+            let report = Merger::new()
+                .schemas([&g1, &g2])
+                .assert_specialization("B0", "A0")
+                .threads(threads)
+                .execute()
+                .unwrap();
+            assert_eq!(report.proper, expected.proper, "at {threads} threads");
+            assert_eq!(report.implicit, expected.report);
+            assert!(report.implicit.num_implicit() > 0);
+            assert!(report.proper.specializes(&c("B0"), &c("A0")));
+        }
     }
 
     #[test]
@@ -2435,7 +2090,7 @@ mod tests {
         // A 3k-class taxonomy shape: shallow closure (about one closed
         // ancestor per class), mild arrow branching. The old mild-excess
         // weight was the dense row width (`classes`), pushing this to
-        // 1.5M work units and the parallel engine; the adaptive-row
+        // 1.5M work units and worker threads; the adaptive-row
         // weight is the average closed-row population, keeping the
         // estimate honest and the merge sequential.
         let (g1, _) = dogs();
@@ -2602,23 +2257,17 @@ mod tests {
             .specialize("Puppy", "Dog")
             .build()
             .unwrap();
-        for engine in [
-            EnginePreference::Auto,
-            EnginePreference::Symbolic,
-            EnginePreference::Compiled,
-            EnginePreference::Parallel,
+        for (engine, threads) in [
+            (EnginePreference::Auto, 1),
+            (EnginePreference::Auto, 2),
+            (EnginePreference::Symbolic, 1),
         ] {
-            let plain = Merger::new()
+            let merger = Merger::new()
                 .schemas([&g1, &g2, &g3])
                 .engine(engine)
-                .execute()
-                .unwrap();
-            let traced = Merger::new()
-                .schemas([&g1, &g2, &g3])
-                .engine(engine)
-                .trace(true)
-                .execute()
-                .unwrap();
+                .threads(threads);
+            let plain = merger.execute().unwrap();
+            let traced = merger.trace(true).execute().unwrap();
             assert_eq!(plain.proper, traced.proper, "{engine:?}");
             assert_eq!(plain.weak, traced.weak, "{engine:?}");
             assert_eq!(plain.implicit, traced.implicit, "{engine:?}");
@@ -2629,49 +2278,6 @@ mod tests {
             assert!(plain.trace.is_none());
             assert!(traced.trace.is_some());
         }
-    }
-
-    #[test]
-    fn traced_partitioned_merge_collects_component_and_stitch_spans() {
-        // Two disconnected vocabularies force two components.
-        let left = WeakSchema::builder()
-            .arrow("Dog", "name", "string")
-            .specialize("Puppy", "Dog")
-            .build()
-            .unwrap();
-        let right = WeakSchema::builder()
-            .arrow("Star", "magnitude", "float")
-            .build()
-            .unwrap();
-        let report = Merger::new()
-            .schemas([&left, &right])
-            .engine(EnginePreference::Partitioned)
-            .trace(true)
-            .execute()
-            .unwrap();
-        assert_eq!(report.plan.engine, PlannedEngine::Partitioned);
-        let trace = report.trace.as_ref().expect("trace requested");
-        let names: Vec<&str> = trace.spans.iter().map(|s| s.name).collect();
-        assert!(names.contains(&"partition-split"), "{names:?}");
-        assert!(names.contains(&"partition-stitch"), "{names:?}");
-        // Each component sub-merge contributed its own join+completion.
-        assert_eq!(
-            names.iter().filter(|&&n| n == "join").count(),
-            2,
-            "{names:?}"
-        );
-        let phases = trace.phase_ns();
-        assert!(
-            phases.iter().any(|&(name, _)| name == "join"),
-            "component joins fold into one phase entry: {phases:?}"
-        );
-        // The untraced result is identical.
-        let plain = Merger::new()
-            .schemas([&left, &right])
-            .engine(EnginePreference::Partitioned)
-            .execute()
-            .unwrap();
-        assert_eq!(plain.proper, report.proper);
     }
 
     #[test]

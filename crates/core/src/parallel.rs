@@ -1,12 +1,12 @@
-//! Thread plumbing for the parallel merge engine.
+//! Thread plumbing for the compiled merge engine.
 //!
 //! The paper proves the merge is a least upper bound, so n-ary joins are
 //! associative and commutative: the reduction order of `weak_join` is
-//! semantically free, and so is *who* computes each piece. The parallel
-//! engine ([`crate::merger::PlannedEngine::Parallel`]) exploits that
+//! semantically free, and so is *who* computes each piece. The compiled
+//! engine ([`crate::merger::PlannedEngine::Compiled`]) exploits that
 //! freedom with `std::thread::scope` workers, but every parallel pass is
-//! written so the result is **bit-identical to the sequential compiled
-//! engine regardless of thread count**:
+//! written so the result is **bit-identical at every thread count**,
+//! `threads(1)` included:
 //!
 //! * work is split into *contiguous, deterministic* chunks
 //!   (`chunk_ranges`) — never work-stealing, so the assignment of item
@@ -86,7 +86,7 @@ pub(crate) fn map_chunks<R: Send>(
             .collect();
         handles
             .into_iter()
-            .map(|handle| handle.join().expect("parallel engine worker panicked"))
+            .map(|handle| handle.join().expect("compiled engine worker panicked"))
             .collect()
     })
 }

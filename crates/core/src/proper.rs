@@ -82,23 +82,6 @@ impl ProperSchema {
         Ok(ProperSchema { schema, canonical })
     }
 
-    /// Stitches proper schemas over pairwise-disjoint class sets into one
-    /// proper schema — the partitioned merge's seam join. Disjointness
-    /// keeps the union proper: a canonical target is the least element of
-    /// a target set, and classes from another component cannot enter that
-    /// set, so the canonical views concatenate verbatim.
-    pub(crate) fn disjoint_union(pieces: impl IntoIterator<Item = ProperSchema>) -> ProperSchema {
-        let mut schema = WeakSchema::empty();
-        let mut canonical: BTreeMap<Class, BTreeMap<Label, Class>> = BTreeMap::new();
-        for piece in pieces {
-            schema.classes.extend(piece.schema.classes);
-            schema.supers.extend(piece.schema.supers);
-            schema.arrows.extend(piece.schema.arrows);
-            canonical.extend(piece.canonical);
-        }
-        ProperSchema { schema, canonical }
-    }
-
     /// The underlying weak schema.
     pub fn as_weak(&self) -> &WeakSchema {
         &self.schema

@@ -1,9 +1,13 @@
 //! The `Merger` façade's contract, property-tested:
 //!
-//! * every **plan configuration** — symbolic, compiled, compiled-onto-base
-//!   (with every split of the inputs into base and extras) — produces
-//!   schemas *equal* to the retained `reference::merge`, and
-//!   alpha-isomorphic modulo implicit-class naming;
+//! * every **plan configuration** — symbolic, compiled at one thread and
+//!   at several, compiled-onto-base (with every split of the inputs into
+//!   base and extras) — produces schemas *equal* to the retained
+//!   `reference::merge`, and alpha-isomorphic modulo implicit-class
+//!   naming;
+//! * the paper's **§3–4 laws** hold on the compiled engine at every
+//!   thread budget: the merge is commutative, associative and
+//!   idempotent, and independent of input and assertion order;
 //! * the **consistency pass** is one implementation: the deprecated
 //!   `merge_consistent` and `MergeSession::with_consistency` paths are
 //!   differential-tested against `Merger::with_consistency` (accepting
@@ -20,8 +24,8 @@ use proptest::prelude::*;
 
 use schema_merge_core::iso::alpha_isomorphic;
 use schema_merge_core::{
-    reference, Class, ConsistencyRelation, EnginePreference, MergeError, MergeSession, Merger,
-    PlannedEngine, WeakSchema,
+    reference, Class, ConsistencyRelation, EnginePreference, MergeError, MergeReport, MergeSession,
+    Merger, PlannedEngine, WeakSchema,
 };
 
 const NAMES: [&str; 8] = ["c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7"];
@@ -63,6 +67,16 @@ fn family() -> impl Strategy<Value = Vec<WeakSchema>> {
     vec(raw_edges().prop_map(|edges| build(&edges)), 1..5)
 }
 
+/// A deterministic Fisher–Yates shuffle driven by `seed` (xorshift).
+fn permute<T>(items: &mut [T], mut seed: u64) {
+    for i in (1..items.len()).rev() {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        items.swap(i, (seed % (i as u64 + 1)) as usize);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -73,47 +87,27 @@ proptest! {
         let refs: Vec<&WeakSchema> = family.iter().collect();
         let expected = reference::merge(refs.iter().copied()).expect("compatible");
 
-        // The default (Auto) plan: compiled for small merges, parallel
-        // once the work estimate crosses the threshold — same results
-        // either way, but only the compiled plan materializes the
-        // symbolic join.
+        // The default (Auto) plan: the compiled engine, whatever thread
+        // count the work estimate resolves to.
         let auto = Merger::new().schemas(refs.iter().copied()).execute().expect("auto");
-        prop_assert!(matches!(
-            auto.plan.engine,
-            PlannedEngine::Compiled | PlannedEngine::Parallel
-        ));
+        prop_assert_eq!(auto.plan.engine, PlannedEngine::Compiled);
         prop_assert_eq!(&auto.proper, &expected.proper);
         prop_assert_eq!(&auto.implicit, &expected.report);
-        match &auto.weak {
-            Some(weak) => prop_assert_eq!(weak, &expected.weak),
-            None => prop_assert_eq!(auto.plan.engine, PlannedEngine::Parallel),
-        }
+        prop_assert!(auto.weak().as_deref() == Some(&expected.weak));
 
-        // Forced compiled.
-        let compiled = Merger::new()
-            .schemas(refs.iter().copied())
-            .engine(EnginePreference::Compiled)
-            .execute()
-            .expect("compiled");
-        prop_assert_eq!(compiled.plan.engine, PlannedEngine::Compiled);
-        prop_assert_eq!(&compiled.proper, &expected.proper);
-        prop_assert_eq!(compiled.weak.as_ref().unwrap(), &expected.weak);
-        prop_assert_eq!(&compiled.implicit, &expected.report);
-
-        // Forced parallel, across thread counts: report-identical to the
-        // reference at every budget.
+        // The compiled engine across thread budgets: report-identical to
+        // the reference at every one.
         for threads in [1, 2, 4, 8] {
-            let parallel = Merger::new()
+            let compiled = Merger::new()
                 .schemas(refs.iter().copied())
-                .engine(EnginePreference::Parallel)
                 .threads(threads)
                 .execute()
-                .expect("parallel");
-            prop_assert_eq!(parallel.plan.engine, PlannedEngine::Parallel);
-            prop_assert_eq!(parallel.plan.threads, threads);
-            prop_assert_eq!(&parallel.proper, &expected.proper);
-            prop_assert_eq!(&parallel.implicit, &expected.report);
-            prop_assert!(parallel.weak.is_none());
+                .expect("compiled");
+            prop_assert_eq!(compiled.plan.engine, PlannedEngine::Compiled);
+            prop_assert_eq!(compiled.plan.threads, threads);
+            prop_assert_eq!(&compiled.proper, &expected.proper);
+            prop_assert_eq!(&compiled.implicit, &expected.report);
+            prop_assert!(compiled.weak().as_deref() == Some(&expected.weak));
         }
 
         // Symbolic.
@@ -149,10 +143,93 @@ proptest! {
         // And the weaker public contract: alpha-isomorphism modulo
         // implicit-class naming.
         prop_assert!(alpha_isomorphic(
-            compiled.proper.as_weak(),
+            auto.proper.as_weak(),
             expected.proper.as_weak(),
             Class::is_implicit,
         ));
+    }
+
+    /// The paper's §3–4 guarantees on the compiled engine, at one thread
+    /// and at two: the merge is the least upper bound, so it is
+    /// commutative, associative and idempotent, and neither the order of
+    /// the inputs nor the order of the user assertions can change it.
+    /// Every result is checked against `reference::merge` — equal, and
+    /// alpha-isomorphic modulo implicit-class naming.
+    #[test]
+    fn merge_laws_hold_at_every_thread_count(
+        family in family(),
+        assertions in raw_edges(),
+        shuffle in any::<u64>(),
+    ) {
+        let atoms: Vec<WeakSchema> = assertions.iter().map(|edge| build(std::slice::from_ref(edge))).collect();
+        let all: Vec<&WeakSchema> = family.iter().chain(atoms.iter()).collect();
+        let expected = reference::merge(all.iter().copied()).expect("compatible");
+        let agrees = |report: &MergeReport| {
+            report.proper == expected.proper
+                && report.implicit == expected.report
+                && alpha_isomorphic(
+                    report.proper.as_weak(),
+                    expected.proper.as_weak(),
+                    Class::is_implicit,
+                )
+        };
+
+        for threads in [1, 2] {
+            let merge = |inputs: &[&WeakSchema], asserted: &[RawEdge]| {
+                asserted
+                    .iter()
+                    .fold(Merger::new().schemas(inputs.iter().copied()), |merger, edge| {
+                        match *edge {
+                            RawEdge::Spec(sub, sup) if sub != sup => {
+                                merger.assert_specialization(NAMES[sub], NAMES[sup])
+                            }
+                            RawEdge::Spec(..) => merger,
+                            RawEdge::Arrow(s, l, t) => merger.assert_arrow(NAMES[s], LABELS[l], NAMES[t]),
+                        }
+                    })
+                    .threads(threads)
+                    .execute()
+                    .expect("compatible")
+            };
+            let join = |inputs: &[&WeakSchema]| {
+                Merger::new()
+                    .schemas(inputs.iter().copied())
+                    .threads(threads)
+                    .join()
+                    .expect("compatible")
+                    .into_weak()
+            };
+            let refs: Vec<&WeakSchema> = family.iter().collect();
+            let base = merge(&refs, &assertions);
+            prop_assert!(agrees(&base), "merge differs from reference at {} threads", threads);
+
+            // Independence from input order and from assertion order.
+            let mut shuffled_refs = refs.clone();
+            let mut shuffled_assertions = assertions.clone();
+            permute(&mut shuffled_refs, shuffle);
+            permute(&mut shuffled_assertions, shuffle.rotate_left(17));
+            prop_assert!(agrees(&merge(&shuffled_refs, &assertions)), "input order");
+            prop_assert!(agrees(&merge(&refs, &shuffled_assertions)), "assertion order");
+            // Assertions are elementary schemas (§3): asserting them
+            // equals merging them as inputs.
+            prop_assert!(agrees(&merge(&all, &[])), "assertions as inputs");
+
+            // Commutativity and idempotence.
+            let reversed: Vec<&WeakSchema> = all.iter().rev().copied().collect();
+            prop_assert!(agrees(&merge(&reversed, &[])), "commutativity");
+            let doubled: Vec<&WeakSchema> = all.iter().chain(all.iter()).copied().collect();
+            prop_assert!(agrees(&merge(&doubled, &[])), "idempotence");
+
+            // Associativity: any bracketing of the join, completed, is
+            // the same merge.
+            let mid = all.len() / 2;
+            let (left, right) = (join(&all[..mid]), join(&all[mid..]));
+            prop_assert!(agrees(&merge(&[&left, &right], &[])), "associativity");
+            let inner = join(&[&left, all[mid]]);
+            let rest: Vec<&WeakSchema> =
+                std::iter::once(&inner).chain(all[mid + 1..].iter().copied()).collect();
+            prop_assert!(agrees(&merge(&rest, &[])), "associativity, other bracketing");
+        }
     }
 
     /// The consistency check is ONE merger pass: the incremental path

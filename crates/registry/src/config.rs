@@ -88,7 +88,7 @@ impl RegistryBuilder {
 
     /// Fixes the worker budget for the registry's merge plans. Cold
     /// full rebuilds (cache-miss publishes, preloads, post-delete
-    /// re-merges, recovery's re-merge) run the parallel engine with this
+    /// re-merges, recovery's re-merge) run the compiled engine with this
     /// many workers; the warm incremental path uses it for the
     /// completion pass. Thread counts never change the merged view.
     pub fn merge_threads(mut self, threads: usize) -> Self {

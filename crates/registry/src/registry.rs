@@ -1082,9 +1082,9 @@ impl Registry {
     /// computed from scratch (and later seeded by the commit). The
     /// from-scratch rebuild is the registry's widest merge — every
     /// unchanged member walked at once — so it is exactly the shape the
-    /// parallel engine shards: the merger auto-selects it past the work
-    /// threshold, and [`crate::RegistryBuilder::merge_threads`] fixes
-    /// its budget.
+    /// compiled engine shards: the merger gives it worker threads past
+    /// the work or input threshold, and
+    /// [`crate::RegistryBuilder::merge_threads`] fixes its budget.
     fn rest_join(
         &self,
         snapshot: &Snapshot,

@@ -457,15 +457,12 @@ impl Supergraph {
                         .merger(Merger::new().schemas(states.iter().map(|(_, s)| s.weak.as_ref())))
                         .execute()
                         .map_err(SupergraphError::Compose)?;
-                    let total = match report.compiled.take() {
-                        Some(compiled) => Arc::new(compiled),
-                        None => Arc::new(CompiledSchema::compile(
-                            report
-                                .weak
-                                .as_ref()
-                                .expect("non-base compose plans keep a join"),
-                        )),
-                    };
+                    let total = Arc::new(
+                        report
+                            .compiled
+                            .take()
+                            .expect("the compiled engine keeps the compiled join"),
+                    );
                     (MergeStrategy::Full, report, total, None)
                 }
             };

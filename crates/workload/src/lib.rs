@@ -18,8 +18,8 @@
 //!   model-preservation experiments;
 //! * [`fn@taxonomy`] / [`taxonomy_family`] — 10k–100k-class taxonomy
 //!   forests (deep trees, high fan-out, DAG multiple inheritance): the
-//!   headline workload for the adaptive sparse row representation and
-//!   the partitioned merge engine.
+//!   headline workload for the compiled engine's adaptive sparse row
+//!   representation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,7 +1,7 @@
 //! Taxonomy workloads: the 10k–100k-class shapes real ontology and
 //! class-hierarchy mergers face — deep trees, high-fan-out trees, and
 //! DAGs with multiple inheritance — generated as forests of disjoint
-//! trees so the partitioned merge engine has real components to find.
+//! trees, as real subject taxonomies are.
 //!
 //! Unlike [`random_schema`](crate::random_schema)'s uniform edge soup, a
 //! taxonomy's specialization graph is *sparse and shallow per class*:
@@ -9,7 +9,7 @@
 //! a closed ancestor set bounded by the tree depth, not the class count.
 //! That is exactly the shape the adaptive sparse row representation
 //! exists for, so this family is the headline workload of the
-//! representation and partitioning benchmarks.
+//! representation benchmarks.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -26,8 +26,7 @@ pub struct TaxonomyParams {
     pub branching: usize,
     /// Number of disjoint trees. Classes of different forests never
     /// share an edge (specialization *or* arrow), so the combined graph
-    /// has exactly this many weakly-connected components — the shape the
-    /// partitioned engine splits.
+    /// has exactly this many weakly-connected components.
     pub forests: usize,
     /// Extra specialization edges to random *ancestral-order* classes in
     /// the same forest: multiple inheritance, turning the tree into a

@@ -1,58 +1,60 @@
-//! Merging large class taxonomies: the partitioned engine and the
-//! target-driven (preferred-hierarchy) reporting mode.
+//! Merging large class taxonomies: the compiled engine's sparse rows and
+//! the target-driven (preferred-hierarchy) reporting mode.
 //!
-//! Two federated curators each know part of a multi-forest taxonomy
-//! (disjoint subject trees — no specialization or arrow ever crosses
-//! forests). The merge therefore splits along the weakly-connected
-//! components of the combined graph: each component merges
-//! independently and the results are stitched at the seams, which is
-//! exactly what `Merger` plans when the component analysis finds more
-//! than one forest. At real scale (the auto-planner engages at 4096+
-//! classes) this bounds every per-component working set; here we force
-//! the engine on a small taxonomy so the example stays fast.
+//! Two federated curators each know part of a multi-forest taxonomy.
+//! Above 4096 classes the compiled engine stores each closure row
+//! adaptively — a handful of ancestor ids instead of a classes-wide
+//! bitset — so the working set grows with the specialization pairs, not
+//! with the square of the vocabulary. The thread budget is the engine's
+//! only knob: the plan resolves it from the work estimate, and results
+//! never depend on it.
 //!
-//! Run with `cargo run --example taxonomy_merge`.
+//! Run with `cargo run --release --example taxonomy_merge`.
 
-use schema_merge_core::{EnginePreference, Merger, PlannedEngine, WeakSchema};
+use schema_merge_core::row::set_sparse_enabled;
+use schema_merge_core::{Merger, PlannedEngine, WeakSchema};
 use schema_merge_workload::{taxonomy, taxonomy_family, TaxonomyParams};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ── 1. A multi-forest taxonomy, refined by a partial curator ────
-    // 600 classes in 3 disjoint forests (branching-8 trees with a few
-    // extra DAG parents): the published taxonomy, merged with one
-    // curator's partial view of it (~70% of the edges).
-    let params = TaxonomyParams::dag(600, 3, 7);
+    // 5000 classes in 3 forests (branching-8 trees with a few extra DAG
+    // parents): the published taxonomy, merged with one curator's
+    // partial view of it (~70% of the edges).
+    let params = TaxonomyParams::dag(5_000, 3, 7);
     let published = taxonomy(&params);
     let curator = taxonomy_family(&params, 1).remove(0);
 
     let inputs = [&published, &curator];
-    let merger = Merger::new()
-        .schemas(inputs)
-        .engine(EnginePreference::Partitioned)
-        .threads(2);
+    let merger = Merger::new().schemas(inputs);
     let plan = merger.plan();
-    println!("plan: {plan}");
-    assert_eq!(plan.engine, PlannedEngine::Partitioned);
-    assert_eq!(plan.partitions, 3, "one component per forest");
+    println!("{plan}");
+    assert_eq!(plan.engine, PlannedEngine::Compiled);
+    println!("threads: {}", plan.threads);
 
     let report = merger.execute()?;
+    let sparse_bytes = report.compiled.as_ref().map_or(0, |c| c.heap_bytes());
     println!(
         "merged {} classes, {} specializations",
         report.proper.as_weak().num_classes(),
         report.proper.as_weak().num_specializations(),
     );
-    for diagnostic in &report.diagnostics {
-        if diagnostic.code() == "I-PARTITIONED" {
-            println!("  [{}] {}", diagnostic.code(), diagnostic.message);
-        }
-    }
-    // The split is invisible in the result: components never interact,
-    // so the stitched merge *is* the paper's least upper bound.
-    let monolithic = Merger::new()
-        .schemas(inputs)
-        .engine(EnginePreference::Compiled)
-        .execute()?;
-    assert_eq!(report.proper, monolithic.proper);
+
+    // The same merge with sparse rows switched off: every closure row
+    // is a dense bitset over all classes.
+    set_sparse_enabled(false);
+    let dense = Merger::new().schemas(inputs).threads(1).execute();
+    set_sparse_enabled(true);
+    let dense = dense?;
+    let dense_bytes = dense.compiled.as_ref().map_or(0, |c| c.heap_bytes());
+    println!(
+        "closure + arrow footprint of the join: {:.1} MiB sparse vs {:.1} MiB dense",
+        sparse_bytes as f64 / (1024.0 * 1024.0),
+        dense_bytes as f64 / (1024.0 * 1024.0),
+    );
+    // The representation and the thread count are invisible in the
+    // result: both runs compute the paper's least upper bound.
+    assert_eq!(report.proper, dense.proper);
+    assert!(sparse_bytes < dense_bytes);
 
     // ── 2. Target-driven merging: prefer one hierarchy ──────────────
     // ATOM-style taxonomy merging treats one input as the *target*

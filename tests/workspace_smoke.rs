@@ -22,8 +22,7 @@ fn weak_merge_through_the_facade_prelude() {
     let merged = Merger::new().schema(&g1).schema(&g2).execute().unwrap();
     assert_eq!(merged.proper.labels_of(&Class::named("Dog")).len(), 2);
     assert!(merged
-        .weak
-        .as_ref()
+        .weak()
         .unwrap()
         .is_subschema_of(merged.proper.as_weak()));
 }
