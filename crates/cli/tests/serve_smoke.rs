@@ -418,6 +418,137 @@ fn daemon_federates_attach_compose_supergraph_and_detach() {
     assert!(status.success());
 }
 
+/// The fixed request script of the wire transcript: one request line
+/// each, followed by its payload block for `PUT`.
+const WIRE_SCRIPT: &[&str] = &[
+    "PING",
+    "PUT alpha\nschema alpha { C --a--> B1; Guide-dog => Dog; }\n.",
+    "PUT beta\nschema beta { C --a--> B2; Dog --age--> int; }\n.",
+    "PUT alpha\nschema alpha { C --a--> B1; Guide-dog => Dog; }\n.",
+    "GET alpha",
+    "GET missing",
+    "GET a/b/c",
+    "MERGED",
+    "LIST",
+    "QUERY C.a",
+    "QUERY .a",
+    "DELETE beta",
+    "DELETE beta",
+    "PUT beta\nschema beta { C --a--> B2; Dog --age--> int; }\n.",
+    "ATTACH sales",
+    "PUT sales/orders\nschema orders { Order --item--> Part; }\n.",
+    "GET sales/orders",
+    "PUT billing/invoices\nschema invoices { Invoice --of--> Order; }\n.",
+    "COMPOSE",
+    "SUPERGRAPH",
+    "COMPOSE",
+    "PUT rogue\nschema rogue { Dog => Guide-dog; }\n.",
+    "PUT split\nschema one { A => B; }\nschema two { B => A; }\n.",
+    "PUT broken\nschema broken {{{\n.",
+    "FROB x",
+    "MERGED now",
+    "SNAPSHOT",
+    "STATS",
+    "METRICS",
+    "HEALTH",
+    "PING",
+    "QUIT",
+];
+
+/// Replaces every run of ASCII digits with `#`: `STATS`, `METRICS` and
+/// `HEALTH` carry times and latencies, so the transcript pins their
+/// status line and key set only.
+fn mask_numbers(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    for c in text.chars() {
+        if c.is_ascii_digit() {
+            if !out.ends_with('#') {
+                out.push('#');
+            }
+        } else {
+            out.push(c);
+        }
+    }
+    out
+}
+
+/// Drives [`WIRE_SCRIPT`] over one TCP connection and compares every
+/// response, byte for byte, with the checked-in transcript: the proof
+/// that the wire protocol did not change.
+///
+/// Each request is followed by an unknown-verb sentinel line, and the
+/// response is everything read before the sentinel's error: a response
+/// that breaks the one-line framing is captured whole instead of
+/// desynchronizing the rest of the script. Unparseable lines touch no
+/// counter, so the sentinels leave `STATS` and `METRICS` unchanged.
+#[test]
+fn daemon_wire_transcript_matches_the_checked_in_bytes() {
+    const SENTINEL: &str = "END";
+    let sentinel_reply = format!("ERR unknown command `{SENTINEL}`\n");
+    let daemon = spawn_daemon(&[]);
+    let stream = TcpStream::connect(&daemon.addr).expect("connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+
+    let mut transcript = String::new();
+    for request in WIRE_SCRIPT {
+        // QUIT closes the connection: read its reply up to end of input.
+        let quit = *request == "QUIT";
+        let sentinel = if quit {
+            String::new()
+        } else {
+            format!("{SENTINEL}\n")
+        };
+        writer
+            .write_all(format!("{request}\n{sentinel}").as_bytes())
+            .expect("request sent");
+        let mut response = String::new();
+        loop {
+            let mut line = String::new();
+            if reader.read_line(&mut line).expect("a response line") == 0 {
+                assert!(quit, "connection closed after `{request}`");
+                break;
+            }
+            if !quit && line == sentinel_reply {
+                break;
+            }
+            response.push_str(&line);
+        }
+        let verb = request.split_whitespace().next().unwrap_or_default();
+        if matches!(verb, "STATS" | "METRICS" | "HEALTH") {
+            response = mask_numbers(&response);
+        }
+        for line in request.lines() {
+            transcript.push_str(&format!("> {line}\n"));
+        }
+        for line in response.split_inclusive('\n') {
+            transcript.push_str(&format!("< {line}"));
+        }
+    }
+
+    let expected = include_str!("wire_transcript.txt");
+    if transcript != expected {
+        let actual = std::env::temp_dir()
+            .join("smerge-serve-smoke")
+            .join("wire_transcript.actual");
+        std::fs::create_dir_all(actual.parent().unwrap()).unwrap();
+        std::fs::write(&actual, &transcript).unwrap();
+        let first = transcript
+            .lines()
+            .zip(expected.lines())
+            .position(|(a, e)| a != e)
+            .unwrap_or_else(|| transcript.lines().count().min(expected.lines().count()));
+        panic!(
+            "wire transcript differs from line {} on; actual written to {}",
+            first + 1,
+            actual.display()
+        );
+    }
+}
+
 #[test]
 fn daemon_rejects_over_long_lines_with_e_limit() {
     // One byte past the daemon's 1 MiB line cap.
