@@ -160,3 +160,61 @@ proptest! {
         prop_assert_eq!(stats.generation, stats.incremental_merges + stats.full_merges);
     }
 }
+
+/// The member slots ordered by their random sort keys: a random
+/// permutation.
+fn permutation(keys: impl Iterator<Item = u64>) -> Vec<usize> {
+    let mut keyed: Vec<(u64, usize)> = keys.zip(0..).collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, slot)| slot).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The merge is a least upper bound, so the registry's view cannot
+    /// depend on publication order: the same final member set, published
+    /// in two independent permutations — the second with superseded
+    /// versions, withdrawals and republishes interleaved — gives an equal
+    /// merged view, completion report and hash.
+    #[test]
+    fn publication_order_never_changes_the_view(
+        // Per member slot: final variant, two sort keys, noise kind.
+        slots in vec((0usize..VARIANTS, any::<u64>(), any::<u64>(), 0usize..3), 1..MEMBERS + 1),
+        seed in 0u64..64,
+    ) {
+        let schemas = pool(seed);
+        let version = |slot: usize, variant: usize| schemas[slot * VARIANTS + variant % VARIANTS].clone();
+
+        let straight = Registry::new();
+        for slot in permutation(slots.iter().map(|s| s.1)) {
+            straight.put(member_name(slot), version(slot, slots[slot].0)).expect("compatible");
+        }
+
+        let noisy = Registry::new();
+        let order = permutation(slots.iter().map(|s| s.2));
+        for (position, &slot) in order.iter().enumerate() {
+            let name = member_name(slot);
+            match slots[slot].3 {
+                // Another version first, withdrawn before the final one.
+                1 => {
+                    noisy.put(&name, version(slot, slots[slot].0 + 1)).expect("compatible");
+                    noisy.delete(&name).expect("just published");
+                }
+                // Withdraw the previous member and republish it.
+                2 if position > 0 => {
+                    let earlier = order[position - 1];
+                    noisy.delete(&member_name(earlier)).expect("published earlier");
+                    noisy.put(member_name(earlier), version(earlier, slots[earlier].0)).expect("compatible");
+                }
+                _ => {}
+            }
+            noisy.put(&name, version(slot, slots[slot].0)).expect("compatible");
+        }
+
+        let (a, b) = (straight.merged(), noisy.merged());
+        prop_assert_eq!(a.proper.as_ref(), b.proper.as_ref());
+        prop_assert_eq!(a.report.as_ref(), b.report.as_ref());
+        prop_assert_eq!(a.hash(), b.hash());
+    }
+}

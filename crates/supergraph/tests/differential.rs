@@ -211,3 +211,58 @@ proptest! {
         prop_assert_eq!(noop.generation, final_outcome.generation);
     }
 }
+
+/// The registry slots ordered by their random sort keys: a random
+/// permutation.
+fn permutation(keys: impl Iterator<Item = u64>) -> Vec<usize> {
+    let mut keyed: Vec<(u64, usize)> = keys.zip(0..).collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, slot)| slot).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Composition is a least upper bound of the registries' joins, so
+    /// attach order cannot matter: the same registries attached in two
+    /// independent permutations — one composed once at the end, the
+    /// other after every attach — give an equal composed view, implicit
+    /// classes, origins and hints.
+    #[test]
+    fn attach_order_never_changes_the_composed_view(
+        // Per registry slot: member edge sets and two sort keys.
+        slots in vec((vec(raw_edges(), 0..MEMBERS.len() + 1), any::<u64>(), any::<u64>()), 1..REGISTRIES.len() + 1),
+        threads in prop_oneof![Just(1usize), Just(2usize)],
+    ) {
+        let registries: Vec<Arc<Registry>> = slots
+            .iter()
+            .map(|(members, _, _)| {
+                let registry = Arc::new(Registry::new());
+                for (member, edges) in MEMBERS.iter().zip(members) {
+                    registry.put(*member, build(edges)).expect("compatible");
+                }
+                registry
+            })
+            .collect();
+
+        let batch = Supergraph::with_threads(threads);
+        for slot in permutation(slots.iter().map(|s| s.1)) {
+            batch.attach(REGISTRIES[slot], Arc::clone(&registries[slot])).expect("fresh name");
+        }
+        let batch = batch.compose().expect("compatible compose").view;
+
+        let stepwise = Supergraph::with_threads(threads);
+        for slot in permutation(slots.iter().map(|s| s.2)) {
+            stepwise.attach(REGISTRIES[slot], Arc::clone(&registries[slot])).expect("fresh name");
+            stepwise.compose().expect("compatible compose");
+        }
+        let stepwise = stepwise.composed();
+
+        prop_assert_eq!(&batch.report.proper, &stepwise.report.proper);
+        prop_assert_eq!(&batch.report.implicit, &stepwise.report.implicit);
+        prop_assert_eq!(batch.origins(), stepwise.origins());
+        let batch_hints: Vec<&Diagnostic> = batch.hints().collect();
+        let stepwise_hints: Vec<&Diagnostic> = stepwise.hints().collect();
+        prop_assert_eq!(batch_hints, stepwise_hints);
+    }
+}
