@@ -11,6 +11,13 @@
 //! port and the announcement is how callers (the e2e smoke test, shell
 //! scripts) learn it. `SHUTDOWN` from any client stops accepting,
 //! drains the worker pool and returns.
+//!
+//! Serving a request has two halves. [`dispatch`] is pure: it takes the
+//! shared [`Daemon`] state and one parsed [`Request`] and returns the
+//! [`Response`] — all routing and rendering, no socket. The transport
+//! loop ([`handle_connection`]) owns everything that touches the socket:
+//! timeouts, the line and payload caps, the PUT deadline, the request
+//! timer and trace drain, and the write of each response.
 
 use std::collections::VecDeque;
 use std::fs::File;
@@ -20,8 +27,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use schema_merge_core::Merger;
-use schema_merge_registry::{MergedView, Registry, RetryPolicy};
+use schema_merge_core::{AnnotatedSchema, KeyAssignment, Merger, WeakSchema};
+use schema_merge_registry::{Registry, RetryPolicy};
 use schema_merge_supergraph::{Supergraph, SupergraphError};
 use schema_merge_telemetry::{self as telemetry, render_counter, render_gauge, Histogram};
 use schema_merge_text::protocol::{status_line, BlockCollector, Command, Status};
@@ -61,10 +68,6 @@ const LIMIT_DRAIN: Duration = Duration::from_secs(1);
 
 /// Cadence of the background heal probe while the registry is degraded.
 const PROBE_INTERVAL: Duration = Duration::from_millis(200);
-
-/// The namespace the daemon's own registry is attached under. Bare
-/// (slash-free) member names route here.
-const DEFAULT_REGISTRY: &str = "default";
 
 struct Options {
     port: u16,
@@ -240,11 +243,13 @@ impl TraceSink {
 
 /// Composes the METRICS exposition text: Prometheus-style counters,
 /// gauges and latency summaries for the registry and the request loop.
-fn render_metrics(
-    registry: &Registry,
-    supergraph: &Supergraph,
-    requests: &RequestMetrics,
-) -> String {
+fn render_metrics(daemon: &Daemon) -> String {
+    let Daemon {
+        registry,
+        supergraph,
+        metrics: requests,
+        ..
+    } = daemon;
     let stats = registry.stats();
     let mut out = String::new();
     render_gauge(
@@ -447,11 +452,9 @@ pub fn serve_command(args: &[&String], out: &mut dyn Write) -> Result<(), CliErr
     if let Some(every) = options.snapshot_every {
         builder = builder.snapshot_every(every);
     }
-    let registry = Arc::new(
-        builder
-            .open()
-            .map_err(|err| CliError::Data(format!("opening registry: {err}")))?,
-    );
+    let registry = builder
+        .open()
+        .map_err(|err| CliError::Data(format!("opening registry: {err}")))?;
     if options.data_dir.is_some() {
         let stats = registry.stats();
         writeln!(
@@ -474,22 +477,7 @@ pub fn serve_command(args: &[&String], out: &mut dyn Write) -> Result<(), CliErr
                 .map_err(|err| CliError::Data(format!("{path}: preload failed: {err}")))?;
         }
     }
-
-    // The federation layer: the daemon's own registry is attached under
-    // the reserved `default` namespace, and `ATTACH` grows the
-    // supergraph with fresh in-memory member registries at runtime.
-    // Bare member names keep routing to the default registry; namespaced
-    // `registry/member` names route to attached registries.
-    let mut supergraph = Supergraph::new();
-    if let Some(threads) = options.merge_threads {
-        supergraph = Supergraph::with_threads(threads);
-    }
-    let supergraph = Arc::new(supergraph);
-    supergraph
-        .attach(DEFAULT_REGISTRY, Arc::clone(&registry))
-        .expect("fresh supergraph accepts the default registry");
-
-    let metrics = Arc::new(RequestMetrics::new());
+    let daemon = Arc::new(Daemon::new(registry, options.merge_threads));
 
     let listener = TcpListener::bind(("127.0.0.1", options.port))?;
     let addr = listener.local_addr()?;
@@ -510,16 +498,14 @@ pub fn serve_command(args: &[&String], out: &mut dyn Write) -> Result<(), CliErr
     out.flush()?;
 
     let queue = Arc::new(ConnQueue::new());
-    let shutdown = Arc::new(AtomicBool::new(false));
     // Background heal probe: while the registry is degraded it
     // re-attempts the store on a short cadence and flips back to
     // writable as soon as the store responds (`Registry::probe_now`).
     let probe = {
-        let registry = Arc::clone(&registry);
-        let shutdown = Arc::clone(&shutdown);
+        let daemon = Arc::clone(&daemon);
         std::thread::spawn(move || {
-            while !shutdown.load(Ordering::SeqCst) {
-                registry.probe_now();
+            while !daemon.shutdown.load(Ordering::SeqCst) {
+                daemon.registry.probe_now();
                 std::thread::sleep(PROBE_INTERVAL);
             }
         })
@@ -527,31 +513,19 @@ pub fn serve_command(args: &[&String], out: &mut dyn Write) -> Result<(), CliErr
     let workers: Vec<_> = (0..options.threads)
         .map(|tid| {
             let queue = Arc::clone(&queue);
-            let registry = Arc::clone(&registry);
-            let supergraph = Arc::clone(&supergraph);
-            let shutdown = Arc::clone(&shutdown);
-            let metrics = Arc::clone(&metrics);
+            let daemon = Arc::clone(&daemon);
             let trace = trace.clone();
             std::thread::spawn(move || {
                 while let Some(stream) = queue.pop() {
                     // A broken connection only affects that client.
-                    let _ = handle_connection(
-                        stream,
-                        &registry,
-                        &supergraph,
-                        &shutdown,
-                        addr,
-                        &metrics,
-                        trace.as_deref(),
-                        tid as u64,
-                    );
+                    let _ = handle_connection(stream, &daemon, addr, trace.as_deref(), tid as u64);
                 }
             })
         })
         .collect();
 
     for incoming in listener.incoming() {
-        if shutdown.load(Ordering::SeqCst) {
+        if daemon.shutdown.load(Ordering::SeqCst) {
             break;
         }
         match incoming {
@@ -607,7 +581,7 @@ fn reject_over_limit(
     cap: usize,
 ) -> std::io::Result<()> {
     let detail = format!("[E-LIMIT] {what} exceeds {cap} bytes; closing connection");
-    writeln!(writer, "{}", status_line(Status::Err, &detail))?;
+    write_response(writer, &Response::err(&detail))?;
     writer.flush()?;
     writer.shutdown(Shutdown::Write)?;
     writer.set_read_timeout(Some(LIMIT_DRAIN))?;
@@ -622,37 +596,6 @@ fn reject_over_limit(
     Ok(())
 }
 
-/// Resolves a protocol member name to its registry: `registry/member`
-/// routes to an attached supergraph registry, bare names to the daemon's
-/// default registry.
-fn route_member(
-    registry: &Arc<Registry>,
-    supergraph: &Supergraph,
-    name: &str,
-) -> Result<(Arc<Registry>, String), String> {
-    match name.split_once('/') {
-        None => Ok((Arc::clone(registry), name.to_string())),
-        Some((namespace, member)) => {
-            if namespace.is_empty() || member.is_empty() || member.contains('/') {
-                return Err(format!(
-                    "invalid member name `{name}`: expected `member` or `registry/member`"
-                ));
-            }
-            match supergraph.registry(namespace) {
-                Some(routed) => Ok((routed, member.to_string())),
-                None => Err(format!(
-                    "[{}] no registry `{namespace}` is attached",
-                    SupergraphError::UnknownRegistry(namespace.to_string()).code()
-                )),
-            }
-        }
-    }
-}
-
-fn supergraph_err(err: &SupergraphError) -> String {
-    status_line(Status::Err, &format!("[{}] {err}", err.code()))
-}
-
 /// Arms both socket deadlines on an accepted connection: a client that
 /// stops sending (read) or stops receiving (write) must not pin a
 /// worker forever.
@@ -662,14 +605,56 @@ fn configure_stream(stream: &TcpStream) -> std::io::Result<()> {
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Writes one response: the status line, then its block, if any.
+fn write_response(writer: &mut TcpStream, response: &Response) -> std::io::Result<()> {
+    writeln!(writer, "{}", response.status)?;
+    if let Some(block) = &response.block {
+        write!(writer, "{block}")?;
+    }
+    Ok(())
+}
+
+/// Collects a `PUT` payload block. `None` when the connection ends (or
+/// is cut loose) before the terminator: there is nothing to dispatch.
+fn read_put_body(
+    reader: &mut BufReader<TcpStream>,
+    writer: &mut TcpStream,
+) -> std::io::Result<Option<String>> {
+    let mut collector = BlockCollector::new();
+    let mut body_bytes = 0usize;
+    let block_started = Instant::now();
+    while let Some(payload_line) = read_line(reader)? {
+        let Ok(payload_line) = payload_line else {
+            reject_over_limit(reader, writer, "payload line", MAX_LINE_BYTES)?;
+            return Ok(None);
+        };
+        body_bytes += payload_line.len() + 1;
+        if body_bytes > MAX_PUT_BYTES {
+            reject_over_limit(reader, writer, "PUT payload", MAX_PUT_BYTES)?;
+            return Ok(None);
+        }
+        if collector.push(&payload_line) {
+            return Ok(Some(collector.finish()));
+        }
+        if block_started.elapsed() > PUT_DEADLINE {
+            // A slow-drip client: each line lands within the read
+            // timeout, but the block as a whole never finishes. Cut it
+            // loose.
+            write_response(writer, &Response::err("payload deadline exceeded"))?;
+            return Ok(None);
+        }
+    }
+    // Connection died mid-block; nothing to answer.
+    Ok(None)
+}
+
+/// The transport loop of one connection: reads and parses each request
+/// line (and a `PUT`'s payload block), times it, hands it to
+/// [`dispatch`] and writes the response.
 fn handle_connection(
     stream: TcpStream,
-    registry: &Arc<Registry>,
-    supergraph: &Supergraph,
-    shutdown: &AtomicBool,
+    daemon: &Daemon,
     addr: SocketAddr,
-    metrics: &RequestMetrics,
     trace: Option<&TraceSink>,
     tid: u64,
 ) -> std::io::Result<()> {
@@ -687,280 +672,37 @@ fn handle_connection(
         let command = match Command::parse(&line) {
             Ok(command) => command,
             Err(err) => {
-                writeln!(writer, "{}", status_line(Status::Err, &err.to_string()))?;
+                write_response(&mut writer, &Response::err(&err.to_string()))?;
                 continue;
             }
         };
-        registry.note_request();
         let verb = verb_label(&command);
         let started = Instant::now();
         // With `--trace-log` every request becomes a root span named
         // after its verb; the registry's commit/plan/execute spans nest
         // under it on this worker thread.
         let request_span = verb.map(telemetry::span);
-        match command {
-            Command::Quit => {
-                writeln!(writer, "{}", status_line(Status::Ok, "bye"))?;
-                return Ok(());
-            }
-            Command::Shutdown => {
-                writeln!(writer, "{}", status_line(Status::Ok, "shutting down"))?;
+        let shutdown = command == Command::Shutdown;
+        let body = match command {
+            Command::Put(_) => match read_put_body(&mut reader, &mut writer)? {
+                Some(body) => body,
+                None => return Ok(()),
+            },
+            _ => String::new(),
+        };
+        let response = dispatch(daemon, Request { command, body });
+        write_response(&mut writer, &response)?;
+        if response.close {
+            if shutdown {
                 writer.flush()?;
-                shutdown.store(true, Ordering::SeqCst);
                 // Unblock the acceptor with a throwaway connection.
                 let _ = TcpStream::connect(addr);
-                return Ok(());
             }
-            Command::Ping => writeln!(writer, "{}", status_line(Status::Ok, "pong"))?,
-            Command::Health => {
-                let health = registry.health();
-                let mut detail = format!(
-                    "state={} retries={} degrade_events={} heal_events={}",
-                    health.state(),
-                    health.storage_retries,
-                    health.degrade_events,
-                    health.heal_events
-                );
-                if let Some(fault) = health.fault_counters {
-                    detail.push_str(&format!(
-                        " faults_injected={} torn_appends={}",
-                        fault.injected, fault.torn_appends
-                    ));
-                }
-                if let Some(err) = &health.last_storage_error {
-                    // Free-form text goes last so the key=value fields
-                    // stay machine-splittable.
-                    detail.push_str(&format!(" last_error={err}"));
-                }
-                writeln!(writer, "{}", status_line(Status::Ok, &detail))?;
-            }
-            Command::Snapshot => match registry.snapshot() {
-                Ok(generation) => writeln!(
-                    writer,
-                    "{}",
-                    status_line(Status::Ok, &format!("generation={generation}"))
-                )?,
-                Err(err) => writeln!(writer, "{}", status_line(Status::Err, &err.to_string()))?,
-            },
-            Command::Put(name) => {
-                let mut collector = BlockCollector::new();
-                let mut complete = false;
-                let mut body_bytes = 0usize;
-                let block_started = Instant::now();
-                while let Some(payload_line) = read_line(&mut reader)? {
-                    let Ok(payload_line) = payload_line else {
-                        return reject_over_limit(
-                            &mut reader,
-                            &mut writer,
-                            "payload line",
-                            MAX_LINE_BYTES,
-                        );
-                    };
-                    body_bytes += payload_line.len() + 1;
-                    if body_bytes > MAX_PUT_BYTES {
-                        return reject_over_limit(
-                            &mut reader,
-                            &mut writer,
-                            "PUT payload",
-                            MAX_PUT_BYTES,
-                        );
-                    }
-                    if collector.push(&payload_line) {
-                        complete = true;
-                        break;
-                    }
-                    if block_started.elapsed() > PUT_DEADLINE {
-                        // A slow-drip client: each line lands within the
-                        // read timeout, but the block as a whole never
-                        // finishes. Cut it loose.
-                        writeln!(
-                            writer,
-                            "{}",
-                            status_line(Status::Err, "payload deadline exceeded")
-                        )?;
-                        return Ok(());
-                    }
-                }
-                if !complete {
-                    // Connection died mid-block; nothing to answer.
-                    return Ok(());
-                }
-                let response = match route_member(registry, supergraph, &name) {
-                    Ok((routed, member)) => put_member(&routed, &member, &collector.finish()),
-                    Err(detail) => status_line(Status::Err, &detail),
-                };
-                writeln!(writer, "{response}")?;
-            }
-            Command::Get(name) => match route_member(registry, supergraph, &name) {
-                Err(detail) => writeln!(writer, "{}", status_line(Status::Err, &detail))?,
-                Ok((routed, member)) => match routed.get(&member) {
-                    Some(version) => {
-                        let doc = NamedSchema {
-                            name: member.clone(),
-                            schema: schema_merge_core::AnnotatedSchema::all_required(
-                                version.schema.as_ref().clone(),
-                            ),
-                            keys: schema_merge_core::KeyAssignment::new(),
-                        };
-                        let detail = format!(
-                            "hash={:016x} sequence={} generation={}",
-                            version.hash, version.sequence, version.generation
-                        );
-                        writeln!(writer, "{}", status_line(Status::Data, &detail))?;
-                        write!(writer, "{}", encode_block(&print_schema(&doc)))?;
-                    }
-                    None => writeln!(
-                        writer,
-                        "{}",
-                        status_line(Status::Err, &format!("no member named `{name}`"))
-                    )?,
-                },
-            },
-            Command::Delete(name) => match route_member(registry, supergraph, &name) {
-                Err(detail) => writeln!(writer, "{}", status_line(Status::Err, &detail))?,
-                Ok((routed, member)) => match routed.delete(&member) {
-                    Ok(outcome) => {
-                        let detail = format!(
-                            "generation={} remaining={} strategy={}",
-                            outcome.generation,
-                            outcome.remaining,
-                            outcome.strategy.as_str()
-                        );
-                        writeln!(writer, "{}", status_line(Status::Ok, &detail))?;
-                    }
-                    Err(err) => writeln!(writer, "{}", status_line(Status::Err, &err.to_string()))?,
-                },
-            },
-            Command::Merged => {
-                let view = registry.merged();
-                let detail = merged_detail(&view);
-                let doc = NamedSchema {
-                    name: "merged".into(),
-                    schema: schema_merge_core::AnnotatedSchema::all_required(
-                        view.proper.as_weak().clone(),
-                    ),
-                    keys: schema_merge_core::KeyAssignment::new(),
-                };
-                let mut payload = print_schema(&doc);
-                payload.push_str(&format!(
-                    "// implicit classes: {}\n",
-                    view.report.num_implicit()
-                ));
-                writeln!(writer, "{}", status_line(Status::Data, &detail))?;
-                write!(writer, "{}", encode_block(&payload))?;
-            }
-            Command::Stats => {
-                let stats = registry.stats();
-                writeln!(
-                    writer,
-                    "{}",
-                    status_line(Status::Data, &format!("generation={}", stats.generation))
-                )?;
-                write!(writer, "{}", encode_block(&format!("{stats}\n")))?;
-            }
-            Command::Metrics => {
-                let payload = render_metrics(registry, supergraph, metrics);
-                writeln!(
-                    writer,
-                    "{}",
-                    status_line(Status::Data, &format!("bytes={}", payload.len()))
-                )?;
-                write!(writer, "{}", encode_block(&payload))?;
-            }
-            Command::List => {
-                let members = registry.list();
-                let mut payload = String::new();
-                for m in &members {
-                    payload.push_str(&format!(
-                        "{} hash={:016x} v{} classes={} arrows={}\n",
-                        m.name, m.hash, m.sequence, m.num_classes, m.num_arrows
-                    ));
-                }
-                writeln!(
-                    writer,
-                    "{}",
-                    status_line(Status::Data, &format!("members={}", members.len()))
-                )?;
-                write!(writer, "{}", encode_block(&payload))?;
-            }
-            Command::Attach(name) => match supergraph.attach_new(&name) {
-                Ok(_) => {
-                    let detail = format!("registry={name} registries={}", supergraph.len());
-                    writeln!(writer, "{}", status_line(Status::Ok, &detail))?;
-                }
-                Err(err) => writeln!(writer, "{}", supergraph_err(&err))?,
-            },
-            Command::Detach(name) => match supergraph.detach(&name) {
-                Ok(_) => {
-                    let detail = format!("registry={name} registries={}", supergraph.len());
-                    writeln!(writer, "{}", status_line(Status::Ok, &detail))?;
-                }
-                Err(err) => writeln!(writer, "{}", supergraph_err(&err))?,
-            },
-            Command::Compose => match supergraph.compose() {
-                Ok(outcome) => {
-                    let weak = outcome.view.proper().as_weak();
-                    let detail = format!(
-                        "generation={} strategy={} registries={} classes={} arrows={} hints={}",
-                        outcome.generation,
-                        outcome.strategy.as_str(),
-                        outcome.view.members.len(),
-                        weak.num_classes(),
-                        weak.num_arrows(),
-                        outcome.view.hints().count()
-                    );
-                    writeln!(writer, "{}", status_line(Status::Ok, &detail))?;
-                }
-                Err(err) => writeln!(writer, "{}", supergraph_err(&err))?,
-            },
-            Command::Supergraph => {
-                let view = supergraph.composed();
-                let weak = view.proper().as_weak();
-                let detail = format!(
-                    "generation={} registries={} classes={} arrows={} hints={} hash={:016x}",
-                    view.generation,
-                    view.members.len(),
-                    weak.num_classes(),
-                    weak.num_arrows(),
-                    view.hints().count(),
-                    view.hash()
-                );
-                let mut payload = String::new();
-                for member in &view.members {
-                    payload.push_str(&format!(
-                        "registry {} generation={} members={}\n",
-                        member.registry, member.generation, member.members
-                    ));
-                }
-                for hint in view.hints() {
-                    payload.push_str(&format!("hint[{}] {}\n", hint.code, hint.message));
-                }
-                let doc = NamedSchema {
-                    name: "supergraph".into(),
-                    schema: schema_merge_core::AnnotatedSchema::all_required(weak.clone()),
-                    keys: schema_merge_core::KeyAssignment::new(),
-                };
-                payload.push_str(&print_schema(&doc));
-                payload.push_str(&format!(
-                    "// implicit classes: {}\n",
-                    view.report.implicit.num_implicit()
-                ));
-                writeln!(writer, "{}", status_line(Status::Data, &detail))?;
-                write!(writer, "{}", encode_block(&payload))?;
-            }
-            Command::Query(path) => match parse_path_query(&path) {
-                Ok(query) => {
-                    let classes = registry.query(&query);
-                    let rendered: Vec<String> = classes.iter().map(|c| c.to_string()).collect();
-                    let detail = format!("{} result(s): {}", rendered.len(), rendered.join(", "));
-                    writeln!(writer, "{}", status_line(Status::Ok, detail.trim_end()))?;
-                }
-                Err(err) => writeln!(writer, "{}", status_line(Status::Err, &err.to_string()))?,
-            },
+            return Ok(());
         }
         drop(request_span);
         if let Some(verb) = verb {
-            metrics.record(verb, started.elapsed());
+            daemon.metrics.record(verb, started.elapsed());
         }
         if let Some(trace) = trace {
             trace.drain_thread(tid);
@@ -970,28 +712,317 @@ fn handle_connection(
     Ok(())
 }
 
-fn merged_detail(view: &MergedView) -> String {
-    let weak = view.proper.as_weak();
-    format!(
-        "generation={} hash={:016x} classes={} arrows={}",
-        view.generation,
-        view.hash(),
-        weak.num_classes(),
-        weak.num_arrows()
-    )
+/// The namespace the daemon's own registry is attached under. Bare
+/// (slash-free) member names route here; it can be neither attached
+/// nor detached over the wire.
+const DEFAULT_REGISTRY: &str = "default";
+
+/// Everything a request can reach: the daemon's own registry, the
+/// supergraph it is attached to (as [`DEFAULT_REGISTRY`]), the
+/// per-verb request latencies and the shutdown flag. One per daemon,
+/// shared by every worker.
+struct Daemon {
+    registry: Arc<Registry>,
+    supergraph: Supergraph,
+    metrics: RequestMetrics,
+    shutdown: AtomicBool,
+}
+
+impl Daemon {
+    /// Attaches `registry` to a fresh supergraph whose composition
+    /// merges get `merge_threads` workers; `ATTACH` grows it at runtime
+    /// with fresh in-memory member registries.
+    fn new(registry: Registry, merge_threads: Option<usize>) -> Daemon {
+        let registry = Arc::new(registry);
+        let supergraph = merge_threads.map_or_else(Supergraph::new, Supergraph::with_threads);
+        supergraph
+            .attach(DEFAULT_REGISTRY, Arc::clone(&registry))
+            .expect("fresh supergraph accepts the default registry");
+        Daemon {
+            registry,
+            supergraph,
+            metrics: RequestMetrics::new(),
+            shutdown: AtomicBool::new(false),
+        }
+    }
+
+    /// Resolves a protocol member name to its registry: `registry/member`
+    /// routes to an attached supergraph registry, bare names to the
+    /// daemon's own registry.
+    fn route_member(&self, name: &str) -> Result<(Arc<Registry>, String), Response> {
+        let Some((namespace, member)) = name.split_once('/') else {
+            return Ok((Arc::clone(&self.registry), name.to_string()));
+        };
+        if namespace.is_empty() || member.is_empty() || member.contains('/') {
+            return Err(Response::err(&format!(
+                "invalid member name `{name}`: expected `member` or `registry/member`"
+            )));
+        }
+        match self.supergraph.registry(namespace) {
+            Some(routed) => Ok((routed, member.to_string())),
+            None => Err(supergraph_err(&SupergraphError::UnknownRegistry(
+                namespace.to_string(),
+            ))),
+        }
+    }
+}
+
+/// One parsed request: the command line, plus the payload block a `PUT`
+/// carries (empty for every other verb).
+struct Request {
+    command: Command,
+    body: String,
+}
+
+/// One response: the status line (without its newline), the encoded
+/// block a `DATA` status carries, and whether the connection closes
+/// after it (`QUIT`, `SHUTDOWN`).
+#[derive(Debug)]
+struct Response {
+    status: String,
+    block: Option<String>,
+    close: bool,
+}
+
+impl Response {
+    fn line(status: Status, detail: &str) -> Response {
+        Response {
+            status: status_line(status, detail),
+            block: None,
+            close: false,
+        }
+    }
+
+    fn ok(detail: &str) -> Response {
+        Response::line(Status::Ok, detail)
+    }
+
+    fn err(detail: &str) -> Response {
+        Response::line(Status::Err, detail)
+    }
+
+    /// A `DATA` status line followed by `payload` as a block.
+    fn data(detail: &str, payload: &str) -> Response {
+        Response {
+            block: Some(encode_block(payload)),
+            ..Response::line(Status::Data, detail)
+        }
+    }
+
+    /// This response, ending the connection once written.
+    fn closing(self) -> Response {
+        Response {
+            close: true,
+            ..self
+        }
+    }
+}
+
+fn supergraph_err(err: &SupergraphError) -> Response {
+    Response::err(&format!("[{}] {err}", err.code()))
+}
+
+/// `schema` printed as a canonical document named `name`.
+fn print_named(name: &str, schema: &WeakSchema) -> String {
+    print_schema(&NamedSchema {
+        name: name.to_string(),
+        schema: AnnotatedSchema::all_required(schema.clone()),
+        keys: KeyAssignment::new(),
+    })
+}
+
+/// Serves one request: routes it to the daemon's registry or an
+/// attached one, runs it, and renders the response. No socket I/O —
+/// the transport loop reads the request and writes what this returns.
+fn dispatch(daemon: &Daemon, request: Request) -> Response {
+    let Daemon {
+        registry,
+        supergraph,
+        ..
+    } = daemon;
+    registry.note_request();
+    match request.command {
+        Command::Quit => Response::ok("bye").closing(),
+        Command::Shutdown => {
+            daemon.shutdown.store(true, Ordering::SeqCst);
+            Response::ok("shutting down").closing()
+        }
+        Command::Ping => Response::ok("pong"),
+        Command::Health => {
+            let health = registry.health();
+            let mut detail = format!(
+                "state={} retries={} degrade_events={} heal_events={}",
+                health.state(),
+                health.storage_retries,
+                health.degrade_events,
+                health.heal_events
+            );
+            if let Some(fault) = health.fault_counters {
+                detail.push_str(&format!(
+                    " faults_injected={} torn_appends={}",
+                    fault.injected, fault.torn_appends
+                ));
+            }
+            if let Some(err) = &health.last_storage_error {
+                // Free-form text goes last so the key=value fields stay
+                // machine-splittable.
+                detail.push_str(&format!(" last_error={err}"));
+            }
+            Response::ok(&detail)
+        }
+        Command::Snapshot => match registry.snapshot() {
+            Ok(generation) => Response::ok(&format!("generation={generation}")),
+            Err(err) => Response::err(&err.to_string()),
+        },
+        Command::Put(name) => match daemon.route_member(&name) {
+            Ok((routed, member)) => put_member(&routed, &member, &request.body),
+            Err(response) => response,
+        },
+        Command::Get(name) => match daemon.route_member(&name) {
+            Err(response) => response,
+            Ok((routed, member)) => match routed.get(&member) {
+                Some(version) => Response::data(
+                    &format!(
+                        "hash={:016x} sequence={} generation={}",
+                        version.hash, version.sequence, version.generation
+                    ),
+                    &print_named(&member, &version.schema),
+                ),
+                None => Response::err(&format!("no member named `{name}`")),
+            },
+        },
+        Command::Delete(name) => match daemon.route_member(&name) {
+            Err(response) => response,
+            Ok((routed, member)) => match routed.delete(&member) {
+                Ok(outcome) => Response::ok(&format!(
+                    "generation={} remaining={} strategy={}",
+                    outcome.generation,
+                    outcome.remaining,
+                    outcome.strategy.as_str()
+                )),
+                Err(err) => Response::err(&err.to_string()),
+            },
+        },
+        Command::Merged => {
+            let view = registry.merged();
+            let weak = view.proper.as_weak();
+            let detail = format!(
+                "generation={} hash={:016x} classes={} arrows={}",
+                view.generation,
+                view.hash(),
+                weak.num_classes(),
+                weak.num_arrows()
+            );
+            let mut payload = print_named("merged", weak);
+            payload.push_str(&format!(
+                "// implicit classes: {}\n",
+                view.report.num_implicit()
+            ));
+            Response::data(&detail, &payload)
+        }
+        Command::Stats => {
+            let stats = registry.stats();
+            Response::data(
+                &format!("generation={}", stats.generation),
+                &format!("{stats}\n"),
+            )
+        }
+        Command::Metrics => {
+            let payload = render_metrics(daemon);
+            Response::data(&format!("bytes={}", payload.len()), &payload)
+        }
+        Command::List => {
+            let members = registry.list();
+            let mut payload = String::new();
+            for m in &members {
+                payload.push_str(&format!(
+                    "{} hash={:016x} v{} classes={} arrows={}\n",
+                    m.name, m.hash, m.sequence, m.num_classes, m.num_arrows
+                ));
+            }
+            Response::data(&format!("members={}", members.len()), &payload)
+        }
+        Command::Attach(name) | Command::Detach(name) if name == DEFAULT_REGISTRY => {
+            Response::err(&format!(
+                "[E-SG-RESERVED] registry `{DEFAULT_REGISTRY}` is the daemon's own \
+                 registry; it cannot be attached or detached"
+            ))
+        }
+        Command::Attach(name) => match supergraph.attach_new(&name) {
+            Ok(_) => Response::ok(&format!("registry={name} registries={}", supergraph.len())),
+            Err(err) => supergraph_err(&err),
+        },
+        Command::Detach(name) => match supergraph.detach(&name) {
+            Ok(_) => Response::ok(&format!("registry={name} registries={}", supergraph.len())),
+            Err(err) => supergraph_err(&err),
+        },
+        Command::Compose => match supergraph.compose() {
+            Ok(outcome) => {
+                let weak = outcome.view.proper().as_weak();
+                Response::ok(&format!(
+                    "generation={} strategy={} registries={} classes={} arrows={} hints={}",
+                    outcome.generation,
+                    outcome.strategy.as_str(),
+                    outcome.view.members.len(),
+                    weak.num_classes(),
+                    weak.num_arrows(),
+                    outcome.view.hints().count()
+                ))
+            }
+            Err(err) => supergraph_err(&err),
+        },
+        Command::Supergraph => {
+            let view = supergraph.composed();
+            let weak = view.proper().as_weak();
+            let detail = format!(
+                "generation={} registries={} classes={} arrows={} hints={} hash={:016x}",
+                view.generation,
+                view.members.len(),
+                weak.num_classes(),
+                weak.num_arrows(),
+                view.hints().count(),
+                view.hash()
+            );
+            let mut payload = String::new();
+            for member in &view.members {
+                payload.push_str(&format!(
+                    "registry {} generation={} members={}\n",
+                    member.registry, member.generation, member.members
+                ));
+            }
+            for hint in view.hints() {
+                payload.push_str(&format!("hint[{}] {}\n", hint.code, hint.message));
+            }
+            payload.push_str(&print_named("supergraph", weak));
+            payload.push_str(&format!(
+                "// implicit classes: {}\n",
+                view.report.implicit.num_implicit()
+            ));
+            Response::data(&detail, &payload)
+        }
+        Command::Query(path) => match parse_path_query(&path) {
+            Ok(query) => {
+                let classes = registry.query(&query);
+                let rendered: Vec<String> = classes.iter().map(|c| c.to_string()).collect();
+                let detail = format!("{} result(s): {}", rendered.len(), rendered.join(", "));
+                Response::ok(detail.trim_end())
+            }
+            Err(err) => Response::err(&err.to_string()),
+        },
+    }
 }
 
 /// Parses and publishes a `PUT` payload: every schema in the document is
 /// weak-joined into the member's single published schema (publishing a
 /// document *is* publishing its merge — associativity makes the grouping
 /// irrelevant).
-fn put_member(registry: &Registry, name: &str, payload: &str) -> String {
+fn put_member(registry: &Registry, name: &str, payload: &str) -> Response {
     let docs = match parse_document(payload) {
         Ok(docs) => docs,
-        Err(err) => return status_line(Status::Err, &format!("parse failed: {err}")),
+        Err(err) => return Response::err(&format!("parse failed: {err}")),
     };
     if docs.is_empty() {
-        return status_line(Status::Err, "payload contains no schemas");
+        return Response::err("payload contains no schemas");
     }
     let joined = match Merger::new()
         .schemas(docs.iter().map(|d| d.schema.schema()))
@@ -999,24 +1030,18 @@ fn put_member(registry: &Registry, name: &str, payload: &str) -> String {
     {
         Ok(joined) => joined.into_weak(),
         Err(err) => {
-            return status_line(
-                Status::Err,
-                &format!("payload does not merge [{}]: {err}", err.code()),
-            )
+            return Response::err(&format!("payload does not merge [{}]: {err}", err.code()))
         }
     };
     match registry.put(name, joined) {
-        Ok(outcome) => status_line(
-            Status::Ok,
-            &format!(
-                "hash={:016x} sequence={} generation={} strategy={}",
-                outcome.hash,
-                outcome.sequence,
-                outcome.generation,
-                outcome.strategy.as_str()
-            ),
-        ),
-        Err(err) => status_line(Status::Err, &err.to_string()),
+        Ok(outcome) => Response::ok(&format!(
+            "hash={:016x} sequence={} generation={} strategy={}",
+            outcome.hash,
+            outcome.sequence,
+            outcome.generation,
+            outcome.strategy.as_str()
+        )),
+        Err(err) => Response::err(&err.to_string()),
     }
 }
 
@@ -1039,5 +1064,196 @@ mod tests {
         configure_stream(&accepted).unwrap();
         assert_eq!(accepted.read_timeout().unwrap(), Some(READ_TIMEOUT));
         assert_eq!(accepted.write_timeout().unwrap(), Some(WRITE_TIMEOUT));
+    }
+
+    fn daemon() -> Daemon {
+        Daemon::new(Registry::new(), None)
+    }
+
+    /// Dispatches one request line, with `body` as a `PUT` payload.
+    fn send(daemon: &Daemon, line: &str, body: &str) -> Response {
+        let command = Command::parse(line).expect("a valid request line");
+        dispatch(
+            daemon,
+            Request {
+                command,
+                body: body.to_string(),
+            },
+        )
+    }
+
+    fn status(daemon: &Daemon, line: &str) -> String {
+        send(daemon, line, "").status
+    }
+
+    fn block(response: &Response) -> &str {
+        response.block.as_deref().expect("a DATA block")
+    }
+
+    #[test]
+    fn dispatch_serves_every_verb_without_a_socket() {
+        let daemon = daemon();
+        assert_eq!(status(&daemon, "PING"), "OK pong");
+
+        let alpha = send(&daemon, "PUT alpha", "schema alpha { C --a--> B1; }\n");
+        assert!(alpha.status.starts_with("OK hash="), "{alpha:?}");
+        assert!(alpha.status.ends_with("generation=1 strategy=full"));
+        let beta = send(&daemon, "PUT beta", "schema beta { C --a--> B2; }\n");
+        assert!(beta.status.ends_with("generation=2 strategy=incremental"));
+        let again = send(&daemon, "PUT alpha", "schema alpha { C --a--> B1; }\n");
+        assert!(again.status.ends_with("strategy=noop"), "{again:?}");
+
+        let get = send(&daemon, "GET alpha", "");
+        assert!(get.status.starts_with("DATA hash="));
+        assert!(block(&get).starts_with("schema alpha {"));
+        assert!(block(&get).ends_with("}\n.\n"));
+        let merged = send(&daemon, "MERGED", "");
+        assert!(merged.status.starts_with("DATA generation=2 hash="));
+        assert!(block(&merged).contains("{B1,B2}"));
+        assert!(block(&merged).contains("// implicit classes: 1\n"));
+        let list = send(&daemon, "LIST", "");
+        assert_eq!(list.status, "DATA members=2");
+        assert!(block(&list).starts_with("alpha hash="));
+        assert_eq!(status(&daemon, "QUERY C.a"), "OK 1 result(s): {B1,B2}");
+
+        let stats = send(&daemon, "STATS", "");
+        assert_eq!(stats.status, "DATA generation=2");
+        assert!(block(&stats).contains("requests served"));
+        let metrics = send(&daemon, "METRICS", "");
+        assert!(metrics.status.starts_with("DATA bytes="));
+        assert!(block(&metrics).contains("smerge_registry_generation 2\n"));
+        assert!(status(&daemon, "HEALTH").starts_with("OK state=ok retries=0"));
+        assert_eq!(
+            status(&daemon, "SNAPSHOT"),
+            "ERR registry was opened without a data dir or store"
+        );
+
+        assert_eq!(
+            status(&daemon, "ATTACH sales"),
+            "OK registry=sales registries=2"
+        );
+        let orders = send(
+            &daemon,
+            "PUT sales/orders",
+            "schema orders { Order --item--> C; }\n",
+        );
+        assert!(orders.status.ends_with("generation=1 strategy=full"));
+        let compose = status(&daemon, "COMPOSE");
+        assert!(
+            compose.starts_with("OK generation=3 strategy=full registries=2"),
+            "{compose}"
+        );
+        let supergraph = send(&daemon, "SUPERGRAPH", "");
+        assert!(supergraph
+            .status
+            .starts_with("DATA generation=3 registries=2"));
+        assert!(block(&supergraph).contains("registry sales generation=1 members=1\n"));
+        assert!(block(&supergraph).contains("Order --item--> C;"));
+        assert!(status(&daemon, "COMPOSE").contains("strategy=noop"));
+        assert_eq!(
+            status(&daemon, "DETACH sales"),
+            "OK registry=sales registries=1"
+        );
+
+        assert_eq!(
+            status(&daemon, "DELETE beta"),
+            "OK generation=3 remaining=1 strategy=incremental"
+        );
+        let quit = send(&daemon, "QUIT", "");
+        assert_eq!((quit.status.as_str(), quit.close), ("OK bye", true));
+        assert!(!daemon.shutdown.load(Ordering::SeqCst));
+        let shutdown = send(&daemon, "SHUTDOWN", "");
+        assert_eq!(
+            (shutdown.status.as_str(), shutdown.close),
+            ("OK shutting down", true)
+        );
+        assert!(daemon.shutdown.load(Ordering::SeqCst));
+        // Every dispatched request was counted, QUIT and SHUTDOWN too.
+        assert_eq!(daemon.registry.stats().requests_served, 21);
+    }
+
+    #[test]
+    fn dispatch_renders_every_error_path() {
+        let daemon = daemon();
+        send(&daemon, "PUT up", "schema up { A => B; }\n");
+
+        // Unknown registry, unknown member, malformed member name.
+        let unknown = "ERR [E-SG-UNKNOWN] no registry `billing` is attached";
+        assert_eq!(
+            send(&daemon, "PUT billing/x", "schema x {}\n").status,
+            unknown
+        );
+        assert_eq!(status(&daemon, "GET billing/x"), unknown);
+        assert_eq!(status(&daemon, "DELETE billing/x"), unknown);
+        assert_eq!(status(&daemon, "GET ghost"), "ERR no member named `ghost`");
+        assert_eq!(
+            status(&daemon, "DELETE ghost"),
+            "ERR no member named `ghost`"
+        );
+        assert!(status(&daemon, "GET a/b/c").starts_with("ERR invalid member name `a/b/c`"));
+
+        // A bad path query.
+        assert!(status(&daemon, "QUERY .a").starts_with("ERR bad path `.a`: empty starting class"));
+
+        // Rejected, unmergeable, unparseable and empty payloads.
+        let rejected = send(&daemon, "PUT down", "schema down { B => A; }\n");
+        assert!(
+            rejected
+                .status
+                .starts_with("ERR publishing `down` rejected:"),
+            "{rejected:?}"
+        );
+        let split = send(
+            &daemon,
+            "PUT split",
+            "schema one { X => Y; }\nschema two { Y => X; }\n",
+        );
+        assert!(
+            split
+                .status
+                .starts_with("ERR payload does not merge [E-MERGE-INCOMPATIBLE]"),
+            "{split:?}"
+        );
+        let broken = send(&daemon, "PUT broken", "schema broken {{{\n");
+        assert!(broken.status.starts_with("ERR parse failed:"), "{broken:?}");
+        assert_eq!(
+            send(&daemon, "PUT empty", "").status,
+            "ERR payload contains no schemas"
+        );
+
+        // Supergraph errors carry their stable codes.
+        assert!(status(&daemon, "DETACH ghost").starts_with("ERR [E-SG-UNKNOWN]"));
+        assert!(status(&daemon, "ATTACH sales").starts_with("OK"));
+        assert!(status(&daemon, "ATTACH sales").starts_with("ERR [E-SG-DUPLICATE]"));
+        assert!(status(&daemon, "ATTACH a/b").starts_with("ERR [E-SG-NAME]"));
+        let cycle = send(&daemon, "PUT sales/down", "schema down { B => A; }\n");
+        assert!(cycle.status.starts_with("OK"), "{cycle:?}");
+        assert!(status(&daemon, "COMPOSE").starts_with("ERR [E-SG-COMPOSE]"));
+
+        // None of it reached the view.
+        assert_eq!(daemon.registry.len(), 1);
+        assert!(send(&daemon, "MERGED", "")
+            .status
+            .starts_with("DATA generation=1 "));
+    }
+
+    /// The daemon's own registry is reserved: detaching it would leave
+    /// bare names committing to a registry COMPOSE drops, and attaching
+    /// `default` again would split `default/x` from `x`.
+    #[test]
+    fn dispatch_reserves_the_default_registry() {
+        let daemon = daemon();
+        for line in ["DETACH default", "ATTACH default"] {
+            let response = status(&daemon, line);
+            assert!(
+                response.starts_with("ERR [E-SG-RESERVED] registry `default`"),
+                "{line}: {response}"
+            );
+        }
+        let put = send(&daemon, "PUT default/x", "schema x { X --f--> Y; }\n");
+        assert!(put.status.starts_with("OK"), "{put:?}");
+        assert!(status(&daemon, "GET x").starts_with("DATA"));
+        let compose = status(&daemon, "COMPOSE");
+        assert!(compose.contains("registries=1 classes=2"), "{compose}");
     }
 }

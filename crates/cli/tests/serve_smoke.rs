@@ -388,6 +388,17 @@ fn daemon_federates_attach_compose_supergraph_and_detach() {
     assert!(!ok, "{text}");
     assert!(text.contains("E-SG-DUPLICATE"), "{text}");
 
+    // The daemon's own registry is reserved: it can be neither detached
+    // (bare names would still commit to it, but COMPOSE would drop it)
+    // nor attached again (a second registry would shadow it).
+    for verb in ["detach", "attach"] {
+        let (ok, text) = client(&addr, &[verb, "default"]);
+        assert!(!ok, "{verb} default: {text}");
+        assert!(text.contains("E-SG-RESERVED"), "{verb} default: {text}");
+    }
+    let (ok, text) = client(&addr, &["get", "default/parts"]);
+    assert!(ok, "default/ still names the daemon's registry: {text}");
+
     // DETACH drops the registry's contribution from the next compose…
     let (ok, text) = client(&addr, &["detach", "sales"]);
     assert!(ok, "{text}");

@@ -19,7 +19,8 @@
 //!    still feed the blob table.
 //! 3. **Re-merge.** The merged view is a deterministic least upper
 //!    bound of the current members, so it is *recomputed*, not stored:
-//!    one batch join plus completion, exactly the engine's cold path.
+//!    one cold join plus completion on the registry's incremental-join
+//!    core, exactly the engine's cold path.
 //! 4. **Verify.** The recomputed view's content hash must equal the
 //!    `view_hash` carried by the last applied record (or the snapshot,
 //!    when the log is empty) — an end-to-end check that recovery
@@ -30,13 +31,13 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-use schema_merge_core::{CompletionReport, Merger, ProperSchema, WeakSchema};
+use schema_merge_core::{CompletionReport, ProperSchema, WeakSchema};
 use schema_merge_telemetry as telemetry;
 
-use crate::cache::{fingerprint, JoinCache};
+use crate::cache::{IncrementalJoin, Part};
 use crate::error::RegistryError;
 use crate::registry::{
-    merge_onto, Counters, Persistence, Registry, RegistryMetrics, Resilience, Shared,
+    member_part, Counters, Persistence, Registry, RegistryMetrics, Resilience, Shared,
 };
 use crate::resilience::RetryPolicy;
 use crate::storage::snapshot::SnapshotState;
@@ -152,30 +153,22 @@ impl RegistryBuilder {
         };
         let Some(mut store) = store else {
             let mut registry = Registry::new();
-            registry.merge_threads = self.merge_threads;
+            registry.joins = IncrementalJoin::new(self.merge_threads);
             registry.resilience = Resilience::new(self.retry_policy);
             return Ok(registry);
         };
         let recovery_started = Instant::now();
+        // Recovery's re-merge runs on the registry's own core, which it
+        // leaves seeded with the full-set join: the first publish after
+        // reboot is already incremental.
+        let joins = IncrementalJoin::new(self.merge_threads);
         let recovered = {
             let mut span = telemetry::span("recover");
-            let recovered = recover(&mut store, self.merge_threads, self.retry_policy.as_ref())?;
+            let recovered = recover(&mut store, &joins, self.retry_policy.as_ref())?;
             span.attr("generation", recovered.generation);
             span.attr("wal_records", recovered.wal_records);
             recovered
         };
-        let mut cache = JoinCache::default();
-        if let Some(compiled) = &recovered.compiled {
-            // Seed the join cache with the full-set join so the first
-            // publish after reboot is already incremental.
-            let fp = fingerprint(
-                recovered
-                    .members
-                    .iter()
-                    .map(|(n, r)| (n.as_str(), r.current().hash)),
-            );
-            cache.insert(fp, Arc::clone(compiled));
-        }
         let registry = Registry {
             shared: RwLock::new(Shared {
                 generation: recovered.generation,
@@ -183,9 +176,8 @@ impl RegistryBuilder {
                 proper: recovered.proper,
                 report: recovered.report,
             }),
-            cache: Mutex::new(cache),
+            joins,
             counters: Counters::default(),
-            merge_threads: self.merge_threads,
             persistence: Some(Mutex::new(Persistence {
                 store,
                 snapshot_every: self.snapshot_every,
@@ -214,8 +206,6 @@ struct Recovered {
     members: BTreeMap<String, MemberRecord>,
     proper: Arc<ProperSchema>,
     report: Arc<CompletionReport>,
-    /// The compiled full-set join (absent when there are no members).
-    compiled: Option<Arc<schema_merge_core::CompiledSchema>>,
     snapshot_generation: u64,
     snapshot_bytes: u64,
     wal_records: u64,
@@ -252,7 +242,7 @@ fn retrying<T>(
 
 fn recover(
     store: &mut Box<dyn Store>,
-    threads: Option<usize>,
+    joins: &IncrementalJoin,
     policy: Option<&RetryPolicy>,
 ) -> Result<Recovered, StorageError> {
     // 1. The newest snapshot, if any.
@@ -373,25 +363,18 @@ fn recover(
 
     // 3. Recompute the merged view — it is a deterministic LUB of the
     // recovered members, so it is derived, never trusted from disk.
-    let (proper, report, compiled) = if members.is_empty() {
-        let empty = ProperSchema::try_new(WeakSchema::empty()).expect("the empty schema is proper");
-        (Arc::new(empty), Arc::new(CompletionReport::default()), None)
-    } else {
-        let remerge = || -> Result<_, schema_merge_core::MergeError> {
-            let mut merger =
-                Merger::new().schemas(members.values().map(|r| r.current().schema.as_ref()));
-            if let Some(threads) = threads {
-                merger = merger.threads(threads);
-            }
-            let (_, compiled) = merger.join()?.into_parts();
-            let compiled = Arc::new(compiled.expect("the compiled engines keep the compiled join"));
-            let candidate = merge_onto(&compiled, None, threads)?;
-            Ok((candidate.proper, candidate.report, Some(candidate.compiled)))
-        };
-        remerge().map_err(|cause| {
+    let parts: Vec<Part> = members
+        .iter()
+        .map(|(name, record)| member_part(name, record.current()))
+        .collect();
+    let step = joins
+        .plan(&parts, None)
+        .and_then(|plan| joins.execute(plan))
+        .map_err(|cause| {
             StorageError::corrupt(format!("recovered member set does not merge: {cause}"))
-        })?
-    };
+        })?;
+    let proper = Arc::new(step.report.proper);
+    let report = Arc::new(step.report.implicit);
 
     // 4. End-to-end verification against the last committed view hash.
     if let Some(expected) = last_view_hash {
@@ -409,7 +392,6 @@ fn recover(
         members,
         proper,
         report,
-        compiled,
         snapshot_generation: snapshots.last().copied().unwrap_or(0),
         snapshot_bytes,
         wal_records,

@@ -17,16 +17,16 @@
 //!   immutable [`SchemaVersion`]s; a generation-stamped merged view sits
 //!   behind an `RwLock`, so reads are wait-free Arc clones and writers
 //!   recompute optimistically outside the lock.
-//! * **Incremental re-merge** — on [`Registry::put`] / [`Registry::delete`]
-//!   the engine reuses the cached *compiled* join of the unchanged
-//!   members (associativity: `⊔ᵢGᵢ = (⊔ᵢ≠ₖGᵢ) ⊔ Gₖ`) and re-runs only
-//!   the final join and completion, as a
-//!   [`schema_merge_core::merger::MergePlan`] with the cached join
-//!   handed to [`Merger::onto_base`](schema_merge_core::Merger::onto_base)
-//!   — the interner survives across generations — falling back to a
-//!   full batch `Merger` execution when no cached join applies. The
-//!   incremental result is always equal to the one-shot merge
-//!   (differentially property-tested against `reference::merge`).
+//! * **Incremental re-merge** ([`cache::IncrementalJoin`]) — one core
+//!   keeps the join of a keyed set current by associativity
+//!   (`⊔ᵢGᵢ = (⊔ᵢ≠ₖGᵢ) ⊔ Gₖ`): it caches compiled joins by set
+//!   fingerprint, joins the one changed input onto the cached join of
+//!   the rest, and falls back to a cold join when none applies.
+//!   [`Registry::put`] and [`Registry::delete`] share one commit path
+//!   on it; the federation layer (`crates/supergraph`) composes
+//!   registries on the same core. The incremental result is always equal
+//!   to the one-shot merge (differentially property-tested against
+//!   `reference::merge`, and in every publication order).
 //! * **Durability** ([`storage`]) — an append-only, checksummed,
 //!   fsync'd write-ahead log of content-hashed put/delete records plus
 //!   periodic compacting snapshots, behind the pluggable

@@ -4,8 +4,8 @@
 //! ## Concurrency
 //!
 //! The mutable state (members, generation, merged view) lives behind one
-//! `RwLock`; the join cache behind its own `Mutex` (the two are never
-//! held at once). Reads — [`Registry::merged`], [`Registry::get`],
+//! `RwLock`; the join cache behind the core's own `Mutex` (the two are
+//! never held at once). Reads — [`Registry::merged`], [`Registry::get`],
 //! [`Registry::stats`], [`Registry::query`] — take the read lock just
 //! long enough to clone an `Arc`. Writers are *optimistic*: they
 //! snapshot under the read lock, compute the candidate merged view with
@@ -17,24 +17,13 @@
 //!
 //! ## Incrementality
 //!
-//! The merge is a least upper bound, so for any member `k`,
-//! `⊔ᵢ Gᵢ = (⊔ᵢ≠ₖ Gᵢ) ⊔ Gₖ` — the join of everything else is a
-//! *reusable intermediate*. Joins are not invertible, so the engine
-//! cannot subtract `k`'s old contribution from the cached total;
-//! instead it remembers the joins it has computed — compiled, so the
-//! interner survives across generations — keyed by the exact
-//! member-version set. Every re-merge is built as a
-//! [`schema_merge_core::merger::MergePlan`]: the cached compiled join of
-//! the unchanged members is handed to
-//! [`Merger::onto_base`](schema_merge_core::Merger::onto_base), so each
-//! publish of `k` interns only the changed member and completes straight
-//! off the compiled join (materializing the symbolic schema exactly
-//! once, for the committed view). When no cached join matches, the
-//! engine falls back to joining every unchanged member from scratch (a
-//! plain batch `Merger` execution) and seeds the cache so the next
-//! publish is incremental. Either way the committed view is **equal** to
-//! the one-shot merge of the current members — associativity is not an
-//! optimization that changes answers.
+//! `put` and `delete` share one commit path, and its merge step runs on
+//! the [`IncrementalJoin`] core (see [`crate::cache`]): the other
+//! members' join comes from the core's cache when this exact member set
+//! was joined before, or is joined cold and then seeded; the changed
+//! member is joined onto it and the result completed. Either way the
+//! committed view is **equal** to the one-shot merge of the current
+//! members — associativity is not an optimization that changes answers.
 //!
 //! ## Durability
 //!
@@ -57,12 +46,12 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use schema_merge_core::{
-    Class, CompiledSchema, CompletionReport, MergeError, Merger, ProperSchema, WeakSchema,
+    Class, CompiledSchema, CompletionReport, MergeError, ProperSchema, WeakSchema,
 };
 use schema_merge_instance::PathQuery;
 use schema_merge_telemetry::{self as telemetry, Histogram, HistogramSnapshot};
 
-use crate::cache::{fingerprint, JoinCache};
+use crate::cache::{IncrementalJoin, Part};
 use crate::config::RegistryBuilder;
 use crate::error::RegistryError;
 use crate::resilience::{Health, RetryPolicy};
@@ -156,23 +145,14 @@ impl MergedView {
 pub struct RegistryJoin {
     /// The registry generation the join reflects.
     pub generation: u64,
-    /// [`crate::cache::fingerprint`] over the `(member, content-hash)`
-    /// pairs of `members` — the join's set identity.
+    /// A fingerprint of the `(member, content-hash)` pairs of `members`
+    /// — the join's set identity.
     pub fingerprint: u64,
     /// Every member's current version at the snapshot, sorted by name.
     pub members: Vec<(String, SchemaVersion)>,
     /// The compiled weak join of all member schemas (no implicit
     /// classes — completion has not run).
     pub join: Arc<CompiledSchema>,
-}
-
-/// The computed pieces of a candidate view, pre-`Arc`ed so commit is
-/// pointer shuffling only. The compiled join rides along to seed the
-/// cache: it is the interner the *next* incremental publish will reuse.
-pub(crate) struct Candidate {
-    pub(crate) compiled: Arc<CompiledSchema>,
-    pub(crate) proper: Arc<ProperSchema>,
-    pub(crate) report: Arc<CompletionReport>,
 }
 
 pub(crate) struct Shared {
@@ -385,12 +365,10 @@ impl Default for RegistryMetrics {
 /// locking, incrementality and durability story.
 pub struct Registry {
     pub(crate) shared: RwLock<Shared>,
-    pub(crate) cache: Mutex<JoinCache>,
+    /// The incremental-join core: join cache, cold joins and onto-base
+    /// steps under the merge thread budget.
+    pub(crate) joins: IncrementalJoin,
     pub(crate) counters: Counters,
-    /// Worker budget for the merge engine (`None` = the merger's
-    /// defaults: sequential below the parallel work threshold, the
-    /// machine's parallelism above it).
-    pub(crate) merge_threads: Option<usize>,
     /// The durability arm; `None` for a purely in-memory registry.
     pub(crate) persistence: Option<Mutex<Persistence>>,
     /// Latency histograms and the uptime epoch.
@@ -405,17 +383,14 @@ impl Default for Registry {
     }
 }
 
-/// A writer's snapshot: the generation it read plus the unchanged
-/// members it will merge against.
-struct Snapshot {
+/// What one pass through the commit path produced.
+struct Committed {
     generation: u64,
-    rest: Vec<(String, u64, Arc<WeakSchema>)>,
-}
-
-impl Snapshot {
-    fn fingerprint(&self) -> u64 {
-        fingerprint(self.rest.iter().map(|(n, h, _)| (n.as_str(), *h)))
-    }
+    /// The member's version sequence number (puts only).
+    sequence: u32,
+    /// Members after the commit.
+    remaining: usize,
+    strategy: MergeStrategy,
 }
 
 impl Registry {
@@ -430,9 +405,8 @@ impl Registry {
                 proper: Arc::new(empty),
                 report: Arc::new(CompletionReport::default()),
             }),
-            cache: Mutex::new(JoinCache::default()),
+            joins: IncrementalJoin::new(None),
             counters: Counters::default(),
-            merge_threads: None,
             persistence: None,
             metrics: RegistryMetrics::default(),
             resilience: Resilience::default(),
@@ -466,126 +440,21 @@ impl Registry {
         name: impl Into<String>,
         schema: WeakSchema,
     ) -> Result<PutOutcome, RegistryError> {
-        self.check_writable()?;
         let name = name.into();
-        let schema = Arc::new(schema);
         let hash = schema.content_hash();
-        let commit_started = Instant::now();
-        let mut commit_span = telemetry::span("commit");
-        commit_span.attr("content_hash", hash);
-        loop {
-            let snapshot = {
-                let shared = self.shared.read().expect("registry lock");
-                if let Some(record) = shared.members.get(&name) {
-                    let current = record.current();
-                    if current.hash == hash {
-                        self.counters.noop.fetch_add(1, Ordering::Relaxed);
-                        return Ok(PutOutcome {
-                            hash,
-                            sequence: current.sequence,
-                            generation: shared.generation,
-                            strategy: MergeStrategy::Noop,
-                        });
-                    }
-                }
-                self.snapshot_excluding(&shared, &name)
-            };
-
-            let (rest, strategy) = {
-                let mut plan_span = telemetry::span("plan");
-                plan_span.attr_usize("rest_members", snapshot.rest.len());
-                match self.rest_join(&snapshot) {
-                    Ok(pair) => {
-                        plan_span.attr("cached", u64::from(pair.1 == MergeStrategy::Incremental));
-                        pair
-                    }
-                    Err(cause) => return Err(self.reject(name, cause)),
-                }
-            };
-            // The incremental step proper, as a merge plan: the cached
-            // compiled join is the `onto_base` interner — only the
-            // changed member is walked symbolically — and the completion
-            // runs straight off the compiled join, materializing the
-            // symbolic schema once.
-            let candidate = {
-                let mut exec_span = telemetry::span("execute");
-                match merge_onto(&rest, Some(schema.as_ref()), self.merge_threads) {
-                    Ok(candidate) => {
-                        exec_span.attr_usize("classes", candidate.proper.num_classes());
-                        candidate
-                    }
-                    Err(cause) => return Err(self.reject(name, cause)),
-                }
-            };
-
-            let mut shared = self.shared.write().expect("registry lock");
-            if shared.generation != snapshot.generation {
-                drop(shared);
-                self.counters.retries.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            let generation = shared.generation + 1;
-            let sequence = shared
-                .members
-                .get(&name)
-                .map_or(0, |r| r.versions.len() as u32)
-                + 1;
-            // Durability point: the record is fsync'd before any shared
-            // state mutates, so a storage failure rejects the commit with
-            // the registry untouched, and a crash after this line replays
-            // to exactly this state.
-            if let Some(persistence) = &self.persistence {
-                let mut p = persistence.lock().expect("persistence lock");
-                let carry = !p.on_disk.contains(&hash);
-                self.durable_append(
-                    &mut p,
-                    &WalRecord::Put {
-                        generation,
-                        member: name.clone(),
-                        hash,
-                        sequence,
-                        view_hash: candidate.proper.content_hash(),
-                        schema: carry.then(|| Arc::clone(&schema)),
-                    },
-                )?;
-                p.on_disk.insert(hash);
-            }
-            shared.generation = generation;
-            let record = shared
-                .members
-                .entry(name.clone())
-                .or_insert_with(|| MemberRecord {
-                    versions: Vec::new(),
-                });
-            record.versions.push(SchemaVersion {
-                hash,
-                sequence,
-                generation,
-                schema: Arc::clone(&schema),
-            });
-            let full_fp = fingerprint(
-                shared
-                    .members
-                    .iter()
-                    .map(|(n, r)| (n.as_str(), r.current().hash)),
-            );
-            let total = Arc::clone(&candidate.compiled);
-            shared.proper = candidate.proper;
-            shared.report = candidate.report;
-            self.auto_snapshot(&shared);
-            drop(shared);
-
-            self.seed_cache(snapshot.fingerprint(), rest, full_fp, total);
-            self.count_commit(strategy);
-            commit_span.attr("generation", generation);
-            self.metrics.commit_latency.record(commit_started.elapsed());
-            return Ok(PutOutcome {
-                hash,
-                sequence,
-                generation,
-                strategy,
-            });
-        }
+        let part = Part {
+            key: name.clone(),
+            hash,
+            schema: Arc::new(schema),
+            compiled: None,
+        };
+        let committed = self.commit(&name, Some(part))?;
+        Ok(PutOutcome {
+            hash,
+            sequence: committed.sequence,
+            generation: committed.generation,
+            strategy: committed.strategy,
+        })
     }
 
     /// Removes member `name` and re-merges the remainder (incrementally
@@ -596,87 +465,145 @@ impl Registry {
     ///
     /// [`RegistryError::UnknownMember`] when no such member exists.
     pub fn delete(&self, name: &str) -> Result<DeleteOutcome, RegistryError> {
+        let committed = self.commit(name, None)?;
+        Ok(DeleteOutcome {
+            generation: committed.generation,
+            remaining: committed.remaining,
+            strategy: committed.strategy,
+        })
+    }
+
+    /// The one commit path of [`put`](Registry::put) (`changed` is the
+    /// new version) and [`delete`](Registry::delete) (`changed` is
+    /// `None`). It snapshots the other members, runs the step on the
+    /// incremental-join core with no lock held, then takes the write lock:
+    /// if another writer committed meanwhile it retries from a fresh
+    /// snapshot; otherwise the record is made durable (WAL before
+    /// visible) and the new view swapped in.
+    fn commit(&self, name: &str, changed: Option<Part>) -> Result<Committed, RegistryError> {
         self.check_writable()?;
         let commit_started = Instant::now();
         let mut commit_span = telemetry::span("commit");
+        if let Some(part) = &changed {
+            commit_span.attr("content_hash", part.hash);
+        }
         loop {
-            let snapshot = {
+            let (generation, rest) = {
                 let shared = self.shared.read().expect("registry lock");
-                if !shared.members.contains_key(name) {
-                    return Err(RegistryError::UnknownMember(name.to_string()));
+                match (shared.members.get(name), &changed) {
+                    (Some(record), Some(part)) if record.current().hash == part.hash => {
+                        self.counters.noop.fetch_add(1, Ordering::Relaxed);
+                        return Ok(Committed {
+                            generation: shared.generation,
+                            sequence: record.current().sequence,
+                            remaining: shared.members.len(),
+                            strategy: MergeStrategy::Noop,
+                        });
+                    }
+                    (None, None) => return Err(RegistryError::UnknownMember(name.to_string())),
+                    _ => {}
                 }
-                self.snapshot_excluding(&shared, name)
+                let rest: Vec<Part> = shared
+                    .members
+                    .iter()
+                    .filter(|(n, _)| n.as_str() != name)
+                    .map(|(n, r)| member_part(n, r.current()))
+                    .collect();
+                (shared.generation, rest)
             };
 
-            // Deleting from a compatible set cannot make it incompatible,
-            // but the error path is kept honest rather than unwrapped.
-            let (rest, strategy) = {
+            let plan = {
                 let mut plan_span = telemetry::span("plan");
-                plan_span.attr_usize("rest_members", snapshot.rest.len());
-                match self.rest_join(&snapshot) {
-                    Ok(pair) => {
-                        plan_span.attr("cached", u64::from(pair.1 == MergeStrategy::Incremental));
-                        pair
-                    }
-                    Err(cause) => return Err(self.reject(name.to_string(), cause)),
-                }
+                plan_span.attr_usize("rest_members", rest.len());
+                let plan = self
+                    .joins
+                    .plan(&rest, changed.as_ref())
+                    .map_err(|cause| self.reject(name, cause))?;
+                plan_span.attr("cached", u64::from(plan.cached()));
+                plan
             };
-            // The remainder's join IS the new total — the merge plan has
-            // no extras, so the merger skips the join pass and only the
-            // completion runs (against the cached compiled form).
-            let candidate = {
+            let step = {
                 let mut exec_span = telemetry::span("execute");
-                match merge_onto(&rest, None, self.merge_threads) {
-                    Ok(candidate) => {
-                        exec_span.attr_usize("classes", candidate.proper.num_classes());
-                        candidate
-                    }
-                    Err(cause) => return Err(self.reject(name.to_string(), cause)),
-                }
+                let step = self
+                    .joins
+                    .execute(plan)
+                    .map_err(|cause| self.reject(name, cause))?;
+                exec_span.attr_usize("classes", step.report.proper.num_classes());
+                step
             };
 
             let mut shared = self.shared.write().expect("registry lock");
-            if shared.generation != snapshot.generation {
+            if shared.generation != generation {
                 drop(shared);
                 self.counters.retries.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            let generation = shared.generation + 1;
-            // Same durability point as `put`: fsync first, mutate after.
+            let generation = generation + 1;
+            let sequence = shared
+                .members
+                .get(name)
+                .map_or(0, |r| r.versions.len() as u32)
+                + 1;
+            // Durability point: the record is fsync'd before any shared
+            // state mutates, so a storage failure rejects the commit with
+            // the registry untouched, and a crash after this line replays
+            // to exactly this state.
             if let Some(persistence) = &self.persistence {
                 let mut p = persistence.lock().expect("persistence lock");
-                self.durable_append(
-                    &mut p,
-                    &WalRecord::Delete {
+                let view_hash = step.report.proper.content_hash();
+                let record = match &changed {
+                    Some(part) => WalRecord::Put {
                         generation,
                         member: name.to_string(),
-                        view_hash: candidate.proper.content_hash(),
+                        hash: part.hash,
+                        sequence,
+                        view_hash,
+                        schema: (!p.on_disk.contains(&part.hash)).then(|| Arc::clone(&part.schema)),
                     },
-                )?;
+                    None => WalRecord::Delete {
+                        generation,
+                        member: name.to_string(),
+                        view_hash,
+                    },
+                };
+                self.durable_append(&mut p, &record)?;
+                if let Some(part) = &changed {
+                    p.on_disk.insert(part.hash);
+                }
             }
             shared.generation = generation;
-            shared.members.remove(name);
-            let remaining = shared.members.len();
-            let full_fp = fingerprint(
-                shared
+            match &changed {
+                Some(part) => shared
                     .members
-                    .iter()
-                    .map(|(n, r)| (n.as_str(), r.current().hash)),
-            );
-            let total = Arc::clone(&candidate.compiled);
-            shared.proper = candidate.proper;
-            shared.report = candidate.report;
+                    .entry(name.to_string())
+                    .or_insert_with(|| MemberRecord {
+                        versions: Vec::new(),
+                    })
+                    .versions
+                    .push(SchemaVersion {
+                        hash: part.hash,
+                        sequence,
+                        generation,
+                        schema: Arc::clone(&part.schema),
+                    }),
+                None => {
+                    shared.members.remove(name);
+                }
+            }
+            shared.proper = Arc::new(step.report.proper);
+            shared.report = Arc::new(step.report.implicit);
             self.auto_snapshot(&shared);
+            let remaining = shared.members.len();
             drop(shared);
 
-            self.seed_cache(snapshot.fingerprint(), rest, full_fp, total);
-            self.count_commit(strategy);
+            self.count_commit(step.strategy);
             commit_span.attr("generation", generation);
             self.metrics.commit_latency.record(commit_started.elapsed());
-            return Ok(DeleteOutcome {
+            return Ok(Committed {
                 generation,
+                sequence,
                 remaining,
-                strategy,
+                strategy: step.strategy,
             });
         }
     }
@@ -694,11 +621,8 @@ impl Registry {
 
     /// The compiled pre-completion join of every current member version —
     /// the registry's contribution to a federated supergraph compose
-    /// (`crates/supergraph`). Probes the join cache with the full
-    /// member-set fingerprint (the commit path seeds that entry on every
-    /// generation, so steady-state calls are O(1) `Arc` clones) and
-    /// computes — then seeds — the join on a miss. Returns the generation
-    /// the join reflects alongside the join itself.
+    /// (`crates/supergraph`). Every commit seeds this join in the core's
+    /// cache, so steady-state calls are O(1) `Arc` clones.
     ///
     /// This is the *join*, not the merged view: completion has not run,
     /// no implicit classes are present — exactly the representation the
@@ -707,10 +631,8 @@ impl Registry {
     ///
     /// # Errors
     ///
-    /// [`MergeError::Incompatible`] cannot actually occur for a registry
-    /// that accepted all its members (every commit validated the total
-    /// join), but the signature carries it for the cold-cache recompute
-    /// path.
+    /// [`MergeError::Incompatible`] cannot occur for a registry that
+    /// accepted all its members, but a cold join carries it.
     pub fn compiled_join(&self) -> Result<RegistryJoin, MergeError> {
         let (generation, members) = {
             let shared = self.shared.read().expect("registry lock");
@@ -721,28 +643,11 @@ impl Registry {
                 .collect();
             (shared.generation, members)
         };
-        let fp = fingerprint(members.iter().map(|(n, v)| (n.as_str(), v.hash)));
-        if let Some(join) = self.cache.lock().expect("cache lock").probe(fp) {
-            return Ok(RegistryJoin {
-                generation,
-                fingerprint: fp,
-                members,
-                join,
-            });
-        }
-        let mut merger = Merger::new().schemas(members.iter().map(|(_, v)| v.schema.as_ref()));
-        if let Some(threads) = self.merge_threads {
-            merger = merger.threads(threads);
-        }
-        let (_, compiled) = merger.join()?.into_parts();
-        let join = Arc::new(compiled.expect("the compiled engines keep the compiled join"));
-        self.cache
-            .lock()
-            .expect("cache lock")
-            .insert(fp, Arc::clone(&join));
+        let parts: Vec<Part> = members.iter().map(|(n, v)| member_part(n, v)).collect();
+        let (fingerprint, join) = self.joins.join(&parts)?;
         Ok(RegistryJoin {
             generation,
-            fingerprint: fp,
+            fingerprint,
             members,
             join,
         })
@@ -851,10 +756,7 @@ impl Registry {
                 Arc::clone(&shared.report),
             )
         };
-        let (cache_entries, cache_hits, cache_misses, cache_evictions) = {
-            let cache = self.cache.lock().expect("cache lock");
-            (cache.len(), cache.hits(), cache.misses(), cache.evictions())
-        };
+        let cache = self.joins.stats();
         let durability = self.persistence.as_ref().map(|persistence| {
             let p = persistence.lock().expect("persistence lock");
             (
@@ -879,10 +781,10 @@ impl Registry {
             full_merges: self.counters.full.load(Ordering::Relaxed),
             noop_puts: self.counters.noop.load(Ordering::Relaxed),
             rejected_puts: self.counters.rejected.load(Ordering::Relaxed),
-            cache_hits,
-            cache_misses,
-            cache_evictions,
-            cache_entries,
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+            cache_evictions: cache.evictions,
+            cache_entries: cache.entries,
             commit_retries: self.counters.retries.load(Ordering::Relaxed),
             uptime_secs: self.uptime_secs(),
             requests_served: self.counters.requests.load(Ordering::Relaxed),
@@ -1062,59 +964,6 @@ impl Registry {
 
     // ---- engine internals ------------------------------------------------
 
-    fn snapshot_excluding(&self, shared: &Shared, name: &str) -> Snapshot {
-        Snapshot {
-            generation: shared.generation,
-            rest: shared
-                .members
-                .iter()
-                .filter(|(n, _)| n.as_str() != name)
-                .map(|(n, r)| {
-                    let current = r.current();
-                    (n.clone(), current.hash, Arc::clone(&current.schema))
-                })
-                .collect(),
-        }
-    }
-
-    /// The compiled join of the snapshot's unchanged members: from the
-    /// cache when their exact version set was joined before, otherwise
-    /// computed from scratch (and later seeded by the commit). The
-    /// from-scratch rebuild is the registry's widest merge — every
-    /// unchanged member walked at once — so it is exactly the shape the
-    /// compiled engine shards: the merger gives it worker threads past
-    /// the work or input threshold, and
-    /// [`crate::RegistryBuilder::merge_threads`] fixes its budget.
-    fn rest_join(
-        &self,
-        snapshot: &Snapshot,
-    ) -> Result<(Arc<CompiledSchema>, MergeStrategy), MergeError> {
-        let fp = snapshot.fingerprint();
-        if let Some(join) = self.cache.lock().expect("cache lock").probe(fp) {
-            return Ok((join, MergeStrategy::Incremental));
-        }
-        let mut merger = Merger::new().schemas(snapshot.rest.iter().map(|(_, _, s)| s.as_ref()));
-        if let Some(threads) = self.merge_threads {
-            merger = merger.threads(threads);
-        }
-        let joined = merger.join()?;
-        let (_, compiled) = joined.into_parts();
-        let compiled = compiled.expect("the compiled engines keep the compiled join");
-        Ok((Arc::new(compiled), MergeStrategy::Full))
-    }
-
-    fn seed_cache(
-        &self,
-        rest_fp: u64,
-        rest: Arc<CompiledSchema>,
-        full_fp: u64,
-        total: Arc<CompiledSchema>,
-    ) {
-        let mut cache = self.cache.lock().expect("cache lock");
-        cache.insert(rest_fp, rest);
-        cache.insert(full_fp, total);
-    }
-
     fn count_commit(&self, strategy: MergeStrategy) {
         let counter = match strategy {
             MergeStrategy::Incremental => &self.counters.incremental,
@@ -1124,9 +973,12 @@ impl Registry {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn reject(&self, member: String, cause: MergeError) -> RegistryError {
+    fn reject(&self, member: &str, cause: MergeError) -> RegistryError {
         self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-        RegistryError::Rejected { member, cause }
+        RegistryError::Rejected {
+            member: member.to_string(),
+            cause,
+        }
     }
 
     /// Compacts if the auto-snapshot cadence is due. Called with the
@@ -1145,33 +997,14 @@ impl Registry {
     }
 }
 
-/// Executes the incremental merge plan — `extra` joined onto the cached
-/// compiled `rest` (or, on the delete path, no extra at all: the rest IS
-/// the total and the merger skips the join pass) — into a pre-`Arc`ed
-/// candidate view.
-pub(crate) fn merge_onto(
-    rest: &Arc<CompiledSchema>,
-    extra: Option<&WeakSchema>,
-    threads: Option<usize>,
-) -> Result<Candidate, MergeError> {
-    let mut merger = Merger::new().onto_base(rest);
-    if let Some(extra) = extra {
-        merger = merger.schema(extra);
+/// Member `name`'s current version as a part of the registry's join.
+pub(crate) fn member_part(name: &str, version: &SchemaVersion) -> Part {
+    Part {
+        key: name.to_string(),
+        hash: version.hash,
+        schema: Arc::clone(&version.schema),
+        compiled: None,
     }
-    if let Some(threads) = threads {
-        merger = merger.threads(threads);
-    }
-    let report = merger.execute()?;
-    let compiled = match report.compiled {
-        Some(compiled) => Arc::new(compiled),
-        // No extras joined: the caller's rest is already the total join.
-        None => Arc::clone(rest),
-    };
-    Ok(Candidate {
-        compiled,
-        proper: Arc::new(report.proper),
-        report: Arc::new(report.implicit),
-    })
 }
 
 impl std::fmt::Debug for Registry {
@@ -1188,6 +1021,7 @@ impl std::fmt::Debug for Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use schema_merge_core::Merger;
 
     fn schema(src: &str, label: &str, tgt: &str) -> WeakSchema {
         WeakSchema::builder()

@@ -17,12 +17,13 @@
 //!   differentially property-tested, including reports, provenance, and
 //!   hints.
 //! * **Recomposition is incremental end-to-end** — each registry hands
-//!   over its cached compiled join ([`Registry::compiled_join`]); the
-//!   supergraph caches registry-set joins in its own
-//!   [`JoinCache`](schema_merge_registry::cache::JoinCache); one
-//!   registry's publish recomposes as an
-//!   [`onto_base`](schema_merge_core::Merger::onto_base) of just that
-//!   registry's join. Generations stamp every composed view.
+//!   over its cached compiled join ([`Registry::compiled_join`]), and a
+//!   compose is one step on the same
+//!   [`IncrementalJoin`](schema_merge_registry::cache::IncrementalJoin)
+//!   core the registry commits on, with registries as its parts: one
+//!   registry's publish recomposes by joining just that registry's join
+//!   onto the cached join of the rest. Generations stamp every composed
+//!   view.
 //! * **Provenance crosses the federation** — every composed class,
 //!   arrow and implicit class is attributed to namespaced
 //!   `registry/member@vN` origin labels

@@ -3,15 +3,15 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 use schema_merge_core::compose::ComposeProvenance;
 use schema_merge_core::merger::MergeReport;
-use schema_merge_core::{CompiledSchema, Diagnostic, Merger, ProperSchema, Severity, WeakSchema};
-use schema_merge_registry::cache::{fingerprint, JoinCache};
+use schema_merge_core::{Diagnostic, Merger, ProperSchema, Severity};
+use schema_merge_registry::cache::{IncrementalJoin, Part};
 use schema_merge_registry::version::SchemaVersion;
-use schema_merge_registry::{MergeStrategy, Registry, RegistryJoin};
+use schema_merge_registry::{MergeStrategy, Registry};
 use schema_merge_telemetry::{self as telemetry, Histogram, HistogramSnapshot};
 
 use crate::error::SupergraphError;
@@ -31,12 +31,12 @@ use crate::error::SupergraphError;
 /// * each registry hands over its cached compiled join
 ///   ([`Registry::compiled_join`] — O(1) in steady state, the commit
 ///   path keeps it seeded);
-/// * the supergraph keeps its own [`JoinCache`] of *registry-set* joins,
-///   fingerprinted over `(registry, join-set-fingerprint)` pairs;
-/// * when exactly one registry changed since the last compose, the
-///   cached join of the *rest* becomes a
-///   [`Merger::onto_base`] and only the changed registry's join is
-///   walked — completion runs once, off the compiled total.
+/// * every compose is one step on the same [`IncrementalJoin`] core the
+///   registry commits on, whose parts are the registries' joins: when
+///   exactly one registry changed since the last compose, only its join
+///   is walked, onto the (cached, in steady state) join of the rest —
+///   and a lone registry's join is completed as is; otherwise the whole
+///   set is joined and completed.
 ///
 /// Every composed view carries cross-registry provenance
 /// ([`MergeReport::origins`], labels `registry/member@vN`) and
@@ -46,11 +46,10 @@ use crate::error::SupergraphError;
 /// by namespacing.
 pub struct Supergraph {
     shared: RwLock<Shared>,
-    cache: Mutex<JoinCache>,
+    joins: IncrementalJoin,
     counters: Counters,
     compose_latency: Histogram,
     started_at: Instant,
-    merge_threads: Option<usize>,
 }
 
 struct Shared {
@@ -58,9 +57,6 @@ struct Shared {
     /// optimistic-commit guard.
     generation: u64,
     members: BTreeMap<String, Member>,
-    /// Fingerprint over the `(registry, join-set-fingerprint)` pairs the
-    /// current composed view reflects — the compose noop detector.
-    composed_fp: u64,
     composed: Arc<ComposedView>,
 }
 
@@ -70,29 +66,16 @@ struct Member {
     state: Option<MemberState>,
 }
 
-/// A member registry's join captured for composition: both schema forms
-/// plus the member versions the join reflects (for provenance), all
-/// describing the same registry snapshot.
+/// A member registry's join captured for composition: the join as a
+/// part of the supergraph's incremental join (keyed by registry name,
+/// identified by the registry's member-set fingerprint) plus the member
+/// versions it reflects (for provenance), all describing the same
+/// registry snapshot.
 #[derive(Clone)]
 struct MemberState {
-    fingerprint: u64,
+    part: Part,
     generation: u64,
     members: Arc<Vec<(String, SchemaVersion)>>,
-    compiled: Arc<CompiledSchema>,
-    weak: Arc<WeakSchema>,
-}
-
-impl MemberState {
-    fn capture(join: RegistryJoin) -> Self {
-        let weak = Arc::new(join.join.decompile());
-        MemberState {
-            fingerprint: join.fingerprint,
-            generation: join.generation,
-            members: Arc::new(join.members),
-            compiled: join.join,
-            weak,
-        }
-    }
 }
 
 #[derive(Default)]
@@ -222,14 +205,12 @@ impl Supergraph {
             shared: RwLock::new(Shared {
                 generation: 0,
                 members: BTreeMap::new(),
-                composed_fp: fingerprint(std::iter::empty()),
                 composed: empty_view(),
             }),
-            cache: Mutex::new(JoinCache::default()),
+            joins: IncrementalJoin::new(None),
             counters: Counters::default(),
             compose_latency: Histogram::default(),
             started_at: Instant::now(),
-            merge_threads: None,
         }
     }
 
@@ -237,7 +218,7 @@ impl Supergraph {
     /// member registries keep their own budgets).
     pub fn with_threads(threads: usize) -> Self {
         let mut supergraph = Self::new();
-        supergraph.merge_threads = Some(threads);
+        supergraph.joins = IncrementalJoin::new(Some(threads));
         supergraph
     }
 
@@ -332,12 +313,13 @@ impl Supergraph {
 
     /// Recomposes the supergraph view from the attached registries'
     /// current joins and installs it (generation-stamped), returning the
-    /// outcome. Noop when nothing changed; incremental (the changed
-    /// registry's join completed onto the cached join of the rest) when
-    /// exactly one registry moved; full otherwise. All three paths
-    /// produce the same view as the one-shot merge of every member
-    /// schema of every registry — the associativity of the join is
-    /// differentially property-tested, not assumed.
+    /// outcome. Noop when nothing changed; otherwise one step on the
+    /// incremental-join core — incremental when the join it builds onto
+    /// was cached (or is a lone registry's own join), full when it was
+    /// joined cold. Every path produces the same view as the one-shot
+    /// merge of every member schema of every registry — the
+    /// associativity of the join is differentially property-tested, not
+    /// assumed.
     ///
     /// # Errors
     ///
@@ -361,7 +343,7 @@ impl Supergraph {
 
             // Refresh every registry's join handle; the delta walk for a
             // changed registry is its own `recompose` child span.
-            let mut states: Vec<(String, MemberState)> = Vec::with_capacity(snapshot.len());
+            let mut states: Vec<MemberState> = Vec::with_capacity(snapshot.len());
             let mut changed: Vec<usize> = Vec::new();
             for (index, (name, registry, prev)) in snapshot.iter().enumerate() {
                 let join = registry
@@ -371,22 +353,35 @@ impl Supergraph {
                         cause,
                     })?;
                 let state = match prev {
-                    Some(prev) if prev.fingerprint == join.fingerprint => prev.clone(),
+                    Some(prev) if prev.part.hash == join.fingerprint => prev.clone(),
                     _ => {
                         let mut member_span = telemetry::span("recompose");
                         member_span.attr("registry_generation", join.generation);
                         member_span.attr_usize("members", join.members.len());
                         changed.push(index);
-                        MemberState::capture(join)
+                        MemberState {
+                            part: Part {
+                                key: name.clone(),
+                                hash: join.fingerprint,
+                                schema: Arc::new(join.join.decompile()),
+                                compiled: Some(join.join),
+                            },
+                            generation: join.generation,
+                            members: Arc::new(join.members),
+                        }
                     }
                 };
-                states.push((name.clone(), state));
+                states.push(state);
             }
 
-            let full_fp = fingerprint(states.iter().map(|(n, s)| (n.as_str(), s.fingerprint)));
             {
+                // Every state came from the last compose and none moved:
+                // the same set, unless a registry was detached since.
                 let shared = self.shared.read().expect("supergraph lock");
-                if shared.generation == generation && shared.composed_fp == full_fp {
+                if shared.generation == generation
+                    && changed.is_empty()
+                    && states.len() == shared.composed.members.len()
+                {
                     self.counters.noop.fetch_add(1, Ordering::Relaxed);
                     compose_span.attr("noop", 1);
                     return Ok(ComposeOutcome {
@@ -397,81 +392,34 @@ impl Supergraph {
                 }
             }
 
-            // Pick the engine path and run the composition merge.
-            let (strategy, mut report, total, seed_rest) = match changed.as_slice() {
-                [changed_index] if states.len() == 1 => {
-                    // One registry: its cached compiled join IS the
-                    // composed join — base-only completion, no join pass.
-                    let state = &states[*changed_index].1;
-                    let report = self
-                        .merger(Merger::new().onto_base(&state.compiled))
-                        .execute()
-                        .map_err(SupergraphError::Compose)?;
-                    (
-                        MergeStrategy::Incremental,
-                        report,
-                        Arc::clone(&state.compiled),
-                        None,
-                    )
-                }
-                [changed_index] => {
-                    // Exactly one registry moved: complete its join onto
-                    // the join of the rest — cached in steady state,
-                    // recomputed (and then seeded) otherwise.
-                    let rest_fp = fingerprint(
-                        states
-                            .iter()
-                            .enumerate()
-                            .filter(|(i, _)| i != changed_index)
-                            .map(|(_, (n, s))| (n.as_str(), s.fingerprint)),
-                    );
-                    let (rest, strategy) =
-                        match self.cache.lock().expect("cache lock").probe(rest_fp) {
-                            Some(rest) => (rest, MergeStrategy::Incremental),
-                            None => {
-                                let rest = self.join_of(
-                                    states
-                                        .iter()
-                                        .enumerate()
-                                        .filter(|(i, _)| i != changed_index)
-                                        .map(|(_, (_, s))| s),
-                                )?;
-                                (rest, MergeStrategy::Full)
-                            }
-                        };
-                    let extra = Arc::clone(&states[*changed_index].1.weak);
-                    let mut report = self
-                        .merger(Merger::new().onto_base(&rest).schema(extra.as_ref()))
-                        .execute()
-                        .map_err(SupergraphError::Compose)?;
-                    let total = match report.compiled.take() {
-                        Some(compiled) => Arc::new(compiled),
-                        None => Arc::clone(&rest),
-                    };
-                    (strategy, report, total, Some((rest_fp, rest)))
-                }
-                _ => {
-                    // Zero or several registries moved: batch-compose
-                    // every registry's join at once.
-                    let mut report = self
-                        .merger(Merger::new().schemas(states.iter().map(|(_, s)| s.weak.as_ref())))
-                        .execute()
-                        .map_err(SupergraphError::Compose)?;
-                    let total = Arc::new(
-                        report
-                            .compiled
-                            .take()
-                            .expect("the compiled engine keeps the compiled join"),
-                    );
-                    (MergeStrategy::Full, report, total, None)
-                }
+            // One step on the core: exactly one registry moved → its join
+            // onto the rest's (a lone registry's join completes as is);
+            // otherwise the whole set, recompleted.
+            let (rest, moved): (Vec<Part>, Option<&Part>) = match changed.as_slice() {
+                [index] => (
+                    states
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| i != index)
+                        .map(|(_, s)| s.part.clone())
+                        .collect(),
+                    Some(&states[*index].part),
+                ),
+                _ => (states.iter().map(|s| s.part.clone()).collect(), None),
             };
+            let step = self
+                .joins
+                .plan(&rest, moved)
+                .and_then(|plan| self.joins.execute(plan))
+                .map_err(SupergraphError::Compose)?;
+            let (strategy, mut report) = (step.strategy, step.report);
 
             // Provenance and hints are computed from the member inputs
             // and the composed result only — never from the path taken —
             // so incremental and full composes attach identical origins.
             let provenance = ComposeProvenance::compute(
-                states.iter().flat_map(|(registry, state)| {
+                states.iter().flat_map(|state| {
+                    let registry = &state.part.key;
                     state.members.iter().map(move |(member, version)| {
                         (
                             format!("{registry}/{member}@v{}", version.sequence),
@@ -505,8 +453,8 @@ impl Supergraph {
 
             let members_meta: Vec<ComposedMember> = states
                 .iter()
-                .map(|(n, s)| ComposedMember {
-                    registry: n.clone(),
+                .map(|s| ComposedMember {
+                    registry: s.part.key.clone(),
                     generation: s.generation,
                     members: s.members.len(),
                 })
@@ -520,8 +468,8 @@ impl Supergraph {
             }
             let next_generation = shared.generation + 1;
             shared.generation = next_generation;
-            for (name, state) in &states {
-                if let Some(member) = shared.members.get_mut(name) {
+            for state in &states {
+                if let Some(member) = shared.members.get_mut(&state.part.key) {
                     member.state = Some(state.clone());
                 }
             }
@@ -532,16 +480,8 @@ impl Supergraph {
                 strategy,
             });
             shared.composed = Arc::clone(&view);
-            shared.composed_fp = full_fp;
             drop(shared);
 
-            {
-                let mut cache = self.cache.lock().expect("cache lock");
-                if let Some((rest_fp, rest)) = seed_rest {
-                    cache.insert(rest_fp, rest);
-                }
-                cache.insert(full_fp, total);
-            }
             let counter = match strategy {
                 MergeStrategy::Incremental => &self.counters.incremental,
                 _ => &self.counters.full,
@@ -568,10 +508,7 @@ impl Supergraph {
                 Arc::clone(&shared.composed),
             )
         };
-        let (cache_entries, cache_hits, cache_misses) = {
-            let cache = self.cache.lock().expect("cache lock");
-            (cache.len(), cache.hits(), cache.misses())
-        };
+        let cache = self.joins.stats();
         let weak = composed.report.proper.as_weak();
         SupergraphStats {
             generation,
@@ -585,9 +522,9 @@ impl Supergraph {
             incremental_composes: self.counters.incremental.load(Ordering::Relaxed),
             noop_composes: self.counters.noop.load(Ordering::Relaxed),
             compose_retries: self.counters.retries.load(Ordering::Relaxed),
-            cache_hits,
-            cache_misses,
-            cache_entries,
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+            cache_entries: cache.entries,
         }
     }
 
@@ -600,28 +537,6 @@ impl Supergraph {
     /// Whole seconds since this supergraph was created.
     pub fn uptime_secs(&self) -> u64 {
         self.started_at.elapsed().as_secs()
-    }
-
-    fn merger<'a>(&self, merger: Merger<'a>) -> Merger<'a> {
-        match self.merge_threads {
-            Some(threads) => merger.threads(threads),
-            None => merger,
-        }
-    }
-
-    /// The compiled join of a set of member states, from scratch.
-    fn join_of<'a>(
-        &self,
-        states: impl Iterator<Item = &'a MemberState>,
-    ) -> Result<Arc<CompiledSchema>, SupergraphError> {
-        let (_, compiled) = self
-            .merger(Merger::new().schemas(states.map(|s| s.weak.as_ref())))
-            .join()
-            .map_err(SupergraphError::Compose)?
-            .into_parts();
-        Ok(Arc::new(
-            compiled.expect("the compiled engines keep the compiled join"),
-        ))
     }
 }
 
@@ -644,7 +559,7 @@ fn empty_view() -> Arc<ComposedView> {
 /// and proper schema produce the same hints in the same order whether
 /// the compose ran full or incremental.
 fn compose_hints(
-    states: &[(String, MemberState)],
+    states: &[MemberState],
     provenance: &ComposeProvenance,
     proper: &ProperSchema,
 ) -> Vec<Diagnostic> {
@@ -654,7 +569,8 @@ fn compose_hints(
     // one registry — namespacing (`registry/member`) resolves what would
     // collide in a flat registry.
     let mut owners: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
-    for (registry, state) in states {
+    for state in states {
+        let registry = &state.part.key;
         for (member, _) in state.members.iter() {
             owners
                 .entry(member.as_str())
@@ -747,7 +663,7 @@ impl std::fmt::Debug for Supergraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use schema_merge_core::Class;
+    use schema_merge_core::{Class, WeakSchema};
 
     fn schema(src: &str, label: &str, tgt: &str) -> WeakSchema {
         WeakSchema::builder()
