@@ -17,7 +17,9 @@
 //! [`Response`] — all routing and rendering, no socket. The transport
 //! loop ([`handle_connection`]) owns everything that touches the socket:
 //! timeouts, the line and payload caps, the PUT deadline, the request
-//! timer and trace drain, and the write of each response.
+//! timer and trace drain, and the write of each response — one
+//! `write_all` per reply on a `TCP_NODELAY` socket, so no reply waits
+//! on Nagle's algorithm for the client's delayed ACK.
 
 use std::collections::VecDeque;
 use std::fs::File;
@@ -582,7 +584,6 @@ fn reject_over_limit(
 ) -> std::io::Result<()> {
     let detail = format!("[E-LIMIT] {what} exceeds {cap} bytes; closing connection");
     write_response(writer, &Response::err(&detail))?;
-    writer.flush()?;
     writer.shutdown(Shutdown::Write)?;
     writer.set_read_timeout(Some(LIMIT_DRAIN))?;
     let deadline = Instant::now() + LIMIT_DRAIN;
@@ -596,22 +597,26 @@ fn reject_over_limit(
     Ok(())
 }
 
-/// Arms both socket deadlines on an accepted connection: a client that
+/// Arms both socket deadlines on an accepted connection — a client that
 /// stops sending (read) or stops receiving (write) must not pin a
-/// worker forever.
+/// worker forever — and sets `TCP_NODELAY`: each reply is one complete
+/// write, so there is nothing for Nagle's algorithm to coalesce.
 fn configure_stream(stream: &TcpStream) -> std::io::Result<()> {
     stream.set_read_timeout(Some(READ_TIMEOUT))?;
     stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+    stream.set_nodelay(true)?;
     Ok(())
 }
 
-/// Writes one response: the status line, then its block, if any.
-fn write_response(writer: &mut TcpStream, response: &Response) -> std::io::Result<()> {
-    writeln!(writer, "{}", response.status)?;
-    if let Some(block) = &response.block {
-        write!(writer, "{block}")?;
-    }
-    Ok(())
+/// Writes one response — the status line, then its block, if any — with
+/// a single `write_all`.
+fn write_response<W: Write>(writer: &mut W, response: &Response) -> std::io::Result<()> {
+    let block = response.block.as_deref().unwrap_or_default();
+    let mut reply = String::with_capacity(response.status.len() + 1 + block.len());
+    reply.push_str(&response.status);
+    reply.push('\n');
+    reply.push_str(block);
+    writer.write_all(reply.as_bytes())
 }
 
 /// Collects a `PUT` payload block. `None` when the connection ends (or
@@ -694,7 +699,6 @@ fn handle_connection(
         write_response(&mut writer, &response)?;
         if response.close {
             if shutdown {
-                writer.flush()?;
                 // Unblock the acceptor with a throwaway connection.
                 let _ = TcpStream::connect(addr);
             }
@@ -707,7 +711,6 @@ fn handle_connection(
         if let Some(trace) = trace {
             trace.drain_thread(tid);
         }
-        writer.flush()?;
     }
     Ok(())
 }
@@ -1052,7 +1055,8 @@ mod tests {
 
     /// Both socket deadlines are armed on every accepted connection —
     /// notably the write timeout, so a client that stops reading
-    /// mid-response cannot pin a worker forever.
+    /// mid-response cannot pin a worker forever — and `TCP_NODELAY` is
+    /// set, so no reply waits on the client's delayed ACK.
     #[test]
     fn configure_stream_arms_read_and_write_timeouts() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1061,9 +1065,51 @@ mod tests {
         let (accepted, _) = listener.accept().unwrap();
         assert_eq!(accepted.read_timeout().unwrap(), None);
         assert_eq!(accepted.write_timeout().unwrap(), None);
+        assert!(!accepted.nodelay().unwrap());
         configure_stream(&accepted).unwrap();
         assert_eq!(accepted.read_timeout().unwrap(), Some(READ_TIMEOUT));
         assert_eq!(accepted.write_timeout().unwrap(), Some(WRITE_TIMEOUT));
+        assert!(accepted.nodelay().unwrap());
+    }
+
+    /// Counts `write` calls and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A reply is one write: a status line followed by a block in a
+    /// separate write is what Nagle's algorithm holds back.
+    #[test]
+    fn write_response_sends_a_data_reply_in_one_write() {
+        let response = Response::data("members=1", "alpha\n.leading dot\n");
+        let mut writer = CountingWriter::default();
+        write_response(&mut writer, &response).unwrap();
+        assert_eq!(writer.writes, 1);
+        assert_eq!(
+            String::from_utf8(writer.bytes).unwrap(),
+            format!("DATA members=1\n{}", encode_block("alpha\n.leading dot\n"))
+        );
+
+        let mut writer = CountingWriter::default();
+        write_response(&mut writer, &Response::ok("pong")).unwrap();
+        assert_eq!(
+            (writer.writes, writer.bytes.as_slice()),
+            (1, &b"OK pong\n"[..])
+        );
     }
 
     fn daemon() -> Daemon {

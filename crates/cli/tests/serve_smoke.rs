@@ -560,6 +560,42 @@ fn daemon_wire_transcript_matches_the_checked_in_bytes() {
     }
 }
 
+/// Every reply leaves in one write on a `TCP_NODELAY` socket, so a
+/// persistent connection pays no per-request floor: a reply split into
+/// a status write and a block write used to wait ~40 ms under Nagle's
+/// algorithm for the client's delayed ACK, ~8.8 s for these 200 GETs.
+#[test]
+fn daemon_answers_sequential_gets_on_one_connection_without_a_floor() {
+    let doc = write_temp("floor.sm", "schema floor { C --a--> B1; Guide => C; }");
+    let daemon = spawn_daemon(&[&doc]);
+    let stream = TcpStream::connect(&daemon.addr).expect("connects");
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+
+    let started = Instant::now();
+    for _ in 0..200 {
+        writer.write_all(b"GET floor\n").expect("request sent");
+        let mut status = String::new();
+        reader.read_line(&mut status).expect("a status line");
+        assert!(status.starts_with("DATA hash="), "{status}");
+        // The block ends at a lone `.` line.
+        let mut line = String::new();
+        while line != ".\n" {
+            line.clear();
+            assert!(reader.read_line(&mut line).expect("a block line") > 0);
+        }
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "200 GETs on one connection took {elapsed:?}"
+    );
+}
+
 #[test]
 fn daemon_rejects_over_long_lines_with_e_limit() {
     // One byte past the daemon's 1 MiB line cap.

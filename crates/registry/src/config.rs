@@ -16,7 +16,8 @@
 //!    with a generation past the snapshot's. Records at or before it are
 //!    stale — a crash between snapshot install and log truncation leaves
 //!    them behind — and are skipped, though the schema bodies they carry
-//!    still feed the blob table.
+//!    still feed the blob table. Each member keeps the body of its last
+//!    version only; earlier versions are recovered as metadata.
 //! 3. **Re-merge.** The merged view is a deterministic least upper
 //!    bound of the current members, so it is *recomputed*, not stored:
 //!    one cold join plus completion on the registry's incremental-join
@@ -43,7 +44,7 @@ use crate::resilience::RetryPolicy;
 use crate::storage::snapshot::SnapshotState;
 use crate::storage::wal::{self, WalRecord};
 use crate::storage::{snapshot, LocalStore, StorageError, Store};
-use crate::version::{MemberRecord, SchemaVersion};
+use crate::version::{self, MemberRecord, SchemaVersion};
 
 /// Records between auto-snapshots unless
 /// [`RegistryBuilder::snapshot_every`] says otherwise.
@@ -286,28 +287,26 @@ fn recover(
     }
 
     // Member histories: the snapshot's, then the post-snapshot records.
+    // Only current versions get a body; a version-1 snapshot's superseded
+    // bodies stay in `blobs` alone, for by-reference records to resolve.
     let mut members: BTreeMap<String, MemberRecord> = BTreeMap::new();
-    for (name, versions) in &state.members {
-        let mut record = MemberRecord {
-            versions: Vec::new(),
-        };
-        for meta in versions {
-            // Unreachable after `snapshot::decode` validated references,
-            // but kept honest rather than unwrapped.
-            let schema = blobs.get(&meta.hash).cloned().ok_or_else(|| {
-                StorageError::corrupt(format!(
-                    "snapshot member `{name}` references missing blob {:#018x}",
-                    meta.hash
-                ))
-            })?;
-            record.versions.push(SchemaVersion {
+    for (name, history) in std::mem::take(&mut state.members) {
+        // `snapshot::decode` guarantees a non-empty history and a blob
+        // for its last version; checked again rather than unwrapped.
+        let current = history.last().copied().and_then(|meta| {
+            blobs.get(&meta.hash).map(|schema| SchemaVersion {
                 hash: meta.hash,
                 sequence: meta.sequence,
                 generation: meta.generation,
-                schema,
-            });
-        }
-        members.insert(name.clone(), record);
+                schema: Arc::clone(schema),
+            })
+        });
+        let current = current.ok_or_else(|| {
+            StorageError::corrupt(format!(
+                "snapshot member `{name}` has no current schema body"
+            ))
+        })?;
+        members.insert(name, MemberRecord { history, current });
     }
     let mut generation = state.generation;
     let mut wal_records = 0u64;
@@ -336,18 +335,16 @@ fn recover(
                          carried by no snapshot or earlier record"
                     ))
                 })?;
-                members
-                    .entry(member.clone())
-                    .or_insert_with(|| MemberRecord {
-                        versions: Vec::new(),
-                    })
-                    .versions
-                    .push(SchemaVersion {
+                version::publish(
+                    &mut members,
+                    member,
+                    SchemaVersion {
                         hash: *hash,
                         sequence: *sequence,
                         generation: *g,
                         schema,
-                    });
+                    },
+                );
             }
             WalRecord::Delete { member, .. } => {
                 if members.remove(member.as_str()).is_none() {
@@ -365,7 +362,7 @@ fn recover(
     // recovered members, so it is derived, never trusted from disk.
     let parts: Vec<Part> = members
         .iter()
-        .map(|(name, record)| member_part(name, record.current()))
+        .map(|(name, record)| member_part(name, &record.current))
         .collect();
     let step = joins
         .plan(&parts, None)
@@ -476,5 +473,63 @@ mod tests {
             "by-reference record grew the log by {second_growth} B \
              (first record: {after_first} B)"
         );
+    }
+
+    /// A version-1 snapshot — every version's body in its blob table —
+    /// still recovers: histories, bodies and view come back, and a
+    /// by-reference record naming a superseded body that only the old
+    /// snapshot carries (the old dedup set held every blob) resolves.
+    #[test]
+    fn version_1_snapshot_with_old_bodies_recovers() {
+        let (a, b, c) = (
+            schema("Part", "price", "money"),
+            schema("Part", "weight", "kg"),
+            schema("Order", "item", "Part"),
+        );
+        let reference = Registry::new();
+        reference.put("inv", a.clone()).unwrap();
+        reference.put("inv", b.clone()).unwrap();
+        reference.put("orders", c.clone()).unwrap();
+        let mut state = SnapshotState {
+            generation: 3,
+            view_hash: reference.merged().hash(),
+            ..SnapshotState::default()
+        };
+        for g in [&a, &b, &c] {
+            state.blobs.insert(g.content_hash(), Arc::new(g.clone()));
+        }
+        for name in ["inv", "orders"] {
+            state
+                .members
+                .insert(name.to_string(), reference.history(name).unwrap());
+        }
+        let mut store = MemoryStore::new();
+        let image = snapshot::restamp(&snapshot::encode(&state), 1);
+        store.write_snapshot(3, &image).unwrap();
+
+        // Republish `a` by reference after the snapshot.
+        let again = reference.put("inv", a.clone()).unwrap();
+        let record = WalRecord::Put {
+            generation: again.generation,
+            member: "inv".to_string(),
+            hash: again.hash,
+            sequence: again.sequence,
+            view_hash: reference.merged().hash(),
+            schema: None,
+        };
+        store.append(&wal::encode_frame(&record)).unwrap();
+
+        let recovered = Registry::builder().store(store).open().unwrap();
+        assert_eq!(recovered.merged().generation, 4);
+        assert_eq!(recovered.merged().proper, reference.merged().proper);
+        assert_eq!(recovered.list(), reference.list());
+        for name in ["inv", "orders"] {
+            assert_eq!(recovered.history(name), reference.history(name));
+            assert_eq!(
+                recovered.get(name).unwrap().schema,
+                reference.get(name).unwrap().schema
+            );
+        }
+        assert_eq!(recovered.history("inv").unwrap().len(), 3);
     }
 }

@@ -13,10 +13,11 @@
 //!
 //! The crate provides:
 //!
-//! * [`Registry`] — the engine. Named members hold content-hashed
-//!   immutable [`SchemaVersion`]s; a generation-stamped merged view sits
-//!   behind an `RwLock`, so reads are wait-free Arc clones and writers
-//!   recompute optimistically outside the lock.
+//! * [`Registry`] — the engine. Named members hold histories of
+//!   content-hashed immutable versions ([`VersionMeta`]) and the body of
+//!   the current one ([`SchemaVersion`]); a generation-stamped merged
+//!   view sits behind an `RwLock`, so reads are wait-free Arc clones and
+//!   writers recompute optimistically outside the lock.
 //! * **Incremental re-merge** ([`cache::IncrementalJoin`]) — one core
 //!   keeps the join of a keyed set current by associativity
 //!   (`⊔ᵢGᵢ = (⊔ᵢ≠ₖGᵢ) ⊔ Gₖ`): it caches compiled joins by set
@@ -77,4 +78,5 @@ pub use error::RegistryError;
 pub use registry::{DeleteOutcome, MergeStrategy, MergedView, PutOutcome, Registry, RegistryJoin};
 pub use resilience::{Health, RetryPolicy};
 pub use stats::RegistryStats;
+pub use storage::snapshot::VersionMeta;
 pub use version::{MemberInfo, SchemaVersion};

@@ -36,9 +36,16 @@
 //! returned as [`RegistryError::Storage`] with the registry untouched,
 //! so the in-memory state never runs ahead of the log — crash anywhere
 //! and recovery replays exactly the acknowledged sequence. Every
-//! `snapshot_every` records the registry compacts: it snapshots the full
-//! member state (schema bodies deduplicated by content hash) and
-//! truncates the log.
+//! `snapshot_every` records the registry compacts: it snapshots every
+//! member's version history and current schema body and truncates the
+//! log.
+//!
+//! ## Memory
+//!
+//! The merge is the least upper bound of the *current* members, so a
+//! superseded version keeps only its [`VersionMeta`] (hash, sequence,
+//! generation); the registry holds one schema body per member however
+//! many versions it has published.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -59,7 +66,7 @@ use crate::stats::RegistryStats;
 use crate::storage::snapshot::{SnapshotState, VersionMeta};
 use crate::storage::wal::WalRecord;
 use crate::storage::{snapshot, wal, StorageError, Store};
-use crate::version::{MemberInfo, MemberRecord, SchemaVersion};
+use crate::version::{self, MemberInfo, MemberRecord, SchemaVersion};
 
 /// How a commit's merged view was computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -234,8 +241,9 @@ impl Persistence {
         Ok(())
     }
 
-    /// Writes a snapshot of `members` at `generation`, truncates the
-    /// log, and drops superseded snapshot objects. The caller must hold
+    /// Writes a snapshot of `members` at `generation` — every history,
+    /// and the current versions' bodies — truncates the log, and drops
+    /// superseded snapshot objects. The caller must hold
     /// the shared lock (read or write) so no commit can interleave
     /// between the state capture and the log truncation.
     fn write_snapshot(
@@ -252,19 +260,12 @@ impl Persistence {
             ..SnapshotState::default()
         };
         for (name, record) in members {
-            let mut versions = Vec::with_capacity(record.versions.len());
-            for v in &record.versions {
-                state
-                    .blobs
-                    .entry(v.hash)
-                    .or_insert_with(|| Arc::clone(&v.schema));
-                versions.push(VersionMeta {
-                    hash: v.hash,
-                    sequence: v.sequence,
-                    generation: v.generation,
-                });
-            }
-            state.members.insert(name.clone(), versions);
+            let current = &record.current;
+            state
+                .blobs
+                .entry(current.hash)
+                .or_insert_with(|| Arc::clone(&current.schema));
+            state.members.insert(name.clone(), record.history.clone());
         }
         let image = snapshot::encode(&state);
         span.attr_usize("bytes", image.len());
@@ -491,11 +492,11 @@ impl Registry {
             let (generation, rest) = {
                 let shared = self.shared.read().expect("registry lock");
                 match (shared.members.get(name), &changed) {
-                    (Some(record), Some(part)) if record.current().hash == part.hash => {
+                    (Some(record), Some(part)) if record.current.hash == part.hash => {
                         self.counters.noop.fetch_add(1, Ordering::Relaxed);
                         return Ok(Committed {
                             generation: shared.generation,
-                            sequence: record.current().sequence,
+                            sequence: record.current.sequence,
                             remaining: shared.members.len(),
                             strategy: MergeStrategy::Noop,
                         });
@@ -507,7 +508,7 @@ impl Registry {
                     .members
                     .iter()
                     .filter(|(n, _)| n.as_str() != name)
-                    .map(|(n, r)| member_part(n, r.current()))
+                    .map(|(n, r)| member_part(n, &r.current))
                     .collect();
                 (shared.generation, rest)
             };
@@ -542,7 +543,7 @@ impl Registry {
             let sequence = shared
                 .members
                 .get(name)
-                .map_or(0, |r| r.versions.len() as u32)
+                .map_or(0, |r| r.history.len() as u32)
                 + 1;
             // Durability point: the record is fsync'd before any shared
             // state mutates, so a storage failure rejects the commit with
@@ -573,19 +574,16 @@ impl Registry {
             }
             shared.generation = generation;
             match &changed {
-                Some(part) => shared
-                    .members
-                    .entry(name.to_string())
-                    .or_insert_with(|| MemberRecord {
-                        versions: Vec::new(),
-                    })
-                    .versions
-                    .push(SchemaVersion {
+                Some(part) => version::publish(
+                    &mut shared.members,
+                    name,
+                    SchemaVersion {
                         hash: part.hash,
                         sequence,
                         generation,
                         schema: Arc::clone(&part.schema),
-                    }),
+                    },
+                ),
                 None => {
                     shared.members.remove(name);
                 }
@@ -639,7 +637,7 @@ impl Registry {
             let members: Vec<(String, SchemaVersion)> = shared
                 .members
                 .iter()
-                .map(|(n, r)| (n.clone(), r.current().clone()))
+                .map(|(n, r)| (n.clone(), r.current.clone()))
                 .collect();
             (shared.generation, members)
         };
@@ -662,21 +660,22 @@ impl Registry {
         shared
             .members
             .iter()
-            .map(|(name, record)| (name.clone(), record.current().clone()))
+            .map(|(name, record)| (name.clone(), record.current.clone()))
             .collect()
     }
 
     /// The current version of member `name`.
     pub fn get(&self, name: &str) -> Option<SchemaVersion> {
         let shared = self.shared.read().expect("registry lock");
-        shared.members.get(name).map(|r| r.current().clone())
+        shared.members.get(name).map(|r| r.current.clone())
     }
 
-    /// The full immutable version history of member `name`, oldest
-    /// first.
-    pub fn history(&self, name: &str) -> Option<Vec<SchemaVersion>> {
+    /// The identities of every version member `name` has published,
+    /// oldest first. Only the current version's body is kept; it is
+    /// [`get`](Registry::get).
+    pub fn history(&self, name: &str) -> Option<Vec<VersionMeta>> {
         let shared = self.shared.read().expect("registry lock");
-        shared.members.get(name).map(|r| r.versions.clone())
+        shared.members.get(name).map(|r| r.history.clone())
     }
 
     /// All members with their current-version identity, sorted by name.
@@ -686,12 +685,12 @@ impl Registry {
             .members
             .iter()
             .map(|(name, record)| {
-                let current = record.current();
+                let current = &record.current;
                 MemberInfo {
                     name: name.clone(),
                     hash: current.hash,
                     sequence: current.sequence,
-                    versions: record.versions.len(),
+                    versions: record.history.len(),
                     num_classes: current.schema.num_classes(),
                     num_arrows: current.schema.num_arrows(),
                 }
@@ -718,8 +717,8 @@ impl Registry {
     }
 
     /// Forces a snapshot and log compaction now, regardless of cadence:
-    /// the full member state is written as one atomically-installed
-    /// image (schema bodies deduplicated by content hash), the WAL is
+    /// every member's version history and current schema body are
+    /// written as one atomically-installed image, the WAL is
     /// truncated, and superseded snapshot objects are removed. Returns
     /// the generation the snapshot captured.
     ///
@@ -751,7 +750,7 @@ impl Registry {
             (
                 shared.generation,
                 shared.members.len(),
-                shared.members.values().map(|r| r.versions.len()).sum(),
+                shared.members.values().map(|r| r.history.len()).sum(),
                 Arc::clone(&shared.proper),
                 Arc::clone(&shared.report),
             )

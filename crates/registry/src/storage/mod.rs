@@ -12,10 +12,10 @@
 //! * **the log** — one append-only stream of put/delete records
 //!   (the `wal` module: length-prefixed, checksummed, fsync'd per
 //!   commit, torn-tail tolerant), and
-//! * **snapshots** — immutable, atomically-installed images of the full
-//!   durable state at a generation (the `snapshot` module: blob-deduped
-//!   by content hash), after which the log can be truncated
-//!   (compaction).
+//! * **snapshots** — immutable, atomically-installed images of the
+//!   durable state at a generation (the `snapshot` module: every member
+//!   history, plus each current schema body once by content hash), after
+//!   which the log can be truncated (compaction).
 //!
 //! [`Store`] is that surface and nothing more — append, read-all,
 //! truncate on the log; write/read/list/remove on snapshot objects. It

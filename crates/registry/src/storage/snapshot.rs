@@ -8,12 +8,17 @@
 //!             crc:u64     (FNV-1a 64 of everything before it)
 //! ```
 //!
-//! Schemas live once each in the *blob table*, keyed by content hash;
-//! version histories reference them by hash. Versions are immutable, so
-//! the table is a pure function of the content hashes — the dedup the
-//! WAL performs record-by-record, a snapshot performs wholesale, and
-//! after compaction (snapshot + log truncation) each distinct schema
-//! body exists exactly once on disk.
+//! The *blob table* holds the schema body of each member's current
+//! version, once per content hash; version histories are metadata only
+//! ([`VersionMeta`]) and reference bodies by hash. The merge reads only
+//! current members and no verb serves a superseded body, so neither the
+//! registry nor its snapshots keep one: after compaction (snapshot + log
+//! truncation) each current body exists exactly once on disk, and
+//! superseded ones are gone.
+//!
+//! Version 1 images carried the body of every version. They still decode
+//! (the layout is the same); recovery keeps only the current bodies.
+//! Both versions require a blob for each member's last version only.
 //!
 //! Snapshots are written to a fresh object and installed atomically (see
 //! [`super::LocalStore`]), so unlike the WAL they are all-or-nothing: a
@@ -30,16 +35,22 @@ use super::{codec, StorageError};
 
 /// First eight bytes of a snapshot object.
 pub(crate) const SNAPSHOT_MAGIC: u64 = 0x534d_4552_4745_534e; // "SMERGESN"
-/// Format version of everything after the magic.
-pub(crate) const SNAPSHOT_VERSION: u32 = 1;
+/// Format version of everything after the magic. Version 1 (every
+/// version's body in the blob table) still decodes.
+pub(crate) const SNAPSHOT_VERSION: u32 = 2;
 
-/// One member version as persisted: the schema body lives in the blob
-/// table, referenced by content hash.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct VersionMeta {
-    pub(crate) hash: u64,
-    pub(crate) sequence: u32,
-    pub(crate) generation: u64,
+/// The identity of one published member version, without its schema
+/// body: what [`crate::Registry::history`] returns and what a snapshot
+/// persists per version. Only a member's current version keeps a body
+/// ([`crate::SchemaVersion`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VersionMeta {
+    /// The canonical content hash of the version's schema.
+    pub hash: u64,
+    /// 1-based position in the member's version history.
+    pub sequence: u32,
+    /// The registry generation at which the version was committed.
+    pub generation: u64,
 }
 
 /// The decoded durable state at a generation.
@@ -49,9 +60,9 @@ pub(crate) struct SnapshotState {
     pub(crate) generation: u64,
     /// Content hash of the merged proper schema at that generation.
     pub(crate) view_hash: u64,
-    /// Every distinct schema body, keyed by content hash.
+    /// The body of each member's current version, keyed by content hash.
     pub(crate) blobs: BTreeMap<u64, Arc<WeakSchema>>,
-    /// Member name → full version history, oldest first.
+    /// Member name → full version history (metadata), oldest first.
     pub(crate) members: BTreeMap<String, Vec<VersionMeta>>,
 }
 
@@ -83,8 +94,9 @@ pub(crate) fn encode(state: &SnapshotState) -> Vec<u8> {
 }
 
 /// Decodes and fully validates a snapshot image: magic, version,
-/// trailing checksum, and every blob's content hash against its key
-/// (the schema bodies must actually be the content they claim).
+/// trailing checksum, every blob's content hash against its key (the
+/// schema bodies must actually be the content they claim), and a blob
+/// for each member's current version.
 pub(crate) fn decode(image: &[u8]) -> Result<SnapshotState, StorageError> {
     if image.len() < 8 {
         return Err(StorageError::corrupt(
@@ -103,7 +115,7 @@ pub(crate) fn decode(image: &[u8]) -> Result<SnapshotState, StorageError> {
         return Err(StorageError::corrupt("bad snapshot magic".to_string()));
     }
     let version = r.u32()?;
-    if version != SNAPSHOT_VERSION {
+    if !(1..=SNAPSHOT_VERSION).contains(&version) {
         return Err(StorageError::corrupt(format!(
             "unsupported snapshot version {version}"
         )));
@@ -131,22 +143,21 @@ pub(crate) fn decode(image: &[u8]) -> Result<SnapshotState, StorageError> {
         let count = r.u32()?;
         let mut versions = Vec::with_capacity(count as usize);
         for _ in 0..count {
-            let meta = VersionMeta {
+            versions.push(VersionMeta {
                 hash: r.u64()?,
                 sequence: r.u32()?,
                 generation: r.u64()?,
-            };
-            if !state.blobs.contains_key(&meta.hash) {
-                return Err(StorageError::corrupt(format!(
-                    "member `{name}` references missing blob {:#018x}",
-                    meta.hash
-                )));
-            }
-            versions.push(meta);
+            });
         }
-        if versions.is_empty() {
+        let Some(current) = versions.last() else {
             return Err(StorageError::corrupt(format!(
                 "member `{name}` has no versions"
+            )));
+        };
+        if !state.blobs.contains_key(&current.hash) {
+            return Err(StorageError::corrupt(format!(
+                "member `{name}` references missing blob {:#018x}",
+                current.hash
             )));
         }
         state.members.insert(name, versions);
@@ -158,6 +169,17 @@ pub(crate) fn decode(image: &[u8]) -> Result<SnapshotState, StorageError> {
         )));
     }
     Ok(state)
+}
+
+/// `image` re-stamped as format `version`, its checksum recomputed — how
+/// tests build images in an older format.
+#[cfg(test)]
+pub(crate) fn restamp(image: &[u8], version: u32) -> Vec<u8> {
+    let mut body = image[..image.len() - 8].to_vec();
+    body[8..12].copy_from_slice(&version.to_le_bytes());
+    let crc = fnv64(&body);
+    put_u64(&mut body, crc);
+    body
 }
 
 #[cfg(test)]
@@ -233,5 +255,32 @@ mod tests {
         for len in 0..image.len() {
             assert!(decode(&image[..len]).is_err(), "prefix of {len} bytes");
         }
+    }
+
+    #[test]
+    fn superseded_versions_need_no_blob() {
+        let mut state = sample();
+        let alpha = state.members.get_mut("alpha").unwrap();
+        alpha[0].hash = 0xdead;
+        let decoded = decode(&encode(&state)).unwrap();
+        assert_eq!(decoded.members, state.members);
+    }
+
+    #[test]
+    fn a_missing_current_blob_is_refused() {
+        let mut state = sample();
+        state.members.get_mut("beta").unwrap()[0].hash = 0xdead;
+        let err = decode(&encode(&state)).unwrap_err();
+        assert!(err.to_string().contains("missing blob"), "{err}");
+    }
+
+    #[test]
+    fn version_1_images_still_decode() {
+        let state = sample();
+        let decoded = decode(&restamp(&encode(&state), 1)).unwrap();
+        assert_eq!(decoded.members, state.members);
+        assert_eq!(decoded.blobs.len(), 2);
+        assert!(decode(&restamp(&encode(&state), 3)).is_err());
+        assert!(decode(&restamp(&encode(&state), 0)).is_err());
     }
 }

@@ -14,7 +14,10 @@
 //! blob table accumulated from the snapshot and earlier records. That is
 //! the log's content-hash compaction: a member flapping between two
 //! versions costs eight bytes of schema payload per flap, not two schema
-//! bodies.
+//! bodies. A snapshot's blob table holds only the members' *current*
+//! bodies, so "known" means current at the last snapshot or carried by
+//! a record since: a body superseded before the snapshot is logged in
+//! full again when it is republished.
 //!
 //! Every record also carries the content hash of the merged view *after*
 //! its commit, so replay can verify end-to-end that the recovered view

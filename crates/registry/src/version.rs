@@ -1,13 +1,19 @@
 //! Immutable, content-hashed schema versions.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use schema_merge_core::WeakSchema;
 
-/// One published version of a member's schema. Versions are immutable:
-/// publishing new content appends a new version, it never rewrites an
-/// old one, so a client holding a version can keep reading it while the
-/// registry moves on.
+use crate::storage::snapshot::VersionMeta;
+
+/// A member's version together with its schema body — what
+/// [`crate::Registry::get`] returns for the current version. Versions
+/// are immutable: publishing new content appends a new version, it never
+/// rewrites an old one. The registry keeps the body of each member's
+/// current version only; once a version is superseded the registry keeps
+/// just its [`VersionMeta`]. A client holding a `SchemaVersion` (and so
+/// an `Arc` on its body) can keep reading it while the registry moves on.
 #[derive(Debug, Clone)]
 pub struct SchemaVersion {
     /// The canonical content hash ([`WeakSchema::content_hash`]) — the
@@ -20,6 +26,17 @@ pub struct SchemaVersion {
     pub generation: u64,
     /// The schema itself (shared, never mutated).
     pub schema: Arc<WeakSchema>,
+}
+
+impl SchemaVersion {
+    /// This version's identity, without its body.
+    pub fn meta(&self) -> VersionMeta {
+        VersionMeta {
+            hash: self.hash,
+            sequence: self.sequence,
+            generation: self.generation,
+        }
+    }
 }
 
 /// A member's row in [`crate::Registry::list`].
@@ -39,14 +56,35 @@ pub struct MemberInfo {
     pub num_arrows: usize,
 }
 
-/// The per-member record: an append-only version history.
+/// The per-member record: an append-only history of version identities,
+/// and the body of the current version only.
 #[derive(Debug, Clone)]
 pub(crate) struct MemberRecord {
-    pub(crate) versions: Vec<SchemaVersion>,
+    /// Every published version, oldest first; the last is `current`'s.
+    pub(crate) history: Vec<VersionMeta>,
+    pub(crate) current: SchemaVersion,
 }
 
-impl MemberRecord {
-    pub(crate) fn current(&self) -> &SchemaVersion {
-        self.versions.last().expect("members have >= 1 version")
+/// Makes `version` member `name`'s current version, creating the member
+/// if it is new. The version it supersedes keeps only its metadata.
+pub(crate) fn publish(
+    members: &mut BTreeMap<String, MemberRecord>,
+    name: &str,
+    version: SchemaVersion,
+) {
+    match members.get_mut(name) {
+        Some(record) => {
+            record.history.push(version.meta());
+            record.current = version;
+        }
+        None => {
+            members.insert(
+                name.to_string(),
+                MemberRecord {
+                    history: vec![version.meta()],
+                    current: version,
+                },
+            );
+        }
     }
 }

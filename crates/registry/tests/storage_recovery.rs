@@ -28,7 +28,8 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 /// Asserts two registries are observably identical: generation, merged
-/// view (schema and completion report), member histories.
+/// view (schema and completion report), member histories and current
+/// bodies.
 fn assert_same_registry(recovered: &Registry, reference: &Registry) {
     let (a, b) = (recovered.merged(), reference.merged());
     assert_eq!(a.generation, b.generation);
@@ -37,17 +38,17 @@ fn assert_same_registry(recovered: &Registry, reference: &Registry) {
     let (la, lb) = (recovered.list(), reference.list());
     assert_eq!(la, lb);
     for m in &la {
-        let (ha, hb) = (
-            recovered.history(&m.name).unwrap(),
-            reference.history(&m.name).unwrap(),
+        assert_eq!(
+            recovered.history(&m.name),
+            reference.history(&m.name),
+            "member {}",
+            m.name
         );
-        assert_eq!(ha.len(), hb.len(), "member {}", m.name);
-        for (va, vb) in ha.iter().zip(&hb) {
-            assert_eq!(va.hash, vb.hash);
-            assert_eq!(va.sequence, vb.sequence);
-            assert_eq!(va.generation, vb.generation);
-            assert_eq!(va.schema.as_ref(), vb.schema.as_ref());
-        }
+        let (ga, gb) = (
+            recovered.get(&m.name).unwrap(),
+            reference.get(&m.name).unwrap(),
+        );
+        assert_eq!(ga.schema.as_ref(), gb.schema.as_ref(), "member {}", m.name);
     }
 }
 
@@ -257,6 +258,93 @@ fn content_hash_dedup_bounds_log_growth_under_flapping() {
         growth < 20 * 100,
         "20 by-reference flaps grew the log by {growth} B"
     );
+}
+
+/// A schema of `arrows` arrows out of `class` — big enough that a record
+/// carrying its body dwarfs a by-reference one.
+fn wide(class: &str, arrows: usize) -> WeakSchema {
+    let mut builder = WeakSchema::builder();
+    for i in 0..arrows {
+        builder = builder.arrow(class, format!("attr{i}"), format!("Type{i}"));
+    }
+    builder.build().unwrap()
+}
+
+/// The registry keeps only each member's current body: once v2 is
+/// published nothing it owns still holds v1's schema, in memory or
+/// durable, while every count of versions stays what it was.
+#[test]
+fn superseded_bodies_are_released_but_versions_still_counted() {
+    let dir = temp_dir("release");
+    let durable = Registry::builder().data_dir(&dir).open().unwrap();
+    for registry in [&Registry::new(), &durable] {
+        registry
+            .put("inv", schema("Part", "price", "money"))
+            .unwrap();
+        let v1 = Arc::downgrade(&registry.get("inv").unwrap().schema);
+        assert!(v1.upgrade().is_some(), "the current body is kept");
+        registry.put("inv", schema("Part", "weight", "kg")).unwrap();
+        assert!(v1.upgrade().is_none(), "the superseded body is released");
+
+        let history = registry.history("inv").unwrap();
+        assert_eq!(
+            history.iter().map(|v| v.sequence).collect::<Vec<_>>(),
+            [1, 2]
+        );
+        assert_eq!(registry.list()[0].versions, 2);
+        assert_eq!(registry.stats().total_versions, 2);
+        let current = registry.get("inv").unwrap();
+        assert_eq!(history[1], current.meta());
+    }
+
+    // A snapshot carries the histories without the old body, and a
+    // reopen counts the same versions.
+    durable.snapshot().unwrap();
+    drop(durable);
+    let recovered = Registry::builder().data_dir(&dir).open().unwrap();
+    assert_eq!(recovered.history("inv").unwrap().len(), 2);
+    assert_eq!(recovered.list()[0].versions, 2);
+    assert_eq!(recovered.stats().total_versions, 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A snapshot holds only current bodies, so compaction resets the WAL's
+/// dedup set to them: republishing a body that was superseded before
+/// the snapshot must log it in full again, or recovery could not
+/// resolve it.
+#[test]
+fn republishing_a_body_superseded_before_a_snapshot_logs_it_in_full() {
+    let dir = temp_dir("republish");
+    let (a, b) = (wide("Part", 24), wide("Order", 24));
+    let reference = Registry::new();
+    {
+        let registry = Registry::builder()
+            .data_dir(&dir)
+            .snapshot_every(0)
+            .open()
+            .unwrap();
+        let empty = registry.stats().wal_bytes;
+        registry.put("m", a.clone()).unwrap();
+        let first_a = registry.stats().wal_bytes - empty;
+        registry.put("m", b.clone()).unwrap();
+        registry.snapshot().unwrap();
+        let compacted = registry.stats().wal_bytes;
+        registry.put("m", a.clone()).unwrap();
+        let again_a = registry.stats().wal_bytes - compacted;
+        assert_eq!(again_a, first_a, "A's body was logged in full again");
+        for g in [&a, &b, &a] {
+            reference.put("m", g.clone()).unwrap();
+        }
+        assert_same_registry(&registry, &reference);
+    }
+
+    let recovered = Registry::builder().data_dir(&dir).open().unwrap();
+    assert_same_registry(&recovered, &reference);
+    let (got, want) = (recovered.get("m").unwrap(), reference.get("m").unwrap());
+    assert_eq!((got.hash, got.sequence), (a.content_hash(), 3));
+    assert_eq!((got.hash, got.sequence), (want.hash, want.sequence));
+    assert_eq!(recovered.merged().hash(), reference.merged().hash());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A [`MemoryStore`] behind a shared handle, so a test can keep access
