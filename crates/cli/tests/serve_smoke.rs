@@ -589,9 +589,12 @@ fn daemon_answers_sequential_gets_on_one_connection_without_a_floor() {
             assert!(reader.read_line(&mut line).expect("a block line") > 0);
         }
     }
+    // Without the floor this takes well under a second even on a debug
+    // build; the bound leaves room for a loaded machine while staying far
+    // below the floored figure.
     let elapsed = started.elapsed();
     assert!(
-        elapsed < Duration::from_secs(2),
+        elapsed < Duration::from_secs(5),
         "200 GETs on one connection took {elapsed:?}"
     );
 }

@@ -269,6 +269,14 @@ impl Persistence {
         }
         let image = snapshot::encode(&state);
         span.attr_usize("bytes", image.len());
+        // Narrow the dedup set to the new image's bodies before installing
+        // it. Once it is installed, recovery starts from it, and any step
+        // after that can fail: the log truncation, the cleanup, or the
+        // install's own report. A body superseded before this snapshot is
+        // then on disk only in objects recovery may not read, so it must
+        // be logged in full again. Shrinking the set is always safe; at
+        // worst a body is written twice.
+        self.on_disk = state.blobs.keys().copied().collect();
         self.store.write_snapshot(generation, &image)?;
         // The snapshot holds everything: the log is now redundant, and
         // older snapshot objects are superseded.
@@ -283,7 +291,6 @@ impl Persistence {
         self.snapshots_written += 1;
         self.wal_records = 0;
         self.records_since_snapshot = 0;
-        self.on_disk = state.blobs.keys().copied().collect();
         Ok(generation)
     }
 }

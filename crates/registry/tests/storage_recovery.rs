@@ -10,7 +10,9 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use schema_merge_core::WeakSchema;
-use schema_merge_registry::storage::{MemoryStore, StorageError, Store};
+use schema_merge_registry::storage::{
+    Fault, FaultSchedule, FaultStore, MemoryStore, OpKind, StorageError, Store,
+};
 use schema_merge_registry::{Registry, RegistryError};
 use schema_merge_workload::{schema_family, SchemaParams};
 
@@ -378,6 +380,46 @@ impl Store for SharedStore {
     }
     fn remove_snapshot(&mut self, generation: u64) -> Result<(), StorageError> {
         self.0.lock().unwrap().remove_snapshot(generation)
+    }
+}
+
+/// A snapshot that installs but then fails to truncate the log or to
+/// remove the older snapshot leaves recovery reading the new image,
+/// which lacks bodies superseded before it. Republishing such a body
+/// must still log it in full, or the acknowledged commit could not be
+/// recovered.
+#[test]
+fn republish_after_a_snapshot_that_failed_past_its_install_recovers() {
+    for op in [OpKind::TruncateLog, OpKind::RemoveSnapshot] {
+        let (x, y) = (wide("Part", 8), wide("Order", 8));
+        let disk = SharedStore::default();
+        let schedule = FaultSchedule::new(3);
+        let registry = Registry::builder()
+            .store(FaultStore::new(disk.clone(), schedule.clone()))
+            .snapshot_every(0)
+            .open()
+            .unwrap();
+        let reference = Registry::new();
+
+        registry.put("m", x.clone()).unwrap();
+        registry.snapshot().unwrap();
+        registry.put("m", y.clone()).unwrap();
+        // Count calls from here: the next `op` is the second snapshot's.
+        schedule.clear();
+        let _armed = schedule.clone().fail_nth(op, 1, Fault::Permanent);
+        assert!(registry.snapshot().is_err(), "{op:?} fault fired");
+        registry.put("m", x.clone()).unwrap();
+        for g in [&x, &y, &x] {
+            reference.put("m", g.clone()).unwrap();
+        }
+
+        drop(registry);
+        let recovered = Registry::builder()
+            .store(disk)
+            .open()
+            .unwrap_or_else(|err| panic!("{op:?}: reopen failed: {err}"));
+        assert_same_registry(&recovered, &reference);
+        assert_eq!(recovered.merged().hash(), reference.merged().hash());
     }
 }
 
