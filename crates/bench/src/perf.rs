@@ -1037,7 +1037,7 @@ impl Suite {
         );
         assert!(
             faulty
-                .health()
+                .stats()
                 .fault_counters
                 .is_some_and(|c| c.injected > 0),
             "the fault schedule must actually fire during the measurement"

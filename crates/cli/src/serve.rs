@@ -30,9 +30,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use schema_merge_core::{AnnotatedSchema, KeyAssignment, Merger, WeakSchema};
-use schema_merge_registry::{Registry, RetryPolicy};
-use schema_merge_supergraph::{Supergraph, SupergraphError};
-use schema_merge_telemetry::{self as telemetry, render_counter, render_gauge, Histogram};
+use schema_merge_registry::{Registry, RegistryStats, RetryPolicy};
+use schema_merge_supergraph::{Supergraph, SupergraphError, SupergraphStats};
+use schema_merge_telemetry::{
+    self as telemetry, render_counter, render_gauge, Histogram, HistogramSnapshot,
+};
 use schema_merge_text::protocol::{status_line, BlockCollector, Command, Status};
 use schema_merge_text::{encode_block, parse_document, print_schema, NamedSchema};
 
@@ -243,16 +245,21 @@ impl TraceSink {
     }
 }
 
-/// Composes the METRICS exposition text: Prometheus-style counters,
-/// gauges and latency summaries for the registry and the request loop.
-fn render_metrics(daemon: &Daemon) -> String {
-    let Daemon {
-        registry,
-        supergraph,
-        metrics: requests,
-        ..
-    } = daemon;
-    let stats = registry.stats();
+/// Composes the METRICS exposition text — Prometheus-style counters,
+/// gauges and latency summaries — from one registry snapshot, one
+/// supergraph snapshot and the request loop's per-verb latencies.
+fn render_metrics(
+    stats: &RegistryStats,
+    sg: &SupergraphStats,
+    requests: &RequestMetrics,
+) -> String {
+    let summary_header = |out: &mut String, name: &str, help: &str| {
+        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} summary\n"));
+    };
+    let summary = |out: &mut String, name: &str, help: &str, latency: &HistogramSnapshot| {
+        summary_header(out, name, help);
+        latency.render_prometheus(out, name, "");
+    };
     let mut out = String::new();
     render_gauge(
         &mut out,
@@ -278,21 +285,19 @@ fn render_metrics(daemon: &Daemon) -> String {
         "Current member count",
         i64::try_from(stats.members).unwrap_or(i64::MAX),
     );
-
-    let health = registry.health();
     render_counter(
         &mut out,
         "smerge_storage_retry_total",
         "Commit-path storage retries under the retry policy",
-        health.storage_retries,
+        stats.storage_retries,
     );
     render_gauge(
         &mut out,
         "smerge_degraded",
         "1 when the registry is in degraded read-only mode",
-        i64::from(health.degraded),
+        i64::from(stats.degraded),
     );
-    if let Some(fault) = health.fault_counters {
+    if let Some(fault) = stats.fault_counters {
         render_counter(
             &mut out,
             "smerge_fault_injected_total",
@@ -306,36 +311,25 @@ fn render_metrics(daemon: &Daemon) -> String {
             fault.torn_appends,
         );
     }
-
-    let summary = |out: &mut String, name: &str, help: &str| {
-        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} summary\n"));
-    };
     summary(
         &mut out,
         "smerge_registry_commit_seconds",
         "End-to-end latency of generation-spending commits",
+        &stats.commit_latency,
     );
-    registry
-        .commit_latency()
-        .render_prometheus(&mut out, "smerge_registry_commit_seconds", "");
     summary(
         &mut out,
         "smerge_registry_fsync_seconds",
         "Per-commit durability wait (WAL append + fsync)",
+        &stats.fsync_latency,
     );
-    registry
-        .fsync_latency()
-        .render_prometheus(&mut out, "smerge_registry_fsync_seconds", "");
     summary(
         &mut out,
         "smerge_registry_recovery_seconds",
         "Boot-time recovery latency (one sample per durable open)",
+        &stats.recovery_latency,
     );
-    registry
-        .recovery_latency()
-        .render_prometheus(&mut out, "smerge_registry_recovery_seconds", "");
 
-    let sg = supergraph.stats();
     render_counter(
         &mut out,
         "smerge_supergraph_generation",
@@ -370,12 +364,10 @@ fn render_metrics(daemon: &Daemon) -> String {
         &mut out,
         "smerge_compose_seconds",
         "End-to-end supergraph compose latency",
+        &sg.compose_latency,
     );
-    supergraph
-        .compose_latency()
-        .render_prometheus(&mut out, "smerge_compose_seconds", "");
 
-    summary(
+    summary_header(
         &mut out,
         "smerge_request_seconds",
         "Request latency by protocol verb",
@@ -388,6 +380,29 @@ fn render_metrics(daemon: &Daemon) -> String {
         );
     }
     out
+}
+
+/// The `HEALTH` detail: `key=value` resilience fields, with the
+/// free-form last storage error last so the fields stay
+/// machine-splittable.
+fn render_health(stats: &RegistryStats) -> String {
+    let mut detail = format!(
+        "state={} retries={} degrade_events={} heal_events={}",
+        if stats.degraded { "degraded" } else { "ok" },
+        stats.storage_retries,
+        stats.degrade_events,
+        stats.heal_events
+    );
+    if let Some(fault) = stats.fault_counters {
+        detail.push_str(&format!(
+            " faults_injected={} torn_appends={}",
+            fault.injected, fault.torn_appends
+        ));
+    }
+    if let Some(err) = &stats.last_storage_error {
+        detail.push_str(&format!(" last_error={err}"));
+    }
+    detail
 }
 
 /// The blocking handoff between the acceptor and the workers.
@@ -851,28 +866,7 @@ fn dispatch(daemon: &Daemon, request: Request) -> Response {
             Response::ok("shutting down").closing()
         }
         Command::Ping => Response::ok("pong"),
-        Command::Health => {
-            let health = registry.health();
-            let mut detail = format!(
-                "state={} retries={} degrade_events={} heal_events={}",
-                health.state(),
-                health.storage_retries,
-                health.degrade_events,
-                health.heal_events
-            );
-            if let Some(fault) = health.fault_counters {
-                detail.push_str(&format!(
-                    " faults_injected={} torn_appends={}",
-                    fault.injected, fault.torn_appends
-                ));
-            }
-            if let Some(err) = &health.last_storage_error {
-                // Free-form text goes last so the key=value fields stay
-                // machine-splittable.
-                detail.push_str(&format!(" last_error={err}"));
-            }
-            Response::ok(&detail)
-        }
+        Command::Health => Response::ok(&render_health(&registry.stats())),
         Command::Snapshot => match registry.snapshot() {
             Ok(generation) => Response::ok(&format!("generation={generation}")),
             Err(err) => Response::err(&err.to_string()),
@@ -931,7 +925,7 @@ fn dispatch(daemon: &Daemon, request: Request) -> Response {
             )
         }
         Command::Metrics => {
-            let payload = render_metrics(daemon);
+            let payload = render_metrics(&registry.stats(), &supergraph.stats(), &daemon.metrics);
             Response::data(&format!("bytes={}", payload.len()), &payload)
         }
         Command::List => {
@@ -1010,6 +1004,9 @@ fn dispatch(daemon: &Daemon, request: Request) -> Response {
                 let detail = format!("{} result(s): {}", rendered.len(), rendered.join(", "));
                 Response::ok(detail.trim_end())
             }
+            // A usage error displays the whole CLI usage text after its
+            // message; the wire reply is the message alone, on one line.
+            Err(CliError::Usage(message)) => Response::err(&message),
             Err(err) => Response::err(&err.to_string()),
         },
     }
@@ -1238,8 +1235,11 @@ mod tests {
         );
         assert!(status(&daemon, "GET a/b/c").starts_with("ERR invalid member name `a/b/c`"));
 
-        // A bad path query.
-        assert!(status(&daemon, "QUERY .a").starts_with("ERR bad path `.a`: empty starting class"));
+        // A bad path query answers on one line: the usage error's message,
+        // without the CLI usage text its `Display` appends.
+        let bad_path = send(&daemon, "QUERY .a", "");
+        assert_eq!(bad_path.status, "ERR bad path `.a`: empty starting class");
+        assert!(!bad_path.status.contains('\n') && bad_path.block.is_none());
 
         // Rejected, unmergeable, unparseable and empty payloads.
         let rejected = send(&daemon, "PUT down", "schema down { B => A; }\n");
@@ -1301,5 +1301,126 @@ mod tests {
         assert!(status(&daemon, "GET x").starts_with("DATA"));
         let compose = status(&daemon, "COMPOSE");
         assert!(compose.contains("registries=1 classes=2"), "{compose}");
+    }
+
+    /// Every label the worker loop can record under is one
+    /// `RequestMetrics` keeps a histogram for — `record` silently drops
+    /// any other — and every histogram belongs to some verb.
+    #[test]
+    fn every_verb_label_is_a_timed_verb() {
+        let name = || "x".to_string();
+        let commands = [
+            Command::Put(name()),
+            Command::Get(name()),
+            Command::Delete(name()),
+            Command::Merged,
+            Command::Stats,
+            Command::Metrics,
+            Command::List,
+            Command::Query(name()),
+            Command::Attach(name()),
+            Command::Detach(name()),
+            Command::Compose,
+            Command::Supergraph,
+            Command::Snapshot,
+            Command::Health,
+            Command::Ping,
+            Command::Shutdown,
+            Command::Quit,
+        ];
+        let labels: Vec<&str> = commands.iter().filter_map(verb_label).collect();
+        for label in &labels {
+            assert!(TIMED_VERBS.contains(label), "`{label}` is never recorded");
+        }
+        let mut sorted = labels.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let mut timed = TIMED_VERBS.to_vec();
+        timed.sort_unstable();
+        assert_eq!(sorted, timed);
+    }
+
+    /// The value of `name`'s unlabeled sample line in a METRICS block.
+    fn sample(metrics: &str, name: &str) -> String {
+        metrics
+            .lines()
+            .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no `{name}` sample in:\n{metrics}"))
+            .to_string()
+    }
+
+    /// HEALTH, the STATS `health:` line and METRICS all render from one
+    /// `RegistryStats`, so they report the same numbers while the
+    /// registry is degraded and again once it heals.
+    #[test]
+    fn status_verbs_agree_through_degrade_and_heal() {
+        use schema_merge_registry::storage::{
+            Fault, FaultSchedule, FaultStore, MemoryStore, OpKind,
+        };
+
+        let schedule = FaultSchedule::new(3);
+        let store = FaultStore::new(
+            MemoryStore::new(),
+            schedule
+                .clone()
+                .always_after(OpKind::Append, 0, Fault::Transient),
+        );
+        let registry = Registry::builder()
+            .store(store)
+            .retry_policy(
+                RetryPolicy::new(1)
+                    .initial_backoff(Duration::from_millis(1))
+                    .max_backoff(Duration::from_millis(1)),
+            )
+            .open()
+            .unwrap();
+        let daemon = Daemon::new(registry, None);
+
+        // The first append fails, its one retry fails too: degraded.
+        let put = send(&daemon, "PUT alpha", "schema alpha { C --a--> B1; }\n");
+        assert!(put.status.starts_with("ERR "), "{put:?}");
+        let health = status(&daemon, "HEALTH");
+        assert!(
+            health.starts_with(
+                "OK state=degraded retries=1 degrade_events=1 heal_events=0 \
+                 faults_injected=2 torn_appends=0 last_error="
+            ),
+            "{health}"
+        );
+        let stats = send(&daemon, "STATS", "");
+        assert!(
+            block(&stats).contains("\nhealth: degraded (read-only), 1 storage retries\n"),
+            "{stats:?}"
+        );
+        let metrics = send(&daemon, "METRICS", "");
+        let metrics = block(&metrics);
+        assert_eq!(sample(metrics, "smerge_degraded"), "1");
+        assert_eq!(sample(metrics, "smerge_storage_retry_total"), "1");
+        assert_eq!(sample(metrics, "smerge_fault_injected_total"), "2");
+        assert_eq!(sample(metrics, "smerge_fault_torn_appends_total"), "0");
+
+        // The disk comes back; one probe heals, and all three say so.
+        schedule.clear();
+        assert!(daemon.registry.probe_now());
+        let health = status(&daemon, "HEALTH");
+        assert!(
+            health.starts_with(
+                "OK state=ok retries=1 degrade_events=1 heal_events=1 \
+                 faults_injected=2 torn_appends=0 last_error="
+            ),
+            "{health}"
+        );
+        let stats = send(&daemon, "STATS", "");
+        assert!(
+            block(&stats).contains("\nhealth: ok, 1 storage retries\n"),
+            "{stats:?}"
+        );
+        let metrics = send(&daemon, "METRICS", "");
+        let metrics = block(&metrics);
+        assert_eq!(sample(metrics, "smerge_degraded"), "0");
+        assert_eq!(sample(metrics, "smerge_storage_retry_total"), "1");
+        assert_eq!(sample(metrics, "smerge_fault_injected_total"), "2");
+        let put = send(&daemon, "PUT alpha", "schema alpha { C --a--> B1; }\n");
+        assert!(put.status.starts_with("OK "), "{put:?}");
     }
 }

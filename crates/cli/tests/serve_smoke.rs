@@ -4,6 +4,7 @@
 //! daemon with ≥4 *simultaneously open* raw connections, and shuts it
 //! down cleanly.
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::{Child, ChildStdout, Command, Stdio};
@@ -644,4 +645,205 @@ fn daemon_rejects_over_long_lines_with_e_limit() {
     assert_eq!(line.trim(), "OK pong");
     let (ok, text) = client(&daemon.addr, &["get", "alpha"]);
     assert!(!ok, "the rejected PUT published nothing: {text}");
+}
+
+/// Sends one request on an open connection and reads its reply: the
+/// status line, plus the unstuffed block after a `DATA` status.
+fn roundtrip(
+    reader: &mut BufReader<TcpStream>,
+    writer: &mut TcpStream,
+    request: &str,
+) -> (String, String) {
+    writer
+        .write_all(format!("{request}\n").as_bytes())
+        .expect("request sent");
+    let mut status = String::new();
+    reader.read_line(&mut status).expect("a status line");
+    let mut block = String::new();
+    if status.starts_with("DATA") {
+        loop {
+            let mut line = String::new();
+            assert!(reader.read_line(&mut line).expect("a block line") > 0);
+            if line == ".\n" {
+                break;
+            }
+            block.push_str(line.strip_prefix('.').unwrap_or(&line));
+        }
+    }
+    (status.trim_end().to_string(), block)
+}
+
+/// A METRICS exposition, parsed strictly: every sample's value keyed by
+/// its series (`name` or `name{labels}`), and every family's type.
+struct Exposition {
+    samples: BTreeMap<String, f64>,
+    types: BTreeMap<String, String>,
+}
+
+impl Exposition {
+    /// Parses `text`, panicking on any line that is not a `# HELP`, a
+    /// `# TYPE`, or a `name[{labels}] value` sample of the family the
+    /// latest `# TYPE` declared (a summary's family also owns its
+    /// `_sum` and `_count` samples).
+    fn parse(text: &str) -> Exposition {
+        let is_name = |name: &str| {
+            !name.is_empty() && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+        };
+        let mut types = BTreeMap::new();
+        let mut samples = BTreeMap::new();
+        let mut family: Option<(String, String)> = None;
+        for line in text.lines() {
+            if let Some(rest) = line.strip_prefix("# TYPE ") {
+                let (name, kind) = rest.split_once(' ').expect("`# TYPE name kind`");
+                assert!(is_name(name), "{line}");
+                assert!(matches!(kind, "counter" | "gauge" | "summary"), "{line}");
+                assert!(
+                    types.insert(name.to_string(), kind.to_string()).is_none(),
+                    "family declared twice: {line}"
+                );
+                family = Some((name.to_string(), kind.to_string()));
+                continue;
+            }
+            if line.starts_with("# HELP ") {
+                continue;
+            }
+            let (series, value) = line
+                .rsplit_once(' ')
+                .unwrap_or_else(|| panic!("not `series value`: {line}"));
+            let name = match series.split_once('{') {
+                None => series,
+                Some((name, labels)) => {
+                    let labels = labels
+                        .strip_suffix('}')
+                        .unwrap_or_else(|| panic!("unclosed labels: {line}"));
+                    for pair in labels.split(',') {
+                        let (key, quoted) = pair
+                            .split_once('=')
+                            .unwrap_or_else(|| panic!("not `key=\"value\"`: {line}"));
+                        assert!(is_name(key), "{line}");
+                        assert!(
+                            quoted.len() >= 2 && quoted.starts_with('"') && quoted.ends_with('"'),
+                            "{line}"
+                        );
+                    }
+                    name
+                }
+            };
+            assert!(is_name(name), "{line}");
+            let (declared, kind) = family
+                .as_ref()
+                .unwrap_or_else(|| panic!("sample before any `# TYPE`: {line}"));
+            let owned = match name.strip_prefix(declared.as_str()) {
+                Some("") => true,
+                Some("_sum" | "_count") => kind == "summary",
+                _ => false,
+            };
+            assert!(owned, "`{name}` is not under its family's `# TYPE`: {line}");
+            let value: f64 = value
+                .parse()
+                .unwrap_or_else(|_| panic!("unparseable value: {line}"));
+            assert!(
+                samples.insert(series.to_string(), value).is_none(),
+                "series repeated: {line}"
+            );
+        }
+        Exposition { samples, types }
+    }
+
+    /// Whether `series` must never decrease: a counter's sample or a
+    /// summary's `_count`.
+    fn is_monotone(&self, series: &str) -> bool {
+        let name = series.split_once('{').map_or(series, |(name, _)| name);
+        let summary_count = name
+            .strip_suffix("_count")
+            .is_some_and(|family| self.types.get(family).is_some_and(|k| k == "summary"));
+        summary_count || self.types.get(name).is_some_and(|k| k == "counter")
+    }
+}
+
+/// The METRICS exposition parses, its counters and summary counts never
+/// decrease between two scrapes, and each per-verb request summary
+/// counts exactly the requests of that verb served before the scrape
+/// (the scrape itself is still in flight, so it is not yet counted).
+#[test]
+fn metrics_exposition_parses_and_counts_every_request() {
+    let daemon = spawn_daemon(&[]);
+    let stream = TcpStream::connect(&daemon.addr).expect("connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+
+    let mut sent: BTreeMap<String, u64> = BTreeMap::new();
+    let mut scrape = |requests: &[&str], sent: &mut BTreeMap<String, u64>| {
+        for request in requests {
+            let (status, _) = roundtrip(&mut reader, &mut writer, request);
+            assert!(!status.starts_with("ERR"), "{request}: {status}");
+            let verb = request.split_whitespace().next().unwrap().to_lowercase();
+            *sent.entry(verb).or_default() += 1;
+        }
+        let (status, block) = roundtrip(&mut reader, &mut writer, "METRICS");
+        assert_eq!(status, format!("DATA bytes={}", block.len()));
+        let exposition = Exposition::parse(&block);
+        for (series, value) in &exposition.samples {
+            if let Some(verb) = series
+                .strip_prefix("smerge_request_seconds_count{verb=\"")
+                .and_then(|rest| rest.strip_suffix("\"}"))
+            {
+                let expected = sent.get(verb).copied().unwrap_or(0);
+                assert_eq!(*value, expected as f64, "{series}");
+            }
+        }
+        // Every request so far was dispatched, this scrape included.
+        let served: u64 = sent.values().sum::<u64>() + 1;
+        assert_eq!(exposition.samples["smerge_requests_total"], served as f64);
+        *sent.entry("metrics".to_string()).or_default() += 1;
+        exposition
+    };
+
+    let first = scrape(
+        &[
+            "PING",
+            "PING",
+            "PUT alpha\nschema alpha { C --a--> B1; }\n.",
+            "GET alpha",
+            "MERGED",
+            "LIST",
+            "QUERY C.a",
+            "STATS",
+            "HEALTH",
+            "COMPOSE",
+            "SUPERGRAPH",
+        ],
+        &mut sent,
+    );
+    let second = scrape(
+        &[
+            "PUT beta\nschema beta { C --a--> B2; }\n.",
+            "GET alpha",
+            "COMPOSE",
+            "PING",
+        ],
+        &mut sent,
+    );
+
+    assert_eq!(first.types, second.types, "the family set is fixed");
+    let mut monotone = 0;
+    for (series, before) in &first.samples {
+        let after = second
+            .samples
+            .get(series)
+            .unwrap_or_else(|| panic!("`{series}` vanished between scrapes"));
+        if first.is_monotone(series) {
+            monotone += 1;
+            assert!(after >= before, "`{series}` fell from {before} to {after}");
+        }
+    }
+    assert!(monotone > 20, "only {monotone} monotone series checked");
+    assert_eq!(second.samples["smerge_registry_generation"], 2.0);
+    assert_eq!(
+        second.samples["smerge_request_seconds_count{verb=\"metrics\"}"],
+        1.0
+    );
 }

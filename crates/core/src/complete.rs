@@ -357,8 +357,7 @@ pub fn complete_checked(
 /// engine: every pair of origins of every implicit class must be
 /// declared consistent. This is the single implementation behind
 /// [`complete_checked`], [`crate::merger::Merger::with_consistency`] and
-/// (through the merger) the deprecated [`crate::merge_consistent`] and
-/// [`crate::MergeSession`] paths.
+/// (through the merger) the [`crate::MergeSession`] path.
 pub(crate) fn check_consistency(
     report: &CompletionReport,
     consistency: &ConsistencyRelation,

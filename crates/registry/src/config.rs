@@ -37,9 +37,7 @@ use schema_merge_telemetry as telemetry;
 
 use crate::cache::{IncrementalJoin, Part};
 use crate::error::RegistryError;
-use crate::registry::{
-    member_part, Counters, Persistence, Registry, RegistryMetrics, Resilience, Shared,
-};
+use crate::registry::{member_part, Metrics, Persistence, Registry, Resilience, Shared};
 use crate::resilience::RetryPolicy;
 use crate::storage::snapshot::SnapshotState;
 use crate::storage::wal::{self, WalRecord};
@@ -178,7 +176,7 @@ impl RegistryBuilder {
                 report: recovered.report,
             }),
             joins,
-            counters: Counters::default(),
+            metrics: Metrics::default(),
             persistence: Some(Mutex::new(Persistence {
                 store,
                 snapshot_every: self.snapshot_every,
@@ -190,7 +188,6 @@ impl RegistryBuilder {
                 on_disk: recovered.on_disk,
                 torn_at: None,
             })),
-            metrics: RegistryMetrics::default(),
             resilience: Resilience::new(self.retry_policy),
         };
         registry
@@ -438,18 +435,18 @@ mod tests {
             .open()
             .unwrap();
         assert_eq!(
-            registry.recovery_latency().count,
+            registry.stats().recovery_latency.count,
             1,
             "every durable open is one recovery sample"
         );
         registry.put("a", schema("Part", "price", "money")).unwrap();
         registry.put("b", schema("Order", "item", "Part")).unwrap();
+        let stats = registry.stats();
         assert_eq!(
-            registry.fsync_latency().count,
-            2,
+            stats.fsync_latency.count, 2,
             "one durability wait per commit"
         );
-        assert_eq!(registry.commit_latency().count, 2);
+        assert_eq!(stats.commit_latency.count, 2);
     }
 
     #[test]

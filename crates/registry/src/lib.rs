@@ -37,6 +37,13 @@
 //!   suffix on boot and recovers the exact generation lineage; the merge
 //!   being deterministic, the recovered view is *equal* to the
 //!   never-crashed one.
+//! * **One status snapshot** — [`Registry::stats`] returns a
+//!   [`RegistryStats`]: sizes and merged-view shape, merge and cache
+//!   counters, WAL and snapshot state, the resilience state (degraded
+//!   flag, retry, degrade and heal counters, last storage error, fault
+//!   counters) and the commit, fsync and recovery latency histograms.
+//!   It is the registry's only status surface; the daemon's `STATS`,
+//!   `HEALTH` and `METRICS` verbs all render from one call.
 //! * Schema-space queries — [`Registry::query`] answers path queries
 //!   ("which classes does `Dog.owner` reach?") against the merged view
 //!   via [`schema_merge_instance::PathQuery::eval_classes`], no instance
@@ -76,7 +83,7 @@ pub mod version;
 pub use config::RegistryBuilder;
 pub use error::RegistryError;
 pub use registry::{DeleteOutcome, MergeStrategy, MergedView, PutOutcome, Registry, RegistryJoin};
-pub use resilience::{Health, RetryPolicy};
+pub use resilience::RetryPolicy;
 pub use stats::RegistryStats;
 pub use storage::snapshot::VersionMeta;
 pub use version::{MemberInfo, SchemaVersion};

@@ -56,12 +56,12 @@ use schema_merge_core::{
     Class, CompiledSchema, CompletionReport, MergeError, ProperSchema, WeakSchema,
 };
 use schema_merge_instance::PathQuery;
-use schema_merge_telemetry::{self as telemetry, Histogram, HistogramSnapshot};
+use schema_merge_telemetry::{self as telemetry, Histogram};
 
 use crate::cache::{IncrementalJoin, Part};
 use crate::config::RegistryBuilder;
 use crate::error::RegistryError;
-use crate::resilience::{Health, RetryPolicy};
+use crate::resilience::RetryPolicy;
 use crate::stats::RegistryStats;
 use crate::storage::snapshot::{SnapshotState, VersionMeta};
 use crate::storage::wal::WalRecord;
@@ -331,37 +331,40 @@ impl Default for Resilience {
     }
 }
 
-#[derive(Default)]
-pub(crate) struct Counters {
+/// The registry's always-on telemetry: monotone event counters and
+/// lock-free log₂ latency histograms ([`Histogram`]), recorded on every
+/// commit regardless of span enablement — cheap enough to never gate —
+/// plus the instance epoch that anchors uptime. [`Registry::stats`]
+/// samples all of it.
+pub(crate) struct Metrics {
+    /// When this registry instance was opened (new or recovered).
+    started_at: Instant,
     incremental: AtomicU64,
     full: AtomicU64,
     noop: AtomicU64,
     rejected: AtomicU64,
     retries: AtomicU64,
     requests: AtomicU64,
-}
-
-/// The registry's always-on latency telemetry: lock-free log₂ histograms
-/// ([`Histogram`]) recorded on every commit regardless of span
-/// enablement — cheap enough to never gate — plus the instance epoch
-/// that anchors uptime.
-pub(crate) struct RegistryMetrics {
-    /// When this registry instance was opened (new or recovered).
-    pub(crate) started_at: Instant,
     /// End-to-end latency of successful generation-spending commits
     /// (put/delete, noops excluded), snapshot-to-visible.
-    pub(crate) commit_latency: Histogram,
+    commit_latency: Histogram,
     /// Durability wait per commit: the WAL append + fsync store call.
-    pub(crate) fsync_latency: Histogram,
+    fsync_latency: Histogram,
     /// Boot-time recovery (snapshot load + log replay + re-merge +
     /// verify); one sample per durable open.
     pub(crate) recovery_latency: Histogram,
 }
 
-impl Default for RegistryMetrics {
+impl Default for Metrics {
     fn default() -> Self {
-        RegistryMetrics {
+        Metrics {
             started_at: Instant::now(),
+            incremental: AtomicU64::new(0),
+            full: AtomicU64::new(0),
+            noop: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
+            retries: AtomicU64::new(0),
+            requests: AtomicU64::new(0),
             commit_latency: Histogram::new(),
             fsync_latency: Histogram::new(),
             recovery_latency: Histogram::new(),
@@ -376,11 +379,10 @@ pub struct Registry {
     /// The incremental-join core: join cache, cold joins and onto-base
     /// steps under the merge thread budget.
     pub(crate) joins: IncrementalJoin,
-    pub(crate) counters: Counters,
+    /// Event counters, latency histograms and the uptime epoch.
+    pub(crate) metrics: Metrics,
     /// The durability arm; `None` for a purely in-memory registry.
     pub(crate) persistence: Option<Mutex<Persistence>>,
-    /// Latency histograms and the uptime epoch.
-    pub(crate) metrics: RegistryMetrics,
     /// Retry policy and degraded-mode state.
     pub(crate) resilience: Resilience,
 }
@@ -414,9 +416,8 @@ impl Registry {
                 report: Arc::new(CompletionReport::default()),
             }),
             joins: IncrementalJoin::new(None),
-            counters: Counters::default(),
+            metrics: Metrics::default(),
             persistence: None,
-            metrics: RegistryMetrics::default(),
             resilience: Resilience::default(),
         }
     }
@@ -500,7 +501,7 @@ impl Registry {
                 let shared = self.shared.read().expect("registry lock");
                 match (shared.members.get(name), &changed) {
                     (Some(record), Some(part)) if record.current.hash == part.hash => {
-                        self.counters.noop.fetch_add(1, Ordering::Relaxed);
+                        self.metrics.noop.fetch_add(1, Ordering::Relaxed);
                         return Ok(Committed {
                             generation: shared.generation,
                             sequence: record.current.sequence,
@@ -543,7 +544,7 @@ impl Registry {
             let mut shared = self.shared.write().expect("registry lock");
             if shared.generation != generation {
                 drop(shared);
-                self.counters.retries.fetch_add(1, Ordering::Relaxed);
+                self.metrics.retries.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
             let generation = generation + 1;
@@ -748,9 +749,13 @@ impl Registry {
         Ok(p.write_snapshot(&shared.members, shared.generation, view_hash)?)
     }
 
-    /// A statistics snapshot: state sizes and merged-view shape are
-    /// coherent (read under one lock acquisition); the engine counters
-    /// are monotone and read atomically alongside.
+    /// The registry's status snapshot — state sizes, merged-view shape,
+    /// engine and cache counters, durability, resilience and latency
+    /// histograms in one [`RegistryStats`]. State sizes and merged-view
+    /// shape are coherent (read under one lock acquisition), as are the
+    /// durability and fault fields (one persistence-lock acquisition);
+    /// the counters and histograms are monotone and read atomically
+    /// alongside.
     pub fn stats(&self) -> RegistryStats {
         let (generation, members, total_versions, proper, report) = {
             let shared = self.shared.read().expect("registry lock");
@@ -763,18 +768,10 @@ impl Registry {
             )
         };
         let cache = self.joins.stats();
-        let durability = self.persistence.as_ref().map(|persistence| {
-            let p = persistence.lock().expect("persistence lock");
-            (
-                p.wal_records,
-                p.store.log_bytes().unwrap_or(0),
-                p.snapshot_generation,
-                p.snapshot_bytes,
-                p.snapshots_written,
-            )
-        });
         let weak = proper.as_weak();
-        RegistryStats {
+        let metrics = &self.metrics;
+        let resilience = &self.resilience;
+        let mut stats = RegistryStats {
             generation,
             members,
             total_versions,
@@ -783,51 +780,45 @@ impl Registry {
             merged_specializations: weak.num_specializations(),
             implicit_classes: report.num_implicit(),
             merged_hash: proper.content_hash(),
-            incremental_merges: self.counters.incremental.load(Ordering::Relaxed),
-            full_merges: self.counters.full.load(Ordering::Relaxed),
-            noop_puts: self.counters.noop.load(Ordering::Relaxed),
-            rejected_puts: self.counters.rejected.load(Ordering::Relaxed),
+            incremental_merges: metrics.incremental.load(Ordering::Relaxed),
+            full_merges: metrics.full.load(Ordering::Relaxed),
+            noop_puts: metrics.noop.load(Ordering::Relaxed),
+            rejected_puts: metrics.rejected.load(Ordering::Relaxed),
             cache_hits: cache.hits,
             cache_misses: cache.misses,
             cache_evictions: cache.evictions,
             cache_entries: cache.entries,
-            commit_retries: self.counters.retries.load(Ordering::Relaxed),
-            uptime_secs: self.uptime_secs(),
-            requests_served: self.counters.requests.load(Ordering::Relaxed),
-            persistent: durability.is_some(),
-            wal_records: durability.map_or(0, |d| d.0),
-            wal_bytes: durability.map_or(0, |d| d.1),
-            snapshot_generation: durability.map_or(0, |d| d.2),
-            snapshot_bytes: durability.map_or(0, |d| d.3),
-            snapshots_written: durability.map_or(0, |d| d.4),
-            degraded: self.resilience.degraded.load(Ordering::SeqCst),
-            storage_retries: self.resilience.storage_retries.load(Ordering::Relaxed),
-        }
-    }
-
-    // ---- resilience ------------------------------------------------------
-
-    /// A snapshot of the registry's resilience state — what the `HEALTH`
-    /// protocol verb serves.
-    pub fn health(&self) -> Health {
-        let fault_counters = self
-            .persistence
-            .as_ref()
-            .and_then(|p| p.lock().expect("persistence lock").store.fault_counters());
-        Health {
-            degraded: self.resilience.degraded.load(Ordering::SeqCst),
-            last_storage_error: self
-                .resilience
+            commit_retries: metrics.retries.load(Ordering::Relaxed),
+            uptime_secs: metrics.started_at.elapsed().as_secs(),
+            requests_served: metrics.requests.load(Ordering::Relaxed),
+            degraded: resilience.degraded.load(Ordering::SeqCst),
+            storage_retries: resilience.storage_retries.load(Ordering::Relaxed),
+            degrade_events: resilience.degrade_events.load(Ordering::Relaxed),
+            heal_events: resilience.heal_events.load(Ordering::Relaxed),
+            last_storage_error: resilience
                 .last_error
                 .lock()
                 .expect("resilience lock")
                 .clone(),
-            storage_retries: self.resilience.storage_retries.load(Ordering::Relaxed),
-            degrade_events: self.resilience.degrade_events.load(Ordering::Relaxed),
-            heal_events: self.resilience.heal_events.load(Ordering::Relaxed),
-            fault_counters,
+            commit_latency: metrics.commit_latency.snapshot(),
+            fsync_latency: metrics.fsync_latency.snapshot(),
+            recovery_latency: metrics.recovery_latency.snapshot(),
+            ..RegistryStats::default()
+        };
+        if let Some(persistence) = &self.persistence {
+            let p = persistence.lock().expect("persistence lock");
+            stats.persistent = true;
+            stats.wal_records = p.wal_records;
+            stats.wal_bytes = p.store.log_bytes().unwrap_or(0);
+            stats.snapshot_generation = p.snapshot_generation;
+            stats.snapshot_bytes = p.snapshot_bytes;
+            stats.snapshots_written = p.snapshots_written;
+            stats.fault_counters = p.store.fault_counters();
         }
+        stats
     }
+
+    // ---- resilience ------------------------------------------------------
 
     /// Whether the registry is in degraded read-only mode.
     pub fn is_degraded(&self) -> bool {
@@ -941,46 +932,22 @@ impl Registry {
     /// per protocol request, making [`RegistryStats::requests_served`]
     /// a service-level counter rather than an engine one.
     pub fn note_request(&self) {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Whole seconds since this registry instance was opened.
-    pub fn uptime_secs(&self) -> u64 {
-        self.metrics.started_at.elapsed().as_secs()
-    }
-
-    /// Snapshot of the end-to-end commit latency histogram (successful
-    /// generation-spending `put`/`delete` calls; noops excluded).
-    pub fn commit_latency(&self) -> HistogramSnapshot {
-        self.metrics.commit_latency.snapshot()
-    }
-
-    /// Snapshot of the per-commit durability wait (WAL append + fsync).
-    /// Empty for an in-memory registry.
-    pub fn fsync_latency(&self) -> HistogramSnapshot {
-        self.metrics.fsync_latency.snapshot()
-    }
-
-    /// Snapshot of the boot-time recovery latency — one sample per
-    /// durable open ([`crate::RegistryBuilder::open`]); empty for an
-    /// in-memory registry.
-    pub fn recovery_latency(&self) -> HistogramSnapshot {
-        self.metrics.recovery_latency.snapshot()
+        self.metrics.requests.fetch_add(1, Ordering::Relaxed);
     }
 
     // ---- engine internals ------------------------------------------------
 
     fn count_commit(&self, strategy: MergeStrategy) {
         let counter = match strategy {
-            MergeStrategy::Incremental => &self.counters.incremental,
-            MergeStrategy::Full => &self.counters.full,
+            MergeStrategy::Incremental => &self.metrics.incremental,
+            MergeStrategy::Full => &self.metrics.full,
             MergeStrategy::Noop => return,
         };
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
     fn reject(&self, member: &str, cause: MergeError) -> RegistryError {
-        self.counters.rejected.fetch_add(1, Ordering::Relaxed);
+        self.metrics.rejected.fetch_add(1, Ordering::Relaxed);
         RegistryError::Rejected {
             member: member.to_string(),
             cause,
@@ -1275,25 +1242,22 @@ mod tests {
         registry.put("b", schema("B", "y", "U")).unwrap();
         // A noop republish spends no generation and records no commit.
         registry.put("a", schema("A", "x", "T")).unwrap();
-        let commits = registry.commit_latency();
+        let stats = registry.stats();
         assert_eq!(
-            commits.count, 2,
+            stats.commit_latency.count, 2,
             "one sample per generation-spending commit"
         );
-        assert!(commits.sum_ns > 0);
+        assert!(stats.commit_latency.sum_ns > 0);
         assert_eq!(
-            registry.fsync_latency().count,
-            0,
+            stats.fsync_latency.count, 0,
             "an in-memory registry never waits on a WAL"
         );
-        assert_eq!(registry.recovery_latency().count, 0);
+        assert_eq!(stats.recovery_latency.count, 0);
+        assert_eq!(stats.requests_served, 0);
 
-        assert_eq!(registry.stats().requests_served, 0);
         registry.note_request();
         registry.note_request();
-        let stats = registry.stats();
-        assert_eq!(stats.requests_served, 2);
-        assert_eq!(stats.uptime_secs, registry.uptime_secs());
+        assert_eq!(registry.stats().requests_served, 2);
     }
 
     #[test]

@@ -1,5 +1,7 @@
-//! Commit-path resilience: retry policy, degraded read-only mode, and
-//! the registry's health surface.
+//! Commit-path resilience: the retry policy and degraded read-only
+//! mode. The degraded flag and its counters are reported on
+//! [`RegistryStats`](crate::RegistryStats), the registry's one status
+//! snapshot.
 //!
 //! By default a durable registry is *fail-fast*: a storage error on the
 //! commit path surfaces to the caller unretried, exactly as in earlier
@@ -22,8 +24,6 @@
 //!    never diverged.
 
 use std::time::Duration;
-
-use crate::storage::FaultCounters;
 
 /// A bounded exponential-backoff retry budget for commit-path storage
 /// errors.
@@ -94,36 +94,6 @@ impl RetryPolicy {
     }
 }
 
-/// A snapshot of the registry's resilience state, as served by the
-/// `HEALTH` protocol verb.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct Health {
-    /// Whether the registry is in degraded read-only mode.
-    pub degraded: bool,
-    /// The most recent commit-path storage error, if any.
-    pub last_storage_error: Option<String>,
-    /// Commit-path storage retries performed so far.
-    pub storage_retries: u64,
-    /// Times the registry entered degraded mode.
-    pub degrade_events: u64,
-    /// Times the registry healed back to writable.
-    pub heal_events: u64,
-    /// Fault-injection counters, when the store injects faults.
-    pub fault_counters: Option<FaultCounters>,
-}
-
-impl Health {
-    /// `"degraded"` or `"ok"`.
-    pub fn state(&self) -> &'static str {
-        if self.degraded {
-            "degraded"
-        } else {
-            "ok"
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,13 +123,5 @@ mod tests {
     fn huge_attempt_numbers_do_not_overflow() {
         let policy = RetryPolicy::new(u32::MAX);
         assert!(policy.backoff(u32::MAX, 0) <= Duration::from_millis(500) * 5 / 4);
-    }
-
-    #[test]
-    fn health_state_labels() {
-        let mut health = Health::default();
-        assert_eq!(health.state(), "ok");
-        health.degraded = true;
-        assert_eq!(health.state(), "degraded");
     }
 }

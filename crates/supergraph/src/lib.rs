@@ -36,6 +36,10 @@
 //!   `H-COMPOSE-SPAN` (an implicit class whose constituents span
 //!   registries), `H-COMPOSE-COLLISION` (member names shared across
 //!   registries, resolved by namespacing).
+//! * **One status snapshot** — [`Supergraph::stats`] returns a
+//!   [`SupergraphStats`]: the composed view's shape, compose and cache
+//!   counters, and the compose latency histogram. It is the supergraph's
+//!   only status surface; the daemon's `METRICS` verb renders from it.
 //!
 //! The `smerge serve` daemon exposes the supergraph over the text
 //! protocol (`ATTACH`/`DETACH`/`COMPOSE`/`SUPERGRAPH`, with

@@ -49,7 +49,6 @@ pub struct Supergraph {
     joins: IncrementalJoin,
     counters: Counters,
     compose_latency: Histogram,
-    started_at: Instant,
 }
 
 struct Shared {
@@ -157,7 +156,10 @@ pub struct ComposeOutcome {
     pub view: Arc<ComposedView>,
 }
 
-/// A coherent statistics snapshot of the supergraph engine.
+/// The supergraph's status snapshot: the composed view's shape, the
+/// compose and cache counters, and the compose latency histogram — the
+/// one status surface [`Supergraph::stats`] returns and the daemon's
+/// `METRICS` verb renders.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct SupergraphStats {
@@ -189,6 +191,8 @@ pub struct SupergraphStats {
     pub cache_misses: u64,
     /// Registry-set join cache entries.
     pub cache_entries: usize,
+    /// Latency of non-noop [`compose`](Supergraph::compose) calls.
+    pub compose_latency: HistogramSnapshot,
 }
 
 impl Default for Supergraph {
@@ -210,7 +214,6 @@ impl Supergraph {
             joins: IncrementalJoin::new(None),
             counters: Counters::default(),
             compose_latency: Histogram::default(),
-            started_at: Instant::now(),
         }
     }
 
@@ -498,7 +501,9 @@ impl Supergraph {
         }
     }
 
-    /// A coherent statistics snapshot.
+    /// The supergraph's status snapshot. Generation, registry count and
+    /// composed view are read under one lock acquisition; the counters
+    /// and the latency histogram are monotone and sampled alongside.
     pub fn stats(&self) -> SupergraphStats {
         let (generation, registries, composed) = {
             let shared = self.shared.read().expect("supergraph lock");
@@ -525,18 +530,8 @@ impl Supergraph {
             cache_hits: cache.hits,
             cache_misses: cache.misses,
             cache_entries: cache.entries,
+            compose_latency: self.compose_latency.snapshot(),
         }
-    }
-
-    /// Snapshot of the compose latency histogram (non-noop
-    /// [`compose`](Supergraph::compose) calls).
-    pub fn compose_latency(&self) -> HistogramSnapshot {
-        self.compose_latency.snapshot()
-    }
-
-    /// Whole seconds since this supergraph was created.
-    pub fn uptime_secs(&self) -> u64 {
-        self.started_at.elapsed().as_secs()
     }
 }
 
@@ -967,6 +962,9 @@ mod tests {
         assert_eq!(stats.noop_composes, 1);
         assert!(stats.cache_hits >= 1);
         assert!(stats.composed_classes >= 4);
-        assert!(supergraph.compose_latency().count >= 2);
+        assert_eq!(
+            stats.compose_latency.count, 3,
+            "one sample per non-noop compose"
+        );
     }
 }

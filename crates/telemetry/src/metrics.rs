@@ -1,12 +1,14 @@
-//! Counters, gauges and log2 latency histograms.
+//! Log2 latency histograms and Prometheus-style exposition.
 //!
-//! All types are plain structs of relaxed atomics: share them behind an
-//! `Arc` (or a `static`) and bump from any thread. None of them ever
-//! block, allocate after construction, or panic on overflow — counts
+//! A [`Histogram`] is a plain struct of relaxed atomics: share it behind
+//! an `Arc` (or a `static`) and record from any thread. It never blocks,
+//! allocates after construction, or panics on overflow — counts
 //! saturate at `u64::MAX` instead of wrapping, so a histogram that has
-//! run for years degrades to "pegged" rather than lying.
+//! run for years degrades to "pegged" rather than lying. Plain counters
+//! and gauges are rendered straight from the snapshot values their
+//! owners keep ([`render_counter`], [`render_gauge`]).
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Number of histogram buckets: one per power of two of a `u64`
@@ -27,58 +29,6 @@ fn saturating_add(cell: &AtomicU64, delta: u64) {
             Ok(_) => return,
             Err(observed) => current = observed,
         }
-    }
-}
-
-/// A monotone event counter.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// A fresh zero counter (`const`, so counters can be `static`).
-    pub const fn new() -> Self {
-        Counter(AtomicU64::new(0))
-    }
-
-    /// Adds one.
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// Adds `delta` (saturating).
-    pub fn add(&self, delta: u64) {
-        saturating_add(&self.0, delta);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A signed up/down gauge (live connections, queue depth, …).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// A fresh zero gauge.
-    pub const fn new() -> Self {
-        Gauge(AtomicI64::new(0))
-    }
-
-    /// Adds `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Sets the gauge to an absolute value.
-    pub fn set(&self, value: i64) {
-        self.0.store(value, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -136,19 +86,6 @@ impl Histogram {
         self.record_ns(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
     }
 
-    /// Folds another histogram into this one (cross-thread /
-    /// cross-shard aggregation). Saturating, like recording.
-    pub fn merge_from(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            let delta = theirs.load(Ordering::Relaxed);
-            if delta != 0 {
-                saturating_add(mine, delta);
-            }
-        }
-        saturating_add(&self.count, other.count.load(Ordering::Relaxed));
-        saturating_add(&self.sum_ns, other.sum_ns.load(Ordering::Relaxed));
-    }
-
     /// A coherent-enough point-in-time copy (each cell is read
     /// relaxed; under concurrent writers the snapshot may be mid-update
     /// by a few samples, which is fine for exposition).
@@ -175,6 +112,17 @@ pub struct HistogramSnapshot {
     pub count: u64,
     /// Sum of all samples, nanoseconds (saturating).
     pub sum_ns: u64,
+}
+
+/// The snapshot of a histogram that has recorded nothing.
+impl Default for HistogramSnapshot {
+    fn default() -> Self {
+        HistogramSnapshot {
+            buckets: [0; BUCKETS],
+            count: 0,
+            sum_ns: 0,
+        }
+    }
 }
 
 impl HistogramSnapshot {
@@ -300,7 +248,7 @@ mod tests {
     fn empty_histogram_reports_zero_quantiles() {
         let h = Histogram::new();
         let snap = h.snapshot();
-        assert_eq!(snap.count, 0);
+        assert_eq!(snap, HistogramSnapshot::default());
         assert_eq!(snap.p50_ns(), 0);
         assert_eq!(snap.p99_ns(), 0);
         assert_eq!(snap.mean_ns(), 0);
@@ -355,60 +303,46 @@ mod tests {
 
     #[test]
     fn counts_saturate_instead_of_wrapping() {
-        let c = Counter::new();
-        c.add(u64::MAX - 1);
-        c.add(5);
-        assert_eq!(c.get(), u64::MAX, "counter pegs at MAX");
-        c.incr();
-        assert_eq!(c.get(), u64::MAX, "pegged counter stays pegged");
+        let cell = AtomicU64::new(0);
+        saturating_add(&cell, u64::MAX - 1);
+        saturating_add(&cell, 5);
+        assert_eq!(cell.load(Ordering::Relaxed), u64::MAX, "count pegs at MAX");
+        saturating_add(&cell, 1);
+        assert_eq!(
+            cell.load(Ordering::Relaxed),
+            u64::MAX,
+            "pegged count stays pegged"
+        );
     }
 
     #[test]
-    fn cross_thread_recording_and_merge() {
-        // Two histograms recorded from two threads each, then merged:
-        // the merged distribution carries every sample exactly once.
-        let a = Arc::new(Histogram::new());
-        let b = Arc::new(Histogram::new());
+    fn cross_thread_recording_keeps_every_sample() {
+        // Four threads record into one histogram: the distribution
+        // carries every sample exactly once.
+        let h = Arc::new(Histogram::new());
         let mut handles = Vec::new();
-        for target in [Arc::clone(&a), Arc::clone(&b)] {
-            for offset in [10u64, 100_000u64] {
-                let h = Arc::clone(&target);
-                handles.push(std::thread::spawn(move || {
-                    for i in 0..500 {
-                        h.record_ns(offset + i);
-                    }
-                }));
-            }
+        for offset in [10u64, 11, 100_000, 100_001] {
+            let h = Arc::clone(&h);
+            handles.push(std::thread::spawn(move || {
+                for i in 0..500 {
+                    h.record_ns(offset + i);
+                }
+            }));
         }
         for handle in handles {
             handle.join().expect("recorder threads finish");
         }
-        assert_eq!(a.snapshot().count, 1000);
-        assert_eq!(b.snapshot().count, 1000);
-        let merged = Histogram::new();
-        merged.merge_from(&a);
-        merged.merge_from(&b);
-        let snap = merged.snapshot();
+        let snap = h.snapshot();
         assert_eq!(snap.count, 2000);
-        assert_eq!(
-            snap.sum_ns,
-            a.snapshot().sum_ns + b.snapshot().sum_ns,
-            "merge preserves the sum"
-        );
+        let expected_sum: u64 = [10u64, 11, 100_000, 100_001]
+            .iter()
+            .map(|offset| (0..500).map(|i| offset + i).sum::<u64>())
+            .sum();
+        assert_eq!(snap.sum_ns, expected_sum, "no sample lost or doubled");
         // Half the samples sit near 10ns, half near 100µs: the median
         // must fall in the fast half's bucket range, p99 in the slow.
         assert!(snap.p50_ns() < 1024, "p50={}", snap.p50_ns());
         assert!(snap.p99_ns() >= 100_000, "p99={}", snap.p99_ns());
-    }
-
-    #[test]
-    fn gauge_moves_both_ways() {
-        let g = Gauge::new();
-        g.add(5);
-        g.add(-2);
-        assert_eq!(g.get(), 3);
-        g.set(-7);
-        assert_eq!(g.get(), -7);
     }
 
     #[test]
