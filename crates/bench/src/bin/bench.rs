@@ -8,9 +8,9 @@
 //! bench --quick          # the CI profile: fewer iterations/sizes
 //! bench --pr 2           # trajectory index recorded in the document
 //!                        # (defaults to 0, an unlabeled local run)
-//! bench --threads 4      # worker budget for the `compiled@N` and
-//!                        # `full-parallel` variants (defaults to the
-//!                        # machine's parallelism)
+//! bench --threads 4      # worker budget for the `compiled@N`
+//!                        # variant (defaults to the machine's
+//!                        # parallelism)
 //! ```
 //!
 //! Measures the symbolic reference engine and the compiled engine (at

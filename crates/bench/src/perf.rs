@@ -27,20 +27,13 @@
 //!   scratch pool disabled (the pre-pool allocation behavior) against
 //!   the pooled engine, making the allocations-per-merge win measurable
 //!   rather than inferable;
-//! * `full` vs `incremental` — one-shot re-merge of every registry
-//!   member against the registry's cached-join incremental publish, and
-//!   `full` vs `full-parallel` for the cold rebuild at the `--threads`
-//!   budget;
-//! * `durable` vs `memory` — the same warm incremental publish on a
-//!   registry whose commits are WAL'd and fsync'd to a local data dir
-//!   against a purely in-memory one: the measured per-commit cost of
-//!   crash safety;
 //! * `compiled-dense` vs `compiled` — the compiled engine with the
 //!   adaptive sparse rows disabled (all-dense bitset matrices, the
 //!   pre-adaptive behavior) against the default, on the `taxonomy`
-//!   family where the memory headline (`mem_ratio`) lives;
-//! * `full` vs `incremental` on the supergraph — a cold compose of
-//!   every attached registry against the warm incremental recompose.
+//!   family where the memory headline (`mem_ratio`) lives.
+//!
+//! The registry, supergraph and durable-publish paths are measured end
+//! to end on the real daemon by `perfbench`, not here.
 //!
 //! JSON schema version 5: records carry a `phases` map — wall time per
 //! pipeline stage (span name → nanoseconds, from one extra untimed
@@ -64,14 +57,11 @@
 //! comparisons stay fair.
 
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use schema_merge_core::row::set_sparse_enabled;
 use schema_merge_core::{reference, Merger, WeakSchema};
 use schema_merge_er::to_core;
-use schema_merge_registry::storage::{Fault, FaultSchedule, FaultStore, LocalStore, OpKind};
-use schema_merge_registry::{MergeStrategy, Registry, RetryPolicy};
-use schema_merge_supergraph::Supergraph;
 use schema_merge_telemetry as telemetry;
 use schema_merge_workload::{
     pathological_nfa, random_er_schema, taxonomy_family, wide_family, ErParams, SchemaParams,
@@ -194,22 +184,6 @@ pub const VARIANT_COMPILED_THREADED: &str = "compiled@N";
 /// The compiled path with the scratch pool disabled — the pre-pool
 /// allocation behavior, kept measurable for the trajectory.
 pub const VARIANT_COMPILED_NOPOOL: &str = "compiled-nopool";
-/// One-shot re-merge of all registry members, at one thread.
-pub const VARIANT_FULL: &str = "full";
-/// The one-shot re-merge at the suite's `--threads` budget.
-pub const VARIANT_FULL_PARALLEL: &str = "full-parallel";
-/// Registry publish reusing the cached join of unchanged members.
-pub const VARIANT_INCREMENTAL: &str = "incremental";
-/// Registry publish on a durable registry: the commit is framed,
-/// appended to the WAL and fsync'd before it is acknowledged.
-pub const VARIANT_DURABLE: &str = "durable";
-/// Registry publish on a purely in-memory registry.
-pub const VARIANT_MEMORY: &str = "memory";
-/// The durable publish with a 5% transient append-fault rate injected
-/// under the WAL: each faulted commit is retried under the registry's
-/// backoff policy until it lands, so the measurement prices resilience,
-/// not data loss.
-pub const VARIANT_DURABLE_FAULTY: &str = "durable-faulty";
 /// The compiled engine with the adaptive sparse rows disabled — every
 /// closure matrix dense, the pre-adaptive memory behavior.
 pub const VARIANT_COMPILED_DENSE: &str = "compiled-dense";
@@ -219,10 +193,9 @@ pub const VARIANT_COMPILED_DENSE: &str = "compiled-dense";
 #[derive(Debug, Clone)]
 pub struct BenchRecord {
     /// Workload family: `random`, `pathological`, `er_roundtrip`,
-    /// `wide`, `registry` or `supergraph`.
+    /// `wide` or `taxonomy`.
     pub family: &'static str,
-    /// Operation: `weak_join`, `complete`, `merge`, `publish` or
-    /// `recompose`.
+    /// Operation: `weak_join`, `complete`, `fixpoint` or `merge`.
     pub op: &'static str,
     /// Classes in the (joined) input schema.
     pub n_classes: usize,
@@ -261,7 +234,7 @@ pub struct Speedup {
     /// Classes in the input.
     pub n_classes: usize,
     /// Arrows in the input — disambiguates same-class-count
-    /// configurations (e.g. the registry workload at two member counts).
+    /// configurations.
     pub n_arrows: usize,
     /// The slower reference variant.
     pub baseline: &'static str,
@@ -620,440 +593,12 @@ impl Suite {
             &[(VARIANT_COMPILED_DENSE, VARIANT_COMPILED)],
         );
     }
-
-    /// The registry workload: `members` schemas sharing a large common
-    /// core (the federated-registry traffic shape: every member carries
-    /// the organization's base vocabulary plus its own small delta),
-    /// publish one changed member per iteration. The `full` baseline
-    /// re-merges every member one-shot (what a registry without the join
-    /// cache would do per publish); the `incremental` variant is
-    /// [`Registry::put`] against a warm cache, which joins the cached
-    /// rest-join with the changed member and completes. Both variants
-    /// see a *different* changed schema each iteration, so no run
-    /// degenerates into a content-hash no-op. A second pair measures the
-    /// cold full rebuild at the suite's thread budget.
-    fn registry_publish(&mut self, members: usize, classes: usize) {
-        // The shared core: attribute-heavy, label-sparse — the federated
-        // supergraph shape (each class carries its own field names, label
-        // collisions across classes are rare). The label pool is several
-        // times the arrow count so completion stays near-linear and the
-        // measurement isolates what incrementality actually saves:
-        // re-interning and re-joining N member schemas per publish. Label
-        // collision stress lives in `random`/`pathological`.
-        let core_params = SchemaParams {
-            vocabulary: classes,
-            classes,
-            labels: classes * 8,
-            arrows: classes,
-            specializations: (classes / 32).max(2),
-            seed: 0x5EED + members as u64,
-        };
-        let core = schema_merge_workload::schema_family(&core_params, 1).remove(0);
-        // Per-member deltas: small, over the same vocabulary.
-        let delta_params = SchemaParams {
-            classes: (classes / 6).max(4),
-            arrows: (classes / 6).max(4),
-            specializations: 0,
-            seed: 0xDE17A + members as u64,
-            ..core_params
-        };
-        let deltas = schema_merge_workload::schema_family(&delta_params, members);
-        let family: Vec<WeakSchema> = deltas
-            .iter()
-            .map(|delta| facade_join([&core, delta]))
-            .collect();
-        // Distinct "changed member 0" contents, one per timed iteration
-        // (plus warmups), drawn from a disjoint seed stream.
-        let variant_count = 2 * (self.iters + 1);
-        let variants: Vec<WeakSchema> = schema_merge_workload::schema_family(
-            &SchemaParams {
-                seed: 0xC0DE + members as u64,
-                ..delta_params
-            },
-            variant_count,
-        )
-        .iter()
-        .map(|delta| facade_join([&core, delta]))
-        .collect();
-        let rest: Vec<&WeakSchema> = family[1..].iter().collect();
-        let joined = facade_join(family.iter());
-
-        let registry = Registry::new();
-        for (i, member) in family.iter().enumerate() {
-            registry
-                .put(format!("member-{i}"), member.clone())
-                .expect("family publishes");
-        }
-
-        let threads = self.threads;
-        let full_idx = std::cell::Cell::new(0usize);
-        let full_at = |threads: usize| {
-            let mut refs: Vec<&WeakSchema> = rest.clone();
-            let i = full_idx.get();
-            full_idx.set(i + 1);
-            refs.push(&variants[i % variants.len()]);
-            facade_merge_at(refs, threads);
-        };
-        let mut inc_pool = variants.clone();
-        self.measure(
-            "registry",
-            "publish",
-            &joined,
-            vec![
-                (VARIANT_FULL, Box::new(|| full_at(1))),
-                (
-                    VARIANT_INCREMENTAL,
-                    Box::new(|| {
-                        let changed = inc_pool.pop().expect("enough variants");
-                        black_box(registry.put("member-0", changed).expect("publishes"));
-                    }),
-                ),
-                (VARIANT_FULL_PARALLEL, Box::new(|| full_at(threads))),
-            ],
-            &[
-                (VARIANT_FULL, VARIANT_INCREMENTAL),
-                (VARIANT_FULL, VARIANT_FULL_PARALLEL),
-            ],
-        );
-    }
-
-    /// The federation workload: `registries` member registries, each
-    /// publishing one member over a shared organizational core, composed
-    /// by a [`Supergraph`]; one registry publishes a changed member per
-    /// iteration, then the supergraph recomposes. The `full` baseline
-    /// attaches the same member registries to a *cold* supergraph and
-    /// composes from scratch (each registry's own cached join is reused,
-    /// but the cross-registry composition re-runs in full — what a
-    /// federation without the registry-set join cache would do per
-    /// publish); the `incremental` variant is [`Supergraph::compose`] on
-    /// a warm supergraph, which completes the changed registry's join
-    /// onto the cached join of the other N−1. Both sides pop the same
-    /// variant sequence, so every iteration pairs identical publish and
-    /// delta content and only the recompose engine path differs.
-    fn supergraph_recompose(&mut self, registries: usize, classes: usize) {
-        let core_params = SchemaParams {
-            vocabulary: classes,
-            classes,
-            labels: classes * 8,
-            arrows: classes,
-            specializations: (classes / 32).max(2),
-            seed: 0x50B0 + registries as u64,
-        };
-        let core = schema_merge_workload::schema_family(&core_params, 1).remove(0);
-        let delta_params = SchemaParams {
-            classes: (classes / 6).max(4),
-            arrows: (classes / 6).max(4),
-            specializations: 0,
-            seed: 0xFED0 + registries as u64,
-            ..core_params
-        };
-        let deltas = schema_merge_workload::schema_family(&delta_params, registries);
-        let members: Vec<WeakSchema> = deltas
-            .iter()
-            .map(|delta| facade_join([&core, delta]))
-            .collect();
-        let joined = facade_join(members.iter());
-        // Distinct publishes for registry zero's member, one per call on
-        // each side (warmup + phase capture + timed iterations, plus the
-        // incremental side's cache warm-up), drawn from a disjoint seed
-        // stream.
-        let variants: Vec<WeakSchema> = schema_merge_workload::schema_family(
-            &SchemaParams {
-                seed: 0xFEE5 + registries as u64,
-                ..delta_params
-            },
-            2 * (self.iters + 4),
-        )
-        .iter()
-        .map(|delta| facade_join([&core, delta]))
-        .collect();
-
-        let build_fleet = |threads: usize| -> (Supergraph, Vec<std::sync::Arc<Registry>>) {
-            let supergraph = Supergraph::with_threads(threads);
-            let fleet: Vec<_> = members
-                .iter()
-                .enumerate()
-                .map(|(i, member)| {
-                    let registry = supergraph
-                        .attach_new(format!("r{i}"))
-                        .expect("fresh names attach");
-                    registry
-                        .put("member", member.clone())
-                        .expect("family publishes");
-                    registry
-                })
-                .collect();
-            (supergraph, fleet)
-        };
-
-        // Incremental side: warm the supergraph past the first
-        // single-registry recompose (which is a full compose that seeds
-        // the rest-join of the stable N−1 registries), then verify the
-        // steady state really is incremental so the bench cannot
-        // silently measure the full path twice.
-        let (inc_supergraph, inc_fleet) = build_fleet(self.threads);
-        let mut inc_pool = variants.clone();
-        inc_supergraph.compose().expect("initial compose");
-        for _ in 0..2 {
-            inc_fleet[0]
-                .put("member", inc_pool.pop().expect("enough variants"))
-                .expect("publishes");
-            inc_supergraph.compose().expect("warm compose");
-        }
-        inc_fleet[0]
-            .put("member", inc_pool.pop().expect("enough variants"))
-            .expect("publishes");
-        let probe = inc_supergraph.compose().expect("probe compose");
-        assert_eq!(
-            probe.strategy,
-            MergeStrategy::Incremental,
-            "steady-state supergraph recompose must be incremental"
-        );
-
-        let (_, full_fleet) = build_fleet(self.threads);
-        let mut full_pool = variants.clone();
-        let threads = self.threads;
-        self.measure(
-            "supergraph",
-            "recompose",
-            &joined,
-            vec![
-                (
-                    VARIANT_FULL,
-                    Box::new(|| {
-                        full_fleet[0]
-                            .put("member", full_pool.pop().expect("enough variants"))
-                            .expect("publishes");
-                        let supergraph = Supergraph::with_threads(threads);
-                        for (i, registry) in full_fleet.iter().enumerate() {
-                            supergraph
-                                .attach(format!("r{i}"), std::sync::Arc::clone(registry))
-                                .expect("fresh names attach");
-                        }
-                        black_box(supergraph.compose().expect("composes"));
-                    }),
-                ),
-                (
-                    VARIANT_INCREMENTAL,
-                    Box::new(|| {
-                        inc_fleet[0]
-                            .put("member", inc_pool.pop().expect("enough variants"))
-                            .expect("publishes");
-                        black_box(inc_supergraph.compose().expect("composes"));
-                    }),
-                ),
-            ],
-            &[(VARIANT_FULL, VARIANT_INCREMENTAL)],
-        );
-    }
-
-    /// The durability tax: the same warm incremental publish against an
-    /// in-memory registry and against one whose commits are framed,
-    /// WAL-appended and fsync'd to a local data dir before they are
-    /// acknowledged. The speedup column is the per-commit cost factor of
-    /// crash safety — dominated by the fsync, not the framing.
-    fn registry_durability(&mut self, members: usize, classes: usize) {
-        let core_params = SchemaParams {
-            vocabulary: classes,
-            classes,
-            labels: classes * 8,
-            arrows: classes,
-            specializations: (classes / 32).max(2),
-            seed: 0xD07A + members as u64,
-        };
-        let core = schema_merge_workload::schema_family(&core_params, 1).remove(0);
-        let delta_params = SchemaParams {
-            classes: (classes / 6).max(4),
-            arrows: (classes / 6).max(4),
-            specializations: 0,
-            seed: 0x0D15C + members as u64,
-            ..core_params
-        };
-        let deltas = schema_merge_workload::schema_family(&delta_params, members);
-        let family: Vec<WeakSchema> = deltas
-            .iter()
-            .map(|delta| facade_join([&core, delta]))
-            .collect();
-        let joined = facade_join(family.iter());
-        let variants: Vec<WeakSchema> = schema_merge_workload::schema_family(
-            &SchemaParams {
-                seed: 0xF5AC + members as u64,
-                ..delta_params
-            },
-            2 * (self.iters + 1),
-        )
-        .iter()
-        .map(|delta| facade_join([&core, delta]))
-        .collect();
-
-        let dir = std::env::temp_dir().join(format!(
-            "smerge-bench-durable-{}-{}",
-            members,
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let durable = Registry::builder()
-            .data_dir(&dir)
-            .open()
-            .expect("durable registry opens");
-        let memory = Registry::new();
-        for (i, member) in family.iter().enumerate() {
-            for registry in [&durable, &memory] {
-                registry
-                    .put(format!("member-{i}"), member.clone())
-                    .expect("family publishes");
-            }
-        }
-        // Both sides pop the same variant sequence, so every iteration
-        // pairs identical merge work and only persistence differs.
-        let mut durable_pool = variants.clone();
-        let mut memory_pool = variants;
-        self.measure(
-            "registry",
-            "durable_publish",
-            &joined,
-            vec![
-                (
-                    VARIANT_DURABLE,
-                    Box::new(|| {
-                        let changed = durable_pool.pop().expect("enough variants");
-                        black_box(durable.put("member-0", changed).expect("publishes"));
-                    }),
-                ),
-                (
-                    VARIANT_MEMORY,
-                    Box::new(|| {
-                        let changed = memory_pool.pop().expect("enough variants");
-                        black_box(memory.put("member-0", changed).expect("publishes"));
-                    }),
-                ),
-            ],
-            &[(VARIANT_DURABLE, VARIANT_MEMORY)],
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The resilience tax: the durable publish against a store that
-    /// injects transient append failures at a 50‰ rate (seeded, so the
-    /// fault sequence is reproducible run to run) versus the clean
-    /// durable path. The faulty side retries under a tight backoff
-    /// policy until every commit lands — no acked publish is dropped —
-    /// so the speedup column is the per-commit cost factor of riding
-    /// out a flaky disk, not a measurement of lost work.
-    fn registry_durability_faulty(&mut self, members: usize, classes: usize) {
-        let core_params = SchemaParams {
-            vocabulary: classes,
-            classes,
-            labels: classes * 8,
-            arrows: classes,
-            specializations: (classes / 32).max(2),
-            seed: 0xFA017 + members as u64,
-        };
-        let core = schema_merge_workload::schema_family(&core_params, 1).remove(0);
-        let delta_params = SchemaParams {
-            classes: (classes / 6).max(4),
-            arrows: (classes / 6).max(4),
-            specializations: 0,
-            seed: 0x0FA57 + members as u64,
-            ..core_params
-        };
-        let deltas = schema_merge_workload::schema_family(&delta_params, members);
-        let family: Vec<WeakSchema> = deltas
-            .iter()
-            .map(|delta| facade_join([&core, delta]))
-            .collect();
-        let joined = facade_join(family.iter());
-        let variants: Vec<WeakSchema> = schema_merge_workload::schema_family(
-            &SchemaParams {
-                seed: 0xFA111 + members as u64,
-                ..delta_params
-            },
-            2 * (self.iters + 1),
-        )
-        .iter()
-        .map(|delta| facade_join([&core, delta]))
-        .collect();
-
-        let pid = std::process::id();
-        let dir_faulty = std::env::temp_dir().join(format!("smerge-bench-faulty-{members}-{pid}"));
-        let dir_clean =
-            std::env::temp_dir().join(format!("smerge-bench-faulty-ref-{members}-{pid}"));
-        for dir in [&dir_faulty, &dir_clean] {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-        // 50‰ of appends fail transiently; the registry's retry budget
-        // absorbs every burst the seeded schedule can produce. The
-        // backoff is kept tight so the record prices the retry path,
-        // not the sleep.
-        let schedule = FaultSchedule::new(0x5EED_FA17)
-            .intermittent(OpKind::Append, 50, Fault::Transient)
-            .fail_nth(OpKind::Append, members as u64 + 2, Fault::Transient);
-        let faulty = Registry::builder()
-            .store(FaultStore::new(
-                LocalStore::open(&dir_faulty).expect("faulty store opens"),
-                schedule,
-            ))
-            .retry_policy(
-                RetryPolicy::new(8)
-                    .initial_backoff(Duration::from_micros(50))
-                    .max_backoff(Duration::from_micros(400)),
-            )
-            .open()
-            .expect("faulty registry opens");
-        let clean = Registry::builder()
-            .data_dir(&dir_clean)
-            .open()
-            .expect("clean registry opens");
-        for (i, member) in family.iter().enumerate() {
-            for registry in [&faulty, &clean] {
-                registry
-                    .put(format!("member-{i}"), member.clone())
-                    .expect("family publishes");
-            }
-        }
-        let mut faulty_pool = variants.clone();
-        let mut clean_pool = variants;
-        self.measure(
-            "registry",
-            "durable_publish_faulty",
-            &joined,
-            vec![
-                (
-                    VARIANT_DURABLE_FAULTY,
-                    Box::new(|| {
-                        let changed = faulty_pool.pop().expect("enough variants");
-                        black_box(faulty.put("member-0", changed).expect("publishes"));
-                    }),
-                ),
-                (
-                    VARIANT_DURABLE,
-                    Box::new(|| {
-                        let changed = clean_pool.pop().expect("enough variants");
-                        black_box(clean.put("member-0", changed).expect("publishes"));
-                    }),
-                ),
-            ],
-            &[(VARIANT_DURABLE_FAULTY, VARIANT_DURABLE)],
-        );
-        assert!(
-            faulty
-                .stats()
-                .fault_counters
-                .is_some_and(|c| c.injected > 0),
-            "the fault schedule must actually fire during the measurement"
-        );
-        for dir in [&dir_faulty, &dir_clean] {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-    }
 }
 
 /// Runs the suite. `quick` is the CI profile: fewer iterations and only
 /// the sizes the acceptance trajectory tracks (including the 200-class
-/// random workload, the 64-member wide workload, the 32-member registry
-/// workload, the 8-registry/200-class and 32-registry/256-class
-/// supergraph recompose and the 6000-class taxonomy). `threads` is the
-/// `compiled@N` and `full-parallel` variants' worker budget.
+/// random workload, the 64-member wide workload and the 6000-class
+/// taxonomy). `threads` is the `compiled@N` variant's worker budget.
 pub fn run_suite(quick: bool, threads: usize) -> BenchReport {
     let mut suite = Suite {
         iters: if quick { 7 } else { 15 },
@@ -1071,13 +616,6 @@ pub fn run_suite(quick: bool, threads: usize) -> BenchReport {
     suite.pathological(if quick { 8 } else { 10 });
     suite.er_roundtrip(32);
     suite.wide(64);
-    suite.registry_publish(32, 200);
-    suite.registry_durability(8, 64);
-    suite.registry_durability_faulty(8, 64);
-    suite.supergraph_recompose(8, 200);
-    // A distinct class count keeps the record keys of the two
-    // supergraph configurations apart.
-    suite.supergraph_recompose(32, 256);
     suite.taxonomy_merges(6_000, 6);
     if !quick {
         suite.taxonomy_merges(12_000, 8);
@@ -1200,9 +738,21 @@ pub fn to_table(report: &BenchReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// The peak-heap mark is one process-wide gauge. Every test that
+    /// resets or reads it — directly or through `Suite::measure` — holds
+    /// this lock, so no test resets the mark in the middle of another's
+    /// measurement.
+    static PEAK: Mutex<()> = Mutex::new(());
+
+    fn peak_lock() -> MutexGuard<'static, ()> {
+        PEAK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn tiny_suite_produces_paired_records_and_valid_json() {
+        let _peak = peak_lock();
         let mut suite = Suite {
             iters: 1,
             threads: 2,
@@ -1263,7 +813,8 @@ mod tests {
 
     #[test]
     fn peak_tracker_observes_a_transient_allocation() {
-        // Other tests in this binary allocate and free concurrently, so
+        let _peak = peak_lock();
+        // Tests outside this module allocate and free concurrently, so
         // only assert the guaranteed lower bound: while our megabyte is
         // live it is part of the live-byte gauge, and the alloc hook
         // folds the post-alloc gauge into the high-water mark — so the
@@ -1280,6 +831,7 @@ mod tests {
 
     #[test]
     fn taxonomy_workload_pairs_representations() {
+        let _peak = peak_lock();
         let mut suite = Suite {
             iters: 1,
             threads: 2,
@@ -1306,6 +858,7 @@ mod tests {
 
     #[test]
     fn pool_pair_records_an_allocation_win() {
+        let _peak = peak_lock();
         let mut suite = Suite {
             iters: 2,
             threads: 1,
@@ -1337,72 +890,8 @@ mod tests {
     }
 
     #[test]
-    fn registry_workload_measures_all_three_paths() {
-        let mut suite = Suite {
-            iters: 2,
-            threads: 2,
-            report: BenchReport::default(),
-        };
-        suite.registry_publish(8, 24);
-        let report = suite.report;
-        assert_eq!(report.records.len(), 3, "full, incremental, full-parallel");
-        assert_eq!(report.speedups.len(), 2);
-        assert!(report
-            .records
-            .iter()
-            .any(|r| r.variant == VARIANT_INCREMENTAL && r.family == "registry"));
-        assert!(report
-            .records
-            .iter()
-            .any(|r| r.variant == VARIANT_FULL_PARALLEL));
-        let speedup = &report.speedups[0];
-        assert_eq!(speedup.op, "publish");
-        assert_eq!(
-            (speedup.baseline, speedup.improved),
-            (VARIANT_FULL, VARIANT_INCREMENTAL)
-        );
-        assert!(speedup.speedup > 0.0);
-        let incremental = report
-            .records
-            .iter()
-            .find(|r| r.variant == VARIANT_INCREMENTAL)
-            .unwrap();
-        assert!(
-            incremental.phases.iter().any(|(name, _)| *name == "commit"),
-            "registry publishes attribute time to the commit span: {:?}",
-            incremental.phases
-        );
-        let json = to_json(&report, 3, 2);
-        assert!(json.contains("\"family\": \"registry\""));
-        assert!(json.contains("\"variant\": \"incremental\""));
-        assert!(json.contains("\"variant\": \"full-parallel\""));
-        assert!(json.contains("\"commit\": "));
-    }
-
-    #[test]
-    fn durable_publish_pair_measures_the_persistence_tax() {
-        let mut suite = Suite {
-            iters: 2,
-            threads: 2,
-            report: BenchReport::default(),
-        };
-        suite.registry_durability(4, 24);
-        let report = suite.report;
-        assert_eq!(report.records.len(), 2);
-        assert!(report
-            .records
-            .iter()
-            .all(|r| r.family == "registry" && r.op == "durable_publish"));
-        let speedup = &report.speedups[0];
-        assert_eq!(
-            (speedup.baseline, speedup.improved),
-            (VARIANT_DURABLE, VARIANT_MEMORY)
-        );
-        assert!(speedup.speedup > 0.0);
-    }
-
-    #[test]
     fn wide_workload_pairs_compiled_against_parallel() {
+        let _peak = peak_lock();
         let mut suite = Suite {
             iters: 1,
             threads: 2,

@@ -503,7 +503,7 @@ pub struct MergeReport {
     pub diagnostics: Vec<Diagnostic>,
     /// The compiled form of the weak join, when the compiled engine ran
     /// a join — the interner a later incremental merge (or the
-    /// registry's join cache) can build on. `None` when a cached base
+    /// registry's held joins) can build on. `None` when a cached base
     /// was completed with nothing joined onto it: the base itself is the
     /// join, and the caller already holds it.
     pub compiled: Option<CompiledSchema>,

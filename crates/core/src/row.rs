@@ -7,7 +7,7 @@
 //! `intersects`, …) were private to [`crate::compile`]; this module is
 //! now the single home of those primitives, shared by the closure
 //! engine, the sharded join, the frontier fixpoint, the scratch pool and
-//! the registry's join cache.
+//! the registry's held joins.
 //!
 //! On top of the dense primitives it provides `SpecRow`, the
 //! **adaptive** row: dense `u64` words below a density/size threshold,

@@ -20,8 +20,10 @@
 //!    version only; earlier versions are recovered as metadata.
 //! 3. **Re-merge.** The merged view is a deterministic least upper
 //!    bound of the current members, so it is *recomputed*, not stored:
-//!    one cold join plus completion on the registry's incremental-join
-//!    core, exactly the engine's cold path.
+//!    one cold [`JoinState::step`] over every member, exactly the
+//!    engine's cold path. Its state becomes the registry's first held
+//!    join, so the first publish of a new member after a reboot is
+//!    already incremental.
 //! 4. **Verify.** The recomputed view's content hash must equal the
 //!    `view_hash` carried by the last applied record (or the snapshot,
 //!    when the log is empty) — an end-to-end check that recovery
@@ -35,7 +37,7 @@ use std::time::Instant;
 use schema_merge_core::{CompletionReport, ProperSchema, WeakSchema};
 use schema_merge_telemetry as telemetry;
 
-use crate::cache::{IncrementalJoin, Part};
+use crate::cache::{JoinState, Part};
 use crate::error::RegistryError;
 use crate::registry::{member_part, Metrics, Persistence, Registry, Resilience, Shared};
 use crate::resilience::RetryPolicy;
@@ -86,11 +88,11 @@ impl RegistryBuilder {
         }
     }
 
-    /// Fixes the worker budget for the registry's merge plans. Cold
-    /// full rebuilds (cache-miss publishes, preloads, post-delete
-    /// re-merges, recovery's re-merge) run the compiled engine with this
-    /// many workers; the warm incremental path uses it for the
-    /// completion pass. Thread counts never change the merged view.
+    /// Fixes the worker budget for the registry's merge steps. Cold
+    /// joins (a publish no held join covers, recovery's re-merge) run
+    /// the compiled engine with this many workers; the warm incremental
+    /// path uses it for the completion pass. Thread counts never change
+    /// the merged view.
     pub fn merge_threads(mut self, threads: usize) -> Self {
         self.merge_threads = Some(threads.max(1));
         self
@@ -152,18 +154,14 @@ impl RegistryBuilder {
         };
         let Some(mut store) = store else {
             let mut registry = Registry::new();
-            registry.joins = IncrementalJoin::new(self.merge_threads);
+            registry.merge_threads = self.merge_threads;
             registry.resilience = Resilience::new(self.retry_policy);
             return Ok(registry);
         };
         let recovery_started = Instant::now();
-        // Recovery's re-merge runs on the registry's own core, which it
-        // leaves seeded with the full-set join: the first publish after
-        // reboot is already incremental.
-        let joins = IncrementalJoin::new(self.merge_threads);
         let recovered = {
             let mut span = telemetry::span("recover");
-            let recovered = recover(&mut store, &joins, self.retry_policy.as_ref())?;
+            let recovered = recover(&mut store, self.merge_threads, self.retry_policy.as_ref())?;
             span.attr("generation", recovered.generation);
             span.attr("wal_records", recovered.wal_records);
             recovered
@@ -174,8 +172,9 @@ impl RegistryBuilder {
                 members: recovered.members,
                 proper: recovered.proper,
                 report: recovered.report,
+                joins: recovered.joins,
             }),
-            joins,
+            merge_threads: self.merge_threads,
             metrics: Metrics::default(),
             persistence: Some(Mutex::new(Persistence {
                 store,
@@ -204,6 +203,7 @@ struct Recovered {
     members: BTreeMap<String, MemberRecord>,
     proper: Arc<ProperSchema>,
     report: Arc<CompletionReport>,
+    joins: Arc<JoinState>,
     snapshot_generation: u64,
     snapshot_bytes: u64,
     wal_records: u64,
@@ -240,7 +240,7 @@ fn retrying<T>(
 
 fn recover(
     store: &mut Box<dyn Store>,
-    joins: &IncrementalJoin,
+    merge_threads: Option<usize>,
     policy: Option<&RetryPolicy>,
 ) -> Result<Recovered, StorageError> {
     // 1. The newest snapshot, if any.
@@ -361,9 +361,8 @@ fn recover(
         .iter()
         .map(|(name, record)| member_part(name, &record.current))
         .collect();
-    let step = joins
-        .plan(&parts, None)
-        .and_then(|plan| joins.execute(plan))
+    let step = JoinState::default()
+        .step(&parts, None, None, merge_threads)
         .map_err(|cause| {
             StorageError::corrupt(format!("recovered member set does not merge: {cause}"))
         })?;
@@ -386,6 +385,7 @@ fn recover(
         members,
         proper,
         report,
+        joins: Arc::new(step.state),
         snapshot_generation: snapshots.last().copied().unwrap_or(0),
         snapshot_bytes,
         wal_records,

@@ -18,14 +18,15 @@
 //!   the current one ([`SchemaVersion`]); a generation-stamped merged
 //!   view sits behind an `RwLock`, so reads are wait-free Arc clones and
 //!   writers recompute optimistically outside the lock.
-//! * **Incremental re-merge** ([`cache::IncrementalJoin`]) — one core
-//!   keeps the join of a keyed set current by associativity
-//!   (`⊔ᵢGᵢ = (⊔ᵢ≠ₖGᵢ) ⊔ Gₖ`): it caches compiled joins by set
-//!   fingerprint, joins the one changed input onto the cached join of
-//!   the rest, and falls back to a cold join when none applies.
-//!   [`Registry::put`] and [`Registry::delete`] share one commit path
-//!   on it; the federation layer (`crates/supergraph`) composes
-//!   registries on the same core. The incremental result is always equal
+//! * **Incremental re-merge** ([`cache::JoinState`]) — one step
+//!   function keeps the join of a keyed set current by associativity
+//!   (`⊔ᵢGᵢ = (⊔ᵢ≠ₖGᵢ) ⊔ Gₖ`): each layer holds, in its committed state,
+//!   the compiled total its last step produced and the join of all but
+//!   the key that step changed; the next step joins its one changed
+//!   input onto whichever of those covers exactly the rest, and joins
+//!   cold when neither does. [`Registry::put`] and [`Registry::delete`]
+//!   share one commit path on it; the federation layer
+//!   (`crates/supergraph`) composes registries with the same step. The incremental result is always equal
 //!   to the one-shot merge (differentially property-tested against
 //!   `reference::merge`, and in every publication order).
 //! * **Durability** ([`storage`]) — an append-only, checksummed,
@@ -38,8 +39,8 @@
 //!   being deterministic, the recovered view is *equal* to the
 //!   never-crashed one.
 //! * **One status snapshot** — [`Registry::stats`] returns a
-//!   [`RegistryStats`]: sizes and merged-view shape, merge and cache
-//!   counters, WAL and snapshot state, the resilience state (degraded
+//!   [`RegistryStats`]: sizes and merged-view shape, held joins and
+//!   merge counters, WAL and snapshot state, the resilience state (degraded
 //!   flag, retry, degrade and heal counters, last storage error, fault
 //!   counters) and the commit, fsync and recovery latency histograms.
 //!   It is the registry's only status surface; the daemon's `STATS`,

@@ -3,27 +3,29 @@
 //!
 //! ## Concurrency
 //!
-//! The mutable state (members, generation, merged view) lives behind one
-//! `RwLock`; the join cache behind the core's own `Mutex` (the two are
-//! never held at once). Reads — [`Registry::merged`], [`Registry::get`],
-//! [`Registry::stats`], [`Registry::query`] — take the read lock just
-//! long enough to clone an `Arc`. Writers are *optimistic*: they
-//! snapshot under the read lock, compute the candidate merged view with
-//! no lock held, then take the write lock only to validate the
-//! generation and commit. A writer that lost the race recomputes from a
-//! fresh snapshot — every retry means another writer committed, so the
-//! system as a whole always makes progress and the expensive merge work
-//! never blocks readers.
+//! The mutable state (members, generation, merged view and the held
+//! joins) lives behind one `RwLock`. Reads — [`Registry::merged`],
+//! [`Registry::get`], [`Registry::stats`], [`Registry::query`] — take
+//! the read lock just long enough to clone an `Arc`. Writers are
+//! *optimistic*: they snapshot under the read lock, compute the
+//! candidate merged view with no lock held, then take the write lock
+//! only to validate the generation and commit. A writer that lost the
+//! race recomputes from a fresh snapshot — every retry means another
+//! writer committed, so the system as a whole always makes progress and
+//! the expensive merge work never blocks readers.
 //!
 //! ## Incrementality
 //!
-//! `put` and `delete` share one commit path, and its merge step runs on
-//! the [`IncrementalJoin`] core (see [`crate::cache`]): the other
-//! members' join comes from the core's cache when this exact member set
-//! was joined before, or is joined cold and then seeded; the changed
-//! member is joined onto it and the result completed. Either way the
-//! committed view is **equal** to the one-shot merge of the current
-//! members — associativity is not an optimization that changes answers.
+//! `put` and `delete` share one commit path, and its merge step is
+//! [`JoinState::step`] (see [`crate::cache`]) on the state the last
+//! commit installed. The other members' join is a join that state holds
+//! — the rest-join when the same member changed last, the total when the
+//! member is new — or is joined cold; the changed member is joined onto
+//! it and the result completed. The commit installs the step's next
+//! state with the new generation, so the held joins always describe the
+//! current members. Either way the committed view is **equal** to the
+//! one-shot merge of the current members — associativity is not an
+//! optimization that changes answers.
 //!
 //! ## Durability
 //!
@@ -58,7 +60,7 @@ use schema_merge_core::{
 use schema_merge_instance::PathQuery;
 use schema_merge_telemetry::{self as telemetry, Histogram};
 
-use crate::cache::{IncrementalJoin, Part};
+use crate::cache::{JoinState, Part};
 use crate::config::RegistryBuilder;
 use crate::error::RegistryError;
 use crate::resilience::RetryPolicy;
@@ -73,10 +75,10 @@ use crate::version::{self, MemberInfo, MemberRecord, SchemaVersion};
 pub enum MergeStrategy {
     /// The content hash matched the current version: nothing recomputed.
     Noop,
-    /// A cached join of the unchanged members was reused; only the final
+    /// A held join of the unchanged members was reused; only the final
     /// two-way join and the completion ran.
     Incremental,
-    /// No cached join applied; every unchanged member was re-joined.
+    /// No held join applied; every unchanged member was re-joined.
     Full,
 }
 
@@ -121,9 +123,9 @@ pub struct DeleteOutcome {
 /// moving on to later generations never invalidates it.
 ///
 /// The pre-completion weak join is not materialized symbolically — it
-/// lives compiled in the join cache, where the next incremental publish
-/// reuses it; the canonical merged schema (and its weak form, via
-/// [`ProperSchema::as_weak`]) is what clients consume.
+/// is held compiled in the registry's [`JoinState`], where the next
+/// incremental publish reuses it; the canonical merged schema (and its
+/// weak form, via [`ProperSchema::as_weak`]) is what clients consume.
 #[derive(Debug, Clone)]
 pub struct MergedView {
     /// The generation whose commit produced this view.
@@ -144,17 +146,14 @@ impl MergedView {
 
 /// A coherent snapshot of the registry's pre-completion compiled join —
 /// what [`Registry::compiled_join`] hands to the federation layer. The
-/// member list, fingerprint and join all describe the *same* member-set
+/// generation, member list and join all describe the *same* member set
 /// (captured under one lock acquisition), so a supergraph compose can
-/// detect deltas by fingerprint and attribute provenance by member
+/// detect a change by generation and attribute provenance by member
 /// without racing concurrent publishes.
 #[derive(Clone)]
 pub struct RegistryJoin {
-    /// The registry generation the join reflects.
+    /// The registry generation the join reflects; every commit bumps it.
     pub generation: u64,
-    /// A fingerprint of the `(member, content-hash)` pairs of `members`
-    /// — the join's set identity.
-    pub fingerprint: u64,
     /// Every member's current version at the snapshot, sorted by name.
     pub members: Vec<(String, SchemaVersion)>,
     /// The compiled weak join of all member schemas (no implicit
@@ -167,6 +166,8 @@ pub(crate) struct Shared {
     pub(crate) members: BTreeMap<String, MemberRecord>,
     pub(crate) proper: Arc<ProperSchema>,
     pub(crate) report: Arc<CompletionReport>,
+    /// The joins the last commit left for the next one to build on.
+    pub(crate) joins: Arc<JoinState>,
 }
 
 /// The registry's persistence arm: the pluggable store plus the
@@ -191,11 +192,9 @@ pub(crate) struct Persistence {
     /// WAL-level content-hash dedup.
     pub(crate) on_disk: HashSet<u64>,
     /// Pre-append log length of a failed append that may have left a
-    /// torn partial frame behind (`None` = log tail is clean). A retry
-    /// must truncate back here first or the log is unrecoverable past
-    /// the garbage. Only tracked when a retry policy is active — the
-    /// fail-fast path keeps its zero-overhead shape and leaves torn
-    /// tails to boot-time recovery, as before.
+    /// torn partial frame behind (`None` = log tail is clean). The next
+    /// append must truncate back here first: recovery stops at the first
+    /// bad frame, so a record appended after the garbage would be lost.
     pub(crate) torn_at: Option<u64>,
 }
 
@@ -205,18 +204,9 @@ impl Persistence {
     /// store call — write plus fsync, per the [`Store::append`]
     /// contract — is timed into `fsync`, the registry's durability-wait
     /// histogram.
-    fn append(
-        &mut self,
-        record: &WalRecord,
-        fsync: &Histogram,
-        track_torn: bool,
-    ) -> Result<(), StorageError> {
+    fn append(&mut self, record: &WalRecord, fsync: &Histogram) -> Result<(), StorageError> {
         let frame = wal::encode_frame(record);
-        let base = if track_torn {
-            self.store.log_bytes().ok()
-        } else {
-            None
-        };
+        let base = self.store.log_bytes().ok();
         let mut span = telemetry::span("wal-append");
         span.attr_usize("bytes", frame.len());
         let started = Instant::now();
@@ -341,6 +331,10 @@ pub(crate) struct Metrics {
     started_at: Instant,
     incremental: AtomicU64,
     full: AtomicU64,
+    /// Merge steps, committed or not, that built on a held join…
+    held_steps: AtomicU64,
+    /// …and that joined the unchanged members cold.
+    cold_steps: AtomicU64,
     noop: AtomicU64,
     rejected: AtomicU64,
     retries: AtomicU64,
@@ -361,6 +355,8 @@ impl Default for Metrics {
             started_at: Instant::now(),
             incremental: AtomicU64::new(0),
             full: AtomicU64::new(0),
+            held_steps: AtomicU64::new(0),
+            cold_steps: AtomicU64::new(0),
             noop: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             retries: AtomicU64::new(0),
@@ -376,9 +372,8 @@ impl Default for Metrics {
 /// locking, incrementality and durability story.
 pub struct Registry {
     pub(crate) shared: RwLock<Shared>,
-    /// The incremental-join core: join cache, cold joins and onto-base
-    /// steps under the merge thread budget.
-    pub(crate) joins: IncrementalJoin,
+    /// Worker budget for every merge (`None` = the merger's defaults).
+    pub(crate) merge_threads: Option<usize>,
     /// Event counters, latency histograms and the uptime epoch.
     pub(crate) metrics: Metrics,
     /// The durability arm; `None` for a purely in-memory registry.
@@ -414,8 +409,9 @@ impl Registry {
                 members: BTreeMap::new(),
                 proper: Arc::new(empty),
                 report: Arc::new(CompletionReport::default()),
+                joins: Arc::new(JoinState::default()),
             }),
-            joins: IncrementalJoin::new(None),
+            merge_threads: None,
             metrics: Metrics::default(),
             persistence: None,
             resilience: Resilience::default(),
@@ -435,7 +431,7 @@ impl Registry {
     /// Content-addressed: if the canonical content hash equals the
     /// member's current version, nothing is recomputed and no generation
     /// is spent ([`MergeStrategy::Noop`]). Otherwise the merged view is
-    /// recomputed — incrementally when a cached join of the unchanged
+    /// recomputed — incrementally when a held join of the unchanged
     /// members applies — and committed together with the new immutable
     /// version.
     ///
@@ -453,11 +449,10 @@ impl Registry {
         let hash = schema.content_hash();
         let part = Part {
             key: name.clone(),
-            hash,
             schema: Arc::new(schema),
             compiled: None,
         };
-        let committed = self.commit(&name, Some(part))?;
+        let committed = self.commit(&name, Some((hash, part)))?;
         Ok(PutOutcome {
             hash,
             sequence: committed.sequence,
@@ -467,8 +462,8 @@ impl Registry {
     }
 
     /// Removes member `name` and re-merges the remainder (incrementally
-    /// when the remainder's join is cached — it is whenever `name` was
-    /// the most recently churned member).
+    /// when the remainder's join is held — it is whenever `name` was the
+    /// member the last commit changed).
     ///
     /// # Errors
     ///
@@ -483,24 +478,25 @@ impl Registry {
     }
 
     /// The one commit path of [`put`](Registry::put) (`changed` is the
-    /// new version) and [`delete`](Registry::delete) (`changed` is
-    /// `None`). It snapshots the other members, runs the step on the
-    /// incremental-join core with no lock held, then takes the write lock:
-    /// if another writer committed meanwhile it retries from a fresh
-    /// snapshot; otherwise the record is made durable (WAL before
-    /// visible) and the new view swapped in.
-    fn commit(&self, name: &str, changed: Option<Part>) -> Result<Committed, RegistryError> {
+    /// new version's content hash and part) and
+    /// [`delete`](Registry::delete) (`changed` is `None`). It snapshots
+    /// the other members and the held joins, steps with no lock held,
+    /// then takes the write lock: if another writer committed meanwhile
+    /// it drops the step and retries from a fresh snapshot; otherwise the
+    /// record is made durable (WAL before visible) and the new view and
+    /// held joins swapped in.
+    fn commit(&self, name: &str, changed: Option<(u64, Part)>) -> Result<Committed, RegistryError> {
         self.check_writable()?;
         let commit_started = Instant::now();
         let mut commit_span = telemetry::span("commit");
-        if let Some(part) = &changed {
-            commit_span.attr("content_hash", part.hash);
+        if let Some((hash, _)) = &changed {
+            commit_span.attr("content_hash", *hash);
         }
         loop {
-            let (generation, rest) = {
+            let (generation, rest, joins) = {
                 let shared = self.shared.read().expect("registry lock");
                 match (shared.members.get(name), &changed) {
-                    (Some(record), Some(part)) if record.current.hash == part.hash => {
+                    (Some(record), Some((hash, _))) if record.current.hash == *hash => {
                         self.metrics.noop.fetch_add(1, Ordering::Relaxed);
                         return Ok(Committed {
                             generation: shared.generation,
@@ -518,28 +514,22 @@ impl Registry {
                     .filter(|(n, _)| n.as_str() != name)
                     .map(|(n, r)| member_part(n, &r.current))
                     .collect();
-                (shared.generation, rest)
+                (shared.generation, rest, Arc::clone(&shared.joins))
             };
 
-            let plan = {
-                let mut plan_span = telemetry::span("plan");
-                plan_span.attr_usize("rest_members", rest.len());
-                let plan = self
-                    .joins
-                    .plan(&rest, changed.as_ref())
-                    .map_err(|cause| self.reject(name, cause))?;
-                plan_span.attr("cached", u64::from(plan.cached()));
-                plan
+            let step = joins
+                .step(
+                    &rest,
+                    Some(name),
+                    changed.as_ref().map(|(_, part)| part),
+                    self.merge_threads,
+                )
+                .map_err(|cause| self.reject(name, cause))?;
+            let steps = match step.strategy {
+                MergeStrategy::Full => &self.metrics.cold_steps,
+                _ => &self.metrics.held_steps,
             };
-            let step = {
-                let mut exec_span = telemetry::span("execute");
-                let step = self
-                    .joins
-                    .execute(plan)
-                    .map_err(|cause| self.reject(name, cause))?;
-                exec_span.attr_usize("classes", step.report.proper.num_classes());
-                step
-            };
+            steps.fetch_add(1, Ordering::Relaxed);
 
             let mut shared = self.shared.write().expect("registry lock");
             if shared.generation != generation {
@@ -561,13 +551,13 @@ impl Registry {
                 let mut p = persistence.lock().expect("persistence lock");
                 let view_hash = step.report.proper.content_hash();
                 let record = match &changed {
-                    Some(part) => WalRecord::Put {
+                    Some((hash, part)) => WalRecord::Put {
                         generation,
                         member: name.to_string(),
-                        hash: part.hash,
+                        hash: *hash,
                         sequence,
                         view_hash,
-                        schema: (!p.on_disk.contains(&part.hash)).then(|| Arc::clone(&part.schema)),
+                        schema: (!p.on_disk.contains(hash)).then(|| Arc::clone(&part.schema)),
                     },
                     None => WalRecord::Delete {
                         generation,
@@ -576,17 +566,17 @@ impl Registry {
                     },
                 };
                 self.durable_append(&mut p, &record)?;
-                if let Some(part) = &changed {
-                    p.on_disk.insert(part.hash);
+                if let Some((hash, _)) = &changed {
+                    p.on_disk.insert(*hash);
                 }
             }
             shared.generation = generation;
             match &changed {
-                Some(part) => version::publish(
+                Some((hash, part)) => version::publish(
                     &mut shared.members,
                     name,
                     SchemaVersion {
-                        hash: part.hash,
+                        hash: *hash,
                         sequence,
                         generation,
                         schema: Arc::clone(&part.schema),
@@ -598,6 +588,7 @@ impl Registry {
             }
             shared.proper = Arc::new(step.report.proper);
             shared.report = Arc::new(step.report.implicit);
+            shared.joins = Arc::new(step.state);
             self.auto_snapshot(&shared);
             let remaining = shared.members.len();
             drop(shared);
@@ -627,36 +618,25 @@ impl Registry {
 
     /// The compiled pre-completion join of every current member version —
     /// the registry's contribution to a federated supergraph compose
-    /// (`crates/supergraph`). Every commit seeds this join in the core's
-    /// cache, so steady-state calls are O(1) `Arc` clones.
+    /// (`crates/supergraph`). Every commit installs this join as the
+    /// total of its held joins, so a call is an `Arc` clone plus the
+    /// member list.
     ///
     /// This is the *join*, not the merged view: completion has not run,
     /// no implicit classes are present — exactly the representation the
     /// composition law `⊔ᵢⱼGᵢⱼ = ⊔ᵢ(⊔ⱼGᵢⱼ)` needs to make a supergraph
     /// compose equal to the one-shot merge of every member everywhere.
-    ///
-    /// # Errors
-    ///
-    /// [`MergeError::Incompatible`] cannot occur for a registry that
-    /// accepted all its members, but a cold join carries it.
-    pub fn compiled_join(&self) -> Result<RegistryJoin, MergeError> {
-        let (generation, members) = {
-            let shared = self.shared.read().expect("registry lock");
-            let members: Vec<(String, SchemaVersion)> = shared
+    pub fn compiled_join(&self) -> RegistryJoin {
+        let shared = self.shared.read().expect("registry lock");
+        RegistryJoin {
+            generation: shared.generation,
+            members: shared
                 .members
                 .iter()
                 .map(|(n, r)| (n.clone(), r.current.clone()))
-                .collect();
-            (shared.generation, members)
-        };
-        let parts: Vec<Part> = members.iter().map(|(n, v)| member_part(n, v)).collect();
-        let (fingerprint, join) = self.joins.join(&parts)?;
-        Ok(RegistryJoin {
-            generation,
-            fingerprint,
-            members,
-            join,
-        })
+                .collect(),
+            join: Arc::clone(shared.joins.total()),
+        }
     }
 
     /// A coherent snapshot of every member's current version (one lock
@@ -750,14 +730,14 @@ impl Registry {
     }
 
     /// The registry's status snapshot — state sizes, merged-view shape,
-    /// engine and cache counters, durability, resilience and latency
+    /// held joins, engine counters, durability, resilience and latency
     /// histograms in one [`RegistryStats`]. State sizes and merged-view
     /// shape are coherent (read under one lock acquisition), as are the
     /// durability and fault fields (one persistence-lock acquisition);
     /// the counters and histograms are monotone and read atomically
     /// alongside.
     pub fn stats(&self) -> RegistryStats {
-        let (generation, members, total_versions, proper, report) = {
+        let (generation, members, total_versions, proper, report, joins_held) = {
             let shared = self.shared.read().expect("registry lock");
             (
                 shared.generation,
@@ -765,9 +745,9 @@ impl Registry {
                 shared.members.values().map(|r| r.history.len()).sum(),
                 Arc::clone(&shared.proper),
                 Arc::clone(&shared.report),
+                shared.joins.held(),
             )
         };
-        let cache = self.joins.stats();
         let weak = proper.as_weak();
         let metrics = &self.metrics;
         let resilience = &self.resilience;
@@ -784,10 +764,9 @@ impl Registry {
             full_merges: metrics.full.load(Ordering::Relaxed),
             noop_puts: metrics.noop.load(Ordering::Relaxed),
             rejected_puts: metrics.rejected.load(Ordering::Relaxed),
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_evictions: cache.evictions,
-            cache_entries: cache.entries,
+            joins_held,
+            held_join_steps: metrics.held_steps.load(Ordering::Relaxed),
+            cold_join_steps: metrics.cold_steps.load(Ordering::Relaxed),
             commit_retries: metrics.retries.load(Ordering::Relaxed),
             uptime_secs: metrics.started_at.elapsed().as_secs(),
             requests_served: metrics.requests.load(Ordering::Relaxed),
@@ -876,23 +855,22 @@ impl Registry {
         Ok(())
     }
 
-    /// Appends one commit record, retrying transient storage failures
-    /// under the configured policy (repairing any torn partial frame
-    /// before each attempt). With no policy this is the fail-fast
-    /// append of old. Exhausting the budget — or a permanent failure —
-    /// flips the registry into degraded read-only mode; the exhausting
-    /// error itself surfaces as [`RegistryError::Storage`] since this
-    /// commit was never acknowledged.
+    /// Appends one commit record, repairing any torn partial frame a
+    /// failed append left first, and retrying transient storage failures
+    /// under the configured policy. With no policy the append is
+    /// fail-fast and never degrades. Exhausting the budget — or a
+    /// permanent failure — flips the registry into degraded read-only
+    /// mode; the exhausting error itself surfaces as
+    /// [`RegistryError::Storage`] since this commit was never
+    /// acknowledged.
     fn durable_append(&self, p: &mut Persistence, record: &WalRecord) -> Result<(), RegistryError> {
+        let fsync = &self.metrics.fsync_latency;
         let Some(policy) = &self.resilience.policy else {
-            return Ok(p.append(record, &self.metrics.fsync_latency, false)?);
+            return Ok(p.repair_torn().and_then(|()| p.append(record, fsync))?);
         };
         let mut attempt: u32 = 0;
         loop {
-            let result = p
-                .repair_torn()
-                .and_then(|()| p.append(record, &self.metrics.fsync_latency, true));
-            match result {
+            match p.repair_torn().and_then(|()| p.append(record, fsync)) {
                 Ok(()) => return Ok(()),
                 Err(err) => {
                     self.resilience.note_error(&err);
@@ -974,7 +952,6 @@ impl Registry {
 pub(crate) fn member_part(name: &str, version: &SchemaVersion) -> Part {
     Part {
         key: name.to_string(),
-        hash: version.hash,
         schema: Arc::clone(&version.schema),
         compiled: None,
     }

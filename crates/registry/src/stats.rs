@@ -34,7 +34,7 @@ pub struct RegistryStats {
     pub implicit_classes: usize,
     /// Canonical content hash of the merged proper schema.
     pub merged_hash: u64,
-    /// Commits that reused a cached rest-join (the incremental path).
+    /// Commits that reused a held join (the incremental path).
     pub incremental_merges: u64,
     /// Commits that re-joined every member from scratch.
     pub full_merges: u64,
@@ -42,14 +42,14 @@ pub struct RegistryStats {
     pub noop_puts: u64,
     /// Publishes rejected as incompatible/inconsistent.
     pub rejected_puts: u64,
-    /// Join-cache hits.
-    pub cache_hits: u64,
-    /// Join-cache misses.
-    pub cache_misses: u64,
-    /// Join-cache evictions.
-    pub cache_evictions: u64,
-    /// Join-cache resident entries.
-    pub cache_entries: usize,
+    /// Joins the last commit left for the next to build on (0–2: the
+    /// members' total, and the join of all but the member it changed).
+    pub joins_held: usize,
+    /// Merge steps, committed or not, that built on a held join.
+    pub held_join_steps: u64,
+    /// Merge steps, committed or not, that joined the unchanged members
+    /// cold.
+    pub cold_join_steps: u64,
     /// Optimistic commit attempts that lost the generation race and
     /// retried.
     pub commit_retries: u64,
@@ -128,8 +128,8 @@ impl fmt::Display for RegistryStats {
         )?;
         writeln!(
             f,
-            "join cache: {} entries, {} hits, {} misses, {} evictions",
-            self.cache_entries, self.cache_hits, self.cache_misses, self.cache_evictions,
+            "join cache: {} entries, {} hits, {} misses",
+            self.joins_held, self.held_join_steps, self.cold_join_steps,
         )?;
         write!(
             f,

@@ -369,3 +369,40 @@ fn torn_partial_append_is_repaired_before_the_next_commit() {
     let recovered = Registry::builder().store(disk).open().unwrap();
     assert_same_view(99, &recovered, &reference);
 }
+
+/// Without a retry policy a torn append fails its commit fail-fast and
+/// never degrades, so the next commit must still truncate the garbage
+/// before it appends: recovery stops at the first bad frame, and an
+/// acked commit written after the tear would be lost.
+#[test]
+fn torn_append_without_a_policy_is_repaired_before_the_next_commit() {
+    let disk = SharedStore::default();
+    let schedule = FaultSchedule::new(99).fail_nth(OpKind::Append, 2, Fault::Torn);
+    let faulty = Registry::builder()
+        .store(FaultStore::new(disk.clone(), schedule.clone()))
+        .snapshot_every(0)
+        .open()
+        .unwrap();
+    let reference = Registry::new();
+
+    let schemas = pool(99);
+    faulty.put("good", schemas[0].clone()).unwrap();
+    reference.put("good", schemas[0].clone()).unwrap();
+
+    let err = faulty.put("torn", schemas[1].clone()).unwrap_err();
+    assert!(matches!(err, RegistryError::Storage(_)), "{err}");
+    assert!(
+        !faulty.is_degraded(),
+        "no policy: fail-fast, never degraded"
+    );
+    assert_eq!(schedule.counters().torn_appends, 1);
+
+    let after = faulty.put("after", schemas[2].clone()).unwrap();
+    assert_eq!(after.generation, 2);
+    reference.put("after", schemas[2].clone()).unwrap();
+    assert_same_view(99, &faulty, &reference);
+
+    drop(faulty);
+    let recovered = Registry::builder().store(disk).open().unwrap();
+    assert_same_view(99, &recovered, &reference);
+}

@@ -14,15 +14,6 @@ pub enum SupergraphError {
     /// labels, `registry/member` protocol routing), so they must be
     /// non-empty, slash-free, whitespace-free tokens.
     InvalidName(String),
-    /// A member registry's own join failed while composing. Cannot occur
-    /// for registries that accepted all their members, but the compose
-    /// path carries it rather than panicking on a hostile `Registry`.
-    Member {
-        /// The attached registry whose join failed.
-        registry: String,
-        /// The underlying merge failure.
-        cause: MergeError,
-    },
     /// The cross-registry composition itself failed — the member
     /// registries are individually consistent but their union is not
     /// (e.g. a specialization cycle spanning registries).
@@ -37,7 +28,6 @@ impl SupergraphError {
             SupergraphError::DuplicateRegistry(_) => "E-SG-DUPLICATE",
             SupergraphError::UnknownRegistry(_) => "E-SG-UNKNOWN",
             SupergraphError::InvalidName(_) => "E-SG-NAME",
-            SupergraphError::Member { .. } => "E-SG-MEMBER",
             SupergraphError::Compose(_) => "E-SG-COMPOSE",
         }
     }
@@ -57,9 +47,6 @@ impl std::fmt::Display for SupergraphError {
                 "invalid registry name `{name}`: names are non-empty tokens \
                  without `/` or whitespace"
             ),
-            SupergraphError::Member { registry, cause } => {
-                write!(f, "member registry `{registry}` failed to join: {cause}")
-            }
             SupergraphError::Compose(cause) => {
                 write!(f, "composition failed: {cause}")
             }
@@ -70,7 +57,7 @@ impl std::fmt::Display for SupergraphError {
 impl std::error::Error for SupergraphError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            SupergraphError::Member { cause, .. } | SupergraphError::Compose(cause) => Some(cause),
+            SupergraphError::Compose(cause) => Some(cause),
             _ => None,
         }
     }

@@ -17,13 +17,13 @@
 //!   differentially property-tested, including reports, provenance, and
 //!   hints.
 //! * **Recomposition is incremental end-to-end** — each registry hands
-//!   over its cached compiled join ([`Registry::compiled_join`]), and a
-//!   compose is one step on the same
-//!   [`IncrementalJoin`](schema_merge_registry::cache::IncrementalJoin)
-//!   core the registry commits on, with registries as its parts: one
-//!   registry's publish recomposes by joining just that registry's join
-//!   onto the cached join of the rest. Generations stamp every composed
-//!   view.
+//!   over the compiled join it holds ([`Registry::compiled_join`]), and a
+//!   compose is one
+//!   [`JoinState::step`](schema_merge_registry::cache::JoinState::step),
+//!   the step the registry commits with, with registries as its parts:
+//!   one registry's publish recomposes by joining just that registry's
+//!   join onto the join of the rest that the last compose left.
+//!   Generations stamp every composed view.
 //! * **Provenance crosses the federation** — every composed class,
 //!   arrow and implicit class is attributed to namespaced
 //!   `registry/member@vN` origin labels
@@ -37,8 +37,7 @@
 //!   registries), `H-COMPOSE-COLLISION` (member names shared across
 //!   registries, resolved by namespacing).
 //! * **One status snapshot** — [`Supergraph::stats`] returns a
-//!   [`SupergraphStats`]: the composed view's shape, compose and cache
-//!   counters, and the compose latency histogram. It is the supergraph's
+//!   [`SupergraphStats`]: the composed view's shape, compose counters, and the compose latency histogram. It is the supergraph's
 //!   only status surface; the daemon's `METRICS` verb renders from it.
 //!
 //! The `smerge serve` daemon exposes the supergraph over the text

@@ -9,7 +9,7 @@ use std::time::Instant;
 use schema_merge_core::compose::ComposeProvenance;
 use schema_merge_core::merger::MergeReport;
 use schema_merge_core::{Diagnostic, Merger, ProperSchema, Severity};
-use schema_merge_registry::cache::{IncrementalJoin, Part};
+use schema_merge_registry::cache::{JoinState, Part};
 use schema_merge_registry::version::SchemaVersion;
 use schema_merge_registry::{MergeStrategy, Registry};
 use schema_merge_telemetry::{self as telemetry, Histogram, HistogramSnapshot};
@@ -28,15 +28,16 @@ use crate::error::SupergraphError;
 /// supergraph exploits the same law the registry does to recompose
 /// incrementally:
 ///
-/// * each registry hands over its cached compiled join
-///   ([`Registry::compiled_join`] — O(1) in steady state, the commit
-///   path keeps it seeded);
-/// * every compose is one step on the same [`IncrementalJoin`] core the
-///   registry commits on, whose parts are the registries' joins: when
-///   exactly one registry changed since the last compose, only its join
-///   is walked, onto the (cached, in steady state) join of the rest —
-///   and a lone registry's join is completed as is; otherwise the whole
-///   set is joined and completed.
+/// * each registry hands over the compiled join its last commit left
+///   ([`Registry::compiled_join`], an `Arc` clone); a registry whose
+///   generation has not moved since the last compose is unchanged;
+/// * every compose is one [`JoinState::step`], the step the registry
+///   commits with, on the state the last compose installed, whose parts
+///   are the registries' joins: when exactly one registry changed, only
+///   its join is walked, onto the held join of the rest when the state
+///   holds one (the same registry changed last, or it is newly attached)
+///   — and a lone registry's join is completed as is; otherwise the
+///   whole set is joined cold and completed.
 ///
 /// Every composed view carries cross-registry provenance
 /// ([`MergeReport::origins`], labels `registry/member@vN`) and
@@ -46,7 +47,9 @@ use crate::error::SupergraphError;
 /// by namespacing.
 pub struct Supergraph {
     shared: RwLock<Shared>,
-    joins: IncrementalJoin,
+    /// Worker budget for every composition merge (`None` = the merger's
+    /// defaults).
+    threads: Option<usize>,
     counters: Counters,
     compose_latency: Histogram,
 }
@@ -57,6 +60,9 @@ struct Shared {
     generation: u64,
     members: BTreeMap<String, Member>,
     composed: Arc<ComposedView>,
+    /// The joins the last compose left, over the registries whose
+    /// `state` it installed.
+    joins: Arc<JoinState>,
 }
 
 struct Member {
@@ -66,8 +72,8 @@ struct Member {
 }
 
 /// A member registry's join captured for composition: the join as a
-/// part of the supergraph's incremental join (keyed by registry name,
-/// identified by the registry's member-set fingerprint) plus the member
+/// part of the supergraph's incremental join (keyed by registry name),
+/// the registry generation it reflects (its identity) and the member
 /// versions it reflects (for provenance), all describing the same
 /// registry snapshot.
 #[derive(Clone)]
@@ -149,7 +155,7 @@ pub struct ComposeOutcome {
     /// Supergraph generation after the compose (unchanged for a noop).
     pub generation: u64,
     /// Which engine path ran: `noop` when nothing moved since the last
-    /// compose, `incremental` when a cached rest-join was completed onto,
+    /// compose, `incremental` when a held join was completed onto,
     /// `full` otherwise.
     pub strategy: MergeStrategy,
     /// The (possibly pre-existing, for a noop) composed view.
@@ -157,7 +163,7 @@ pub struct ComposeOutcome {
 }
 
 /// The supergraph's status snapshot: the composed view's shape, the
-/// compose and cache counters, and the compose latency histogram — the
+/// compose counters, and the compose latency histogram — the
 /// one status surface [`Supergraph::stats`] returns and the daemon's
 /// `METRICS` verb renders.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -179,18 +185,12 @@ pub struct SupergraphStats {
     pub composed_hash: u64,
     /// Composes that re-joined every registry.
     pub full_composes: u64,
-    /// Composes that completed onto a cached rest-join.
+    /// Composes that completed onto a held join.
     pub incremental_composes: u64,
     /// Composes that found nothing changed.
     pub noop_composes: u64,
     /// Optimistic-commit retries (concurrent attach/detach/compose).
     pub compose_retries: u64,
-    /// Registry-set join cache hits.
-    pub cache_hits: u64,
-    /// Registry-set join cache misses.
-    pub cache_misses: u64,
-    /// Registry-set join cache entries.
-    pub cache_entries: usize,
     /// Latency of non-noop [`compose`](Supergraph::compose) calls.
     pub compose_latency: HistogramSnapshot,
 }
@@ -210,8 +210,9 @@ impl Supergraph {
                 generation: 0,
                 members: BTreeMap::new(),
                 composed: empty_view(),
+                joins: Arc::new(JoinState::default()),
             }),
-            joins: IncrementalJoin::new(None),
+            threads: None,
             counters: Counters::default(),
             compose_latency: Histogram::default(),
         }
@@ -220,9 +221,10 @@ impl Supergraph {
     /// Fixes the thread budget handed to every composition merge (the
     /// member registries keep their own budgets).
     pub fn with_threads(threads: usize) -> Self {
-        let mut supergraph = Self::new();
-        supergraph.joins = IncrementalJoin::new(Some(threads));
-        supergraph
+        Supergraph {
+            threads: Some(threads),
+            ..Self::new()
+        }
     }
 
     /// Attaches `registry` under namespace `name`.
@@ -316,17 +318,16 @@ impl Supergraph {
 
     /// Recomposes the supergraph view from the attached registries'
     /// current joins and installs it (generation-stamped), returning the
-    /// outcome. Noop when nothing changed; otherwise one step on the
-    /// incremental-join core — incremental when the join it builds onto
-    /// was cached (or is a lone registry's own join), full when it was
-    /// joined cold. Every path produces the same view as the one-shot
+    /// outcome. Noop when nothing changed; otherwise one
+    /// [`JoinState::step`] — incremental when the join it builds onto is
+    /// held (or is a lone registry's own join), full when it was joined
+    /// cold. Every path produces the same view as the one-shot
     /// merge of every member schema of every registry — the
     /// associativity of the join is differentially property-tested, not
     /// assumed.
     ///
     /// # Errors
     ///
-    /// [`SupergraphError::Member`] when a registry's own join fails,
     /// [`SupergraphError::Compose`] when the cross-registry composition
     /// is incompatible (e.g. a specialization cycle spanning
     /// registries). The installed view is untouched on error.
@@ -334,14 +335,14 @@ impl Supergraph {
         let started = Instant::now();
         let mut compose_span = telemetry::span("compose");
         loop {
-            let (generation, snapshot) = {
+            let (generation, snapshot, joins) = {
                 let shared = self.shared.read().expect("supergraph lock");
                 let snapshot: Vec<(String, Arc<Registry>, Option<MemberState>)> = shared
                     .members
                     .iter()
                     .map(|(n, m)| (n.clone(), Arc::clone(&m.registry), m.state.clone()))
                     .collect();
-                (shared.generation, snapshot)
+                (shared.generation, snapshot, Arc::clone(&shared.joins))
             };
 
             // Refresh every registry's join handle; the delta walk for a
@@ -349,14 +350,9 @@ impl Supergraph {
             let mut states: Vec<MemberState> = Vec::with_capacity(snapshot.len());
             let mut changed: Vec<usize> = Vec::new();
             for (index, (name, registry, prev)) in snapshot.iter().enumerate() {
-                let join = registry
-                    .compiled_join()
-                    .map_err(|cause| SupergraphError::Member {
-                        registry: name.clone(),
-                        cause,
-                    })?;
+                let join = registry.compiled_join();
                 let state = match prev {
-                    Some(prev) if prev.part.hash == join.fingerprint => prev.clone(),
+                    Some(prev) if prev.generation == join.generation => prev.clone(),
                     _ => {
                         let mut member_span = telemetry::span("recompose");
                         member_span.attr("registry_generation", join.generation);
@@ -365,7 +361,6 @@ impl Supergraph {
                         MemberState {
                             part: Part {
                                 key: name.clone(),
-                                hash: join.fingerprint,
                                 schema: Arc::new(join.join.decompile()),
                                 compiled: Some(join.join),
                             },
@@ -395,26 +390,33 @@ impl Supergraph {
                 }
             }
 
-            // One step on the core: exactly one registry moved → its join
-            // onto the rest's (a lone registry's join completes as is);
-            // otherwise the whole set, recompleted.
-            let (rest, moved): (Vec<Part>, Option<&Part>) = match changed.as_slice() {
-                [index] => (
-                    states
+            // One step: exactly one registry moved → its join onto the
+            // rest's (a lone registry's join completes as is); no registry
+            // moved → the remaining set, recompleted. When several moved,
+            // no held join describes the unchanged ones: join them all
+            // cold.
+            let step = match changed.as_slice() {
+                [index] => {
+                    let rest: Vec<Part> = states
                         .iter()
                         .enumerate()
                         .filter(|(i, _)| i != index)
                         .map(|(_, s)| s.part.clone())
-                        .collect(),
-                    Some(&states[*index].part),
-                ),
-                _ => (states.iter().map(|s| s.part.clone()).collect(), None),
-            };
-            let step = self
-                .joins
-                .plan(&rest, moved)
-                .and_then(|plan| self.joins.execute(plan))
-                .map_err(SupergraphError::Compose)?;
+                        .collect();
+                    let moved = &states[*index].part;
+                    joins.step(&rest, Some(&moved.key), Some(moved), self.threads)
+                }
+                _ => {
+                    let all: Vec<Part> = states.iter().map(|s| s.part.clone()).collect();
+                    let held = if changed.is_empty() {
+                        joins.as_ref()
+                    } else {
+                        &JoinState::default()
+                    };
+                    held.step(&all, None, None, self.threads)
+                }
+            }
+            .map_err(SupergraphError::Compose)?;
             let (strategy, mut report) = (step.strategy, step.report);
 
             // Provenance and hints are computed from the member inputs
@@ -476,6 +478,7 @@ impl Supergraph {
                     member.state = Some(state.clone());
                 }
             }
+            shared.joins = Arc::new(step.state);
             let view = Arc::new(ComposedView {
                 generation: next_generation,
                 members: members_meta,
@@ -513,7 +516,6 @@ impl Supergraph {
                 Arc::clone(&shared.composed),
             )
         };
-        let cache = self.joins.stats();
         let weak = composed.report.proper.as_weak();
         SupergraphStats {
             generation,
@@ -527,9 +529,6 @@ impl Supergraph {
             incremental_composes: self.counters.incremental.load(Ordering::Relaxed),
             noop_composes: self.counters.noop.load(Ordering::Relaxed),
             compose_retries: self.counters.retries.load(Ordering::Relaxed),
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_entries: cache.entries,
             compose_latency: self.compose_latency.snapshot(),
         }
     }
@@ -780,7 +779,7 @@ mod tests {
         let a = supergraph.attach_new("solo").unwrap();
         a.put("m", schema("Dog", "name", "string")).unwrap();
         let outcome = supergraph.compose().unwrap();
-        // The registry's cached compiled join is completed base-only.
+        // The registry's held compiled join is completed base-only.
         assert_eq!(outcome.strategy, MergeStrategy::Incremental);
         assert_view_matches_oneshot(&supergraph);
     }
@@ -792,6 +791,45 @@ mod tests {
         supergraph.detach("b").unwrap();
         let outcome = supergraph.compose().unwrap();
         assert!(!outcome.view.proper().contains_class(&Class::named("Order")));
+        assert_view_matches_oneshot(&supergraph);
+    }
+
+    /// A detach leaves the held rest-join stale: it still covers the
+    /// detached registry. The next compose must not build on it.
+    #[test]
+    fn compose_after_detach_and_one_change_joins_cold() {
+        let supergraph = two_registry_supergraph();
+        let c = supergraph.attach_new("c").unwrap();
+        c.put("extra", schema("Widget", "size", "int")).unwrap();
+        supergraph.compose().unwrap();
+        let b = supergraph.registry("b").unwrap();
+        b.put("shipping", schema("Order", "dest", "Address"))
+            .unwrap();
+        supergraph.compose().unwrap(); // holds the join of {a, c}
+        supergraph.detach("c").unwrap();
+        b.put("billing", schema("Order", "bill", "Invoice"))
+            .unwrap();
+        let outcome = supergraph.compose().unwrap();
+        assert_eq!(outcome.strategy, MergeStrategy::Full);
+        assert!(!outcome
+            .view
+            .proper()
+            .contains_class(&Class::named("Widget")));
+        assert_view_matches_oneshot(&supergraph);
+    }
+
+    #[test]
+    fn attach_after_compose_builds_on_the_held_total() {
+        let supergraph = two_registry_supergraph();
+        supergraph.compose().unwrap();
+        let c = supergraph.attach_new("c").unwrap();
+        c.put("extra", schema("Widget", "size", "int")).unwrap();
+        let outcome = supergraph.compose().unwrap();
+        assert_eq!(outcome.strategy, MergeStrategy::Incremental);
+        assert!(outcome
+            .view
+            .proper()
+            .contains_class(&Class::named("Widget")));
         assert_view_matches_oneshot(&supergraph);
     }
 
@@ -960,7 +998,6 @@ mod tests {
         assert_eq!(stats.full_composes, 2);
         assert_eq!(stats.incremental_composes, 1);
         assert_eq!(stats.noop_composes, 1);
-        assert!(stats.cache_hits >= 1);
         assert!(stats.composed_classes >= 4);
         assert_eq!(
             stats.compose_latency.count, 3,
