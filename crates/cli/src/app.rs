@@ -1036,6 +1036,16 @@ mod tests {
             text.contains("//   Part: compose-inventory/parts@v1, compose-sales/orders@v1"),
             "{text}"
         );
+        assert!(
+            text.ends_with(
+                "}\n\
+                 // origins:\n\
+                 //   Order: compose-sales/orders@v1\n\
+                 //   Part: compose-inventory/parts@v1, compose-sales/orders@v1\n\
+                 //   money: compose-inventory/parts@v1\n"
+            ),
+            "{text}"
+        );
     }
 
     #[test]
@@ -1053,6 +1063,19 @@ mod tests {
         // collision hint fires and rides in the diagnostics array.
         assert!(text.contains("\"code\": \"H-COMPOSE-COLLISION\""), "{text}");
         assert!(text.contains("\"severity\": \"hint\""), "{text}");
+        let origins = concat!(
+            "  \"origins\": {\n",
+            "    \"classes\": [",
+            "{\"class\": \"Dog\", \"origins\": [\"compose-a/shared@v1\", \"compose-b/shared@v1\"]}, ",
+            "{\"class\": \"int\", \"origins\": [\"compose-a/shared@v1\"]}, ",
+            "{\"class\": \"str\", \"origins\": [\"compose-b/shared@v1\"]}],\n",
+            "    \"arrows\": [",
+            "{\"arrow\": [\"Dog\", \"age\", \"int\"], \"origins\": [\"compose-a/shared@v1\"]}, ",
+            "{\"arrow\": [\"Dog\", \"name\", \"str\"], \"origins\": [\"compose-b/shared@v1\"]}],\n",
+            "    \"implicit\": []\n",
+            "  },\n",
+        );
+        assert!(text.contains(origins), "{text}");
     }
 
     #[test]

@@ -1286,6 +1286,49 @@ mod tests {
     /// The daemon's own registry is reserved: detaching it would leave
     /// bare names committing to a registry COMPOSE drops, and attaching
     /// `default` again would split `default/x` from `x`.
+    /// A SUPERGRAPH reply carries every composition hint as a
+    /// `hint[CODE] message` line, in the composed view's order.
+    #[test]
+    fn supergraph_reply_carries_every_composition_hint() {
+        let daemon = daemon();
+        for name in ["a", "b", "c"] {
+            let attach = status(&daemon, &format!("ATTACH {name}"));
+            assert!(attach.starts_with("OK"), "{attach}");
+        }
+        for (member, body) in [
+            ("a/shared", "schema shared { C --f--> B1; }\n"),
+            ("a/base", "schema base { Animal --alive--> bool; }\n"),
+            ("a/y", "schema y { Q --h--> Y1; }\n"),
+            ("b/shared", "schema shared { C --f--> B2; }\n"),
+            ("b/mid", "schema mid { Dog => Animal; }\n"),
+            ("b/y", "schema y { Q --h--> Y2; }\n"),
+            ("c/leaf", "schema leaf { Puppy => Dog; }\n"),
+            ("c/meet", "schema meet { X --g--> {Y1,Y2}; }\n"),
+        ] {
+            let put = send(&daemon, &format!("PUT {member}"), body);
+            assert!(put.status.starts_with("OK"), "{member}: {put:?}");
+        }
+        assert!(status(&daemon, "COMPOSE").starts_with("OK"));
+        let supergraph = send(&daemon, "SUPERGRAPH", "");
+        assert!(supergraph.status.contains(" hints=4 "), "{supergraph:?}");
+        let hints: Vec<&str> = block(&supergraph)
+            .lines()
+            .filter(|line| line.starts_with("hint["))
+            .collect();
+        assert_eq!(
+            hints,
+            [
+                "hint[H-COMPOSE-COLLISION] member name `shared` is published by 2 registries; \
+                 origins are namespaced as `a/shared`, `b/shared`",
+                "hint[H-COMPOSE-COLLISION] member name `y` is published by 2 registries; \
+                 origins are namespaced as `a/y`, `b/y`",
+                "hint[H-COMPOSE-SPAN] implicit class `{B1,B2}` spans registries `a`, `b`",
+                "hint[H-COMPOSE-SPECIALIZATION] cross-registry specialization: `Puppy` (`c`) \
+                 is placed under `Animal` (`a`, `b`)",
+            ]
+        );
+    }
+
     #[test]
     fn dispatch_reserves_the_default_registry() {
         let daemon = daemon();
