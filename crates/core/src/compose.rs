@@ -1,5 +1,4 @@
-//! Cross-registry composition provenance — the supergraph layer's
-//! extension of the merge report.
+//! Cross-registry composition provenance.
 //!
 //! When many registries' schemas are composed into one supergraph view
 //! (the federation shape: each team owns a registry, a gateway owns the
@@ -10,9 +9,9 @@
 //!
 //! The table is computed from the member inputs and the merged result
 //! alone, so it is **path-independent**: an incremental onto-base
-//! recompose and a one-shot batch merge attach byte-identical
-//! provenance. It rides on [`crate::merger::MergeReport::origins`],
-//! attached by the composition layer after execution.
+//! recompose and a one-shot batch merge yield byte-identical
+//! provenance. The composition layer computes it on demand, for the
+//! callers that read it; it is not part of the merge report.
 
 use std::collections::BTreeMap;
 
@@ -88,30 +87,6 @@ impl ComposeProvenance {
             .or_else(|| self.implicit.get(class))
             .map_or(&[], Vec::as_slice)
     }
-
-    /// The distinct registry namespaces (the prefix before the first
-    /// `/` of each origin label) contributing to `class`.
-    pub fn registries_of(&self, class: &Class) -> Vec<&str> {
-        let mut registries: Vec<&str> = self
-            .origins_of(class)
-            .iter()
-            .map(|label| registry_of(label))
-            .collect();
-        registries.sort_unstable();
-        registries.dedup();
-        registries
-    }
-
-    /// Whether the table is empty (no inputs recorded).
-    pub fn is_empty(&self) -> bool {
-        self.classes.is_empty() && self.arrows.is_empty() && self.implicit.is_empty()
-    }
-}
-
-/// The registry namespace of an origin label: the prefix before the
-/// first `/`, or the whole label when it is not namespaced.
-pub fn registry_of(label: &str) -> &str {
-    label.split('/').next().unwrap_or(label)
 }
 
 fn push_label(labels: &mut Vec<String>, label: &str) {
@@ -151,7 +126,6 @@ mod tests {
         assert_eq!(prov.origins_of(&c("Person")), ["pets/base@v1"]);
         let key = (c("Dog"), Label::new("license"), c("int"));
         assert_eq!(prov.arrows[&key], ["city/licensing@v2"]);
-        assert_eq!(prov.registries_of(&c("Dog")), ["city", "pets"]);
     }
 
     #[test]
@@ -165,7 +139,6 @@ mod tests {
         );
         let meet = Class::implicit([c("B1"), c("B2")]);
         assert_eq!(prov.origins_of(&meet), ["left/one@v1", "right/two@v1"]);
-        assert_eq!(prov.registries_of(&meet), ["left", "right"]);
     }
 
     #[test]
@@ -174,11 +147,5 @@ mod tests {
         let report = Merger::new().schema(&g).schema(&g).execute().unwrap();
         let prov = ComposeProvenance::compute([("r/m@v1", &g), ("r/m@v1", &g)], &report.proper);
         assert_eq!(prov.origins_of(&c("A")), ["r/m@v1"]);
-    }
-
-    #[test]
-    fn unnamespaced_labels_are_their_own_registry() {
-        assert_eq!(registry_of("solo"), "solo");
-        assert_eq!(registry_of("reg/member@v3"), "reg");
     }
 }

@@ -101,7 +101,7 @@ pub use compile::{ClassId, CompiledSchema, LabelId};
 pub use complete::{
     complete, complete_compiled, complete_with_report, CompletionReport, ImplicitClassInfo,
 };
-pub use compose::{registry_of, ComposeProvenance};
+pub use compose::ComposeProvenance;
 pub use consistency::ConsistencyRelation;
 pub use diagnostic::{Diagnostic, DiagnosticOrigin, Severity};
 pub use diff::{diff, merge_contribution, SchemaDiff};

@@ -511,11 +511,6 @@ pub struct MergeReport {
     /// ran with [`Merger::trace`] enabled. Purely observational: every
     /// other field is bit-identical with tracing on or off.
     pub trace: Option<MergeTrace>,
-    /// Cross-registry composition provenance — attached by the
-    /// supergraph layer after a composed merge
-    /// ([`crate::compose::ComposeProvenance`]); `None` on every direct
-    /// merge.
-    pub origins: Option<crate::compose::ComposeProvenance>,
 }
 
 impl MergeReport {
@@ -1232,7 +1227,6 @@ impl<'a> Merger<'a> {
             diagnostics,
             compiled,
             trace: None,
-            origins: None,
         })
     }
 
@@ -1301,7 +1295,6 @@ impl<'a> Merger<'a> {
             diagnostics,
             compiled: None,
             trace: None,
-            origins: None,
         })
     }
 

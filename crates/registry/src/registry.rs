@@ -640,9 +640,9 @@ impl Registry {
     }
 
     /// A coherent snapshot of every member's current version (one lock
-    /// acquisition), sorted by name — the supergraph's provenance pass
-    /// walks this to attribute composed classes to
-    /// `registry/member@vN` origins.
+    /// acquisition), sorted by name. A supergraph compose does not read
+    /// it: it takes the member list from [`Registry::compiled_join`],
+    /// which snapshots it together with the join.
     pub fn current_members(&self) -> Vec<(String, SchemaVersion)> {
         let shared = self.shared.read().expect("registry lock");
         shared

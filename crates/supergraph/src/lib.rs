@@ -27,15 +27,17 @@
 //! * **Provenance crosses the federation** — every composed class,
 //!   arrow and implicit class is attributed to namespaced
 //!   `registry/member@vN` origin labels
-//!   ([`ComposeProvenance`](schema_merge_core::ComposeProvenance),
-//!   riding in
-//!   [`MergeReport::origins`](schema_merge_core::MergeReport)).
+//!   ([`ComposeProvenance`](schema_merge_core::ComposeProvenance)),
+//!   computed on demand by [`ComposedView::origins`] from the member
+//!   versions the view keeps; a compose never builds it.
 //! * **Composition hints** — rover-style advisory diagnostics below
 //!   informational noise ([`Severity::Hint`](schema_merge_core::Severity)):
 //!   `H-COMPOSE-SPECIALIZATION` (subtyping no single registry declared),
 //!   `H-COMPOSE-SPAN` (an implicit class whose constituents span
 //!   registries), `H-COMPOSE-COLLISION` (member names shared across
-//!   registries, resolved by namespacing).
+//!   registries, resolved by namespacing). They are read off the
+//!   registries' joins, which hold exactly the classes their members
+//!   declare.
 //! * **One status snapshot** — [`Supergraph::stats`] returns a
 //!   [`SupergraphStats`]: the composed view's shape, compose counters, and the compose latency histogram. It is the supergraph's
 //!   only status surface; the daemon's `METRICS` verb renders from it.

@@ -8,7 +8,7 @@ use std::time::Instant;
 
 use schema_merge_core::compose::ComposeProvenance;
 use schema_merge_core::merger::MergeReport;
-use schema_merge_core::{Diagnostic, Merger, ProperSchema, Severity};
+use schema_merge_core::{Class, Diagnostic, Merger, ProperSchema, Severity};
 use schema_merge_registry::cache::{JoinState, Part};
 use schema_merge_registry::version::SchemaVersion;
 use schema_merge_registry::{MergeStrategy, Registry};
@@ -39,12 +39,13 @@ use crate::error::SupergraphError;
 ///   — and a lone registry's join is completed as is; otherwise the
 ///   whole set is joined cold and completed.
 ///
-/// Every composed view carries cross-registry provenance
-/// ([`MergeReport::origins`], labels `registry/member@vN`) and
-/// rover-style [`Severity::Hint`] diagnostics (`H-COMPOSE-*`) surfacing
-/// composition observations: subtyping no single registry declared,
-/// implicit classes spanning registries, member-name collisions resolved
-/// by namespacing.
+/// Every composed view carries rover-style [`Severity::Hint`]
+/// diagnostics (`H-COMPOSE-*`) surfacing composition observations:
+/// subtyping no single registry declared, implicit classes spanning
+/// registries, member-name collisions resolved by namespacing. They are
+/// read off the registries' joins; cross-registry provenance (labels
+/// `registry/member@vN`) is computed on demand by
+/// [`ComposedView::origins`].
 pub struct Supergraph {
     shared: RwLock<Shared>,
     /// Worker budget for every composition merge (`None` = the merger's
@@ -74,8 +75,8 @@ struct Member {
 /// A member registry's join captured for composition: the join as a
 /// part of the supergraph's incremental join (keyed by registry name),
 /// the registry generation it reflects (its identity) and the member
-/// versions it reflects (for provenance), all describing the same
-/// registry snapshot.
+/// versions it reflects (for hints and provenance), all describing the
+/// same registry snapshot.
 #[derive(Clone)]
 struct MemberState {
     part: Part,
@@ -101,12 +102,13 @@ pub struct ComposedView {
     /// The member registries composed in, sorted by name.
     pub members: Vec<ComposedMember>,
     /// The full merge report: composed proper schema, implicit-class
-    /// table, diagnostics (merger diagnostics followed by the
-    /// `H-COMPOSE-*` hints), and cross-registry provenance in
-    /// [`MergeReport::origins`].
+    /// table and diagnostics (merger diagnostics followed by the
+    /// `H-COMPOSE-*` hints).
     pub report: Arc<MergeReport>,
     /// Which engine path produced this view.
     pub strategy: MergeStrategy,
+    /// Each composed registry's member versions, aligned with `members`.
+    versions: Vec<Arc<Vec<(String, SchemaVersion)>>>,
 }
 
 impl ComposedView {
@@ -122,11 +124,19 @@ impl ComposedView {
 
     /// Cross-registry provenance: which `registry/member@vN` origins
     /// contributed each composed class, arrow, and implicit class.
-    pub fn origins(&self) -> &ComposeProvenance {
-        self.report
-            .origins
-            .as_ref()
-            .expect("every compose attaches origins")
+    /// Computed from the composed member versions on every call.
+    pub fn origins(&self) -> ComposeProvenance {
+        let inputs = self
+            .members
+            .iter()
+            .zip(&self.versions)
+            .flat_map(|(row, versions)| {
+                versions.iter().map(move |(member, version)| {
+                    let label = format!("{}/{member}@v{}", row.registry, version.sequence);
+                    (label, version.schema.as_ref())
+                })
+            });
+        ComposeProvenance::compute(inputs, &self.report.proper)
     }
 
     /// The `H-COMPOSE-*` composition hints, in deterministic order.
@@ -419,22 +429,10 @@ impl Supergraph {
             .map_err(SupergraphError::Compose)?;
             let (strategy, mut report) = (step.strategy, step.report);
 
-            // Provenance and hints are computed from the member inputs
-            // and the composed result only — never from the path taken —
-            // so incremental and full composes attach identical origins.
-            let provenance = ComposeProvenance::compute(
-                states.iter().flat_map(|state| {
-                    let registry = &state.part.key;
-                    state.members.iter().map(move |(member, version)| {
-                        (
-                            format!("{registry}/{member}@v{}", version.sequence),
-                            version.schema.as_ref(),
-                        )
-                    })
-                }),
-                &report.proper,
-            );
-            let mut hints = compose_hints(&states, &provenance, &report.proper);
+            // Hints are computed from the member states and the composed
+            // result only — never from the path taken — so incremental
+            // and full composes carry identical hints.
+            let mut hints = compose_hints(&states, &report.proper);
             // H-COMPOSE-DEGRADED: a member registry is serving reads but
             // rejecting writes after a storage failure — the composed
             // view is correct but may lag that member's publishers.
@@ -454,7 +452,6 @@ impl Supergraph {
             }
             compose_span.attr_usize("hints", hints.len());
             report.diagnostics.extend(hints);
-            report.origins = Some(provenance);
 
             let members_meta: Vec<ComposedMember> = states
                 .iter()
@@ -484,6 +481,7 @@ impl Supergraph {
                 members: members_meta,
                 report: Arc::new(report),
                 strategy,
+                versions: states.iter().map(|s| Arc::clone(&s.members)).collect(),
             });
             shared.composed = Arc::clone(&view);
             drop(shared);
@@ -539,24 +537,20 @@ fn empty_view() -> Arc<ComposedView> {
         .execute()
         .expect("the empty merge cannot fail");
     report.compiled = None;
-    report.origins = Some(ComposeProvenance::default());
     Arc::new(ComposedView {
         generation: 0,
         members: Vec::new(),
         report: Arc::new(report),
         strategy: MergeStrategy::Full,
+        versions: Vec::new(),
     })
 }
 
-/// Derives the `H-COMPOSE-*` hints from the member inputs and the
+/// Derives the `H-COMPOSE-*` hints from the member states and the
 /// composed result. Pure and path-independent: the same member states
 /// and proper schema produce the same hints in the same order whether
 /// the compose ran full or incremental.
-fn compose_hints(
-    states: &[MemberState],
-    provenance: &ComposeProvenance,
-    proper: &ProperSchema,
-) -> Vec<Diagnostic> {
+fn compose_hints(states: &[MemberState], proper: &ProperSchema) -> Vec<Diagnostic> {
     let mut hints = Vec::new();
 
     // H-COMPOSE-COLLISION: the same member name published by more than
@@ -593,8 +587,8 @@ fn compose_hints(
     // H-COMPOSE-SPAN: an implicit meet class whose constituents come
     // from more than one registry — the federation, not any single
     // registry, forced it into existence.
-    for class in provenance.implicit.keys() {
-        let registries = provenance.registries_of(class);
+    for class in proper.as_weak().classes().filter(|c| c.is_implicit()) {
+        let registries = declaring_registries(states, class);
         if registries.len() >= 2 {
             hints.push(Diagnostic::hint(
                 "H-COMPOSE-SPAN",
@@ -615,8 +609,8 @@ fn compose_hints(
         if sub.is_implicit() || sup.is_implicit() {
             continue;
         }
-        let sub_registries = provenance.registries_of(sub);
-        let sup_registries = provenance.registries_of(sup);
+        let sub_registries = declaring_registries(states, sub);
+        let sup_registries = declaring_registries(states, sup);
         if sub_registries.is_empty() || sup_registries.is_empty() {
             continue;
         }
@@ -638,6 +632,29 @@ fn compose_hints(
     hints
 }
 
+/// The registries declaring `class`, in name order: those whose join
+/// holds it (the join adds no classes, §4.1). An implicit class no
+/// registry declares takes the registries declaring its named origins.
+fn declaring_registries<'s>(states: &'s [MemberState], class: &Class) -> Vec<&'s str> {
+    let declaring = |classes: &[Class]| -> Vec<&'s str> {
+        states
+            .iter()
+            .filter(|s| {
+                let join = s.part.compiled.as_deref();
+                join.is_some_and(|join| classes.iter().any(|c| join.class_id(c).is_some()))
+            })
+            .map(|s| s.part.key.as_str())
+            .collect()
+    };
+    let registries = declaring(std::slice::from_ref(class));
+    match class.origin() {
+        Some(origin) if registries.is_empty() => {
+            declaring(&origin.iter().cloned().map(Class::named).collect::<Vec<_>>())
+        }
+        _ => registries,
+    }
+}
+
 fn quote_join(names: &[&str]) -> String {
     let quoted: Vec<String> = names.iter().map(|name| format!("`{name}`")).collect();
     quoted.join(", ")
@@ -657,7 +674,7 @@ impl std::fmt::Debug for Supergraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use schema_merge_core::{Class, WeakSchema};
+    use schema_merge_core::WeakSchema;
 
     fn schema(src: &str, label: &str, tgt: &str) -> WeakSchema {
         WeakSchema::builder()
