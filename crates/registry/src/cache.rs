@@ -26,17 +26,18 @@
 //!    completes.
 //!
 //! The step returns the next state rather than storing it, so a caller
-//! installs it with the commit that produced it and drops it with a step
-//! that loses the commit race or fails. A state matches parts by key
-//! only: the caller passes as unchanged only parts whose content is what
-//! the state was built from — true whenever the state is committed
-//! together with those parts. A state that no longer matches (after a
-//! detach, say) falls back to the cold join on its own, and a state that
-//! covers no keys is never reused. Joins are stored compiled
+//! installs it with the commit that produced it and drops it only when
+//! that commit fails. Each caller steps in its writer lane, one step at
+//! a time, from the state the previous step installed. A state matches
+//! parts by key only: the caller passes as unchanged only parts whose
+//! content is what the state was built from — true whenever the state is
+//! committed together with those parts. A state that no longer matches
+//! (after a detach, say) falls back to the cold join on its own, and a
+//! state that covers no keys is never reused. Joins are stored compiled
 //! ([`CompiledSchema`]), so the interner survives across steps and a join
 //! never detours through the symbolic form. The callers keep everything
-//! around the step: the registry its optimistic commit, WAL and degraded
-//! mode, the supergraph its provenance and `H-COMPOSE-*` hints.
+//! around the step: the registry its lane, WAL and degraded mode, the
+//! supergraph its lane, provenance and `H-COMPOSE-*` hints.
 
 use std::sync::Arc;
 

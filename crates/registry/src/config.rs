@@ -174,6 +174,7 @@ impl RegistryBuilder {
                 report: recovered.report,
                 joins: recovered.joins,
             }),
+            lane: Mutex::new(()),
             merge_threads: self.merge_threads,
             metrics: Metrics::default(),
             persistence: Some(Mutex::new(Persistence {

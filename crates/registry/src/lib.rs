@@ -16,8 +16,9 @@
 //! * [`Registry`] — the engine. Named members hold histories of
 //!   content-hashed immutable versions ([`VersionMeta`]) and the body of
 //!   the current one ([`SchemaVersion`]); a generation-stamped merged
-//!   view sits behind an `RwLock`, so reads are wait-free Arc clones and
-//!   writers recompute optimistically outside the lock.
+//!   view sits behind an `RwLock`, so reads are Arc clones, and writers
+//!   run one at a time in a writer lane that takes the write lock only
+//!   to install a commit — never across a merge, an fsync or a snapshot.
 //! * **Incremental re-merge** ([`cache::JoinState`]) — one step
 //!   function keeps the join of a keyed set current by associativity
 //!   (`⊔ᵢGᵢ = (⊔ᵢ≠ₖGᵢ) ⊔ Gₖ`): each layer holds, in its committed state,

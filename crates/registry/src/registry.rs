@@ -6,13 +6,13 @@
 //! The mutable state (members, generation, merged view and the held
 //! joins) lives behind one `RwLock`. Reads — [`Registry::merged`],
 //! [`Registry::get`], [`Registry::stats`], [`Registry::query`] — take
-//! the read lock just long enough to clone an `Arc`. Writers are
-//! *optimistic*: they snapshot under the read lock, compute the
-//! candidate merged view with no lock held, then take the write lock
-//! only to validate the generation and commit. A writer that lost the
-//! race recomputes from a fresh snapshot — every retry means another
-//! writer committed, so the system as a whole always makes progress and
-//! the expensive merge work never blocks readers.
+//! the read lock just long enough to clone an `Arc`. Writes — `put`,
+//! `delete` and `snapshot` — run one at a time in the *lane*, a `Mutex`
+//! held for the whole write; the write lock is taken only to install a
+//! commit, never across a merge, an fsync or a snapshot. The merge is a
+//! least upper bound, so the lane's serial order never changes the view.
+//! Lock order: lane, persistence, shared state; a supergraph takes its
+//! lane before a registry's read lock, and a commit never touches one.
 //!
 //! ## Incrementality
 //!
@@ -31,16 +31,15 @@
 //!
 //! A registry opened with a store ([`crate::RegistryBuilder::data_dir`]
 //! or [`crate::RegistryBuilder::store`]) writes every commit to an
-//! append-only WAL *before* it becomes visible: inside the commit
-//! critical section, after the generation race is won but before the
-//! shared state mutates, the put/delete record is framed, appended and
-//! fsync'd ([`crate::storage`]). A commit that cannot be made durable is
-//! returned as [`RegistryError::Storage`] with the registry untouched,
-//! so the in-memory state never runs ahead of the log — crash anywhere
-//! and recovery replays exactly the acknowledged sequence. Every
-//! `snapshot_every` records the registry compacts: it snapshots every
-//! member's version history and current schema body and truncates the
-//! log.
+//! append-only WAL *before* it becomes visible: inside the lane, after
+//! the merge step and before the shared state mutates, the put/delete
+//! record is framed, appended and fsync'd ([`crate::storage`]). A commit
+//! that cannot be made durable is returned as [`RegistryError::Storage`]
+//! with the registry untouched, so the in-memory state never runs ahead
+//! of the log — crash anywhere and recovery replays exactly the
+//! acknowledged sequence. Every `snapshot_every` records the registry
+//! compacts: it snapshots every member's version history and current
+//! schema body and truncates the log.
 //!
 //! ## Memory
 //!
@@ -171,10 +170,8 @@ pub(crate) struct Shared {
 }
 
 /// The registry's persistence arm: the pluggable store plus the
-/// bookkeeping that makes WAL dedup and compaction cadence work. Locked
-/// only while the commit (shared-state) lock is held by the same caller
-/// or while no shared lock is needed at all, so the lock order
-/// shared → persistence is global and deadlock-free.
+/// bookkeeping that makes WAL dedup and compaction cadence work. Appends
+/// and snapshots lock it inside the lane, before any shared-state lock.
 pub(crate) struct Persistence {
     pub(crate) store: Box<dyn Store>,
     /// Auto-snapshot after this many WAL records (0 = manual only).
@@ -233,9 +230,9 @@ impl Persistence {
 
     /// Writes a snapshot of `members` at `generation` — every history,
     /// and the current versions' bodies — truncates the log, and drops
-    /// superseded snapshot objects. The caller must hold
-    /// the shared lock (read or write) so no commit can interleave
-    /// between the state capture and the log truncation.
+    /// superseded snapshot objects. The caller must hold the lane, so no
+    /// commit can append between the state capture and the log
+    /// truncation.
     fn write_snapshot(
         &mut self,
         members: &BTreeMap<String, MemberRecord>,
@@ -337,10 +334,9 @@ pub(crate) struct Metrics {
     cold_steps: AtomicU64,
     noop: AtomicU64,
     rejected: AtomicU64,
-    retries: AtomicU64,
     requests: AtomicU64,
     /// End-to-end latency of successful generation-spending commits
-    /// (put/delete, noops excluded), snapshot-to-visible.
+    /// (put/delete, noops excluded), lane wait included.
     commit_latency: Histogram,
     /// Durability wait per commit: the WAL append + fsync store call.
     fsync_latency: Histogram,
@@ -359,7 +355,6 @@ impl Default for Metrics {
             cold_steps: AtomicU64::new(0),
             noop: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             commit_latency: Histogram::new(),
             fsync_latency: Histogram::new(),
@@ -372,6 +367,8 @@ impl Default for Metrics {
 /// locking, incrementality and durability story.
 pub struct Registry {
     pub(crate) shared: RwLock<Shared>,
+    /// The writer lane, held for a whole put, delete or snapshot.
+    pub(crate) lane: Mutex<()>,
     /// Worker budget for every merge (`None` = the merger's defaults).
     pub(crate) merge_threads: Option<usize>,
     /// Event counters, latency histograms and the uptime epoch.
@@ -388,7 +385,7 @@ impl Default for Registry {
     }
 }
 
-/// What one pass through the commit path produced.
+/// What the commit path produced.
 struct Committed {
     generation: u64,
     /// The member's version sequence number (puts only).
@@ -411,6 +408,7 @@ impl Registry {
                 report: Arc::new(CompletionReport::default()),
                 joins: Arc::new(JoinState::default()),
             }),
+            lane: Mutex::new(()),
             merge_threads: None,
             metrics: Metrics::default(),
             persistence: None,
@@ -479,97 +477,92 @@ impl Registry {
 
     /// The one commit path of [`put`](Registry::put) (`changed` is the
     /// new version's content hash and part) and
-    /// [`delete`](Registry::delete) (`changed` is `None`). It snapshots
-    /// the other members and the held joins, steps with no lock held,
-    /// then takes the write lock: if another writer committed meanwhile
-    /// it drops the step and retries from a fresh snapshot; otherwise the
-    /// record is made durable (WAL before visible) and the new view and
-    /// held joins swapped in.
+    /// [`delete`](Registry::delete) (`changed` is `None`). It runs in the
+    /// lane: it steps from the held joins the last commit installed,
+    /// makes the record durable (WAL before visible), takes the write
+    /// lock only to swap in the new version, view and held joins, and
+    /// writes a due snapshot after releasing it.
     fn commit(&self, name: &str, changed: Option<(u64, Part)>) -> Result<Committed, RegistryError> {
-        self.check_writable()?;
         let commit_started = Instant::now();
         let mut commit_span = telemetry::span("commit");
         if let Some((hash, _)) = &changed {
             commit_span.attr("content_hash", *hash);
         }
-        loop {
-            let (generation, rest, joins) = {
-                let shared = self.shared.read().expect("registry lock");
-                match (shared.members.get(name), &changed) {
-                    (Some(record), Some((hash, _))) if record.current.hash == *hash => {
-                        self.metrics.noop.fetch_add(1, Ordering::Relaxed);
-                        return Ok(Committed {
-                            generation: shared.generation,
-                            sequence: record.current.sequence,
-                            remaining: shared.members.len(),
-                            strategy: MergeStrategy::Noop,
-                        });
-                    }
-                    (None, None) => return Err(RegistryError::UnknownMember(name.to_string())),
-                    _ => {}
+        let _lane = self.lane.lock().expect("registry lane");
+        self.check_writable()?;
+        let (generation, sequence, rest, joins) = {
+            let shared = self.shared.read().expect("registry lock");
+            let record = shared.members.get(name);
+            match (record, &changed) {
+                (Some(record), Some((hash, _))) if record.current.hash == *hash => {
+                    self.metrics.noop.fetch_add(1, Ordering::Relaxed);
+                    return Ok(Committed {
+                        generation: shared.generation,
+                        sequence: record.current.sequence,
+                        remaining: shared.members.len(),
+                        strategy: MergeStrategy::Noop,
+                    });
                 }
-                let rest: Vec<Part> = shared
-                    .members
-                    .iter()
-                    .filter(|(n, _)| n.as_str() != name)
-                    .map(|(n, r)| member_part(n, &r.current))
-                    .collect();
-                (shared.generation, rest, Arc::clone(&shared.joins))
-            };
-
-            let step = joins
-                .step(
-                    &rest,
-                    Some(name),
-                    changed.as_ref().map(|(_, part)| part),
-                    self.merge_threads,
-                )
-                .map_err(|cause| self.reject(name, cause))?;
-            let steps = match step.strategy {
-                MergeStrategy::Full => &self.metrics.cold_steps,
-                _ => &self.metrics.held_steps,
-            };
-            steps.fetch_add(1, Ordering::Relaxed);
-
-            let mut shared = self.shared.write().expect("registry lock");
-            if shared.generation != generation {
-                drop(shared);
-                self.metrics.retries.fetch_add(1, Ordering::Relaxed);
-                continue;
+                (None, None) => return Err(RegistryError::UnknownMember(name.to_string())),
+                _ => {}
             }
-            let generation = generation + 1;
-            let sequence = shared
+            let rest: Vec<Part> = shared
                 .members
-                .get(name)
-                .map_or(0, |r| r.history.len() as u32)
-                + 1;
-            // Durability point: the record is fsync'd before any shared
-            // state mutates, so a storage failure rejects the commit with
-            // the registry untouched, and a crash after this line replays
-            // to exactly this state.
-            if let Some(persistence) = &self.persistence {
-                let mut p = persistence.lock().expect("persistence lock");
-                let view_hash = step.report.proper.content_hash();
-                let record = match &changed {
-                    Some((hash, part)) => WalRecord::Put {
-                        generation,
-                        member: name.to_string(),
-                        hash: *hash,
-                        sequence,
-                        view_hash,
-                        schema: (!p.on_disk.contains(hash)).then(|| Arc::clone(&part.schema)),
-                    },
-                    None => WalRecord::Delete {
-                        generation,
-                        member: name.to_string(),
-                        view_hash,
-                    },
-                };
-                self.durable_append(&mut p, &record)?;
-                if let Some((hash, _)) = &changed {
-                    p.on_disk.insert(*hash);
-                }
+                .iter()
+                .filter(|(n, _)| n.as_str() != name)
+                .map(|(n, r)| member_part(n, &r.current))
+                .collect();
+            (
+                shared.generation + 1,
+                record.map_or(0, |r| r.history.len() as u32) + 1,
+                rest,
+                Arc::clone(&shared.joins),
+            )
+        };
+
+        let step = joins
+            .step(
+                &rest,
+                Some(name),
+                changed.as_ref().map(|(_, part)| part),
+                self.merge_threads,
+            )
+            .map_err(|cause| self.reject(name, cause))?;
+        let steps = match step.strategy {
+            MergeStrategy::Full => &self.metrics.cold_steps,
+            _ => &self.metrics.held_steps,
+        };
+        steps.fetch_add(1, Ordering::Relaxed);
+
+        // Durability point: the record is fsync'd before any shared state
+        // mutates, so a storage failure rejects the commit with the
+        // registry untouched, and a crash after this line replays to
+        // exactly this state.
+        if let Some(persistence) = &self.persistence {
+            let mut p = persistence.lock().expect("persistence lock");
+            let view_hash = step.report.proper.content_hash();
+            let record = match &changed {
+                Some((hash, part)) => WalRecord::Put {
+                    generation,
+                    member: name.to_string(),
+                    hash: *hash,
+                    sequence,
+                    view_hash,
+                    schema: (!p.on_disk.contains(hash)).then(|| Arc::clone(&part.schema)),
+                },
+                None => WalRecord::Delete {
+                    generation,
+                    member: name.to_string(),
+                    view_hash,
+                },
+            };
+            self.durable_append(&mut p, &record)?;
+            if let Some((hash, _)) = &changed {
+                p.on_disk.insert(*hash);
             }
+        }
+        let remaining = {
+            let mut shared = self.shared.write().expect("registry lock");
             shared.generation = generation;
             match &changed {
                 Some((hash, part)) => version::publish(
@@ -589,20 +582,19 @@ impl Registry {
             shared.proper = Arc::new(step.report.proper);
             shared.report = Arc::new(step.report.implicit);
             shared.joins = Arc::new(step.state);
-            self.auto_snapshot(&shared);
-            let remaining = shared.members.len();
-            drop(shared);
+            shared.members.len()
+        };
+        self.auto_snapshot();
 
-            self.count_commit(step.strategy);
-            commit_span.attr("generation", generation);
-            self.metrics.commit_latency.record(commit_started.elapsed());
-            return Ok(Committed {
-                generation,
-                sequence,
-                remaining,
-                strategy: step.strategy,
-            });
-        }
+        self.count_commit(step.strategy);
+        commit_span.attr("generation", generation);
+        self.metrics.commit_latency.record(commit_started.elapsed());
+        Ok(Committed {
+            generation,
+            sequence,
+            remaining,
+            strategy: step.strategy,
+        })
     }
 
     /// The current merged view (three `Arc` clones; never blocks writers
@@ -708,7 +700,8 @@ impl Registry {
     /// every member's version history and current schema body are
     /// written as one atomically-installed image, the WAL is
     /// truncated, and superseded snapshot objects are removed. Returns
-    /// the generation the snapshot captured.
+    /// the generation the snapshot captured. It runs in the lane, so it
+    /// never truncates a record a concurrent commit has appended.
     ///
     /// # Errors
     ///
@@ -718,15 +711,14 @@ impl Registry {
     /// (the new image is installed before anything is discarded), so
     /// nothing committed is ever lost.
     pub fn snapshot(&self) -> Result<u64, RegistryError> {
+        let _lane = self.lane.lock().expect("registry lane");
         self.check_writable()?;
         let persistence = self
             .persistence
             .as_ref()
             .ok_or(RegistryError::NotPersistent)?;
-        let shared = self.shared.read().expect("registry lock");
         let mut p = persistence.lock().expect("persistence lock");
-        let view_hash = shared.proper.content_hash();
-        Ok(p.write_snapshot(&shared.members, shared.generation, view_hash)?)
+        Ok(self.write_snapshot(&mut p)?)
     }
 
     /// The registry's status snapshot — state sizes, merged-view shape,
@@ -767,7 +759,6 @@ impl Registry {
             joins_held,
             held_join_steps: metrics.held_steps.load(Ordering::Relaxed),
             cold_join_steps: metrics.cold_steps.load(Ordering::Relaxed),
-            commit_retries: metrics.retries.load(Ordering::Relaxed),
             uptime_secs: metrics.started_at.elapsed().as_secs(),
             requests_served: metrics.requests.load(Ordering::Relaxed),
             degraded: resilience.degraded.load(Ordering::SeqCst),
@@ -932,19 +923,27 @@ impl Registry {
         }
     }
 
-    /// Compacts if the auto-snapshot cadence is due. Called with the
-    /// write lock held, right after a commit mutated the shared state.
+    /// Compacts if the auto-snapshot cadence is due. Called in the lane,
+    /// after a commit installed its state and released the write lock.
     /// Errors are swallowed: the commit is already durable in the log,
     /// and the snapshot will simply be retried at the next commit.
-    fn auto_snapshot(&self, shared: &Shared) {
+    fn auto_snapshot(&self) {
         let Some(persistence) = &self.persistence else {
             return;
         };
         let mut p = persistence.lock().expect("persistence lock");
         if p.snapshot_every > 0 && p.records_since_snapshot >= p.snapshot_every {
-            let view_hash = shared.proper.content_hash();
-            let _ = p.write_snapshot(&shared.members, shared.generation, view_hash);
+            let _ = self.write_snapshot(&mut p);
         }
+    }
+
+    /// Snapshots the installed state. The caller holds the lane, so the
+    /// state cannot move while the read lock is held; readers share that
+    /// lock, so none waits on the write.
+    fn write_snapshot(&self, p: &mut Persistence) -> Result<u64, StorageError> {
+        let shared = self.shared.read().expect("registry lock");
+        let view_hash = shared.proper.content_hash();
+        p.write_snapshot(&shared.members, shared.generation, view_hash)
     }
 }
 
@@ -971,7 +970,9 @@ impl std::fmt::Debug for Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::{FaultSchedule, FaultStore, MemoryStore, OpKind};
     use schema_merge_core::Merger;
+    use std::time::Duration;
 
     fn schema(src: &str, label: &str, tgt: &str) -> WeakSchema {
         WeakSchema::builder()
@@ -1189,7 +1190,72 @@ mod tests {
             "every commit spent exactly one generation"
         );
         assert_eq!(stats.generation as usize, threads * rounds);
+        assert_eq!(
+            stats.held_join_steps + stats.cold_join_steps,
+            stats.generation,
+            "every merge step was committed"
+        );
         assert_view_matches_oneshot(&registry);
+    }
+
+    /// Runs `write` on another thread and, once it is inside a delayed
+    /// storage call, times a GET and a MERGED on this one: neither may
+    /// wait for the storage call.
+    fn assert_reads_skip_the_storage_wait(
+        registry: &Registry,
+        schedule: &FaultSchedule,
+        write: impl FnOnce() + Send,
+    ) {
+        let delayed = schedule.counters().delayed;
+        std::thread::scope(|scope| {
+            let writer = scope.spawn(write);
+            while schedule.counters().delayed == delayed {
+                std::thread::yield_now();
+            }
+            let started = Instant::now();
+            assert!(registry.get("a").is_some());
+            let get = started.elapsed();
+            let started = Instant::now();
+            let _ = registry.merged();
+            let merged = started.elapsed();
+            let during = !writer.is_finished();
+            writer.join().unwrap();
+            let bound = Duration::from_millis(20);
+            assert!(get < bound, "GET waited {get:?} for storage");
+            assert!(merged < bound, "MERGED waited {merged:?} for storage");
+            assert!(during, "the reads ran after the storage call");
+        });
+    }
+
+    fn faulty_registry(snapshot_every: u64) -> (Registry, FaultSchedule) {
+        let schedule = FaultSchedule::new(1);
+        let registry = Registry::builder()
+            .store(FaultStore::new(MemoryStore::new(), schedule.clone()))
+            .snapshot_every(snapshot_every)
+            .open()
+            .unwrap();
+        registry.put("a", schema("A", "x", "T")).unwrap();
+        (registry, schedule)
+    }
+
+    #[test]
+    fn readers_never_wait_for_a_wal_append() {
+        let (registry, schedule) = faulty_registry(0);
+        let schedule = schedule.latency(OpKind::Append, Duration::from_millis(200));
+        assert_reads_skip_the_storage_wait(&registry, &schedule, || {
+            registry.put("b", schema("B", "y", "U")).unwrap();
+        });
+        assert_view_matches_oneshot(&registry);
+    }
+
+    #[test]
+    fn readers_never_wait_for_an_auto_snapshot() {
+        let (registry, schedule) = faulty_registry(1);
+        let schedule = schedule.latency(OpKind::WriteSnapshot, Duration::from_millis(200));
+        assert_reads_skip_the_storage_wait(&registry, &schedule, || {
+            registry.put("b", schema("B", "y", "U")).unwrap();
+        });
+        assert_eq!(registry.stats().snapshot_generation, 2);
     }
 
     #[test]

@@ -50,9 +50,6 @@ pub struct RegistryStats {
     /// Merge steps, committed or not, that joined the unchanged members
     /// cold.
     pub cold_join_steps: u64,
-    /// Optimistic commit attempts that lost the generation race and
-    /// retried.
-    pub commit_retries: u64,
     /// Whole seconds since this registry instance was opened.
     pub uptime_secs: u64,
     /// Requests this registry has served, as noted by its front end
@@ -119,12 +116,8 @@ impl fmt::Display for RegistryStats {
         )?;
         writeln!(
             f,
-            "merges: {} incremental, {} full, {} no-op, {} rejected, {} commit retries",
-            self.incremental_merges,
-            self.full_merges,
-            self.noop_puts,
-            self.rejected_puts,
-            self.commit_retries,
+            "merges: {} incremental, {} full, {} no-op, {} rejected",
+            self.incremental_merges, self.full_merges, self.noop_puts, self.rejected_puts,
         )?;
         writeln!(
             f,

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use schema_merge_core::compose::ComposeProvenance;
@@ -46,8 +46,14 @@ use crate::error::SupergraphError;
 /// read off the registries' joins; cross-registry provenance (labels
 /// `registry/member@vN`) is computed on demand by
 /// [`ComposedView::origins`].
+///
+/// `compose`, `attach` and `detach` run one at a time in a writer lane
+/// and take the write lock only to install their result. Lock order:
+/// this lane, then a member registry's read lock.
 pub struct Supergraph {
     shared: RwLock<Shared>,
+    /// The writer lane, held for a whole compose, attach or detach.
+    lane: Mutex<()>,
     /// Worker budget for every composition merge (`None` = the merger's
     /// defaults).
     threads: Option<usize>,
@@ -56,8 +62,7 @@ pub struct Supergraph {
 }
 
 struct Shared {
-    /// Bumped by attach, detach, and every non-noop compose; the
-    /// optimistic-commit guard.
+    /// Bumped by attach, detach, and every non-noop compose.
     generation: u64,
     members: BTreeMap<String, Member>,
     composed: Arc<ComposedView>,
@@ -89,7 +94,6 @@ struct Counters {
     full: AtomicU64,
     incremental: AtomicU64,
     noop: AtomicU64,
-    retries: AtomicU64,
 }
 
 /// A generation-stamped handle on the composed supergraph view.
@@ -199,8 +203,6 @@ pub struct SupergraphStats {
     pub incremental_composes: u64,
     /// Composes that found nothing changed.
     pub noop_composes: u64,
-    /// Optimistic-commit retries (concurrent attach/detach/compose).
-    pub compose_retries: u64,
     /// Latency of non-noop [`compose`](Supergraph::compose) calls.
     pub compose_latency: HistogramSnapshot,
 }
@@ -222,6 +224,7 @@ impl Supergraph {
                 composed: empty_view(),
                 joins: Arc::new(JoinState::default()),
             }),
+            lane: Mutex::new(()),
             threads: None,
             counters: Counters::default(),
             compose_latency: Histogram::default(),
@@ -253,6 +256,7 @@ impl Supergraph {
         if name.is_empty() || name.contains('/') || name.chars().any(char::is_whitespace) {
             return Err(SupergraphError::InvalidName(name));
         }
+        let _lane = self.lane.lock().expect("supergraph lane");
         let mut shared = self.shared.write().expect("supergraph lock");
         if shared.members.contains_key(&name) {
             return Err(SupergraphError::DuplicateRegistry(name));
@@ -286,6 +290,7 @@ impl Supergraph {
     /// [`SupergraphError::UnknownRegistry`] when nothing is attached
     /// under `name`.
     pub fn detach(&self, name: &str) -> Result<Arc<Registry>, SupergraphError> {
+        let _lane = self.lane.lock().expect("supergraph lane");
         let mut shared = self.shared.write().expect("supergraph lock");
         match shared.members.remove(name) {
             Some(member) => {
@@ -344,162 +349,153 @@ impl Supergraph {
     pub fn compose(&self) -> Result<ComposeOutcome, SupergraphError> {
         let started = Instant::now();
         let mut compose_span = telemetry::span("compose");
-        loop {
-            let (generation, snapshot, joins) = {
-                let shared = self.shared.read().expect("supergraph lock");
-                let snapshot: Vec<(String, Arc<Registry>, Option<MemberState>)> = shared
-                    .members
-                    .iter()
-                    .map(|(n, m)| (n.clone(), Arc::clone(&m.registry), m.state.clone()))
-                    .collect();
-                (shared.generation, snapshot, Arc::clone(&shared.joins))
-            };
+        let _lane = self.lane.lock().expect("supergraph lane");
+        let (generation, snapshot, joins, composed) = {
+            let shared = self.shared.read().expect("supergraph lock");
+            let snapshot: Vec<(String, Arc<Registry>, Option<MemberState>)> = shared
+                .members
+                .iter()
+                .map(|(n, m)| (n.clone(), Arc::clone(&m.registry), m.state.clone()))
+                .collect();
+            (
+                shared.generation,
+                snapshot,
+                Arc::clone(&shared.joins),
+                Arc::clone(&shared.composed),
+            )
+        };
 
-            // Refresh every registry's join handle; the delta walk for a
-            // changed registry is its own `recompose` child span.
-            let mut states: Vec<MemberState> = Vec::with_capacity(snapshot.len());
-            let mut changed: Vec<usize> = Vec::new();
-            for (index, (name, registry, prev)) in snapshot.iter().enumerate() {
-                let join = registry.compiled_join();
-                let state = match prev {
-                    Some(prev) if prev.generation == join.generation => prev.clone(),
-                    _ => {
-                        let mut member_span = telemetry::span("recompose");
-                        member_span.attr("registry_generation", join.generation);
-                        member_span.attr_usize("members", join.members.len());
-                        changed.push(index);
-                        MemberState {
-                            part: Part {
-                                key: name.clone(),
-                                schema: Arc::new(join.join.decompile()),
-                                compiled: Some(join.join),
-                            },
-                            generation: join.generation,
-                            members: Arc::new(join.members),
-                        }
-                    }
-                };
-                states.push(state);
-            }
-
-            {
-                // Every state came from the last compose and none moved:
-                // the same set, unless a registry was detached since.
-                let shared = self.shared.read().expect("supergraph lock");
-                if shared.generation == generation
-                    && changed.is_empty()
-                    && states.len() == shared.composed.members.len()
-                {
-                    self.counters.noop.fetch_add(1, Ordering::Relaxed);
-                    compose_span.attr("noop", 1);
-                    return Ok(ComposeOutcome {
-                        generation: shared.generation,
-                        strategy: MergeStrategy::Noop,
-                        view: Arc::clone(&shared.composed),
-                    });
-                }
-            }
-
-            // One step: exactly one registry moved → its join onto the
-            // rest's (a lone registry's join completes as is); no registry
-            // moved → the remaining set, recompleted. When several moved,
-            // no held join describes the unchanged ones: join them all
-            // cold.
-            let step = match changed.as_slice() {
-                [index] => {
-                    let rest: Vec<Part> = states
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| i != index)
-                        .map(|(_, s)| s.part.clone())
-                        .collect();
-                    let moved = &states[*index].part;
-                    joins.step(&rest, Some(&moved.key), Some(moved), self.threads)
-                }
+        // Refresh every registry's join handle; the delta walk for a
+        // changed registry is its own `recompose` child span.
+        let mut states: Vec<MemberState> = Vec::with_capacity(snapshot.len());
+        let mut changed: Vec<usize> = Vec::new();
+        for (index, (name, registry, prev)) in snapshot.iter().enumerate() {
+            let join = registry.compiled_join();
+            let state = match prev {
+                Some(prev) if prev.generation == join.generation => prev.clone(),
                 _ => {
-                    let all: Vec<Part> = states.iter().map(|s| s.part.clone()).collect();
-                    let held = if changed.is_empty() {
-                        joins.as_ref()
-                    } else {
-                        &JoinState::default()
-                    };
-                    held.step(&all, None, None, self.threads)
+                    let mut member_span = telemetry::span("recompose");
+                    member_span.attr("registry_generation", join.generation);
+                    member_span.attr_usize("members", join.members.len());
+                    changed.push(index);
+                    MemberState {
+                        part: Part {
+                            key: name.clone(),
+                            schema: Arc::new(join.join.decompile()),
+                            compiled: Some(join.join),
+                        },
+                        generation: join.generation,
+                        members: Arc::new(join.members),
+                    }
                 }
-            }
-            .map_err(SupergraphError::Compose)?;
-            let (strategy, mut report) = (step.strategy, step.report);
+            };
+            states.push(state);
+        }
 
-            // Hints are computed from the member states and the composed
-            // result only — never from the path taken — so incremental
-            // and full composes carry identical hints.
-            let mut hints = compose_hints(&states, &report.proper);
-            // H-COMPOSE-DEGRADED: a member registry is serving reads but
-            // rejecting writes after a storage failure — the composed
-            // view is correct but may lag that member's publishers.
-            // Flagged here (not in `compose_hints`) because degradation
-            // is live registry state, not a property of the inputs.
-            for (name, registry, _) in &snapshot {
-                if registry.is_degraded() {
-                    hints.push(Diagnostic::hint(
-                        "H-COMPOSE-DEGRADED",
-                        format!(
-                            "member registry `{name}` is degraded (read-only \
-                             after a storage failure); its contribution may \
-                             be stale until it heals"
-                        ),
-                    ));
-                }
-            }
-            compose_span.attr_usize("hints", hints.len());
-            report.diagnostics.extend(hints);
+        // Every state came from the last compose and none moved: the same
+        // set, unless a registry was detached since.
+        if changed.is_empty() && states.len() == composed.members.len() {
+            self.counters.noop.fetch_add(1, Ordering::Relaxed);
+            compose_span.attr("noop", 1);
+            return Ok(ComposeOutcome {
+                generation,
+                strategy: MergeStrategy::Noop,
+                view: composed,
+            });
+        }
 
-            let members_meta: Vec<ComposedMember> = states
+        // One step: exactly one registry moved → its join onto the rest's
+        // (a lone registry's join completes as is); no registry moved →
+        // the remaining set, recompleted. When several moved, no held join
+        // describes the unchanged ones: join them all cold.
+        let step = match changed.as_slice() {
+            [index] => {
+                let rest: Vec<Part> = states
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| i != index)
+                    .map(|(_, s)| s.part.clone())
+                    .collect();
+                let moved = &states[*index].part;
+                joins.step(&rest, Some(&moved.key), Some(moved), self.threads)
+            }
+            _ => {
+                let all: Vec<Part> = states.iter().map(|s| s.part.clone()).collect();
+                let held = if changed.is_empty() {
+                    joins.as_ref()
+                } else {
+                    &JoinState::default()
+                };
+                held.step(&all, None, None, self.threads)
+            }
+        }
+        .map_err(SupergraphError::Compose)?;
+        let (strategy, mut report) = (step.strategy, step.report);
+
+        // Hints are computed from the member states and the composed
+        // result only — never from the path taken — so incremental and
+        // full composes carry identical hints.
+        let mut hints = compose_hints(&states, &report.proper);
+        // H-COMPOSE-DEGRADED: a member registry is serving reads but
+        // rejecting writes after a storage failure — the composed view is
+        // correct but may lag that member's publishers. Flagged here (not
+        // in `compose_hints`) because degradation is live registry state,
+        // not a property of the inputs.
+        for (name, registry, _) in &snapshot {
+            if registry.is_degraded() {
+                hints.push(Diagnostic::hint(
+                    "H-COMPOSE-DEGRADED",
+                    format!(
+                        "member registry `{name}` is degraded (read-only \
+                         after a storage failure); its contribution may \
+                         be stale until it heals"
+                    ),
+                ));
+            }
+        }
+        compose_span.attr_usize("hints", hints.len());
+        report.diagnostics.extend(hints);
+
+        let generation = generation + 1;
+        let view = Arc::new(ComposedView {
+            generation,
+            members: states
                 .iter()
                 .map(|s| ComposedMember {
                     registry: s.part.key.clone(),
                     generation: s.generation,
                     members: s.members.len(),
                 })
-                .collect();
-
+                .collect(),
+            report: Arc::new(report),
+            strategy,
+            versions: states.iter().map(|s| Arc::clone(&s.members)).collect(),
+        });
+        {
             let mut shared = self.shared.write().expect("supergraph lock");
-            if shared.generation != generation {
-                drop(shared);
-                self.counters.retries.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            let next_generation = shared.generation + 1;
-            shared.generation = next_generation;
-            for state in &states {
+            shared.generation = generation;
+            for state in states {
                 if let Some(member) = shared.members.get_mut(&state.part.key) {
-                    member.state = Some(state.clone());
+                    member.state = Some(state);
                 }
             }
             shared.joins = Arc::new(step.state);
-            let view = Arc::new(ComposedView {
-                generation: next_generation,
-                members: members_meta,
-                report: Arc::new(report),
-                strategy,
-                versions: states.iter().map(|s| Arc::clone(&s.members)).collect(),
-            });
             shared.composed = Arc::clone(&view);
-            drop(shared);
-
-            let counter = match strategy {
-                MergeStrategy::Incremental => &self.counters.incremental,
-                _ => &self.counters.full,
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
-            compose_span.attr("generation", next_generation);
-            compose_span.attr_usize("registries", view.members.len());
-            self.compose_latency.record(started.elapsed());
-            return Ok(ComposeOutcome {
-                generation: next_generation,
-                strategy,
-                view,
-            });
         }
+
+        let counter = match strategy {
+            MergeStrategy::Incremental => &self.counters.incremental,
+            _ => &self.counters.full,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        compose_span.attr("generation", generation);
+        compose_span.attr_usize("registries", view.members.len());
+        self.compose_latency.record(started.elapsed());
+        Ok(ComposeOutcome {
+            generation,
+            strategy,
+            view,
+        })
     }
 
     /// The supergraph's status snapshot. Generation, registry count and
@@ -526,7 +522,6 @@ impl Supergraph {
             full_composes: self.counters.full.load(Ordering::Relaxed),
             incremental_composes: self.counters.incremental.load(Ordering::Relaxed),
             noop_composes: self.counters.noop.load(Ordering::Relaxed),
-            compose_retries: self.counters.retries.load(Ordering::Relaxed),
             compose_latency: self.compose_latency.snapshot(),
         }
     }
@@ -998,6 +993,43 @@ mod tests {
         let incremental_hints: Vec<&Diagnostic> = incremental.view.hints().collect();
         let full_hints: Vec<&Diagnostic> = full.view.hints().collect();
         assert_eq!(incremental_hints, full_hints);
+    }
+
+    /// Composes, attach/detach cycles of a scratch registry and publishes
+    /// into two attached registries, from four threads at once: nothing
+    /// deadlocks (supergraph lane, then a registry's read lock), and the
+    /// last compose is the one-shot merge of every member.
+    #[test]
+    fn concurrent_composes_attaches_and_publishes_converge() {
+        let supergraph = two_registry_supergraph();
+        let rounds = 8;
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for _ in 0..rounds {
+                    supergraph.compose().unwrap();
+                }
+            });
+            scope.spawn(|| {
+                for round in 0..rounds {
+                    let scratch = supergraph.attach_new("scratch").unwrap();
+                    scratch
+                        .put("tmp", schema("Tmp", &format!("f{round}"), "T"))
+                        .unwrap();
+                    supergraph.detach("scratch").unwrap();
+                }
+            });
+            for name in ["a", "b"] {
+                let registry = supergraph.registry(name).unwrap();
+                scope.spawn(move || {
+                    for round in 0..rounds {
+                        let g = schema("Order", &format!("{name}{round}"), "T");
+                        registry.put(format!("{name}-churn"), g).unwrap();
+                    }
+                });
+            }
+        });
+        supergraph.compose().unwrap();
+        assert_view_matches_oneshot(&supergraph);
     }
 
     #[test]
