@@ -205,6 +205,8 @@ commands:
                        versions over TCP and the canonical merged view
                        is maintained incrementally (files preload
                        members; --port 0 picks an ephemeral port;
+                       --threads is accepted and ignored, as every
+                       connection gets its own thread;
                        --merge-threads fixes the worker budget of the
                        registry's merge plans; --data-dir makes the
                        registry durable — commits are WAL'd and

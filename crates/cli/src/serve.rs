@@ -1,16 +1,22 @@
 //! `smerge serve` — the registry daemon.
 //!
-//! A `std`-only TCP server: one acceptor thread (the caller), a fixed
-//! pool of worker threads draining a shared connection queue, and a
-//! [`Registry`] shared by everyone. The wire protocol is the
-//! line-oriented command/block format of [`schema_merge_text::protocol`];
-//! `smerge client` (see [`crate::client`]) speaks the other side.
+//! A `std`-only TCP server: one acceptor thread (the caller), one thread
+//! per accepted connection under a cap of [`MAX_CONNS`] live
+//! connections, and a [`Registry`] shared by everyone. An idle client
+//! costs a parked thread, never a place in a queue, so it cannot hold up
+//! any other client; how many merges run at once is bounded by the
+//! registry's and the supergraph's writer lanes, not by the transport.
+//! The wire protocol is the line-oriented command/block format of
+//! [`schema_merge_text::protocol`]; `smerge client` (see
+//! [`crate::client`]) speaks the other side.
 //!
 //! The daemon announces `listening on 127.0.0.1:<port>` on stdout once
 //! the socket is bound — with `--port 0` the kernel picks an ephemeral
 //! port and the announcement is how callers (the e2e smoke test, shell
-//! scripts) learn it. `SHUTDOWN` from any client stops accepting,
-//! drains the worker pool and returns.
+//! scripts) learn it. `SHUTDOWN` from any client stops accepting, lets
+//! the requests being served finish, closes the read half of every
+//! other connection so idle clients see end of input, and returns once
+//! every connection thread has ended.
 //!
 //! Serving a request has two halves. [`dispatch`] is pure: it takes the
 //! shared [`Daemon`] state and one parsed [`Request`] and returns the
@@ -21,12 +27,12 @@
 //! `write_all` per reply on a `TCP_NODELAY` socket, so no reply waits
 //! on Nagle's algorithm for the client's delayed ACK.
 
-use std::collections::VecDeque;
+use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use schema_merge_core::{AnnotatedSchema, KeyAssignment, Merger, WeakSchema};
@@ -40,19 +46,19 @@ use schema_merge_text::{encode_block, parse_document, print_schema, NamedSchema}
 
 use crate::app::{parse_path_query, CliError};
 
-/// How long a worker waits on an idle connection before dropping it —
-/// keeps dead clients from pinning workers forever.
+/// How long a connection may sit idle before the daemon drops it —
+/// keeps dead clients from holding a place under [`MAX_CONNS`] forever.
 const READ_TIMEOUT: Duration = Duration::from_secs(120);
 
-/// How long a worker blocks writing a response before giving up on the
-/// connection — a stalled client that stops reading mid-MERGED must not
-/// pin a worker forever either.
+/// How long writing a response may block before the daemon gives up on
+/// the connection — a stalled client that stops reading mid-MERGED must
+/// not hold its thread forever either.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Wall-clock budget for collecting one PUT payload block. The per-line
 /// read timeout alone would let a slow-drip client (one line every two
-/// minutes) hold a worker indefinitely; the whole block must arrive
-/// within this deadline.
+/// minutes) hold its share of [`PUT_BUDGET`] indefinitely; the whole
+/// block must arrive within this deadline.
 const PUT_DEADLINE: Duration = Duration::from_secs(60);
 
 /// The longest request or payload line the daemon reads, in bytes. Real
@@ -65,6 +71,15 @@ const MAX_LINE_BYTES: usize = 1 << 20;
 /// client reaches it.
 const MAX_PUT_BYTES: usize = 64 << 20;
 
+/// The most connections the daemon serves at once, one thread each. An
+/// accept past the cap is answered with one `E-BUSY` line and closed.
+const MAX_CONNS: usize = 256;
+
+/// The most PUT payload bytes the daemon buffers at once, summed over
+/// every connection: four whole [`MAX_PUT_BYTES`] payloads. A PUT whose
+/// next line would pass it is answered with `E-BUSY` and closed.
+const PUT_BUDGET: usize = 4 * MAX_PUT_BYTES;
+
 /// How long an over-limit connection's unread input is drained before
 /// the socket closes, so the client reads the `E-LIMIT` line instead of
 /// a connection reset.
@@ -75,7 +90,6 @@ const PROBE_INTERVAL: Duration = Duration::from_millis(200);
 
 struct Options {
     port: u16,
-    threads: usize,
     merge_threads: Option<usize>,
     data_dir: Option<String>,
     snapshot_every: Option<u64>,
@@ -86,7 +100,6 @@ struct Options {
 fn parse_options(args: &[&String]) -> Result<Options, CliError> {
     let mut options = Options {
         port: 7411,
-        threads: 4,
         merge_threads: None,
         data_dir: None,
         snapshot_every: None,
@@ -103,9 +116,10 @@ fn parse_options(args: &[&String]) -> Result<Options, CliError> {
                     .ok_or_else(|| CliError::Usage("--port requires a port number".into()))?;
             }
             "--threads" => {
-                options.threads = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
+                // Still accepted, and ignored: every connection has its
+                // own thread.
+                iter.next()
+                    .and_then(|v| v.parse::<usize>().ok())
                     .filter(|&n| n > 0)
                     .ok_or_else(|| CliError::Usage("--threads requires a positive count".into()))?;
             }
@@ -148,7 +162,7 @@ fn parse_options(args: &[&String]) -> Result<Options, CliError> {
     Ok(options)
 }
 
-/// Verbs the worker loop times individually. Connection-terminating
+/// Verbs the transport loop times individually. Connection-terminating
 /// verbs (`QUIT`, `SHUTDOWN`) are excluded — their latency is the
 /// teardown, not the service.
 const TIMED_VERBS: [&str; 15] = [
@@ -169,7 +183,7 @@ const TIMED_VERBS: [&str; 15] = [
     "supergraph",
 ];
 
-/// Per-verb request-latency histograms, recorded by the worker loop
+/// Per-verb request-latency histograms, recorded by the transport loop
 /// around every dispatched command.
 struct RequestMetrics {
     verbs: [(&'static str, Histogram); TIMED_VERBS.len()],
@@ -214,9 +228,9 @@ fn verb_label(command: &Command) -> Option<&'static str> {
 
 /// The `--trace-log` sink: one Chrome trace-event JSON object per line
 /// (loadable in `chrome://tracing` / Perfetto after wrapping in `[...]`,
-/// or parsed as JSONL). Workers drain their thread-local span buffers
-/// here after every request, so one mutex'd writer serializes the file
-/// without serializing the traced work itself.
+/// or parsed as JSONL). Connection threads drain their thread-local span
+/// buffers here after every request, so one mutex'd writer serializes
+/// the file without serializing the traced work itself.
 struct TraceSink {
     writer: Mutex<BufWriter<File>>,
 }
@@ -230,8 +244,8 @@ impl TraceSink {
         })
     }
 
-    /// Drains the calling thread's finished spans into the log as
-    /// worker `tid`.
+    /// Drains the calling thread's finished spans into the log under
+    /// `tid`, the id of the connection it serves.
     fn drain_thread(&self, tid: u64) {
         let spans = telemetry::drain_spans();
         if spans.is_empty() {
@@ -405,51 +419,99 @@ fn render_health(stats: &RegistryStats) -> String {
     detail
 }
 
-/// The blocking handoff between the acceptor and the workers.
-struct ConnQueue {
-    state: Mutex<QueueState>,
-    ready: Condvar,
+/// The transport's shared state: the live connections, which the cap
+/// counts and `SHUTDOWN` closes, and the PUT payload bytes buffered over
+/// all of them.
+struct Transport {
+    max_conns: usize,
+    put_budget: usize,
+    live: Mutex<HashMap<u64, Arc<TcpStream>>>,
+    put_bytes: AtomicUsize,
 }
 
-struct QueueState {
-    conns: VecDeque<TcpStream>,
-    closed: bool,
-}
-
-impl ConnQueue {
-    fn new() -> Self {
-        ConnQueue {
-            state: Mutex::new(QueueState {
-                conns: VecDeque::new(),
-                closed: false,
-            }),
-            ready: Condvar::new(),
+impl Transport {
+    fn new(max_conns: usize, put_budget: usize) -> Transport {
+        Transport {
+            max_conns,
+            put_budget,
+            live: Mutex::new(HashMap::new()),
+            put_bytes: AtomicUsize::new(0),
         }
     }
 
-    fn push(&self, stream: TcpStream) {
-        let mut state = self.state.lock().expect("queue lock");
-        state.conns.push_back(stream);
-        self.ready.notify_one();
-    }
-
-    fn close(&self) {
-        self.state.lock().expect("queue lock").closed = true;
-        self.ready.notify_all();
-    }
-
-    /// Blocks until a connection arrives; `None` once closed and drained.
-    fn pop(&self) -> Option<TcpStream> {
-        let mut state = self.state.lock().expect("queue lock");
-        loop {
-            if let Some(stream) = state.conns.pop_front() {
-                return Some(stream);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.ready.wait(state).expect("queue lock");
+    /// Registers connection `id`, or `None` when the cap is reached.
+    fn admit(&self, id: u64, stream: &Arc<TcpStream>) -> Option<Slot<'_>> {
+        let mut live = self.live.lock().expect("connection table lock");
+        if live.len() >= self.max_conns {
+            return None;
         }
+        live.insert(id, Arc::clone(stream));
+        Some(Slot {
+            transport: self,
+            id,
+        })
+    }
+
+    /// Closes the read half of every live connection: a blocked read
+    /// sees end of input, so each thread finishes the request it is
+    /// serving, if any, and ends.
+    fn close_reads(&self) {
+        for stream in self.live.lock().expect("connection table lock").values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
+}
+
+/// A live connection's place under the cap; dropping it frees the place.
+struct Slot<'a> {
+    transport: &'a Transport,
+    id: u64,
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        // A poisoned table only means another connection's thread
+        // panicked; every update to it is a single insert or remove.
+        let mut live = self
+            .transport
+            .live
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        live.remove(&self.id);
+    }
+}
+
+/// One PUT payload's bytes, counted against the daemon's PUT budget until
+/// the reservation is dropped.
+struct Reservation<'a> {
+    transport: &'a Transport,
+    bytes: usize,
+}
+
+impl Reservation<'_> {
+    /// Counts `bytes` more, or returns `false`, counting nothing, when
+    /// that would pass the budget.
+    fn grow(&mut self, bytes: usize) -> bool {
+        let budget = self.transport.put_budget;
+        let taken = self
+            .transport
+            .put_bytes
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |held| {
+                held.checked_add(bytes).filter(|&total| total <= budget)
+            })
+            .is_ok();
+        if taken {
+            self.bytes += bytes;
+        }
+        taken
+    }
+}
+
+impl Drop for Reservation<'_> {
+    fn drop(&mut self) {
+        self.transport
+            .put_bytes
+            .fetch_sub(self.bytes, Ordering::SeqCst);
     }
 }
 
@@ -494,7 +556,7 @@ pub fn serve_command(args: &[&String], out: &mut dyn Write) -> Result<(), CliErr
                 .map_err(|err| CliError::Data(format!("{path}: preload failed: {err}")))?;
         }
     }
-    let daemon = Arc::new(Daemon::new(registry, options.merge_threads));
+    let daemon = Daemon::new(registry, options.merge_threads);
 
     let listener = TcpListener::bind(("127.0.0.1", options.port))?;
     let addr = listener.local_addr()?;
@@ -503,8 +565,8 @@ pub fn serve_command(args: &[&String], out: &mut dyn Write) -> Result<(), CliErr
     writeln!(out, "listening on {addr}")?;
     let trace = match &options.trace_log {
         Some(path) => {
-            let sink = Arc::new(TraceSink::open(path)?);
-            // Spans everywhere: the workers drain their thread buffers
+            let sink = TraceSink::open(path)?;
+            // Spans everywhere: connection threads drain their buffers
             // into the sink after every request.
             telemetry::set_spans_enabled(true);
             writeln!(out, "tracing to {path}")?;
@@ -514,53 +576,68 @@ pub fn serve_command(args: &[&String], out: &mut dyn Write) -> Result<(), CliErr
     };
     out.flush()?;
 
-    let queue = Arc::new(ConnQueue::new());
-    // Background heal probe: while the registry is degraded it
-    // re-attempts the store on a short cadence and flips back to
-    // writable as soon as the store responds (`Registry::probe_now`).
-    let probe = {
-        let daemon = Arc::clone(&daemon);
-        std::thread::spawn(move || {
+    let transport = Transport::new(MAX_CONNS, PUT_BUDGET);
+    std::thread::scope(|scope| {
+        // Background heal probe: while the registry is degraded it
+        // re-attempts the store on a short cadence and flips back to
+        // writable as soon as the store responds (`Registry::probe_now`).
+        scope.spawn(|| {
             while !daemon.shutdown.load(Ordering::SeqCst) {
                 daemon.registry.probe_now();
                 std::thread::sleep(PROBE_INTERVAL);
             }
-        })
-    };
-    let workers: Vec<_> = (0..options.threads)
-        .map(|tid| {
-            let queue = Arc::clone(&queue);
-            let daemon = Arc::clone(&daemon);
-            let trace = trace.clone();
-            std::thread::spawn(move || {
-                while let Some(stream) = queue.pop() {
-                    // A broken connection only affects that client.
-                    let _ = handle_connection(stream, &daemon, addr, trace.as_deref(), tid as u64);
-                }
-            })
-        })
-        .collect();
-
-    for incoming in listener.incoming() {
-        if daemon.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match incoming {
-            Ok(stream) => queue.push(stream),
-            Err(err) => eprintln!("smerge serve: accept failed: {err}"),
-        }
-    }
-
-    queue.close();
-    for worker in workers {
-        let _ = worker.join();
-    }
-    let _ = probe.join();
+        });
+        serve_connections(&listener, addr, &daemon, &transport, trace.as_ref());
+    });
     if trace.is_some() {
         telemetry::set_spans_enabled(false);
     }
     writeln!(out, "shutdown complete")?;
     Ok(())
+}
+
+/// Accepts connections on `listener` (bound to `addr`) until a client
+/// sends `SHUTDOWN`, serving each on a thread of its own, and returns
+/// once every connection has ended.
+fn serve_connections(
+    listener: &TcpListener,
+    addr: SocketAddr,
+    daemon: &Daemon,
+    transport: &Transport,
+    trace: Option<&TraceSink>,
+) {
+    std::thread::scope(|scope| {
+        for (id, incoming) in (0u64..).zip(listener.incoming()) {
+            if daemon.shutdown.load(Ordering::SeqCst) {
+                break;
+            }
+            let stream = match incoming {
+                Ok(stream) => Arc::new(stream),
+                Err(err) => {
+                    eprintln!("smerge serve: accept failed: {err}");
+                    continue;
+                }
+            };
+            let Some(slot) = transport.admit(id, &stream) else {
+                let busy = format!(
+                    "[E-BUSY] the daemon already serves its limit of {} connections; \
+                     closing connection",
+                    transport.max_conns
+                );
+                let _ = write_response(&mut &*stream, &Response::err(&busy));
+                continue;
+            };
+            let spawned = std::thread::Builder::new().spawn_scoped(scope, move || {
+                let _slot = slot;
+                // A broken connection only affects that client.
+                let _ = handle_connection(&stream, daemon, transport, addr, trace, id);
+            });
+            if let Err(err) = spawned {
+                eprintln!("smerge serve: no thread for a connection: {err}");
+            }
+        }
+        transport.close_reads();
+    });
 }
 
 /// A wire line longer than [`MAX_LINE_BYTES`].
@@ -569,7 +646,7 @@ struct LineTooLong;
 /// Reads one line, without its terminator, buffering at most
 /// [`MAX_LINE_BYTES`] of it. `None` at end of input.
 fn read_line(
-    reader: &mut BufReader<TcpStream>,
+    reader: &mut BufReader<&TcpStream>,
 ) -> std::io::Result<Option<Result<String, LineTooLong>>> {
     let mut bytes = Vec::new();
     let limit = MAX_LINE_BYTES as u64 + 1;
@@ -587,17 +664,19 @@ fn read_line(
     Ok(Some(Ok(buf)))
 }
 
-/// Answers an over-limit request with the stable `E-LIMIT` error and
-/// ends the connection: the rest of the oversized input is never
+/// Answers an over-limit request with the stable `code` error (`E-LIMIT`
+/// for a cap on one request, `E-BUSY` for the daemon-wide PUT budget)
+/// and ends the connection: the rest of the oversized input is never
 /// buffered. The unread input is discarded for at most [`LIMIT_DRAIN`]
 /// first, so the client sees the error line rather than a reset.
 fn reject_over_limit(
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
+    reader: &mut BufReader<&TcpStream>,
+    writer: &mut &TcpStream,
+    code: &str,
     what: &str,
     cap: usize,
 ) -> std::io::Result<()> {
-    let detail = format!("[E-LIMIT] {what} exceeds {cap} bytes; closing connection");
+    let detail = format!("[{code}] {what} exceeds {cap} bytes; closing connection");
     write_response(writer, &Response::err(&detail))?;
     writer.shutdown(Shutdown::Write)?;
     writer.set_read_timeout(Some(LIMIT_DRAIN))?;
@@ -613,8 +692,8 @@ fn reject_over_limit(
 }
 
 /// Arms both socket deadlines on an accepted connection — a client that
-/// stops sending (read) or stops receiving (write) must not pin a
-/// worker forever — and sets `TCP_NODELAY`: each reply is one complete
+/// stops sending (read) or stops receiving (write) must not hold its
+/// thread forever — and sets `TCP_NODELAY`: each reply is one complete
 /// write, so there is nothing for Nagle's algorithm to coalesce.
 fn configure_stream(stream: &TcpStream) -> std::io::Result<()> {
     stream.set_read_timeout(Some(READ_TIMEOUT))?;
@@ -634,27 +713,42 @@ fn write_response<W: Write>(writer: &mut W, response: &Response) -> std::io::Res
     writer.write_all(reply.as_bytes())
 }
 
-/// Collects a `PUT` payload block. `None` when the connection ends (or
-/// is cut loose) before the terminator: there is nothing to dispatch.
-fn read_put_body(
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-) -> std::io::Result<Option<String>> {
+/// Collects a `PUT` payload block, counting each line against the
+/// daemon's PUT budget as it arrives; the body comes back with its
+/// reservation. `None` when the connection ends (or is cut loose) before
+/// the terminator: there is nothing to dispatch.
+fn read_put_body<'t>(
+    reader: &mut BufReader<&TcpStream>,
+    writer: &mut &TcpStream,
+    transport: &'t Transport,
+) -> std::io::Result<Option<(String, Reservation<'t>)>> {
     let mut collector = BlockCollector::new();
-    let mut body_bytes = 0usize;
+    let mut reservation = Reservation {
+        transport,
+        bytes: 0,
+    };
     let block_started = Instant::now();
-    while let Some(payload_line) = read_line(reader)? {
-        let Ok(payload_line) = payload_line else {
-            reject_over_limit(reader, writer, "payload line", MAX_LINE_BYTES)?;
+    let (code, what, cap) = loop {
+        let Some(payload_line) = read_line(reader)? else {
+            // Connection died mid-block; nothing to answer.
             return Ok(None);
         };
-        body_bytes += payload_line.len() + 1;
-        if body_bytes > MAX_PUT_BYTES {
-            reject_over_limit(reader, writer, "PUT payload", MAX_PUT_BYTES)?;
-            return Ok(None);
+        let Ok(payload_line) = payload_line else {
+            break ("E-LIMIT", "payload line", MAX_LINE_BYTES);
+        };
+        let bytes = payload_line.len() + 1;
+        if reservation.bytes + bytes > MAX_PUT_BYTES {
+            break ("E-LIMIT", "PUT payload", MAX_PUT_BYTES);
+        }
+        if !reservation.grow(bytes) {
+            break (
+                "E-BUSY",
+                "in-flight PUT payload total",
+                transport.put_budget,
+            );
         }
         if collector.push(&payload_line) {
-            return Ok(Some(collector.finish()));
+            return Ok(Some((collector.finish(), reservation)));
         }
         if block_started.elapsed() > PUT_DEADLINE {
             // A slow-drip client: each line lands within the read
@@ -663,28 +757,37 @@ fn read_put_body(
             write_response(writer, &Response::err("payload deadline exceeded"))?;
             return Ok(None);
         }
-    }
-    // Connection died mid-block; nothing to answer.
+    };
+    // Give the partial payload back before draining the rest of it.
+    drop((collector, reservation));
+    reject_over_limit(reader, writer, code, what, cap)?;
     Ok(None)
 }
 
-/// The transport loop of one connection: reads and parses each request
+/// The transport loop of connection `id`: reads and parses each request
 /// line (and a `PUT`'s payload block), times it, hands it to
 /// [`dispatch`] and writes the response.
 fn handle_connection(
-    stream: TcpStream,
+    stream: &TcpStream,
     daemon: &Daemon,
+    transport: &Transport,
     addr: SocketAddr,
     trace: Option<&TraceSink>,
-    tid: u64,
+    id: u64,
 ) -> std::io::Result<()> {
-    configure_stream(&stream)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
+    configure_stream(stream)?;
+    let mut reader = BufReader::new(stream);
     let mut writer = stream;
 
     while let Some(line) = read_line(&mut reader)? {
         let Ok(line) = line else {
-            return reject_over_limit(&mut reader, &mut writer, "request line", MAX_LINE_BYTES);
+            return reject_over_limit(
+                &mut reader,
+                &mut writer,
+                "E-LIMIT",
+                "request line",
+                MAX_LINE_BYTES,
+            );
         };
         if line.trim().is_empty() {
             continue;
@@ -700,17 +803,19 @@ fn handle_connection(
         let started = Instant::now();
         // With `--trace-log` every request becomes a root span named
         // after its verb; the registry's commit/plan/execute spans nest
-        // under it on this worker thread.
+        // under it on this connection's thread.
         let request_span = verb.map(telemetry::span);
         let shutdown = command == Command::Shutdown;
-        let body = match command {
-            Command::Put(_) => match read_put_body(&mut reader, &mut writer)? {
-                Some(body) => body,
+        let (body, payload) = match command {
+            Command::Put(_) => match read_put_body(&mut reader, &mut writer, transport)? {
+                Some((body, reservation)) => (body, Some(reservation)),
                 None => return Ok(()),
             },
-            _ => String::new(),
+            _ => (String::new(), None),
         };
         let response = dispatch(daemon, Request { command, body });
+        // Dispatch consumed the payload: give its bytes back to the budget.
+        drop(payload);
         write_response(&mut writer, &response)?;
         if response.close {
             if shutdown {
@@ -724,7 +829,7 @@ fn handle_connection(
             daemon.metrics.record(verb, started.elapsed());
         }
         if let Some(trace) = trace {
-            trace.drain_thread(tid);
+            trace.drain_thread(id);
         }
     }
     Ok(())
@@ -738,7 +843,7 @@ const DEFAULT_REGISTRY: &str = "default";
 /// Everything a request can reach: the daemon's own registry, the
 /// supergraph it is attached to (as [`DEFAULT_REGISTRY`]), the
 /// per-verb request latencies and the shutdown flag. One per daemon,
-/// shared by every worker.
+/// shared by every connection.
 struct Daemon {
     registry: Arc<Registry>,
     supergraph: Supergraph,
@@ -1048,11 +1153,10 @@ fn put_member(registry: &Registry, name: &str, payload: &str) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
 
     /// Both socket deadlines are armed on every accepted connection —
     /// notably the write timeout, so a client that stops reading
-    /// mid-response cannot pin a worker forever — and `TCP_NODELAY` is
+    /// mid-response cannot hold its thread forever — and `TCP_NODELAY` is
     /// set, so no reply waits on the client's delayed ACK.
     #[test]
     fn configure_stream_arms_read_and_write_timeouts() {
@@ -1283,9 +1387,6 @@ mod tests {
             .starts_with("DATA generation=1 "));
     }
 
-    /// The daemon's own registry is reserved: detaching it would leave
-    /// bare names committing to a registry COMPOSE drops, and attaching
-    /// `default` again would split `default/x` from `x`.
     /// A SUPERGRAPH reply carries every composition hint as a
     /// `hint[CODE] message` line, in the composed view's order.
     #[test]
@@ -1329,6 +1430,9 @@ mod tests {
         );
     }
 
+    /// The daemon's own registry is reserved: detaching it would leave
+    /// bare names committing to a registry COMPOSE drops, and attaching
+    /// `default` again would split `default/x` from `x`.
     #[test]
     fn dispatch_reserves_the_default_registry() {
         let daemon = daemon();
@@ -1346,7 +1450,68 @@ mod tests {
         assert!(compose.contains("registries=1 classes=2"), "{compose}");
     }
 
-    /// Every label the worker loop can record under is one
+    /// Two PUTs whose payloads together pass the daemon's PUT budget: the
+    /// one whose line would pass it gets `E-BUSY` and is closed, the
+    /// other is published, and the budget is whole again afterwards.
+    #[test]
+    fn concurrent_puts_over_the_payload_budget_get_e_busy() {
+        let daemon = daemon();
+        let transport = Transport::new(8, 4096);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let connect = || {
+            let stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            (BufReader::new(stream.try_clone().unwrap()), stream)
+        };
+        let reply = |reader: &mut BufReader<TcpStream>| {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            line
+        };
+        // Each payload's comment line takes 3,000 of the 4,096 bytes.
+        let padding = format!("// {}\n", "x".repeat(2996));
+        std::thread::scope(|scope| {
+            scope.spawn(|| serve_connections(&listener, addr, &daemon, &transport, None));
+
+            let (mut first_reader, mut first) = connect();
+            first
+                .write_all(
+                    format!("PUT first\nschema first {{ C --a--> B1; }}\n{padding}").as_bytes(),
+                )
+                .unwrap();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while transport.put_bytes.load(Ordering::SeqCst) < padding.len() {
+                assert!(Instant::now() < deadline, "the first payload never arrived");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+
+            let (mut second_reader, mut second) = connect();
+            second
+                .write_all(
+                    format!("PUT second\nschema second {{ C --a--> B2; }}\n{padding}.\n")
+                        .as_bytes(),
+                )
+                .unwrap();
+            let busy = reply(&mut second_reader);
+            assert!(busy.starts_with("ERR [E-BUSY] "), "{busy}");
+            assert_eq!(reply(&mut second_reader), "", "closed after E-BUSY");
+
+            first.write_all(b".\n").unwrap();
+            let ok = reply(&mut first_reader);
+            assert!(ok.starts_with("OK hash="), "{ok}");
+            assert_eq!(transport.put_bytes.load(Ordering::SeqCst), 0);
+
+            first.write_all(b"SHUTDOWN\n").unwrap();
+            assert_eq!(reply(&mut first_reader), "OK shutting down\n");
+        });
+        assert!(daemon.registry.get("first").is_some());
+        assert!(daemon.registry.get("second").is_none());
+    }
+
+    /// Every label the transport loop can record under is one
     /// `RequestMetrics` keeps a histogram for — `record` silently drops
     /// any other — and every histogram belongs to some verb.
     #[test]

@@ -647,6 +647,104 @@ fn daemon_rejects_over_long_lines_with_e_limit() {
     assert!(!ok, "the rejected PUT published nothing: {text}");
 }
 
+/// A raw connection to `addr` whose reads give up after `timeout`.
+fn connect(addr: &str, timeout: Duration) -> (BufReader<TcpStream>, TcpStream) {
+    let stream = TcpStream::connect(addr).expect("connects");
+    stream.set_read_timeout(Some(timeout)).unwrap();
+    (BufReader::new(stream.try_clone().unwrap()), stream)
+}
+
+/// Sends `request` on `conn` and reads one status line; `""` once the
+/// daemon has closed the connection.
+fn ask(conn: &mut (BufReader<TcpStream>, TcpStream), request: &str) -> String {
+    conn.1
+        .write_all(format!("{request}\n").as_bytes())
+        .expect("request sent");
+    let mut line = String::new();
+    conn.0.read_line(&mut line).expect("a reply in time");
+    line
+}
+
+/// An idle connection costs the daemon a parked thread, not a place in
+/// a queue: with 64 of them open, a PING on a new connection is answered
+/// at once.
+#[test]
+fn daemon_answers_a_ping_while_64_idle_connections_are_open() {
+    let daemon = spawn_daemon(&[]);
+    let idle: Vec<TcpStream> = (0..64)
+        .map(|_| TcpStream::connect(&daemon.addr).expect("connects"))
+        .collect();
+    let started = Instant::now();
+    let mut conn = connect(&daemon.addr, Duration::from_secs(3));
+    let pong = ask(&mut conn, "PING");
+    let elapsed = started.elapsed();
+    assert_eq!(pong, "OK pong\n");
+    assert!(
+        elapsed < Duration::from_millis(100),
+        "PING took {elapsed:?} with {} idle connections open",
+        idle.len()
+    );
+}
+
+/// SHUTDOWN closes the read half of every other connection, so an idle
+/// client neither keeps the daemon running nor waits out the 120 s read
+/// timeout: it reads end of input and the daemon exits at once.
+#[test]
+fn daemon_shutdown_does_not_wait_for_an_idle_client() {
+    let mut daemon = spawn_daemon(&[]);
+    let mut idle = connect(&daemon.addr, Duration::from_secs(10));
+    assert_eq!(ask(&mut idle, "PING"), "OK pong\n");
+
+    let mut control = connect(&daemon.addr, Duration::from_secs(10));
+    assert_eq!(ask(&mut control, "SHUTDOWN"), "OK shutting down\n");
+    let status = wait_for_exit(&mut daemon.child, Duration::from_secs(1))
+        .expect("daemon exits within 1 s of SHUTDOWN with an idle client");
+    assert!(status.success(), "daemon exit: {status:?}");
+    let mut line = String::new();
+    assert_eq!(idle.0.read_line(&mut line).unwrap_or(0), 0, "{line}");
+}
+
+/// The connection past the daemon's cap of 256 is refused with one
+/// `E-BUSY` line; the daemon keeps serving the connections it holds, and
+/// admits a new one once one of them closes.
+#[test]
+fn daemon_refuses_the_connection_past_the_cap_with_e_busy() {
+    const MAX_CONNS: usize = 256;
+    let timeout = Duration::from_secs(10);
+    let daemon = spawn_daemon(&[]);
+    let mut held: Vec<_> = (0..MAX_CONNS)
+        .map(|_| connect(&daemon.addr, timeout))
+        .collect();
+
+    let (mut refused, _) = connect(&daemon.addr, timeout);
+    let mut line = String::new();
+    refused.read_line(&mut line).expect("an E-BUSY line");
+    assert!(line.starts_with("ERR [E-BUSY] "), "{line}");
+    line.clear();
+    assert_eq!(refused.read_line(&mut line).unwrap_or(0), 0, "{line}");
+
+    assert_eq!(ask(&mut held[0], "PING"), "OK pong\n");
+    assert_eq!(ask(&mut held[MAX_CONNS - 1], "PING"), "OK pong\n");
+    let mut closing = held.pop().expect("a held connection");
+    assert_eq!(ask(&mut closing, "QUIT"), "OK bye\n");
+    drop(closing);
+
+    // The place frees once the daemon's thread for it has ended.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let mut conn = connect(&daemon.addr, timeout);
+        conn.1.write_all(b"PING\n").expect("request sent");
+        let mut reply = String::new();
+        let _ = conn.0.read_line(&mut reply);
+        if reply == "OK pong\n" {
+            break;
+        }
+        assert!(reply.starts_with("ERR [E-BUSY] "), "{reply}");
+        assert!(Instant::now() < deadline, "no place freed after a QUIT");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
 /// Sends one request on an open connection and reads its reply: the
 /// status line, plus the unstuffed block after a `DATA` status.
 fn roundtrip(

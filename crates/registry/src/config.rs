@@ -39,7 +39,9 @@ use schema_merge_telemetry as telemetry;
 
 use crate::cache::{JoinState, Part};
 use crate::error::RegistryError;
-use crate::registry::{member_part, Metrics, Persistence, Registry, Resilience, Shared};
+use crate::registry::{
+    member_part, Durability, Metrics, Persistence, Registry, Resilience, Shared,
+};
 use crate::resilience::RetryPolicy;
 use crate::storage::snapshot::SnapshotState;
 use crate::storage::wal::{self, WalRecord};
@@ -166,6 +168,17 @@ impl RegistryBuilder {
             span.attr("wal_records", recovered.wal_records);
             recovered
         };
+        let persistence = Persistence {
+            store,
+            snapshot_every: self.snapshot_every,
+            wal_records: recovered.wal_records,
+            records_since_snapshot: recovered.wal_records,
+            snapshot_generation: recovered.snapshot_generation,
+            snapshot_bytes: recovered.snapshot_bytes,
+            snapshots_written: 0,
+            on_disk: recovered.on_disk,
+            torn_at: None,
+        };
         let registry = Registry {
             shared: RwLock::new(Shared {
                 generation: recovered.generation,
@@ -174,20 +187,10 @@ impl RegistryBuilder {
                 report: recovered.report,
                 joins: recovered.joins,
             }),
-            lane: Mutex::new(()),
+            durability: Some(Durability::new(&persistence)),
+            lane: Mutex::new(Some(persistence)),
             merge_threads: self.merge_threads,
             metrics: Metrics::default(),
-            persistence: Some(Mutex::new(Persistence {
-                store,
-                snapshot_every: self.snapshot_every,
-                wal_records: recovered.wal_records,
-                records_since_snapshot: recovered.wal_records,
-                snapshot_generation: recovered.snapshot_generation,
-                snapshot_bytes: recovered.snapshot_bytes,
-                snapshots_written: 0,
-                on_disk: recovered.on_disk,
-                torn_at: None,
-            })),
             resilience: Resilience::new(self.retry_policy),
         };
         registry

@@ -7,12 +7,15 @@
 //! joins) lives behind one `RwLock`. Reads — [`Registry::merged`],
 //! [`Registry::get`], [`Registry::stats`], [`Registry::query`] — take
 //! the read lock just long enough to clone an `Arc`. Writes — `put`,
-//! `delete` and `snapshot` — run one at a time in the *lane*, a `Mutex`
-//! held for the whole write; the write lock is taken only to install a
-//! commit, never across a merge, an fsync or a snapshot. The merge is a
-//! least upper bound, so the lane's serial order never changes the view.
-//! Lock order: lane, persistence, shared state; a supergraph takes its
-//! lane before a registry's read lock, and a commit never touches one.
+//! `delete`, `snapshot` and the heal probe — run one at a time in the
+//! *lane*, a `Mutex` held for the whole write that also owns the store;
+//! the write lock is taken only to install a commit, never across a
+//! merge, an fsync or a snapshot. The merge is a least upper bound, so
+//! the lane's serial order never changes the view. Releasing the lane
+//! publishes the durability fields `stats` reports into atomics, so no
+//! read ever waits on a writer or on storage. Lock order: lane, then
+//! shared state; a supergraph takes its lane before a registry's read
+//! lock, and a commit never touches one.
 //!
 //! ## Incrementality
 //!
@@ -50,7 +53,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
 
 use schema_merge_core::{
@@ -66,7 +69,7 @@ use crate::resilience::RetryPolicy;
 use crate::stats::RegistryStats;
 use crate::storage::snapshot::{SnapshotState, VersionMeta};
 use crate::storage::wal::WalRecord;
-use crate::storage::{snapshot, wal, StorageError, Store};
+use crate::storage::{snapshot, wal, FaultCounters, StorageError, Store};
 use crate::version::{self, MemberInfo, MemberRecord, SchemaVersion};
 
 /// How a commit's merged view was computed.
@@ -170,8 +173,9 @@ pub(crate) struct Shared {
 }
 
 /// The registry's persistence arm: the pluggable store plus the
-/// bookkeeping that makes WAL dedup and compaction cadence work. Appends
-/// and snapshots lock it inside the lane, before any shared-state lock.
+/// bookkeeping that makes WAL dedup and compaction cadence work. It
+/// lives in the lane, so only the writer holding the lane touches the
+/// store.
 pub(crate) struct Persistence {
     pub(crate) store: Box<dyn Store>,
     /// Auto-snapshot after this many WAL records (0 = manual only).
@@ -282,6 +286,90 @@ impl Persistence {
     }
 }
 
+/// The durability fields [`Registry::stats`] reports, as the lane holder
+/// last published them ([`Lane`] does so whenever it is released). Each
+/// field is an atomic, so a status read never waits for a writer that is
+/// appending, backing off or snapshotting.
+#[derive(Default)]
+pub(crate) struct Durability {
+    wal_records: AtomicU64,
+    wal_bytes: AtomicU64,
+    snapshot_generation: AtomicU64,
+    snapshot_bytes: AtomicU64,
+    snapshots_written: AtomicU64,
+    /// The store's [`FaultCounters`] in field order; `None` for a store
+    /// that injects no faults.
+    faults: Option<[AtomicU64; 4]>,
+}
+
+impl Durability {
+    pub(crate) fn new(p: &Persistence) -> Self {
+        let durability = Durability {
+            faults: p.store.fault_counters().map(|_| Default::default()),
+            ..Durability::default()
+        };
+        durability.publish(p);
+        durability
+    }
+
+    /// Copies `p`'s figures out. A log whose length cannot be read keeps
+    /// the last length that could.
+    fn publish(&self, p: &Persistence) {
+        if let Ok(bytes) = p.store.log_bytes() {
+            self.wal_bytes.store(bytes, Ordering::Relaxed);
+        }
+        self.wal_records.store(p.wal_records, Ordering::Relaxed);
+        self.snapshot_generation
+            .store(p.snapshot_generation, Ordering::Relaxed);
+        self.snapshot_bytes
+            .store(p.snapshot_bytes, Ordering::Relaxed);
+        self.snapshots_written
+            .store(p.snapshots_written, Ordering::Relaxed);
+        if let (Some(fields), Some(c)) = (&self.faults, p.store.fault_counters()) {
+            for (field, value) in fields
+                .iter()
+                .zip([c.ops, c.injected, c.torn_appends, c.delayed])
+            {
+                field.store(value, Ordering::Relaxed);
+            }
+        }
+    }
+
+    fn report(&self, stats: &mut RegistryStats) {
+        stats.persistent = true;
+        stats.wal_records = self.wal_records.load(Ordering::Relaxed);
+        stats.wal_bytes = self.wal_bytes.load(Ordering::Relaxed);
+        stats.snapshot_generation = self.snapshot_generation.load(Ordering::Relaxed);
+        stats.snapshot_bytes = self.snapshot_bytes.load(Ordering::Relaxed);
+        stats.snapshots_written = self.snapshots_written.load(Ordering::Relaxed);
+        stats.fault_counters =
+            self.faults
+                .as_ref()
+                .map(|[ops, injected, torn, delayed]| FaultCounters {
+                    ops: ops.load(Ordering::Relaxed),
+                    injected: injected.load(Ordering::Relaxed),
+                    torn_appends: torn.load(Ordering::Relaxed),
+                    delayed: delayed.load(Ordering::Relaxed),
+                });
+    }
+}
+
+/// The held writer lane: the persistence arm, borrowed for one write.
+/// Releasing it publishes the durability fields, however the write
+/// ended.
+struct Lane<'a> {
+    persistence: MutexGuard<'a, Option<Persistence>>,
+    durability: Option<&'a Durability>,
+}
+
+impl Drop for Lane<'_> {
+    fn drop(&mut self) {
+        if let (Some(p), Some(durability)) = (self.persistence.as_ref(), self.durability) {
+            durability.publish(p);
+        }
+    }
+}
+
 /// The registry's resilience state: the opt-in retry policy plus the
 /// degraded-mode flag and its counters. With no policy configured
 /// (`policy: None`, the default) the registry is fail-fast and never
@@ -367,14 +455,17 @@ impl Default for Metrics {
 /// locking, incrementality and durability story.
 pub struct Registry {
     pub(crate) shared: RwLock<Shared>,
-    /// The writer lane, held for a whole put, delete or snapshot.
-    pub(crate) lane: Mutex<()>,
+    /// The writer lane, held for a whole put, delete, snapshot or heal
+    /// probe. It owns the durability arm: `None` for a purely in-memory
+    /// registry.
+    pub(crate) lane: Mutex<Option<Persistence>>,
     /// Worker budget for every merge (`None` = the merger's defaults).
     pub(crate) merge_threads: Option<usize>,
     /// Event counters, latency histograms and the uptime epoch.
     pub(crate) metrics: Metrics,
-    /// The durability arm; `None` for a purely in-memory registry.
-    pub(crate) persistence: Option<Mutex<Persistence>>,
+    /// What the lane holder last published for `stats`; `None` for a
+    /// purely in-memory registry.
+    pub(crate) durability: Option<Durability>,
     /// Retry policy and degraded-mode state.
     pub(crate) resilience: Resilience,
 }
@@ -408,10 +499,10 @@ impl Registry {
                 report: Arc::new(CompletionReport::default()),
                 joins: Arc::new(JoinState::default()),
             }),
-            lane: Mutex::new(()),
+            lane: Mutex::new(None),
             merge_threads: None,
             metrics: Metrics::default(),
-            persistence: None,
+            durability: None,
             resilience: Resilience::default(),
         }
     }
@@ -488,7 +579,7 @@ impl Registry {
         if let Some((hash, _)) = &changed {
             commit_span.attr("content_hash", *hash);
         }
-        let _lane = self.lane.lock().expect("registry lane");
+        let mut lane = self.lane();
         self.check_writable()?;
         let (generation, sequence, rest, joins) = {
             let shared = self.shared.read().expect("registry lock");
@@ -538,8 +629,7 @@ impl Registry {
         // mutates, so a storage failure rejects the commit with the
         // registry untouched, and a crash after this line replays to
         // exactly this state.
-        if let Some(persistence) = &self.persistence {
-            let mut p = persistence.lock().expect("persistence lock");
+        if let Some(p) = lane.persistence.as_mut() {
             let view_hash = step.report.proper.content_hash();
             let record = match &changed {
                 Some((hash, part)) => WalRecord::Put {
@@ -556,7 +646,7 @@ impl Registry {
                     view_hash,
                 },
             };
-            self.durable_append(&mut p, &record)?;
+            self.durable_append(p, &record)?;
             if let Some((hash, _)) = &changed {
                 p.on_disk.insert(*hash);
             }
@@ -584,7 +674,7 @@ impl Registry {
             shared.joins = Arc::new(step.state);
             shared.members.len()
         };
-        self.auto_snapshot();
+        self.auto_snapshot(lane.persistence.as_mut());
 
         self.count_commit(step.strategy);
         commit_span.attr("generation", generation);
@@ -711,23 +801,30 @@ impl Registry {
     /// (the new image is installed before anything is discarded), so
     /// nothing committed is ever lost.
     pub fn snapshot(&self) -> Result<u64, RegistryError> {
-        let _lane = self.lane.lock().expect("registry lane");
+        let mut lane = self.lane();
         self.check_writable()?;
-        let persistence = self
+        let p = lane
             .persistence
-            .as_ref()
+            .as_mut()
             .ok_or(RegistryError::NotPersistent)?;
-        let mut p = persistence.lock().expect("persistence lock");
-        Ok(self.write_snapshot(&mut p)?)
+        Ok(self.write_snapshot(p)?)
+    }
+
+    /// Takes the writer lane.
+    fn lane(&self) -> Lane<'_> {
+        Lane {
+            persistence: self.lane.lock().expect("registry lane"),
+            durability: self.durability.as_ref(),
+        }
     }
 
     /// The registry's status snapshot — state sizes, merged-view shape,
     /// held joins, engine counters, durability, resilience and latency
     /// histograms in one [`RegistryStats`]. State sizes and merged-view
-    /// shape are coherent (read under one lock acquisition), as are the
-    /// durability and fault fields (one persistence-lock acquisition);
-    /// the counters and histograms are monotone and read atomically
-    /// alongside.
+    /// shape are coherent (read under one lock acquisition); the
+    /// durability and fault fields are what the last writer published on
+    /// releasing the lane, and the counters and histograms are monotone.
+    /// All of those are atomics, so this never waits on a writer.
     pub fn stats(&self) -> RegistryStats {
         let (generation, members, total_versions, proper, report, joins_held) = {
             let shared = self.shared.read().expect("registry lock");
@@ -775,15 +872,8 @@ impl Registry {
             recovery_latency: metrics.recovery_latency.snapshot(),
             ..RegistryStats::default()
         };
-        if let Some(persistence) = &self.persistence {
-            let p = persistence.lock().expect("persistence lock");
-            stats.persistent = true;
-            stats.wal_records = p.wal_records;
-            stats.wal_bytes = p.store.log_bytes().unwrap_or(0);
-            stats.snapshot_generation = p.snapshot_generation;
-            stats.snapshot_bytes = p.snapshot_bytes;
-            stats.snapshots_written = p.snapshots_written;
-            stats.fault_counters = p.store.fault_counters();
+        if let Some(durability) = &self.durability {
+            durability.report(&mut stats);
         }
         stats
     }
@@ -809,18 +899,17 @@ impl Registry {
         if !self.resilience.degraded.load(Ordering::SeqCst) {
             return true;
         }
-        let Some(persistence) = &self.persistence else {
+        let mut lane = self.lane();
+        let Some(p) = lane.persistence.as_mut() else {
             // Degradation without a store cannot arise, but heal anyway.
             self.heal();
             return true;
         };
-        let mut p = persistence.lock().expect("persistence lock");
         let probe = p
             .repair_torn()
             .and_then(|()| p.store.log_bytes().map(|_| ()));
         match probe {
             Ok(()) => {
-                drop(p);
                 self.heal();
                 true
             }
@@ -897,7 +986,7 @@ impl Registry {
     // ---- telemetry -------------------------------------------------------
 
     /// Notes one served request. The registry never counts for itself —
-    /// its front end (the `smerge serve` worker loop) calls this once
+    /// its front end (the `smerge serve` transport loop) calls this once
     /// per protocol request, making [`RegistryStats::requests_served`]
     /// a service-level counter rather than an engine one.
     pub fn note_request(&self) {
@@ -927,13 +1016,12 @@ impl Registry {
     /// after a commit installed its state and released the write lock.
     /// Errors are swallowed: the commit is already durable in the log,
     /// and the snapshot will simply be retried at the next commit.
-    fn auto_snapshot(&self) {
-        let Some(persistence) = &self.persistence else {
+    fn auto_snapshot(&self, persistence: Option<&mut Persistence>) {
+        let Some(p) = persistence else {
             return;
         };
-        let mut p = persistence.lock().expect("persistence lock");
         if p.snapshot_every > 0 && p.records_since_snapshot >= p.snapshot_every {
-            let _ = self.write_snapshot(&mut p);
+            let _ = self.write_snapshot(p);
         }
     }
 
@@ -1199,11 +1287,11 @@ mod tests {
     }
 
     /// Runs `write` on another thread and, once it is inside a delayed
-    /// storage call, times a GET and a MERGED on this one: neither may
-    /// wait for the storage call.
+    /// storage call, times each named read on this one: none may wait
+    /// for the storage call.
     fn assert_reads_skip_the_storage_wait(
-        registry: &Registry,
         schedule: &FaultSchedule,
+        reads: &[(&str, &dyn Fn())],
         write: impl FnOnce() + Send,
     ) {
         let delayed = schedule.counters().delayed;
@@ -1212,17 +1300,22 @@ mod tests {
             while schedule.counters().delayed == delayed {
                 std::thread::yield_now();
             }
-            let started = Instant::now();
-            assert!(registry.get("a").is_some());
-            let get = started.elapsed();
-            let started = Instant::now();
-            let _ = registry.merged();
-            let merged = started.elapsed();
+            let waits: Vec<(&str, Duration)> = reads
+                .iter()
+                .map(|(name, read)| {
+                    let started = Instant::now();
+                    read();
+                    (*name, started.elapsed())
+                })
+                .collect();
             let during = !writer.is_finished();
             writer.join().unwrap();
-            let bound = Duration::from_millis(20);
-            assert!(get < bound, "GET waited {get:?} for storage");
-            assert!(merged < bound, "MERGED waited {merged:?} for storage");
+            for (name, wait) in waits {
+                assert!(
+                    wait < Duration::from_millis(20),
+                    "{name} waited {wait:?} for storage"
+                );
+            }
             assert!(during, "the reads ran after the storage call");
         });
     }
@@ -1242,9 +1335,15 @@ mod tests {
     fn readers_never_wait_for_a_wal_append() {
         let (registry, schedule) = faulty_registry(0);
         let schedule = schedule.latency(OpKind::Append, Duration::from_millis(200));
-        assert_reads_skip_the_storage_wait(&registry, &schedule, || {
-            registry.put("b", schema("B", "y", "U")).unwrap();
-        });
+        let get = || assert!(registry.get("a").is_some());
+        let merged = || drop(registry.merged());
+        assert_reads_skip_the_storage_wait(
+            &schedule,
+            &[("GET", &get), ("MERGED", &merged)],
+            || {
+                registry.put("b", schema("B", "y", "U")).unwrap();
+            },
+        );
         assert_view_matches_oneshot(&registry);
     }
 
@@ -1252,10 +1351,41 @@ mod tests {
     fn readers_never_wait_for_an_auto_snapshot() {
         let (registry, schedule) = faulty_registry(1);
         let schedule = schedule.latency(OpKind::WriteSnapshot, Duration::from_millis(200));
-        assert_reads_skip_the_storage_wait(&registry, &schedule, || {
+        let get = || assert!(registry.get("a").is_some());
+        let merged = || drop(registry.merged());
+        assert_reads_skip_the_storage_wait(
+            &schedule,
+            &[("GET", &get), ("MERGED", &merged)],
+            || {
+                registry.put("b", schema("B", "y", "U")).unwrap();
+            },
+        );
+        assert_eq!(registry.stats().snapshot_generation, 2);
+    }
+
+    /// STATS (and so HEALTH and METRICS) reads the durability fields the
+    /// lane holder published, never the store behind the lane: it does
+    /// not wait for a commit's append, and it sees that commit's record
+    /// once the lane is released.
+    #[test]
+    fn stats_never_waits_for_a_wal_append() {
+        let (registry, schedule) = faulty_registry(0);
+        let schedule = schedule.latency(OpKind::Append, Duration::from_millis(200));
+        let before = registry.stats();
+        assert_eq!(
+            (before.wal_records, before.fault_counters.unwrap().delayed),
+            (1, 0)
+        );
+        let stats = || drop(registry.stats());
+        assert_reads_skip_the_storage_wait(&schedule, &[("STATS", &stats)], || {
             registry.put("b", schema("B", "y", "U")).unwrap();
         });
-        assert_eq!(registry.stats().snapshot_generation, 2);
+        let after = registry.stats();
+        assert_eq!(
+            (after.wal_records, after.fault_counters.unwrap().delayed),
+            (2, 1)
+        );
+        assert!(after.wal_bytes > before.wal_bytes);
     }
 
     #[test]

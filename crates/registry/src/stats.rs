@@ -11,11 +11,11 @@ use crate::storage::FaultCounters;
 /// [`crate::Registry::stats`] returns and the daemon's `STATS`, `HEALTH`
 /// and `METRICS` verbs all render. The sizes and the merged view's shape
 /// are read coherently (one read-lock acquisition, so they describe the
-/// same generation); the durability and fault fields come from one
-/// persistence-lock acquisition; the engine counters, resilience
-/// counters and latency histograms are monotone relaxed atomics sampled
-/// alongside — under concurrent writers they may run slightly ahead of
-/// or behind the locked fields.
+/// same generation); the durability and fault fields are what the last
+/// writer published on releasing the registry's writer lane; the engine
+/// counters, resilience counters and latency histograms are monotone
+/// relaxed atomics sampled alongside — under concurrent writers they may
+/// run slightly ahead of or behind the locked fields.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RegistryStats {
     /// Monotone commit counter; bumped by every successful `put`/`delete`.
