@@ -8,14 +8,11 @@
 //! bench --quick          # the CI profile: fewer iterations/sizes
 //! bench --pr 2           # trajectory index recorded in the document
 //!                        # (defaults to 0, an unlabeled local run)
-//! bench --threads 4      # worker budget for the `compiled@N`
-//!                        # variant (defaults to the machine's
-//!                        # parallelism)
 //! ```
 //!
-//! Measures the symbolic reference engine and the compiled engine (at
-//! one thread and at the `--threads` budget) on the `workload`
-//! generators; see `schema_merge_bench::perf` for the record format.
+//! Measures the symbolic reference engine and the compiled engine on the
+//! `workload` generators; see `schema_merge_bench::perf` for the record
+//! format.
 
 #![forbid(unsafe_code)]
 
@@ -29,7 +26,6 @@ fn main() -> ExitCode {
     let mut quick = false;
     let mut out_path: Option<String> = None;
     let mut pr_index: u32 = 0;
-    let mut threads: usize = schema_merge_core::default_threads();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -49,15 +45,8 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--threads" => match iter.next().and_then(|v| v.parse().ok()).filter(|&n| n > 0) {
-                Some(count) => threads = count,
-                None => {
-                    eprintln!("bench: --threads requires a positive count");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--help" | "-h" => {
-                println!("usage: bench [--json] [--quick] [--out PATH] [--pr N] [--threads N]");
+                println!("usage: bench [--json] [--quick] [--out PATH] [--pr N]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -67,9 +56,9 @@ fn main() -> ExitCode {
         }
     }
 
-    let report = perf::run_suite(quick, threads);
+    let report = perf::run_suite(quick);
     let rendered = if json || out_path.is_some() {
-        perf::to_json(&report, pr_index, threads)
+        perf::to_json(&report, pr_index)
     } else {
         perf::to_table(&report)
     };

@@ -13,16 +13,12 @@
 //! measured in one interleaved group and gets exactly one record, so
 //! `(family, op, n_classes, variant)` is a unique record key; a variant
 //! that appears in two pairs (say `compiled`, against both `symbolic`
-//! and `compiled@N`) is one measurement, not two.
+//! and `compiled-nopool`) is one measurement, not two.
 //!
 //! Variant pairs tracked:
 //!
 //! * `symbolic` vs `compiled` — the retained reference engine against
-//!   the compiled id-space engine at one thread;
-//! * `compiled` vs `compiled@N` — the compiled engine at one thread
-//!   (`compiled@1`) against the same engine at the suite's `--threads`
-//!   budget (recorded as the document's `threads`): the thread-scaling
-//!   measurement;
+//!   the compiled id-space engine;
 //! * `compiled-nopool` vs `compiled` — the compiled engine with the
 //!   scratch pool disabled (the pre-pool allocation behavior) against
 //!   the pooled engine, making the allocations-per-merge win measurable
@@ -35,10 +31,11 @@
 //! The registry, supergraph and durable-publish paths are measured end
 //! to end on the real daemon by `perfbench`, not here.
 //!
-//! JSON schema version 5: records carry a `phases` map — wall time per
-//! pipeline stage (span name → nanoseconds, from one extra untimed
-//! instrumented run), so a speedup can be attributed to the stage that
-//! earned it. Version 4 added `peak_bytes` (per-iteration heap
+//! JSON schema version 6: version 5 without the document's `threads`
+//! field, which went with the thread-count variant. Version 5 added a
+//! per-record `phases` map — wall time per pipeline stage (span name →
+//! nanoseconds, from one extra untimed instrumented run), so a speedup
+//! can be attributed to the stage that earned it. Version 4 added `peak_bytes` (per-iteration heap
 //! high-water mark) and `mem_ratio` per speedup; version 3 added
 //! `allocs_per_iter`/`alloc_ratio`; version 2 had neither; version 1
 //! hard coded the symbolic/compiled pair.
@@ -151,13 +148,11 @@ pub use counting_alloc::{allocations, current_bytes, peak_bytes, reset_peak};
 /// The compiled engine measured THROUGH the `Merger` façade — what every
 /// production caller (CLI, daemon, registry) actually runs, so any
 /// overhead the façade adds (planning, provenance, diagnostics) is part
-/// of the measurement rather than hidden behind it. The budget is pinned
-/// so each variant measures a thread count, not the auto-planner.
-fn facade_merge_at<'a>(schemas: impl IntoIterator<Item = &'a WeakSchema>, threads: usize) {
+/// of the measurement rather than hidden behind it.
+fn facade_merge<'a>(schemas: impl IntoIterator<Item = &'a WeakSchema>) {
     black_box(
         Merger::new()
             .schemas(schemas)
-            .threads(threads)
             .execute()
             .expect("workload merges"),
     );
@@ -177,10 +172,8 @@ fn without_pool(f: impl FnOnce()) {
 
 /// The retained pre-compilation `BTreeMap`/`BTreeSet` path.
 pub const VARIANT_SYMBOLIC: &str = "symbolic";
-/// The compiled id-space engine at one thread (`compiled@1`).
+/// The compiled id-space engine.
 pub const VARIANT_COMPILED: &str = "compiled";
-/// The compiled engine at the suite's `--threads` budget.
-pub const VARIANT_COMPILED_THREADED: &str = "compiled@N";
 /// The compiled path with the scratch pool disabled — the pre-pool
 /// allocation behavior, kept measurable for the trajectory.
 pub const VARIANT_COMPILED_NOPOOL: &str = "compiled-nopool";
@@ -280,7 +273,6 @@ type Variant<'a> = (&'static str, Box<dyn FnMut() + 'a>);
 
 struct Suite {
     iters: usize,
-    threads: usize,
     report: BenchReport,
 }
 
@@ -431,7 +423,7 @@ impl Suite {
 
         let compiled = schema_merge_core::CompiledSchema::compile(joined);
         let fixpoint = || {
-            black_box(schema_merge_core::complete::imp_state_count(&compiled, 1));
+            black_box(schema_merge_core::complete::imp_state_count(&compiled));
         };
         self.measure(
             family,
@@ -448,12 +440,10 @@ impl Suite {
         );
     }
 
-    /// The façade merge at one thread and at the suite's budget — the
-    /// thread-scaling pair — plus, with `symbolic`, the reference merge
-    /// against the one-thread engine.
+    /// The façade merge — and, with `symbolic`, the reference merge
+    /// against it.
     fn merges(&mut self, family: &'static str, refs: &[&WeakSchema], symbolic: bool) {
         let joined = facade_join(refs.iter().copied());
-        let threads = self.threads;
         let mut variants: Vec<Variant<'_>> = Vec::new();
         let mut pairs = Vec::new();
         if symbolic {
@@ -467,13 +457,8 @@ impl Suite {
         }
         variants.push((
             VARIANT_COMPILED,
-            Box::new(|| facade_merge_at(refs.iter().copied(), 1)),
+            Box::new(|| facade_merge(refs.iter().copied())),
         ));
-        variants.push((
-            VARIANT_COMPILED_THREADED,
-            Box::new(move || facade_merge_at(refs.iter().copied(), threads)),
-        ));
-        pairs.push((VARIANT_COMPILED, VARIANT_COMPILED_THREADED));
         self.measure(family, "merge", &joined, variants, &pairs);
     }
 
@@ -514,7 +499,6 @@ impl Suite {
                         black_box(
                             Merger::new()
                                 .schemas(refs.iter().copied())
-                                .threads(1)
                                 .join()
                                 .expect("compatible"),
                         );
@@ -551,9 +535,8 @@ impl Suite {
     /// The *wide* workload — the daemon's real traffic shape: many small
     /// member schemas over one shared vocabulary, with occasional
     /// attribute-target disagreements (so completion has genuine
-    /// implicit-class work). This is the thread-scaling headline family:
-    /// the merge is dominated by walking all the members (sharded
-    /// interning) and the fixpoint frontier (sharded waves).
+    /// implicit-class work). The merge is dominated by walking all the
+    /// members and by the fixpoint.
     fn wide(&mut self, members: usize) {
         let family = wide_family(members, 0x51DE);
         let refs: Vec<&WeakSchema> = family.iter().collect();
@@ -574,7 +557,7 @@ impl Suite {
         let family = taxonomy_family(&params, 2);
         let refs: Vec<&WeakSchema> = family.iter().collect();
         let joined = facade_join(refs.iter().copied());
-        let merge = || facade_merge_at(refs.iter().copied(), 1);
+        let merge = || facade_merge(refs.iter().copied());
         self.measure(
             "taxonomy",
             "merge",
@@ -598,11 +581,10 @@ impl Suite {
 /// Runs the suite. `quick` is the CI profile: fewer iterations and only
 /// the sizes the acceptance trajectory tracks (including the 200-class
 /// random workload, the 64-member wide workload and the 6000-class
-/// taxonomy). `threads` is the `compiled@N` variant's worker budget.
-pub fn run_suite(quick: bool, threads: usize) -> BenchReport {
+/// taxonomy).
+pub fn run_suite(quick: bool) -> BenchReport {
     let mut suite = Suite {
         iters: if quick { 7 } else { 15 },
-        threads: threads.max(1),
         report: BenchReport::default(),
     };
     let random_sizes: &[usize] = if quick {
@@ -629,11 +611,11 @@ fn json_escape(text: &str) -> String {
 
 /// Renders the report as the `BENCH_<n>.json` document (no external JSON
 /// dependency: the structure is flat and the strings are identifiers).
-pub fn to_json(report: &BenchReport, pr_index: u32, threads: usize) -> String {
+pub fn to_json(report: &BenchReport, pr_index: u32) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!(
-        "  \"bench_schema_version\": 5,\n  \"pr\": {pr_index},\n  \"threads\": {threads},\n"
+        "  \"bench_schema_version\": 6,\n  \"pr\": {pr_index},\n"
     ));
     out.push_str("  \"records\": [\n");
     for (i, r) in report.records.iter().enumerate() {
@@ -755,17 +737,16 @@ mod tests {
         let _peak = peak_lock();
         let mut suite = Suite {
             iters: 1,
-            threads: 2,
             report: BenchReport::default(),
         };
         suite.random_family(16);
         let report = suite.report;
         assert_eq!(
             report.records.len(),
-            10,
-            "weak_join 2 + complete 3 + fixpoint 2 + merge 3 variants"
+            9,
+            "weak_join 2 + complete 3 + fixpoint 2 + merge 2 variants"
         );
-        assert_eq!(report.speedups.len(), 6);
+        assert_eq!(report.speedups.len(), 5);
         let mut keys: Vec<_> = report
             .records
             .iter()
@@ -774,11 +755,10 @@ mod tests {
         keys.sort_unstable();
         keys.dedup();
         assert_eq!(keys.len(), report.records.len(), "record keys are unique");
-        let json = to_json(&report, 2, 2);
-        assert!(json.contains("\"bench_schema_version\": 5"));
-        assert!(json.contains("\"threads\": 2"));
+        let json = to_json(&report, 2);
+        assert!(json.contains("\"bench_schema_version\": 6"));
+        assert!(!json.contains("\"threads\""));
         assert!(json.contains("\"variant\": \"compiled\""));
-        assert!(json.contains("\"variant\": \"compiled@N\""));
         assert!(json.contains("\"variant\": \"compiled-nopool\""));
         assert!(json.contains("\"op\": \"weak_join\""));
         assert!(json.contains("\"baseline\": \"symbolic\""));
@@ -834,7 +814,6 @@ mod tests {
         let _peak = peak_lock();
         let mut suite = Suite {
             iters: 1,
-            threads: 2,
             report: BenchReport::default(),
         };
         // Small forest count keeps this a unit test; the representation
@@ -861,7 +840,6 @@ mod tests {
         let _peak = peak_lock();
         let mut suite = Suite {
             iters: 2,
-            threads: 1,
             report: BenchReport::default(),
         };
         let family = schema_merge_workload::schema_family(
@@ -890,21 +868,27 @@ mod tests {
     }
 
     #[test]
-    fn wide_workload_pairs_compiled_against_parallel() {
+    fn wide_workload_records_the_merge_and_pool_pairs() {
         let _peak = peak_lock();
         let mut suite = Suite {
             iters: 1,
-            threads: 2,
             report: BenchReport::default(),
         };
         suite.wide(6);
         let report = suite.report;
-        assert_eq!(report.records.len(), 6, "merge pair + 2 pool pairs");
-        let merge = &report.speedups[0];
-        assert_eq!(merge.family, "wide");
-        assert_eq!(
-            (merge.baseline, merge.improved),
-            (VARIANT_COMPILED, VARIANT_COMPILED_THREADED)
-        );
+        assert_eq!(report.records.len(), 5, "merge + 2 pool pairs");
+        let merge = &report.records[0];
+        assert_eq!((merge.op, merge.variant), ("merge", VARIANT_COMPILED));
+        assert!(report
+            .record("wide", "merge", merge.n_classes, VARIANT_COMPILED)
+            .is_some());
+        assert_eq!(report.speedups.len(), 2);
+        for pool in &report.speedups {
+            assert_eq!(pool.family, "wide");
+            assert_eq!(
+                (pool.baseline, pool.improved),
+                (VARIANT_COMPILED_NOPOOL, VARIANT_COMPILED)
+            );
+        }
     }
 }

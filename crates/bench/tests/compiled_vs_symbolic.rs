@@ -1,6 +1,6 @@
 //! The ISSUE-2/ISSUE-4 acceptance property: across every `workload`
 //! generator family, **every plan configuration of the `Merger` façade**
-//! — compiled (the default) at one thread and at several, symbolic, and
+//! — compiled (the default), symbolic, and
 //! compiled-onto-base at every split of the inputs — agrees with the
 //! symbolic `reference` merge:
 //! equal weak joins, equal proper schemas and reports, and (the weaker
@@ -18,9 +18,8 @@ use schema_merge_workload::{
 };
 
 fn assert_engines_agree(schemas: &[&WeakSchema]) {
-    // The default (Auto) plan: the compiled engine at whatever budget
-    // the work estimate resolves to; the symbolic join is decompiled on
-    // demand.
+    // The default (Auto) plan: the compiled engine; the symbolic join is
+    // decompiled on demand.
     let compiled = Merger::new()
         .schemas(schemas.iter().copied())
         .execute()
@@ -38,31 +37,6 @@ fn assert_engines_agree(schemas: &[&WeakSchema]) {
         ),
         "alpha-isomorphic modulo implicit naming"
     );
-
-    // The compiled engine across thread budgets (and with them every
-    // chunking of the input list): equal AND report-identical to the
-    // reference.
-    for threads in [1, 2, 4, 8] {
-        let sharded = Merger::new()
-            .schemas(schemas.iter().copied())
-            .threads(threads)
-            .execute()
-            .expect("compiled plan");
-        assert_eq!(
-            sharded.proper, symbolic.proper,
-            "compiled plan agrees at {threads} threads"
-        );
-        assert_eq!(sharded.implicit, symbolic.report);
-        assert_eq!(
-            sharded
-                .compiled
-                .as_ref()
-                .expect("the compiled engine keeps the compiled join")
-                .decompile(),
-            compiled_weak,
-            "compiled join is identical at {threads} threads"
-        );
-    }
 
     // The symbolic plan configuration through the same façade.
     let sym_plan = Merger::new()
@@ -145,8 +119,6 @@ proptest! {
     fn wide_family_engines_agree(seed in any::<u64>(), members in 2usize..24) {
         // The daemon's traffic shape at proptest scale (the bench runs
         // it at 64 members): many small schemas, one shared vocabulary.
-        // The upper range crosses the 8-schemas-per-worker floor, so the
-        // sharded join's multi-partition path is exercised too.
         let family = schema_merge_workload::wide_family(members, seed);
         let refs: Vec<&WeakSchema> = family.iter().collect();
         assert_engines_agree(&refs);

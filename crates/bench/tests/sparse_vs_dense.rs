@@ -25,40 +25,27 @@ impl Drop for SparseGuard {
     }
 }
 
-fn run(schemas: &[&WeakSchema], threads: usize) -> MergeReport {
+fn run(schemas: &[&WeakSchema]) -> MergeReport {
     Merger::new()
         .schemas(schemas.iter().copied())
-        .threads(threads)
         .execute()
         .expect("merge succeeds")
 }
 
-/// Dense and sparse rows, at one thread and at two: all four merges
-/// must agree exactly.
+/// Dense and sparse rows: both merges must agree exactly.
 fn assert_dense_equals_sparse(schemas: &[&WeakSchema]) {
     let _guard = SparseGuard;
-    let expected = run(schemas, 1);
-    for threads in [1, 2] {
-        set_sparse_enabled(false);
-        let dense = run(schemas, threads);
-        set_sparse_enabled(true);
-        let sparse = run(schemas, threads);
-        for (rows, report) in [("dense", &dense), ("sparse", &sparse)] {
-            assert_eq!(
-                report.proper, expected.proper,
-                "{rows} rows at {threads} threads: proper schemas"
-            );
-            assert_eq!(
-                report.implicit, expected.implicit,
-                "{rows}/{threads}: reports"
-            );
-            assert_eq!(
-                report.compiled.as_ref().map(|c| c.decompile()),
-                expected.compiled.as_ref().map(|c| c.decompile()),
-                "{rows}/{threads}: compiled joins are logically identical"
-            );
-        }
-    }
+    set_sparse_enabled(false);
+    let dense = run(schemas);
+    set_sparse_enabled(true);
+    let sparse = run(schemas);
+    assert_eq!(sparse.proper, dense.proper, "proper schemas");
+    assert_eq!(sparse.implicit, dense.implicit, "reports");
+    assert_eq!(
+        sparse.compiled.as_ref().map(|c| c.decompile()),
+        dense.compiled.as_ref().map(|c| c.decompile()),
+        "compiled joins are logically identical"
+    );
 }
 
 #[test]

@@ -115,25 +115,15 @@ fn split_format<'a>(args: &[&'a String]) -> Result<(Format, Vec<&'a String>), Cl
     Ok((format, rest))
 }
 
-/// Strips a `--threads N` flag out of the argument list — the merge
-/// engine's worker budget ([`Merger::threads`]).
-fn split_threads<'a>(args: &[&'a String]) -> Result<(Option<usize>, Vec<&'a String>), CliError> {
-    let mut threads = None;
-    let mut rest: Vec<&String> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg.as_str() == "--threads" {
-            threads = Some(
-                iter.next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or_else(|| CliError::Usage("--threads requires a positive count".into()))?,
-            );
-        } else {
-            rest.push(arg);
-        }
+/// Rejects a flag left among schema-file arguments. Every command strips
+/// the flags it knows before reading its files, so a `-`-prefixed
+/// argument that remains is one it does not know — a usage error naming
+/// the flag, not a missing file.
+fn reject_flags(paths: &[&String]) -> Result<(), CliError> {
+    match paths.iter().find(|path| path.starts_with('-')) {
+        Some(flag) => Err(CliError::Usage(format!("unknown flag `{flag}`"))),
+        None => Ok(()),
     }
-    Ok((threads, rest))
 }
 
 /// Strips a bare `--trace` flag out of the argument list — phase-level
@@ -155,13 +145,12 @@ const USAGE: &str = "\
 usage: smerge <command> [args]
 
 commands:
-  merge <file>... [--format text|json] [--threads N] [--trace]
+  merge <file>... [--format text|json] [--trace]
                        upper-merge every schema in the files; print the
                        merged schema, its keys and the implicit classes
                        (json: the full MergeReport with plan, provenance
-                       and diagnostics; --threads fixes the merge
-                       engine's worker budget; --trace appends one timed
-                       span per executed merge pass)
+                       and diagnostics; --trace appends one timed span
+                       per executed merge pass)
   diff <file>          print the symmetric difference of two schemas
                        (the file must contain exactly two)
   lower <file>...      lower-merge every schema (federated view); print
@@ -192,23 +181,22 @@ commands:
   query <schema-file> <instance-file> <path>
                        evaluate a path query (Start.label[Class].label)
                        against an instance of the merged schema
-  compose <file>... [--format text|json] [--threads N]
+  compose <file>... [--format text|json]
                        federate: each file becomes one member registry
                        (named by its file stem, each document a member)
                        and the supergraph composes them all; prints the
                        composed schema with per-registry contributions,
                        cross-registry `registry/member@vN` origins and
                        H-COMPOSE-* hints (json: the full composed view)
-  serve [--port P] [--threads N] [--merge-threads M]
-        [--data-dir DIR] [--snapshot-every K] [--trace-log FILE] [file...]
+  serve [--port P] [--threads N] [--data-dir DIR] [--snapshot-every K]
+        [--trace-log FILE] [file...]
                        run the registry daemon: members publish schema
                        versions over TCP and the canonical merged view
                        is maintained incrementally (files preload
                        members; --port 0 picks an ephemeral port;
                        --threads is accepted and ignored, as every
-                       connection gets its own thread;
-                       --merge-threads fixes the worker budget of the
-                       registry's merge plans; --data-dir makes the
+                       connection gets its own thread and every merge
+                       runs on it; --data-dir makes the
                        registry durable — commits are WAL'd and
                        snapshotted there, and restart recovers them;
                        --snapshot-every sets the compaction cadence in
@@ -260,6 +248,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 fn load_documents(paths: &[&String]) -> Result<Vec<NamedSchema>, CliError> {
+    reject_flags(paths)?;
     if paths.is_empty() {
         return Err(CliError::Usage("expected at least one schema file".into()));
     }
@@ -288,16 +277,13 @@ fn supergraph_error(context: &str, err: &schema_merge_supergraph::SupergraphErro
 /// behind `ATTACH`/`COMPOSE`, without a socket.
 fn compose_command(args: &[&String], out: &mut dyn Write) -> Result<(), CliError> {
     let (format, rest) = split_format(args)?;
-    let (threads, rest) = split_threads(&rest)?;
+    reject_flags(&rest)?;
     if rest.is_empty() {
         return Err(CliError::Usage(
             "expected at least one schema file (one member registry per file)".into(),
         ));
     }
-    let supergraph = match threads {
-        Some(threads) => schema_merge_supergraph::Supergraph::with_threads(threads),
-        None => schema_merge_supergraph::Supergraph::new(),
-    };
+    let supergraph = schema_merge_supergraph::Supergraph::new();
     for path in &rest {
         let name = std::path::Path::new(path.as_str())
             .file_stem()
@@ -387,7 +373,6 @@ fn merge_command(
     explain_only: bool,
 ) -> Result<(), CliError> {
     let (format, paths) = split_format(paths)?;
-    let (threads, paths) = split_threads(&paths)?;
     let (trace, paths) = split_trace(&paths);
     if explain_only && format == Format::Json {
         // `merge --format json` already carries the full implicit-class
@@ -401,9 +386,6 @@ fn merge_command(
     }
     let docs = load_documents(&paths)?;
     let mut merger = build_merger(&docs);
-    if let Some(threads) = threads {
-        merger = merger.threads(threads);
-    }
     if trace {
         merger = merger.trace(true);
     }
@@ -1141,15 +1123,25 @@ mod tests {
     }
 
     #[test]
-    fn merge_accepts_a_threads_budget() {
-        let f1 = write_temp("mt1.sm", "schema A { C --a--> B1; }");
-        let f2 = write_temp("mt2.sm", "schema B { C --a--> B2; }");
-        let plain = run_ok(&args(&["merge", &f1, &f2]));
-        let threaded = run_ok(&args(&["merge", "--threads", "4", &f1, &f2]));
-        assert_eq!(plain, threaded, "thread budgets never change results");
-        let mut out = Vec::new();
-        let err = run(&args(&["merge", "--threads", "zero", &f1]), &mut out).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)));
+    fn unknown_flags_among_schema_files_are_usage_errors() {
+        let file = write_temp("uf1.sm", "schema A { C --a--> B1; }");
+        let f = file.as_str();
+        for argv in [
+            vec!["merge", "--threads", "4", f],
+            vec!["explain", f, "--bogus"],
+            vec!["compose", "--threads", "2", f],
+            vec!["check", "--bogus", f],
+            vec!["dot", "--bogus"],
+        ] {
+            let mut out = Vec::new();
+            let err = run(&args(&argv), &mut out).unwrap_err();
+            assert_eq!(err.code(), "E-CLI-USAGE", "{argv:?}: {err}");
+            let flag = argv.iter().find(|arg| arg.starts_with("--")).unwrap();
+            assert!(
+                err.to_string().contains(&format!("unknown flag `{flag}`")),
+                "{argv:?}: {err}"
+            );
+        }
     }
 
     #[test]

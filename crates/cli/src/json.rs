@@ -156,12 +156,11 @@ pub(crate) fn merge_report(report: &MergeReport) -> String {
     // Plan.
     let passes: Vec<String> = report.plan.passes.iter().map(|p| p.to_string()).collect();
     out.push_str(&format!(
-        "  \"plan\": {{\"mode\": {}, \"engine\": {}, \"threads\": {}, \"passes\": {}, \
+        "  \"plan\": {{\"mode\": {}, \"engine\": {}, \"passes\": {}, \
          \"inputs\": {}, \"assertions\": {}, \"reuses_base\": {}, \"estimated_classes\": {}, \
          \"estimated_arrows\": {}, \"estimated_spec_pairs\": {}, \"work_units\": {}}},\n",
         quoted(report.plan.mode.as_str()),
         quoted(report.plan.engine.as_str()),
-        report.plan.threads,
         string_array(passes),
         report.plan.num_inputs,
         report.plan.num_assertions,

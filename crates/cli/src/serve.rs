@@ -90,7 +90,6 @@ const PROBE_INTERVAL: Duration = Duration::from_millis(200);
 
 struct Options {
     port: u16,
-    merge_threads: Option<usize>,
     data_dir: Option<String>,
     snapshot_every: Option<u64>,
     trace_log: Option<String>,
@@ -100,7 +99,6 @@ struct Options {
 fn parse_options(args: &[&String]) -> Result<Options, CliError> {
     let mut options = Options {
         port: 7411,
-        merge_threads: None,
         data_dir: None,
         snapshot_every: None,
         trace_log: None,
@@ -122,16 +120,6 @@ fn parse_options(args: &[&String]) -> Result<Options, CliError> {
                     .and_then(|v| v.parse::<usize>().ok())
                     .filter(|&n| n > 0)
                     .ok_or_else(|| CliError::Usage("--threads requires a positive count".into()))?;
-            }
-            "--merge-threads" => {
-                options.merge_threads = Some(
-                    iter.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| {
-                            CliError::Usage("--merge-threads requires a positive count".into())
-                        })?,
-                );
             }
             "--data-dir" => {
                 options.data_dir = Some(
@@ -519,9 +507,6 @@ impl Drop for Reservation<'_> {
 pub fn serve_command(args: &[&String], out: &mut dyn Write) -> Result<(), CliError> {
     let options = parse_options(args)?;
     let mut builder = Registry::builder();
-    if let Some(threads) = options.merge_threads {
-        builder = builder.merge_threads(threads);
-    }
     if let Some(dir) = &options.data_dir {
         // The daemon's durable registry runs with resilience on: flaky
         // fsyncs are retried, and exhaustion degrades to read-only (the
@@ -556,7 +541,7 @@ pub fn serve_command(args: &[&String], out: &mut dyn Write) -> Result<(), CliErr
                 .map_err(|err| CliError::Data(format!("{path}: preload failed: {err}")))?;
         }
     }
-    let daemon = Daemon::new(registry, options.merge_threads);
+    let daemon = Daemon::new(registry);
 
     let listener = TcpListener::bind(("127.0.0.1", options.port))?;
     let addr = listener.local_addr()?;
@@ -852,12 +837,11 @@ struct Daemon {
 }
 
 impl Daemon {
-    /// Attaches `registry` to a fresh supergraph whose composition
-    /// merges get `merge_threads` workers; `ATTACH` grows it at runtime
-    /// with fresh in-memory member registries.
-    fn new(registry: Registry, merge_threads: Option<usize>) -> Daemon {
+    /// Attaches `registry` to a fresh supergraph; `ATTACH` grows it at
+    /// runtime with fresh in-memory member registries.
+    fn new(registry: Registry) -> Daemon {
         let registry = Arc::new(registry);
-        let supergraph = merge_threads.map_or_else(Supergraph::new, Supergraph::with_threads);
+        let supergraph = Supergraph::new();
         supergraph
             .attach(DEFAULT_REGISTRY, Arc::clone(&registry))
             .expect("fresh supergraph accepts the default registry");
@@ -1213,8 +1197,33 @@ mod tests {
         );
     }
 
+    #[test]
+    fn parse_options_accepts_threads_and_rejects_merge_threads() {
+        let parse = |argv: &[&str]| {
+            let owned: Vec<String> = argv.iter().map(|arg| arg.to_string()).collect();
+            let refs: Vec<&String> = owned.iter().collect();
+            parse_options(&refs)
+                .err()
+                .map(|err| (err.code(), err.to_string()))
+        };
+        // Accepted and ignored: every connection has its own thread.
+        assert!(parse(&["--threads", "2", "--port", "0"]).is_none());
+        let (code, message) = parse(&["--threads", "0"]).expect("a zero count is rejected");
+        assert_eq!(code, "E-CLI-USAGE");
+        assert!(
+            message.contains("--threads requires a positive count"),
+            "{message}"
+        );
+        let (code, message) = parse(&["--merge-threads", "1"]).expect("the flag is gone");
+        assert_eq!(code, "E-CLI-USAGE");
+        assert!(
+            message.contains("unknown serve flag `--merge-threads`"),
+            "{message}"
+        );
+    }
+
     fn daemon() -> Daemon {
-        Daemon::new(Registry::new(), None)
+        Daemon::new(Registry::new())
     }
 
     /// Dispatches one request line, with `body` as a `PUT` payload.
@@ -1582,7 +1591,7 @@ mod tests {
             )
             .open()
             .unwrap();
-        let daemon = Daemon::new(registry, None);
+        let daemon = Daemon::new(registry);
 
         // The first append fails, its one retry fails too: degraded.
         let put = send(&daemon, "PUT alpha", "schema alpha { C --a--> B1; }\n");

@@ -122,6 +122,27 @@ fn errors_carry_stable_codes_on_stderr() {
     assert!(text.contains("error[E-CLI-USAGE]"), "{text}");
 }
 
+/// A flag a command does not know is a usage error that names it, not a
+/// missing file: exit 1, `E-CLI-USAGE`, no panic.
+#[test]
+fn unknown_flags_are_usage_errors() {
+    let file = write_temp("flags.sm", "schema A { C --a--> B; }");
+    for (args, flag) in [
+        (["merge", "--threads", "4", file.as_str()], "--threads"),
+        (["compose", "--threads", "2", file.as_str()], "--threads"),
+        (["merge", "--bogus", file.as_str(), "--trace"], "--bogus"),
+        (["compose", "--bogus", "--format", "json"], "--bogus"),
+    ] {
+        let (status, text) = run(&args);
+        assert_eq!(status.code(), Some(1), "`{args:?}`: {text}");
+        assert!(
+            text.contains(&format!("error[E-CLI-USAGE]: unknown flag `{flag}`")),
+            "`{args:?}`: {text}"
+        );
+        assert!(!text.contains("panicked"), "`{args:?}`: {text}");
+    }
+}
+
 /// Client-side failure classification at the process level: a daemon
 /// that cannot be reached is `E-CLI-CONNECT` (transient — `--retries`
 /// applies), and both spellings exit 1 without panicking.

@@ -213,7 +213,8 @@ fn daemon_serves_puts_merges_queries_and_shuts_down() {
                 reader.read_line(&mut line).unwrap();
                 assert_eq!(line.trim(), "OK pong", "connection {i}");
                 // Hold the connection open until everyone has been served:
-                // with a pool of 4 threads this proves 4-way concurrency.
+                // four connection threads answering at once prove 4-way
+                // concurrency.
                 barrier.wait();
                 writeln!(writer, "QUIT").unwrap();
                 line.clear();

@@ -31,7 +31,6 @@ use crate::class::Class;
 use crate::error::{CycleWitness, SchemaError};
 use crate::name::Label;
 use crate::order::UpSet;
-use crate::parallel;
 use crate::row::{
     self, and_into, clear_bit, get_bit, hash_row, is_zero, iter_bits, popcount, set_bit, RowRef,
     SpecMatrix, SpecRow,
@@ -539,23 +538,63 @@ impl RawDense {
     fn words(&self) -> usize {
         self.direct.words()
     }
+
+    /// Walks closed `schemas` into the parts, over these tables' ids
+    /// (every symbol of `schemas` must be in them). The inputs are
+    /// closed, and a union of closed relations re-closes to the same
+    /// result, so feeding the closed pairs as direct edges is exact (and
+    /// how Prop. 4.1 computes `S`). The nested maps are walked
+    /// structurally — one id lookup per class row, label run and target,
+    /// not three per triple — and the union accumulates straight into bit
+    /// rows (recycled through the thread's pool), which deduplicate for
+    /// free.
+    fn intern_all(&mut self, schemas: &[&WeakSchema]) {
+        let words = self.words();
+        let RawDense {
+            classes,
+            labels,
+            direct,
+            raw_arrows,
+        } = self;
+        let cid: FastMap<&Class, u32> = classes
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (c, i as u32))
+            .collect();
+        let lid: FastMap<&Label, u32> = labels
+            .iter()
+            .enumerate()
+            .map(|(i, l)| (l, i as u32))
+            .collect();
+        scratch::with_pool(|pool| {
+            for schema in schemas {
+                for (sub, sups) in &schema.supers {
+                    let row = direct.row_mut(cid[sub]);
+                    for sup in sups {
+                        row.set(cid[sup]);
+                    }
+                }
+                for (src, by_label) in &schema.arrows {
+                    let by_label_ids = &mut raw_arrows[cid[src] as usize];
+                    for (label, tgts) in by_label {
+                        let bits = by_label_ids
+                            .entry(lid[label])
+                            .or_insert_with(|| empty_row(words, pool));
+                        for tgt in tgts {
+                            bits.set(cid[tgt]);
+                        }
+                    }
+                }
+            }
+        });
+    }
 }
 
 /// Closes [`RawDense`] parts into a [`CompiledSchema`]: transitive closure
-/// of the specializations, then the W1/W2 arrow closure, all on bitsets.
-/// The error is a specialization cycle as an id path.
+/// of the specializations, then the W1/W2 arrow closure straight into the
+/// CSR arrays, all on bitsets. The error is a specialization cycle as an
+/// id path.
 fn compile_dense(parts: RawDense) -> Result<CompiledSchema, CycleIds> {
-    compile_dense_mt(parts, 1)
-}
-
-/// [`compile_dense`] with the W1/W2 arrow closure sharded over `threads`
-/// scoped workers. The specialization closure is one dependency-ordered
-/// pass and stays sequential; the arrow closure is per-class independent
-/// once the closed `supers` rows exist, so each worker emits the CSR
-/// segment for a contiguous class range and the segments are stitched in
-/// chunk order — byte-identical arrays to the sequential pass at every
-/// thread count.
-fn compile_dense_mt(parts: RawDense, threads: usize) -> Result<CompiledSchema, CycleIds> {
     let RawDense {
         classes,
         labels,
@@ -563,25 +602,17 @@ fn compile_dense_mt(parts: RawDense, threads: usize) -> Result<CompiledSchema, C
         raw_arrows: raw,
     } = parts;
     let n = classes.len();
-    let labels_len = labels.len();
     let supers = match closed_supers(n, &direct) {
         Ok(supers) => supers,
         Err(path) => return Err(CycleIds { path, classes }),
     };
     let subs = transpose(&supers, n);
-
-    let words = supers.words();
-    let mut has_supers = vec![0u64; words];
-    for p in 0..n as u32 {
-        if !supers.row(p).is_empty() {
-            set_bit(&mut has_supers, p);
-        }
-    }
-
-    let workers = parallel::throttled_threads(threads, n, 64);
-    let segments = parallel::map_chunks(n, workers, |range| {
-        arrow_rows(range, &raw, &supers, &has_supers, words, labels_len)
-    });
+    let Csr {
+        row_start,
+        pair_labels,
+        pair_ranges,
+        targets,
+    } = arrow_rows(&raw, &supers, labels.len());
     // The raw rows are spent; recycle dense payloads for the next
     // pipeline stage (sparse rows are ordinary small vectors).
     scratch::with_pool(|pool| {
@@ -591,28 +622,6 @@ fn compile_dense_mt(parts: RawDense, threads: usize) -> Result<CompiledSchema, C
             }
         }
     });
-
-    let mut row_start = Vec::with_capacity(n + 1);
-    row_start.push(0u32);
-    let mut pair_labels = Vec::new();
-    let mut pair_ranges: Vec<(u32, u32)> = Vec::new();
-    let mut targets: Vec<u32> = Vec::new();
-    for segment in segments {
-        let target_base = targets.len() as u32;
-        let mut pair_count = *row_start.last().expect("seeded with 0");
-        for pairs in segment.pairs_per_class {
-            pair_count += pairs;
-            row_start.push(pair_count);
-        }
-        pair_labels.extend(segment.pair_labels);
-        pair_ranges.extend(
-            segment
-                .pair_ranges
-                .into_iter()
-                .map(|(start, end)| (start + target_base, end + target_base)),
-        );
-        targets.extend(segment.targets);
-    }
 
     Ok(CompiledSchema {
         classes,
@@ -626,18 +635,16 @@ fn compile_dense_mt(parts: RawDense, threads: usize) -> Result<CompiledSchema, C
     })
 }
 
-/// One worker's slice of the closed CSR arrow arrays: the rows for a
-/// contiguous class range, with target ranges relative to the segment's
-/// own `targets` array (rebased when segments are stitched).
-struct CsrSegment {
-    pairs_per_class: Vec<u32>,
+/// The closed arrows in the CSR layout [`CompiledSchema`] stores.
+struct Csr {
+    row_start: Vec<u32>,
     pair_labels: Vec<LabelId>,
     pair_ranges: Vec<(u32, u32)>,
     targets: Vec<ClassId>,
 }
 
-/// The W1/W2 arrow closure for the classes in `range`. W1 (inherit raw
-/// arrows from every strict super) then W2 (close each target set
+/// The W1/W2 arrow closure of every class, in class order. W1 (inherit
+/// raw arrows from every strict super) then W2 (close each target set
 /// upward); one pass of each suffices, as in the symbolic engine. Two
 /// fast paths skip the per-pair scratch work on the common shape: a
 /// class with no strict supers inherits nothing (its raw rows are
@@ -650,47 +657,46 @@ struct CsrSegment {
 /// indexings instead of `s·k` tree-map operations — this loop is the
 /// single hottest piece of completing an inheritance-heavy schema,
 /// where every implicit class inherits every origin's arrows. All
-/// scratch rows come from the worker's pool.
-fn arrow_rows(
-    range: std::ops::Range<usize>,
-    raw: &[BTreeMap<u32, SpecRow>],
-    supers: &SpecMatrix,
-    has_supers: &[u64],
-    words: usize,
-    labels_len: usize,
-) -> CsrSegment {
-    let mut segment = CsrSegment {
-        pairs_per_class: Vec::with_capacity(range.len()),
+/// scratch rows come from the thread's pool.
+fn arrow_rows(raw: &[BTreeMap<u32, SpecRow>], supers: &SpecMatrix, labels_len: usize) -> Csr {
+    let n = raw.len();
+    let words = supers.words();
+    let mut has_supers = vec![0u64; words];
+    for p in 0..n as u32 {
+        if !supers.row(p).is_empty() {
+            set_bit(&mut has_supers, p);
+        }
+    }
+    let mut csr = Csr {
+        row_start: Vec::with_capacity(n + 1),
         pair_labels: Vec::new(),
         pair_ranges: Vec::new(),
         targets: Vec::new(),
     };
+    csr.row_start.push(0);
     scratch::with_pool(|pool| {
         let mut acc_rows: Vec<Option<Vec<u64>>> = (0..labels_len).map(|_| None).collect();
         let mut touched: Vec<u32> = Vec::new();
         let mut closed_buf = pool.take(words);
-        for p in range {
-            let before = segment.pair_labels.len() as u32;
-            let mut emit = |label: u32, bits: RowRef<'_>, segment: &mut CsrSegment| {
-                let start = segment.targets.len() as u32;
-                if bits.intersects_dense(has_supers) {
+        for (p, raw_row) in raw.iter().enumerate() {
+            let mut emit = |label: u32, bits: RowRef<'_>, csr: &mut Csr| {
+                let start = csr.targets.len() as u32;
+                if bits.intersects_dense(&has_supers) {
                     closed_buf.iter_mut().for_each(|w| *w = 0);
                     bits.or_into_dense(&mut closed_buf);
                     for t in bits.iter() {
                         supers.row(t).or_into_dense(&mut closed_buf);
                     }
-                    segment.targets.extend(iter_bits(&closed_buf));
+                    csr.targets.extend(iter_bits(&closed_buf));
                 } else {
-                    segment.targets.extend(bits.iter());
+                    csr.targets.extend(bits.iter());
                 }
-                segment.pair_labels.push(label);
-                segment
-                    .pair_ranges
-                    .push((start, segment.targets.len() as u32));
+                csr.pair_labels.push(label);
+                csr.pair_ranges.push((start, csr.targets.len() as u32));
             };
             if supers.row(p as u32).is_empty() {
-                for (&label, bits) in &raw[p] {
-                    emit(label, bits.as_ref(), &mut segment);
+                for (&label, bits) in raw_row {
+                    emit(label, bits.as_ref(), &mut csr);
                 }
             } else {
                 let mut accumulate =
@@ -706,7 +712,7 @@ fn arrow_rows(
                             touched.push(label);
                         }
                     };
-                for (&label, bits) in &raw[p] {
+                for (&label, bits) in raw_row {
                     accumulate(label, bits.as_ref(), &mut touched);
                 }
                 for q in supers.row(p as u32).iter() {
@@ -717,18 +723,16 @@ fn arrow_rows(
                 touched.sort_unstable();
                 for &label in &touched {
                     let row = acc_rows[label as usize].take().expect("touched label");
-                    emit(label, RowRef::Dense(&row), &mut segment);
+                    emit(label, RowRef::Dense(&row), &mut csr);
                     pool.put(row);
                 }
                 touched.clear();
             }
-            segment
-                .pairs_per_class
-                .push(segment.pair_labels.len() as u32 - before);
+            csr.row_start.push(csr.pair_labels.len() as u32);
         }
         pool.put(closed_buf);
     });
-    segment
+    csr
 }
 
 /// [`compile_dense`] over edge/triple lists — a test-only convenience for
@@ -876,98 +880,15 @@ fn merge_sorted<'a, T: Ord + ?Sized>(
     out
 }
 
-/// One worker's partition of a sharded join: the direct-edge bit matrix
-/// and raw arrow rows of its input slice, over the *shared* interner
-/// (the global class/label tables every partition indexes with the same
-/// ids). Partials merge by pure bitwise OR — the tree-reduction node of
-/// the compiled engine's join.
-struct DensePartial {
-    direct: SpecMatrix,
-    raw_arrows: Vec<BTreeMap<u32, SpecRow>>,
-}
-
-impl DensePartial {
-    fn new(n: usize, words: usize) -> Self {
-        DensePartial {
-            direct: SpecMatrix::new(n, words),
-            raw_arrows: vec![BTreeMap::new(); n],
-        }
-    }
-
-    /// Walks one closed input into the partial. The inputs are closed,
-    /// and a union of closed relations re-closes to the same result, so
-    /// feeding the closed pairs as direct edges is exact (and how
-    /// Prop. 4.1 computes `S`). The nested maps are walked structurally
-    /// — one id lookup per class row, label run and target, not three
-    /// per triple — and the union accumulates straight into bit rows
-    /// (recycled through the worker's pool), which deduplicate for free.
-    fn intern(
-        &mut self,
-        schema: &WeakSchema,
-        cid: &FastMap<&Class, u32>,
-        lid: &FastMap<&Label, u32>,
-        words: usize,
-        pool: &mut ScratchPool,
-    ) {
-        for (sub, sups) in &schema.supers {
-            let row = self.direct.row_mut(cid[sub]);
-            for sup in sups {
-                // Sups iterate in class (= id) order, so sparse rows
-                // accumulate by appends.
-                row.set(cid[sup]);
-            }
-        }
-        for (src, by_label) in &schema.arrows {
-            let by_label_ids = &mut self.raw_arrows[cid[src] as usize];
-            for (label, tgts) in by_label {
-                let bits = by_label_ids
-                    .entry(lid[label])
-                    .or_insert_with(|| empty_row(words, pool));
-                for tgt in tgts {
-                    bits.set(cid[tgt]);
-                }
-            }
-        }
-    }
-
-    /// ORs `other` into `self` — one tree-reduction node. Commutative
-    /// and associative (it is a set union in bit form), so the reduction
-    /// shape cannot change the result.
-    fn absorb(&mut self, other: DensePartial) {
-        self.direct.or_matrix(&other.direct);
-        for (dst, src) in self.raw_arrows.iter_mut().zip(other.raw_arrows) {
-            for (label, bits) in src {
-                match dst.entry(label) {
-                    std::collections::btree_map::Entry::Occupied(mut entry) => {
-                        entry.get_mut().or_row(bits.as_ref());
-                    }
-                    std::collections::btree_map::Entry::Vacant(entry) => {
-                        entry.insert(bits);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Joins `schemas` entirely in id space, sharded over `threads` workers —
-/// the join stage of the compiled engine. The symbolic join is never
-/// materialized; callers that need it decompile the result.
+/// Joins `schemas` entirely in id space — the join stage of the compiled
+/// engine. The symbolic join is never materialized; callers that need it
+/// decompile the result.
 ///
-/// The global class/label tables are built first (sorted unions of the
-/// inputs' already-sorted tables — cheaper than per-insert set
-/// building), so every worker interns against the *same* id space. The
-/// input list is then partitioned into contiguous chunks, each worker
-/// walks its chunk into a [`DensePartial`], and the partials are
-/// reduced pairwise in a tree of scoped workers. One closure pass at
-/// the root finishes the job: closing once over the OR of the partials
-/// equals closing at every tree node (a union of closed relations
-/// re-closes to the same result), so the result is identical at every
-/// thread count.
-pub(crate) fn join_compiled_ids(
-    schemas: &[&WeakSchema],
-    threads: usize,
-) -> Result<CompiledSchema, SchemaError> {
+/// The class/label tables are built first (sorted unions of the inputs'
+/// already-sorted tables — cheaper than per-insert set building), then
+/// every input is interned against them into one [`RawDense`], and one
+/// closure pass finishes the job.
+pub(crate) fn join_compiled_ids(schemas: &[&WeakSchema]) -> Result<CompiledSchema, SchemaError> {
     let mut merged: Vec<&Class> = Vec::new();
     for schema in schemas {
         merged = merge_sorted(&merged, schema.classes());
@@ -982,78 +903,8 @@ pub(crate) fn join_compiled_ids(
     let label_vec: Vec<Label> = labels.into_iter().cloned().collect();
 
     let mut parts = RawDense::new(class_vec, label_vec);
-    let n = parts.classes.len();
-    let words = parts.words();
-    let cid: FastMap<&Class, u32> = parts
-        .classes
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (c, i as u32))
-        .collect();
-    let lid: FastMap<&Label, u32> = parts
-        .labels
-        .iter()
-        .enumerate()
-        .map(|(i, l)| (l, i as u32))
-        .collect();
-
-    let workers = parallel::throttled_threads(threads, schemas.len(), 8);
-    let mut partials = parallel::map_chunks(schemas.len(), workers, |range| {
-        let mut partial = DensePartial::new(n, words);
-        scratch::with_pool(|pool| {
-            for schema in &schemas[range] {
-                partial.intern(schema, &cid, &lid, words, pool);
-            }
-        });
-        partial
-    });
-    // Pairwise tree reduction. OR is commutative/associative, so the
-    // result is the same whatever the pairing; rounds of scoped workers
-    // keep the reduction depth logarithmic in the partition count.
-    while partials.len() > 1 {
-        let mut pairs: Vec<(DensePartial, DensePartial)> = Vec::new();
-        let mut leftover: Option<DensePartial> = None;
-        let mut iter = partials.into_iter();
-        while let Some(left) = iter.next() {
-            match iter.next() {
-                Some(right) => pairs.push((left, right)),
-                None => leftover = Some(left),
-            }
-        }
-        partials = if pairs.len() > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = pairs
-                    .into_iter()
-                    .map(|(mut left, right)| {
-                        scope.spawn(move || {
-                            left.absorb(right);
-                            left
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|handle| handle.join().expect("join reduction worker panicked"))
-                    .collect()
-            })
-        } else {
-            pairs
-                .into_iter()
-                .map(|(mut left, right)| {
-                    left.absorb(right);
-                    left
-                })
-                .collect()
-        };
-        partials.extend(leftover);
-    }
-    if let Some(total) = partials.pop() {
-        parts.direct = total.direct;
-        parts.raw_arrows = total.raw_arrows;
-    }
-
-    drop((cid, lid));
-    Ok(compile_dense_mt(parts, threads)?)
+    parts.intern_all(schemas);
+    Ok(compile_dense(parts)?)
 }
 
 /// Builds the canonical-class view of a proper schema in id space: for
@@ -1189,41 +1040,7 @@ pub(crate) fn join_onto_compiled(
         }
     }
 
-    // Extras: the same symbolic walk as `DensePartial::intern`, unioning into
-    // the seeded rows.
-    let cid: FastMap<&Class, u32> = parts
-        .classes
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (c, i as u32))
-        .collect();
-    let lid: FastMap<&Label, u32> = parts
-        .labels
-        .iter()
-        .enumerate()
-        .map(|(i, l)| (l, i as u32))
-        .collect();
-    for schema in extras {
-        for (sub, sups) in &schema.supers {
-            let row = parts.direct.row_mut(cid[sub]);
-            for sup in sups {
-                row.set(cid[sup]);
-            }
-        }
-        for (src, by_label) in &schema.arrows {
-            let by_label_ids = &mut parts.raw_arrows[cid[src] as usize];
-            for (label, tgts) in by_label {
-                let bits = by_label_ids
-                    .entry(lid[label])
-                    .or_insert_with(|| SpecRow::empty(words));
-                for tgt in tgts {
-                    bits.set(cid[tgt]);
-                }
-            }
-        }
-    }
-
-    drop((cid, lid));
+    parts.intern_all(extras);
     Ok(compile_dense(parts)?)
 }
 
@@ -1239,7 +1056,6 @@ pub(crate) fn join_onto_compiled(
 pub(crate) fn assemble_ids(
     cs: &CompiledSchema,
     entries: &[(Vec<u64>, Class)],
-    threads: usize,
 ) -> Result<(WeakSchema, CompiledSchema), SchemaError> {
     let n = cs.classes.len();
     let old_words = cs.words();
@@ -1480,7 +1296,7 @@ pub(crate) fn assemble_ids(
         pool.put(label_bits);
     });
 
-    let compiled = compile_dense_mt(parts, threads)?;
+    let compiled = compile_dense(parts)?;
     Ok((compiled.decompile(), compiled))
 }
 
@@ -1554,11 +1370,6 @@ impl StateTable {
     }
 }
 
-/// A candidate successor produced by one frontier expansion: the frontier
-/// unit it came from, the label stepped through, and the MinS-canonical
-/// state reached.
-type Candidate = (u32, LabelId, Vec<u64>);
-
 /// How one discovered state was first reached: through `label` from
 /// either a class (`seed`, `parent` is a [`ClassId`]) or an earlier
 /// state (`parent` is a state index). Witness paths materialize by
@@ -1615,16 +1426,11 @@ impl DiscoveredStates {
 /// `reference`-module discovery exactly — classes and labels are iterated
 /// in sorted (= id) order, so witnesses agree.
 ///
-/// The fixpoint is a frontier/worklist BFS. Processing the queue in FIFO
-/// order is the same as processing it index-by-index, so each wave
-/// (`processed..len`) can be *expanded* by up to `threads` scoped workers
-/// — each computes the successor candidates of a contiguous frontier
-/// chunk — while all *insertion* happens on the calling thread, walking
-/// the chunks in frontier order through the same dedup the sequential
-/// path uses. Discovery order, witnesses and the returned states are
-/// therefore identical at every thread count. Scratch rows come from the
-/// per-thread pools; discovered states live in a flat arena.
-pub(crate) fn discover_states_ids(cs: &CompiledSchema, threads: usize) -> DiscoveredStates {
+/// The fixpoint is a FIFO worklist over the state arena itself: state
+/// `i` is expanded after every state discovered before it, and each
+/// successor is inserted as soon as it is computed. Scratch rows come
+/// from the thread's pool; discovered states live in a flat arena.
+pub(crate) fn discover_states_ids(cs: &CompiledSchema) -> DiscoveredStates {
     let n = cs.classes.len();
     let words = cs.words();
     if n == 0 || cs.pair_labels.is_empty() {
@@ -1637,36 +1443,24 @@ pub(crate) fn discover_states_ids(cs: &CompiledSchema, threads: usize) -> Discov
     let mut table = StateTable::new(words);
     let mut steps: Vec<Step> = Vec::new();
 
-    // I₁: R(p, a) for every class and label, canonicalized by MinS —
-    // expanded per class chunk, inserted in (class, label) order.
-    // Singleton target sets (the common case) are their own MinS.
-    let seed_workers = parallel::throttled_threads(threads, n, 128);
-    let seed_chunks = parallel::map_chunks(n, seed_workers, |range| {
-        let mut out: Vec<Candidate> = Vec::new();
-        scratch::with_pool(|pool| {
-            for p in range {
-                for (label, (start, end)) in cs.pairs_of(p as u32) {
-                    let mut reached = pool.take(words);
-                    for &t in &cs.targets[start as usize..end as usize] {
-                        set_bit(&mut reached, t);
-                    }
-                    let state = if end - start == 1 {
-                        reached
-                    } else {
-                        let mut min = pool.take(words);
-                        cs.min_s_bits_into(&reached, &mut min);
-                        pool.put(reached);
-                        min
-                    };
-                    out.push((p as u32, label, state));
-                }
-            }
-        });
-        out
-    });
     scratch::with_pool(|pool| {
-        for chunk in seed_chunks {
-            for (p, label, state) in chunk {
+        // I₁: R(p, a) for every class and label, canonicalized by MinS,
+        // in (class, label) order. Singleton target sets (the common
+        // case) are their own MinS.
+        for p in 0..n as u32 {
+            for (label, (start, end)) in cs.pairs_of(p) {
+                let mut reached = pool.take(words);
+                for &t in &cs.targets[start as usize..end as usize] {
+                    set_bit(&mut reached, t);
+                }
+                let state = if end - start == 1 {
+                    reached
+                } else {
+                    let mut min = pool.take(words);
+                    cs.min_s_bits_into(&reached, &mut min);
+                    pool.put(reached);
+                    min
+                };
                 if table.insert(&state).is_some() {
                     steps.push(Step {
                         parent: p,
@@ -1677,71 +1471,54 @@ pub(crate) fn discover_states_ids(cs: &CompiledSchema, threads: usize) -> Discov
                 pool.put(state);
             }
         }
-    });
 
-    // Iₙ₊₁ = R(X, a), stepping from canonical states (exact by W1).
-    // Singleton states are skipped: stepping from `{q}` through `a` gives
-    // `MinS(R(q, a))`, which the I₁ seeding above already inserted — the
-    // symbolic engine re-derives (and re-rejects) these, harmlessly.
-    let mut processed = 0usize;
-    while processed < table.arena.len() {
-        let frontier_end = table.arena.len();
-        let frontier_len = frontier_end - processed;
-        let arena = &table.arena;
-        let wave_workers = parallel::throttled_threads(threads, frontier_len, 32);
-        let wave_chunks = parallel::map_chunks(frontier_len, wave_workers, |range| {
-            let mut out: Vec<Candidate> = Vec::new();
-            scratch::with_pool(|pool| {
-                let mut state_labels = pool.take(label_words);
-                for offset in range {
-                    let index = (processed + offset) as u32;
-                    let state = arena.get(index);
-                    if popcount(state) < 2 {
-                        continue;
-                    }
-                    state_labels.iter_mut().for_each(|w| *w = 0);
-                    for member in iter_bits(state) {
-                        for &label in cs.labels_of(member) {
-                            set_bit(&mut state_labels, label);
-                        }
-                    }
-                    for label in iter_bits(&state_labels) {
-                        let mut reached = pool.take(words);
-                        for member in iter_bits(state) {
-                            for &t in cs.arrow_targets(member, label) {
-                                set_bit(&mut reached, t);
-                            }
-                        }
-                        if is_zero(&reached) {
-                            pool.put(reached);
-                            continue;
-                        }
-                        let mut next = pool.take(words);
-                        cs.min_s_bits_into(&reached, &mut next);
-                        pool.put(reached);
-                        out.push((index, label, next));
+        // Iₙ₊₁ = R(X, a), stepping from canonical states (exact by W1).
+        // Singleton states are skipped: stepping from `{q}` through `a`
+        // gives `MinS(R(q, a))`, which the I₁ seeding above already
+        // inserted — the symbolic engine re-derives (and re-rejects)
+        // these, harmlessly. The expanded state is copied out of the
+        // arena, which the insertions below may grow.
+        let mut state = pool.take(words);
+        let mut state_labels = pool.take(label_words);
+        let mut index = 0u32;
+        while (index as usize) < table.arena.len() {
+            if popcount(table.arena.get(index)) >= 2 {
+                state.copy_from_slice(table.arena.get(index));
+                state_labels.iter_mut().for_each(|w| *w = 0);
+                for member in iter_bits(&state) {
+                    for &label in cs.labels_of(member) {
+                        set_bit(&mut state_labels, label);
                     }
                 }
-                pool.put(state_labels);
-            });
-            out
-        });
-        scratch::with_pool(|pool| {
-            for chunk in wave_chunks {
-                for (parent, label, state) in chunk {
-                    if table.insert(&state).is_some() {
+                for label in iter_bits(&state_labels) {
+                    let mut reached = pool.take(words);
+                    for member in iter_bits(&state) {
+                        for &t in cs.arrow_targets(member, label) {
+                            set_bit(&mut reached, t);
+                        }
+                    }
+                    if is_zero(&reached) {
+                        pool.put(reached);
+                        continue;
+                    }
+                    let mut next = pool.take(words);
+                    cs.min_s_bits_into(&reached, &mut next);
+                    pool.put(reached);
+                    if table.insert(&next).is_some() {
                         steps.push(Step {
-                            parent,
+                            parent: index,
                             label,
                             seed: false,
                         });
                     }
-                    pool.put(state);
+                    pool.put(next);
                 }
             }
-        });
-        processed = frontier_end;
-    }
+            index += 1;
+        }
+        pool.put(state);
+        pool.put(state_labels);
+    });
 
     DiscoveredStates {
         arena: table.arena,
@@ -1885,84 +1662,13 @@ mod tests {
             .build()
             .unwrap();
         let cs = CompiledSchema::compile(&g);
-        let states = discover_states_ids(&cs, 1);
+        let states = discover_states_ids(&cs);
         let sets: BTreeSet<BTreeSet<Class>> = (0..states.len() as u32)
             .map(|i| state_classes(&cs, states.bits(i)))
             .collect();
         // {B1,B2} and {T1,T2} plus the singleton seeds.
         assert!(sets.contains(&[c("B1"), c("B2")].into_iter().collect()));
         assert!(sets.contains(&[c("T1"), c("T2")].into_iter().collect()));
-    }
-
-    #[test]
-    fn discovery_is_thread_count_invariant() {
-        // A chain of multi-target steps plus a specialization order, so
-        // the fixpoint has several waves and non-trivial MinS work.
-        let mut builder = WeakSchema::builder();
-        for i in 0..30usize {
-            builder = builder
-                .arrow(format!("C{i}"), "a", format!("B{i}"))
-                .arrow(format!("C{i}"), "a", format!("B{}", (i + 7) % 30))
-                .arrow(format!("B{i}"), "b", format!("T{}", i % 5))
-                .arrow(format!("B{i}"), "b", format!("T{}", (i + 1) % 5));
-        }
-        for i in 1..10usize {
-            builder = builder.specialize(format!("T{}", i % 5), format!("B{i}"));
-        }
-        let g = builder.build().unwrap();
-        let cs = CompiledSchema::compile(&g);
-        let sequential = discover_states_ids(&cs, 1);
-        for threads in [2, 3, 4, 8] {
-            let parallel = discover_states_ids(&cs, threads);
-            assert_eq!(parallel.len(), sequential.len());
-            for i in 0..sequential.len() as u32 {
-                assert_eq!(
-                    sequential.bits(i),
-                    parallel.bits(i),
-                    "states agree in discovery order"
-                );
-                let (seq, par) = (sequential.witness(i), parallel.witness(i));
-                assert_eq!(seq.start, par.start);
-                assert_eq!(seq.labels, par.labels, "witnesses agree");
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_join_is_thread_count_invariant() {
-        // Enough inputs that the per-worker minimum (8 schemas) yields
-        // several partitions — the chunked interning, `absorb` OR-merge
-        // and multi-round tree reduction all genuinely execute.
-        let mut schemas = Vec::new();
-        for i in 0..40usize {
-            schemas.push(
-                WeakSchema::builder()
-                    .arrow(
-                        format!("C{}", i % 7),
-                        format!("f{i}"),
-                        format!("T{}", i % 5),
-                    )
-                    .arrow(format!("C{}", i % 7), "shared", format!("T{}", (i + 1) % 5))
-                    .specialize(format!("C{}", i % 7), "Top")
-                    .build()
-                    .unwrap(),
-            );
-        }
-        let refs: Vec<&WeakSchema> = schemas.iter().collect();
-        assert!(
-            parallel::throttled_threads(8, refs.len(), 8) >= 4,
-            "the test must actually shard"
-        );
-        let sequential = join_compiled_ids(&refs, 1).unwrap();
-        for threads in [2, 3, 4, 8] {
-            let sharded = join_compiled_ids(&refs, threads).unwrap();
-            assert_eq!(sharded, sequential, "bit-identical at {threads} threads");
-        }
-        // And equal to the symbolic reference join.
-        assert_eq!(
-            sequential.decompile(),
-            crate::reference::weak_join_all(refs.iter().copied()).unwrap()
-        );
     }
 
     #[test]

@@ -108,7 +108,7 @@ pub fn complete(weak: &WeakSchema) -> Result<ProperSchema, SchemaError> {
 pub fn complete_with_report(
     weak: &WeakSchema,
 ) -> Result<(ProperSchema, CompletionReport), SchemaError> {
-    complete_impl(weak, None, Engine::Compiled { threads: 1 })
+    complete_impl(weak, None, Engine::Compiled)
 }
 
 /// Runs only the `I∞` fixpoint of §4.2 on a compiled schema and returns
@@ -118,26 +118,9 @@ pub fn complete_with_report(
 ///
 /// Exposed for diagnostics and for the benchmark suite, which uses it to
 /// measure the fixpoint in isolation (time and allocations) without the
-/// symbolic materialization that dominates a full [`complete`]. `threads`
-/// shards the frontier across scoped workers; the count is identical at
-/// every thread count.
-pub fn imp_state_count(compiled: &CompiledSchema, threads: usize) -> usize {
-    compile::discover_states_ids(compiled, threads).len()
-}
-
-/// [`complete_with_report`] reusing an already-compiled form of `weak` —
-/// the interner-reuse fast path, public so callers holding a partial
-/// join (both representations off a compiled-engine
-/// [`crate::Merger::join`]) can complete it without recompiling.
-///
-/// `compiled` must be the compiled twin of `weak`, as returned alongside
-/// it by the join; passing the compiled form of a *different* schema
-/// yields an unspecified (memory-safe) completion.
-pub fn complete_compiled(
-    weak: &WeakSchema,
-    compiled: &CompiledSchema,
-) -> Result<(ProperSchema, CompletionReport), SchemaError> {
-    complete_impl(weak, Some(compiled), Engine::Compiled { threads: 1 })
+/// symbolic materialization that dominates a full [`complete`].
+pub fn imp_state_count(compiled: &CompiledSchema) -> usize {
+    compile::discover_states_ids(compiled).len()
 }
 
 /// Completes a schema directly from its compiled form — the end-to-end
@@ -145,29 +128,34 @@ pub fn complete_compiled(
 /// symbolic schema is materialized exactly once, for the completed
 /// result, instead of once for the join and again for the completion.
 /// The engine behind the completion pass of both compiled plans
-/// (fresh and onto a cached base). `threads` shards the `Imp`
-/// fixpoint's frontier (results are identical at every thread count).
+/// (fresh and onto a cached base).
 pub(crate) fn complete_from_compiled_impl(
     compiled: &CompiledSchema,
-    threads: usize,
 ) -> Result<(ProperSchema, CompletionReport), SchemaError> {
     if compiled.has_origin_classes() {
         let weak = compiled.decompile();
-        return complete_impl(&weak, Some(compiled), Engine::Compiled { threads });
+        return complete_impl(&weak, Some(compiled), Engine::Compiled);
     }
-    // No implicit classes anywhere: origin-set canonicalization is a
-    // no-op, every discovered state is a set of named classes already in
-    // MinS-canonical (antichain) form, and each multi-element state names
-    // a genuinely new implicit class — `name_states` collapses to naming
-    // each state by its own members.
+    complete_ids(None, compiled)
+}
+
+/// The compiled completion of `compiled`: the `Imp` fixpoint on bitset
+/// states, the naming of every multi-member state, and the assembly in
+/// id space. `weak` is the symbolic twin of `compiled` when the caller
+/// holds one; it is needed only to name states of a schema that carries
+/// origin classes (see [`name_states`]), and is decompiled when the
+/// completion adds nothing.
+fn complete_ids(
+    weak: Option<&WeakSchema>,
+    compiled: &CompiledSchema,
+) -> Result<(ProperSchema, CompletionReport), SchemaError> {
     let mut states: BTreeMap<BTreeSet<Class>, (Vec<u64>, ImplicitWitness)> = BTreeMap::new();
-    let discovered = compile::discover_states_ids(compiled, threads);
+    let discovered = compile::discover_states_ids(compiled);
     for index in 0..discovered.len() as u32 {
         let bits = discovered.bits(index);
         if bits.iter().map(|w| w.count_ones()).sum::<u32>() < 2 {
             continue;
         }
-        let members = compile::state_classes(compiled, bits);
         let witness = discovered.witness(index);
         let witness = ImplicitWitness {
             start: compiled.class(witness.start).clone(),
@@ -177,25 +165,24 @@ pub(crate) fn complete_from_compiled_impl(
                 .map(|&l| compiled.label(l).clone())
                 .collect(),
         };
-        states.insert(members, (bits.to_vec(), witness));
+        states.insert(
+            compile::state_classes(compiled, bits),
+            (bits.to_vec(), witness),
+        );
     }
-    if states.is_empty() {
-        let proper = ProperSchema::from_compiled(compiled.decompile(), compiled)?;
-        return Ok((proper, CompletionReport::default()));
+    let (id_entries, report) = name_states(weak, states);
+    // No multi-element states means every C̄/Ē/S̄ rule quantifies over an
+    // empty `Imp`: the completion IS the input, so the assembly (a
+    // rebuild + re-close + decompile that would reproduce the input
+    // exactly) is skipped. This is the common case for schemas without
+    // label collisions — notably every registry re-merge of members that
+    // already completed cleanly.
+    if id_entries.is_empty() {
+        let weak = weak.map_or_else(|| compiled.decompile(), WeakSchema::clone);
+        let proper = ProperSchema::from_compiled(weak, compiled)?;
+        return Ok((proper, report));
     }
-    let mut report = CompletionReport::default();
-    let mut id_entries: Vec<(Vec<u64>, Class)> = Vec::with_capacity(states.len());
-    for (members, (bits, witness)) in states {
-        let class = Class::implicit(members.clone());
-        report.implicit.push(ImplicitClassInfo {
-            class: class.clone(),
-            members,
-            witness,
-        });
-        id_entries.push((bits, class));
-    }
-    report.implicit.sort_by(|a, b| a.class.cmp(&b.class));
-    let (completed, completed_compiled) = compile::assemble_ids(compiled, &id_entries, threads)?;
+    let (completed, completed_compiled) = compile::assemble_ids(compiled, &id_entries)?;
     let proper = ProperSchema::from_compiled(completed, &completed_compiled)?;
     Ok((proper, report))
 }
@@ -205,14 +192,8 @@ pub(crate) fn complete_from_compiled_impl(
 /// [`crate::reference`] path).
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Engine {
-    /// Dense ids, bitset closures, CSR arrows ([`crate::compile`]),
-    /// with the `Imp` fixpoint's frontier sharded over `threads` scoped
-    /// workers (1 = fully sequential; any count yields identical
-    /// results).
-    Compiled {
-        /// Worker threads for the fixpoint frontier.
-        threads: usize,
-    },
+    /// Dense ids, bitset closures, CSR arrows ([`crate::compile`]).
+    Compiled,
     /// The original `BTreeMap`/`BTreeSet` algorithms.
     Symbolic,
 }
@@ -220,7 +201,7 @@ pub(crate) enum Engine {
 impl Engine {
     fn close_fn(self) -> CloseFn {
         match self {
-            Engine::Compiled { .. } => WeakSchema::close,
+            Engine::Compiled => WeakSchema::close,
             Engine::Symbolic => WeakSchema::close_symbolic,
         }
     }
@@ -245,99 +226,66 @@ pub(crate) fn complete_impl(
 
     match engine {
         Engine::Symbolic => {
-            let states = discover_states(weak);
-            let imp = states
+            let imp = discover_states(weak)
                 .into_iter()
                 .filter(|(state, _)| state.len() >= 2)
+                .map(|(state, witness)| (state.clone(), (state, witness)))
                 .collect();
-            let (entries, report) = name_states(weak, imp);
+            let (entries, report) = name_states(Some(weak), imp);
             let completed = assemble(weak, &entries, close)?;
             Ok((ProperSchema::try_new(completed)?, report))
         }
-        Engine::Compiled { threads } => {
-            // Compile once (or reuse the caller's compiled join), run the
-            // fixpoint on bitset states and assemble in id space.
-            let owned;
-            let compiled = match (&canonical, precompiled) {
-                (None, Some(compiled)) => compiled,
-                _ => {
-                    owned = CompiledSchema::compile(weak);
-                    &owned
-                }
-            };
-            let mut imp: BTreeMap<BTreeSet<Class>, ImplicitWitness> = BTreeMap::new();
-            let mut bits_of_state: BTreeMap<BTreeSet<Class>, Vec<u64>> = BTreeMap::new();
-            let discovered = compile::discover_states_ids(compiled, threads);
-            for index in 0..discovered.len() as u32 {
-                let bits = discovered.bits(index);
-                if bits.iter().map(|w| w.count_ones()).sum::<u32>() < 2 {
-                    continue;
-                }
-                let state = compile::state_classes(compiled, bits);
-                let witness = discovered.witness(index);
-                imp.insert(
-                    state.clone(),
-                    ImplicitWitness {
-                        start: compiled.class(witness.start).clone(),
-                        labels: witness
-                            .labels
-                            .iter()
-                            .map(|&l| compiled.label(l).clone())
-                            .collect(),
-                    },
-                );
-                bits_of_state.insert(state, bits.to_vec());
+        Engine::Compiled => {
+            // Compile once (or reuse the caller's compiled join).
+            match (&canonical, precompiled) {
+                (None, Some(compiled)) => complete_ids(Some(weak), compiled),
+                _ => complete_ids(Some(weak), &CompiledSchema::compile(weak)),
             }
-            let (entries, report) = name_states(weak, imp);
-            let id_entries: Vec<(Vec<u64>, Class)> = entries
-                .iter()
-                .map(|(state, class)| (bits_of_state[state].clone(), class.clone()))
-                .collect();
-            // No multi-element states means every C̄/Ē/S̄ rule quantifies
-            // over an empty `Imp`: the completion IS the input, so the
-            // assembly (a rebuild + re-close + decompile that would
-            // reproduce `weak` exactly) is skipped. This is the common
-            // case for schemas without label collisions — notably every
-            // registry re-merge of members that already completed cleanly.
-            if id_entries.is_empty() {
-                let proper = ProperSchema::from_compiled(weak.clone(), compiled)?;
-                return Ok((proper, report));
-            }
-            let (completed, completed_compiled) =
-                compile::assemble_ids(compiled, &id_entries, threads)?;
-            let proper = ProperSchema::from_compiled(completed, &completed_compiled)?;
-            Ok((proper, report))
         }
     }
 }
 
 /// Names every `Imp` state (the reachable states of cardinality > 1) and
-/// builds the completion report. Distinct states may flatten to the same
-/// class (when inputs already contained implicit classes); contributions
-/// are unioned by the assembly. Shared by both engines; `states` must be
-/// sorted by state so the first-witness choice is deterministic.
-fn name_states(
-    weak: &WeakSchema,
-    states: BTreeMap<BTreeSet<Class>, ImplicitWitness>,
-) -> (Vec<(BTreeSet<Class>, Class)>, CompletionReport) {
-    let mut entries: Vec<(BTreeSet<Class>, Class)> = Vec::with_capacity(states.len());
+/// builds the completion report. Each state maps to the engine's own form
+/// of it (the symbolic engine's class set, the compiled engine's id
+/// bitset) and its first witness; the entries pair that form with the
+/// state's class. `states` is sorted by state, so the first-witness
+/// choice is deterministic.
+///
+/// With `weak`, a state is named by its canonical meet, which may be a
+/// class the schema already has (an earlier merge's implicit class), and
+/// distinct states may flatten to the same class; contributions are
+/// unioned by the assembly. `None` stands for a schema without origin
+/// classes: every state is then a MinS antichain of named classes, so
+/// its canonical meet is the implicit class of its own members, which
+/// the schema cannot already hold.
+fn name_states<T>(
+    weak: Option<&WeakSchema>,
+    states: BTreeMap<BTreeSet<Class>, (T, ImplicitWitness)>,
+) -> (Vec<(T, Class)>, CompletionReport) {
+    let mut entries: Vec<(T, Class)> = Vec::with_capacity(states.len());
     let mut report = CompletionReport::default();
-    for (state, witness) in states {
-        let class = canonical_meet_class(weak, &state);
-        if !weak.contains_class(&class) {
-            // Not already present from an earlier merge: genuinely new.
-            let newly_seen = !report.implicit.iter().any(|info| info.class == class);
-            if newly_seen {
-                report.implicit.push(ImplicitClassInfo {
-                    class: class.clone(),
-                    members: state.clone(),
-                    witness,
-                });
-            }
+    for (state, (form, witness)) in states {
+        let class = match weak {
+            Some(weak) => canonical_meet_class(weak, &state),
+            None => Class::implicit(state.clone()),
+        };
+        // Not already present from an earlier merge: genuinely new.
+        if !weak.is_some_and(|weak| weak.contains_class(&class)) {
+            report.implicit.push(ImplicitClassInfo {
+                class: class.clone(),
+                members: state,
+                witness,
+            });
         }
-        entries.push((state, class));
+        entries.push((form, class));
     }
+    // A stable sort keeps, among states flattening to one class, the
+    // first in state order — the one whose witness the report shows.
     report.implicit.sort_by(|a, b| a.class.cmp(&b.class));
+    report
+        .implicit
+        .dedup_by(|later, first| later.class == first.class);
     (entries, report)
 }
 

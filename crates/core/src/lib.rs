@@ -40,7 +40,7 @@
 //! ([`compile`]): classes and labels are interned to dense `u32` ids,
 //! the specialization closure lives in bitset rows and arrows in CSR
 //! adjacency. Planning picks the engine — the compiled id-space
-//! pipeline, whose only knob is its worker-thread budget; the same
+//! pipeline, which runs on the calling thread; the same
 //! pipeline joining onto a cached base; or the retained symbolic
 //! algorithms of [`reference`](mod@crate::reference) for differential
 //! testing — and all engines produce equal results.
@@ -86,7 +86,6 @@ pub mod merge;
 pub mod merger;
 pub mod name;
 mod order;
-pub mod parallel;
 pub mod participation;
 pub mod proper;
 pub mod reference;
@@ -98,9 +97,7 @@ pub mod weak;
 
 pub use class::{Class, OriginSet};
 pub use compile::{ClassId, CompiledSchema, LabelId};
-pub use complete::{
-    complete, complete_compiled, complete_with_report, CompletionReport, ImplicitClassInfo,
-};
+pub use complete::{complete, complete_with_report, CompletionReport, ImplicitClassInfo};
 pub use compose::ComposeProvenance;
 pub use consistency::ConsistencyRelation;
 pub use diagnostic::{Diagnostic, DiagnosticOrigin, Severity};
@@ -114,10 +111,9 @@ pub use lower::{
 pub use merge::{are_compatible, weak_join, MergeOutcome, MergeSession};
 pub use merger::{
     EnginePreference, InputProvenance, Joined, MergeMode, MergePass, MergePlan, MergeReport,
-    MergeTrace, Merger, PlannedEngine, PARALLEL_INPUT_THRESHOLD, PARALLEL_WORK_THRESHOLD,
+    MergeTrace, Merger, PlannedEngine,
 };
 pub use name::{Label, Name};
-pub use parallel::default_threads;
 pub use participation::Participation;
 pub use proper::ProperSchema;
 pub use rename::{

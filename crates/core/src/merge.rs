@@ -198,7 +198,6 @@ impl MergeSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::complete::complete_compiled;
     use crate::merger::EnginePreference;
     use crate::name::Label;
 
@@ -217,14 +216,13 @@ mod tests {
         Merger::new().schemas(schemas).join().map(Joined::into_weak)
     }
 
-    /// The n-ary join on the sequential compiled engine, both
+    /// The n-ary join on the compiled engine, both
     /// representations (the symbolic one decompiled).
     fn join_all_compiled<'a>(
         schemas: impl IntoIterator<Item = &'a WeakSchema>,
     ) -> Result<(WeakSchema, CompiledSchema), MergeError> {
         let compiled = Merger::new()
             .schemas(schemas)
-            .threads(1)
             .join()?
             .into_parts()
             .1
@@ -232,21 +230,14 @@ mod tests {
         Ok((compiled.decompile(), compiled))
     }
 
-    /// The paper's full merge through the façade, on the compiled engine
-    /// at one thread and at two; the two must agree exactly.
+    /// The paper's full merge through the façade, on the compiled engine.
     fn merge_all<'a>(
-        schemas: impl IntoIterator<Item = &'a WeakSchema> + Clone,
+        schemas: impl IntoIterator<Item = &'a WeakSchema>,
     ) -> Result<MergeOutcome, MergeError> {
-        let run = |threads| {
-            Merger::new()
-                .schemas(schemas.clone())
-                .threads(threads)
-                .execute()
-                .map(crate::merger::MergeReport::into_outcome)
-        };
-        let outcome = run(1);
-        assert_eq!(outcome, run(2), "thread counts never change results");
-        outcome
+        Merger::new()
+            .schemas(schemas)
+            .execute()
+            .map(crate::merger::MergeReport::into_outcome)
     }
 
     fn dog_schema_one() -> WeakSchema {
@@ -562,8 +553,8 @@ mod tests {
     #[test]
     fn partial_join_entry_points_reproduce_merge_compiled() {
         // The registry's incremental shape: join N-1 schemas, cache the
-        // weak result, join it with the last schema and complete reusing
-        // the compiled form — all three stages must agree with the batch.
+        // weak result, join it with the last schema and complete onto the
+        // compiled form — all three stages must agree with the batch.
         let g1 = dog_schema_one();
         let g2 = dog_schema_two();
         let g3 = WeakSchema::builder()
@@ -573,11 +564,11 @@ mod tests {
             .unwrap();
         let (rest, _) = join_all_compiled([&g1, &g2]).unwrap();
         let (weak, compiled) = join_all_compiled([&rest, &g3]).unwrap();
-        let (proper, report) = complete_compiled(&weak, &compiled).unwrap();
+        let completed = Merger::new().onto_base(&compiled).execute().unwrap();
         let batch = merge_all([&g1, &g2, &g3]).unwrap();
         assert_eq!(weak, batch.weak);
-        assert_eq!(proper, batch.proper);
-        assert_eq!(report, batch.report);
+        assert_eq!(completed.proper, batch.proper);
+        assert_eq!(completed.implicit, batch.report);
     }
 
     #[test]

@@ -34,11 +34,9 @@
 //! that actually runs:
 //!
 //! * **`Compiled`** (the default) — inputs are interned into dense ids
-//!   against one shared interner, joined by a sharded tree reduction and
-//!   completed by a frontier-parallel `Imp` fixpoint, end to end in id
-//!   space ([`crate::compile`]). [`Merger::threads`] is its only knob:
-//!   `threads(1)` runs every stage on the calling thread, and every
-//!   thread count yields identical results.
+//!   against one shared interner, joined, and completed through the
+//!   `Imp` fixpoint, end to end in id space ([`crate::compile`]) and on
+//!   the calling thread.
 //! * **`CompiledOntoBase`** — chosen automatically when
 //!   [`Merger::onto_base`] supplies a cached [`CompiledSchema`]: the base
 //!   is transferred in id space and only the extra inputs are interned
@@ -70,7 +68,6 @@ use crate::lower::{
     annotated_join, lower_complete, lower_merge, AnnotatedSchema, LowerCompletionReport,
 };
 use crate::name::Label;
-use crate::parallel;
 use crate::proper::ProperSchema;
 use crate::weak::WeakSchema;
 use schema_merge_telemetry::{self as telemetry, SpanRecord};
@@ -84,7 +81,7 @@ use std::fmt;
 pub enum EnginePreference {
     /// Let the planner pick: the compiled engine, or the onto-base
     /// engine when a cached base was supplied. The right choice outside
-    /// differential tests; [`Merger::threads`] is the only cost knob.
+    /// differential tests.
     #[default]
     Auto,
     /// Force the retained symbolic reference algorithms.
@@ -97,12 +94,10 @@ pub enum EnginePreference {
 pub enum PlannedEngine {
     /// Symbolic `BTreeMap`/`BTreeSet` algorithms ([`crate::reference`]).
     Symbolic,
-    /// The id-space engine ([`crate::compile`]): sharded interning
-    /// against a shared interner, tree-reduction join and
-    /// frontier-parallel completion over [`MergePlan::threads`] scoped
-    /// workers. It never materializes the symbolic join
-    /// ([`MergeReport::weak`] decompiles it on demand); results are
-    /// identical at every thread count.
+    /// The id-space engine ([`crate::compile`]): every input interned
+    /// against one shared interner, one closure pass, then the id-space
+    /// completion. It never materializes the symbolic join
+    /// ([`MergeReport::weak`] decompiles it on demand).
     Compiled,
     /// Compiled engine joining extras onto a cached compiled base.
     CompiledOntoBase,
@@ -194,23 +189,6 @@ impl fmt::Display for MergePass {
     }
 }
 
-/// The [work-unit](MergePlan::work_units) level at which a merge
-/// without an explicit [`Merger::threads`] budget runs on
-/// [`default_threads`](crate::default_threads) workers instead of one.
-/// Below it, worker spawns and per-worker buffers cost more than they
-/// save; above it, the merge is dominated by interning and the `Imp`
-/// fixpoint, both of which the compiled engine shards.
-pub const PARALLEL_WORK_THRESHOLD: u64 = 10_000;
-
-/// The input count at which a merge without an explicit budget runs on
-/// [`default_threads`](crate::default_threads) workers regardless of the
-/// work estimate: with this many member schemas the merge is dominated
-/// by walking the inputs (the wide registry-rebuild shape), which the
-/// sharded join splits perfectly — per-input size signals cannot see
-/// this, because the collisions that make such merges expensive only
-/// materialize in the join.
-pub const PARALLEL_INPUT_THRESHOLD: usize = 16;
-
 /// What a [`Merger`] will do when executed: engine, passes and an
 /// estimate of the work involved. Produced by [`Merger::plan`] — cheap,
 /// side-effect free, and inspectable before committing to the merge.
@@ -225,15 +203,6 @@ pub struct MergePlan {
     /// ([`MergeReport::compiled`] is `None`): the participation
     /// bookkeeping lives on the symbolic representation.
     pub engine: PlannedEngine,
-    /// The worker-thread budget: the caller's [`Merger::threads`] if
-    /// set; otherwise the machine's available parallelism when the
-    /// [work estimate](MergePlan::work_units) reaches
-    /// [`PARALLEL_WORK_THRESHOLD`] or the input count reaches
-    /// [`PARALLEL_INPUT_THRESHOLD`], and 1 below both. At execution time the
-    /// budget is additionally capped at the machine's available
-    /// parallelism (oversubscribing cores with CPU-bound bit sweeps
-    /// only adds scheduler overhead).
-    pub threads: usize,
     /// The passes, in execution order.
     pub passes: Vec<MergePass>,
     /// Number of input schemas (weak + annotated; assertions counted
@@ -263,8 +232,7 @@ pub struct MergePlan {
 
 impl MergePlan {
     /// A scalar work estimate combining input size with closure density,
-    /// used by planning to decide whether an unbudgeted merge spawns
-    /// workers.
+    /// shown in the plan display and recorded on the `merge` span.
     ///
     /// Linear terms count the symbols the join walks (classes, arrows)
     /// and the closed specialization pairs the closure and `MinS`/`MaxS`
@@ -286,11 +254,11 @@ impl MergePlan {
     /// echo); mild excess is weighed per closure-row *population*
     /// instead. The old mild-excess weight was the dense row width
     /// (every extra target paid a `classes`-wide sweep), which
-    /// over-routed large *sparse* taxonomies — 10k classes, shallow
-    /// closure — to worker threads even when their actual `MinS`
-    /// sweeps touch only the handful of ancestors each adaptive row
-    /// stores. With adaptive rows the sweep cost is the average closed
-    /// row population (`spec_pairs / classes`), so that is the weight.
+    /// overrated large *sparse* taxonomies — 10k classes, shallow
+    /// closure — whose actual `MinS` sweeps touch only the handful of
+    /// ancestors each adaptive row stores. With adaptive rows the sweep
+    /// cost is the average closed row population (`spec_pairs /
+    /// classes`), so that is the weight.
     pub fn work_units(&self) -> u64 {
         let linear =
             (self.estimated_classes + self.estimated_arrows + self.estimated_spec_pairs) as u64;
@@ -321,9 +289,6 @@ impl fmt::Display for MergePlan {
             "plan: {} merge, engine={}, inputs={}",
             self.mode, self.engine, self.num_inputs
         )?;
-        if self.threads > 1 {
-            write!(f, ", threads={}", self.threads)?;
-        }
         if self.num_assertions > 0 {
             write!(f, " (+{} assertions)", self.num_assertions)?;
         }
@@ -696,7 +661,6 @@ pub struct Merger<'a> {
     consistency: Option<&'a ConsistencyRelation>,
     keys: Vec<(Class, SuperkeyFamily)>,
     engine: EnginePreference,
-    threads: Option<usize>,
     lower: bool,
     /// Name of the input whose hierarchy is the *target* of the merge
     /// (ATOM-style target-driven taxonomy merging): the result is the
@@ -821,17 +785,6 @@ impl<'a> Merger<'a> {
         self
     }
 
-    /// Fixes the worker-thread budget of the compiled engine — its only
-    /// knob. Clamped to at least 1; a budget of 1 runs every stage on the
-    /// calling thread. Unset, a plain compiled merge at or above
-    /// [`PARALLEL_WORK_THRESHOLD`] or [`PARALLEL_INPUT_THRESHOLD`] uses
-    /// the machine's available parallelism and every other plan stays
-    /// sequential. Thread counts never change results, only wall time.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
-    }
-
     /// Switches to the §6 *lower* merge: the greatest lower bound of the
     /// inputs (the federated view every source can serve), completed with
     /// union classes, with participation constraints weakened pointwise.
@@ -907,7 +860,6 @@ impl<'a> Merger<'a> {
         let mut plan = MergePlan {
             mode,
             engine: self.resolved_engine(),
-            threads: 1, // resolved below, once work is known
             passes: Vec::new(),
             num_inputs: self.inputs.len(),
             num_assertions: self.assertions.len(),
@@ -918,20 +870,6 @@ impl<'a> Merger<'a> {
             estimated_spec_pairs,
             estimated_arrow_pairs,
         };
-        plan.threads = self.threads.unwrap_or_else(|| {
-            // Only plain compiled merges big enough to pay for worker
-            // spawns get the machine's parallelism by default: the
-            // onto-base, annotated, symbolic and lower paths keep their
-            // sequential joins.
-            let big = plan.work_units() >= PARALLEL_WORK_THRESHOLD
-                || self.inputs.len() >= PARALLEL_INPUT_THRESHOLD;
-            if big && plan.engine == PlannedEngine::Compiled && !self.has_annotated() {
-                parallel::default_threads()
-            } else {
-                1
-            }
-        });
-
         if !self.is_base_only(plan.engine) {
             plan.passes.push(MergePass::Join);
         }
@@ -989,7 +927,6 @@ impl<'a> Merger<'a> {
         let plan = self.plan();
         let mut root = telemetry::span("merge");
         root.attr_usize("inputs", plan.num_inputs);
-        root.attr_usize("threads", plan.threads);
         root.attr("work_units", plan.work_units());
         match plan.mode {
             MergeMode::Upper => self.execute_upper(plan),
@@ -1005,7 +942,7 @@ impl<'a> Merger<'a> {
     pub fn join(&self) -> Result<Joined, MergeError> {
         let atoms = self.materialize_assertions()?;
         let plan = self.plan();
-        let (weak, compiled, _) = self.join_stage(plan.engine, execution_threads(&plan), &atoms)?;
+        let (weak, compiled, _) = self.join_stage(plan.engine, &atoms)?;
         Ok(Joined { weak, compiled })
     }
 
@@ -1065,7 +1002,6 @@ impl<'a> Merger<'a> {
     fn join_stage(
         &self,
         engine: PlannedEngine,
-        threads: usize,
         atoms: &[WeakSchema],
     ) -> Result<JoinStageOutput, MergeError> {
         if self.has_annotated() {
@@ -1093,10 +1029,9 @@ impl<'a> Merger<'a> {
                 Ok((Some(weak), None, None))
             }
             PlannedEngine::Compiled => {
-                // Sharded interning + tree reduction, straight to the
-                // compiled form: the symbolic join is never materialized.
-                let compiled =
-                    compile::join_compiled_ids(&weak_refs, threads).map_err(schema_to_merge)?;
+                // Straight to the compiled form: the symbolic join is
+                // never materialized.
+                let compiled = compile::join_compiled_ids(&weak_refs).map_err(schema_to_merge)?;
                 Ok((None, Some(compiled), None))
             }
             PlannedEngine::CompiledOntoBase => {
@@ -1129,12 +1064,11 @@ impl<'a> Merger<'a> {
 
     fn execute_upper(&self, plan: MergePlan) -> Result<MergeReport, MergeError> {
         let atoms = self.materialize_assertions()?;
-        let threads = execution_threads(&plan);
         let (weak, compiled, joined_annotated) = if self.is_base_only(plan.engine) {
             (None, None, None)
         } else {
             let mut span = telemetry::span(MergePass::Join.as_str());
-            let joined = self.join_stage(plan.engine, threads, &atoms)?;
+            let joined = self.join_stage(plan.engine, &atoms)?;
             match (&joined.0, &joined.1) {
                 (_, Some(compiled)) => {
                     span.attr_usize("classes", compiled.num_classes());
@@ -1156,14 +1090,15 @@ impl<'a> Merger<'a> {
             }
             // The participation-aware join is symbolic; its closure and
             // completion still run on the compiled engine.
-            (Some(weak), _, _) => complete_impl(weak, None, CompletionEngine::Compiled { threads })
-                .map_err(MergeError::Schema)?,
+            (Some(weak), _, _) => {
+                complete_impl(weak, None, CompletionEngine::Compiled).map_err(MergeError::Schema)?
+            }
             (None, Some(compiled), _) => {
-                complete_from_compiled_impl(compiled, threads).map_err(MergeError::Schema)?
+                complete_from_compiled_impl(compiled).map_err(MergeError::Schema)?
             }
             (None, None, _) => {
                 let base = self.base.expect("the base-only path implies a base");
-                complete_from_compiled_impl(base, threads).map_err(MergeError::Schema)?
+                complete_from_compiled_impl(base).map_err(MergeError::Schema)?
             }
         };
         completion_span.attr_usize("classes", proper.as_weak().num_classes());
@@ -1478,15 +1413,6 @@ type JoinStageOutput = (
     Option<CompiledSchema>,
     Option<AnnotatedSchema>,
 );
-
-/// The worker count a plan actually runs with: the budget, capped at
-/// the machine's available parallelism — the engine's passes are
-/// CPU-bound bit sweeps, so oversubscribing cores only adds scheduler
-/// overhead (a budget is a cap, not a mandate). [`MergePlan::threads`]
-/// keeps the uncapped budget for display and reporting.
-fn execution_threads(plan: &MergePlan) -> usize {
-    plan.threads.min(parallel::default_threads()).max(1)
-}
 
 /// The standard error mapping: a specialization cycle discovered while
 /// joining means the inputs are incompatible (§4.1).
@@ -1944,99 +1870,6 @@ mod tests {
             nfa_plan.work_units(),
             plain_plan.work_units()
         );
-        // And the estimate gives the NFA the machine's workers while the
-        // plain schema stays on the calling thread.
-        assert_eq!(nfa_plan.threads, parallel::default_threads());
-        assert_eq!(plain_plan.threads, 1);
-    }
-
-    #[test]
-    fn parallel_engine_matches_compiled_at_every_thread_count() {
-        let nfa = branchy(10);
-        let extra = WeakSchema::builder()
-            .arrow("S0", "zero", "Sink")
-            .specialize("Sink", "S1")
-            .build()
-            .unwrap();
-        let expected = crate::reference::merge([&nfa, &extra]).unwrap();
-        let sequential = Merger::new()
-            .schemas([&nfa, &extra])
-            .threads(1)
-            .execute()
-            .unwrap();
-        assert_eq!(sequential.proper, expected.proper);
-        assert_eq!(sequential.implicit, expected.report);
-        for threads in [2, 4, 8] {
-            let sharded = Merger::new()
-                .schemas([&nfa, &extra])
-                .threads(threads)
-                .execute()
-                .unwrap();
-            assert_eq!(sharded.plan.engine, PlannedEngine::Compiled);
-            assert_eq!(sharded.plan.threads, threads);
-            assert_eq!(sharded.proper, sequential.proper, "at {threads} threads");
-            assert_eq!(sharded.implicit, sequential.implicit);
-            assert_eq!(
-                sharded.compiled.as_ref().unwrap(),
-                sequential.compiled.as_ref().unwrap(),
-                "compiled joins are bit-identical"
-            );
-        }
-    }
-
-    #[test]
-    fn plan_threads_default_is_sequential_off_the_parallel_engine() {
-        // The thread rule: an unbudgeted compiled plan below both
-        // thresholds stays on the calling thread; at or above either one
-        // it gets the machine's parallelism.
-        let (g1, g2) = dogs();
-        let plan = Merger::new().schemas([&g1, &g2]).plan();
-        assert_eq!(plan.engine, PlannedEngine::Compiled);
-        assert!(plan.work_units() < PARALLEL_WORK_THRESHOLD);
-        assert_eq!(plan.threads, 1, "small plans stay sequential");
-
-        let heavy = branchy(12);
-        let plan = Merger::new().schema(&heavy).plan();
-        assert!(plan.work_units() >= PARALLEL_WORK_THRESHOLD);
-        assert_eq!(plan.threads, parallel::default_threads());
-
-        let many: Vec<&WeakSchema> = std::iter::repeat_n(&g1, PARALLEL_INPUT_THRESHOLD).collect();
-        let plan = Merger::new().schemas(many.iter().copied()).plan();
-        assert!(plan.work_units() < PARALLEL_WORK_THRESHOLD);
-        assert_eq!(plan.threads, parallel::default_threads());
-        let plan = Merger::new().schemas(many[1..].iter().copied()).plan();
-        assert_eq!(plan.threads, 1, "one input below the threshold");
-
-        // An explicit budget always applies.
-        let plan = Merger::new().schemas([&g1, &g2]).threads(3).plan();
-        assert_eq!(plan.threads, 3);
-        let display = plan.to_string();
-        assert!(
-            display.contains("engine=compiled, inputs=2, threads=3"),
-            "plan display names the budget: {display}"
-        );
-
-        // Onto-base, symbolic and lower plans keep a sequential default
-        // whatever the size.
-        let base = Merger::new()
-            .schemas([&g1, &g2])
-            .join()
-            .unwrap()
-            .into_parts()
-            .1
-            .unwrap();
-        let onto = Merger::new()
-            .onto_base(&base)
-            .schemas(many.iter().copied())
-            .plan();
-        assert_eq!(onto.engine, PlannedEngine::CompiledOntoBase);
-        assert_eq!(onto.threads, 1);
-        let symbolic = Merger::new()
-            .schema(&heavy)
-            .engine(EnginePreference::Symbolic)
-            .plan();
-        assert_eq!(symbolic.threads, 1);
-        assert_eq!(Merger::new().schema(&heavy).lower().plan().threads, 1);
     }
 
     #[test]
@@ -2064,18 +1897,15 @@ mod tests {
             .build()
             .unwrap();
         let expected = crate::reference::merge([&g1, &g2, &bridge]).unwrap();
-        for threads in [1, 2] {
-            let report = Merger::new()
-                .schemas([&g1, &g2])
-                .assert_specialization("B0", "A0")
-                .threads(threads)
-                .execute()
-                .unwrap();
-            assert_eq!(report.proper, expected.proper, "at {threads} threads");
-            assert_eq!(report.implicit, expected.report);
-            assert!(report.implicit.num_implicit() > 0);
-            assert!(report.proper.specializes(&c("B0"), &c("A0")));
-        }
+        let report = Merger::new()
+            .schemas([&g1, &g2])
+            .assert_specialization("B0", "A0")
+            .execute()
+            .unwrap();
+        assert_eq!(report.proper, expected.proper);
+        assert_eq!(report.implicit, expected.report);
+        assert!(report.implicit.num_implicit() > 0);
+        assert!(report.proper.specializes(&c("B0"), &c("A0")));
     }
 
     #[test]
@@ -2083,9 +1913,9 @@ mod tests {
         // A 3k-class taxonomy shape: shallow closure (about one closed
         // ancestor per class), mild arrow branching. The old mild-excess
         // weight was the dense row width (`classes`), pushing this to
-        // 1.5M work units and worker threads; the adaptive-row
-        // weight is the average closed-row population, keeping the
-        // estimate honest and the merge sequential.
+        // 1.5M work units; the adaptive-row weight is the average
+        // closed-row population, keeping the estimate honest.
+        const MODEST: u64 = 10_000;
         let (g1, _) = dogs();
         let mut plan = Merger::new().schema(&g1).plan();
         plan.estimated_classes = 3_000;
@@ -2093,13 +1923,13 @@ mod tests {
         plan.estimated_arrows = 2_200;
         plan.estimated_arrow_pairs = 1_700; // excess 500, mild: 2*500 < 1700
         assert!(
-            plan.work_units() < PARALLEL_WORK_THRESHOLD,
-            "sparse taxonomy must stay below the parallel threshold: {}",
+            plan.work_units() < MODEST,
+            "a sparse taxonomy is a modest merge: {}",
             plan.work_units()
         );
         let dense_width_estimate = 3_000u64 * 500;
         assert!(
-            dense_width_estimate >= PARALLEL_WORK_THRESHOLD,
+            dense_width_estimate >= MODEST,
             "the regression this guards against: the dense-width weight over-routed"
         );
     }
@@ -2250,15 +2080,8 @@ mod tests {
             .specialize("Puppy", "Dog")
             .build()
             .unwrap();
-        for (engine, threads) in [
-            (EnginePreference::Auto, 1),
-            (EnginePreference::Auto, 2),
-            (EnginePreference::Symbolic, 1),
-        ] {
-            let merger = Merger::new()
-                .schemas([&g1, &g2, &g3])
-                .engine(engine)
-                .threads(threads);
+        for engine in [EnginePreference::Auto, EnginePreference::Symbolic] {
+            let merger = Merger::new().schemas([&g1, &g2, &g3]).engine(engine);
             let plain = merger.execute().unwrap();
             let traced = merger.trace(true).execute().unwrap();
             assert_eq!(plain.proper, traced.proper, "{engine:?}");

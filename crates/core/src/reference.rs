@@ -84,22 +84,18 @@ mod tests {
     use super::*;
     use crate::merger::{Joined, Merger};
 
-    /// The façade's compiled-engine join at `threads` workers, for
-    /// differential comparison.
-    fn facade_join(schemas: &[&WeakSchema], threads: usize) -> Result<WeakSchema, MergeError> {
+    /// The façade's compiled-engine join, for differential comparison.
+    fn facade_join(schemas: &[&WeakSchema]) -> Result<WeakSchema, MergeError> {
         Merger::new()
             .schemas(schemas.iter().copied())
-            .threads(threads)
             .join()
             .map(Joined::into_weak)
     }
 
-    /// The façade's compiled-engine merge at `threads` workers, as the
-    /// historical triple.
-    fn facade_merge(schemas: &[&WeakSchema], threads: usize) -> Result<MergeOutcome, MergeError> {
+    /// The façade's compiled-engine merge, as the historical triple.
+    fn facade_merge(schemas: &[&WeakSchema]) -> Result<MergeOutcome, MergeError> {
         Merger::new()
             .schemas(schemas.iter().copied())
-            .threads(threads)
             .execute()
             .map(crate::merger::MergeReport::into_outcome)
     }
@@ -122,18 +118,16 @@ mod tests {
     #[test]
     fn symbolic_join_equals_compiled_join() {
         let (g1, g2) = sample_pair();
-        for threads in [1, 2] {
-            assert_eq!(
-                weak_join_all([&g1, &g2]).unwrap(),
-                facade_join(&[&g1, &g2], threads).unwrap()
-            );
-        }
+        assert_eq!(
+            weak_join_all([&g1, &g2]).unwrap(),
+            facade_join(&[&g1, &g2]).unwrap()
+        );
     }
 
     #[test]
     fn symbolic_completion_equals_compiled_completion() {
         let (g1, g2) = sample_pair();
-        let joined = facade_join(&[&g1, &g2], 1).unwrap();
+        let joined = facade_join(&[&g1, &g2]).unwrap();
         let (sym, sym_report) = complete_with_report(&joined).unwrap();
         let (compiled, compiled_report) = crate::complete::complete_with_report(&joined).unwrap();
         assert_eq!(sym, compiled);
@@ -144,9 +138,7 @@ mod tests {
     fn symbolic_merge_equals_public_merge() {
         let (g1, g2) = sample_pair();
         let sym = merge([&g1, &g2]).unwrap();
-        for threads in [1, 2] {
-            assert_eq!(sym, facade_merge(&[&g1, &g2], threads).unwrap());
-        }
+        assert_eq!(sym, facade_merge(&[&g1, &g2]).unwrap());
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! bitset and the word-twiddling helpers (`set_bit`, `or_into`,
 //! `intersects`, …) were private to [`crate::compile`]; this module is
 //! now the single home of those primitives, shared by the closure
-//! engine, the sharded join, the frontier fixpoint, the scratch pool and
-//! the registry's held joins.
+//! engine, the join, the fixpoint, the scratch pool and the registry's
+//! held joins.
 //!
 //! On top of the dense primitives it provides `SpecRow`, the
 //! **adaptive** row: dense `u64` words below a density/size threshold,
@@ -166,7 +166,7 @@ pub(crate) fn accumulate_sparse(words: usize) -> bool {
 // ---------------------------------------------------------------------------
 
 /// A borrowed row in either representation — the argument type of every
-/// representation-agnostic consumer (closure, sharded join, fixpoint,
+/// representation-agnostic consumer (closure, join, fixpoint,
 /// `assemble_ids`).
 #[derive(Clone, Copy)]
 pub(crate) enum RowRef<'a> {
@@ -515,15 +515,6 @@ impl SpecMatrix {
         self.rows.iter().map(|r| r.popcount() as usize).sum()
     }
 
-    /// `self |= other` row-wise: ORs every row of `other` into the
-    /// corresponding row of `self` (the tree-reduction node of the
-    /// sharded join).
-    pub(crate) fn or_matrix(&mut self, other: &SpecMatrix) {
-        for (dst, src) in self.rows.iter_mut().zip(&other.rows) {
-            dst.or_row(src.as_ref());
-        }
-    }
-
     /// Heap bytes of the row payloads — the memory the adaptive
     /// representation exists to shrink; reported by the bench suite.
     pub(crate) fn heap_bytes(&self) -> usize {
@@ -665,7 +656,9 @@ mod tests {
 
         let mut other = SpecMatrix::new(3, 2);
         other.set(0, 6);
-        other.or_matrix(&m);
+        for i in 0..3 {
+            other.row_mut(i).or_row(m.row(i));
+        }
         assert!(other.get(0, 5) && other.get(0, 6) && other.get(2, 3));
         assert_eq!(m.len(), 3);
         assert_eq!(m.words(), 2);

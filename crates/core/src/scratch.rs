@@ -6,8 +6,8 @@
 //! iteration built a fresh `reached` row, a fresh `MinS` row and a fresh
 //! hash-map key, so a completion of a few thousand states paid tens of
 //! thousands of allocator round-trips. The pool below recycles rows
-//! within and across calls (it is thread-local, so every engine thread —
-//! including the [`crate::parallel`] workers — has its own, lock-free),
+//! within and across calls (it is thread-local, so every thread that
+//! merges — each daemon connection, say — has its own, lock-free),
 //! and `StateArena` packs the fixpoint's discovered states into one
 //! flat allocation instead of one `Vec` per state.
 //!
@@ -23,8 +23,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Rows kept per thread; beyond this, [`ScratchPool::put`] drops the row
 /// instead of growing the cache without bound. Sized for the widest
-/// realistic frontier (a wave of a few thousand candidate states, or one
-/// arrow row per `(class, label)` pair of a large schema): at 8 words a
+/// realistic recycle (one raw arrow row per `(class, label)` pair of a
+/// large schema, returned when its closure is built): at 8 words a
 /// row, the worst-case thread-local footprint is ~0.5 MB.
 const MAX_POOLED_ROWS: usize = 8192;
 

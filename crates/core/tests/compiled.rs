@@ -3,8 +3,8 @@
 //!
 //! The compiled schema core (`compile`) must be a pure change of
 //! representation: `decompile(compile(g)) == g`, and every routed hot
-//! path — weak join, completion, the compiled-engine merge at one thread
-//! and at several — must produce results *equal* to the retained
+//! path — weak join, completion, the compiled-engine merge — must
+//! produce results *equal* to the retained
 //! symbolic implementations in `reference` (alpha-isomorphism is implied
 //! by equality; it is asserted separately to pin the weaker public
 //! contract too). All compiled paths are driven through the [`Merger`]
@@ -18,36 +18,14 @@ use schema_merge_core::merge::MergeOutcome;
 use schema_merge_core::merger::{Joined, MergeReport};
 use schema_merge_core::{reference, Class, CompiledSchema, MergeError, Merger, WeakSchema};
 
-/// The thread budgets every compiled-engine property is checked at.
-const THREADS: [usize; 2] = [1, 4];
-
-/// N-ary join on the compiled engine at `threads` workers, through the
-/// façade.
+/// N-ary join on the compiled engine, through the façade.
 fn weak_join_all<'a>(
     schemas: impl IntoIterator<Item = &'a WeakSchema>,
-    threads: usize,
 ) -> Result<WeakSchema, MergeError> {
-    Merger::new()
-        .schemas(schemas)
-        .threads(threads)
-        .join()
-        .map(Joined::into_weak)
+    Merger::new().schemas(schemas).join().map(Joined::into_weak)
 }
 
-/// Merge on the compiled engine at `threads` workers, through the
-/// façade.
-fn merge_compiled<'a>(
-    schemas: impl IntoIterator<Item = &'a WeakSchema>,
-    threads: usize,
-) -> Result<MergeOutcome, MergeError> {
-    Merger::new()
-        .schemas(schemas)
-        .threads(threads)
-        .execute()
-        .map(MergeReport::into_outcome)
-}
-
-/// The public default-planned merge, through the façade.
+/// Merge on the compiled engine, through the façade.
 fn merge<'a>(
     schemas: impl IntoIterator<Item = &'a WeakSchema>,
 ) -> Result<MergeOutcome, MergeError> {
@@ -144,10 +122,8 @@ proptest! {
     #[test]
     fn compiled_join_equals_reference_join(g1 in schema(), g2 in schema(), g3 in schema()) {
         let symbolic = reference::weak_join_all([&g1, &g2, &g3]).unwrap();
-        for threads in THREADS {
-            let compiled = weak_join_all([&g1, &g2, &g3], threads).unwrap();
-            prop_assert_eq!(&compiled, &symbolic);
-        }
+        let compiled = weak_join_all([&g1, &g2, &g3]).unwrap();
+        prop_assert_eq!(&compiled, &symbolic);
     }
 
     #[test]
@@ -162,28 +138,30 @@ proptest! {
     #[test]
     fn merge_compiled_equals_reference_merge(g1 in schema(), g2 in schema(), g3 in schema()) {
         let symbolic = reference::merge([&g1, &g2, &g3]).unwrap();
-        for threads in THREADS {
-            let compiled = merge_compiled([&g1, &g2, &g3], threads).unwrap();
-            prop_assert_eq!(&compiled.weak, &symbolic.weak);
-            prop_assert_eq!(&compiled.proper, &symbolic.proper);
-            prop_assert_eq!(&compiled.report, &symbolic.report);
-            // The public contract is alpha-isomorphism modulo implicit
-            // naming; equality implies it, but assert it through the
-            // public predicate as well.
-            prop_assert!(alpha_isomorphic(
-                compiled.proper.as_weak(),
-                symbolic.proper.as_weak(),
-                Class::is_implicit,
-            ));
-        }
+        let compiled = merge([&g1, &g2, &g3]).unwrap();
+        prop_assert_eq!(&compiled.weak, &symbolic.weak);
+        prop_assert_eq!(&compiled.proper, &symbolic.proper);
+        prop_assert_eq!(&compiled.report, &symbolic.report);
+        // The public contract is alpha-isomorphism modulo implicit
+        // naming; equality implies it, but assert it through the
+        // public predicate as well.
+        prop_assert!(alpha_isomorphic(
+            compiled.proper.as_weak(),
+            symbolic.proper.as_weak(),
+            Class::is_implicit,
+        ));
     }
 
     #[test]
     fn merge_compiled_equals_public_merge(g1 in schema(), g2 in schema()) {
-        let public = merge([&g1, &g2]).unwrap();
-        for threads in THREADS {
-            prop_assert_eq!(&merge_compiled([&g1, &g2], threads).unwrap(), &public);
-        }
+        // The façade completes its compiled join without decompiling it;
+        // the public free functions complete the decompiled join.
+        let compiled = merge([&g1, &g2]).unwrap();
+        let weak = schema_merge_core::weak_join(&g1, &g2).unwrap();
+        let (proper, report) = schema_merge_core::complete_with_report(&weak).unwrap();
+        prop_assert_eq!(&compiled.weak, &weak);
+        prop_assert_eq!(&compiled.proper, &proper);
+        prop_assert_eq!(&compiled.report, &report);
     }
 
     #[test]
@@ -209,8 +187,7 @@ proptest! {
             .build()
             .unwrap();
 
-        prop_assert_eq!(weak_join_all([&g1, &g2], 1), weak_join_all([&g1, &g2], 4));
-        let compiled = weak_join_all([&g1, &g2], 1);
+        let compiled = weak_join_all([&g1, &g2]);
         let symbolic = reference::weak_join_all([&g1, &g2]);
         match (compiled, symbolic) {
             (Ok(c), Ok(s)) => prop_assert_eq!(c, s),

@@ -87,28 +87,13 @@ proptest! {
         let refs: Vec<&WeakSchema> = family.iter().collect();
         let expected = reference::merge(refs.iter().copied()).expect("compatible");
 
-        // The default (Auto) plan: the compiled engine, whatever thread
-        // count the work estimate resolves to.
+        // The default (Auto) plan: the compiled engine, report-identical
+        // to the reference.
         let auto = Merger::new().schemas(refs.iter().copied()).execute().expect("auto");
         prop_assert_eq!(auto.plan.engine, PlannedEngine::Compiled);
         prop_assert_eq!(&auto.proper, &expected.proper);
         prop_assert_eq!(&auto.implicit, &expected.report);
         prop_assert!(auto.weak().as_deref() == Some(&expected.weak));
-
-        // The compiled engine across thread budgets: report-identical to
-        // the reference at every one.
-        for threads in [1, 2, 4, 8] {
-            let compiled = Merger::new()
-                .schemas(refs.iter().copied())
-                .threads(threads)
-                .execute()
-                .expect("compiled");
-            prop_assert_eq!(compiled.plan.engine, PlannedEngine::Compiled);
-            prop_assert_eq!(compiled.plan.threads, threads);
-            prop_assert_eq!(&compiled.proper, &expected.proper);
-            prop_assert_eq!(&compiled.implicit, &expected.report);
-            prop_assert!(compiled.weak().as_deref() == Some(&expected.weak));
-        }
 
         // Symbolic.
         let symbolic = Merger::new()
@@ -149,14 +134,14 @@ proptest! {
         ));
     }
 
-    /// The paper's §3–4 guarantees on the compiled engine, at one thread
-    /// and at two: the merge is the least upper bound, so it is
+    /// The paper's §3–4 guarantees on the compiled engine: the merge is
+    /// the least upper bound, so it is
     /// commutative, associative and idempotent, and neither the order of
     /// the inputs nor the order of the user assertions can change it.
     /// Every result is checked against `reference::merge` — equal, and
     /// alpha-isomorphic modulo implicit-class naming.
     #[test]
-    fn merge_laws_hold_at_every_thread_count(
+    fn merge_laws_hold(
         family in family(),
         assertions in raw_edges(),
         shuffle in any::<u64>(),
@@ -174,62 +159,58 @@ proptest! {
                 )
         };
 
-        for threads in [1, 2] {
-            let merge = |inputs: &[&WeakSchema], asserted: &[RawEdge]| {
-                asserted
-                    .iter()
-                    .fold(Merger::new().schemas(inputs.iter().copied()), |merger, edge| {
-                        match *edge {
-                            RawEdge::Spec(sub, sup) if sub != sup => {
-                                merger.assert_specialization(NAMES[sub], NAMES[sup])
-                            }
-                            RawEdge::Spec(..) => merger,
-                            RawEdge::Arrow(s, l, t) => merger.assert_arrow(NAMES[s], LABELS[l], NAMES[t]),
+        let merge = |inputs: &[&WeakSchema], asserted: &[RawEdge]| {
+            asserted
+                .iter()
+                .fold(Merger::new().schemas(inputs.iter().copied()), |merger, edge| {
+                    match *edge {
+                        RawEdge::Spec(sub, sup) if sub != sup => {
+                            merger.assert_specialization(NAMES[sub], NAMES[sup])
                         }
-                    })
-                    .threads(threads)
-                    .execute()
-                    .expect("compatible")
-            };
-            let join = |inputs: &[&WeakSchema]| {
-                Merger::new()
-                    .schemas(inputs.iter().copied())
-                    .threads(threads)
-                    .join()
-                    .expect("compatible")
-                    .into_weak()
-            };
-            let refs: Vec<&WeakSchema> = family.iter().collect();
-            let base = merge(&refs, &assertions);
-            prop_assert!(agrees(&base), "merge differs from reference at {} threads", threads);
+                        RawEdge::Spec(..) => merger,
+                        RawEdge::Arrow(s, l, t) => merger.assert_arrow(NAMES[s], LABELS[l], NAMES[t]),
+                    }
+                })
+                .execute()
+                .expect("compatible")
+        };
+        let join = |inputs: &[&WeakSchema]| {
+            Merger::new()
+                .schemas(inputs.iter().copied())
+                .join()
+                .expect("compatible")
+                .into_weak()
+        };
+        let refs: Vec<&WeakSchema> = family.iter().collect();
+        let base = merge(&refs, &assertions);
+        prop_assert!(agrees(&base), "merge differs from reference");
 
-            // Independence from input order and from assertion order.
-            let mut shuffled_refs = refs.clone();
-            let mut shuffled_assertions = assertions.clone();
-            permute(&mut shuffled_refs, shuffle);
-            permute(&mut shuffled_assertions, shuffle.rotate_left(17));
-            prop_assert!(agrees(&merge(&shuffled_refs, &assertions)), "input order");
-            prop_assert!(agrees(&merge(&refs, &shuffled_assertions)), "assertion order");
-            // Assertions are elementary schemas (§3): asserting them
-            // equals merging them as inputs.
-            prop_assert!(agrees(&merge(&all, &[])), "assertions as inputs");
+        // Independence from input order and from assertion order.
+        let mut shuffled_refs = refs.clone();
+        let mut shuffled_assertions = assertions.clone();
+        permute(&mut shuffled_refs, shuffle);
+        permute(&mut shuffled_assertions, shuffle.rotate_left(17));
+        prop_assert!(agrees(&merge(&shuffled_refs, &assertions)), "input order");
+        prop_assert!(agrees(&merge(&refs, &shuffled_assertions)), "assertion order");
+        // Assertions are elementary schemas (§3): asserting them
+        // equals merging them as inputs.
+        prop_assert!(agrees(&merge(&all, &[])), "assertions as inputs");
 
-            // Commutativity and idempotence.
-            let reversed: Vec<&WeakSchema> = all.iter().rev().copied().collect();
-            prop_assert!(agrees(&merge(&reversed, &[])), "commutativity");
-            let doubled: Vec<&WeakSchema> = all.iter().chain(all.iter()).copied().collect();
-            prop_assert!(agrees(&merge(&doubled, &[])), "idempotence");
+        // Commutativity and idempotence.
+        let reversed: Vec<&WeakSchema> = all.iter().rev().copied().collect();
+        prop_assert!(agrees(&merge(&reversed, &[])), "commutativity");
+        let doubled: Vec<&WeakSchema> = all.iter().chain(all.iter()).copied().collect();
+        prop_assert!(agrees(&merge(&doubled, &[])), "idempotence");
 
-            // Associativity: any bracketing of the join, completed, is
-            // the same merge.
-            let mid = all.len() / 2;
-            let (left, right) = (join(&all[..mid]), join(&all[mid..]));
-            prop_assert!(agrees(&merge(&[&left, &right], &[])), "associativity");
-            let inner = join(&[&left, all[mid]]);
-            let rest: Vec<&WeakSchema> =
-                std::iter::once(&inner).chain(all[mid + 1..].iter().copied()).collect();
-            prop_assert!(agrees(&merge(&rest, &[])), "associativity, other bracketing");
-        }
+        // Associativity: any bracketing of the join, completed, is
+        // the same merge.
+        let mid = all.len() / 2;
+        let (left, right) = (join(&all[..mid]), join(&all[mid..]));
+        prop_assert!(agrees(&merge(&[&left, &right], &[])), "associativity");
+        let inner = join(&[&left, all[mid]]);
+        let rest: Vec<&WeakSchema> =
+            std::iter::once(&inner).chain(all[mid + 1..].iter().copied()).collect();
+        prop_assert!(agrees(&merge(&rest, &[])), "associativity, other bracketing");
     }
 
     /// The consistency check is ONE merger pass: the incremental path

@@ -20,7 +20,7 @@
 //!    * the changed key is not covered and exactly the covered keys are
 //!      unchanged (a new key) → the held total;
 //!    * otherwise the unchanged parts are joined cold — the widest merge
-//!      of the step, so it gets the thread budget;
+//!      of the step;
 //! 2. `execute` joins at most one changed part onto that base through
 //!    [`Merger::onto_base`] — only the changed part is interned — and
 //!    completes.
@@ -121,8 +121,6 @@ impl JoinState {
     /// removal drops, or `None` when the step only re-joins `unchanged`.
     /// `unchanged` must be sorted by key, must not contain `key`, and may
     /// only hold parts whose content is what this state was built from.
-    /// `threads` is the merge worker budget (`None` = the merger's
-    /// defaults).
     ///
     /// # Errors
     ///
@@ -133,7 +131,6 @@ impl JoinState {
         unchanged: &[Part],
         key: Option<&str>,
         changed: Option<&Part>,
-        threads: Option<usize>,
     ) -> Result<Step, MergeError> {
         debug_assert!(changed.is_none() || key == changed.map(|part| part.key.as_str()));
         let (base, extra, strategy) = {
@@ -146,12 +143,9 @@ impl JoinState {
                 _ => match self.reusable(unchanged, key) {
                     Some(held) => (Arc::clone(held), changed, MergeStrategy::Incremental),
                     None => {
-                        let joined = budget(
-                            Merger::new()
-                                .schemas(unchanged.iter().map(|part| part.schema.as_ref())),
-                            threads,
-                        )
-                        .join()?;
+                        let joined = Merger::new()
+                            .schemas(unchanged.iter().map(|part| part.schema.as_ref()))
+                            .join()?;
                         let (_, compiled) = joined.into_parts();
                         let cold = compiled.expect("the compiled engine keeps the compiled join");
                         (Arc::new(cold), changed, MergeStrategy::Full)
@@ -167,7 +161,7 @@ impl JoinState {
         if let Some(part) = extra {
             merger = merger.schema(part.schema.as_ref());
         }
-        let mut report = budget(merger, threads).execute()?;
+        let mut report = merger.execute()?;
         span.attr_usize("classes", report.proper.num_classes());
         // With nothing joined onto it, the base is already the total.
         let total = report
@@ -209,14 +203,6 @@ impl JoinState {
     }
 }
 
-/// `merger` under the worker budget `threads` (`None` = its defaults).
-fn budget(merger: Merger<'_>, threads: Option<usize>) -> Merger<'_> {
-    match threads {
-        Some(threads) => merger.threads(threads),
-        None => merger,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,16 +231,13 @@ mod tests {
         let rest = [part("a", "A", "T"), part("b", "B", "U")];
         let first = part("c", "C", "V");
         let step = JoinState::default()
-            .step(&rest, Some("c"), Some(&first), None)
+            .step(&rest, Some("c"), Some(&first))
             .unwrap();
         assert_eq!(step.strategy, MergeStrategy::Full);
         assert_eq!(step.state.held(), 2);
 
         let second = part("c", "C", "W");
-        let step = step
-            .state
-            .step(&rest, Some("c"), Some(&second), None)
-            .unwrap();
+        let step = step.state.step(&rest, Some("c"), Some(&second)).unwrap();
         assert_eq!(step.strategy, MergeStrategy::Incremental);
         assert_eq!(
             step.report.proper,
@@ -264,10 +247,7 @@ mod tests {
         // A new key builds onto the held total.
         let all = [rest[0].clone(), rest[1].clone(), second.clone()];
         let added = part("d", "D", "X");
-        let grown = step
-            .state
-            .step(&all, Some("d"), Some(&added), None)
-            .unwrap();
+        let grown = step.state.step(&all, Some("d"), Some(&added)).unwrap();
         assert_eq!(grown.strategy, MergeStrategy::Incremental);
         assert_eq!(
             grown.report.proper,
@@ -277,10 +257,7 @@ mod tests {
         // Changing a covered key that is not the held one joins cold.
         let moved = part("a", "A", "Y");
         let others = [rest[1].clone(), second.clone(), added.clone()];
-        let cold = grown
-            .state
-            .step(&others, Some("a"), Some(&moved), None)
-            .unwrap();
+        let cold = grown.state.step(&others, Some("a"), Some(&moved)).unwrap();
         assert_eq!(cold.strategy, MergeStrategy::Full);
         assert_eq!(
             cold.report.proper,
@@ -293,17 +270,17 @@ mod tests {
     #[test]
     fn a_state_that_does_not_match_joins_cold() {
         let parts = [part("a", "A", "T"), part("b", "B", "U")];
-        let built = JoinState::default().step(&parts, None, None, None).unwrap();
+        let built = JoinState::default().step(&parts, None, None).unwrap();
         assert_eq!(built.strategy, MergeStrategy::Full);
         assert_eq!(built.state.held(), 1);
         // `b` left without a step: the held total no longer applies.
-        let step = built.state.step(&parts[..1], None, None, None).unwrap();
+        let step = built.state.step(&parts[..1], None, None).unwrap();
         assert_eq!(step.strategy, MergeStrategy::Full);
         assert_eq!(step.report.proper, oneshot(&[&parts[0]]).proper);
 
         let empty = JoinState::default();
         assert_eq!(empty.held(), 0);
-        let first = empty.step(&[], Some("a"), Some(&parts[0]), None).unwrap();
+        let first = empty.step(&[], Some("a"), Some(&parts[0])).unwrap();
         assert_eq!(first.strategy, MergeStrategy::Full);
     }
 }

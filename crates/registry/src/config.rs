@@ -58,13 +58,12 @@ const DEFAULT_SNAPSHOT_EVERY: u64 = 256;
 /// ```
 /// use schema_merge_registry::Registry;
 ///
-/// // In-memory, two merge workers:
-/// let registry = Registry::builder().merge_threads(2).open().unwrap();
+/// // In-memory, snapshotting every 64 records once a store is set:
+/// let registry = Registry::builder().snapshot_every(64).open().unwrap();
 /// assert!(registry.is_empty());
 /// ```
 #[must_use = "a builder does nothing until `open` is called"]
 pub struct RegistryBuilder {
-    merge_threads: Option<usize>,
     data_dir: Option<PathBuf>,
     snapshot_every: u64,
     store: Option<Box<dyn Store>>,
@@ -78,26 +77,15 @@ impl Default for RegistryBuilder {
 }
 
 impl RegistryBuilder {
-    /// A builder with defaults: in-memory, engine-chosen parallelism,
-    /// auto-snapshot every 256 records once a store is configured.
+    /// A builder with defaults: in-memory, auto-snapshot every 256
+    /// records once a store is configured.
     pub fn new() -> Self {
         RegistryBuilder {
-            merge_threads: None,
             data_dir: None,
             snapshot_every: DEFAULT_SNAPSHOT_EVERY,
             store: None,
             retry_policy: None,
         }
-    }
-
-    /// Fixes the worker budget for the registry's merge steps. Cold
-    /// joins (a publish no held join covers, recovery's re-merge) run
-    /// the compiled engine with this many workers; the warm incremental
-    /// path uses it for the completion pass. Thread counts never change
-    /// the merged view.
-    pub fn merge_threads(mut self, threads: usize) -> Self {
-        self.merge_threads = Some(threads.max(1));
-        self
     }
 
     /// Makes the registry durable on a local directory: a WAL plus
@@ -139,7 +127,7 @@ impl RegistryBuilder {
     }
 
     /// Opens the registry. With no store configured this is
-    /// [`Registry::new`] plus the thread budget; with one, the durable
+    /// [`Registry::new`] plus the retry policy; with one, the durable
     /// state is recovered as described in the [module docs](self).
     ///
     /// # Errors
@@ -156,14 +144,13 @@ impl RegistryBuilder {
         };
         let Some(mut store) = store else {
             let mut registry = Registry::new();
-            registry.merge_threads = self.merge_threads;
             registry.resilience = Resilience::new(self.retry_policy);
             return Ok(registry);
         };
         let recovery_started = Instant::now();
         let recovered = {
             let mut span = telemetry::span("recover");
-            let recovered = recover(&mut store, self.merge_threads, self.retry_policy.as_ref())?;
+            let recovered = recover(&mut store, self.retry_policy.as_ref())?;
             span.attr("generation", recovered.generation);
             span.attr("wal_records", recovered.wal_records);
             recovered
@@ -189,7 +176,6 @@ impl RegistryBuilder {
             }),
             durability: Some(Durability::new(&persistence)),
             lane: Mutex::new(Some(persistence)),
-            merge_threads: self.merge_threads,
             metrics: Metrics::default(),
             resilience: Resilience::new(self.retry_policy),
         };
@@ -244,7 +230,6 @@ fn retrying<T>(
 
 fn recover(
     store: &mut Box<dyn Store>,
-    merge_threads: Option<usize>,
     policy: Option<&RetryPolicy>,
 ) -> Result<Recovered, StorageError> {
     // 1. The newest snapshot, if any.
@@ -366,7 +351,7 @@ fn recover(
         .map(|(name, record)| member_part(name, &record.current))
         .collect();
     let step = JoinState::default()
-        .step(&parts, None, None, merge_threads)
+        .step(&parts, None, None)
         .map_err(|cause| {
             StorageError::corrupt(format!("recovered member set does not merge: {cause}"))
         })?;
@@ -411,7 +396,7 @@ mod tests {
 
     #[test]
     fn builder_without_store_is_in_memory() {
-        let registry = Registry::builder().merge_threads(3).open().unwrap();
+        let registry = Registry::builder().open().unwrap();
         assert!(!registry.stats().persistent);
         assert!(matches!(
             registry.snapshot(),

@@ -459,8 +459,6 @@ pub struct Registry {
     /// probe. It owns the durability arm: `None` for a purely in-memory
     /// registry.
     pub(crate) lane: Mutex<Option<Persistence>>,
-    /// Worker budget for every merge (`None` = the merger's defaults).
-    pub(crate) merge_threads: Option<usize>,
     /// Event counters, latency histograms and the uptime epoch.
     pub(crate) metrics: Metrics,
     /// What the lane holder last published for `stats`; `None` for a
@@ -500,15 +498,14 @@ impl Registry {
                 joins: Arc::new(JoinState::default()),
             }),
             lane: Mutex::new(None),
-            merge_threads: None,
             metrics: Metrics::default(),
             durability: None,
             resilience: Resilience::default(),
         }
     }
 
-    /// Starts configuring a registry: merge-thread budget, data
-    /// directory (or custom [`Store`]) and snapshot cadence, ending in
+    /// Starts configuring a registry: data directory (or custom
+    /// [`Store`]), snapshot cadence and retry policy, ending in
     /// [`RegistryBuilder::open`]. `Registry::builder().open()` is
     /// equivalent to [`Registry::new`].
     pub fn builder() -> RegistryBuilder {
@@ -612,12 +609,7 @@ impl Registry {
         };
 
         let step = joins
-            .step(
-                &rest,
-                Some(name),
-                changed.as_ref().map(|(_, part)| part),
-                self.merge_threads,
-            )
+            .step(&rest, Some(name), changed.as_ref().map(|(_, part)| part))
             .map_err(|cause| self.reject(name, cause))?;
         let steps = match step.strategy {
             MergeStrategy::Full => &self.metrics.cold_steps,
@@ -1386,26 +1378,6 @@ mod tests {
             (2, 1)
         );
         assert!(after.wal_bytes > before.wal_bytes);
-    }
-
-    #[test]
-    fn merge_threads_budget_never_changes_the_view() {
-        for threads in [1, 2, 4] {
-            let registry = Registry::builder().merge_threads(threads).open().unwrap();
-            for i in 0..6 {
-                registry
-                    .put(
-                        format!("m{i}"),
-                        schema(&format!("C{}", i % 3), &format!("f{i}"), "T"),
-                    )
-                    .unwrap();
-            }
-            // Cold rebuild path: churn an old member (its rest-join was
-            // never cached alone).
-            registry.put("m0", schema("C0", "g", "U")).unwrap();
-            registry.delete("m3").unwrap();
-            assert_view_matches_oneshot(&registry);
-        }
     }
 
     #[test]

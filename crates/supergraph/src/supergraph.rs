@@ -54,9 +54,6 @@ pub struct Supergraph {
     shared: RwLock<Shared>,
     /// The writer lane, held for a whole compose, attach or detach.
     lane: Mutex<()>,
-    /// Worker budget for every composition merge (`None` = the merger's
-    /// defaults).
-    threads: Option<usize>,
     counters: Counters,
     compose_latency: Histogram,
 }
@@ -225,18 +222,8 @@ impl Supergraph {
                 joins: Arc::new(JoinState::default()),
             }),
             lane: Mutex::new(()),
-            threads: None,
             counters: Counters::default(),
             compose_latency: Histogram::default(),
-        }
-    }
-
-    /// Fixes the thread budget handed to every composition merge (the
-    /// member registries keep their own budgets).
-    pub fn with_threads(threads: usize) -> Self {
-        Supergraph {
-            threads: Some(threads),
-            ..Self::new()
         }
     }
 
@@ -417,7 +404,7 @@ impl Supergraph {
                     .map(|(_, s)| s.part.clone())
                     .collect();
                 let moved = &states[*index].part;
-                joins.step(&rest, Some(&moved.key), Some(moved), self.threads)
+                joins.step(&rest, Some(&moved.key), Some(moved))
             }
             _ => {
                 let all: Vec<Part> = states.iter().map(|s| s.part.clone()).collect();
@@ -426,7 +413,7 @@ impl Supergraph {
                 } else {
                     &JoinState::default()
                 };
-                held.step(&all, None, None, self.threads)
+                held.step(&all, None, None)
             }
         }
         .map_err(SupergraphError::Compose)?;

@@ -159,16 +159,14 @@ fn check_composed(supergraph: &Supergraph) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Replays a random federation history at each thread budget; every
-    /// compose along the way (and one final compose) must reproduce the
+    /// Replays a random federation history; every compose along the way (and one final compose) must reproduce the
     /// one-shot merge, origins and hints included, regardless of which
     /// engine path (full, incremental, base-only, noop) each step took.
     #[test]
     fn compose_equals_oneshot_across_histories(
         ops in vec(op(), 1..14),
-        threads in prop_oneof![Just(1usize), Just(2usize), Just(4usize)],
     ) {
-        let supergraph = Supergraph::with_threads(threads);
+        let supergraph = Supergraph::new();
         // Registries survive detach (the Arc is kept) so a later Attach
         // brings their members back — exercising compose-after-detach
         // and compose-after-reattach transitions.
@@ -232,7 +230,6 @@ proptest! {
     fn attach_order_never_changes_the_composed_view(
         // Per registry slot: member edge sets and two sort keys.
         slots in vec((vec(raw_edges(), 0..MEMBERS.len() + 1), any::<u64>(), any::<u64>()), 1..REGISTRIES.len() + 1),
-        threads in prop_oneof![Just(1usize), Just(2usize)],
     ) {
         let registries: Vec<Arc<Registry>> = slots
             .iter()
@@ -245,13 +242,13 @@ proptest! {
             })
             .collect();
 
-        let batch = Supergraph::with_threads(threads);
+        let batch = Supergraph::new();
         for slot in permutation(slots.iter().map(|s| s.1)) {
             batch.attach(REGISTRIES[slot], Arc::clone(&registries[slot])).expect("fresh name");
         }
         let batch = batch.compose().expect("compatible compose").view;
 
-        let stepwise = Supergraph::with_threads(threads);
+        let stepwise = Supergraph::new();
         for slot in permutation(slots.iter().map(|s| s.2)) {
             stepwise.attach(REGISTRIES[slot], Arc::clone(&registries[slot])).expect("fresh name");
             stepwise.compose().expect("compatible compose");

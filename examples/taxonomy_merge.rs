@@ -5,9 +5,7 @@
 //! Above 4096 classes the compiled engine stores each closure row
 //! adaptively — a handful of ancestor ids instead of a classes-wide
 //! bitset — so the working set grows with the specialization pairs, not
-//! with the square of the vocabulary. The thread budget is the engine's
-//! only knob: the plan resolves it from the work estimate, and results
-//! never depend on it.
+//! with the square of the vocabulary.
 //!
 //! Run with `cargo run --release --example taxonomy_merge`.
 
@@ -29,7 +27,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let plan = merger.plan();
     println!("{plan}");
     assert_eq!(plan.engine, PlannedEngine::Compiled);
-    println!("threads: {}", plan.threads);
 
     let report = merger.execute()?;
     let sparse_bytes = report.compiled.as_ref().map_or(0, |c| c.heap_bytes());
@@ -42,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The same merge with sparse rows switched off: every closure row
     // is a dense bitset over all classes.
     set_sparse_enabled(false);
-    let dense = Merger::new().schemas(inputs).threads(1).execute();
+    let dense = Merger::new().schemas(inputs).execute();
     set_sparse_enabled(true);
     let dense = dense?;
     let dense_bytes = dense.compiled.as_ref().map_or(0, |c| c.heap_bytes());
@@ -51,8 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sparse_bytes as f64 / (1024.0 * 1024.0),
         dense_bytes as f64 / (1024.0 * 1024.0),
     );
-    // The representation and the thread count are invisible in the
-    // result: both runs compute the paper's least upper bound.
+    // The representation is invisible in the result: both runs compute
+    // the paper's least upper bound.
     assert_eq!(report.proper, dense.proper);
     assert!(sparse_bytes < dense_bytes);
 
