@@ -1,7 +1,6 @@
 //! The scaling experiments (E1–E6): measurements the paper's §7 calls
 //! for but does not perform. Each function returns printable series for
-//! the `reproduce` binary; the Criterion benches under `benches/` time
-//! the same operations.
+//! the `reproduce` binary.
 
 use std::time::Instant;
 
@@ -462,8 +461,8 @@ pub fn e11_federation(member_counts: &[usize]) -> Series {
     }
 }
 
-/// The default experiment suite at modest sizes (fast enough for tests;
-/// the `reproduce` binary and Criterion benches use larger sweeps).
+/// The default experiment suite at modest sizes, fast enough for the
+/// tests; the `reproduce` binary prints it.
 pub fn default_suite() -> Vec<Series> {
     vec![
         e1_associativity(&[2, 4, 6]),

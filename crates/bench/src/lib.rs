@@ -3,8 +3,7 @@
 //! The experiment harness: programmatic reconstructions of every figure
 //! in the paper ([`figures`]) plus the scaling experiments its §7 leaves
 //! open ([`experiments`]). The `reproduce` binary prints the verification
-//! table recorded in `EXPERIMENTS.md`; the Criterion benches under
-//! `benches/` measure the same code paths; the `bench` binary ([`perf`])
+//! table recorded in `EXPERIMENTS.md`; the `bench` binary ([`perf`])
 //! emits the machine-readable `BENCH_<n>.json` perf trajectory that CI
 //! records per PR.
 
@@ -24,9 +23,9 @@ pub use perf::{run_suite, to_json, to_table, BenchRecord, BenchReport, Speedup};
 use schema_merge_core::{MergeError, MergeOutcome, MergeReport, Merger, WeakSchema};
 
 /// The paper's merge through the production `Merger` façade — the single
-/// wrapper every experiment, figure check and Criterion bench in this
-/// crate measures, so façade overhead (planning, provenance,
-/// diagnostics) is part of every measurement.
+/// wrapper every experiment and figure check in this crate measures,
+/// so façade overhead (planning, provenance, diagnostics) is part of
+/// every measurement.
 pub fn facade_merge<'a>(
     schemas: impl IntoIterator<Item = &'a WeakSchema>,
 ) -> Result<MergeReport, MergeError> {

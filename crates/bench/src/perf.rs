@@ -1,13 +1,11 @@
 //! The `bench --json` runner: the machine-readable perf trajectory.
 //!
-//! Criterion benches are great for interactive work but CI never ran
-//! them, so no PR could *claim* a speedup. This module measures engine
-//! variants on the `workload` generators and emits one `BENCH_<n>.json`
-//! datapoint per run — `(family, op, n_classes, variant, median_ns,
-//! allocs_per_iter, throughput)` records plus derived
-//! baseline-over-improved speedups (time) and allocation ratios — which
-//! CI uploads as an artifact on every PR and guards with the `guard`
-//! binary against the committed trajectory.
+//! This module measures engine variants on the `workload` generators and
+//! emits one `BENCH_<n>.json` datapoint per run — `(family, op,
+//! n_classes, variant, median_ns, allocs_per_iter, throughput)` records
+//! plus derived baseline-over-improved speedups (time) and allocation
+//! ratios — which CI uploads as an artifact on every PR and guards with
+//! the `guard` binary against the committed trajectory.
 //!
 //! Every variant of one `(family, op, n_classes)` configuration is
 //! measured in one interleaved group and gets exactly one record, so
@@ -162,8 +160,8 @@ fn facade_join<'a>(schemas: impl IntoIterator<Item = &'a WeakSchema>) -> WeakSch
     crate::facade_join(schemas).expect("workload joins")
 }
 
-/// Runs `f` with the scratch pool disabled — the pre-pool allocation
-/// behavior.
+/// Runs `f` with this thread's scratch pool disabled — the pre-pool
+/// allocation behavior.
 fn without_pool(f: impl FnOnce()) {
     schema_merge_core::scratch::set_pool_enabled(false);
     f();
@@ -463,11 +461,11 @@ impl Suite {
     }
 
     fn random_family(&mut self, classes: usize) {
-        // Densities follow the paper's "realistic regime" (and the E2
-        // Criterion bench): many labels, ~2 arrows per class across the
-        // *joined* schema. Denser label reuse turns the Imp fixpoint into
-        // a hard NFA determinization — that regime is measured separately
-        // by the `pathological` family, not smuggled in here.
+        // Densities follow the paper's "realistic regime": many labels,
+        // ~2 arrows per class across the *joined* schema. Denser label
+        // reuse turns the Imp fixpoint into a hard NFA determinization —
+        // that regime is measured separately by the `pathological`
+        // family, not smuggled in here.
         let params = SchemaParams {
             vocabulary: classes,
             classes,

@@ -9,12 +9,13 @@
 //! all-dense under either setting (the row-level policy and op
 //! equivalences are property-tested in `core/src/row.rs`).
 //!
-//! This file intentionally holds only these tests: the sparse toggle is
-//! process-global, and a dedicated test binary keeps the dense baseline
-//! isolated from every other (concurrently running) test.
+//! The sparse toggle is per thread and a merge runs entirely on its
+//! calling thread, so each test's dense baseline stays dense while the
+//! other tests run concurrently; each test also checks the footprint of
+//! its dense join to prove it.
 
 use schema_merge_core::row::set_sparse_enabled;
-use schema_merge_core::{MergeReport, Merger, WeakSchema};
+use schema_merge_core::{CompiledSchema, MergeReport, Merger, WeakSchema};
 use schema_merge_workload::{taxonomy, taxonomy_family, TaxonomyParams};
 
 /// Restores the (default-on) sparse policy even if an assertion panics.
@@ -32,6 +33,13 @@ fn run(schemas: &[&WeakSchema]) -> MergeReport {
         .expect("merge succeeds")
 }
 
+fn join_bytes(report: &MergeReport) -> usize {
+    report
+        .compiled
+        .as_ref()
+        .map_or(0, CompiledSchema::heap_bytes)
+}
+
 /// Dense and sparse rows: both merges must agree exactly.
 fn assert_dense_equals_sparse(schemas: &[&WeakSchema]) {
     let _guard = SparseGuard;
@@ -45,6 +53,23 @@ fn assert_dense_equals_sparse(schemas: &[&WeakSchema]) {
         sparse.compiled.as_ref().map(|c| c.decompile()),
         dense.compiled.as_ref().map(|c| c.decompile()),
         "compiled joins are logically identical"
+    );
+    // All-dense, the join's two closure matrices hold one full-width row
+    // per class each; the sparse join must come in under that floor.
+    let classes = dense
+        .compiled
+        .as_ref()
+        .map_or(0, CompiledSchema::num_classes);
+    let all_dense_floor = 2 * classes * classes.div_ceil(64) * 8;
+    assert!(
+        join_bytes(&dense) >= all_dense_floor,
+        "the dense side ran dense: {} < {all_dense_floor} bytes",
+        join_bytes(&dense)
+    );
+    assert!(
+        join_bytes(&sparse) < all_dense_floor,
+        "the sparse side ran sparse: {} >= {all_dense_floor} bytes",
+        join_bytes(&sparse)
     );
 }
 

@@ -163,10 +163,6 @@ commands:
   ascii <file> [name]  print an ASCII rendering of one schema
   stats <file>... [--format text|json]
                        print size statistics per schema
-  bench <file>... [--iters N]
-                       time the symbolic vs compiled merge of the given
-                       schemas (median of N runs, default 9) and print
-                       the speedup
   suggest <file>...    propose synonym unifications and flag homonym
                        clashes between the first two schemas (§3)
   rename <map>... -- <file>...
@@ -229,7 +225,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         "dot" => render_command(&rest, out, Renderer::Dot),
         "ascii" => render_command(&rest, out, Renderer::Ascii),
         "stats" => stats_command(&rest, out),
-        "bench" => bench_command(&rest, out),
         "suggest" => suggest_command(&rest, out),
         "rename" => rename_command(&rest, out),
         "functional" => functional_command(&rest, out),
@@ -618,65 +613,6 @@ fn stats_command(paths: &[&String], out: &mut dyn Write) -> Result<(), CliError>
             weak.content_hash(),
         )?;
     }
-    Ok(())
-}
-
-fn bench_command(paths: &[&String], out: &mut dyn Write) -> Result<(), CliError> {
-    let mut iters: usize = 9;
-    let mut files: Vec<&String> = Vec::new();
-    let mut iter = paths.iter();
-    while let Some(arg) = iter.next() {
-        if arg.as_str() == "--iters" {
-            iters = iter
-                .next()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n > 0)
-                .ok_or_else(|| CliError::Usage("--iters requires a positive number".into()))?;
-        } else {
-            files.push(arg);
-        }
-    }
-    let docs = load_documents(&files)?;
-    let schemas: Vec<&schema_merge_core::WeakSchema> =
-        docs.iter().map(|d| d.schema.schema()).collect();
-    // Surface incompatibility up front — timing error construction would
-    // print meaningless numbers with exit code 0.
-    Merger::new()
-        .schemas(schemas.iter().copied())
-        .execute()
-        .map_err(|err| CliError::merge("merge failed", &err))?;
-
-    fn median_ns(iters: usize, mut routine: impl FnMut()) -> u128 {
-        routine(); // warmup
-        let mut samples: Vec<u128> = Vec::with_capacity(iters);
-        for _ in 0..iters {
-            let start = std::time::Instant::now();
-            routine();
-            samples.push(start.elapsed().as_nanos());
-        }
-        samples.sort_unstable();
-        samples[samples.len() / 2]
-    }
-    let symbolic = median_ns(iters, || {
-        let _ = std::hint::black_box(
-            Merger::new()
-                .schemas(schemas.iter().copied())
-                .engine(schema_merge_core::EnginePreference::Symbolic)
-                .execute(),
-        );
-    });
-    let compiled = median_ns(iters, || {
-        let _ = std::hint::black_box(Merger::new().schemas(schemas.iter().copied()).execute());
-    });
-
-    writeln!(out, "// merge of {} schemas, median of {iters}", docs.len())?;
-    writeln!(out, "symbolic: {:>12.1} us", symbolic as f64 / 1e3)?;
-    writeln!(out, "compiled: {:>12.1} us", compiled as f64 / 1e3)?;
-    writeln!(
-        out,
-        "speedup:  {:>12.2}x",
-        symbolic as f64 / compiled.max(1) as f64
-    )?;
     Ok(())
 }
 
@@ -1081,34 +1017,6 @@ mod tests {
     fn unknown_command_is_usage_error() {
         let mut out = Vec::new();
         let err = run(&args(&["frobnicate"]), &mut out).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)));
-    }
-
-    #[test]
-    fn bench_reports_both_engines() {
-        let f1 = write_temp("bench1.sm", "schema A { C --a--> B1; }");
-        let f2 = write_temp("bench2.sm", "schema B { C --a--> B2; }");
-        let text = run_ok(&args(&["bench", &f1, &f2, "--iters", "3"]));
-        assert!(text.contains("merge of 2 schemas"), "{text}");
-        assert!(text.contains("symbolic:"));
-        assert!(text.contains("compiled:"));
-        assert!(text.contains("speedup:"));
-    }
-
-    #[test]
-    fn bench_rejects_incompatible_schemas() {
-        let f1 = write_temp("bench4.sm", "schema A { X => Y; }");
-        let f2 = write_temp("bench5.sm", "schema B { Y => X; }");
-        let mut out = Vec::new();
-        let err = run(&args(&["bench", &f1, &f2]), &mut out).unwrap_err();
-        assert!(matches!(err, CliError::Data(_)), "{err}");
-    }
-
-    #[test]
-    fn bench_rejects_bad_iters() {
-        let f1 = write_temp("bench3.sm", "schema A { C --a--> B1; }");
-        let mut out = Vec::new();
-        let err = run(&args(&["bench", &f1, "--iters", "zero"]), &mut out).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)));
     }
 

@@ -1,7 +1,8 @@
-//! Process-level regression tests: `smerge bench` and `smerge stats`
+//! Process-level regression tests: `smerge merge` and `smerge stats`
 //! must *fail with a nonzero exit code* — never panic, never exit 0 —
 //! on unreadable or unparseable input files, and say which file was at
-//! fault.
+//! fault. Both read their files through the one shared loader, so these
+//! cases pin its contract for every file-reading command.
 
 use std::process::Command;
 
@@ -41,28 +42,28 @@ fn assert_controlled_failure(args: &[&str], path: &str) {
 }
 
 #[test]
-fn bench_fails_cleanly_on_missing_file() {
-    assert_controlled_failure(&["bench", "/nonexistent/xyz.sm"], "/nonexistent/xyz.sm");
+fn merge_fails_cleanly_on_missing_file() {
+    assert_controlled_failure(&["merge", "/nonexistent/xyz.sm"], "/nonexistent/xyz.sm");
 }
 
 #[test]
-fn bench_fails_cleanly_on_unparseable_file() {
-    let bad = write_temp("bad-bench.sm", "schema Broken {{{");
-    assert_controlled_failure(&["bench", &bad], &bad);
+fn merge_fails_cleanly_on_unparseable_file() {
+    let bad = write_temp("bad-merge.sm", "schema Broken {{{");
+    assert_controlled_failure(&["merge", &bad], &bad);
 }
 
 #[test]
-fn bench_fails_cleanly_on_directory_input() {
+fn merge_fails_cleanly_on_directory_input() {
     let dir = std::env::temp_dir().join("smerge-exit-codes");
     std::fs::create_dir_all(&dir).unwrap();
     let dir = dir.to_string_lossy().into_owned();
-    assert_controlled_failure(&["bench", &dir], &dir);
+    assert_controlled_failure(&["merge", &dir], &dir);
 }
 
 #[test]
-fn bench_fails_cleanly_on_empty_document() {
-    let empty = write_temp("empty-bench.sm", "");
-    let (status, text) = run(&["bench", &empty]);
+fn merge_fails_cleanly_on_empty_document() {
+    let empty = write_temp("empty-merge.sm", "");
+    let (status, text) = run(&["merge", &empty]);
     assert_eq!(status.code(), Some(1), "{text}");
     assert!(text.contains("no schemas"), "{text}");
 }
@@ -91,7 +92,7 @@ fn good_files_still_exit_zero() {
     let good = write_temp("good.sm", "schema G { Dog --age--> int; }");
     let (status, text) = run(&["stats", &good]);
     assert!(status.success(), "{text}");
-    let (status, text) = run(&["bench", &good, "--iters", "1"]);
+    let (status, text) = run(&["merge", &good]);
     assert!(status.success(), "{text}");
 }
 
@@ -99,7 +100,7 @@ fn good_files_still_exit_zero() {
 fn one_bad_file_among_good_ones_fails_the_whole_run() {
     let good = write_temp("good2.sm", "schema G { Dog --age--> int; }");
     assert_controlled_failure(
-        &["bench", &good, "/nonexistent/other.sm"],
+        &["merge", &good, "/nonexistent/other.sm"],
         "/nonexistent/other.sm",
     );
 }
@@ -120,6 +121,16 @@ fn errors_carry_stable_codes_on_stderr() {
 
     let (_, text) = run(&["frobnicate"]);
     assert!(text.contains("error[E-CLI-USAGE]"), "{text}");
+
+    // `bench` is no longer a command: it fails like any unknown one.
+    let good = write_temp("code-bench.sm", "schema A { C --a--> B; }");
+    let (status, text) = run(&["bench", &good]);
+    assert_eq!(status.code(), Some(1), "{text}");
+    assert!(
+        text.contains("error[E-CLI-USAGE]: unknown command `bench`"),
+        "{text}"
+    );
+    assert!(!text.contains("panicked"), "{text}");
 }
 
 /// A flag a command does not know is a usage error that names it, not a

@@ -110,8 +110,8 @@ pub use lower::{
 };
 pub use merge::{are_compatible, weak_join, MergeOutcome, MergeSession};
 pub use merger::{
-    EnginePreference, InputProvenance, Joined, MergeMode, MergePass, MergePlan, MergeReport,
-    MergeTrace, Merger, PlannedEngine,
+    InputProvenance, Joined, MergeMode, MergePass, MergePlan, MergeReport, MergeTrace, Merger,
+    PlannedEngine,
 };
 pub use name::{Label, Name};
 pub use participation::Participation;
@@ -136,7 +136,7 @@ pub mod prelude {
     pub use crate::keys::{KeyAssignment, KeySet, SuperkeyFamily};
     pub use crate::lower::{lower_complete, lower_merge, AnnotatedSchema};
     pub use crate::merge::{weak_join, MergeSession};
-    pub use crate::merger::{EnginePreference, MergePlan, MergeReport, Merger};
+    pub use crate::merger::{MergePlan, MergeReport, Merger};
     pub use crate::name::{Label, Name};
     pub use crate::participation::Participation;
     pub use crate::proper::ProperSchema;

@@ -198,7 +198,6 @@ impl MergeSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::merger::EnginePreference;
     use crate::name::Label;
 
     fn c(s: &str) -> Class {
@@ -528,12 +527,7 @@ mod tests {
             .build()
             .unwrap();
         let batch = merge_all([&g1, &g2, &g3]).unwrap();
-        let symbolic = Merger::new()
-            .schemas([&g1, &g2, &g3])
-            .engine(EnginePreference::Symbolic)
-            .execute()
-            .map(crate::merger::MergeReport::into_outcome)
-            .unwrap();
+        let symbolic = crate::reference::merge([&g1, &g2, &g3]).unwrap();
         assert_eq!(batch, symbolic);
     }
 
@@ -642,12 +636,7 @@ mod tests {
             .build()
             .unwrap();
         let batch = merge_all([first.proper.as_weak(), &g2]).unwrap();
-        let symbolic = Merger::new()
-            .schemas([first.proper.as_weak(), &g2])
-            .engine(EnginePreference::Symbolic)
-            .execute()
-            .map(crate::merger::MergeReport::into_outcome)
-            .unwrap();
+        let symbolic = crate::reference::merge([first.proper.as_weak(), &g2]).unwrap();
         assert_eq!(batch, symbolic);
     }
 }

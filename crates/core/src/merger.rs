@@ -5,7 +5,7 @@
 //! API that operator is reached through. A [`Merger`] collects inputs
 //! (schemas, annotated schemas, user assertions, an optional cached
 //! compiled base), constraints (consistency relation, key contributions)
-//! and preferences (engine, upper vs lower mode), produces an inspectable
+//! and preferences (upper vs lower mode), produces an inspectable
 //! [`MergePlan`] describing exactly what will run, and executes it into a
 //! unified [`MergeReport`] — merged schema, implicit-class table, key
 //! assignment, per-input provenance and structured
@@ -30,22 +30,23 @@
 //!
 //! ## Engines
 //!
-//! Planning resolves an [`EnginePreference`] into the [`PlannedEngine`]
-//! that actually runs:
+//! Planning derives the [`PlannedEngine`] that runs from the inputs and
+//! the mode; there is nothing to choose:
 //!
-//! * **`Compiled`** (the default) — inputs are interned into dense ids
+//! * **`Compiled`** (upper mode) — inputs are interned into dense ids
 //!   against one shared interner, joined, and completed through the
 //!   `Imp` fixpoint, end to end in id space ([`crate::compile`]) and on
 //!   the calling thread.
-//! * **`CompiledOntoBase`** — chosen automatically when
-//!   [`Merger::onto_base`] supplies a cached [`CompiledSchema`]: the base
-//!   is transferred in id space and only the extra inputs are interned
-//!   (the registry's incremental re-merge shape).
-//! * **`Symbolic`** — the retained reference algorithms
-//!   ([`crate::reference`]), for differential testing.
+//! * **`CompiledOntoBase`** — the same engine when [`Merger::onto_base`]
+//!   supplies a cached [`CompiledSchema`]: the base is transferred in id
+//!   space and only the extra inputs are interned (the registry's
+//!   incremental re-merge shape).
+//! * **`Symbolic`** — every lower-mode plan: the §6 pipeline has no
+//!   compiled variant.
 //!
-//! All three produce **equal** results (property-tested per workload
-//! family); the engine is a cost choice, never a semantics choice.
+//! The two upper-mode engines produce results **equal** to the symbolic
+//! reference algorithms of [`crate::reference`], which the differential
+//! suites property-test per workload family.
 //!
 //! ## Modes
 //!
@@ -74,25 +75,12 @@ use schema_merge_telemetry::{self as telemetry, SpanRecord};
 use std::borrow::Cow;
 use std::fmt;
 
-/// Which engine the caller *prefers*; planning resolves it into the
-/// [`PlannedEngine`] that actually runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum EnginePreference {
-    /// Let the planner pick: the compiled engine, or the onto-base
-    /// engine when a cached base was supplied. The right choice outside
-    /// differential tests.
-    #[default]
-    Auto,
-    /// Force the retained symbolic reference algorithms.
-    Symbolic,
-}
-
 /// The engine a [`MergePlan`] resolved to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum PlannedEngine {
-    /// Symbolic `BTreeMap`/`BTreeSet` algorithms ([`crate::reference`]).
+    /// The symbolic §6 lower pipeline ([`crate::lower`]); every lower
+    /// plan resolves here.
     Symbolic,
     /// The id-space engine ([`crate::compile`]): every input interned
     /// against one shared interner, one closure pass, then the id-space
@@ -444,7 +432,7 @@ impl MergeTrace {
 pub struct MergeReport {
     /// The plan that was executed.
     pub plan: MergePlan,
-    /// The symbolic join, when the engine produced one (the symbolic,
+    /// The symbolic join, when the engine produced one (the
     /// participation-aware and lower paths); read through
     /// [`MergeReport::weak`], which decompiles the compiled join instead.
     weak: Option<WeakSchema>,
@@ -563,8 +551,8 @@ pub struct Joined {
 }
 
 impl Joined {
-    /// The symbolic join, when the engine materialized it (the symbolic
-    /// and participation-aware joins do; the compiled engines do not).
+    /// The symbolic join, when the join materialized it (the
+    /// participation-aware join does; the compiled engine does not).
     pub fn weak(&self) -> Option<&WeakSchema> {
         self.weak.as_ref()
     }
@@ -660,7 +648,6 @@ pub struct Merger<'a> {
     base: Option<&'a CompiledSchema>,
     consistency: Option<&'a ConsistencyRelation>,
     keys: Vec<(Class, SuperkeyFamily)>,
-    engine: EnginePreference,
     lower: bool,
     /// Name of the input whose hierarchy is the *target* of the merge
     /// (ATOM-style target-driven taxonomy merging): the result is the
@@ -673,7 +660,7 @@ pub struct Merger<'a> {
 }
 
 impl<'a> Merger<'a> {
-    /// An empty merger: upper mode, `Auto` engine, no inputs.
+    /// An empty merger: upper mode, no inputs.
     pub fn new() -> Self {
         Merger::default()
     }
@@ -775,13 +762,6 @@ impl<'a> Merger<'a> {
     /// schema, as produced by an earlier compiled join.
     pub fn onto_base(mut self, base: &'a CompiledSchema) -> Self {
         self.base = Some(base);
-        self
-    }
-
-    /// Overrides the engine choice. Outside differential tests, leave it
-    /// on [`EnginePreference::Auto`].
-    pub fn engine(mut self, engine: EnginePreference) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -935,14 +915,14 @@ impl<'a> Merger<'a> {
     }
 
     /// Runs only the join pass: the weak least upper bound of the inputs
-    /// (mode-independent), in whichever representations the planned
-    /// engine produces. This is the entry point for callers that keep
-    /// merging — the registry joins without completing, `smerge serve`
-    /// folds a published document into one member schema.
+    /// (mode-independent) on the compiled engine, or the symbolic
+    /// participation-aware join when an input is annotated. This is the
+    /// entry point for callers that keep merging — the registry joins
+    /// without completing, `smerge serve` folds a published document
+    /// into one member schema.
     pub fn join(&self) -> Result<Joined, MergeError> {
         let atoms = self.materialize_assertions()?;
-        let plan = self.plan();
-        let (weak, compiled, _) = self.join_stage(plan.engine, &atoms)?;
+        let (weak, compiled, _) = self.join_stage(&atoms)?;
         Ok(Joined { weak, compiled })
     }
 
@@ -958,14 +938,11 @@ impl<'a> Merger<'a> {
         if self.lower {
             // The lower pipeline is a symbolic fixpoint (§6); no compiled
             // variant exists yet.
-            return PlannedEngine::Symbolic;
-        }
-        match self.engine {
-            EnginePreference::Symbolic => PlannedEngine::Symbolic,
-            EnginePreference::Auto if self.base.is_some() && !self.has_annotated() => {
-                PlannedEngine::CompiledOntoBase
-            }
-            EnginePreference::Auto => PlannedEngine::Compiled,
+            PlannedEngine::Symbolic
+        } else if self.base.is_some() && !self.has_annotated() {
+            PlannedEngine::CompiledOntoBase
+        } else {
+            PlannedEngine::Compiled
         }
     }
 
@@ -999,11 +976,7 @@ impl<'a> Merger<'a> {
     /// The join pass. Returns the representations produced (at least one
     /// is always present) plus, on the participation-aware path, the
     /// joined annotated schema for the later transfer pass.
-    fn join_stage(
-        &self,
-        engine: PlannedEngine,
-        atoms: &[WeakSchema],
-    ) -> Result<JoinStageOutput, MergeError> {
+    fn join_stage(&self, atoms: &[WeakSchema]) -> Result<JoinStageOutput, MergeError> {
         if self.has_annotated() {
             // Participation-aware join: annotated semantics over every
             // input (plain schemas read as all-required), then the plain
@@ -1021,26 +994,14 @@ impl<'a> Merger<'a> {
             .map(|input| input.kind.weak())
             .chain(atoms.iter())
             .collect();
-        match engine {
-            PlannedEngine::Symbolic => {
-                let decompiled_base = self.base.map(CompiledSchema::decompile);
-                let refs = decompiled_base.iter().chain(weak_refs.iter().copied());
-                let weak = crate::reference::weak_join_all(refs)?;
-                Ok((Some(weak), None, None))
-            }
-            PlannedEngine::Compiled => {
-                // Straight to the compiled form: the symbolic join is
-                // never materialized.
-                let compiled = compile::join_compiled_ids(&weak_refs).map_err(schema_to_merge)?;
-                Ok((None, Some(compiled), None))
-            }
-            PlannedEngine::CompiledOntoBase => {
-                let base = self.base.expect("onto-base engine implies a base");
-                let compiled =
-                    compile::join_onto_compiled(base, &weak_refs).map_err(schema_to_merge)?;
-                Ok((None, Some(compiled), None))
-            }
+        // Straight to the compiled form: the symbolic join is never
+        // materialized.
+        let compiled = match self.base {
+            Some(base) => compile::join_onto_compiled(base, &weak_refs),
+            None => compile::join_compiled_ids(&weak_refs),
         }
+        .map_err(schema_to_merge)?;
+        Ok((None, Some(compiled), None))
     }
 
     /// Every input as an annotated schema (weak inputs and assertion
@@ -1068,7 +1029,7 @@ impl<'a> Merger<'a> {
             (None, None, None)
         } else {
             let mut span = telemetry::span(MergePass::Join.as_str());
-            let joined = self.join_stage(plan.engine, &atoms)?;
+            let joined = self.join_stage(&atoms)?;
             match (&joined.0, &joined.1) {
                 (_, Some(compiled)) => {
                     span.attr_usize("classes", compiled.num_classes());
@@ -1084,19 +1045,16 @@ impl<'a> Merger<'a> {
         };
 
         let mut completion_span = telemetry::span(MergePass::Completion.as_str());
-        let (proper, implicit) = match (&weak, &compiled, plan.engine) {
-            (Some(weak), _, PlannedEngine::Symbolic) => {
-                complete_impl(weak, None, CompletionEngine::Symbolic).map_err(MergeError::Schema)?
-            }
+        let (proper, implicit) = match (&weak, &compiled) {
             // The participation-aware join is symbolic; its closure and
             // completion still run on the compiled engine.
-            (Some(weak), _, _) => {
+            (Some(weak), _) => {
                 complete_impl(weak, None, CompletionEngine::Compiled).map_err(MergeError::Schema)?
             }
-            (None, Some(compiled), _) => {
+            (None, Some(compiled)) => {
                 complete_from_compiled_impl(compiled).map_err(MergeError::Schema)?
             }
-            (None, None, _) => {
+            (None, None) => {
                 let base = self.base.expect("the base-only path implies a base");
                 complete_from_compiled_impl(base).map_err(MergeError::Schema)?
             }
@@ -1125,8 +1083,8 @@ impl<'a> Merger<'a> {
         let mut diagnostics = self.input_diagnostics();
         diagnostics.extend(self.target_diagnostics(proper.as_weak(), &implicit));
         // Only the onto-base engine actually transfers the base in id
-        // space; the symbolic and annotated plans decompile and re-walk
-        // it, so claiming reuse there would be false.
+        // space; the annotated plan decompiles and re-walks it, so
+        // claiming reuse there would be false.
         if plan.engine == PlannedEngine::CompiledOntoBase {
             diagnostics.push(Diagnostic::info(
                 "I-BASE-REUSED",
@@ -1399,7 +1357,6 @@ impl fmt::Debug for Merger<'_> {
             .field("inputs", &self.inputs.len())
             .field("assertions", &self.assertions.len())
             .field("base", &self.base.is_some())
-            .field("engine", &self.engine)
             .field("lower", &self.lower)
             .finish_non_exhaustive()
     }
@@ -1459,16 +1416,12 @@ mod tests {
         assert!(plan.estimated_classes >= 4);
 
         let rel = ConsistencyRelation::assume_consistent();
-        let merger = Merger::new()
-            .schema(&g1)
-            .with_consistency(&rel)
-            .with_keys(
-                "Dog",
-                SuperkeyFamily::single(crate::keys::KeySet::new(["license"])),
-            )
-            .engine(EnginePreference::Symbolic);
+        let merger = Merger::new().schema(&g1).with_consistency(&rel).with_keys(
+            "Dog",
+            SuperkeyFamily::single(crate::keys::KeySet::new(["license"])),
+        );
         let plan = merger.plan();
-        assert_eq!(plan.engine, PlannedEngine::Symbolic);
+        assert_eq!(plan.engine, PlannedEngine::Compiled);
         assert_eq!(
             plan.passes,
             vec![
@@ -1519,16 +1472,8 @@ mod tests {
             .arrow("Dog", "owner", "Company")
             .build()
             .unwrap();
+        // The symbolic side is the retained reference merge.
         let expected = crate::reference::merge([&g1, &g2, &g3]).unwrap();
-
-        let symbolic = Merger::new()
-            .schemas([&g1, &g2, &g3])
-            .engine(EnginePreference::Symbolic)
-            .execute()
-            .unwrap();
-        assert_eq!(symbolic.plan.engine, PlannedEngine::Symbolic);
-        assert_eq!(symbolic.proper, expected.proper);
-        assert_eq!(symbolic.implicit, expected.report);
 
         let base = Merger::new()
             .schemas([&g1, &g2])
@@ -1546,21 +1491,21 @@ mod tests {
         assert_eq!(onto.proper, expected.proper);
         assert_eq!(onto.implicit, expected.report);
         assert!(onto.weak.is_none(), "onto-base skips the symbolic join");
-        // The symbolic engine overrides the base reuse but not the result.
-        let sym_onto = Merger::new()
+        // An annotated input overrides the base reuse but not the result.
+        let g3_annotated = AnnotatedSchema::all_required(g3.clone());
+        let annotated_onto = Merger::new()
             .onto_base(&base)
-            .schema(&g3)
-            .engine(EnginePreference::Symbolic)
+            .with_participation(&g3_annotated)
             .execute()
             .unwrap();
-        assert_eq!(sym_onto.plan.engine, PlannedEngine::Symbolic);
-        assert_eq!(sym_onto.proper, expected.proper);
+        assert_eq!(annotated_onto.plan.engine, PlannedEngine::Compiled);
+        assert_eq!(annotated_onto.proper, expected.proper);
         assert!(
-            !sym_onto
+            !annotated_onto
                 .diagnostics
                 .iter()
                 .any(|d| d.code() == "I-BASE-REUSED"),
-            "the symbolic plan re-walks the base and must not claim reuse"
+            "the annotated plan re-walks the base and must not claim reuse"
         );
     }
 
@@ -1778,14 +1723,6 @@ mod tests {
     fn join_returns_both_representations() {
         let (g1, g2) = dogs();
         let expected = crate::reference::weak_join_all([&g1, &g2]).unwrap();
-        // The symbolic engine produces the symbolic join only.
-        let symbolic = Merger::new()
-            .schemas([&g1, &g2])
-            .engine(EnginePreference::Symbolic)
-            .join()
-            .unwrap();
-        assert!(symbolic.compiled().is_none());
-        assert_eq!(symbolic.weak(), Some(&expected));
 
         // The compiled engine produces the compiled join only; into_weak
         // decompiles on demand.
@@ -2080,20 +2017,18 @@ mod tests {
             .specialize("Puppy", "Dog")
             .build()
             .unwrap();
-        for engine in [EnginePreference::Auto, EnginePreference::Symbolic] {
-            let merger = Merger::new().schemas([&g1, &g2, &g3]).engine(engine);
-            let plain = merger.execute().unwrap();
-            let traced = merger.trace(true).execute().unwrap();
-            assert_eq!(plain.proper, traced.proper, "{engine:?}");
-            assert_eq!(plain.weak, traced.weak, "{engine:?}");
-            assert_eq!(plain.implicit, traced.implicit, "{engine:?}");
-            assert_eq!(plain.keys, traced.keys, "{engine:?}");
-            assert_eq!(plain.provenance, traced.provenance, "{engine:?}");
-            assert_eq!(plain.plan, traced.plan, "{engine:?}");
-            assert_eq!(plain.summary(), traced.summary(), "{engine:?}");
-            assert!(plain.trace.is_none());
-            assert!(traced.trace.is_some());
-        }
+        let merger = Merger::new().schemas([&g1, &g2, &g3]);
+        let plain = merger.execute().unwrap();
+        let traced = merger.trace(true).execute().unwrap();
+        assert_eq!(plain.proper, traced.proper);
+        assert_eq!(plain.weak, traced.weak);
+        assert_eq!(plain.implicit, traced.implicit);
+        assert_eq!(plain.keys, traced.keys);
+        assert_eq!(plain.provenance, traced.provenance);
+        assert_eq!(plain.plan, traced.plan);
+        assert_eq!(plain.summary(), traced.summary());
+        assert!(plain.trace.is_none());
+        assert!(traced.trace.is_some());
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!
 //! [`ClassId`]: crate::compile::ClassId
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::Cell;
 
 // ---------------------------------------------------------------------------
 // Dense-row primitives (the historical free functions, now shared)
@@ -126,23 +126,27 @@ impl Iterator for BitIter {
 /// rows existed.
 pub(crate) const SPARSE_MIN_WORDS: usize = 64;
 
-/// Benchmark escape hatch: forces every row dense so the memory and
-/// speed of the historical all-dense representation can be measured
-/// honestly. `true` (adaptive) by default.
-static SPARSE_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables the sparse row representation globally — **for
-/// benchmarking only** (the dense-baseline twin of
-/// [`crate::scratch`]'s pool toggle). Representation is an encoding
-/// choice, never a semantics choice, so results are identical either
-/// way; only footprint and speed move.
-#[doc(hidden)]
-pub fn set_sparse_enabled(enabled: bool) {
-    SPARSE_ENABLED.store(enabled, Ordering::Relaxed);
+thread_local! {
+    /// Benchmark escape hatch: forces every row dense so the memory and
+    /// speed of the historical all-dense representation can be measured
+    /// honestly. `true` (adaptive) by default.
+    static SPARSE_ENABLED: Cell<bool> = const { Cell::new(true) };
 }
 
-pub(crate) fn sparse_enabled() -> bool {
-    SPARSE_ENABLED.load(Ordering::Relaxed)
+/// Enables or disables the sparse row representation on the calling
+/// thread — **for benchmarking only** (the dense-baseline twin of
+/// [`crate::scratch`]'s pool toggle). A merge runs entirely on its
+/// calling thread, so the setting covers exactly the merges this thread
+/// runs. Representation is an encoding choice, never a semantics
+/// choice, so results are identical either way; only footprint and
+/// speed move.
+#[doc(hidden)]
+pub fn set_sparse_enabled(enabled: bool) {
+    SPARSE_ENABLED.set(enabled);
+}
+
+fn sparse_enabled() -> bool {
+    SPARSE_ENABLED.get()
 }
 
 /// The per-row representation policy: sorted-sparse ids exactly when the
@@ -150,7 +154,8 @@ pub(crate) fn sparse_enabled() -> bool {
 /// smaller than the word form (8 bytes a word).
 #[inline]
 pub(crate) fn use_sparse_rep(count: usize, words: usize) -> bool {
-    sparse_enabled() && words >= SPARSE_MIN_WORDS && count * 2 < words
+    // Width first: below the floor the thread-local is never read.
+    words >= SPARSE_MIN_WORDS && count * 2 < words && sparse_enabled()
 }
 
 /// Whether rows of `words` words should *accumulate* sparsely (before
@@ -158,7 +163,7 @@ pub(crate) fn use_sparse_rep(count: usize, words: usize) -> bool {
 /// signal available at that point.
 #[inline]
 pub(crate) fn accumulate_sparse(words: usize) -> bool {
-    sparse_enabled() && words >= SPARSE_MIN_WORDS
+    words >= SPARSE_MIN_WORDS && sparse_enabled()
 }
 
 // ---------------------------------------------------------------------------

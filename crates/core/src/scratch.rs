@@ -19,7 +19,6 @@
 //! can measure the unpooled baseline honestly.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Rows kept per thread; beyond this, [`ScratchPool::put`] drops the row
 /// instead of growing the cache without bound. Sized for the widest
@@ -28,16 +27,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// row, the worst-case thread-local footprint is ~0.5 MB.
 const MAX_POOLED_ROWS: usize = 8192;
 
-/// Benchmark escape hatch (see the module docs). `true` by default.
-static POOL_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables row recycling globally — **for benchmarking
-/// only**, so the allocation trajectory can compare the pooled engines
-/// against the allocate-per-step baseline. Disabled pools hand out
-/// fresh allocations and drop returned rows.
+/// Enables or disables row recycling on the calling thread — **for
+/// benchmarking only**, so the allocation trajectory can compare the
+/// pooled engines against the allocate-per-step baseline. A merge runs
+/// entirely on its calling thread, so the setting covers exactly the
+/// merges this thread runs. Disabled pools hand out fresh allocations
+/// and drop returned rows; the rows already pooled wait for re-enabling.
 #[doc(hidden)]
 pub fn set_pool_enabled(enabled: bool) {
-    POOL_ENABLED.store(enabled, Ordering::Relaxed);
+    POOL.with(|pool| pool.borrow_mut().disabled = !enabled);
 }
 
 /// A free list of bitset rows. Rows of any historical width live in one
@@ -46,6 +44,9 @@ pub fn set_pool_enabled(enabled: bool) {
 #[derive(Default)]
 pub(crate) struct ScratchPool {
     rows: Vec<Vec<u64>>,
+    /// The benchmark escape hatch (see the module docs): `false` by
+    /// default.
+    disabled: bool,
 }
 
 impl ScratchPool {
@@ -64,7 +65,7 @@ impl ScratchPool {
 
     /// Returns a row to the pool for reuse.
     pub(crate) fn put(&mut self, row: Vec<u64>) {
-        if POOL_ENABLED.load(Ordering::Relaxed) && self.rows.len() < MAX_POOLED_ROWS {
+        if !self.disabled && self.rows.len() < MAX_POOLED_ROWS {
             self.rows.push(row);
         }
     }
@@ -82,10 +83,16 @@ thread_local! {
 /// pool handed out is empty and discards returns, so every `take` is a
 /// fresh allocation.
 pub(crate) fn with_pool<R>(f: impl FnOnce(&mut ScratchPool) -> R) -> R {
-    if !POOL_ENABLED.load(Ordering::Relaxed) {
-        return f(&mut ScratchPool::default());
-    }
-    POOL.with(|pool| f(&mut pool.borrow_mut()))
+    POOL.with(|pool| {
+        let mut pool = pool.borrow_mut();
+        if pool.disabled {
+            return f(&mut ScratchPool {
+                rows: Vec::new(),
+                disabled: true,
+            });
+        }
+        f(&mut pool)
+    })
 }
 
 /// Fixed-width bitset rows packed into one flat allocation — the

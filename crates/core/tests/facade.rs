@@ -1,13 +1,12 @@
 //! The `Merger` façade's contract, property-tested:
 //!
-//! * every **plan configuration** — symbolic, compiled at one thread and
-//!   at several, compiled-onto-base (with every split of the inputs into
-//!   base and extras) — produces schemas *equal* to the retained
-//!   `reference::merge`, and alpha-isomorphic modulo implicit-class
-//!   naming;
-//! * the paper's **§3–4 laws** hold on the compiled engine at every
-//!   thread budget: the merge is commutative, associative and
-//!   idempotent, and independent of input and assertion order;
+//! * every **plan configuration** — compiled, and compiled-onto-base
+//!   (with every split of the inputs into base and extras) — produces
+//!   schemas *equal* to the retained symbolic `reference::merge`, and
+//!   alpha-isomorphic modulo implicit-class naming;
+//! * the paper's **§3–4 laws** hold on the compiled engine: the merge is
+//!   commutative, associative and idempotent, and independent of input
+//!   and assertion order;
 //! * the **consistency pass** is one implementation: the deprecated
 //!   `merge_consistent` and `MergeSession::with_consistency` paths are
 //!   differential-tested against `Merger::with_consistency` (accepting
@@ -24,8 +23,8 @@ use proptest::prelude::*;
 
 use schema_merge_core::iso::alpha_isomorphic;
 use schema_merge_core::{
-    reference, Class, ConsistencyRelation, EnginePreference, MergeError, MergeReport, MergeSession,
-    Merger, PlannedEngine, WeakSchema,
+    reference, Class, ConsistencyRelation, MergeError, MergeReport, MergeSession, Merger,
+    PlannedEngine, WeakSchema,
 };
 
 const NAMES: [&str; 8] = ["c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7"];
@@ -94,16 +93,6 @@ proptest! {
         prop_assert_eq!(&auto.proper, &expected.proper);
         prop_assert_eq!(&auto.implicit, &expected.report);
         prop_assert!(auto.weak().as_deref() == Some(&expected.weak));
-
-        // Symbolic.
-        let symbolic = Merger::new()
-            .schemas(refs.iter().copied())
-            .engine(EnginePreference::Symbolic)
-            .execute()
-            .expect("symbolic");
-        prop_assert_eq!(symbolic.plan.engine, PlannedEngine::Symbolic);
-        prop_assert_eq!(&symbolic.proper, &expected.proper);
-        prop_assert_eq!(&symbolic.implicit, &expected.report);
 
         // Compiled onto a cached base, at every split point of the
         // inputs into (base, extras) — including the all-in-base and
@@ -252,7 +241,8 @@ proptest! {
         }
     }
 
-    /// `join()` agrees with the reference weak join in every engine.
+    /// `join()` agrees with the reference weak join, with and without a
+    /// cached base.
     #[test]
     fn join_configurations_agree(family in family(), split in 0usize..5) {
         let refs: Vec<&WeakSchema> = family.iter().collect();
@@ -260,13 +250,6 @@ proptest! {
 
         let compiled = Merger::new().schemas(refs.iter().copied()).join().expect("joins");
         prop_assert_eq!(&compiled.into_weak(), &expected);
-
-        let symbolic = Merger::new()
-            .schemas(refs.iter().copied())
-            .engine(EnginePreference::Symbolic)
-            .join()
-            .expect("joins");
-        prop_assert_eq!(&symbolic.into_weak(), &expected);
 
         let k = split % (refs.len() + 1);
         let base = Merger::new()
