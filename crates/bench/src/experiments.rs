@@ -482,6 +482,7 @@ mod tests {
 
     #[test]
     fn e1_orders_always_agree() {
+        let _peak = crate::peak_lock();
         let series = e1_associativity(&[2, 3]);
         for point in &series.points {
             assert_eq!(point.values[0], "true", "{point:?}");
@@ -490,6 +491,7 @@ mod tests {
 
     #[test]
     fn e2_matches_closed_form() {
+        let _peak = crate::peak_lock();
         let series = e2_completion(&[], &[1, 3, 5]);
         for point in &series.points {
             assert_eq!(point.values[0], point.values[1], "{point:?}");
@@ -498,6 +500,7 @@ mod tests {
 
     #[test]
     fn e5_always_proper() {
+        let _peak = crate::peak_lock();
         let series = e5_lower(&[6, 10]);
         for point in &series.points {
             assert_eq!(point.values[4], "true", "{point:?}");
@@ -506,6 +509,7 @@ mod tests {
 
     #[test]
     fn e6_always_preserves_strata() {
+        let _peak = crate::peak_lock();
         let series = e6_er_roundtrip(&[4, 8]);
         for point in &series.points {
             assert_eq!(point.values[1], "true", "{point:?}");
@@ -514,6 +518,7 @@ mod tests {
 
     #[test]
     fn e10_always_clean_and_merges() {
+        let _peak = crate::peak_lock();
         let series = e10_normalize(&[1, 3]);
         for point in &series.points {
             assert_eq!(point.values[0], point.x, "every planted conflict detected");
@@ -524,6 +529,7 @@ mod tests {
 
     #[test]
     fn e11_guarantees_hold_and_duplicates_fold() {
+        let _peak = crate::peak_lock();
         let series = e11_federation(&[2, 3]);
         for point in &series.points {
             let members: usize = point.x.parse().expect("x is a count");
@@ -538,6 +544,7 @@ mod tests {
 
     #[test]
     fn suite_runs() {
+        let _peak = crate::peak_lock();
         let suite = default_suite();
         assert_eq!(suite.len(), 8);
         for series in &suite {

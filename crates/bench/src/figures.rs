@@ -565,6 +565,7 @@ mod tests {
 
     #[test]
     fn every_figure_reproduces() {
+        let _peak = crate::peak_lock();
         for row in all_rows() {
             assert_eq!(
                 row.verdict,
@@ -579,6 +580,7 @@ mod tests {
 
     #[test]
     fn rows_cover_all_figures() {
+        let _peak = crate::peak_lock();
         let ids: Vec<&str> = all_rows().iter().map(|r| r.id).collect();
         for wanted in [
             "F1", "F2", "F3", "F4", "F5", "F6/F8", "F7", "F9", "F10", "F11",

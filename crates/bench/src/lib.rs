@@ -32,6 +32,17 @@ pub fn facade_merge<'a>(
     Merger::new().schemas(schemas).execute()
 }
 
+/// Serializes this crate's tests. The counting allocator's live-byte and
+/// peak gauges are process-wide, so a test that frees memory while
+/// another measures a peak can hold that peak at zero. Every test in the
+/// crate holds this lock.
+#[cfg(test)]
+pub(crate) fn peak_lock() -> std::sync::MutexGuard<'static, ()> {
+    static PEAK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    PEAK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// [`facade_merge`] shaped as the historical outcome triple.
 pub fn facade_outcome<'a>(
     schemas: impl IntoIterator<Item = &'a WeakSchema>,

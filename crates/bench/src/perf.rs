@@ -718,17 +718,7 @@ pub fn to_table(report: &BenchReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard, PoisonError};
-
-    /// The peak-heap mark is one process-wide gauge. Every test that
-    /// resets or reads it — directly or through `Suite::measure` — holds
-    /// this lock, so no test resets the mark in the middle of another's
-    /// measurement.
-    static PEAK: Mutex<()> = Mutex::new(());
-
-    fn peak_lock() -> MutexGuard<'static, ()> {
-        PEAK.lock().unwrap_or_else(PoisonError::into_inner)
-    }
+    use crate::peak_lock;
 
     #[test]
     fn tiny_suite_produces_paired_records_and_valid_json() {
@@ -784,6 +774,7 @@ mod tests {
 
     #[test]
     fn allocation_counter_is_live() {
+        let _peak = peak_lock();
         let before = allocations();
         black_box(vec![0u8; 4096]);
         assert!(allocations() > before, "the hook counts heap allocations");
@@ -792,8 +783,7 @@ mod tests {
     #[test]
     fn peak_tracker_observes_a_transient_allocation() {
         let _peak = peak_lock();
-        // Tests outside this module allocate and free concurrently, so
-        // only assert the guaranteed lower bound: while our megabyte is
+        // Only assert the guaranteed lower bound: while our megabyte is
         // live it is part of the live-byte gauge, and the alloc hook
         // folds the post-alloc gauge into the high-water mark — so the
         // mark must cover at least the megabyte itself.

@@ -18,31 +18,37 @@
 //! other connection so idle clients see end of input, and returns once
 //! every connection thread has ended.
 //!
-//! Serving a request has two halves. [`dispatch`] is pure: it takes the
-//! shared [`Daemon`] state and one parsed [`Request`] and returns the
-//! [`Response`] — all routing and rendering, no socket. The transport
-//! loop ([`handle_connection`]) owns everything that touches the socket:
-//! timeouts, the line and payload caps, the PUT deadline, the request
-//! timer and trace drain, and the write of each response — one
-//! `write_all` per reply on a `TCP_NODELAY` socket, so no reply waits
-//! on Nagle's algorithm for the client's delayed ACK.
+//! Serving a request has two halves. [`dispatch`] takes the shared
+//! [`Daemon`] state and one parsed [`Request`] and returns the
+//! [`Response`] — all routing and rendering, no socket I/O. A committed
+//! view never changes within its generation, nor a member version once
+//! published, so `dispatch` renders each MERGED and GET reply once and
+//! keeps its wire bytes in the daemon's [`ReplyCache`]: later readers of
+//! the same generation or version are sent those bytes as they are. The
+//! transport loop ([`handle_connection`]) owns everything that touches
+//! the socket: timeouts, the line and payload caps, the PUT deadline,
+//! the request timer and trace drain, and the write of each response —
+//! one `write_all` per reply on a `TCP_NODELAY` socket, so no reply
+//! waits on Nagle's algorithm for the client's delayed ACK.
 
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use schema_merge_core::{AnnotatedSchema, KeyAssignment, Merger, WeakSchema};
-use schema_merge_registry::{Registry, RegistryStats, RetryPolicy};
+use schema_merge_core::Merger;
+use schema_merge_registry::{
+    MergedView, Registry, RegistryStats, RetryPolicy, SchemaVersion, VersionMeta,
+};
 use schema_merge_supergraph::{Supergraph, SupergraphError, SupergraphStats};
 use schema_merge_telemetry::{
     self as telemetry, render_counter, render_gauge, Histogram, HistogramSnapshot,
 };
 use schema_merge_text::protocol::{status_line, BlockCollector, Command, Status};
-use schema_merge_text::{encode_block, parse_document, print_schema, NamedSchema};
+use schema_merge_text::{encode_block, parse_document, print_weak};
 
 use crate::app::{parse_path_query, CliError};
 
@@ -171,22 +177,36 @@ const TIMED_VERBS: [&str; 15] = [
     "supergraph",
 ];
 
+/// The verbs whose replies [`ReplyCache`] keeps.
+const CACHED_VERBS: [&str; 2] = ["get", "merged"];
+
 /// Per-verb request-latency histograms, recorded by the transport loop
-/// around every dispatched command.
+/// around every dispatched command, and the reply cache's hits and
+/// misses per cached verb, counted by [`dispatch`].
 struct RequestMetrics {
     verbs: [(&'static str, Histogram); TIMED_VERBS.len()],
+    /// `[hits, misses]` for each of [`CACHED_VERBS`], in order.
+    replies: [[AtomicU64; 2]; CACHED_VERBS.len()],
 }
 
 impl RequestMetrics {
     fn new() -> Self {
         RequestMetrics {
             verbs: TIMED_VERBS.map(|verb| (verb, Histogram::new())),
+            replies: Default::default(),
         }
     }
 
     fn record(&self, verb: &str, elapsed: Duration) {
         if let Some((_, histogram)) = self.verbs.iter().find(|(name, _)| *name == verb) {
             histogram.record(elapsed);
+        }
+    }
+
+    /// Counts one reply-cache lookup for `verb`, one of [`CACHED_VERBS`].
+    fn count_lookup(&self, verb: &str, hit: bool) {
+        if let Some(i) = CACHED_VERBS.iter().position(|name| *name == verb) {
+            self.replies[i][usize::from(!hit)].fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -380,6 +400,19 @@ fn render_metrics(
             "smerge_request_seconds",
             &format!("verb=\"{verb}\""),
         );
+    }
+
+    out.push_str(
+        "# HELP smerge_reply_cache_total Reply-cache lookups by verb and result\n\
+         # TYPE smerge_reply_cache_total counter\n",
+    );
+    for (verb, counts) in CACHED_VERBS.iter().zip(&requests.replies) {
+        for (result, count) in ["hit", "miss"].iter().zip(counts) {
+            out.push_str(&format!(
+                "smerge_reply_cache_total{{verb=\"{verb}\",result=\"{result}\"}} {}\n",
+                count.load(Ordering::Relaxed)
+            ));
+        }
     }
     out
 }
@@ -628,25 +661,25 @@ fn serve_connections(
 /// A wire line longer than [`MAX_LINE_BYTES`].
 struct LineTooLong;
 
-/// Reads one line, without its terminator, buffering at most
-/// [`MAX_LINE_BYTES`] of it. `None` at end of input.
-fn read_line(
+/// Reads one line into `buf`, replacing what it held, and returns the
+/// line without its terminator, buffering at most [`MAX_LINE_BYTES`] of
+/// it. `None` at end of input. The caller reuses `buf` from line to
+/// line, so a line costs no allocation of its own.
+fn read_line<'b>(
     reader: &mut BufReader<&TcpStream>,
-) -> std::io::Result<Option<Result<String, LineTooLong>>> {
-    let mut bytes = Vec::new();
+    buf: &'b mut Vec<u8>,
+) -> std::io::Result<Option<Result<&'b str, LineTooLong>>> {
+    buf.clear();
     let limit = MAX_LINE_BYTES as u64 + 1;
-    if reader.by_ref().take(limit).read_until(b'\n', &mut bytes)? == 0 {
+    if reader.by_ref().take(limit).read_until(b'\n', buf)? == 0 {
         return Ok(None);
     }
-    if bytes.len() > MAX_LINE_BYTES && bytes.last() != Some(&b'\n') {
+    if buf.len() > MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
         return Ok(Some(Err(LineTooLong)));
     }
-    let mut buf = String::from_utf8(bytes)
+    let line = std::str::from_utf8(buf)
         .map_err(|err| std::io::Error::new(std::io::ErrorKind::InvalidData, err))?;
-    while buf.ends_with('\n') || buf.ends_with('\r') {
-        buf.pop();
-    }
-    Ok(Some(Ok(buf)))
+    Ok(Some(Ok(line.trim_end_matches(['\n', '\r']))))
 }
 
 /// Answers an over-limit request with the stable `code` error (`E-LIMIT`
@@ -690,12 +723,7 @@ fn configure_stream(stream: &TcpStream) -> std::io::Result<()> {
 /// Writes one response — the status line, then its block, if any — with
 /// a single `write_all`.
 fn write_response<W: Write>(writer: &mut W, response: &Response) -> std::io::Result<()> {
-    let block = response.block.as_deref().unwrap_or_default();
-    let mut reply = String::with_capacity(response.status.len() + 1 + block.len());
-    reply.push_str(&response.status);
-    reply.push('\n');
-    reply.push_str(block);
-    writer.write_all(reply.as_bytes())
+    writer.write_all(response.wire.as_bytes())
 }
 
 /// Collects a `PUT` payload block, counting each line against the
@@ -706,6 +734,7 @@ fn read_put_body<'t>(
     reader: &mut BufReader<&TcpStream>,
     writer: &mut &TcpStream,
     transport: &'t Transport,
+    buf: &mut Vec<u8>,
 ) -> std::io::Result<Option<(String, Reservation<'t>)>> {
     let mut collector = BlockCollector::new();
     let mut reservation = Reservation {
@@ -714,7 +743,7 @@ fn read_put_body<'t>(
     };
     let block_started = Instant::now();
     let (code, what, cap) = loop {
-        let Some(payload_line) = read_line(reader)? else {
+        let Some(payload_line) = read_line(reader, buf)? else {
             // Connection died mid-block; nothing to answer.
             return Ok(None);
         };
@@ -732,7 +761,7 @@ fn read_put_body<'t>(
                 transport.put_budget,
             );
         }
-        if collector.push(&payload_line) {
+        if collector.push(payload_line) {
             return Ok(Some((collector.finish(), reservation)));
         }
         if block_started.elapsed() > PUT_DEADLINE {
@@ -763,8 +792,9 @@ fn handle_connection(
     configure_stream(stream)?;
     let mut reader = BufReader::new(stream);
     let mut writer = stream;
+    let mut buf = Vec::new();
 
-    while let Some(line) = read_line(&mut reader)? {
+    while let Some(line) = read_line(&mut reader, &mut buf)? {
         let Ok(line) = line else {
             return reject_over_limit(
                 &mut reader,
@@ -777,7 +807,7 @@ fn handle_connection(
         if line.trim().is_empty() {
             continue;
         }
-        let command = match Command::parse(&line) {
+        let command = match Command::parse(line) {
             Ok(command) => command,
             Err(err) => {
                 write_response(&mut writer, &Response::err(&err.to_string()))?;
@@ -792,10 +822,12 @@ fn handle_connection(
         let request_span = verb.map(telemetry::span);
         let shutdown = command == Command::Shutdown;
         let (body, payload) = match command {
-            Command::Put(_) => match read_put_body(&mut reader, &mut writer, transport)? {
-                Some((body, reservation)) => (body, Some(reservation)),
-                None => return Ok(()),
-            },
+            Command::Put(_) => {
+                match read_put_body(&mut reader, &mut writer, transport, &mut buf)? {
+                    Some((body, reservation)) => (body, Some(reservation)),
+                    None => return Ok(()),
+                }
+            }
             _ => (String::new(), None),
         };
         let response = dispatch(daemon, Request { command, body });
@@ -826,12 +858,13 @@ fn handle_connection(
 const DEFAULT_REGISTRY: &str = "default";
 
 /// Everything a request can reach: the daemon's own registry, the
-/// supergraph it is attached to (as [`DEFAULT_REGISTRY`]), the
-/// per-verb request latencies and the shutdown flag. One per daemon,
+/// supergraph it is attached to (as [`DEFAULT_REGISTRY`]), the rendered
+/// replies, the request metrics and the shutdown flag. One per daemon,
 /// shared by every connection.
 struct Daemon {
     registry: Arc<Registry>,
     supergraph: Supergraph,
+    replies: ReplyCache,
     metrics: RequestMetrics,
     shutdown: AtomicBool,
 }
@@ -848,17 +881,22 @@ impl Daemon {
         Daemon {
             registry,
             supergraph,
+            replies: ReplyCache::default(),
             metrics: RequestMetrics::new(),
             shutdown: AtomicBool::new(false),
         }
     }
 
-    /// Resolves a protocol member name to its registry: `registry/member`
+    /// Resolves a protocol member name to the namespace of its registry,
+    /// the registry and the member name within it: `registry/member`
     /// routes to an attached supergraph registry, bare names to the
-    /// daemon's own registry.
-    fn route_member(&self, name: &str) -> Result<(Arc<Registry>, String), Response> {
+    /// daemon's own registry, attached as [`DEFAULT_REGISTRY`].
+    fn route_member<'n>(
+        &self,
+        name: &'n str,
+    ) -> Result<(&'n str, Arc<Registry>, &'n str), Response> {
         let Some((namespace, member)) = name.split_once('/') else {
-            return Ok((Arc::clone(&self.registry), name.to_string()));
+            return Ok((DEFAULT_REGISTRY, Arc::clone(&self.registry), name));
         };
         if namespace.is_empty() || member.is_empty() || member.contains('/') {
             return Err(Response::err(&format!(
@@ -866,11 +904,145 @@ impl Daemon {
             )));
         }
         match self.supergraph.registry(namespace) {
-            Some(routed) => Ok((routed, member.to_string())),
+            Some(routed) => Ok((namespace, routed, member)),
             None => Err(supergraph_err(&SupergraphError::UnknownRegistry(
                 namespace.to_string(),
             ))),
         }
+    }
+
+    /// The MERGED reply: the kept bytes when they render the default
+    /// registry's current generation, else rendered now and kept.
+    fn merged_reply(&self) -> Response {
+        let hit = self.replies.merged(self.registry.generation());
+        self.metrics.count_lookup("merged", hit.is_some());
+        if let Some(reply) = hit {
+            return reply;
+        }
+        let view = self.registry.merged();
+        let reply = render_merged(&view);
+        self.replies.keep_merged(view.generation, &reply);
+        reply
+    }
+
+    /// The GET reply for `version` of `member` in the registry attached
+    /// as `namespace`: the kept bytes when they render this very
+    /// version, else rendered now and kept.
+    fn get_reply(&self, namespace: &str, member: &str, version: &SchemaVersion) -> Response {
+        let meta = version.meta();
+        let hit = self.replies.get(namespace, member, meta);
+        self.metrics.count_lookup("get", hit.is_some());
+        if let Some(reply) = hit {
+            return reply;
+        }
+        let reply = render_get(member, version);
+        self.replies.keep_get(namespace, member, meta, &reply);
+        reply
+    }
+}
+
+/// Renders the MERGED reply for `view`.
+fn render_merged(view: &MergedView) -> Response {
+    let weak = view.proper.as_weak();
+    let detail = format!(
+        "generation={} hash={:016x} classes={} arrows={}",
+        view.generation,
+        view.hash(),
+        weak.num_classes(),
+        weak.num_arrows()
+    );
+    let mut payload = print_weak("merged", weak);
+    payload.push_str(&format!(
+        "// implicit classes: {}\n",
+        view.report.num_implicit()
+    ));
+    Response::data(&detail, &payload)
+}
+
+/// Renders the GET reply for `version` of `member`.
+fn render_get(member: &str, version: &SchemaVersion) -> Response {
+    Response::data(
+        &format!(
+            "hash={:016x} sequence={} generation={}",
+            version.hash, version.sequence, version.generation
+        ),
+        &print_weak(member, &version.schema),
+    )
+}
+
+/// Locks `mutex`, recovering the guard if a thread panicked while it held
+/// it: every update under the [`ReplyCache`] locks is one insert or
+/// remove, so the data is valid at every step.
+fn unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The rendered MERGED and GET replies, each with the registry state it
+/// renders. A reply is a pure function of that state — a view never
+/// changes within its generation, and a member version's `(hash,
+/// sequence, generation)` fixes its body — so a reader that finds its
+/// state here sends the kept bytes as they are. Entries hold wire bytes
+/// only, never an `Arc` into registry state, so a superseded view or
+/// body is still freed by the commit that replaced it. Nothing is
+/// rendered on the write path: the first reader of a new generation or
+/// version renders it.
+#[derive(Default)]
+struct ReplyCache {
+    /// The MERGED reply and the default registry's generation it renders.
+    merged: Mutex<Option<(u64, Response)>>,
+    /// GET replies by registry namespace, then member name.
+    get: Mutex<HashMap<String, HashMap<String, KeptGet>>>,
+}
+
+/// A kept GET reply and the member version it renders.
+type KeptGet = (VersionMeta, Response);
+
+impl ReplyCache {
+    /// The kept MERGED reply, if it renders `generation`.
+    fn merged(&self, generation: u64) -> Option<Response> {
+        let merged = unpoisoned(&self.merged);
+        let (kept, reply) = merged.as_ref()?;
+        (*kept == generation).then(|| reply.clone())
+    }
+
+    /// Keeps `reply` as the MERGED reply of `generation`, unless a later
+    /// generation's reply is kept already.
+    fn keep_merged(&self, generation: u64, reply: &Response) {
+        let mut merged = unpoisoned(&self.merged);
+        if merged.as_ref().is_none_or(|(kept, _)| *kept < generation) {
+            *merged = Some((generation, reply.clone()));
+        }
+    }
+
+    /// The kept GET reply for `member` of registry `namespace`, if it
+    /// renders `version`.
+    fn get(&self, namespace: &str, member: &str, version: VersionMeta) -> Option<Response> {
+        let get = unpoisoned(&self.get);
+        let (kept, reply) = get.get(namespace)?.get(member)?;
+        (*kept == version).then(|| reply.clone())
+    }
+
+    /// Keeps `reply` as the GET reply for `version` of `member` in
+    /// registry `namespace`, replacing whatever that member had kept.
+    fn keep_get(&self, namespace: &str, member: &str, version: VersionMeta, reply: &Response) {
+        unpoisoned(&self.get)
+            .entry(namespace.to_string())
+            .or_default()
+            .insert(member.to_string(), (version, reply.clone()));
+    }
+
+    /// Drops the GET reply of `member` in registry `namespace`: the
+    /// member was deleted, or a GET found none.
+    fn forget_member(&self, namespace: &str, member: &str) {
+        if let Some(members) = unpoisoned(&self.get).get_mut(namespace) {
+            members.remove(member);
+        }
+    }
+
+    /// Drops every GET reply of the registry attached as `namespace`: it
+    /// was detached.
+    fn forget_registry(&self, namespace: &str) {
+        unpoisoned(&self.get).remove(namespace);
     }
 }
 
@@ -881,23 +1053,31 @@ struct Request {
     body: String,
 }
 
-/// One response: the status line (without its newline), the encoded
-/// block a `DATA` status carries, and whether the connection closes
-/// after it (`QUIT`, `SHUTDOWN`).
-#[derive(Debug)]
+/// One response: its wire bytes — the status line, its newline, and the
+/// encoded block a `DATA` status carries — and whether the connection
+/// closes after it (`QUIT`, `SHUTDOWN`). The bytes are shared, so a kept
+/// reply is sent without a copy.
+#[derive(Debug, Clone)]
 struct Response {
-    status: String,
-    block: Option<String>,
+    wire: Arc<str>,
     close: bool,
 }
 
 impl Response {
-    fn line(status: Status, detail: &str) -> Response {
+    /// The status line `status`, then `block` (already encoded).
+    fn new(status: &str, block: &str) -> Response {
+        let mut wire = String::with_capacity(status.len() + 1 + block.len());
+        wire.push_str(status);
+        wire.push('\n');
+        wire.push_str(block);
         Response {
-            status: status_line(status, detail),
-            block: None,
+            wire: wire.into(),
             close: false,
         }
+    }
+
+    fn line(status: Status, detail: &str) -> Response {
+        Response::new(&status_line(status, detail), "")
     }
 
     fn ok(detail: &str) -> Response {
@@ -910,10 +1090,7 @@ impl Response {
 
     /// A `DATA` status line followed by `payload` as a block.
     fn data(detail: &str, payload: &str) -> Response {
-        Response {
-            block: Some(encode_block(payload)),
-            ..Response::line(Status::Data, detail)
-        }
+        Response::new(&status_line(Status::Data, detail), &encode_block(payload))
     }
 
     /// This response, ending the connection once written.
@@ -929,18 +1106,10 @@ fn supergraph_err(err: &SupergraphError) -> Response {
     Response::err(&format!("[{}] {err}", err.code()))
 }
 
-/// `schema` printed as a canonical document named `name`.
-fn print_named(name: &str, schema: &WeakSchema) -> String {
-    print_schema(&NamedSchema {
-        name: name.to_string(),
-        schema: AnnotatedSchema::all_required(schema.clone()),
-        keys: KeyAssignment::new(),
-    })
-}
-
 /// Serves one request: routes it to the daemon's registry or an
-/// attached one, runs it, and renders the response. No socket I/O —
-/// the transport loop reads the request and writes what this returns.
+/// attached one, runs it, and renders the response, or takes a MERGED or
+/// GET reply from the [`ReplyCache`]. No socket I/O — the transport loop
+/// reads the request and writes what this returns.
 fn dispatch(daemon: &Daemon, request: Request) -> Response {
     let Daemon {
         registry,
@@ -961,51 +1130,35 @@ fn dispatch(daemon: &Daemon, request: Request) -> Response {
             Err(err) => Response::err(&err.to_string()),
         },
         Command::Put(name) => match daemon.route_member(&name) {
-            Ok((routed, member)) => put_member(&routed, &member, &request.body),
+            Ok((_, routed, member)) => put_member(&routed, member, &request.body),
             Err(response) => response,
         },
         Command::Get(name) => match daemon.route_member(&name) {
             Err(response) => response,
-            Ok((routed, member)) => match routed.get(&member) {
-                Some(version) => Response::data(
-                    &format!(
-                        "hash={:016x} sequence={} generation={}",
-                        version.hash, version.sequence, version.generation
-                    ),
-                    &print_named(&member, &version.schema),
-                ),
-                None => Response::err(&format!("no member named `{name}`")),
+            Ok((namespace, routed, member)) => match routed.get(member) {
+                Some(version) => daemon.get_reply(namespace, member, &version),
+                None => {
+                    daemon.replies.forget_member(namespace, member);
+                    Response::err(&format!("no member named `{name}`"))
+                }
             },
         },
         Command::Delete(name) => match daemon.route_member(&name) {
             Err(response) => response,
-            Ok((routed, member)) => match routed.delete(&member) {
-                Ok(outcome) => Response::ok(&format!(
-                    "generation={} remaining={} strategy={}",
-                    outcome.generation,
-                    outcome.remaining,
-                    outcome.strategy.as_str()
-                )),
+            Ok((namespace, routed, member)) => match routed.delete(member) {
+                Ok(outcome) => {
+                    daemon.replies.forget_member(namespace, member);
+                    Response::ok(&format!(
+                        "generation={} remaining={} strategy={}",
+                        outcome.generation,
+                        outcome.remaining,
+                        outcome.strategy.as_str()
+                    ))
+                }
                 Err(err) => Response::err(&err.to_string()),
             },
         },
-        Command::Merged => {
-            let view = registry.merged();
-            let weak = view.proper.as_weak();
-            let detail = format!(
-                "generation={} hash={:016x} classes={} arrows={}",
-                view.generation,
-                view.hash(),
-                weak.num_classes(),
-                weak.num_arrows()
-            );
-            let mut payload = print_named("merged", weak);
-            payload.push_str(&format!(
-                "// implicit classes: {}\n",
-                view.report.num_implicit()
-            ));
-            Response::data(&detail, &payload)
-        }
+        Command::Merged => daemon.merged_reply(),
         Command::Stats => {
             let stats = registry.stats();
             Response::data(
@@ -1039,7 +1192,10 @@ fn dispatch(daemon: &Daemon, request: Request) -> Response {
             Err(err) => supergraph_err(&err),
         },
         Command::Detach(name) => match supergraph.detach(&name) {
-            Ok(_) => Response::ok(&format!("registry={name} registries={}", supergraph.len())),
+            Ok(_) => {
+                daemon.replies.forget_registry(&name);
+                Response::ok(&format!("registry={name} registries={}", supergraph.len()))
+            }
             Err(err) => supergraph_err(&err),
         },
         Command::Compose => match supergraph.compose() {
@@ -1079,7 +1235,7 @@ fn dispatch(daemon: &Daemon, request: Request) -> Response {
             for hint in view.hints() {
                 payload.push_str(&format!("hint[{}] {}\n", hint.code, hint.message));
             }
-            payload.push_str(&print_named("supergraph", weak));
+            payload.push_str(&print_weak("supergraph", weak));
             payload.push_str(&format!(
                 "// implicit classes: {}\n",
                 view.report.implicit.num_implicit()
@@ -1137,6 +1293,7 @@ fn put_member(registry: &Registry, name: &str, payload: &str) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use schema_merge_core::WeakSchema;
 
     /// Both socket deadlines are armed on every accepted connection —
     /// notably the write timeout, so a client that stops reading
@@ -1239,11 +1396,22 @@ mod tests {
     }
 
     fn status(daemon: &Daemon, line: &str) -> String {
-        send(daemon, line, "").status
+        send(daemon, line, "").status().to_string()
+    }
+
+    impl Response {
+        /// The status line, without its newline.
+        fn status(&self) -> &str {
+            self.wire
+                .split_once('\n')
+                .map_or(&*self.wire, |(status, _)| status)
+        }
     }
 
     fn block(response: &Response) -> &str {
-        response.block.as_deref().expect("a DATA block")
+        let (_, block) = response.wire.split_once('\n').expect("a status line");
+        assert!(!block.is_empty(), "a DATA block: {response:?}");
+        block
     }
 
     #[test]
@@ -1252,31 +1420,31 @@ mod tests {
         assert_eq!(status(&daemon, "PING"), "OK pong");
 
         let alpha = send(&daemon, "PUT alpha", "schema alpha { C --a--> B1; }\n");
-        assert!(alpha.status.starts_with("OK hash="), "{alpha:?}");
-        assert!(alpha.status.ends_with("generation=1 strategy=full"));
+        assert!(alpha.status().starts_with("OK hash="), "{alpha:?}");
+        assert!(alpha.status().ends_with("generation=1 strategy=full"));
         let beta = send(&daemon, "PUT beta", "schema beta { C --a--> B2; }\n");
-        assert!(beta.status.ends_with("generation=2 strategy=incremental"));
+        assert!(beta.status().ends_with("generation=2 strategy=incremental"));
         let again = send(&daemon, "PUT alpha", "schema alpha { C --a--> B1; }\n");
-        assert!(again.status.ends_with("strategy=noop"), "{again:?}");
+        assert!(again.status().ends_with("strategy=noop"), "{again:?}");
 
         let get = send(&daemon, "GET alpha", "");
-        assert!(get.status.starts_with("DATA hash="));
+        assert!(get.status().starts_with("DATA hash="));
         assert!(block(&get).starts_with("schema alpha {"));
         assert!(block(&get).ends_with("}\n.\n"));
         let merged = send(&daemon, "MERGED", "");
-        assert!(merged.status.starts_with("DATA generation=2 hash="));
+        assert!(merged.status().starts_with("DATA generation=2 hash="));
         assert!(block(&merged).contains("{B1,B2}"));
         assert!(block(&merged).contains("// implicit classes: 1\n"));
         let list = send(&daemon, "LIST", "");
-        assert_eq!(list.status, "DATA members=2");
+        assert_eq!(list.status(), "DATA members=2");
         assert!(block(&list).starts_with("alpha hash="));
         assert_eq!(status(&daemon, "QUERY C.a"), "OK 1 result(s): {B1,B2}");
 
         let stats = send(&daemon, "STATS", "");
-        assert_eq!(stats.status, "DATA generation=2");
+        assert_eq!(stats.status(), "DATA generation=2");
         assert!(block(&stats).contains("requests served"));
         let metrics = send(&daemon, "METRICS", "");
-        assert!(metrics.status.starts_with("DATA bytes="));
+        assert!(metrics.status().starts_with("DATA bytes="));
         assert!(block(&metrics).contains("smerge_registry_generation 2\n"));
         assert!(status(&daemon, "HEALTH").starts_with("OK state=ok retries=0"));
         assert_eq!(
@@ -1293,7 +1461,7 @@ mod tests {
             "PUT sales/orders",
             "schema orders { Order --item--> C; }\n",
         );
-        assert!(orders.status.ends_with("generation=1 strategy=full"));
+        assert!(orders.status().ends_with("generation=1 strategy=full"));
         let compose = status(&daemon, "COMPOSE");
         assert!(
             compose.starts_with("OK generation=3 strategy=full registries=2"),
@@ -1301,7 +1469,7 @@ mod tests {
         );
         let supergraph = send(&daemon, "SUPERGRAPH", "");
         assert!(supergraph
-            .status
+            .status()
             .starts_with("DATA generation=3 registries=2"));
         assert!(block(&supergraph).contains("registry sales generation=1 members=1\n"));
         assert!(block(&supergraph).contains("Order --item--> C;"));
@@ -1316,11 +1484,11 @@ mod tests {
             "OK generation=3 remaining=1 strategy=incremental"
         );
         let quit = send(&daemon, "QUIT", "");
-        assert_eq!((quit.status.as_str(), quit.close), ("OK bye", true));
+        assert_eq!((quit.status(), quit.close), ("OK bye", true));
         assert!(!daemon.shutdown.load(Ordering::SeqCst));
         let shutdown = send(&daemon, "SHUTDOWN", "");
         assert_eq!(
-            (shutdown.status.as_str(), shutdown.close),
+            (shutdown.status(), shutdown.close),
             ("OK shutting down", true)
         );
         assert!(daemon.shutdown.load(Ordering::SeqCst));
@@ -1336,7 +1504,7 @@ mod tests {
         // Unknown registry, unknown member, malformed member name.
         let unknown = "ERR [E-SG-UNKNOWN] no registry `billing` is attached";
         assert_eq!(
-            send(&daemon, "PUT billing/x", "schema x {}\n").status,
+            send(&daemon, "PUT billing/x", "schema x {}\n").status(),
             unknown
         );
         assert_eq!(status(&daemon, "GET billing/x"), unknown);
@@ -1351,14 +1519,13 @@ mod tests {
         // A bad path query answers on one line: the usage error's message,
         // without the CLI usage text its `Display` appends.
         let bad_path = send(&daemon, "QUERY .a", "");
-        assert_eq!(bad_path.status, "ERR bad path `.a`: empty starting class");
-        assert!(!bad_path.status.contains('\n') && bad_path.block.is_none());
+        assert_eq!(&*bad_path.wire, "ERR bad path `.a`: empty starting class\n");
 
         // Rejected, unmergeable, unparseable and empty payloads.
         let rejected = send(&daemon, "PUT down", "schema down { B => A; }\n");
         assert!(
             rejected
-                .status
+                .status()
                 .starts_with("ERR publishing `down` rejected:"),
             "{rejected:?}"
         );
@@ -1369,14 +1536,17 @@ mod tests {
         );
         assert!(
             split
-                .status
+                .status()
                 .starts_with("ERR payload does not merge [E-MERGE-INCOMPATIBLE]"),
             "{split:?}"
         );
         let broken = send(&daemon, "PUT broken", "schema broken {{{\n");
-        assert!(broken.status.starts_with("ERR parse failed:"), "{broken:?}");
+        assert!(
+            broken.status().starts_with("ERR parse failed:"),
+            "{broken:?}"
+        );
         assert_eq!(
-            send(&daemon, "PUT empty", "").status,
+            send(&daemon, "PUT empty", "").status(),
             "ERR payload contains no schemas"
         );
 
@@ -1386,13 +1556,13 @@ mod tests {
         assert!(status(&daemon, "ATTACH sales").starts_with("ERR [E-SG-DUPLICATE]"));
         assert!(status(&daemon, "ATTACH a/b").starts_with("ERR [E-SG-NAME]"));
         let cycle = send(&daemon, "PUT sales/down", "schema down { B => A; }\n");
-        assert!(cycle.status.starts_with("OK"), "{cycle:?}");
+        assert!(cycle.status().starts_with("OK"), "{cycle:?}");
         assert!(status(&daemon, "COMPOSE").starts_with("ERR [E-SG-COMPOSE]"));
 
         // None of it reached the view.
         assert_eq!(daemon.registry.len(), 1);
         assert!(send(&daemon, "MERGED", "")
-            .status
+            .status()
             .starts_with("DATA generation=1 "));
     }
 
@@ -1416,11 +1586,11 @@ mod tests {
             ("c/meet", "schema meet { X --g--> {Y1,Y2}; }\n"),
         ] {
             let put = send(&daemon, &format!("PUT {member}"), body);
-            assert!(put.status.starts_with("OK"), "{member}: {put:?}");
+            assert!(put.status().starts_with("OK"), "{member}: {put:?}");
         }
         assert!(status(&daemon, "COMPOSE").starts_with("OK"));
         let supergraph = send(&daemon, "SUPERGRAPH", "");
-        assert!(supergraph.status.contains(" hints=4 "), "{supergraph:?}");
+        assert!(supergraph.status().contains(" hints=4 "), "{supergraph:?}");
         let hints: Vec<&str> = block(&supergraph)
             .lines()
             .filter(|line| line.starts_with("hint["))
@@ -1453,10 +1623,262 @@ mod tests {
             );
         }
         let put = send(&daemon, "PUT default/x", "schema x { X --f--> Y; }\n");
-        assert!(put.status.starts_with("OK"), "{put:?}");
+        assert!(put.status().starts_with("OK"), "{put:?}");
         assert!(status(&daemon, "GET x").starts_with("DATA"));
         let compose = status(&daemon, "COMPOSE");
         assert!(compose.contains("registries=1 classes=2"), "{compose}");
+    }
+
+    /// The reply cache's `[hits, misses]` for `verb`.
+    fn lookups(daemon: &Daemon, verb: &str) -> [u64; 2] {
+        let i = CACHED_VERBS.iter().position(|name| *name == verb).unwrap();
+        daemon.metrics.replies[i]
+            .each_ref()
+            .map(|n| n.load(Ordering::Relaxed))
+    }
+
+    impl ReplyCache {
+        /// GET replies kept, over every registry.
+        fn get_entries(&self) -> usize {
+            unpoisoned(&self.get).values().map(HashMap::len).sum()
+        }
+    }
+
+    /// `name`'s GET reply rendered afresh from its registry, bypassing
+    /// the cache.
+    fn rendered_get(daemon: &Daemon, name: &str) -> Response {
+        let (_, routed, member) = daemon.route_member(name).expect("a routable name");
+        render_get(member, &routed.get(member).expect("a live member"))
+    }
+
+    /// MERGED is rendered once per generation: a repeat is the same
+    /// bytes, a PUT moves the generation and the hash, and a no-op PUT
+    /// moves neither, so the kept reply still serves.
+    #[test]
+    fn merged_replies_are_rendered_once_per_generation() {
+        let daemon = daemon();
+        send(&daemon, "PUT alpha", "schema alpha { C --a--> B1; }\n");
+        let first = send(&daemon, "MERGED", "");
+        let second = send(&daemon, "MERGED", "");
+        assert_eq!(first.wire, second.wire);
+        assert!(Arc::ptr_eq(&first.wire, &second.wire), "served as kept");
+        assert_eq!(lookups(&daemon, "merged"), [1, 1]);
+        assert_eq!(first.wire, render_merged(&daemon.registry.merged()).wire);
+
+        send(&daemon, "PUT beta", "schema beta { C --a--> B2; }\n");
+        let third = send(&daemon, "MERGED", "");
+        assert_eq!(lookups(&daemon, "merged"), [1, 2]);
+        let field = |reply: &Response, key: &str| {
+            reply
+                .status()
+                .split(' ')
+                .find_map(|word| word.strip_prefix(key))
+                .unwrap()
+                .to_string()
+        };
+        assert_eq!(
+            (field(&first, "generation="), field(&third, "generation=")),
+            ("1".to_string(), "2".to_string())
+        );
+        assert_ne!(field(&first, "hash="), field(&third, "hash="));
+        assert!(block(&third).contains("{B1,B2}"));
+        assert_eq!(third.wire, render_merged(&daemon.registry.merged()).wire);
+
+        let noop = send(&daemon, "PUT beta", "schema beta { C --a--> B2; }\n");
+        assert!(noop.status().ends_with("strategy=noop"), "{noop:?}");
+        let fourth = send(&daemon, "MERGED", "");
+        assert!(Arc::ptr_eq(&third.wire, &fourth.wire));
+        assert_eq!(lookups(&daemon, "merged"), [2, 2]);
+    }
+
+    /// A GET is kept per member version: a republish, a delete and
+    /// re-publish of the same content, and a detach and re-attach of
+    /// the member's registry are each served as a fresh render would be.
+    #[test]
+    fn get_replies_follow_every_new_version() {
+        let daemon = daemon();
+        let v1 = "schema alpha { C --a--> B1; }\n";
+        send(&daemon, "PUT alpha", v1);
+        let first = send(&daemon, "GET alpha", "");
+        assert!(first.status().starts_with("DATA hash="), "{first:?}");
+        assert!(Arc::ptr_eq(
+            &first.wire,
+            &send(&daemon, "GET alpha", "").wire
+        ));
+        // `default/alpha` names the same member, and shares its entry.
+        assert!(Arc::ptr_eq(
+            &first.wire,
+            &send(&daemon, "GET default/alpha", "").wire
+        ));
+        assert_eq!(lookups(&daemon, "get"), [2, 1]);
+
+        // Other content, then the first again with no GET between: the
+        // kept reply has the current hash, but an older version.
+        let v2 = "schema alpha { C --a--> B2; }\n";
+        send(&daemon, "PUT alpha", v2);
+        send(&daemon, "PUT alpha", v1);
+        let back = send(&daemon, "GET alpha", "");
+        assert!(
+            back.status().ends_with(" sequence=3 generation=3"),
+            "{back:?}"
+        );
+        assert_eq!(block(&back), block(&first));
+
+        send(&daemon, "PUT alpha", v2);
+        let republished = send(&daemon, "GET alpha", "");
+        assert!(republished.status().ends_with(" sequence=4 generation=4"));
+        assert!(block(&republished).contains("C --a--> B2;"));
+        assert_eq!(republished.wire, rendered_get(&daemon, "alpha").wire);
+
+        // Delete, then publish the first content again: the same hash
+        // and sequence as the first version, at a new generation.
+        assert!(status(&daemon, "DELETE alpha").starts_with("OK"));
+        assert_eq!(status(&daemon, "GET alpha"), "ERR no member named `alpha`");
+        send(&daemon, "PUT alpha", v1);
+        let again = send(&daemon, "GET alpha", "");
+        assert!(
+            again.status().ends_with(" sequence=1 generation=6"),
+            "{again:?}"
+        );
+        assert_eq!(block(&again), block(&first));
+        assert_eq!(again.wire, rendered_get(&daemon, "alpha").wire);
+
+        // Detach, re-attach under the same name, and publish there again.
+        assert!(status(&daemon, "ATTACH sales").starts_with("OK"));
+        let orders = "schema orders { Order --item--> C; }\n";
+        send(&daemon, "PUT sales/orders", orders);
+        send(
+            &daemon,
+            "PUT sales/orders",
+            "schema orders { Order --qty--> int; }\n",
+        );
+        let before = send(&daemon, "GET sales/orders", "");
+        assert!(before.status().contains(" sequence=2 "), "{before:?}");
+        assert!(status(&daemon, "DETACH sales").starts_with("OK"));
+        assert!(status(&daemon, "GET sales/orders").starts_with("ERR [E-SG-UNKNOWN]"));
+        assert!(status(&daemon, "ATTACH sales").starts_with("OK"));
+        send(&daemon, "PUT sales/orders", orders);
+        let after = send(&daemon, "GET sales/orders", "");
+        assert!(
+            after.status().ends_with(" sequence=1 generation=1"),
+            "{after:?}"
+        );
+        assert!(block(&after).contains("Order --item--> C;"));
+        assert_eq!(after.wire, rendered_get(&daemon, "sales/orders").wire);
+    }
+
+    /// DELETE and DETACH drop the GET replies they make unreachable, so
+    /// the cache never holds more entries than there are live members.
+    #[test]
+    fn get_entries_never_outnumber_live_members() {
+        let daemon = daemon();
+        assert!(status(&daemon, "ATTACH sales").starts_with("OK"));
+        let members = ["a", "b", "sales/x", "sales/y"];
+        for name in members {
+            let member = name.rsplit('/').next().unwrap();
+            send(
+                &daemon,
+                &format!("PUT {name}"),
+                &format!("schema {member} {{ {member} --f--> T; }}\n"),
+            );
+            send(&daemon, &format!("GET {name}"), "");
+        }
+        assert_eq!(daemon.replies.get_entries(), 4);
+        assert!(status(&daemon, "DELETE a").starts_with("OK"));
+        assert_eq!(daemon.replies.get_entries(), 3);
+        assert!(status(&daemon, "DELETE sales/x").starts_with("OK"));
+        assert_eq!(daemon.replies.get_entries(), 2);
+        assert!(status(&daemon, "DETACH sales").starts_with("OK"));
+        assert_eq!(daemon.replies.get_entries(), 1);
+        assert_eq!(daemon.registry.len(), 1);
+        assert!(status(&daemon, "GET a").starts_with("ERR"));
+        assert_eq!(daemon.replies.get_entries(), 1);
+    }
+
+    /// A reader whose cache lock was poisoned by a panicking thread is
+    /// still served.
+    #[test]
+    fn poisoned_reply_cache_still_serves() {
+        let daemon = daemon();
+        send(&daemon, "PUT alpha", "schema alpha { C --a--> B1; }\n");
+        let merged = send(&daemon, "MERGED", "");
+        let get = send(&daemon, "GET alpha", "");
+        std::thread::scope(|scope| {
+            let merged_lock = scope.spawn(|| {
+                let _guard = daemon.replies.merged.lock();
+                panic!("poisons the MERGED reply lock");
+            });
+            assert!(merged_lock.join().is_err());
+            let get_lock = scope.spawn(|| {
+                let _guard = daemon.replies.get.lock();
+                panic!("poisons the GET reply lock");
+            });
+            assert!(get_lock.join().is_err());
+        });
+        assert!(daemon.replies.merged.is_poisoned() && daemon.replies.get.is_poisoned());
+        assert_eq!(send(&daemon, "MERGED", "").wire, merged.wire);
+        assert_eq!(send(&daemon, "GET alpha", "").wire, get.wire);
+        send(&daemon, "PUT beta", "schema beta { C --a--> B2; }\n");
+        assert!(send(&daemon, "MERGED", "")
+            .status()
+            .starts_with("DATA generation=2 "));
+    }
+
+    /// One thread publishes while two others read MERGED: every reply's
+    /// hash is the view hash of the generation it names, so no reader is
+    /// ever sent a superseded generation's bytes under a newer header,
+    /// or the reverse.
+    #[test]
+    fn merged_replies_under_concurrent_puts_name_their_own_generation() {
+        const PUTS: usize = 24;
+        let daemon = daemon();
+        let body = |i: usize| format!("schema m{i} {{ C --a--> B{i}; D{i} => D; }}\n");
+        let done = AtomicBool::new(false);
+        let start = std::sync::Barrier::new(3);
+        let seen: Vec<(u64, String)> = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut seen = Vec::new();
+                        start.wait();
+                        while !done.load(Ordering::SeqCst) {
+                            let reply = send(&daemon, "MERGED", "");
+                            let words: Vec<&str> = reply.status().split(' ').collect();
+                            let generation = words[1].strip_prefix("generation=").unwrap();
+                            let hash = words[2].strip_prefix("hash=").unwrap();
+                            seen.push((generation.parse().unwrap(), hash.to_string()));
+                        }
+                        seen
+                    })
+                })
+                .collect();
+            start.wait();
+            for i in 0..PUTS {
+                let put = send(&daemon, &format!("PUT m{i}"), &body(i));
+                assert!(put.status().starts_with("OK"), "{put:?}");
+            }
+            done.store(true, Ordering::SeqCst);
+            readers
+                .into_iter()
+                .flat_map(|reader| reader.join().unwrap())
+                .collect()
+        });
+        assert!(!seen.is_empty());
+        let schemas: Vec<WeakSchema> = (0..PUTS)
+            .map(|i| parse_document(&body(i)).unwrap()[0].schema.schema().clone())
+            .collect();
+        let expected: Vec<String> = (0..=PUTS)
+            .map(|g| {
+                let view = Merger::new().schemas(&schemas[..g]).execute().unwrap();
+                format!("{:016x}", view.proper.content_hash())
+            })
+            .collect();
+        for (generation, hash) in &seen {
+            assert_eq!(
+                hash, &expected[*generation as usize],
+                "generation {generation}"
+            );
+        }
     }
 
     /// Two PUTs whose payloads together pass the daemon's PUT budget: the
@@ -1595,7 +2017,7 @@ mod tests {
 
         // The first append fails, its one retry fails too: degraded.
         let put = send(&daemon, "PUT alpha", "schema alpha { C --a--> B1; }\n");
-        assert!(put.status.starts_with("ERR "), "{put:?}");
+        assert!(put.status().starts_with("ERR "), "{put:?}");
         let health = status(&daemon, "HEALTH");
         assert!(
             health.starts_with(
@@ -1638,6 +2060,6 @@ mod tests {
         assert_eq!(sample(metrics, "smerge_storage_retry_total"), "1");
         assert_eq!(sample(metrics, "smerge_fault_injected_total"), "2");
         let put = send(&daemon, "PUT alpha", "schema alpha { C --a--> B1; }\n");
-        assert!(put.status.starts_with("OK "), "{put:?}");
+        assert!(put.status().starts_with("OK "), "{put:?}");
     }
 }

@@ -921,6 +921,8 @@ fn metrics_exposition_parses_and_counts_every_request() {
         &[
             "PUT beta\nschema beta { C --a--> B2; }\n.",
             "GET alpha",
+            "MERGED",
+            "MERGED",
             "COMPOSE",
             "PING",
         ],
@@ -941,6 +943,32 @@ fn metrics_exposition_parses_and_counts_every_request() {
     }
     assert!(monotone > 20, "only {monotone} monotone series checked");
     assert_eq!(second.samples["smerge_registry_generation"], 2.0);
+    // The reply cache: each GET and MERGED is one lookup, a miss for the
+    // first reader of a version or generation and a hit after it.
+    let lookups = |scrape: &Exposition, verb: &str, result: &str| {
+        let series = format!("smerge_reply_cache_total{{verb=\"{verb}\",result=\"{result}\"}}");
+        scrape.samples[&series]
+    };
+    assert_eq!(first.types["smerge_reply_cache_total"], "counter");
+    for (scrape, get, merged) in [
+        (&first, [0.0, 1.0], [0.0, 1.0]),
+        (&second, [1.0, 1.0], [1.0, 2.0]),
+    ] {
+        assert_eq!(
+            [
+                lookups(scrape, "get", "hit"),
+                lookups(scrape, "get", "miss")
+            ],
+            get
+        );
+        assert_eq!(
+            [
+                lookups(scrape, "merged", "hit"),
+                lookups(scrape, "merged", "miss")
+            ],
+            merged
+        );
+    }
     assert_eq!(
         second.samples["smerge_request_seconds_count{verb=\"metrics\"}"],
         1.0

@@ -320,6 +320,11 @@ impl AnnotatedSchemaBuilder {
             .map(|(p, a, q, _)| (p.clone(), a.clone(), q.clone()))
             .collect();
         let schema = WeakSchema::close(self.classes, self.spec, arrows)?;
+        // Only a `0/1` arrow can derive an optional closed arrow: with
+        // none declared, every closed arrow is required.
+        if self.raw.iter().all(|(.., k)| *k == Participation::One) {
+            return Ok(AnnotatedSchema::all_required(schema));
+        }
 
         // Closed participation: join over the raw arrows deriving each
         // closed arrow. `join` of `1` and `0/1` is `1`; it cannot fail.

@@ -279,28 +279,41 @@ impl WeakSchema {
     /// This is the identity of an immutable schema *version* in the
     /// registry (`crates/registry`) and is surfaced by `smerge stats`.
     pub fn content_hash(&self) -> u64 {
+        use std::fmt::Write as _;
         use std::hash::Hasher as _;
         let mut fnv = crate::compile::Fnv::default();
         let item = |fnv: &mut crate::compile::Fnv, text: &str| {
             fnv.write(&(text.len() as u64).to_le_bytes());
             fnv.write(text.as_bytes());
         };
+        // Each class is framed as its `Display` text. A named class's text
+        // is its name; an implicit class's is rendered into one reused
+        // buffer, so hashing allocates nothing per occurrence.
+        let mut rendered = String::new();
+        let mut class_item = |fnv: &mut crate::compile::Fnv, class: &Class| match class {
+            Class::Named(name) => item(fnv, name.as_str()),
+            implicit => {
+                rendered.clear();
+                let _ = write!(rendered, "{implicit}");
+                item(fnv, &rendered);
+            }
+        };
         fnv.write(b"C");
         for class in &self.classes {
-            item(&mut fnv, &class.to_string());
+            class_item(&mut fnv, class);
         }
         fnv.write(b"S");
         for (sub, sups) in &self.supers {
             for sup in sups {
-                item(&mut fnv, &sub.to_string());
-                item(&mut fnv, &sup.to_string());
+                class_item(&mut fnv, sub);
+                class_item(&mut fnv, sup);
             }
         }
         fnv.write(b"E");
         for (src, label, tgt) in self.arrow_triples() {
-            item(&mut fnv, &src.to_string());
+            class_item(&mut fnv, src);
             item(&mut fnv, label.as_str());
-            item(&mut fnv, &tgt.to_string());
+            class_item(&mut fnv, tgt);
         }
         fnv.finish()
     }

@@ -534,3 +534,89 @@ proptest! {
         }
     }
 }
+
+/// The classes the content-hash pin draws from, in a fixed order that
+/// directs every specialization edge (so generated schemas are acyclic):
+/// named classes, meet classes `{A,B}` and union classes `{A|B}`.
+fn hash_pin_classes() -> Vec<Class> {
+    let named = |i: usize| Class::named(NAMES[i]);
+    vec![
+        named(0),
+        Class::implicit([named(0), named(1)]),
+        named(1),
+        Class::implicit_union([named(2), named(3)]),
+        named(2),
+        Class::implicit([named(3), named(4), named(5)]),
+        named(3),
+        Class::implicit_union([named(1), named(6), named(7)]),
+        named(4),
+        named(5),
+    ]
+}
+
+fn hash_pin_schema() -> impl Strategy<Value = WeakSchema> {
+    let n = hash_pin_classes().len();
+    let edge = prop_oneof![
+        (0usize..n, 0usize..n).prop_map(|(i, j)| RawEdge::Spec(i.min(j), i.max(j))),
+        (0usize..n, 0usize..LABELS.len(), 0usize..n).prop_map(|(s, l, t)| RawEdge::Arrow(s, l, t)),
+    ];
+    vec(edge, 0..16).prop_map(|edges| {
+        let classes = hash_pin_classes();
+        let mut builder = WeakSchema::builder();
+        for edge in edges {
+            builder = match edge {
+                RawEdge::Spec(sub, sup) if sub != sup => {
+                    builder.specialize(classes[sub].clone(), classes[sup].clone())
+                }
+                RawEdge::Spec(..) => builder.class(classes[0].clone()),
+                RawEdge::Arrow(s, l, t) => {
+                    builder.arrow(classes[s].clone(), LABELS[l], classes[t].clone())
+                }
+            };
+        }
+        builder.build().expect("order-directed schemas are acyclic")
+    })
+}
+
+/// `WeakSchema::content_hash` as first written: FNV-1a over the
+/// length-framed `to_string` of every class, specialization pair and
+/// arrow triple. WAL records and snapshots carry hashes of this formula,
+/// so the production hash must stay bit-identical to it.
+fn content_hash_by_to_string(g: &WeakSchema) -> u64 {
+    let mut state: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut write = |bytes: &[u8]| {
+        for &b in bytes {
+            state ^= u64::from(b);
+            state = state.wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    let classes = g.classes().map(|c| c.to_string());
+    let specs = g
+        .specialization_pairs()
+        .flat_map(|(sub, sup)| [sub.to_string(), sup.to_string()]);
+    let arrows = g
+        .arrow_triples()
+        .flat_map(|(src, label, tgt)| [src.to_string(), label.to_string(), tgt.to_string()]);
+    let sections: [(&[u8], Vec<String>); 3] = [
+        (b"C", classes.collect()),
+        (b"S", specs.collect()),
+        (b"E", arrows.collect()),
+    ];
+    for (tag, items) in sections {
+        write(tag);
+        for text in items {
+            write(&(text.len() as u64).to_le_bytes());
+            write(text.as_bytes());
+        }
+    }
+    state
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn content_hash_matches_the_to_string_formula(g in hash_pin_schema()) {
+        prop_assert_eq!(g.content_hash(), content_hash_by_to_string(&g));
+    }
+}

@@ -40,7 +40,8 @@ use schema_merge_telemetry as telemetry;
 use crate::cache::{JoinState, Part};
 use crate::error::RegistryError;
 use crate::registry::{
-    member_part, Durability, Metrics, Persistence, Registry, Resilience, Shared,
+    hash_view, member_part, Durability, Metrics, Persistence, Registry, Resilience, Shared,
+    ViewHash,
 };
 use crate::resilience::RetryPolicy;
 use crate::storage::snapshot::SnapshotState;
@@ -172,6 +173,7 @@ impl RegistryBuilder {
                 members: recovered.members,
                 proper: recovered.proper,
                 report: recovered.report,
+                hash: recovered.hash,
                 joins: recovered.joins,
             }),
             durability: Some(Durability::new(&persistence)),
@@ -193,6 +195,8 @@ struct Recovered {
     members: BTreeMap<String, MemberRecord>,
     proper: Arc<ProperSchema>,
     report: Arc<CompletionReport>,
+    /// The view's hash, when recovery verified it against the store.
+    hash: ViewHash,
     joins: Arc<JoinState>,
     snapshot_generation: u64,
     snapshot_bytes: u64,
@@ -359,8 +363,9 @@ fn recover(
     let report = Arc::new(step.report.implicit);
 
     // 4. End-to-end verification against the last committed view hash.
+    let hash = ViewHash::default();
     if let Some(expected) = last_view_hash {
-        let actual = proper.content_hash();
+        let actual = *hash.get_or_init(|| hash_view(&proper));
         if actual != expected {
             return Err(StorageError::corrupt(format!(
                 "recovered view hashes to {actual:#018x}, but the last committed \
@@ -374,6 +379,7 @@ fn recover(
         members,
         proper,
         report,
+        hash,
         joins: Arc::new(step.state),
         snapshot_generation: snapshots.last().copied().unwrap_or(0),
         snapshot_bytes,

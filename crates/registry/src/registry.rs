@@ -53,7 +53,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 use std::time::Instant;
 
 use schema_merge_core::{
@@ -137,13 +137,30 @@ pub struct MergedView {
     pub proper: Arc<ProperSchema>,
     /// Implicit-class provenance from the completion.
     pub report: Arc<CompletionReport>,
+    /// The view's content hash, shared with the registry's installed
+    /// view, so it is computed once per generation.
+    hash: ViewHash,
 }
 
 impl MergedView {
-    /// Canonical content hash of the merged proper schema.
+    /// Canonical content hash of the merged proper schema, computed at
+    /// most once per generation: a durable commit stores the hash its
+    /// WAL record carries, and otherwise the first caller fills it in.
     pub fn hash(&self) -> u64 {
-        self.proper.content_hash()
+        *self.hash.get_or_init(|| hash_view(&self.proper))
     }
+}
+
+/// An installed view's content hash, filled at most once and shared by
+/// every [`MergedView`] of that generation.
+pub(crate) type ViewHash = Arc<OnceLock<u64>>;
+
+/// The content hash of a merged view. Every hash the registry takes of a
+/// view goes through here, so tests can count them.
+pub(crate) fn hash_view(proper: &ProperSchema) -> u64 {
+    #[cfg(test)]
+    tests::VIEW_HASHES.with(|count| count.set(count.get() + 1));
+    proper.content_hash()
 }
 
 /// A coherent snapshot of the registry's pre-completion compiled join —
@@ -168,8 +185,22 @@ pub(crate) struct Shared {
     pub(crate) members: BTreeMap<String, MemberRecord>,
     pub(crate) proper: Arc<ProperSchema>,
     pub(crate) report: Arc<CompletionReport>,
+    /// `proper`'s content hash, once something has asked for it.
+    pub(crate) hash: ViewHash,
     /// The joins the last commit left for the next one to build on.
     pub(crate) joins: Arc<JoinState>,
+}
+
+impl Shared {
+    /// A handle on the installed view.
+    fn view(&self) -> MergedView {
+        MergedView {
+            generation: self.generation,
+            proper: Arc::clone(&self.proper),
+            report: Arc::clone(&self.report),
+            hash: Arc::clone(&self.hash),
+        }
+    }
 }
 
 /// The registry's persistence arm: the pluggable store plus the
@@ -495,6 +526,7 @@ impl Registry {
                 members: BTreeMap::new(),
                 proper: Arc::new(empty),
                 report: Arc::new(CompletionReport::default()),
+                hash: ViewHash::default(),
                 joins: Arc::new(JoinState::default()),
             }),
             lane: Mutex::new(None),
@@ -620,9 +652,12 @@ impl Registry {
         // Durability point: the record is fsync'd before any shared state
         // mutates, so a storage failure rejects the commit with the
         // registry untouched, and a crash after this line replays to
-        // exactly this state.
+        // exactly this state. The view hash the record carries is
+        // installed with the view; an in-memory commit leaves it to the
+        // first reader.
+        let view_hash_cell = OnceLock::new();
         if let Some(p) = lane.persistence.as_mut() {
-            let view_hash = step.report.proper.content_hash();
+            let view_hash = *view_hash_cell.get_or_init(|| hash_view(&step.report.proper));
             let record = match &changed {
                 Some((hash, part)) => WalRecord::Put {
                     generation,
@@ -663,6 +698,7 @@ impl Registry {
             }
             shared.proper = Arc::new(step.report.proper);
             shared.report = Arc::new(step.report.implicit);
+            shared.hash = Arc::new(view_hash_cell);
             shared.joins = Arc::new(step.state);
             shared.members.len()
         };
@@ -682,12 +718,12 @@ impl Registry {
     /// The current merged view (three `Arc` clones; never blocks writers
     /// for longer than that).
     pub fn merged(&self) -> MergedView {
-        let shared = self.shared.read().expect("registry lock");
-        MergedView {
-            generation: shared.generation,
-            proper: Arc::clone(&shared.proper),
-            report: Arc::clone(&shared.report),
-        }
+        self.shared.read().expect("registry lock").view()
+    }
+
+    /// The current generation: the number of commits so far.
+    pub fn generation(&self) -> u64 {
+        self.shared.read().expect("registry lock").generation
     }
 
     /// The compiled pre-completion join of every current member version —
@@ -818,18 +854,17 @@ impl Registry {
     /// releasing the lane, and the counters and histograms are monotone.
     /// All of those are atomics, so this never waits on a writer.
     pub fn stats(&self) -> RegistryStats {
-        let (generation, members, total_versions, proper, report, joins_held) = {
+        let (generation, members, total_versions, view, joins_held) = {
             let shared = self.shared.read().expect("registry lock");
             (
                 shared.generation,
                 shared.members.len(),
                 shared.members.values().map(|r| r.history.len()).sum(),
-                Arc::clone(&shared.proper),
-                Arc::clone(&shared.report),
+                shared.view(),
                 shared.joins.held(),
             )
         };
-        let weak = proper.as_weak();
+        let weak = view.proper.as_weak();
         let metrics = &self.metrics;
         let resilience = &self.resilience;
         let mut stats = RegistryStats {
@@ -839,8 +874,8 @@ impl Registry {
             merged_classes: weak.num_classes(),
             merged_arrows: weak.num_arrows(),
             merged_specializations: weak.num_specializations(),
-            implicit_classes: report.num_implicit(),
-            merged_hash: proper.content_hash(),
+            implicit_classes: view.report.num_implicit(),
+            merged_hash: view.hash(),
             incremental_merges: metrics.incremental.load(Ordering::Relaxed),
             full_merges: metrics.full.load(Ordering::Relaxed),
             noop_puts: metrics.noop.load(Ordering::Relaxed),
@@ -1022,7 +1057,7 @@ impl Registry {
     /// lock, so none waits on the write.
     fn write_snapshot(&self, p: &mut Persistence) -> Result<u64, StorageError> {
         let shared = self.shared.read().expect("registry lock");
-        let view_hash = shared.proper.content_hash();
+        let view_hash = *shared.hash.get_or_init(|| hash_view(&shared.proper));
         p.write_snapshot(&shared.members, shared.generation, view_hash)
     }
 }
@@ -1052,7 +1087,17 @@ mod tests {
     use super::*;
     use crate::storage::{FaultSchedule, FaultStore, MemoryStore, OpKind};
     use schema_merge_core::Merger;
+    use std::cell::Cell;
     use std::time::Duration;
+
+    thread_local! {
+        /// View hashes [`hash_view`] computed on this thread.
+        pub(super) static VIEW_HASHES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn view_hashes() -> u64 {
+        VIEW_HASHES.with(Cell::get)
+    }
 
     fn schema(src: &str, label: &str, tgt: &str) -> WeakSchema {
         WeakSchema::builder()
@@ -1212,6 +1257,46 @@ mod tests {
         let stats = registry.stats();
         assert_eq!(stats.implicit_classes, 1);
         assert_eq!(stats.merged_hash, view.hash());
+    }
+
+    /// A durable commit hashes its view once, for the WAL record, and
+    /// every later reader of that generation reads the stored hash; an
+    /// in-memory commit hashes nothing until the first reader asks.
+    #[test]
+    fn each_view_is_hashed_once() {
+        let durable = Registry::builder()
+            .store(MemoryStore::new())
+            .snapshot_every(2)
+            .open()
+            .unwrap();
+        for (i, member) in ["a", "b", "c"].into_iter().enumerate() {
+            let before = view_hashes();
+            durable.put(member, schema(member, "x", "T")).unwrap();
+            // The second commit's auto-snapshot reuses the stored hash.
+            assert_eq!(view_hashes() - before, 1, "commit {i}");
+            let before = view_hashes();
+            let stats = durable.stats();
+            let view = durable.merged();
+            assert_eq!(stats.merged_hash, view.hash());
+            assert_eq!(view_hashes(), before, "reads after commit {i}");
+            assert_eq!(view.hash(), view.proper.content_hash());
+        }
+        assert_eq!(durable.stats().snapshots_written, 1);
+        durable.delete("a").unwrap();
+        let before = view_hashes();
+        durable.snapshot().unwrap();
+        assert_eq!(durable.merged().hash(), durable.stats().merged_hash);
+        assert_eq!(view_hashes(), before);
+
+        let memory = Registry::new();
+        let before = view_hashes();
+        memory.put("a", schema("A", "x", "T")).unwrap();
+        memory.put("b", schema("B", "y", "U")).unwrap();
+        assert_eq!(view_hashes(), before, "in-memory commits hash nothing");
+        let hash = memory.merged().hash();
+        assert_eq!(memory.stats().merged_hash, hash);
+        assert_eq!(memory.merged().hash(), hash);
+        assert_eq!(view_hashes() - before, 1, "the first reader hashes once");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
 use schema_merge_core::compose::ComposeProvenance;
@@ -110,6 +110,8 @@ pub struct ComposedView {
     pub strategy: MergeStrategy,
     /// Each composed registry's member versions, aligned with `members`.
     versions: Vec<Arc<Vec<(String, SchemaVersion)>>>,
+    /// The composed schema's content hash, once something has asked.
+    hash: OnceLock<u64>,
 }
 
 impl ComposedView {
@@ -118,9 +120,10 @@ impl ComposedView {
         &self.report.proper
     }
 
-    /// Canonical content hash of the composed proper schema.
+    /// Canonical content hash of the composed proper schema, computed
+    /// by the first caller and stored with the view.
     pub fn hash(&self) -> u64 {
-        self.report.proper.content_hash()
+        *self.hash.get_or_init(|| self.report.proper.content_hash())
     }
 
     /// Cross-registry provenance: which `registry/member@vN` origins
@@ -457,6 +460,7 @@ impl Supergraph {
             report: Arc::new(report),
             strategy,
             versions: states.iter().map(|s| Arc::clone(&s.members)).collect(),
+            hash: OnceLock::new(),
         });
         {
             let mut shared = self.shared.write().expect("supergraph lock");
@@ -525,6 +529,7 @@ fn empty_view() -> Arc<ComposedView> {
         report: Arc::new(report),
         strategy: MergeStrategy::Full,
         versions: Vec::new(),
+        hash: OnceLock::new(),
     })
 }
 

@@ -31,7 +31,7 @@ pub mod token;
 pub use dot::{to_dot, DotOptions};
 pub use instance::{parse_instance, parse_instances, print_instance, NamedInstance};
 pub use parse::{parse_document, parse_schema, NamedSchema, ParseError};
-pub use print::{print_document, print_schema, render_ascii};
+pub use print::{print_document, print_schema, print_weak, render_ascii};
 pub use protocol::{
     encode_block, parse_status_line, status_line, BlockCollector, Command, ProtocolError, Status,
 };

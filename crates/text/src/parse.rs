@@ -96,10 +96,16 @@ impl Parser {
             .unwrap_or(1)
     }
 
+    /// Takes the current token's kind and moves past it. The parser
+    /// never looks back, so the kind is moved out, not cloned; the token
+    /// keeps its line for diagnostics.
     pub(crate) fn advance(&mut self) -> Option<TokenKind> {
-        let token = self.tokens.get(self.position).cloned();
+        let kind = self
+            .tokens
+            .get_mut(self.position)
+            .map(|token| std::mem::replace(&mut token.kind, TokenKind::Semi));
         self.position += 1;
-        token.map(|t| t.kind)
+        kind
     }
 
     pub(crate) fn unexpected(&self, expected: &str) -> ParseError {

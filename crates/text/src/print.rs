@@ -3,51 +3,95 @@
 
 use std::fmt::Write as _;
 
-use schema_merge_core::{Class, Participation};
+use schema_merge_core::{Class, Label, Participation, WeakSchema};
 
 use crate::parse::NamedSchema;
 
-fn class_token(class: &Class) -> String {
-    // `Class`'s Display already uses the DSL's `{A,B}` / `{A|B}` syntax.
-    class.to_string()
+/// Appends `class` in the DSL's syntax: a named class is its name, and
+/// `Class`'s `Display` already writes implicit classes as `{A,B}` /
+/// `{A|B}`.
+fn push_class(out: &mut String, class: &Class) {
+    match class {
+        Class::Named(name) => out.push_str(name.as_str()),
+        implicit => {
+            let _ = write!(out, "{implicit}");
+        }
+    }
+}
+
+/// Writes the head and the body of the canonical document for `schema`
+/// named `name` — every line up to its keys — marking with `?` each
+/// arrow that `optional` holds for. The caller writes the keys and the
+/// closing brace.
+fn write_body(
+    out: &mut String,
+    name: &str,
+    schema: &WeakSchema,
+    optional: impl Fn(&Class, &Label, &Class) -> bool,
+) {
+    out.push_str("schema ");
+    out.push_str(name);
+    out.push_str(" {\n");
+    for class in schema.classes() {
+        out.push_str("    class ");
+        push_class(out, class);
+        out.push_str(";\n");
+    }
+    for (sub, sup) in schema.specialization_pairs() {
+        out.push_str("    ");
+        push_class(out, sub);
+        out.push_str(" => ");
+        push_class(out, sup);
+        out.push_str(";\n");
+    }
+    for (src, label, tgt) in schema.arrow_triples() {
+        out.push_str("    ");
+        push_class(out, src);
+        out.push_str(" --");
+        out.push_str(label.as_str());
+        if optional(src, label, tgt) {
+            out.push('?');
+        }
+        out.push_str("--> ");
+        push_class(out, tgt);
+        out.push_str(";\n");
+    }
 }
 
 /// Prints one schema in canonical DSL form. The output parses back to an
 /// equal [`NamedSchema`].
 pub fn print_schema(doc: &NamedSchema) -> String {
     let mut out = String::new();
-    let schema = doc.schema.schema();
-    let _ = writeln!(out, "schema {} {{", doc.name);
-    for class in schema.classes() {
-        let _ = writeln!(out, "    class {};", class_token(class));
-    }
-    for (sub, sup) in schema.specialization_pairs() {
-        let _ = writeln!(out, "    {} => {};", class_token(sub), class_token(sup));
-    }
-    for (src, label, tgt) in schema.arrow_triples() {
-        let marker = match doc.schema.participation(src, label, tgt) {
-            Participation::One => "",
-            _ => "?",
-        };
-        let _ = writeln!(
-            out,
-            "    {} --{label}{marker}--> {};",
-            class_token(src),
-            class_token(tgt)
-        );
-    }
+    let annotated = &doc.schema;
+    // Without optional edges every arrow is required: skip the lookup.
+    let any_optional = annotated.optional_edges().next().is_some();
+    write_body(
+        &mut out,
+        &doc.name,
+        annotated.schema(),
+        |src, label, tgt| {
+            any_optional && annotated.participation(src, label, tgt) != Participation::One
+        },
+    );
     for class in doc.keys.keyed_classes() {
         for key in doc.keys.family(class).minimal_keys() {
-            let labels: Vec<String> = key.labels().map(|l| l.to_string()).collect();
-            let _ = writeln!(
-                out,
-                "    key {} {{{}}};",
-                class_token(class),
-                labels.join(", ")
-            );
+            let labels: Vec<&str> = key.labels().map(Label::as_str).collect();
+            out.push_str("    key ");
+            push_class(&mut out, class);
+            let _ = writeln!(out, " {{{}}};", labels.join(", "));
         }
     }
-    let _ = writeln!(out, "}}");
+    out.push_str("}\n");
+    out
+}
+
+/// Prints a plain schema — every arrow required, no keys — in canonical
+/// DSL form under `name`. Byte for byte the [`print_schema`] of the
+/// schema annotated all-required, without copying it into one.
+pub fn print_weak(name: &str, schema: &WeakSchema) -> String {
+    let mut out = String::new();
+    write_body(&mut out, name, schema, |_, _, _| false);
+    out.push_str("}\n");
     out
 }
 
@@ -94,6 +138,7 @@ pub fn render_ascii(doc: &NamedSchema) -> String {
 mod tests {
     use super::*;
     use crate::parse::{parse_document, parse_schema};
+    use schema_merge_core::{AnnotatedSchema, KeyAssignment};
 
     const DOGS: &str = "schema Dogs {\n\
         Guide-dog => Dog;\n\
@@ -138,6 +183,75 @@ mod tests {
         assert!(text.contains(".age : int"));
         assert!(text.contains(".occ? : Dog"));
         assert!(text.contains("keys {{age}}"));
+    }
+
+    /// Documents over named, meet and union classes, with optional
+    /// arrows and keys, drawn from a fixed seed.
+    fn generated_documents() -> Vec<String> {
+        const CLASSES: [&str; 7] = ["A", "B", "C", "D", "{A,B}", "{C|D}", "{A,B,C}"];
+        const LABELS: [&str; 3] = ["f", "g", "h"];
+        let mut seed: u64 = 0x5eed;
+        let mut next = |bound: usize| {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (seed >> 33) as usize % bound
+        };
+        (0..64)
+            .map(|i| {
+                let mut doc = format!("schema S{i} {{\n");
+                for _ in 0..next(10) {
+                    let (a, b) = (next(CLASSES.len()), next(CLASSES.len()));
+                    let label = LABELS[next(LABELS.len())];
+                    match next(4) {
+                        // Specializations run down the list, so none cycle.
+                        0 if a != b => {
+                            doc += &format!("{} => {};\n", CLASSES[a.min(b)], CLASSES[a.max(b)]);
+                        }
+                        1 => doc += &format!("{} --{label}?--> {};\n", CLASSES[a], CLASSES[b]),
+                        2 => {
+                            doc += &format!("{} --{label}--> {};\n", CLASSES[a], CLASSES[b]);
+                            doc += &format!("key {} {{{label}}};\n", CLASSES[a]);
+                        }
+                        _ => doc += &format!("{} --{label}--> {};\n", CLASSES[a], CLASSES[b]),
+                    }
+                }
+                doc + "}\n"
+            })
+            .collect()
+    }
+
+    #[test]
+    fn generated_documents_round_trip() {
+        let mut optional = 0;
+        let mut keyed = 0;
+        for source in generated_documents() {
+            let doc = parse_schema(&source).unwrap_or_else(|err| panic!("{source}: {err}"));
+            optional += usize::from(doc.schema.optional_edges().next().is_some());
+            keyed += usize::from(doc.keys.keyed_classes().next().is_some());
+            let printed = print_schema(&doc);
+            assert_eq!(parse_schema(&printed).unwrap(), doc, "{source}");
+        }
+        assert!(
+            optional > 10 && keyed > 10,
+            "{optional} optional, {keyed} keyed"
+        );
+    }
+
+    #[test]
+    fn print_weak_is_print_schema_all_required() {
+        let mut sources = generated_documents();
+        sources.push(DOGS.to_string());
+        for source in sources {
+            let doc = parse_schema(&source).unwrap();
+            let weak = doc.schema.schema();
+            let all_required = NamedSchema {
+                name: doc.name.clone(),
+                schema: AnnotatedSchema::all_required(weak.clone()),
+                keys: KeyAssignment::new(),
+            };
+            assert_eq!(print_weak(&doc.name, weak), print_schema(&all_required));
+        }
     }
 
     #[test]
