@@ -1,6 +1,6 @@
 //! Across every `workload` generator family, **every plan configuration
-//! of the `Merger` façade** — compiled (the default) and
-//! compiled-onto-base at every split of the inputs — agrees with the
+//! of the `Merger` façade** — compiled, and compiled onto a cached base
+//! at every split of the inputs — agrees with the
 //! symbolic `reference` merge:
 //! equal weak joins, equal proper schemas and reports, and (the weaker
 //! public contract) alpha-isomorphism modulo implicit-class naming — and

@@ -75,6 +75,15 @@ impl std::hash::Hasher for Fnv {
 /// A `HashMap` with the cheap FNV hasher.
 pub(crate) type FastMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<Fnv>>;
 
+/// Symbol → id lookup for a symbol table (ids are table indices).
+fn ids_of<T: std::hash::Hash + Eq>(table: &[T]) -> FastMap<&T, u32> {
+    table
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (s, i as u32))
+        .collect()
+}
+
 // ---------------------------------------------------------------------------
 // Row primitives
 // ---------------------------------------------------------------------------
@@ -132,16 +141,7 @@ impl CompiledSchema {
         let labels: Vec<Label> = schema.all_labels().into_iter().collect();
         let n = classes.len();
         let words = n.div_ceil(64);
-        let cid: FastMap<&Class, u32> = classes
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c, i as u32))
-            .collect();
-        let lid: FastMap<&Label, u32> = labels
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (l, i as u32))
-            .collect();
+        let (cid, lid) = (ids_of(&classes), ids_of(&labels));
 
         // Each class's closed super set arrives sorted (`BTreeSet`
         // iteration order is `Class` order, which is id order), so rows
@@ -556,16 +556,7 @@ impl RawDense {
             direct,
             raw_arrows,
         } = self;
-        let cid: FastMap<&Class, u32> = classes
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c, i as u32))
-            .collect();
-        let lid: FastMap<&Label, u32> = labels
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (l, i as u32))
-            .collect();
+        let (cid, lid) = (ids_of(classes), ids_of(labels));
         scratch::with_pool(|pool| {
             for schema in schemas {
                 for (sub, sups) in &schema.supers {
@@ -587,6 +578,38 @@ impl RawDense {
                 }
             }
         });
+    }
+
+    /// Adds the closed relations of compiled input `cs` over these
+    /// tables' ids, through its old-id → new-id maps `cmap` and `lmap`
+    /// (see [`remap`]). The closed rows feed in as direct edges and the
+    /// CSR runs become per-label rows. The remap is monotone, so ids
+    /// re-enter ascending and an empty sparse row fills append-only; when
+    /// the class map is the identity (no other input brings a class
+    /// sorting before one of `cs`) a closed row is OR-ed in whole.
+    fn transfer(&mut self, cs: &CompiledSchema, cmap: &[u32], lmap: &[u32]) {
+        let words = self.words();
+        let ids_stable = cmap.iter().enumerate().all(|(i, &m)| i as u32 == m);
+        for p in 0..cs.classes.len() as u32 {
+            let np = cmap[p as usize];
+            let row = self.direct.row_mut(np);
+            if ids_stable {
+                row.or_row(cs.supers.row(p));
+            } else {
+                for q in cs.supers.row(p).iter() {
+                    row.set(cmap[q as usize]);
+                }
+            }
+            let by_label = &mut self.raw_arrows[np as usize];
+            for (label, (start, end)) in cs.pairs_of(p) {
+                let bits = by_label
+                    .entry(lmap[label as usize])
+                    .or_insert_with(|| SpecRow::empty(words));
+                for &t in &cs.targets[start as usize..end as usize] {
+                    bits.set(cmap[t as usize]);
+                }
+            }
+        }
     }
 }
 
@@ -806,18 +829,7 @@ pub(crate) fn close_ids(
     let label_vec: Vec<Label> = labels.into_iter().collect();
     let mut parts = RawDense::new(class_vec, label_vec);
     let words = parts.words();
-    let cid: FastMap<&Class, u32> = parts
-        .classes
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (c, i as u32))
-        .collect();
-    let lid: FastMap<&Label, u32> = parts
-        .labels
-        .iter()
-        .enumerate()
-        .map(|(i, l)| (l, i as u32))
-        .collect();
+    let (cid, lid) = (ids_of(&parts.classes), ids_of(&parts.labels));
 
     for (sub, sups) in &spec_edges {
         let p = cid[sub];
@@ -880,31 +892,70 @@ fn merge_sorted<'a, T: Ord + ?Sized>(
     out
 }
 
-/// Joins `schemas` entirely in id space — the join stage of the compiled
-/// engine. The symbolic join is never materialized; callers that need it
-/// decompile the result.
+/// Joins `compiled` and `symbolic` inputs entirely in id space — the join
+/// stage of the compiled engine. The symbolic join is never
+/// materialized; callers that need it decompile the result.
 ///
 /// The class/label tables are built first (sorted unions of the inputs'
-/// already-sorted tables — cheaper than per-insert set building), then
-/// every input is interned against them into one [`RawDense`], and one
-/// closure pass finishes the job.
-pub(crate) fn join_compiled_ids(schemas: &[&WeakSchema]) -> Result<CompiledSchema, SchemaError> {
-    let mut merged: Vec<&Class> = Vec::new();
-    for schema in schemas {
-        merged = merge_sorted(&merged, schema.classes());
+/// already-sorted tables — cheaper than per-insert set building). Each
+/// compiled input then transfers its closed rows and CSR arrows through
+/// an old-id → new-id remap ([`RawDense::transfer`]), each symbolic input
+/// is interned against the tables ([`RawDense::intern_all`]), and one
+/// closure pass finishes the job. A compiled input is already a join, so
+/// it pays no interning walk: the registry's incremental re-merge passes
+/// its held join first (a pure row copy whenever the other inputs bring
+/// no symbol sorting before an existing one), and a supergraph compose
+/// passes its registries' joins as they are. The inputs enter as closed
+/// relations, and a union of closed relations re-closes to the same
+/// result, so the split between compiled and symbolic never changes it.
+pub(crate) fn join_ids(
+    compiled: &[&CompiledSchema],
+    symbolic: &[&WeakSchema],
+) -> Result<CompiledSchema, SchemaError> {
+    let mut classes: Vec<&Class> = Vec::new();
+    let mut labels: Vec<&Label> = Vec::new();
+    for cs in compiled {
+        classes = merge_sorted(&classes, cs.classes.iter());
+        labels = merge_sorted(&labels, cs.labels.iter());
     }
-    let mut labels: BTreeSet<&Label> = BTreeSet::new();
-    for schema in schemas {
+    for schema in symbolic {
+        classes = merge_sorted(&classes, schema.classes());
+    }
+    let mut symbolic_labels: BTreeSet<&Label> = BTreeSet::new();
+    for schema in symbolic {
         for by_label in schema.arrows.values() {
-            labels.extend(by_label.keys());
+            symbolic_labels.extend(by_label.keys());
         }
     }
-    let class_vec: Vec<Class> = merged.into_iter().cloned().collect();
-    let label_vec: Vec<Label> = labels.into_iter().cloned().collect();
+    let labels = merge_sorted(&labels, symbolic_labels.into_iter());
 
+    let maps: Vec<(Vec<u32>, Vec<u32>)> = compiled
+        .iter()
+        .map(|cs| (remap(&cs.classes, &classes), remap(&cs.labels, &labels)))
+        .collect();
+    let class_vec: Vec<Class> = classes.into_iter().cloned().collect();
+    let label_vec: Vec<Label> = labels.into_iter().cloned().collect();
     let mut parts = RawDense::new(class_vec, label_vec);
-    parts.intern_all(schemas);
+    for (cs, (cmap, lmap)) in compiled.iter().zip(&maps) {
+        parts.transfer(cs, cmap, lmap);
+    }
+    parts.intern_all(symbolic);
     Ok(compile_dense(parts)?)
+}
+
+/// Old-id → new-id map of a sorted symbol table into a sorted union that
+/// contains every one of its symbols, by a linear co-walk.
+fn remap<T: Ord>(old: &[T], merged: &[&T]) -> Vec<u32> {
+    let mut map = Vec::with_capacity(old.len());
+    let mut j = 0usize;
+    for symbol in old {
+        while merged[j] != symbol {
+            j += 1;
+        }
+        map.push(j as u32);
+        j += 1;
+    }
+    map
 }
 
 /// Builds the canonical-class view of a proper schema in id space: for
@@ -951,97 +1002,6 @@ pub(crate) fn canonical_map(
         }
     }
     Ok(canonical)
-}
-
-/// Joins `extras` onto an already-compiled join result without walking
-/// the base symbolically: the base's class/label tables, closed bit rows
-/// and CSR arrows transfer through an old-id → new-id remap (pure row
-/// copies when the extras introduce no symbol sorting before an existing
-/// one), and only the extras pay the symbolic interning walk.
-///
-/// This is the *cross-generation interner reuse* behind the registry's
-/// incremental re-merge: the cached join of the unchanged members enters
-/// the next join as a compiled artifact, so a publish pays interning
-/// proportional to the changed member, not the whole member set. The
-/// result is identical to [`join_compiled_ids`] over the base's decompiled
-/// form plus the extras — both feed the same closed relations into the
-/// same closure engine.
-pub(crate) fn join_onto_compiled(
-    base: &CompiledSchema,
-    extras: &[&WeakSchema],
-) -> Result<CompiledSchema, SchemaError> {
-    // Merged symbol tables: sorted unions of the base tables (already
-    // sorted) and the extras' symbols.
-    let mut merged_classes: Vec<&Class> = base.classes.iter().collect();
-    for schema in extras {
-        merged_classes = merge_sorted(&merged_classes, schema.classes());
-    }
-    let mut merged_labels: Vec<&Label> = base.labels.iter().collect();
-    for schema in extras {
-        let mut extra: BTreeSet<&Label> = BTreeSet::new();
-        for by_label in schema.arrows.values() {
-            extra.extend(by_label.keys());
-        }
-        merged_labels = merge_sorted(&merged_labels, extra.into_iter());
-    }
-
-    // Old-id → new-id maps by a linear co-walk (both tables sorted; every
-    // base symbol survives into the union).
-    fn remap<T: Ord>(old: &[T], merged: &[&T]) -> Vec<u32> {
-        let mut map = Vec::with_capacity(old.len());
-        let mut j = 0usize;
-        for symbol in old {
-            while merged[j] != symbol {
-                j += 1;
-            }
-            map.push(j as u32);
-            j += 1;
-        }
-        map
-    }
-    let cmap = remap(&base.classes, &merged_classes);
-    let lmap = remap(&base.labels, &merged_labels);
-    // Identity iff no extra symbol sorts before an existing one (in
-    // particular whenever the extras' symbols all already exist — the
-    // steady-state registry publish).
-    let ids_stable = cmap.iter().enumerate().all(|(i, &m)| i as u32 == m);
-
-    let class_vec: Vec<Class> = merged_classes.into_iter().cloned().collect();
-    let label_vec: Vec<Label> = merged_labels.into_iter().cloned().collect();
-    let mut parts = RawDense::new(class_vec, label_vec);
-    let words = parts.words();
-
-    // Base specializations: the closed rows feed in as direct edges (a
-    // union of closed relations re-closes to the same result). The
-    // seeded rows are empty, so OR-ing a base row in is a copy; under a
-    // remap the ids re-enter ascending (the remap is monotone), keeping
-    // sparse accumulation append-only.
-    for p in 0..base.classes.len() as u32 {
-        if ids_stable {
-            parts.direct.row_mut(p).or_row(base.supers.row(p));
-        } else {
-            let row = parts.direct.row_mut(cmap[p as usize]);
-            for q in base.supers.row(p).iter() {
-                row.set(cmap[q as usize]);
-            }
-        }
-    }
-    // Base arrows: CSR runs become per-label rows under the remap (the
-    // CSR targets are ascending, so these build append-only too).
-    for p in 0..base.classes.len() as u32 {
-        let np = if ids_stable { p } else { cmap[p as usize] };
-        let row = &mut parts.raw_arrows[np as usize];
-        for (label, (start, end)) in base.pairs_of(p) {
-            let mut bits = SpecRow::empty(words);
-            for &t in &base.targets[start as usize..end as usize] {
-                bits.set(if ids_stable { t } else { cmap[t as usize] });
-            }
-            row.insert(lmap[label as usize], bits);
-        }
-    }
-
-    parts.intern_all(extras);
-    Ok(compile_dense(parts)?)
 }
 
 /// Builds the completed schema `(C̄, Ē, S̄)` in id space — the compiled

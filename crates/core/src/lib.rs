@@ -39,11 +39,12 @@
 //! Internally every hot path runs on the **compiled schema core**
 //! ([`compile`]): classes and labels are interned to dense `u32` ids,
 //! the specialization closure lives in bitset rows and arrows in CSR
-//! adjacency. Planning picks the engine — the compiled id-space
-//! pipeline, which runs on the calling thread; the same
-//! pipeline joining onto a cached base; or the retained symbolic
-//! algorithms of [`reference`](mod@crate::reference) for differential
-//! testing — and all engines produce equal results.
+//! adjacency. An upper merge runs the compiled id-space pipeline on the
+//! calling thread: one join over any mix of symbolic schemas (interned)
+//! and cached compiled joins (remapped, never decompiled), then the
+//! id-space completion. The retained symbolic algorithms of
+//! [`reference`](mod@crate::reference) are kept for differential testing,
+//! and every path produces equal results.
 //!
 //! ## Quick example
 //!

@@ -33,20 +33,21 @@
 //! Planning derives the [`PlannedEngine`] that runs from the inputs and
 //! the mode; there is nothing to choose:
 //!
-//! * **`Compiled`** (upper mode) — inputs are interned into dense ids
-//!   against one shared interner, joined, and completed through the
-//!   `Imp` fixpoint, end to end in id space ([`crate::compile`]) and on
-//!   the calling thread.
-//! * **`CompiledOntoBase`** — the same engine when [`Merger::onto_base`]
-//!   supplies a cached [`CompiledSchema`]: the base is transferred in id
-//!   space and only the extra inputs are interned (the registry's
-//!   incremental re-merge shape).
+//! * **`Compiled`** (upper mode) — one id-space join over every input,
+//!   then completion through the `Imp` fixpoint, end to end in id space
+//!   ([`crate::compile`]) and on the calling thread. Symbolic inputs are
+//!   interned against one shared symbol table; compiled inputs
+//!   ([`Merger::onto_base`], any number) are already joins and transfer
+//!   their closed rows through an id remap, so a cached join — the
+//!   registry's held base, a registry's join in a supergraph compose —
+//!   is never walked symbolically.
 //! * **`Symbolic`** — every lower-mode plan: the §6 pipeline has no
 //!   compiled variant.
 //!
-//! The two upper-mode engines produce results **equal** to the symbolic
-//! reference algorithms of [`crate::reference`], which the differential
-//! suites property-test per workload family.
+//! The compiled engine produces results **equal** to the symbolic
+//! reference algorithms of [`crate::reference`] however its inputs are
+//! split between compiled and symbolic, which the differential suites
+//! property-test per workload family.
 //!
 //! ## Modes
 //!
@@ -82,13 +83,11 @@ pub enum PlannedEngine {
     /// The symbolic §6 lower pipeline ([`crate::lower`]); every lower
     /// plan resolves here.
     Symbolic,
-    /// The id-space engine ([`crate::compile`]): every input interned
-    /// against one shared interner, one closure pass, then the id-space
-    /// completion. It never materializes the symbolic join
-    /// ([`MergeReport::weak`] decompiles it on demand).
+    /// The id-space engine ([`crate::compile`]): symbolic inputs
+    /// interned and compiled inputs remapped into one symbol table, one
+    /// closure pass, then the id-space completion. It never materializes
+    /// the symbolic join ([`MergeReport::weak`] decompiles it on demand).
     Compiled,
-    /// Compiled engine joining extras onto a cached compiled base.
-    CompiledOntoBase,
 }
 
 impl PlannedEngine {
@@ -97,7 +96,6 @@ impl PlannedEngine {
         match self {
             PlannedEngine::Symbolic => "symbolic",
             PlannedEngine::Compiled => "compiled",
-            PlannedEngine::CompiledOntoBase => "compiled-onto-base",
         }
     }
 }
@@ -198,9 +196,12 @@ pub struct MergePlan {
     pub num_inputs: usize,
     /// Number of user assertions (elementary schemas).
     pub num_assertions: usize,
-    /// Whether a cached compiled base is reused.
+    /// Whether the compiled join reuses cached compiled inputs
+    /// ([`Merger::onto_base`]) without walking them symbolically. False
+    /// in lower mode and with annotated inputs, whose symbolic joins
+    /// decompile them.
     pub reuses_base: bool,
-    /// Classes carried by the reused base (0 without one).
+    /// Classes carried by the compiled inputs, summed (0 without one).
     pub base_classes: usize,
     /// Upper bound on the classes the join must consider (sum over
     /// inputs and base — the merged schema can only be smaller).
@@ -456,9 +457,9 @@ pub struct MergeReport {
     pub diagnostics: Vec<Diagnostic>,
     /// The compiled form of the weak join, when the compiled engine ran
     /// a join — the interner a later incremental merge (or the
-    /// registry's held joins) can build on. `None` when a cached base
-    /// was completed with nothing joined onto it: the base itself is the
-    /// join, and the caller already holds it.
+    /// registry's held joins) can build on. `None` when a lone cached
+    /// base was completed with nothing joined onto it: the base itself is
+    /// the join, and the caller already holds it.
     pub compiled: Option<CompiledSchema>,
     /// The phase-level execution trace — present only when the merge
     /// ran with [`Merger::trace`] enabled. Purely observational: every
@@ -645,7 +646,8 @@ impl Ann<'_> {
 pub struct Merger<'a> {
     inputs: Vec<Input<'a>>,
     assertions: Vec<Assertion>,
-    base: Option<&'a CompiledSchema>,
+    /// Compiled inputs, in the order added.
+    bases: Vec<&'a CompiledSchema>,
     consistency: Option<&'a ConsistencyRelation>,
     keys: Vec<(Class, SuperkeyFamily)>,
     lower: bool,
@@ -755,13 +757,16 @@ impl<'a> Merger<'a> {
         self
     }
 
-    /// Reuses a cached compiled join as the base of this merge: the base
-    /// is transferred in id space and only the other inputs are interned
-    /// (the registry's incremental re-merge, [`crate::MergeSession`]'s
-    /// accumulation). `base` must be the compiled form of a closed weak
-    /// schema, as produced by an earlier compiled join.
+    /// Adds one compiled input: a cached compiled join, transferred in
+    /// id space rather than interned (the registry's incremental
+    /// re-merge, a supergraph compose of registry joins,
+    /// [`crate::MergeSession`]'s accumulation). Repeatable; the first
+    /// call's base keeps its ids whenever the other inputs bring no
+    /// class sorting before one of its own, so the transfer is a row
+    /// copy. `base` must be the compiled form of a closed weak schema,
+    /// as produced by an earlier compiled join.
     pub fn onto_base(mut self, base: &'a CompiledSchema) -> Self {
-        self.base = Some(base);
+        self.bases.push(base);
         self
     }
 
@@ -831,26 +836,35 @@ impl<'a> Merger<'a> {
                 }
             }
         }
-        let base_classes = self.base.map_or(0, CompiledSchema::num_classes);
+        let mut base_classes = 0;
+        for base in &self.bases {
+            base_classes += base.num_classes();
+            estimated_arrows += base.num_arrows();
+            estimated_spec_pairs += base.num_specializations();
+            estimated_arrow_pairs += base.num_arrow_pairs();
+        }
         estimated_classes += base_classes;
-        estimated_arrows += self.base.map_or(0, CompiledSchema::num_arrows);
-        estimated_spec_pairs += self.base.map_or(0, CompiledSchema::num_specializations);
-        estimated_arrow_pairs += self.base.map_or(0, CompiledSchema::num_arrow_pairs);
 
         let mut plan = MergePlan {
             mode,
-            engine: self.resolved_engine(),
+            engine: if self.lower {
+                // The lower pipeline is a symbolic fixpoint (§6); no
+                // compiled variant exists yet.
+                PlannedEngine::Symbolic
+            } else {
+                PlannedEngine::Compiled
+            },
             passes: Vec::new(),
             num_inputs: self.inputs.len(),
             num_assertions: self.assertions.len(),
-            reuses_base: self.base.is_some(),
+            reuses_base: !self.bases.is_empty() && !self.lower && !self.has_annotated(),
             base_classes,
             estimated_classes,
             estimated_arrows,
             estimated_spec_pairs,
             estimated_arrow_pairs,
         };
-        if !self.is_base_only(plan.engine) {
+        if !self.is_base_only() {
             plan.passes.push(MergePass::Join);
         }
         match mode {
@@ -934,25 +948,12 @@ impl<'a> Merger<'a> {
             .any(|input| matches!(input.kind, InputKind::Annotated(_)))
     }
 
-    fn resolved_engine(&self) -> PlannedEngine {
-        if self.lower {
-            // The lower pipeline is a symbolic fixpoint (§6); no compiled
-            // variant exists yet.
-            PlannedEngine::Symbolic
-        } else if self.base.is_some() && !self.has_annotated() {
-            PlannedEngine::CompiledOntoBase
-        } else {
-            PlannedEngine::Compiled
-        }
-    }
-
-    /// Whether the plan completes a cached base with nothing joined onto
-    /// it — the registry's delete path, a session's `merged()`. The join
-    /// pass (and the copy it would make of the base) is skipped.
-    fn is_base_only(&self, engine: PlannedEngine) -> bool {
-        engine == PlannedEngine::CompiledOntoBase
-            && self.inputs.is_empty()
-            && self.assertions.is_empty()
+    /// Whether the plan completes a lone compiled input with nothing
+    /// joined onto it — the registry's delete path, a supergraph of one
+    /// registry, a session's `merged()`. The join pass (and the copy it
+    /// would make of the base) is skipped.
+    fn is_base_only(&self) -> bool {
+        !self.lower && self.bases.len() == 1 && self.inputs.is_empty() && self.assertions.is_empty()
     }
 
     fn materialize_assertions(&self) -> Result<Vec<WeakSchema>, MergeError> {
@@ -981,8 +982,7 @@ impl<'a> Merger<'a> {
             // Participation-aware join: annotated semantics over every
             // input (plain schemas read as all-required), then the plain
             // engines never see participation at all.
-            let decompiled_base = self.base.map(CompiledSchema::decompile);
-            let anns = self.annotated_inputs(decompiled_base, atoms);
+            let anns = self.annotated_inputs(atoms);
             let joined = annotated_join(anns.iter().map(Ann::get))?;
             let weak = joined.schema().clone();
             return Ok((Some(weak), None, Some(joined)));
@@ -996,20 +996,17 @@ impl<'a> Merger<'a> {
             .collect();
         // Straight to the compiled form: the symbolic join is never
         // materialized.
-        let compiled = match self.base {
-            Some(base) => compile::join_onto_compiled(base, &weak_refs),
-            None => compile::join_compiled_ids(&weak_refs),
-        }
-        .map_err(schema_to_merge)?;
+        let compiled = compile::join_ids(&self.bases, &weak_refs).map_err(schema_to_merge)?;
         Ok((None, Some(compiled), None))
     }
 
-    /// Every input as an annotated schema (weak inputs and assertion
-    /// atoms read as all-required), preserving input order.
-    fn annotated_inputs(&self, base: Option<WeakSchema>, atoms: &[WeakSchema]) -> Vec<Ann<'_>> {
+    /// Every input as an annotated schema (compiled inputs decompiled;
+    /// they, weak inputs and assertion atoms read as all-required),
+    /// preserving input order.
+    fn annotated_inputs(&self, atoms: &[WeakSchema]) -> Vec<Ann<'_>> {
         let mut anns: Vec<Ann<'_>> = Vec::new();
-        if let Some(base) = base {
-            anns.push(Ann::Owned(AnnotatedSchema::all_required(base)));
+        for base in &self.bases {
+            anns.push(Ann::Owned(AnnotatedSchema::all_required(base.decompile())));
         }
         for input in &self.inputs {
             anns.push(match input.kind {
@@ -1025,7 +1022,7 @@ impl<'a> Merger<'a> {
 
     fn execute_upper(&self, plan: MergePlan) -> Result<MergeReport, MergeError> {
         let atoms = self.materialize_assertions()?;
-        let (weak, compiled, joined_annotated) = if self.is_base_only(plan.engine) {
+        let (weak, compiled, joined_annotated) = if self.is_base_only() {
             (None, None, None)
         } else {
             let mut span = telemetry::span(MergePass::Join.as_str());
@@ -1055,8 +1052,7 @@ impl<'a> Merger<'a> {
                 complete_from_compiled_impl(compiled).map_err(MergeError::Schema)?
             }
             (None, None) => {
-                let base = self.base.expect("the base-only path implies a base");
-                complete_from_compiled_impl(base).map_err(MergeError::Schema)?
+                complete_from_compiled_impl(self.bases[0]).map_err(MergeError::Schema)?
             }
         };
         completion_span.attr_usize("classes", proper.as_weak().num_classes());
@@ -1082,14 +1078,11 @@ impl<'a> Merger<'a> {
         });
         let mut diagnostics = self.input_diagnostics();
         diagnostics.extend(self.target_diagnostics(proper.as_weak(), &implicit));
-        // Only the onto-base engine actually transfers the base in id
-        // space; the annotated plan decompiles and re-walks it, so
-        // claiming reuse there would be false.
-        if plan.engine == PlannedEngine::CompiledOntoBase {
+        if plan.reuses_base {
             diagnostics.push(Diagnostic::info(
                 "I-BASE-REUSED",
                 format!(
-                    "reused a cached compiled base of {} classes; only {} input(s) interned",
+                    "reused cached compiled input(s) of {} classes; only {} input(s) interned",
                     plan.base_classes,
                     plan.num_inputs + plan.num_assertions
                 ),
@@ -1127,7 +1120,7 @@ impl<'a> Merger<'a> {
         let atoms = self.materialize_assertions()?;
         let merged = {
             let mut span = telemetry::span(MergePass::Join.as_str());
-            let anns = self.annotated_inputs(self.base.map(CompiledSchema::decompile), &atoms);
+            let anns = self.annotated_inputs(&atoms);
             let merged = lower_merge(anns.iter().map(Ann::get));
             span.attr_usize("classes", merged.schema().num_classes());
             span.attr_usize("arrows", merged.schema().num_arrows());
@@ -1356,7 +1349,7 @@ impl fmt::Debug for Merger<'_> {
         f.debug_struct("Merger")
             .field("inputs", &self.inputs.len())
             .field("assertions", &self.assertions.len())
-            .field("base", &self.base.is_some())
+            .field("bases", &self.bases.len())
             .field("lower", &self.lower)
             .finish_non_exhaustive()
     }
@@ -1487,10 +1480,32 @@ mod tests {
             .schema(&g3)
             .execute()
             .unwrap();
-        assert_eq!(onto.plan.engine, PlannedEngine::CompiledOntoBase);
+        assert!(onto.plan.reuses_base);
         assert_eq!(onto.proper, expected.proper);
         assert_eq!(onto.implicit, expected.report);
         assert!(onto.weak.is_none(), "onto-base skips the symbolic join");
+        // Compiled inputs join like any other: two cached joins and no
+        // symbolic input run the join pass.
+        let g3_join = Merger::new()
+            .schema(&g3)
+            .join()
+            .unwrap()
+            .into_parts()
+            .1
+            .unwrap();
+        let both = Merger::new()
+            .onto_base(&base)
+            .onto_base(&g3_join)
+            .execute()
+            .unwrap();
+        assert!(both.plan.reuses_base);
+        assert_eq!(
+            both.plan.base_classes,
+            base.num_classes() + g3_join.num_classes()
+        );
+        assert_eq!(both.plan.passes[0], MergePass::Join);
+        assert_eq!(both.proper, expected.proper);
+        assert_eq!(both.implicit, expected.report);
         // An annotated input overrides the base reuse but not the result.
         let g3_annotated = AnnotatedSchema::all_required(g3.clone());
         let annotated_onto = Merger::new()
@@ -1498,7 +1513,7 @@ mod tests {
             .with_participation(&g3_annotated)
             .execute()
             .unwrap();
-        assert_eq!(annotated_onto.plan.engine, PlannedEngine::Compiled);
+        assert!(!annotated_onto.plan.reuses_base);
         assert_eq!(annotated_onto.proper, expected.proper);
         assert!(
             !annotated_onto
@@ -1521,7 +1536,7 @@ mod tests {
             .unwrap();
         let merger = Merger::new().onto_base(&base);
         let plan = merger.plan();
-        assert_eq!(plan.engine, PlannedEngine::CompiledOntoBase);
+        assert!(plan.reuses_base);
         assert_eq!(
             plan.passes,
             vec![MergePass::Completion],

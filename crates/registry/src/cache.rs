@@ -12,8 +12,8 @@
 //! two spans:
 //!
 //! 1. `plan` picks the join to build onto, in this order:
-//!    * no unchanged parts, and the changed part carries its own compiled
-//!      join (a lone registry in a supergraph) → that join;
+//!    * no unchanged parts, and the changed part is itself a join (a lone
+//!      registry in a supergraph) → that join;
 //!    * the changed key is the held key and every other covered key is
 //!      unchanged (a republish or delete of the same key) → the held
 //!      rest;
@@ -21,9 +21,13 @@
 //!      unchanged (a new key) → the held total;
 //!    * otherwise the unchanged parts are joined cold — the widest merge
 //!      of the step;
-//! 2. `execute` joins at most one changed part onto that base through
-//!    [`Merger::onto_base`] — only the changed part is interned — and
-//!    completes.
+//! 2. `execute` joins at most one changed part onto that base (passed
+//!    first, through [`Merger::onto_base`], so only the changed part is
+//!    walked) and completes.
+//!
+//! Every part enters a merger in the form it has ([`Body`]): a member
+//! schema is interned, a registry's compiled join is remapped in id
+//! space, never decompiled.
 //!
 //! The step returns the next state rather than storing it, so a caller
 //! installs it with the commit that produced it and drops it only when
@@ -54,11 +58,28 @@ pub struct Part {
     /// The key; unique within a set.
     pub key: String,
     /// The schema this part contributes.
-    pub schema: Arc<WeakSchema>,
-    /// The compiled form of `schema`, when the part is itself a join (a
-    /// registry's total in a supergraph). A step whose only part is this
-    /// one completes it directly, without a join pass.
-    pub compiled: Option<Arc<CompiledSchema>>,
+    pub body: Body,
+}
+
+/// The schema a [`Part`] contributes, in the form its owner holds it.
+#[derive(Clone)]
+pub enum Body {
+    /// A registry member's published schema.
+    Schema(Arc<WeakSchema>),
+    /// A registry's compiled join of its members (a supergraph part). A
+    /// step whose only part is this one completes it directly, without a
+    /// join pass.
+    Join(Arc<CompiledSchema>),
+}
+
+/// Adds `parts` to `merger`, each in the form it has.
+fn join_parts<'a>(merger: Merger<'a>, parts: impl IntoIterator<Item = &'a Part>) -> Merger<'a> {
+    parts
+        .into_iter()
+        .fold(merger, |merger, part| match &part.body {
+            Body::Schema(schema) => merger.schema(schema),
+            Body::Join(join) => merger.onto_base(join),
+        })
 }
 
 /// The reusable joins of one layer, held as a value in its committed
@@ -136,16 +157,13 @@ impl JoinState {
         let (base, extra, strategy) = {
             let mut span = telemetry::span("plan");
             span.attr_usize("unchanged", unchanged.len());
-            let own = changed.and_then(|part| part.compiled.as_ref());
-            let planned = match (unchanged.is_empty(), own) {
+            let planned = match (unchanged, changed.map(|part| &part.body)) {
                 // A lone part that is itself a join is already the total.
-                (true, Some(own)) => (Arc::clone(own), None, MergeStrategy::Incremental),
+                ([], Some(Body::Join(own))) => (Arc::clone(own), None, MergeStrategy::Incremental),
                 _ => match self.reusable(unchanged, key) {
                     Some(held) => (Arc::clone(held), changed, MergeStrategy::Incremental),
                     None => {
-                        let joined = Merger::new()
-                            .schemas(unchanged.iter().map(|part| part.schema.as_ref()))
-                            .join()?;
+                        let joined = join_parts(Merger::new(), unchanged).join()?;
                         let (_, compiled) = joined.into_parts();
                         let cold = compiled.expect("the compiled engine keeps the compiled join");
                         (Arc::new(cold), changed, MergeStrategy::Full)
@@ -157,11 +175,7 @@ impl JoinState {
         };
 
         let mut span = telemetry::span("execute");
-        let mut merger = Merger::new().onto_base(&base);
-        if let Some(part) = extra {
-            merger = merger.schema(part.schema.as_ref());
-        }
-        let mut report = merger.execute()?;
+        let mut report = join_parts(Merger::new().onto_base(&base), extra).execute()?;
         span.attr_usize("classes", report.proper.num_classes());
         // With nothing joined onto it, the base is already the total.
         let total = report
@@ -211,14 +225,12 @@ mod tests {
         let schema = WeakSchema::builder().arrow(src, "f", tgt).build().unwrap();
         Part {
             key: key.into(),
-            schema: Arc::new(schema),
-            compiled: None,
+            body: Body::Schema(Arc::new(schema)),
         }
     }
 
     fn oneshot(parts: &[&Part]) -> MergeReport {
-        Merger::new()
-            .schemas(parts.iter().map(|p| p.schema.as_ref()))
+        join_parts(Merger::new(), parts.iter().copied())
             .execute()
             .unwrap()
     }
@@ -263,6 +275,51 @@ mod tests {
             cold.report.proper,
             oneshot(&[&moved, &rest[1], &second, &added]).proper
         );
+    }
+
+    /// A part enters the merger in the form it has: registry joins step
+    /// through the same strategies as the members they join, to the same
+    /// merge — except that a lone join is already the total — and a set
+    /// mixing the two forms joins cold to the one-shot merge.
+    #[test]
+    fn joins_step_like_the_members_they_join() {
+        fn compiled(part: &Part) -> Part {
+            let Body::Schema(schema) = &part.body else {
+                unreachable!("member parts")
+            };
+            Part {
+                key: part.key.clone(),
+                body: Body::Join(Arc::new(CompiledSchema::compile(schema))),
+            }
+        }
+        let (a, b) = (part("a", "A", "T"), part("b", "B", "U"));
+        let (c1, c2) = (part("c", "C", "V"), part("c", "C", "T"));
+        let forms: [fn(&Part) -> Part; 2] = [Part::clone, compiled];
+        for (form, lone_strategy) in forms
+            .into_iter()
+            .zip([MergeStrategy::Full, MergeStrategy::Incremental])
+        {
+            let rest = [form(&a), form(&b)];
+            let first = JoinState::default()
+                .step(&rest, Some("c"), Some(&form(&c1)))
+                .unwrap();
+            let second = first
+                .state
+                .step(&rest, Some("c"), Some(&form(&c2)))
+                .unwrap();
+            assert_eq!(first.strategy, MergeStrategy::Full);
+            assert_eq!(second.strategy, MergeStrategy::Incremental);
+            assert_eq!(second.report.proper, oneshot(&[&a, &b, &c2]).proper);
+            let lone = JoinState::default()
+                .step(&[], Some("c"), Some(&form(&c2)))
+                .unwrap();
+            assert_eq!(lone.strategy, lone_strategy);
+            assert_eq!(lone.report.proper, oneshot(&[&c2]).proper);
+        }
+        let mixed = JoinState::default()
+            .step(&[compiled(&a), b.clone()], Some("c"), Some(&compiled(&c2)))
+            .unwrap();
+        assert_eq!(mixed.report.proper, oneshot(&[&a, &b, &c2]).proper);
     }
 
     /// A state is reused only for exactly the key set it covers: a missing

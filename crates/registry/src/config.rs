@@ -352,7 +352,7 @@ fn recover(
     // recovered members, so it is derived, never trusted from disk.
     let parts: Vec<Part> = members
         .iter()
-        .map(|(name, record)| member_part(name, &record.current))
+        .map(|(name, record)| member_part(name, &record.current.schema))
         .collect();
     let step = JoinState::default()
         .step(&parts, None, None)

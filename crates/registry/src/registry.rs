@@ -62,7 +62,7 @@ use schema_merge_core::{
 use schema_merge_instance::PathQuery;
 use schema_merge_telemetry::{self as telemetry, Histogram};
 
-use crate::cache::{JoinState, Part};
+use crate::cache::{Body, JoinState, Part};
 use crate::config::RegistryBuilder;
 use crate::error::RegistryError;
 use crate::resilience::RetryPolicy;
@@ -565,12 +565,7 @@ impl Registry {
     ) -> Result<PutOutcome, RegistryError> {
         let name = name.into();
         let hash = schema.content_hash();
-        let part = Part {
-            key: name.clone(),
-            schema: Arc::new(schema),
-            compiled: None,
-        };
-        let committed = self.commit(&name, Some((hash, part)))?;
+        let committed = self.commit(&name, Some((hash, Arc::new(schema))))?;
         Ok(PutOutcome {
             hash,
             sequence: committed.sequence,
@@ -596,13 +591,17 @@ impl Registry {
     }
 
     /// The one commit path of [`put`](Registry::put) (`changed` is the
-    /// new version's content hash and part) and
+    /// new version's content hash and schema) and
     /// [`delete`](Registry::delete) (`changed` is `None`). It runs in the
     /// lane: it steps from the held joins the last commit installed,
     /// makes the record durable (WAL before visible), takes the write
     /// lock only to swap in the new version, view and held joins, and
     /// writes a due snapshot after releasing it.
-    fn commit(&self, name: &str, changed: Option<(u64, Part)>) -> Result<Committed, RegistryError> {
+    fn commit(
+        &self,
+        name: &str,
+        changed: Option<(u64, Arc<WeakSchema>)>,
+    ) -> Result<Committed, RegistryError> {
         let commit_started = Instant::now();
         let mut commit_span = telemetry::span("commit");
         if let Some((hash, _)) = &changed {
@@ -630,7 +629,7 @@ impl Registry {
                 .members
                 .iter()
                 .filter(|(n, _)| n.as_str() != name)
-                .map(|(n, r)| member_part(n, &r.current))
+                .map(|(n, r)| member_part(n, &r.current.schema))
                 .collect();
             (
                 shared.generation + 1,
@@ -640,8 +639,11 @@ impl Registry {
             )
         };
 
+        let part = changed
+            .as_ref()
+            .map(|(_, schema)| member_part(name, schema));
         let step = joins
-            .step(&rest, Some(name), changed.as_ref().map(|(_, part)| part))
+            .step(&rest, Some(name), part.as_ref())
             .map_err(|cause| self.reject(name, cause))?;
         let steps = match step.strategy {
             MergeStrategy::Full => &self.metrics.cold_steps,
@@ -659,13 +661,13 @@ impl Registry {
         if let Some(p) = lane.persistence.as_mut() {
             let view_hash = *view_hash_cell.get_or_init(|| hash_view(&step.report.proper));
             let record = match &changed {
-                Some((hash, part)) => WalRecord::Put {
+                Some((hash, schema)) => WalRecord::Put {
                     generation,
                     member: name.to_string(),
                     hash: *hash,
                     sequence,
                     view_hash,
-                    schema: (!p.on_disk.contains(hash)).then(|| Arc::clone(&part.schema)),
+                    schema: (!p.on_disk.contains(hash)).then(|| Arc::clone(schema)),
                 },
                 None => WalRecord::Delete {
                     generation,
@@ -682,14 +684,14 @@ impl Registry {
             let mut shared = self.shared.write().expect("registry lock");
             shared.generation = generation;
             match &changed {
-                Some((hash, part)) => version::publish(
+                Some((hash, schema)) => version::publish(
                     &mut shared.members,
                     name,
                     SchemaVersion {
                         hash: *hash,
                         sequence,
                         generation,
-                        schema: Arc::clone(&part.schema),
+                        schema: Arc::clone(schema),
                     },
                 ),
                 None => {
@@ -747,19 +749,6 @@ impl Registry {
                 .collect(),
             join: Arc::clone(shared.joins.total()),
         }
-    }
-
-    /// A coherent snapshot of every member's current version (one lock
-    /// acquisition), sorted by name. A supergraph compose does not read
-    /// it: it takes the member list from [`Registry::compiled_join`],
-    /// which snapshots it together with the join.
-    pub fn current_members(&self) -> Vec<(String, SchemaVersion)> {
-        let shared = self.shared.read().expect("registry lock");
-        shared
-            .members
-            .iter()
-            .map(|(name, record)| (name.clone(), record.current.clone()))
-            .collect()
     }
 
     /// The current version of member `name`.
@@ -1062,12 +1051,11 @@ impl Registry {
     }
 }
 
-/// Member `name`'s current version as a part of the registry's join.
-pub(crate) fn member_part(name: &str, version: &SchemaVersion) -> Part {
+/// Member `name`'s schema as a part of the registry's join.
+pub(crate) fn member_part(name: &str, schema: &Arc<WeakSchema>) -> Part {
     Part {
         key: name.to_string(),
-        schema: Arc::clone(&version.schema),
-        compiled: None,
+        body: Body::Schema(Arc::clone(schema)),
     }
 }
 

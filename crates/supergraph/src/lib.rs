@@ -20,10 +20,11 @@
 //!   over the compiled join it holds ([`Registry::compiled_join`]), and a
 //!   compose is one
 //!   [`JoinState::step`](schema_merge_registry::cache::JoinState::step),
-//!   the step the registry commits with, with registries as its parts:
-//!   one registry's publish recomposes by joining just that registry's
-//!   join onto the join of the rest that the last compose left.
-//!   Generations stamp every composed view.
+//!   the step the registry commits with, with the registries' compiled
+//!   joins as its parts, never decompiled: one registry's publish
+//!   recomposes by remapping just that registry's join onto the join of
+//!   the rest that the last compose left. Generations stamp every
+//!   composed view.
 //! * **Provenance crosses the federation** — every composed class,
 //!   arrow and implicit class is attributed to namespaced
 //!   `registry/member@vN` origin labels

@@ -8,8 +8,8 @@ use std::time::Instant;
 
 use schema_merge_core::compose::ComposeProvenance;
 use schema_merge_core::merger::MergeReport;
-use schema_merge_core::{Class, Diagnostic, Merger, ProperSchema, Severity};
-use schema_merge_registry::cache::{JoinState, Part};
+use schema_merge_core::{Class, CompiledSchema, Diagnostic, Merger, ProperSchema, Severity};
+use schema_merge_registry::cache::{Body, JoinState, Part};
 use schema_merge_registry::version::SchemaVersion;
 use schema_merge_registry::{MergeStrategy, Registry};
 use schema_merge_telemetry::{self as telemetry, Histogram, HistogramSnapshot};
@@ -33,11 +33,12 @@ use crate::error::SupergraphError;
 ///   generation has not moved since the last compose is unchanged;
 /// * every compose is one [`JoinState::step`], the step the registry
 ///   commits with, on the state the last compose installed, whose parts
-///   are the registries' joins: when exactly one registry changed, only
-///   its join is walked, onto the held join of the rest when the state
-///   holds one (the same registry changed last, or it is newly attached)
-///   — and a lone registry's join is completed as is; otherwise the
-///   whole set is joined cold and completed.
+///   are the registries' compiled joins as they are ([`Body::Join`]),
+///   never decompiled: when exactly one registry changed, only its join
+///   is remapped, onto the held join of the rest when the state holds
+///   one (the same registry changed last, or it is newly attached) — and
+///   a lone registry's join is completed as is; otherwise the whole set
+///   is joined cold, in id space, and completed.
 ///
 /// Every composed view carries rover-style [`Severity::Hint`]
 /// diagnostics (`H-COMPOSE-*`) surfacing composition observations:
@@ -74,16 +75,27 @@ struct Member {
     state: Option<MemberState>,
 }
 
-/// A member registry's join captured for composition: the join as a
-/// part of the supergraph's incremental join (keyed by registry name),
-/// the registry generation it reflects (its identity) and the member
-/// versions it reflects (for hints and provenance), all describing the
-/// same registry snapshot.
+/// A member registry's join captured for composition: the registry
+/// name (its key in the supergraph's incremental join), the compiled
+/// join, the registry generation it reflects (its identity) and the
+/// member versions it reflects (for hints and provenance), all
+/// describing the same registry snapshot.
 #[derive(Clone)]
 struct MemberState {
-    part: Part,
+    name: String,
+    join: Arc<CompiledSchema>,
     generation: u64,
     members: Arc<Vec<(String, SchemaVersion)>>,
+}
+
+impl MemberState {
+    /// The join as a part of the supergraph's incremental join.
+    fn part(&self) -> Part {
+        Part {
+            key: self.name.clone(),
+            body: Body::Join(Arc::clone(&self.join)),
+        }
+    }
 }
 
 #[derive(Default)]
@@ -355,8 +367,7 @@ impl Supergraph {
             )
         };
 
-        // Refresh every registry's join handle; the delta walk for a
-        // changed registry is its own `recompose` child span.
+        // Refresh every registry's join handle (an `Arc` clone).
         let mut states: Vec<MemberState> = Vec::with_capacity(snapshot.len());
         let mut changed: Vec<usize> = Vec::new();
         for (index, (name, registry, prev)) in snapshot.iter().enumerate() {
@@ -364,16 +375,10 @@ impl Supergraph {
             let state = match prev {
                 Some(prev) if prev.generation == join.generation => prev.clone(),
                 _ => {
-                    let mut member_span = telemetry::span("recompose");
-                    member_span.attr("registry_generation", join.generation);
-                    member_span.attr_usize("members", join.members.len());
                     changed.push(index);
                     MemberState {
-                        part: Part {
-                            key: name.clone(),
-                            schema: Arc::new(join.join.decompile()),
-                            compiled: Some(join.join),
-                        },
+                        name: name.clone(),
+                        join: join.join,
                         generation: join.generation,
                         members: Arc::new(join.members),
                     }
@@ -404,13 +409,13 @@ impl Supergraph {
                     .iter()
                     .enumerate()
                     .filter(|(i, _)| i != index)
-                    .map(|(_, s)| s.part.clone())
+                    .map(|(_, s)| s.part())
                     .collect();
-                let moved = &states[*index].part;
-                joins.step(&rest, Some(&moved.key), Some(moved))
+                let moved = states[*index].part();
+                joins.step(&rest, Some(&moved.key), Some(&moved))
             }
             _ => {
-                let all: Vec<Part> = states.iter().map(|s| s.part.clone()).collect();
+                let all: Vec<Part> = states.iter().map(MemberState::part).collect();
                 let held = if changed.is_empty() {
                     joins.as_ref()
                 } else {
@@ -452,7 +457,7 @@ impl Supergraph {
             members: states
                 .iter()
                 .map(|s| ComposedMember {
-                    registry: s.part.key.clone(),
+                    registry: s.name.clone(),
                     generation: s.generation,
                     members: s.members.len(),
                 })
@@ -466,7 +471,7 @@ impl Supergraph {
             let mut shared = self.shared.write().expect("supergraph lock");
             shared.generation = generation;
             for state in states {
-                if let Some(member) = shared.members.get_mut(&state.part.key) {
+                if let Some(member) = shared.members.get_mut(&state.name) {
                     member.state = Some(state);
                 }
             }
@@ -545,7 +550,7 @@ fn compose_hints(states: &[MemberState], proper: &ProperSchema) -> Vec<Diagnosti
     // collide in a flat registry.
     let mut owners: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
     for state in states {
-        let registry = &state.part.key;
+        let registry = &state.name;
         for (member, _) in state.members.iter() {
             owners
                 .entry(member.as_str())
@@ -626,11 +631,8 @@ fn declaring_registries<'s>(states: &'s [MemberState], class: &Class) -> Vec<&'s
     let declaring = |classes: &[Class]| -> Vec<&'s str> {
         states
             .iter()
-            .filter(|s| {
-                let join = s.part.compiled.as_deref();
-                join.is_some_and(|join| classes.iter().any(|c| join.class_id(c).is_some()))
-            })
-            .map(|s| s.part.key.as_str())
+            .filter(|s| classes.iter().any(|c| s.join.class_id(c).is_some()))
+            .map(|s| s.name.as_str())
             .collect()
     };
     let registries = declaring(std::slice::from_ref(class));
@@ -687,7 +689,7 @@ mod tests {
         let mut schemas: Vec<Arc<WeakSchema>> = Vec::new();
         for name in supergraph.names() {
             let registry = supergraph.registry(&name).unwrap();
-            for (_, version) in registry.current_members() {
+            for (_, version) in registry.compiled_join().members {
                 schemas.push(version.schema);
             }
         }
@@ -985,6 +987,63 @@ mod tests {
         let incremental_hints: Vec<&Diagnostic> = incremental.view.hints().collect();
         let full_hints: Vec<&Diagnostic> = full.view.hints().collect();
         assert_eq!(incremental_hints, full_hints);
+    }
+
+    /// Registry joins enter a compose compiled, and an implicit-class
+    /// literal in a member is remapped like any other class. A compose
+    /// after one registry moved (onto the held join of the rest) and one
+    /// after both moved (cold) each equal the one-shot merge and carry
+    /// the hints of a fresh compose of the same state.
+    #[test]
+    fn composes_of_joins_with_implicit_literals_match_oneshot() {
+        fn assert_hints_match_fresh_compose(supergraph: &Supergraph, outcome: &ComposeOutcome) {
+            let fresh = Supergraph::new();
+            for name in supergraph.names() {
+                fresh
+                    .attach(&name, supergraph.registry(&name).unwrap())
+                    .unwrap();
+            }
+            let full = fresh.compose().unwrap();
+            let hints: Vec<&Diagnostic> = outcome.view.hints().collect();
+            assert_eq!(hints, full.view.hints().collect::<Vec<_>>());
+        }
+
+        let supergraph = two_registry_supergraph();
+        let a = supergraph.registry("a").unwrap();
+        let b = supergraph.registry("b").unwrap();
+        let meet = Class::implicit([Class::named("Part"), Class::named("Order")]);
+        a.put("kit", schema("Kit", "of", "Part")).unwrap();
+        b.put(
+            "bundle",
+            WeakSchema::builder()
+                .arrow("Bundle", "holds", meet.clone())
+                .arrow("Kit", "of", "Order")
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        supergraph.compose().unwrap();
+        b.put("shipping", schema("Order", "dest", "Address"))
+            .unwrap();
+        supergraph.compose().unwrap(); // seeds the held join of `a`
+        b.put("billing", schema("Order", "bill", "Invoice"))
+            .unwrap();
+        let incremental = supergraph.compose().unwrap();
+        assert_eq!(incremental.strategy, MergeStrategy::Incremental);
+        assert!(incremental.view.proper().contains_class(&meet));
+        assert_view_matches_oneshot(&supergraph);
+        assert_hints_match_fresh_compose(&supergraph, &incremental);
+
+        a.put("kit", schema("Kit", "of", "Widget")).unwrap();
+        b.put("billing", schema("Order", "bill", "Receipt"))
+            .unwrap();
+        let cold = supergraph.compose().unwrap();
+        assert_eq!(cold.strategy, MergeStrategy::Full);
+        assert!(cold.view.proper().contains_class(&meet));
+        // `Kit --of-->` now reaches `Widget` and `Order`: a fresh meet.
+        assert_eq!(cold.view.report.implicit.num_implicit(), 1);
+        assert_view_matches_oneshot(&supergraph);
+        assert_hints_match_fresh_compose(&supergraph, &cold);
     }
 
     /// Composes, attach/detach cycles of a scratch registry and publishes

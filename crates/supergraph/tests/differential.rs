@@ -4,7 +4,7 @@
 //! every attached registry — proper schema and implicit-class report —
 //! and attaches the same provenance and `H-COMPOSE-*` hints as a fresh
 //! full compose of the same state, across random
-//! attach/publish/delete/detach sequences and thread budgets (1/2/4).
+//! attach/publish/delete/detach sequences.
 //!
 //! Schemas are generated over a small vocabulary with specialization
 //! edges directed along a fixed total order on names, so any collection
@@ -113,7 +113,7 @@ fn all_schemas(supergraph: &Supergraph) -> Vec<Arc<WeakSchema>> {
     let mut schemas = Vec::new();
     for name in supergraph.names() {
         let registry = supergraph.registry(&name).expect("listed name is attached");
-        for (_, version) in registry.current_members() {
+        for (_, version) in registry.compiled_join().members {
             schemas.push(version.schema);
         }
     }
