@@ -10,7 +10,7 @@
 //!                        # (defaults to 0, an unlabeled local run)
 //! ```
 //!
-//! Measures the symbolic reference engine and the compiled engine on the
+//! Measures the engine variants and a calibration kernel on the
 //! `workload` generators; see `schema_merge_bench::perf` for the record
 //! format.
 

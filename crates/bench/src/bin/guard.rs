@@ -1,55 +1,62 @@
-//! `guard` — the perf-trajectory regression gate.
+//! `guard` — the in-process bench's regression gate.
 //!
 //! ```text
-//! guard --baseline BENCH_5.json --current BENCH_42.json [--tolerance 0.15]
+//! guard --baseline BENCH_30.json --current bench-current.json
 //! ```
 //!
-//! Compares a freshly measured `BENCH_<n>.json` against the trajectory
-//! document committed in the tree and **fails (exit 1) if any speedup
-//! ratio present in both degrades by more than the tolerance** (default
-//! 15%). Schema-4 documents also carry a `mem_ratio` (peak-heap
-//! baseline/improved quotient) per speedup; when a positive one is
-//! present on *both* sides of a matched entry it is guarded with the
-//! same tolerance, so the sparse-representation memory win cannot
-//! silently regress — older documents without it stay comparable.
-//! Entries only in the baseline (e.g. full-profile sizes a `--quick` CI
-//! run skips) are reported and skipped; entries only in the current run
-//! are new coverage and pass silently. At least one entry must match,
-//! so a malformed file can never pass vacuously.
+//! Reads two schema-7 `bench --json` documents and **fails (exit 1)**
+//! on either rule:
 //!
-//! The parser is deliberately tiny and std-only: it reads the exact
-//! line-oriented document `bench --json` emits (one speedup object per
-//! line), not general JSON.
+//! * **Time.** Over every `compiled` record in both files, the geometric
+//!   mean of (current `median_ns / calibration_ns`) ÷ (baseline
+//!   `median_ns / calibration_ns`) exceeds `TIME_LIMIT`. The calibration
+//!   kernel runs interleaved with each group, so a slower machine moves
+//!   both sides of the quotient and a slower engine only the median. One
+//!   record's calibrated median spreads too widely between runs to gate
+//!   alone; the mean over all compiled records does not.
+//! * **Counts.** Any record in both files whose `allocs_per_iter` or
+//!   `peak_bytes` exceeds the baseline's by more than `COUNT_LIMIT`.
+//!   Both are exact on one tree.
+//!
+//! Per-record calibrated ratios and the current `speedups` are printed
+//! for information. Records only in the baseline (full-profile sizes a
+//! `--quick` run skips) are reported and skipped. At least one
+//! `compiled` record must match, so a wrong file never passes
+//! vacuously. The parser reads the exact line-oriented document
+//! `bench --json` emits (one object per line), not general JSON.
 
 #![forbid(unsafe_code)]
 
 use std::process::ExitCode;
 
-/// One speedup entry: identity key plus the measured ratio.
-#[derive(Debug, Clone, PartialEq)]
-struct Entry {
-    family: String,
-    op: String,
-    n_classes: u64,
-    n_arrows: u64,
-    baseline: String,
-    improved: String,
-    speedup: f64,
-    /// Peak-heap quotient; absent in schema-3 and older documents, and
-    /// treated as "no claim" when 0 (one side's peak rounded to nothing).
-    mem_ratio: Option<f64>,
+const SCHEMA_VERSION: f64 = 7.0;
+/// The most the compiled records' geometric-mean calibrated ratio may be.
+const TIME_LIMIT: f64 = 1.10;
+/// The most a record's count may grow, as a ratio.
+const COUNT_LIMIT: f64 = 1.15;
+/// The gated counts, in `Record::counts` order.
+const COUNTS: [&str; 2] = ["allocs_per_iter", "peak_bytes"];
+
+/// What the guard reads of one record.
+#[derive(Debug)]
+struct Record {
+    /// `family/op @<classes>c/<arrows>a variant`.
+    key: String,
+    compiled: bool,
+    /// `median_ns / calibration_ns`.
+    calibrated: f64,
+    counts: [u64; 2],
 }
 
-impl Entry {
-    fn key(&self) -> String {
-        format!(
-            "{}/{} @{}c/{}a {}->{}",
-            self.family, self.op, self.n_classes, self.n_arrows, self.baseline, self.improved
-        )
-    }
+/// One parsed `bench --json` document.
+#[derive(Debug)]
+struct Document {
+    records: Vec<Record>,
+    /// One printable line per speedup entry.
+    speedups: Vec<String>,
 }
 
-/// Extracts `"key": "value"` from a single speedup line.
+/// Extracts `"key": "value"` from a single line.
 fn field_str(line: &str, key: &str) -> Option<String> {
     let marker = format!("\"{key}\": \"");
     let start = line.find(&marker)? + marker.len();
@@ -57,7 +64,7 @@ fn field_str(line: &str, key: &str) -> Option<String> {
     Some(line[start..end].to_string())
 }
 
-/// Extracts `"key": <number>` from a single speedup line.
+/// Extracts `"key": <number>` from a single line.
 fn field_num(line: &str, key: &str) -> Option<f64> {
     let marker = format!("\"{key}\": ");
     let start = line.find(&marker)? + marker.len();
@@ -67,132 +74,142 @@ fn field_num(line: &str, key: &str) -> Option<f64> {
     line[start..end].parse().ok()
 }
 
-/// Parses the `"speedups"` entries out of a `bench --json` document.
-fn parse_speedups(text: &str) -> Vec<Entry> {
-    let Some(section) = text.split("\"speedups\"").nth(1) else {
-        return Vec::new();
-    };
-    section
-        .lines()
-        .filter(|line| line.contains("\"speedup\":"))
-        .filter_map(|line| {
-            Some(Entry {
-                family: field_str(line, "family")?,
-                op: field_str(line, "op")?,
-                n_classes: field_num(line, "n_classes")? as u64,
-                n_arrows: field_num(line, "n_arrows")? as u64,
-                baseline: field_str(line, "baseline")?,
-                improved: field_str(line, "improved")?,
-                speedup: field_num(line, "speedup")?,
-                mem_ratio: field_num(line, "mem_ratio"),
-            })
-        })
-        .collect()
+/// `family/op @<classes>c/<arrows>a` — the configuration part of a key.
+fn config_key(line: &str) -> Option<String> {
+    Some(format!(
+        "{}/{} @{}c/{}a",
+        field_str(line, "family")?,
+        field_str(line, "op")?,
+        field_num(line, "n_classes")?,
+        field_num(line, "n_arrows")?
+    ))
 }
 
-fn run(baseline_path: &str, current_path: &str, tolerance: f64) -> Result<(), String> {
-    let read = |path: &str| {
-        std::fs::read_to_string(path).map_err(|err| format!("guard: reading {path}: {err}"))
-    };
-    let committed = parse_speedups(&read(baseline_path)?);
-    let current = parse_speedups(&read(current_path)?);
-    if committed.is_empty() {
-        return Err(format!("guard: no speedup entries in {baseline_path}"));
-    }
-    if current.is_empty() {
-        return Err(format!("guard: no speedup entries in {current_path}"));
-    }
+fn parse_record(line: &str) -> Option<Record> {
+    let num = |key| field_num(line, key);
+    let variant = field_str(line, "variant")?;
+    Some(Record {
+        key: format!("{} {variant}", config_key(line)?),
+        compiled: variant == "compiled",
+        calibrated: num("median_ns")? / num("calibration_ns").filter(|&ns| ns > 0.0)?,
+        counts: [num(COUNTS[0])? as u64, num(COUNTS[1])? as u64],
+    })
+}
 
-    let mut matched = 0usize;
-    let mut failures = Vec::new();
-    for entry in &committed {
-        let Some(fresh) = current.iter().find(|c| c.key() == entry.key()) else {
-            eprintln!("guard: skip (not in current run): {}", entry.key());
-            continue;
-        };
-        matched += 1;
-        let floor = entry.speedup * (1.0 - tolerance);
-        let status = if fresh.speedup < floor { "FAIL" } else { "ok" };
-        eprintln!(
-            "guard: {status:>4} {:<44} committed {:>7.2}x measured {:>7.2}x (floor {:.2}x)",
-            entry.key(),
-            entry.speedup,
-            fresh.speedup,
-            floor,
-        );
-        if fresh.speedup < floor {
-            failures.push(entry.key());
-        }
-        if let (Some(committed_mem), Some(fresh_mem)) = (entry.mem_ratio, fresh.mem_ratio) {
-            // 0 means "no memory claim" (a peak rounded to nothing), so
-            // only a positive committed ratio is a guarded claim.
-            if committed_mem > 0.0 && fresh_mem > 0.0 {
-                let mem_floor = committed_mem * (1.0 - tolerance);
-                let status = if fresh_mem < mem_floor { "FAIL" } else { "ok" };
-                eprintln!(
-                    "guard: {status:>4} {:<44} committed {:>7.2}x measured {:>7.2}x (floor {:.2}x) [memory]",
-                    entry.key(),
-                    committed_mem,
-                    fresh_mem,
-                    mem_floor,
-                );
-                if fresh_mem < mem_floor {
-                    failures.push(format!("{} [memory]", entry.key()));
-                }
-            }
-        }
-    }
-    if matched == 0 {
-        return Err("guard: no committed entry matched the current run — wrong file?".into());
-    }
-    if !failures.is_empty() {
+fn parse_speedup(line: &str) -> Option<String> {
+    let (base, improved) = (field_str(line, "baseline")?, field_str(line, "improved")?);
+    let speedup = field_num(line, "speedup")?;
+    Some(format!(
+        "{} {base}->{improved} {speedup:.2}x",
+        config_key(line)?
+    ))
+}
+
+/// Parses a `bench --json` document; another schema version, or a record
+/// line missing a field, is an error.
+fn parse(text: &str, path: &str) -> Result<Document, String> {
+    if field_num(text, "bench_schema_version") != Some(SCHEMA_VERSION) {
         return Err(format!(
-            "guard: {} speedup(s) degraded more than {:.0}% vs {}: {}",
-            failures.len(),
-            tolerance * 100.0,
-            baseline_path,
-            failures.join("; ")
+            "guard: {path} is not bench schema {SCHEMA_VERSION}"
         ));
     }
+    let (records, speedups) = text.split_once("\"speedups\"").unwrap_or((text, ""));
+    let records = records
+        .lines()
+        .filter(|line| line.contains("\"variant\":"))
+        .map(|line| parse_record(line).ok_or(format!("guard: {path}: bad record {line}")))
+        .collect::<Result<_, _>>()?;
+    let speedups = speedups.lines().filter_map(parse_speedup).collect();
+    Ok(Document { records, speedups })
+}
+
+/// Applies both rules (see the module docs), printing every matched
+/// record and the current speedups.
+fn check(baseline: &Document, current: &Document) -> Result<(), String> {
+    let mut failures = Vec::new();
+    let (mut log_sum, mut gated) = (0.0, 0u32);
+    for base in &baseline.records {
+        let Some(fresh) = current.records.iter().find(|r| r.key == base.key) else {
+            eprintln!("guard: skip (not in current run): {}", base.key);
+            continue;
+        };
+        let ratio = fresh.calibrated / base.calibrated;
+        if base.compiled {
+            log_sum += ratio.ln();
+            gated += 1;
+        }
+        let mut status = "ok";
+        for ((count, was), now) in COUNTS.iter().zip(base.counts).zip(fresh.counts) {
+            if now as f64 > was as f64 * COUNT_LIMIT {
+                status = "FAIL";
+                failures.push(format!("{} {count} {was} -> {now}", base.key));
+            }
+        }
+        let (was, now) = (base.counts, fresh.counts);
+        eprintln!(
+            "guard: {status:>4} {:<48} time {ratio:.2}x counts {was:?} -> {now:?}",
+            base.key
+        );
+    }
+    for speedup in &current.speedups {
+        eprintln!("guard: info {speedup}");
+    }
+    if gated == 0 {
+        return Err("guard: no compiled record matched the current run — wrong file?".into());
+    }
+    let aggregate = (log_sum / f64::from(gated)).exp();
+    let status = if aggregate > TIME_LIMIT { "FAIL" } else { "ok" };
     eprintln!(
-        "guard: {matched} speedup(s) within {:.0}% of the committed trajectory",
-        tolerance * 100.0
+        "guard: {status:>4} compiled time aggregate: geometric mean of {gated} calibrated ratios \
+         {aggregate:.3}x (limit {TIME_LIMIT:.2}x)"
     );
-    Ok(())
+    if aggregate > TIME_LIMIT {
+        failures.push(format!(
+            "compiled time aggregate {aggregate:.3}x > {TIME_LIMIT:.2}x"
+        ));
+    }
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(format!(
+            "guard: {} failure(s): {}",
+            failures.len(),
+            failures.join("; ")
+        ))
+    }
+}
+
+fn run(baseline_path: &str, current_path: &str) -> Result<(), String> {
+    let read = |path: &str| {
+        let text = std::fs::read_to_string(path).map_err(|err| format!("guard: {path}: {err}"))?;
+        parse(&text, path)
+    };
+    check(&read(baseline_path)?, &read(current_path)?)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut baseline: Option<String> = None;
-    let mut current: Option<String> = None;
-    let mut tolerance = 0.15f64;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
+    let usage = "usage: guard --baseline BENCH_A.json --current BENCH_B.json";
+    let (mut baseline, mut current) = (None, None);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--baseline" => baseline = iter.next().cloned(),
-            "--current" => current = iter.next().cloned(),
-            "--tolerance" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(t) if (0.0..1.0).contains(&t) => tolerance = t,
-                _ => {
-                    eprintln!("guard: --tolerance requires a fraction in [0, 1)");
-                    return ExitCode::FAILURE;
-                }
-            },
+            "--baseline" => baseline = args.next(),
+            "--current" => current = args.next(),
             "--help" | "-h" => {
-                println!("usage: guard --baseline BENCH_A.json --current BENCH_B.json [--tolerance 0.15]");
+                println!("{usage}");
                 return ExitCode::SUCCESS;
             }
             other => {
-                eprintln!("guard: unknown flag `{other}`");
+                eprintln!("guard: unknown flag `{other}`\n{usage}");
                 return ExitCode::FAILURE;
             }
         }
     }
     let (Some(baseline), Some(current)) = (baseline, current) else {
-        eprintln!("guard: --baseline and --current are both required");
+        eprintln!("guard: --baseline and --current are both required\n{usage}");
         return ExitCode::FAILURE;
     };
-    match run(&baseline, &current, tolerance) {
+    match run(&baseline, &current) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("{message}");
@@ -204,63 +221,160 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use schema_merge_bench::perf::{to_json, BenchRecord, BenchReport, Speedup};
 
-    const DOC: &str = r#"{
-  "bench_schema_version": 3,
-  "pr": 5,
-  "threads": 4,
-  "records": [
-    {"family": "wide", "op": "merge", "n_classes": 160, "n_arrows": 9000, "variant": "compiled", "iters": 15, "median_ns": 20000000, "allocs_per_iter": 90000, "throughput_arrows_per_s": 450.0}
-  ],
-  "speedups": [
-    {"family": "wide", "op": "merge", "n_classes": 160, "n_arrows": 9000, "baseline": "compiled", "improved": "parallel", "speedup": 2.50, "alloc_ratio": 1.80},
-    {"family": "random", "op": "complete", "n_classes": 200, "n_arrows": 1209, "baseline": "compiled-nopool", "improved": "compiled", "speedup": 1.20, "alloc_ratio": 4.10}
-  ]
-}
-"#;
+    fn record(op: &'static str, variant: &'static str, median_ns: u128) -> BenchRecord {
+        BenchRecord {
+            family: "random",
+            op,
+            n_classes: 200,
+            n_arrows: 1209,
+            variant,
+            iters: 7,
+            median_ns,
+            calibration_ns: 100_000,
+            allocs_per_iter: 1_000,
+            peak_bytes: 64_000,
+            throughput: 1.0,
+        }
+    }
 
-    const DOC_V4: &str = r#"{
-  "bench_schema_version": 4,
-  "pr": 6,
-  "threads": 4,
-  "records": [
-    {"family": "taxonomy", "op": "merge", "n_classes": 6000, "n_arrows": 3000, "variant": "compiled", "iters": 7, "median_ns": 90000000, "allocs_per_iter": 40000, "peak_bytes": 52428800, "throughput_arrows_per_s": 33.0}
-  ],
-  "speedups": [
-    {"family": "wide", "op": "merge", "n_classes": 160, "n_arrows": 9000, "baseline": "compiled", "improved": "parallel", "speedup": 2.50, "alloc_ratio": 1.80, "mem_ratio": 0.00},
-    {"family": "taxonomy", "op": "merge", "n_classes": 6000, "n_arrows": 3000, "baseline": "compiled-dense", "improved": "compiled", "speedup": 1.10, "alloc_ratio": 1.20, "mem_ratio": 8.00}
-  ]
-}
-"#;
+    /// A small schema-7 report in the emitted shape: three compiled
+    /// records, one symbolic record and its pair.
+    fn report() -> BenchReport {
+        BenchReport {
+            records: vec![
+                record("merge", "symbolic", 4_000_000),
+                record("merge", "compiled", 1_000_000),
+                record("complete", "compiled", 600_000),
+                record("fixpoint", "compiled", 60_000),
+            ],
+            speedups: vec![Speedup {
+                family: "random",
+                op: "merge",
+                n_classes: 200,
+                n_arrows: 1209,
+                baseline: "symbolic",
+                improved: "compiled",
+                speedup: 4.0,
+                alloc_ratio: 1.0,
+                mem_ratio: 1.0,
+            }],
+        }
+    }
 
-    #[test]
-    fn parses_the_emitted_document_shape() {
-        let entries = parse_speedups(DOC);
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].family, "wide");
-        assert_eq!(entries[0].improved, "parallel");
-        assert!((entries[0].speedup - 2.5).abs() < 1e-9);
-        assert_eq!(entries[1].n_classes, 200);
-        assert_eq!(entries[1].baseline, "compiled-nopool");
-        assert_eq!(entries[0].mem_ratio, None, "schema-3 carries no memory");
+    fn document(report: &BenchReport) -> Document {
+        parse(&to_json(report, 30), "test.json").expect("parses")
+    }
+
+    /// The baseline report with `edit` applied to every record it selects.
+    fn edited(select: impl Fn(&BenchRecord) -> bool, edit: impl Fn(&mut BenchRecord)) -> Document {
+        let mut report = report();
+        report
+            .records
+            .iter_mut()
+            .filter(|r| select(r))
+            .for_each(edit);
+        document(&report)
+    }
+
+    fn compiled(r: &BenchRecord) -> bool {
+        r.variant == "compiled"
     }
 
     #[test]
-    fn parses_schema_4_memory_ratios() {
-        let entries = parse_speedups(DOC_V4);
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].mem_ratio, Some(0.0));
-        assert_eq!(entries[1].improved, "compiled");
-        assert_eq!(entries[1].mem_ratio, Some(8.0));
+    fn parses_the_emitted_document_shape() {
+        let doc = document(&report());
+        assert_eq!(doc.records.len(), 4);
+        let merge = &doc.records[1];
+        assert_eq!(merge.key, "random/merge @200c/1209a compiled");
+        assert!(merge.compiled && !doc.records[0].compiled);
+        assert_eq!(merge.calibrated, 10.0, "median over calibration");
+        assert_eq!(merge.counts, [1_000, 64_000]);
+        assert_eq!(
+            doc.speedups,
+            ["random/merge @200c/1209a symbolic->compiled 4.00x"]
+        );
     }
 
     #[test]
     fn record_lines_are_not_mistaken_for_speedups() {
-        let entries = parse_speedups(DOC);
-        assert!(entries.iter().all(|e| e.op != "weak_join"));
-        // The records section mentions no "speedup" key, so nothing
-        // before the speedups array parses.
-        assert_eq!(entries.len(), 2);
+        let doc = document(&report());
+        assert_eq!(doc.speedups.len(), 1, "records carry no speedup key");
+        assert!(
+            doc.records.iter().all(|r| !r.key.contains("->")),
+            "speedup lines carry no variant key"
+        );
+    }
+
+    #[test]
+    fn identical_documents_pass() {
+        assert_eq!(check(&document(&report()), &document(&report())), Ok(()));
+    }
+
+    #[test]
+    fn a_uniform_compiled_slowdown_fails_on_time() {
+        let slower = edited(compiled, |r| r.median_ns = r.median_ns * 6 / 5);
+        let err = check(&document(&report()), &slower).unwrap_err();
+        assert!(err.contains("compiled time aggregate 1.200x"), "{err}");
+    }
+
+    #[test]
+    fn a_slower_machine_passes() {
+        let slower = edited(
+            |_| true,
+            |r| {
+                r.median_ns = r.median_ns * 6 / 5;
+                r.calibration_ns = r.calibration_ns * 6 / 5;
+            },
+        );
+        assert_eq!(check(&document(&report()), &slower), Ok(()));
+    }
+
+    #[test]
+    fn the_reference_engine_is_not_timed() {
+        let slower = edited(
+            |r| r.variant == "symbolic",
+            |r| r.median_ns = r.median_ns * 3 / 2,
+        );
+        assert_eq!(check(&document(&report()), &slower), Ok(()));
+    }
+
+    #[test]
+    fn one_records_allocation_growth_fails() {
+        let grown = edited(|r| r.op == "fixpoint", |r| r.allocs_per_iter = 1_200);
+        let err = check(&document(&report()), &grown).unwrap_err();
+        assert!(
+            err.contains("random/fixpoint @200c/1209a compiled allocs_per_iter 1000 -> 1200"),
+            "{err}"
+        );
+        assert!(!err.contains("time aggregate"), "{err}");
+    }
+
+    #[test]
+    fn one_records_peak_bytes_growth_fails() {
+        // Every record's counts are gated, the reference engine's too.
+        let grown = edited(|r| r.variant == "symbolic", |r| r.peak_bytes = 76_800);
+        let err = check(&document(&report()), &grown).unwrap_err();
+        assert!(
+            err.contains("random/merge @200c/1209a symbolic peak_bytes 64000 -> 76800"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_v6_document_is_an_error() {
+        let v6 = to_json(&report(), 12)
+            .replace("\"bench_schema_version\": 7", "\"bench_schema_version\": 6");
+        let err = parse(&v6, "BENCH_12.json").unwrap_err();
+        assert!(err.contains("BENCH_12.json is not bench schema 7"), "{err}");
+    }
+
+    #[test]
+    fn no_matching_compiled_record_is_an_error() {
+        let only_reference = edited(compiled, |r| r.n_classes = 50);
+        let err = check(&document(&report()), &only_reference).unwrap_err();
+        assert!(err.contains("no compiled record matched"), "{err}");
     }
 
     #[test]
@@ -268,46 +382,17 @@ mod tests {
         let dir = std::env::temp_dir().join("smerge-guard-test");
         std::fs::create_dir_all(&dir).unwrap();
         let committed = dir.join("committed.json");
-        let fresh_ok = dir.join("ok.json");
         let fresh_bad = dir.join("bad.json");
-        std::fs::write(&committed, DOC).unwrap();
-        std::fs::write(&fresh_ok, DOC.replace("2.50", "2.30")).unwrap();
-        std::fs::write(&fresh_bad, DOC.replace("2.50", "1.90")).unwrap();
+        let mut slower = report();
+        for r in slower.records.iter_mut().filter(|r| compiled(r)) {
+            r.median_ns = r.median_ns * 6 / 5;
+        }
+        std::fs::write(&committed, to_json(&report(), 30)).unwrap();
+        std::fs::write(&fresh_bad, to_json(&slower, 31)).unwrap();
 
         let path = |p: &std::path::Path| p.to_str().unwrap().to_string();
-        assert!(
-            run(&path(&committed), &path(&fresh_ok), 0.15).is_ok(),
-            "-8% passes"
-        );
-        let err = run(&path(&committed), &path(&fresh_bad), 0.15).unwrap_err();
-        assert!(err.contains("degraded"), "{err}");
-        assert!(err.contains("wide/merge"), "{err}");
-    }
-
-    #[test]
-    fn memory_ratio_is_guarded_when_both_sides_claim_one() {
-        let dir = std::env::temp_dir().join("smerge-guard-mem-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let committed = dir.join("committed.json");
-        let fresh_ok = dir.join("ok.json");
-        let fresh_bad = dir.join("bad.json");
-        let fresh_v3 = dir.join("v3.json");
-        std::fs::write(&committed, DOC_V4).unwrap();
-        // Time holds, memory win shrinks 6% — within tolerance.
-        std::fs::write(&fresh_ok, DOC_V4.replace("8.00", "7.50")).unwrap();
-        // Time holds, memory win collapses — must fail.
-        std::fs::write(&fresh_bad, DOC_V4.replace("8.00", "2.00")).unwrap();
-        // A schema-3 run against a schema-4 baseline: no memory claim to
-        // compare, the speedups alone decide.
-        std::fs::write(&fresh_v3, DOC).unwrap();
-
-        let path = |p: &std::path::Path| p.to_str().unwrap().to_string();
-        assert!(run(&path(&committed), &path(&fresh_ok), 0.15).is_ok());
-        let err = run(&path(&committed), &path(&fresh_bad), 0.15).unwrap_err();
-        assert!(err.contains("[memory]"), "{err}");
-        assert!(err.contains("taxonomy/merge"), "{err}");
-        // The wide entry's 0.00 mem_ratio is "no claim", never a failure;
-        // only the wide speedup matches the v3 document and it holds.
-        assert!(run(&path(&committed), &path(&fresh_v3), 0.15).is_ok());
+        assert!(run(&path(&committed), &path(&committed)).is_ok());
+        let err = run(&path(&committed), &path(&fresh_bad)).unwrap_err();
+        assert!(err.contains("time aggregate"), "{err}");
     }
 }

@@ -1,5 +1,5 @@
-//! `reproduce` — prints the paper-reproduction tables recorded in
-//! `EXPERIMENTS.md`.
+//! `reproduce` — prints the paper-reproduction tables (see the README
+//! section "Benchmarks and the perf trajectory").
 //!
 //! ```text
 //! reproduce              # figures table + experiment series

@@ -2,10 +2,10 @@
 //!
 //! The experiment harness: programmatic reconstructions of every figure
 //! in the paper ([`figures`]) plus the scaling experiments its §7 leaves
-//! open ([`experiments`]). The `reproduce` binary prints the verification
-//! table recorded in `EXPERIMENTS.md`; the `bench` binary ([`perf`])
-//! emits the machine-readable `BENCH_<n>.json` perf trajectory that CI
-//! records per PR.
+//! open ([`experiments`]). The `reproduce` binary prints the paper's
+//! verification table and the `bench` binary ([`perf`]) the
+//! `BENCH_<n>.json` perf trajectory that CI guards per PR; see the README
+//! section "Benchmarks and the perf trajectory".
 
 // `deny`, not `forbid`: the counting global allocator in `perf` needs a
 // (trivially auditable) `unsafe impl GlobalAlloc` and carries a scoped

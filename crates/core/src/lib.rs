@@ -93,7 +93,7 @@ pub mod reference;
 pub mod rename;
 pub mod restructure;
 pub mod row;
-pub mod scratch;
+mod scratch;
 pub mod weak;
 
 pub use class::{Class, OriginSet};

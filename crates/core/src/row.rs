@@ -134,8 +134,7 @@ thread_local! {
 }
 
 /// Enables or disables the sparse row representation on the calling
-/// thread — **for benchmarking only** (the dense-baseline twin of
-/// [`crate::scratch`]'s pool toggle). A merge runs entirely on its
+/// thread — **for benchmarking only**. A merge runs entirely on its
 /// calling thread, so the setting covers exactly the merges this thread
 /// runs. Representation is an encoding choice, never a semantics
 /// choice, so results are identical either way; only footprint and

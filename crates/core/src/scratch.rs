@@ -1,22 +1,21 @@
 //! Reusable scratch buffers for the id-space engines.
 //!
 //! The compiled closure and completion engines work almost entirely on
-//! fixed-width bitset rows (`Vec<u64>` of `words` length). Before this
-//! module they allocated those rows per step: every `Imp`-fixpoint
-//! iteration built a fresh `reached` row, a fresh `MinS` row and a fresh
-//! hash-map key, so a completion of a few thousand states paid tens of
-//! thousands of allocator round-trips. The pool below recycles rows
-//! within and across calls (it is thread-local, so every thread that
-//! merges — each daemon connection, say — has its own, lock-free),
-//! and `StateArena` packs the fixpoint's discovered states into one
-//! flat allocation instead of one `Vec` per state.
+//! fixed-width bitset rows (`Vec<u64>` of `words` length). Allocating
+//! those rows per step would make every `Imp`-fixpoint iteration pay for
+//! a fresh `reached` row, a fresh `MinS` row and a fresh hash-map key.
+//! The pool below recycles rows within and across calls instead (it is
+//! thread-local, so every thread that merges — each daemon connection,
+//! say — has its own, lock-free), and `StateArena` packs the fixpoint's
+//! discovered states into one flat allocation instead of one `Vec` per
+//! state.
 //!
 //! The pool is an optimization, never a semantics change: a row taken
 //! from the pool is always zeroed, exactly like a fresh
-//! `vec![0u64; words]`. The bench suite's counting allocator
-//! (`crates/bench/src/perf.rs`) records the difference as
-//! allocations-per-merge; [`set_pool_enabled`] exists so the benchmark
-//! can measure the unpooled baseline honestly.
+//! `vec![0u64; words]`. There is no unpooled mode. The bench suite's
+//! counting allocator (`crates/bench/src/perf.rs`) records every
+//! record's allocations per iteration, and the bench guard fails a
+//! change that lets the pooled fixpoint's count grow.
 
 use std::cell::RefCell;
 
@@ -27,26 +26,12 @@ use std::cell::RefCell;
 /// row, the worst-case thread-local footprint is ~0.5 MB.
 const MAX_POOLED_ROWS: usize = 8192;
 
-/// Enables or disables row recycling on the calling thread — **for
-/// benchmarking only**, so the allocation trajectory can compare the
-/// pooled engines against the allocate-per-step baseline. A merge runs
-/// entirely on its calling thread, so the setting covers exactly the
-/// merges this thread runs. Disabled pools hand out fresh allocations
-/// and drop returned rows; the rows already pooled wait for re-enabling.
-#[doc(hidden)]
-pub fn set_pool_enabled(enabled: bool) {
-    POOL.with(|pool| pool.borrow_mut().disabled = !enabled);
-}
-
 /// A free list of bitset rows. Rows of any historical width live in one
 /// list; `take` resizes to the requested width (widths within one merge
 /// are nearly always identical, so this is a plain pop in practice).
 #[derive(Default)]
 pub(crate) struct ScratchPool {
     rows: Vec<Vec<u64>>,
-    /// The benchmark escape hatch (see the module docs): `false` by
-    /// default.
-    disabled: bool,
 }
 
 impl ScratchPool {
@@ -65,7 +50,7 @@ impl ScratchPool {
 
     /// Returns a row to the pool for reuse.
     pub(crate) fn put(&mut self, row: Vec<u64>) {
-        if !self.disabled && self.rows.len() < MAX_POOLED_ROWS {
+        if self.rows.len() < MAX_POOLED_ROWS {
             self.rows.push(row);
         }
     }
@@ -79,20 +64,9 @@ thread_local! {
 ///
 /// Re-entrant use would panic on the `RefCell`; the engines only call
 /// this at non-nested points (and the pool is never held across a call
-/// into user code). When pooling is disabled ([`set_pool_enabled`]) the
-/// pool handed out is empty and discards returns, so every `take` is a
-/// fresh allocation.
+/// into user code).
 pub(crate) fn with_pool<R>(f: impl FnOnce(&mut ScratchPool) -> R) -> R {
-    POOL.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        if pool.disabled {
-            return f(&mut ScratchPool {
-                rows: Vec::new(),
-                disabled: true,
-            });
-        }
-        f(&mut pool)
-    })
+    POOL.with(|pool| f(&mut pool.borrow_mut()))
 }
 
 /// Fixed-width bitset rows packed into one flat allocation — the
