@@ -39,7 +39,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use schema_merge_core::Merger;
 use schema_merge_registry::{
     MergedView, Registry, RegistryStats, RetryPolicy, SchemaVersion, VersionMeta,
 };
@@ -48,7 +47,7 @@ use schema_merge_telemetry::{
     self as telemetry, render_counter, render_gauge, Histogram, HistogramSnapshot,
 };
 use schema_merge_text::protocol::{status_line, BlockCollector, Command, Status};
-use schema_merge_text::{encode_block, parse_document, print_weak};
+use schema_merge_text::{frame_block, parse_document, parse_payload, print_weak, write_weak};
 
 use crate::app::{parse_path_query, CliError};
 
@@ -944,30 +943,42 @@ impl Daemon {
 /// Renders the MERGED reply for `view`.
 fn render_merged(view: &MergedView) -> Response {
     let weak = view.proper.as_weak();
+    let arrows = weak.num_arrows();
     let detail = format!(
         "generation={} hash={:016x} classes={} arrows={}",
         view.generation,
         view.hash(),
         weak.num_classes(),
-        weak.num_arrows()
+        arrows
     );
-    let mut payload = print_weak("merged", weak);
-    payload.push_str(&format!(
-        "// implicit classes: {}\n",
-        view.report.num_implicit()
-    ));
-    Response::data(&detail, &payload)
+    let lines = weak.num_classes() + weak.num_specializations() + arrows;
+    Response::data_with(&detail, printed_len_hint(lines), |out| {
+        write_weak(out, "merged", weak);
+        out.push_str(&format!(
+            "// implicit classes: {}\n",
+            view.report.num_implicit()
+        ));
+    })
 }
 
 /// Renders the GET reply for `version` of `member`.
 fn render_get(member: &str, version: &SchemaVersion) -> Response {
-    Response::data(
+    let schema = &version.schema;
+    let lines = schema.num_classes() + schema.num_specializations() + schema.num_arrows();
+    Response::data_with(
         &format!(
             "hash={:016x} sequence={} generation={}",
             version.hash, version.sequence, version.generation
         ),
-        &print_weak(member, &version.schema),
+        printed_len_hint(lines),
+        |out| write_weak(out, member, schema),
     )
+}
+
+/// A reply buffer size for a schema printed in about `lines` lines, so
+/// that the printer seldom regrows it.
+fn printed_len_hint(lines: usize) -> usize {
+    256 + 40 * lines
 }
 
 /// Locks `mutex`, recovering the guard if a thread panicked while it held
@@ -1064,20 +1075,13 @@ struct Response {
 }
 
 impl Response {
-    /// The status line `status`, then `block` (already encoded).
-    fn new(status: &str, block: &str) -> Response {
-        let mut wire = String::with_capacity(status.len() + 1 + block.len());
-        wire.push_str(status);
+    fn line(status: Status, detail: &str) -> Response {
+        let mut wire = status_line(status, detail);
         wire.push('\n');
-        wire.push_str(block);
         Response {
             wire: wire.into(),
             close: false,
         }
-    }
-
-    fn line(status: Status, detail: &str) -> Response {
-        Response::new(&status_line(status, detail), "")
     }
 
     fn ok(detail: &str) -> Response {
@@ -1090,7 +1094,25 @@ impl Response {
 
     /// A `DATA` status line followed by `payload` as a block.
     fn data(detail: &str, payload: &str) -> Response {
-        Response::new(&status_line(Status::Data, detail), &encode_block(payload))
+        let capacity = detail.len() + payload.len() + 16;
+        Response::data_with(detail, capacity, |out| out.push_str(payload))
+    }
+
+    /// A `DATA` status line followed by the block `write` prints, built
+    /// in one buffer of `capacity` bytes to start with: a printed payload
+    /// is written where it is sent from, not copied there through a
+    /// print buffer and an encoded block.
+    fn data_with(detail: &str, capacity: usize, write: impl FnOnce(&mut String)) -> Response {
+        let mut wire = String::with_capacity(capacity);
+        wire.push_str(&status_line(Status::Data, detail));
+        wire.push('\n');
+        let start = wire.len();
+        write(&mut wire);
+        frame_block(&mut wire, start);
+        Response {
+            wire: wire.into(),
+            close: false,
+        }
     }
 
     /// This response, ending the connection once written.
@@ -1257,26 +1279,15 @@ fn dispatch(daemon: &Daemon, request: Request) -> Response {
     }
 }
 
-/// Parses and publishes a `PUT` payload: every schema in the document is
-/// weak-joined into the member's single published schema (publishing a
-/// document *is* publishing its merge — associativity makes the grouping
-/// irrelevant).
+/// Decodes and publishes a `PUT` payload: every schema in the document
+/// is weak-joined into the member's single published schema (publishing
+/// a document *is* publishing its merge — associativity makes the
+/// grouping irrelevant). [`parse_payload`] closes the union of the
+/// blocks' declarations once, which is that join (§4.1).
 fn put_member(registry: &Registry, name: &str, payload: &str) -> Response {
-    let docs = match parse_document(payload) {
-        Ok(docs) => docs,
-        Err(err) => return Response::err(&format!("parse failed: {err}")),
-    };
-    if docs.is_empty() {
-        return Response::err("payload contains no schemas");
-    }
-    let joined = match Merger::new()
-        .schemas(docs.iter().map(|d| d.schema.schema()))
-        .join()
-    {
-        Ok(joined) => joined.into_weak(),
-        Err(err) => {
-            return Response::err(&format!("payload does not merge [{}]: {err}", err.code()))
-        }
+    let joined = match parse_payload(payload) {
+        Ok(joined) => joined,
+        Err(err) => return Response::err(&err.to_string()),
     };
     match registry.put(name, joined) {
         Ok(outcome) => Response::ok(&format!(
@@ -1293,7 +1304,8 @@ fn put_member(registry: &Registry, name: &str, payload: &str) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use schema_merge_core::WeakSchema;
+    use schema_merge_core::{Merger, WeakSchema};
+    use schema_merge_text::encode_block;
 
     /// Both socket deadlines are armed on every accepted connection —
     /// notably the write timeout, so a client that stops reading
@@ -1564,6 +1576,25 @@ mod tests {
         assert!(send(&daemon, "MERGED", "")
             .status()
             .starts_with("DATA generation=1 "));
+    }
+
+    /// A specialization cycle inside one document of a payload is that
+    /// document's parse error, named after its schema, even when the
+    /// other documents are valid; nothing is published.
+    #[test]
+    fn put_reports_a_cycle_inside_one_document_as_its_parse_error() {
+        let daemon = daemon();
+        let cycle = send(
+            &daemon,
+            "PUT loop",
+            "schema ok { X => Y; }\nschema loop { A => B; B => A; }\n",
+        );
+        assert_eq!(
+            cycle.status(),
+            "ERR parse failed: schema loop is invalid: \
+             specialization relation is cyclic: A => B => A"
+        );
+        assert!(daemon.registry.is_empty());
     }
 
     /// A SUPERGRAPH reply carries every composition hint as a

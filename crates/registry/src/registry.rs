@@ -52,6 +52,7 @@
 //! many versions it has published.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::mem;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 use std::time::Instant;
@@ -680,7 +681,7 @@ impl Registry {
                 p.on_disk.insert(*hash);
             }
         }
-        let remaining = {
+        let (remaining, superseded) = {
             let mut shared = self.shared.write().expect("registry lock");
             shared.generation = generation;
             match &changed {
@@ -698,17 +699,26 @@ impl Registry {
                     shared.members.remove(name);
                 }
             }
-            shared.proper = Arc::new(step.report.proper);
-            shared.report = Arc::new(step.report.implicit);
             shared.hash = Arc::new(view_hash_cell);
-            shared.joins = Arc::new(step.state);
-            shared.members.len()
+            let superseded = (
+                mem::replace(&mut shared.proper, Arc::new(step.report.proper)),
+                mem::replace(&mut shared.report, Arc::new(step.report.implicit)),
+                mem::replace(&mut shared.joins, Arc::new(step.state)),
+            );
+            (shared.members.len(), superseded)
         };
         self.auto_snapshot(lane.persistence.as_mut());
 
         self.count_commit(step.strategy);
         commit_span.attr("generation", generation);
         self.metrics.commit_latency.record(commit_started.elapsed());
+        // The view and joins this commit superseded are freed only once
+        // the next writer may start. Freeing them is thousands of
+        // deallocations, most into the allocator arena of the thread that
+        // built them: under the lane, the next writer waited for them, and
+        // reads that allocated from that arena meanwhile slept on its lock.
+        drop(lane);
+        drop((superseded, joins, rest, part));
         Ok(Committed {
             generation,
             sequence,

@@ -544,6 +544,11 @@ fn empty_view() -> Arc<ComposedView> {
 /// the compose ran full or incremental.
 fn compose_hints(states: &[MemberState], proper: &ProperSchema) -> Vec<Diagnostic> {
     let mut hints = Vec::new();
+    // Every hint below names two or more registries, so one registry
+    // (the usual daemon) needs no scan of the view's classes and pairs.
+    if states.len() < 2 {
+        return hints;
+    }
 
     // H-COMPOSE-COLLISION: the same member name published by more than
     // one registry — namespacing (`registry/member`) resolves what would

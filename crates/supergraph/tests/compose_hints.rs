@@ -54,3 +54,28 @@ fn compose_hints_match_the_pinned_bytes() {
         ]
     );
 }
+
+/// Every hint names two or more registries, so a one-registry compose
+/// carries none — even over a cross-member specialization and an
+/// implicit class — and composes to the registry's own merged view.
+#[test]
+fn one_registry_composes_without_hints() {
+    let supergraph = Supergraph::new();
+    let only = supergraph.attach_new("only").unwrap();
+    only.put("left", arrow("C", "f", "B1")).unwrap();
+    only.put("right", arrow("C", "f", "B2")).unwrap();
+    only.put("mid", specialize("Dog", "Animal")).unwrap();
+    only.put("leaf", specialize("Puppy", "Dog")).unwrap();
+    only.put("base", arrow("Animal", "alive", "bool")).unwrap();
+
+    let outcome = supergraph.compose().unwrap();
+    assert_eq!(outcome.view.hints().count(), 0);
+    let composed = outcome.view.proper();
+    let meet = Class::implicit([Class::named("B1"), Class::named("B2")]);
+    assert!(composed.as_weak().contains_class(&meet));
+    assert!(composed
+        .as_weak()
+        .specializes(&Class::named("Puppy"), &Class::named("Animal")));
+    assert_eq!(composed, only.merged().proper.as_ref());
+    assert_eq!(outcome.view.hash(), only.merged().hash());
+}

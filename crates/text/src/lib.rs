@@ -17,6 +17,12 @@
 //!
 //! Implicit classes print and parse as their origin sets: `{C,D}` (meet,
 //! §4.2) and `{C|D}` (union, §6).
+//!
+//! [`parse_document`] returns each `schema` block as its own closed
+//! schema, with its keys and optional arrows. [`parse_payload`] is the
+//! daemon's `PUT` decoder: the weak join of all the blocks, computed as
+//! one closure of their union, with the per-document errors. Both read
+//! schema items through one grammar.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,8 +36,11 @@ pub mod token;
 
 pub use dot::{to_dot, DotOptions};
 pub use instance::{parse_instance, parse_instances, print_instance, NamedInstance};
-pub use parse::{parse_document, parse_schema, NamedSchema, ParseError};
-pub use print::{print_document, print_schema, print_weak, render_ascii};
+pub use parse::{
+    parse_document, parse_payload, parse_schema, NamedSchema, ParseError, PayloadError,
+};
+pub use print::{print_document, print_schema, print_weak, render_ascii, write_weak};
 pub use protocol::{
-    encode_block, parse_status_line, status_line, BlockCollector, Command, ProtocolError, Status,
+    encode_block, frame_block, parse_status_line, status_line, BlockCollector, Command,
+    ProtocolError, Status,
 };

@@ -1,9 +1,14 @@
-//! The DSL parser: tokens → annotated schemas with key assignments.
+//! The DSL parser: tokens → annotated schemas with key assignments
+//! ([`parse_document`]), or a `PUT` payload → the one weak schema its
+//! blocks join to ([`parse_payload`]). Both feed schema items through
+//! one grammar (`parse_block`) into a `Declarations` sink.
 
-use std::fmt;
+use std::{fmt, mem};
 
-use schema_merge_core::lower::AnnotatedSchema;
-use schema_merge_core::{Class, KeyAssignment, KeySet, SchemaError};
+use schema_merge_core::lower::{AnnotatedSchema, AnnotatedSchemaBuilder};
+use schema_merge_core::{
+    Class, KeyAssignment, KeySet, MergeError, Merger, SchemaBuilder, SchemaError, WeakSchema,
+};
 
 use crate::token::{lex, LexError, Token, TokenKind};
 
@@ -180,7 +185,20 @@ pub fn parse_document(source: &str) -> Result<Vec<NamedSchema>, ParseError> {
     };
     let mut schemas = Vec::new();
     while parser.peek().is_some() {
-        schemas.push(parse_one(&mut parser)?);
+        let mut document = Document::default();
+        let name = parse_block(&mut parser, &mut document)?;
+        let schema = document
+            .builder
+            .build()
+            .map_err(|error| ParseError::Invalid {
+                schema: name.clone(),
+                error,
+            })?;
+        schemas.push(NamedSchema {
+            name,
+            schema,
+            keys: document.keys,
+        });
     }
     Ok(schemas)
 }
@@ -201,13 +219,156 @@ pub fn parse_schema(source: &str) -> Result<NamedSchema, ParseError> {
     }
 }
 
-fn parse_one(parser: &mut Parser) -> Result<NamedSchema, ParseError> {
+/// Why a `PUT` payload publishes nothing. `Display` is the daemon's
+/// `ERR` reply text.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PayloadError {
+    /// A block does not parse, or is not a valid schema on its own.
+    Parse(ParseError),
+    /// The payload holds no `schema` block.
+    Empty,
+    /// Every block is valid alone, but their join is not (§4.1).
+    Merge(MergeError),
+}
+
+impl fmt::Display for PayloadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PayloadError::Parse(err) => write!(f, "parse failed: {err}"),
+            PayloadError::Empty => write!(f, "payload contains no schemas"),
+            PayloadError::Merge(err) => {
+                write!(f, "payload does not merge [{}]: {err}", err.code())
+            }
+        }
+    }
+}
+
+impl std::error::Error for PayloadError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            PayloadError::Parse(err) => Some(err),
+            PayloadError::Empty => None,
+            PayloadError::Merge(err) => Some(err),
+        }
+    }
+}
+
+/// Decodes a `PUT` payload into the one schema it publishes: the weak
+/// join of every schema in the document. A join is the closure of the
+/// union of its inputs (§4.1), so every block's items go into one
+/// declaration set that is closed once — no block is closed alone and
+/// nothing is joined afterwards. `key` lines parse and are dropped, and
+/// `--x?-->` arrows join as plain arrows, as in the weak join of the
+/// blocks [`parse_document`] returns.
+///
+/// # Errors
+///
+/// A failing payload is decoded again block by block, so the error is
+/// the one the per-document path reports: the first block that does not
+/// parse or is invalid alone ([`PayloadError::Parse`]), else the
+/// blocks' join failure ([`PayloadError::Merge`]). A payload without
+/// blocks is [`PayloadError::Empty`].
+pub fn parse_payload(source: &str) -> Result<WeakSchema, PayloadError> {
+    let mut parser = Parser {
+        tokens: lex(source).map_err(|err| PayloadError::Parse(err.into()))?,
+        position: 0,
+    };
+    let mut union = Union::default();
+    let mut blocks = 0usize;
+    while parser.peek().is_some() {
+        if parse_block(&mut parser, &mut union).is_err() {
+            return Err(payload_failure(source));
+        }
+        blocks += 1;
+    }
+    if blocks == 0 {
+        return Err(PayloadError::Empty);
+    }
+    union.0.build().map_err(|_| payload_failure(source))
+}
+
+/// The error of a payload [`parse_payload`] could not decode, found the
+/// per-document way: [`parse_document`], then the join of its blocks.
+/// Only failing payloads come here.
+fn payload_failure(source: &str) -> PayloadError {
+    let documents = match parse_document(source) {
+        Ok(documents) => documents,
+        Err(err) => return PayloadError::Parse(err),
+    };
+    match Merger::new()
+        .schemas(documents.iter().map(|d| d.schema.schema()))
+        .join()
+    {
+        Err(err) => PayloadError::Merge(err),
+        Ok(_) => unreachable!("the blocks' join closes the union that failed to close"),
+    }
+}
+
+/// Where the item grammar puts the declarations of a schema body.
+trait Declarations {
+    fn class(&mut self, class: Class);
+    fn specialize(&mut self, sub: Class, sup: Class);
+    fn arrow(&mut self, src: Class, label: String, tgt: Class, optional: bool);
+    fn key(&mut self, class: Class, labels: Vec<String>);
+}
+
+/// One block of [`parse_document`]: its annotated schema and its keys.
+#[derive(Default)]
+struct Document {
+    builder: AnnotatedSchemaBuilder,
+    keys: KeyAssignment,
+}
+
+impl Declarations for Document {
+    fn class(&mut self, class: Class) {
+        self.builder = mem::take(&mut self.builder).class(class);
+    }
+
+    fn specialize(&mut self, sub: Class, sup: Class) {
+        self.builder = mem::take(&mut self.builder).specialize(sub, sup);
+    }
+
+    fn arrow(&mut self, src: Class, label: String, tgt: Class, optional: bool) {
+        let builder = mem::take(&mut self.builder);
+        self.builder = if optional {
+            builder.optional_arrow(src, label, tgt)
+        } else {
+            builder.arrow(src, label, tgt)
+        };
+    }
+
+    fn key(&mut self, class: Class, labels: Vec<String>) {
+        self.keys.add_key(class, KeySet::new(labels));
+    }
+}
+
+/// Every block of a [`parse_payload`] payload as one plain schema's
+/// declarations.
+#[derive(Default)]
+struct Union(SchemaBuilder);
+
+impl Declarations for Union {
+    fn class(&mut self, class: Class) {
+        self.0 = mem::take(&mut self.0).class(class);
+    }
+
+    fn specialize(&mut self, sub: Class, sup: Class) {
+        self.0 = mem::take(&mut self.0).specialize(sub, sup);
+    }
+
+    fn arrow(&mut self, src: Class, label: String, tgt: Class, _optional: bool) {
+        self.0 = mem::take(&mut self.0).arrow(src, label, tgt);
+    }
+
+    fn key(&mut self, _class: Class, _labels: Vec<String>) {}
+}
+
+/// block := "schema" IDENT "{" item* "}". Each item goes to `sink`; the
+/// result is the block's name.
+fn parse_block(parser: &mut Parser, sink: &mut impl Declarations) -> Result<String, ParseError> {
     parser.expect(&TokenKind::Schema, "`schema`")?;
     let name = parser.ident("a schema name")?;
     parser.expect(&TokenKind::LBrace, "`{` opening the schema body")?;
-
-    let mut builder = AnnotatedSchema::builder();
-    let mut keys = KeyAssignment::new();
 
     loop {
         match parser.peek() {
@@ -219,7 +380,7 @@ fn parse_one(parser: &mut Parser) -> Result<NamedSchema, ParseError> {
                 parser.advance();
                 let class = parser.class_ref()?;
                 parser.expect(&TokenKind::Semi, "`;` after a class declaration")?;
-                builder = builder.class(class);
+                sink.class(class);
             }
             Some(TokenKind::Key) => {
                 parser.advance();
@@ -235,7 +396,7 @@ fn parse_one(parser: &mut Parser) -> Result<NamedSchema, ParseError> {
                 }
                 parser.expect(&TokenKind::RBrace, "`}` closing the key labels")?;
                 parser.expect(&TokenKind::Semi, "`;` after a key declaration")?;
-                keys.add_key(class, KeySet::new(labels));
+                sink.key(class, labels);
             }
             Some(TokenKind::Ident(_)) | Some(TokenKind::LBrace) => {
                 let source_class = parser.class_ref()?;
@@ -244,7 +405,7 @@ fn parse_one(parser: &mut Parser) -> Result<NamedSchema, ParseError> {
                         parser.advance();
                         let target = parser.class_ref()?;
                         parser.expect(&TokenKind::Semi, "`;` after a specialization")?;
-                        builder = builder.specialize(source_class, target);
+                        sink.specialize(source_class, target);
                     }
                     Some(TokenKind::Arrow { .. }) => {
                         let (label, optional) = match parser.advance() {
@@ -253,11 +414,7 @@ fn parse_one(parser: &mut Parser) -> Result<NamedSchema, ParseError> {
                         };
                         let target = parser.class_ref()?;
                         parser.expect(&TokenKind::Semi, "`;` after an arrow")?;
-                        builder = if optional {
-                            builder.optional_arrow(source_class, label, target)
-                        } else {
-                            builder.arrow(source_class, label, target)
-                        };
+                        sink.arrow(source_class, label, target, optional);
                     }
                     _ => return Err(parser.unexpected("`=>` or `--label-->` after a class")),
                 }
@@ -265,12 +422,7 @@ fn parse_one(parser: &mut Parser) -> Result<NamedSchema, ParseError> {
             _ => return Err(parser.unexpected("a schema item or `}`")),
         }
     }
-
-    let schema = builder.build().map_err(|error| ParseError::Invalid {
-        schema: name.clone(),
-        error,
-    })?;
-    Ok(NamedSchema { name, schema, keys })
+    Ok(name)
 }
 
 #[cfg(test)]

@@ -90,9 +90,15 @@ pub fn print_schema(doc: &NamedSchema) -> String {
 /// schema annotated all-required, without copying it into one.
 pub fn print_weak(name: &str, schema: &WeakSchema) -> String {
     let mut out = String::new();
-    write_body(&mut out, name, schema, |_, _, _| false);
-    out.push_str("}\n");
+    write_weak(&mut out, name, schema);
     out
+}
+
+/// Appends the [`print_weak`] text of `schema` to `out`, for a caller
+/// that prints into a buffer it already holds.
+pub fn write_weak(out: &mut String, name: &str, schema: &WeakSchema) {
+    write_body(out, name, schema, |_, _, _| false);
+    out.push_str("}\n");
 }
 
 /// Prints a document of several schemas.

@@ -208,6 +208,12 @@ pub fn status_line(status: Status, detail: &str) -> String {
 /// ready to write after a `DATA` status line or a `PUT` command line.
 pub fn encode_block(payload: &str) -> String {
     let mut out = String::with_capacity(payload.len() + 8);
+    encode_block_into(&mut out, payload);
+    out
+}
+
+/// Appends the [`encode_block`] of `payload` to `out`.
+fn encode_block_into(out: &mut String, payload: &str) {
     for line in payload.lines() {
         if line.starts_with('.') {
             out.push('.');
@@ -217,7 +223,27 @@ pub fn encode_block(payload: &str) -> String {
     }
     out.push_str(BLOCK_TERMINATOR);
     out.push('\n');
-    out
+}
+
+/// Turns the payload `out` holds from byte `start` on into its
+/// [`encode_block`], in place: a reply can print its payload straight
+/// into the buffer that carries its status line. Text that is its own
+/// encoding — every line ends with a newline, none starts with `.` or
+/// ends with a carriage return, as the printer's output does — only
+/// gains the terminator line.
+pub fn frame_block(out: &mut String, start: usize) {
+    let payload = &out[start..];
+    let verbatim = (payload.is_empty() || payload.ends_with('\n'))
+        && payload
+            .split_terminator('\n')
+            .all(|line| !line.starts_with('.') && !line.ends_with('\r'));
+    if verbatim {
+        out.push_str(BLOCK_TERMINATOR);
+        out.push('\n');
+    } else {
+        let payload = out.split_off(start);
+        encode_block_into(out, &payload);
+    }
 }
 
 /// The receiving half of the block framing: feed raw lines (without
@@ -410,6 +436,28 @@ mod tests {
             }
         }
         assert_eq!(collector.finish(), payload);
+    }
+
+    #[test]
+    fn framing_in_place_matches_encode_block() {
+        for payload in [
+            "",
+            "schema S {\n    Dog --age--> int;\n}\n",
+            "no trailing newline",
+            ".leading\n..double\nplain\n",
+            "carriage\r\nreturn\n",
+            "\n\nblank lines\n",
+        ] {
+            let mut out = String::from("DATA x=1\n");
+            let start = out.len();
+            out.push_str(payload);
+            frame_block(&mut out, start);
+            assert_eq!(
+                out,
+                format!("DATA x=1\n{}", encode_block(payload)),
+                "{payload:?}"
+            );
+        }
     }
 
     #[test]
