@@ -998,6 +998,71 @@ mod tests {
         assert!(text.contains(origins), "{text}");
     }
 
+    /// One file composes to its registry's committed view. The text and
+    /// JSON documents are pinned byte for byte, merger diagnostics
+    /// (`I-BASE-REUSED`, `I-IMPLICIT-CLASSES`) included.
+    #[test]
+    fn compose_of_one_file_prints_the_pinned_documents() {
+        let f = write_temp(
+            "compose-solo.sm",
+            "schema one { C --f--> B1; Dog --age--> int; }\n\
+             schema two { C --f--> B2; Guide-dog => Dog; }\n",
+        );
+        let text = run_ok(&args(&["compose", &f]));
+        let expected_text = concat!(
+            "generation=2 strategy=incremental registries=1 classes=7 arrows=5 hints=0\n",
+            "registry compose-solo generation=2 members=2\n",
+            "schema supergraph {\n",
+            "    class B1;\n",
+            "    class B2;\n",
+            "    class C;\n",
+            "    class Dog;\n",
+            "    class Guide-dog;\n",
+            "    class int;\n",
+            "    class {B1,B2};\n",
+            "    Guide-dog => Dog;\n",
+            "    {B1,B2} => B1;\n",
+            "    {B1,B2} => B2;\n",
+            "    C --f--> B1;\n",
+            "    C --f--> B2;\n",
+            "    C --f--> {B1,B2};\n",
+            "    Dog --age--> int;\n",
+            "    Guide-dog --age--> int;\n",
+            "}\n",
+            "// origins:\n",
+            "//   B1: compose-solo/one@v1\n",
+            "//   B2: compose-solo/two@v1\n",
+            "//   C: compose-solo/one@v1, compose-solo/two@v1\n",
+            "//   Dog: compose-solo/one@v1, compose-solo/two@v1\n",
+            "//   Guide-dog: compose-solo/two@v1\n",
+            "//   int: compose-solo/one@v1\n",
+        );
+        assert_eq!(text, expected_text);
+        let json = run_ok(&args(&["compose", &f, "--format", "json"]));
+        let expected_json = concat!(
+            "{\n",
+            "  \"command\": \"compose\",\n",
+            "  \"generation\": 2,\n",
+            "  \"strategy\": \"incremental\",\n",
+            "  \"registries\": [{\"registry\": \"compose-solo\", \"generation\": 2, \"members\": 2}],\n",
+            "  \"schema\": {\n",
+            "      \"classes\": [\"B1\", \"B2\", \"C\", \"Dog\", \"Guide-dog\", \"int\", \"{B1,B2}\"],\n",
+            "      \"specializations\": [[\"Guide-dog\", \"Dog\"], [\"{B1,B2}\", \"B1\"], [\"{B1,B2}\", \"B2\"]],\n",
+            "      \"arrows\": [[\"C\", \"f\", \"B1\", \"required\"], [\"C\", \"f\", \"B2\", \"required\"], [\"C\", \"f\", \"{B1,B2}\", \"required\"], [\"Dog\", \"age\", \"int\", \"required\"], [\"Guide-dog\", \"age\", \"int\", \"required\"]],\n",
+            "      \"keys\": [],\n",
+            "      \"content_hash\": \"157c30f3fe9ef045\"\n",
+            "    },\n",
+            "  \"origins\": {\n",
+            "    \"classes\": [{\"class\": \"B1\", \"origins\": [\"compose-solo/one@v1\"]}, {\"class\": \"B2\", \"origins\": [\"compose-solo/two@v1\"]}, {\"class\": \"C\", \"origins\": [\"compose-solo/one@v1\", \"compose-solo/two@v1\"]}, {\"class\": \"Dog\", \"origins\": [\"compose-solo/one@v1\", \"compose-solo/two@v1\"]}, {\"class\": \"Guide-dog\", \"origins\": [\"compose-solo/two@v1\"]}, {\"class\": \"int\", \"origins\": [\"compose-solo/one@v1\"]}],\n",
+            "    \"arrows\": [{\"arrow\": [\"C\", \"f\", \"B1\"], \"origins\": [\"compose-solo/one@v1\"]}, {\"arrow\": [\"C\", \"f\", \"B2\"], \"origins\": [\"compose-solo/two@v1\"]}, {\"arrow\": [\"Dog\", \"age\", \"int\"], \"origins\": [\"compose-solo/one@v1\"]}],\n",
+            "    \"implicit\": [{\"class\": \"{B1,B2}\", \"origins\": [\"compose-solo/one@v1\", \"compose-solo/two@v1\"]}]\n",
+            "  },\n",
+            "  \"diagnostics\": [{\"severity\": \"info\", \"code\": \"I-BASE-REUSED\", \"message\": \"reused cached compiled input(s) of 6 classes; only 0 input(s) interned\"}, {\"severity\": \"info\", \"code\": \"I-IMPLICIT-CLASSES\", \"message\": \"completion introduced 1 implicit class(es)\", \"origin\": {\"classes\": [\"{B1,B2}\"]}}]\n",
+            "}\n",
+        );
+        assert_eq!(json, expected_json);
+    }
+
     #[test]
     fn compose_requires_input_files() {
         let mut out = Vec::new();

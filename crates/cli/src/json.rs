@@ -276,8 +276,7 @@ pub(crate) fn merge_report(report: &MergeReport) -> String {
 /// the full diagnostics list (merger diagnostics plus `H-COMPOSE-*`
 /// hints).
 pub(crate) fn compose(view: &ComposedView) -> String {
-    let report = &view.report;
-    let weak = report.proper.as_weak();
+    let weak = view.proper().as_weak();
     let mut out = String::from("{\n  \"command\": \"compose\",\n");
     out.push_str(&format!("  \"generation\": {},\n", view.generation));
     out.push_str(&format!(
@@ -299,7 +298,7 @@ pub(crate) fn compose(view: &ComposedView) -> String {
     out.push_str(&format!("  \"registries\": [{}],\n", registries.join(", ")));
     out.push_str(&format!(
         "  \"schema\": {},\n",
-        schema_object(weak, &report.keys, None)
+        schema_object(weak, &KeyAssignment::new(), None)
     ));
 
     let origins = view.origins();
@@ -347,7 +346,7 @@ pub(crate) fn compose(view: &ComposedView) -> String {
     ));
     out.push_str(&format!(
         "  \"diagnostics\": {}\n}}",
-        diagnostics_array(&report.diagnostics)
+        diagnostics_array(view.diagnostics())
     ));
     out
 }

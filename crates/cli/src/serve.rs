@@ -1260,7 +1260,7 @@ fn dispatch(daemon: &Daemon, request: Request) -> Response {
             payload.push_str(&print_weak("supergraph", weak));
             payload.push_str(&format!(
                 "// implicit classes: {}\n",
-                view.report.implicit.num_implicit()
+                view.implicit().num_implicit()
             ));
             Response::data(&detail, &payload)
         }
@@ -1643,6 +1643,37 @@ mod tests {
     /// The daemon's own registry is reserved: detaching it would leave
     /// bare names committing to a registry COMPOSE drops, and attaching
     /// `default` again would split `default/x` from `x`.
+    /// On a daemon with only its own registry, the composed view is the
+    /// registry's committed view: after every PUT and COMPOSE, SUPERGRAPH
+    /// reports the hash MERGED does.
+    #[test]
+    fn a_lone_registry_composes_to_its_merged_hash() {
+        fn hash(response: &Response) -> &str {
+            response
+                .status()
+                .split(' ')
+                .find_map(|field| field.strip_prefix("hash="))
+                .expect("a hash field")
+        }
+        let daemon = daemon();
+        for (member, body) in [
+            ("alpha", "schema alpha { C --a--> B1; }\n"),
+            ("beta", "schema beta { C --a--> B2; Guide-dog => Dog; }\n"),
+            ("alpha", "schema alpha { C --a--> B3; Dog --age--> int; }\n"),
+        ] {
+            let put = send(&daemon, &format!("PUT {member}"), body);
+            assert!(put.status().starts_with("OK "), "{put:?}");
+            let compose = status(&daemon, "COMPOSE");
+            assert!(
+                compose.contains(" strategy=incremental registries=1 "),
+                "{compose}"
+            );
+            let merged = send(&daemon, "MERGED", "");
+            let supergraph = send(&daemon, "SUPERGRAPH", "");
+            assert_eq!(hash(&supergraph), hash(&merged), "after PUT {member}");
+        }
+    }
+
     #[test]
     fn dispatch_reserves_the_default_registry() {
         let daemon = daemon();

@@ -928,6 +928,19 @@ impl<'a> Merger<'a> {
         }
     }
 
+    /// The diagnostics [`execute`](Merger::execute) reports for this
+    /// upper merge, given its result (`proper` and `implicit`) — for a
+    /// caller that already holds that result, such as a supergraph of
+    /// one registry serving the registry's committed view, and reports
+    /// what the merge would without running it.
+    pub fn diagnostics_for(
+        &self,
+        proper: &ProperSchema,
+        implicit: &CompletionReport,
+    ) -> Vec<Diagnostic> {
+        self.upper_diagnostics(&self.plan(), proper.as_weak(), implicit)
+    }
+
     /// Runs only the join pass: the weak least upper bound of the inputs
     /// (mode-independent) on the compiled engine, or the symbolic
     /// participation-aware join when an input is annotated. This is the
@@ -949,9 +962,9 @@ impl<'a> Merger<'a> {
     }
 
     /// Whether the plan completes a lone compiled input with nothing
-    /// joined onto it — the registry's delete path, a supergraph of one
-    /// registry, a session's `merged()`. The join pass (and the copy it
-    /// would make of the base) is skipped.
+    /// joined onto it — the registry's delete path, a session's
+    /// `merged()`. The join pass (and the copy it would make of the base)
+    /// is skipped.
     fn is_base_only(&self) -> bool {
         !self.lower && self.bases.len() == 1 && self.inputs.is_empty() && self.assertions.is_empty()
     }
@@ -1076,30 +1089,7 @@ impl<'a> Merger<'a> {
             let _span = telemetry::span(MergePass::ParticipationTransfer.as_str());
             joined.transfer_to(proper.as_weak())
         });
-        let mut diagnostics = self.input_diagnostics();
-        diagnostics.extend(self.target_diagnostics(proper.as_weak(), &implicit));
-        if plan.reuses_base {
-            diagnostics.push(Diagnostic::info(
-                "I-BASE-REUSED",
-                format!(
-                    "reused cached compiled input(s) of {} classes; only {} input(s) interned",
-                    plan.base_classes,
-                    plan.num_inputs + plan.num_assertions
-                ),
-            ));
-        }
-        if implicit.num_implicit() > 0 {
-            diagnostics.push(
-                Diagnostic::info(
-                    "I-IMPLICIT-CLASSES",
-                    format!(
-                        "completion introduced {} implicit class(es)",
-                        implicit.num_implicit()
-                    ),
-                )
-                .with_classes(implicit.implicit.iter().map(|info| info.class.clone())),
-            );
-        }
+        let diagnostics = self.upper_diagnostics(&plan, proper.as_weak(), &implicit);
 
         Ok(MergeReport {
             plan,
@@ -1324,6 +1314,41 @@ impl<'a> Merger<'a> {
                      no foreign specializations, arrows or implicit classes"
                 ),
             ));
+        }
+        diagnostics
+    }
+
+    /// The diagnostics of an upper merge whose completed schema is
+    /// `merged` with implicit-class table `implicit`.
+    fn upper_diagnostics(
+        &self,
+        plan: &MergePlan,
+        merged: &WeakSchema,
+        implicit: &CompletionReport,
+    ) -> Vec<Diagnostic> {
+        let mut diagnostics = self.input_diagnostics();
+        diagnostics.extend(self.target_diagnostics(merged, implicit));
+        if plan.reuses_base {
+            diagnostics.push(Diagnostic::info(
+                "I-BASE-REUSED",
+                format!(
+                    "reused cached compiled input(s) of {} classes; only {} input(s) interned",
+                    plan.base_classes,
+                    plan.num_inputs + plan.num_assertions
+                ),
+            ));
+        }
+        if implicit.num_implicit() > 0 {
+            diagnostics.push(
+                Diagnostic::info(
+                    "I-IMPLICIT-CLASSES",
+                    format!(
+                        "completion introduced {} implicit class(es)",
+                        implicit.num_implicit()
+                    ),
+                )
+                .with_classes(implicit.implicit.iter().map(|info| info.class.clone())),
+            );
         }
         diagnostics
     }

@@ -12,8 +12,6 @@
 //! two spans:
 //!
 //! 1. `plan` picks the join to build onto, in this order:
-//!    * no unchanged parts, and the changed part is itself a join (a lone
-//!      registry in a supergraph) → that join;
 //!    * the changed key is the held key and every other covered key is
 //!      unchanged (a republish or delete of the same key) → the held
 //!      rest;
@@ -27,7 +25,10 @@
 //!
 //! Every part enters a merger in the form it has ([`Body`]): a member
 //! schema is interned, a registry's compiled join is remapped in id
-//! space, never decompiled.
+//! space, never decompiled. A set of one join needs no step at all: its
+//! completion is the committed view of the registry that holds it, so
+//! the supergraph serves that view and records the join as its state
+//! with [`JoinState::lone`].
 //!
 //! The step returns the next state rather than storing it, so a caller
 //! installs it with the commit that produced it and drops it only when
@@ -66,9 +67,7 @@ pub struct Part {
 pub enum Body {
     /// A registry member's published schema.
     Schema(Arc<WeakSchema>),
-    /// A registry's compiled join of its members (a supergraph part). A
-    /// step whose only part is this one completes it directly, without a
-    /// join pass.
+    /// A registry's compiled join of its members (a supergraph part).
     Join(Arc<CompiledSchema>),
 }
 
@@ -112,15 +111,25 @@ impl Default for JoinState {
 pub struct Step {
     /// The completed merge. Its compiled join has moved into `state`.
     pub report: MergeReport,
-    /// [`MergeStrategy::Incremental`] when the step built on a held join
-    /// (or a lone part's own), [`MergeStrategy::Full`] when it joined the
-    /// unchanged parts cold.
+    /// [`MergeStrategy::Incremental`] when the step built on a held join,
+    /// [`MergeStrategy::Full`] when it joined the unchanged parts cold.
     pub strategy: MergeStrategy,
     /// The state after the step.
     pub state: JoinState,
 }
 
 impl JoinState {
+    /// The state of a set whose one part, under `key`, has the compiled
+    /// join `total`: what a step of that set would leave, without the
+    /// step.
+    pub fn lone(key: &str, total: Arc<CompiledSchema>) -> Self {
+        JoinState {
+            keys: vec![key.to_string()],
+            total,
+            rest: None,
+        }
+    }
+
     /// The compiled join of every covered part.
     pub fn total(&self) -> &Arc<CompiledSchema> {
         &self.total
@@ -154,28 +163,24 @@ impl JoinState {
         changed: Option<&Part>,
     ) -> Result<Step, MergeError> {
         debug_assert!(changed.is_none() || key == changed.map(|part| part.key.as_str()));
-        let (base, extra, strategy) = {
+        let (base, strategy) = {
             let mut span = telemetry::span("plan");
             span.attr_usize("unchanged", unchanged.len());
-            let planned = match (unchanged, changed.map(|part| &part.body)) {
-                // A lone part that is itself a join is already the total.
-                ([], Some(Body::Join(own))) => (Arc::clone(own), None, MergeStrategy::Incremental),
-                _ => match self.reusable(unchanged, key) {
-                    Some(held) => (Arc::clone(held), changed, MergeStrategy::Incremental),
-                    None => {
-                        let joined = join_parts(Merger::new(), unchanged).join()?;
-                        let (_, compiled) = joined.into_parts();
-                        let cold = compiled.expect("the compiled engine keeps the compiled join");
-                        (Arc::new(cold), changed, MergeStrategy::Full)
-                    }
-                },
+            let planned = match self.reusable(unchanged, key) {
+                Some(held) => (Arc::clone(held), MergeStrategy::Incremental),
+                None => {
+                    let joined = join_parts(Merger::new(), unchanged).join()?;
+                    let (_, compiled) = joined.into_parts();
+                    let cold = compiled.expect("the compiled engine keeps the compiled join");
+                    (Arc::new(cold), MergeStrategy::Full)
+                }
             };
-            span.attr("held", u64::from(planned.2 == MergeStrategy::Incremental));
+            span.attr("held", u64::from(planned.1 == MergeStrategy::Incremental));
             planned
         };
 
         let mut span = telemetry::span("execute");
-        let mut report = join_parts(Merger::new().onto_base(&base), extra).execute()?;
+        let mut report = join_parts(Merger::new().onto_base(&base), changed).execute()?;
         span.attr_usize("classes", report.proper.num_classes());
         // With nothing joined onto it, the base is already the total.
         let total = report
@@ -187,7 +192,7 @@ impl JoinState {
             let at = keys.partition_point(|k| *k < part.key);
             keys.insert(at, part.key.clone());
         }
-        let rest = extra.map(|part| (part.key.clone(), base));
+        let rest = changed.map(|part| (part.key.clone(), base));
         Ok(Step {
             report,
             strategy,
@@ -279,8 +284,8 @@ mod tests {
 
     /// A part enters the merger in the form it has: registry joins step
     /// through the same strategies as the members they join, to the same
-    /// merge — except that a lone join is already the total — and a set
-    /// mixing the two forms joins cold to the one-shot merge.
+    /// merge, and a set mixing the two forms joins cold to the one-shot
+    /// merge.
     #[test]
     fn joins_step_like_the_members_they_join() {
         fn compiled(part: &Part) -> Part {
@@ -295,10 +300,7 @@ mod tests {
         let (a, b) = (part("a", "A", "T"), part("b", "B", "U"));
         let (c1, c2) = (part("c", "C", "V"), part("c", "C", "T"));
         let forms: [fn(&Part) -> Part; 2] = [Part::clone, compiled];
-        for (form, lone_strategy) in forms
-            .into_iter()
-            .zip([MergeStrategy::Full, MergeStrategy::Incremental])
-        {
+        for form in forms {
             let rest = [form(&a), form(&b)];
             let first = JoinState::default()
                 .step(&rest, Some("c"), Some(&form(&c1)))
@@ -313,13 +315,31 @@ mod tests {
             let lone = JoinState::default()
                 .step(&[], Some("c"), Some(&form(&c2)))
                 .unwrap();
-            assert_eq!(lone.strategy, lone_strategy);
+            assert_eq!(lone.strategy, MergeStrategy::Full);
             assert_eq!(lone.report.proper, oneshot(&[&c2]).proper);
         }
         let mixed = JoinState::default()
             .step(&[compiled(&a), b.clone()], Some("c"), Some(&compiled(&c2)))
             .unwrap();
         assert_eq!(mixed.report.proper, oneshot(&[&a, &b, &c2]).proper);
+    }
+
+    /// A lone state covers its one key, so a new key builds onto its
+    /// join.
+    #[test]
+    fn a_lone_state_takes_a_new_key_onto_its_join() {
+        let a = part("a", "A", "T");
+        let Body::Schema(schema) = &a.body else {
+            unreachable!("member parts")
+        };
+        let lone = JoinState::lone("a", Arc::new(CompiledSchema::compile(schema)));
+        assert_eq!(lone.held(), 1);
+        let b = part("b", "B", "U");
+        let step = lone
+            .step(std::slice::from_ref(&a), Some("b"), Some(&b))
+            .unwrap();
+        assert_eq!(step.strategy, MergeStrategy::Incremental);
+        assert_eq!(step.report.proper, oneshot(&[&a, &b]).proper);
     }
 
     /// A state is reused only for exactly the key set it covers: a missing

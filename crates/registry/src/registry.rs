@@ -144,6 +144,17 @@ pub struct MergedView {
 }
 
 impl MergedView {
+    /// A view of `proper`, with implicit-class table `report`, produced
+    /// at `generation`; its hash is computed when first asked.
+    pub fn new(generation: u64, proper: Arc<ProperSchema>, report: Arc<CompletionReport>) -> Self {
+        MergedView {
+            generation,
+            proper,
+            report,
+            hash: ViewHash::default(),
+        }
+    }
+
     /// Canonical content hash of the merged proper schema, computed at
     /// most once per generation: a durable commit stores the hash its
     /// WAL record carries, and otherwise the first caller fills it in.
@@ -164,12 +175,14 @@ pub(crate) fn hash_view(proper: &ProperSchema) -> u64 {
     proper.content_hash()
 }
 
-/// A coherent snapshot of the registry's pre-completion compiled join —
-/// what [`Registry::compiled_join`] hands to the federation layer. The
-/// generation, member list and join all describe the *same* member set
-/// (captured under one lock acquisition), so a supergraph compose can
-/// detect a change by generation and attribute provenance by member
-/// without racing concurrent publishes.
+/// A coherent snapshot of the registry's pre-completion compiled join and
+/// the committed view completed from it — what
+/// [`Registry::compiled_join`] hands to the federation layer. The
+/// generation, member list, join and view all describe the *same* member
+/// set (captured under one lock acquisition), so a supergraph compose can
+/// detect a change by generation, attribute provenance by member, and
+/// serve the view of a lone registry, without racing concurrent
+/// publishes.
 #[derive(Clone)]
 pub struct RegistryJoin {
     /// The registry generation the join reflects; every commit bumps it.
@@ -179,6 +192,10 @@ pub struct RegistryJoin {
     /// The compiled weak join of all member schemas (no implicit
     /// classes — completion has not run).
     pub join: Arc<CompiledSchema>,
+    /// The committed view of the same generation: `join` completed. It
+    /// shares the installed view's hash cell, so the view is hashed at
+    /// most once whoever asks.
+    pub view: MergedView,
 }
 
 pub(crate) struct Shared {
@@ -740,14 +757,16 @@ impl Registry {
 
     /// The compiled pre-completion join of every current member version —
     /// the registry's contribution to a federated supergraph compose
-    /// (`crates/supergraph`). Every commit installs this join as the
-    /// total of its held joins, so a call is an `Arc` clone plus the
-    /// member list.
+    /// (`crates/supergraph`) — with the committed view of the same
+    /// generation. Every commit installs this join as the total of its
+    /// held joins, so a call is a few `Arc` clones plus the member list.
     ///
-    /// This is the *join*, not the merged view: completion has not run,
-    /// no implicit classes are present — exactly the representation the
+    /// The join is not the merged view: completion has not run, no
+    /// implicit classes are present — exactly the representation the
     /// composition law `⊔ᵢⱼGᵢⱼ = ⊔ᵢ(⊔ⱼGᵢⱼ)` needs to make a supergraph
     /// compose equal to the one-shot merge of every member everywhere.
+    /// Completion is a function of the join, so a supergraph of this
+    /// registry alone serves the view as it is.
     pub fn compiled_join(&self) -> RegistryJoin {
         let shared = self.shared.read().expect("registry lock");
         RegistryJoin {
@@ -758,6 +777,7 @@ impl Registry {
                 .map(|(n, r)| (n.clone(), r.current.clone()))
                 .collect(),
             join: Arc::clone(shared.joins.total()),
+            view: shared.view(),
         }
     }
 
@@ -1295,6 +1315,23 @@ mod tests {
         assert_eq!(memory.stats().merged_hash, hash);
         assert_eq!(memory.merged().hash(), hash);
         assert_eq!(view_hashes() - before, 1, "the first reader hashes once");
+    }
+
+    /// The view handed out with the join shares the installed view's
+    /// hash cell: whichever handle asks first, the view is hashed once.
+    #[test]
+    fn the_view_taken_with_the_join_shares_its_hash() {
+        let registry = Registry::new();
+        registry.put("a", schema("A", "x", "T")).unwrap();
+        let joined = registry.compiled_join();
+        assert_eq!(joined.view.generation, joined.generation);
+        assert!(Arc::ptr_eq(&joined.view.proper, &registry.merged().proper));
+        let before = view_hashes();
+        let hash = joined.view.hash();
+        assert_eq!(registry.merged().hash(), hash);
+        assert_eq!(registry.stats().merged_hash, hash);
+        assert_eq!(registry.compiled_join().view.hash(), hash);
+        assert_eq!(view_hashes() - before, 1);
     }
 
     #[test]

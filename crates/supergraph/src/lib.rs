@@ -15,10 +15,13 @@
 //!   registries' pre-completion joins, completed once. It is equal (not
 //!   just isomorphic) to the one-shot merge of every underlying schema —
 //!   differentially property-tested, including reports, provenance, and
-//!   hints.
+//!   hints. A supergraph of one registry runs no merge at all: its
+//!   composed view is that registry's committed view, the completion of
+//!   the same join, shared with the registry down to its content hash.
 //! * **Recomposition is incremental end-to-end** — each registry hands
-//!   over the compiled join it holds ([`Registry::compiled_join`]), and a
-//!   compose is one
+//!   over the compiled join it holds and the view completed from it
+//!   ([`Registry::compiled_join`]), and a compose of two or more
+//!   registries is one
 //!   [`JoinState::step`](schema_merge_registry::cache::JoinState::step),
 //!   the step the registry commits with, with the registries' compiled
 //!   joins as its parts, never decompiled: one registry's publish

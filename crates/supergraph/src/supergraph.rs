@@ -2,16 +2,18 @@
 //! into one federated merged view.
 
 use std::collections::BTreeMap;
+use std::mem;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use schema_merge_core::compose::ComposeProvenance;
-use schema_merge_core::merger::MergeReport;
-use schema_merge_core::{Class, CompiledSchema, Diagnostic, Merger, ProperSchema, Severity};
+use schema_merge_core::{
+    Class, CompiledSchema, CompletionReport, Diagnostic, Merger, ProperSchema, Severity,
+};
 use schema_merge_registry::cache::{Body, JoinState, Part};
 use schema_merge_registry::version::SchemaVersion;
-use schema_merge_registry::{MergeStrategy, Registry};
+use schema_merge_registry::{MergeStrategy, MergedView, Registry, RegistryJoin};
 use schema_merge_telemetry::{self as telemetry, Histogram, HistogramSnapshot};
 
 use crate::error::SupergraphError;
@@ -28,17 +30,21 @@ use crate::error::SupergraphError;
 /// supergraph exploits the same law the registry does to recompose
 /// incrementally:
 ///
-/// * each registry hands over the compiled join its last commit left
-///   ([`Registry::compiled_join`], an `Arc` clone); a registry whose
-///   generation has not moved since the last compose is unchanged;
-/// * every compose is one [`JoinState::step`], the step the registry
-///   commits with, on the state the last compose installed, whose parts
-///   are the registries' compiled joins as they are ([`Body::Join`]),
-///   never decompiled: when exactly one registry changed, only its join
-///   is remapped, onto the held join of the rest when the state holds
-///   one (the same registry changed last, or it is newly attached) — and
-///   a lone registry's join is completed as is; otherwise the whole set
-///   is joined cold, in id space, and completed.
+/// * each registry hands over the compiled join its last commit left and
+///   the committed view completed from it ([`Registry::compiled_join`],
+///   `Arc` clones); a registry whose generation has not moved since the
+///   last compose is unchanged;
+/// * a supergraph of one registry serves that registry's committed view
+///   as its composed view: completion is a function of the join, so no
+///   join, completion or second view is needed;
+/// * with two or more registries, a compose is one [`JoinState::step`],
+///   the step the registry commits with, on the state the last compose
+///   installed, whose parts are the registries' compiled joins as they
+///   are ([`Body::Join`]), never decompiled: when exactly one registry
+///   changed, only its join is remapped, onto the held join of the rest
+///   when the state holds one (the same registry changed last, or it is
+///   newly attached); otherwise the whole set is joined cold, in id
+///   space, and completed.
 ///
 /// Every composed view carries rover-style [`Severity::Hint`]
 /// diagnostics (`H-COMPOSE-*`) surfacing composition observations:
@@ -49,8 +55,9 @@ use crate::error::SupergraphError;
 /// [`ComposedView::origins`].
 ///
 /// `compose`, `attach` and `detach` run one at a time in a writer lane
-/// and take the write lock only to install their result. Lock order:
-/// this lane, then a member registry's read lock.
+/// and take the write lock only to install their result; a compose frees
+/// what it superseded after leaving the lane. Lock order: this lane,
+/// then a member registry's read lock.
 pub struct Supergraph {
     shared: RwLock<Shared>,
     /// The writer lane, held for a whole compose, attach or detach.
@@ -114,28 +121,40 @@ pub struct ComposedView {
     pub generation: u64,
     /// The member registries composed in, sorted by name.
     pub members: Vec<ComposedMember>,
-    /// The full merge report: composed proper schema, implicit-class
-    /// table and diagnostics (merger diagnostics followed by the
-    /// `H-COMPOSE-*` hints).
-    pub report: Arc<MergeReport>,
     /// Which engine path produced this view.
     pub strategy: MergeStrategy,
+    /// The composed proper schema, its implicit-class table and its hash
+    /// cell. A supergraph of one registry holds that registry's committed
+    /// view here, hash cell included.
+    merged: MergedView,
+    /// Merger diagnostics followed by the `H-COMPOSE-*` hints.
+    diagnostics: Vec<Diagnostic>,
     /// Each composed registry's member versions, aligned with `members`.
     versions: Vec<Arc<Vec<(String, SchemaVersion)>>>,
-    /// The composed schema's content hash, once something has asked.
-    hash: OnceLock<u64>,
 }
 
 impl ComposedView {
     /// The composed merged schema.
     pub fn proper(&self) -> &ProperSchema {
-        &self.report.proper
+        &self.merged.proper
+    }
+
+    /// The implicit classes completion introduced, with their origins.
+    pub fn implicit(&self) -> &CompletionReport {
+        &self.merged.report
+    }
+
+    /// Every diagnostic of the compose: the merger's, followed by the
+    /// `H-COMPOSE-*` hints.
+    pub fn diagnostics(&self) -> &[Diagnostic] {
+        &self.diagnostics
     }
 
     /// Canonical content hash of the composed proper schema, computed
-    /// by the first caller and stored with the view.
+    /// by the first caller and stored with the view. The view of a lone
+    /// registry shares that registry's hash, so it is never hashed again.
     pub fn hash(&self) -> u64 {
-        *self.hash.get_or_init(|| self.report.proper.content_hash())
+        self.merged.hash()
     }
 
     /// Cross-registry provenance: which `registry/member@vN` origins
@@ -152,13 +171,12 @@ impl ComposedView {
                     (label, version.schema.as_ref())
                 })
             });
-        ComposeProvenance::compute(inputs, &self.report.proper)
+        ComposeProvenance::compute(inputs, self.proper())
     }
 
     /// The `H-COMPOSE-*` composition hints, in deterministic order.
     pub fn hints(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.report
-            .diagnostics
+        self.diagnostics
             .iter()
             .filter(|d| d.severity == Severity::Hint)
     }
@@ -181,8 +199,8 @@ pub struct ComposeOutcome {
     /// Supergraph generation after the compose (unchanged for a noop).
     pub generation: u64,
     /// Which engine path ran: `noop` when nothing moved since the last
-    /// compose, `incremental` when a held join was completed onto,
-    /// `full` otherwise.
+    /// compose, `incremental` when a held join was completed onto or a
+    /// lone registry's committed view was served, `full` otherwise.
     pub strategy: MergeStrategy,
     /// The (possibly pre-existing, for a noop) composed view.
     pub view: Arc<ComposedView>,
@@ -211,7 +229,8 @@ pub struct SupergraphStats {
     pub composed_hash: u64,
     /// Composes that re-joined every registry.
     pub full_composes: u64,
-    /// Composes that completed onto a held join.
+    /// Composes that completed onto a held join or served a lone
+    /// registry's committed view.
     pub incremental_composes: u64,
     /// Composes that found nothing changed.
     pub noop_composes: u64,
@@ -335,13 +354,13 @@ impl Supergraph {
 
     /// Recomposes the supergraph view from the attached registries'
     /// current joins and installs it (generation-stamped), returning the
-    /// outcome. Noop when nothing changed; otherwise one
-    /// [`JoinState::step`] — incremental when the join it builds onto is
-    /// held (or is a lone registry's own join), full when it was joined
-    /// cold. Every path produces the same view as the one-shot
-    /// merge of every member schema of every registry — the
-    /// associativity of the join is differentially property-tested, not
-    /// assumed.
+    /// outcome. Noop when nothing changed. A lone registry's committed
+    /// view is installed as it is (incremental: nothing is joined or
+    /// completed). Otherwise one [`JoinState::step`] — incremental when
+    /// the join it builds onto is held, full when it was joined cold.
+    /// Every path produces the same view as the one-shot merge of every
+    /// member schema of every registry — the associativity of the join is
+    /// differentially property-tested, not assumed.
     ///
     /// # Errors
     ///
@@ -351,7 +370,7 @@ impl Supergraph {
     pub fn compose(&self) -> Result<ComposeOutcome, SupergraphError> {
         let started = Instant::now();
         let mut compose_span = telemetry::span("compose");
-        let _lane = self.lane.lock().expect("supergraph lane");
+        let lane = self.lane.lock().expect("supergraph lane");
         let (generation, snapshot, joins, composed) = {
             let shared = self.shared.read().expect("supergraph lock");
             let snapshot: Vec<(String, Arc<Registry>, Option<MemberState>)> = shared
@@ -367,24 +386,32 @@ impl Supergraph {
             )
         };
 
-        // Refresh every registry's join handle (an `Arc` clone).
+        // Refresh every registry's join handle (`Arc` clones), and keep a
+        // lone registry's committed view of the same generation.
         let mut states: Vec<MemberState> = Vec::with_capacity(snapshot.len());
         let mut changed: Vec<usize> = Vec::new();
+        let mut lone_view: Option<MergedView> = None;
         for (index, (name, registry, prev)) in snapshot.iter().enumerate() {
-            let join = registry.compiled_join();
+            let RegistryJoin {
+                generation,
+                members,
+                join,
+                view,
+            } = registry.compiled_join();
             let state = match prev {
-                Some(prev) if prev.generation == join.generation => prev.clone(),
+                Some(prev) if prev.generation == generation => prev.clone(),
                 _ => {
                     changed.push(index);
                     MemberState {
                         name: name.clone(),
-                        join: join.join,
-                        generation: join.generation,
-                        members: Arc::new(join.members),
+                        join,
+                        generation,
+                        members: Arc::new(members),
                     }
                 }
             };
             states.push(state);
+            lone_view = (snapshot.len() == 1).then_some(view);
         }
 
         // Every state came from the last compose and none moved: the same
@@ -399,38 +426,61 @@ impl Supergraph {
             });
         }
 
-        // One step: exactly one registry moved → its join onto the rest's
-        // (a lone registry's join completes as is); no registry moved →
-        // the remaining set, recompleted. When several moved, no held join
-        // describes the unchanged ones: join them all cold.
-        let step = match changed.as_slice() {
-            [index] => {
-                let rest: Vec<Part> = states
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| i != index)
-                    .map(|(_, s)| s.part())
-                    .collect();
-                let moved = states[*index].part();
-                joins.step(&rest, Some(&moved.key), Some(&moved))
+        let generation = generation + 1;
+        let (strategy, merged, mut diagnostics, next_joins) = match lone_view {
+            // One registry: the composed view is its committed view, the
+            // completion of the join it is the only part of, so nothing is
+            // joined or completed. The diagnostics are the ones the merge
+            // of that join would report.
+            Some(view) => {
+                let state = &states[0];
+                let diagnostics = Merger::new()
+                    .onto_base(&state.join)
+                    .diagnostics_for(&view.proper, &view.report);
+                let lone = JoinState::lone(&state.name, Arc::clone(&state.join));
+                (MergeStrategy::Incremental, view, diagnostics, lone)
             }
-            _ => {
-                let all: Vec<Part> = states.iter().map(MemberState::part).collect();
-                let held = if changed.is_empty() {
-                    joins.as_ref()
-                } else {
-                    &JoinState::default()
-                };
-                held.step(&all, None, None)
+            // One step: exactly one registry moved → its join onto the
+            // rest's; no registry moved → the remaining set, recompleted.
+            // When several moved, no held join describes the unchanged
+            // ones: join them all cold.
+            None => {
+                let step = match changed.as_slice() {
+                    [index] => {
+                        let rest: Vec<Part> = states
+                            .iter()
+                            .enumerate()
+                            .filter(|(i, _)| i != index)
+                            .map(|(_, s)| s.part())
+                            .collect();
+                        let moved = states[*index].part();
+                        joins.step(&rest, Some(&moved.key), Some(&moved))
+                    }
+                    _ => {
+                        let all: Vec<Part> = states.iter().map(MemberState::part).collect();
+                        let held = if changed.is_empty() {
+                            joins.as_ref()
+                        } else {
+                            &JoinState::default()
+                        };
+                        held.step(&all, None, None)
+                    }
+                }
+                .map_err(SupergraphError::Compose)?;
+                let report = step.report;
+                let merged = MergedView::new(
+                    generation,
+                    Arc::new(report.proper),
+                    Arc::new(report.implicit),
+                );
+                (step.strategy, merged, report.diagnostics, step.state)
             }
-        }
-        .map_err(SupergraphError::Compose)?;
-        let (strategy, mut report) = (step.strategy, step.report);
+        };
 
         // Hints are computed from the member states and the composed
         // result only — never from the path taken — so incremental and
         // full composes carry identical hints.
-        let mut hints = compose_hints(&states, &report.proper);
+        let mut hints = compose_hints(&states, &merged.proper);
         // H-COMPOSE-DEGRADED: a member registry is serving reads but
         // rejecting writes after a storage failure — the composed view is
         // correct but may lag that member's publishers. Flagged here (not
@@ -449,9 +499,8 @@ impl Supergraph {
             }
         }
         compose_span.attr_usize("hints", hints.len());
-        report.diagnostics.extend(hints);
+        diagnostics.extend(hints);
 
-        let generation = generation + 1;
         let view = Arc::new(ComposedView {
             generation,
             members: states
@@ -462,22 +511,26 @@ impl Supergraph {
                     members: s.members.len(),
                 })
                 .collect(),
-            report: Arc::new(report),
             strategy,
+            merged,
+            diagnostics,
             versions: states.iter().map(|s| Arc::clone(&s.members)).collect(),
-            hash: OnceLock::new(),
         });
-        {
+        let superseded = {
             let mut shared = self.shared.write().expect("supergraph lock");
             shared.generation = generation;
+            let mut replaced = Vec::with_capacity(states.len());
             for state in states {
                 if let Some(member) = shared.members.get_mut(&state.name) {
-                    member.state = Some(state);
+                    replaced.push(member.state.replace(state));
                 }
             }
-            shared.joins = Arc::new(step.state);
-            shared.composed = Arc::clone(&view);
-        }
+            (
+                replaced,
+                mem::replace(&mut shared.joins, Arc::new(next_joins)),
+                mem::replace(&mut shared.composed, Arc::clone(&view)),
+            )
+        };
 
         let counter = match strategy {
             MergeStrategy::Incremental => &self.counters.incremental,
@@ -487,6 +540,12 @@ impl Supergraph {
         compose_span.attr("generation", generation);
         compose_span.attr_usize("registries", view.members.len());
         self.compose_latency.record(started.elapsed());
+        // The view, joins and member states this compose superseded are
+        // freed after the lane, as a registry commit frees what it
+        // superseded: freeing them is thousands of deallocations, which
+        // the next compose, attach or detach need not wait for.
+        drop(lane);
+        drop((superseded, joins, composed, snapshot));
         Ok(ComposeOutcome {
             generation,
             strategy,
@@ -506,13 +565,13 @@ impl Supergraph {
                 Arc::clone(&shared.composed),
             )
         };
-        let weak = composed.report.proper.as_weak();
+        let weak = composed.proper().as_weak();
         SupergraphStats {
             generation,
             registries,
             composed_classes: weak.num_classes(),
             composed_arrows: weak.num_arrows(),
-            implicit_classes: composed.report.implicit.num_implicit(),
+            implicit_classes: composed.implicit().num_implicit(),
             hints: composed.hints().count(),
             composed_hash: composed.hash(),
             full_composes: self.counters.full.load(Ordering::Relaxed),
@@ -524,17 +583,16 @@ impl Supergraph {
 }
 
 fn empty_view() -> Arc<ComposedView> {
-    let mut report = Merger::new()
+    let report = Merger::new()
         .execute()
         .expect("the empty merge cannot fail");
-    report.compiled = None;
     Arc::new(ComposedView {
         generation: 0,
         members: Vec::new(),
-        report: Arc::new(report),
         strategy: MergeStrategy::Full,
+        merged: MergedView::new(0, Arc::new(report.proper), Arc::new(report.implicit)),
+        diagnostics: report.diagnostics,
         versions: Vec::new(),
-        hash: OnceLock::new(),
     })
 }
 
@@ -702,8 +760,8 @@ mod tests {
             .schemas(schemas.iter().map(|s| s.as_ref()))
             .execute()
             .expect("one-shot merge succeeds");
-        assert_eq!(view.report.proper, expected.proper);
-        assert_eq!(view.report.implicit, expected.implicit);
+        assert_eq!(view.proper(), &expected.proper);
+        assert_eq!(view.implicit(), &expected.implicit);
     }
 
     #[test]
@@ -712,7 +770,7 @@ mod tests {
         let outcome = supergraph.compose().unwrap();
         assert_eq!(outcome.strategy, MergeStrategy::Noop);
         assert_eq!(outcome.generation, 0);
-        assert_eq!(outcome.view.report.proper.num_classes(), 0);
+        assert_eq!(outcome.view.proper().num_classes(), 0);
     }
 
     #[test]
@@ -786,13 +844,32 @@ mod tests {
 
     #[test]
     fn single_registry_compose_reuses_the_registry_join() {
+        use schema_merge_registry::storage::MemoryStore;
+
         let supergraph = Supergraph::new();
-        let a = supergraph.attach_new("solo").unwrap();
-        a.put("m", schema("Dog", "name", "string")).unwrap();
+        let registry = Arc::new(
+            Registry::builder()
+                .store(MemoryStore::new())
+                .open()
+                .unwrap(),
+        );
+        supergraph.attach("solo", Arc::clone(&registry)).unwrap();
+        registry.put("one", schema("C", "f", "B1")).unwrap();
+        registry.put("two", schema("C", "f", "B2")).unwrap();
         let outcome = supergraph.compose().unwrap();
-        // The registry's held compiled join is completed base-only.
         assert_eq!(outcome.strategy, MergeStrategy::Incremental);
         assert_view_matches_oneshot(&supergraph);
+        // The composed view is the registry's committed view: the same
+        // proper schema and implicit table, and the hash the durable
+        // commit stored, so neither the view nor STATS hashes it again.
+        let committed = registry.merged();
+        let view = &outcome.view;
+        assert!(Arc::ptr_eq(&view.merged.proper, &committed.proper));
+        assert!(Arc::ptr_eq(&view.merged.report, &committed.report));
+        assert_eq!(view.implicit().num_implicit(), 1);
+        assert_eq!(view.hash(), committed.hash());
+        assert_eq!(supergraph.stats().composed_hash, committed.hash());
+        assert_eq!(view.hash(), view.proper().content_hash());
     }
 
     #[test]
@@ -964,6 +1041,40 @@ mod tests {
         );
     }
 
+    /// A degraded registry composed alone is still flagged: the lone
+    /// path keeps `H-COMPOSE-DEGRADED` after the merger's diagnostics.
+    #[test]
+    fn a_lone_degraded_registry_is_flagged() {
+        use schema_merge_registry::storage::{
+            Fault, FaultSchedule, FaultStore, MemoryStore, OpKind,
+        };
+        use schema_merge_registry::RetryPolicy;
+
+        // The first append lands; every later one fails for good.
+        let schedule = FaultSchedule::new(11).always_after(OpKind::Append, 1, Fault::Permanent);
+        let registry = Arc::new(
+            Registry::builder()
+                .store(FaultStore::new(MemoryStore::new(), schedule))
+                .retry_policy(RetryPolicy::new(0))
+                .open()
+                .unwrap(),
+        );
+        registry.put("m", schema("X", "f", "Y")).unwrap();
+        assert!(registry.put("n", schema("Z", "g", "Y")).is_err());
+        assert!(registry.is_degraded());
+
+        let supergraph = Supergraph::new();
+        supergraph.attach("solo", Arc::clone(&registry)).unwrap();
+        let outcome = supergraph.compose().unwrap();
+        assert_eq!(outcome.strategy, MergeStrategy::Incremental);
+        let codes: Vec<&str> = outcome.view.diagnostics().iter().map(|d| d.code).collect();
+        assert_eq!(codes, ["I-BASE-REUSED", "H-COMPOSE-DEGRADED"]);
+        let hint = outcome.view.hints().next().unwrap();
+        assert!(hint.message.contains("`solo`"), "{hint:?}");
+        assert!(outcome.view.proper().contains_class(&Class::named("X")));
+        assert_view_matches_oneshot(&supergraph);
+    }
+
     #[test]
     fn incremental_and_full_views_agree_on_provenance_and_hints() {
         // Drive one supergraph incrementally; compose a fresh one from
@@ -986,8 +1097,8 @@ mod tests {
         let full = fresh.compose().unwrap();
         assert_eq!(full.strategy, MergeStrategy::Full);
 
-        assert_eq!(incremental.view.report.proper, full.view.report.proper);
-        assert_eq!(incremental.view.report.implicit, full.view.report.implicit);
+        assert_eq!(incremental.view.proper(), full.view.proper());
+        assert_eq!(incremental.view.implicit(), full.view.implicit());
         assert_eq!(incremental.view.origins(), full.view.origins());
         let incremental_hints: Vec<&Diagnostic> = incremental.view.hints().collect();
         let full_hints: Vec<&Diagnostic> = full.view.hints().collect();
@@ -1046,7 +1157,7 @@ mod tests {
         assert_eq!(cold.strategy, MergeStrategy::Full);
         assert!(cold.view.proper().contains_class(&meet));
         // `Kit --of-->` now reaches `Widget` and `Order`: a fresh meet.
-        assert_eq!(cold.view.report.implicit.num_implicit(), 1);
+        assert_eq!(cold.view.implicit().num_implicit(), 1);
         assert_view_matches_oneshot(&supergraph);
         assert_hints_match_fresh_compose(&supergraph, &cold);
     }

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use schema_merge_core::{Diagnostic, Merger, WeakSchema};
+use schema_merge_core::{ComposeProvenance, Diagnostic, Merger, WeakSchema};
 use schema_merge_registry::{MergeStrategy, Registry};
 use schema_merge_supergraph::Supergraph;
 
@@ -130,13 +130,9 @@ fn check_composed(supergraph: &Supergraph) -> Result<(), TestCaseError> {
         .schemas(schemas.iter().map(|s| s.as_ref()))
         .execute()
         .expect("compatible inputs merge");
+    prop_assert_eq!(view.proper(), &oneshot.proper, "proper schemas differ");
     prop_assert_eq!(
-        &view.report.proper,
-        &oneshot.proper,
-        "proper schemas differ"
-    );
-    prop_assert_eq!(
-        &view.report.implicit,
+        view.implicit(),
         &oneshot.implicit,
         "implicit-class reports differ"
     );
@@ -148,7 +144,7 @@ fn check_composed(supergraph: &Supergraph) -> Result<(), TestCaseError> {
             .expect("fresh attach");
     }
     let full = fresh.compose().expect("fresh full compose");
-    prop_assert_eq!(&view.report.proper, &full.view.report.proper);
+    prop_assert_eq!(view.proper(), full.view.proper());
     prop_assert_eq!(view.origins(), full.view.origins(), "origins differ");
     let history_hints: Vec<&Diagnostic> = view.hints().collect();
     let full_hints: Vec<&Diagnostic> = full.view.hints().collect();
@@ -210,6 +206,135 @@ proptest! {
     }
 }
 
+/// The view of a supergraph whose one registry is `name` must equal the
+/// merge of that registry's join — `Merger::new().onto_base(&join)` —
+/// in proper schema, implicit table, hash, origins and diagnostics.
+fn check_lone(supergraph: &Supergraph, name: &str) -> Result<(), TestCaseError> {
+    let view = supergraph.composed();
+    let joined = supergraph
+        .registry(name)
+        .expect("the lone registry is attached")
+        .compiled_join();
+    prop_assert_eq!(view.members.len(), 1);
+    prop_assert_eq!(view.members[0].generation, joined.generation);
+    let merge = Merger::new()
+        .onto_base(&joined.join)
+        .execute()
+        .expect("a registry's join completes");
+    prop_assert_eq!(view.proper(), &merge.proper, "proper schemas differ");
+    prop_assert_eq!(view.implicit(), &merge.implicit, "implicit tables differ");
+    prop_assert_eq!(view.hash(), merge.proper.content_hash(), "hashes differ");
+    let labels = joined.members.iter().map(|(member, version)| {
+        let label = format!("{name}/{member}@v{}", version.sequence);
+        (label, version.schema.as_ref())
+    });
+    prop_assert_eq!(
+        view.origins(),
+        ComposeProvenance::compute(labels, &merge.proper),
+        "origins differ"
+    );
+    prop_assert_eq!(
+        view.diagnostics(),
+        merge.diagnostics.as_slice(),
+        "diagnostics differ"
+    );
+    Ok(())
+}
+
+/// One step of a one-registry history.
+#[derive(Debug, Clone)]
+enum LoneOp {
+    Put { member: usize, edges: Vec<RawEdge> },
+    Delete(usize),
+    Compose,
+}
+
+fn lone_op() -> impl Strategy<Value = LoneOp> {
+    prop_oneof![
+        (0usize..MEMBERS.len(), raw_edges())
+            .prop_map(|(member, edges)| LoneOp::Put { member, edges }),
+        (0usize..MEMBERS.len(), raw_edges())
+            .prop_map(|(member, edges)| LoneOp::Put { member, edges }),
+        (0usize..MEMBERS.len()).prop_map(LoneOp::Delete),
+        Just(LoneOp::Compose),
+        Just(LoneOp::Compose),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A supergraph of one registry serves that registry's committed
+    /// view: after any publish sequence, every compose equals the merge
+    /// of the registry's join and the one-shot merge of its members.
+    #[test]
+    fn lone_registry_compose_equals_the_merge_of_its_join(
+        ops in vec(lone_op(), 1..16),
+    ) {
+        let supergraph = Supergraph::new();
+        let registry = supergraph.attach_new("solo").unwrap();
+        for op in &ops {
+            match op {
+                LoneOp::Put { member, edges } => {
+                    registry
+                        .put(MEMBERS[*member], build(edges))
+                        .expect("order-directed schemas are compatible");
+                }
+                LoneOp::Delete(member) => {
+                    let _ = registry.delete(MEMBERS[*member]);
+                }
+                LoneOp::Compose => {
+                    let outcome = supergraph.compose().expect("a lone compose");
+                    prop_assert!(outcome.strategy != MergeStrategy::Full);
+                    check_lone(&supergraph, "solo")?;
+                    check_composed(&supergraph)?;
+                }
+            }
+        }
+        supergraph.compose().expect("final compose");
+        check_lone(&supergraph, "solo")?;
+        check_composed(&supergraph)?;
+    }
+}
+
+/// A supergraph moving between one registry and two: attach a second
+/// registry, compose, detach it, compose again, with publishes in
+/// between. Every compose equals the one-shot merge; every lone one the
+/// merge of the registry's join; and a registry attached to a lone one
+/// builds onto the lone join.
+#[test]
+fn lone_registry_transitions_match_oneshot() {
+    let supergraph = Supergraph::new();
+    let a = supergraph.attach_new("r0").unwrap();
+    let b = Arc::new(Registry::new());
+    a.put("m0", build(&[RawEdge::Arrow(0, 0, 1)])).unwrap();
+    b.put("m0", build(&[RawEdge::Arrow(0, 0, 2), RawEdge::Spec(3, 4)]))
+        .unwrap();
+
+    let lone = supergraph.compose().unwrap();
+    assert_eq!(lone.strategy, MergeStrategy::Incremental);
+    check_lone(&supergraph, "r0").unwrap();
+    check_composed(&supergraph).unwrap();
+    for round in 0..3 {
+        supergraph.attach("r1", Arc::clone(&b)).unwrap();
+        let pair = supergraph.compose().unwrap();
+        assert_eq!(pair.strategy, MergeStrategy::Incremental, "round {round}");
+        assert_eq!(pair.view.implicit().num_implicit(), 1, "round {round}");
+        check_composed(&supergraph).unwrap();
+
+        supergraph.detach("r1").unwrap();
+        let alone = supergraph.compose().unwrap();
+        assert_eq!(alone.strategy, MergeStrategy::Incremental, "round {round}");
+        check_lone(&supergraph, "r0").unwrap();
+        check_composed(&supergraph).unwrap();
+
+        a.put("m1", build(&[RawEdge::Arrow(round, 1, 5)])).unwrap();
+        supergraph.compose().unwrap();
+        check_lone(&supergraph, "r0").unwrap();
+        check_composed(&supergraph).unwrap();
+    }
+}
+
 /// The registry slots ordered by their random sort keys: a random
 /// permutation.
 fn permutation(keys: impl Iterator<Item = u64>) -> Vec<usize> {
@@ -255,8 +380,8 @@ proptest! {
         }
         let stepwise = stepwise.composed();
 
-        prop_assert_eq!(&batch.report.proper, &stepwise.report.proper);
-        prop_assert_eq!(&batch.report.implicit, &stepwise.report.implicit);
+        prop_assert_eq!(batch.proper(), stepwise.proper());
+        prop_assert_eq!(batch.implicit(), stepwise.implicit());
         prop_assert_eq!(batch.origins(), stepwise.origins());
         let batch_hints: Vec<&Diagnostic> = batch.hints().collect();
         let stepwise_hints: Vec<&Diagnostic> = stepwise.hints().collect();
