@@ -1189,6 +1189,37 @@ mod tests {
         );
     }
 
+    /// The JSON report of a merge with participation marks, pinned byte
+    /// for byte: `Guide-dog` inherits the optional `chip` arrow, and the
+    /// required `home` arrows demand the implicit class
+    /// `{House,Kennel}`, whose arrow stays required.
+    #[test]
+    fn merge_json_of_inherited_optional_and_implicit_arrows_is_pinned() {
+        let f = write_temp(
+            "mj-golden.sm",
+            "schema kennel { Dog --chip?--> int; Dog --age--> int; Guide-dog => Dog; }\n\
+             schema city { Lives --home--> House; Lives --home--> Kennel; Lives --occ--> Dog; }\n",
+        );
+        let json = run_ok(&args(&["merge", "--format", "json", &f]));
+        let expected = concat!(
+            "{\n",
+            "  \"command\": \"merge\",\n",
+            "  \"plan\": {\"mode\": \"upper\", \"engine\": \"compiled\", \"passes\": [\"join\", \"completion\", \"participation-transfer\"], \"inputs\": 2, \"assertions\": 0, \"reuses_base\": false, \"estimated_classes\": 7, \"estimated_arrows\": 7, \"estimated_spec_pairs\": 1, \"work_units\": 16},\n",
+            "  \"result\": {\n",
+            "      \"classes\": [\"Dog\", \"Guide-dog\", \"House\", \"Kennel\", \"Lives\", \"int\", \"{House,Kennel}\"],\n",
+            "      \"specializations\": [[\"Guide-dog\", \"Dog\"], [\"{House,Kennel}\", \"House\"], [\"{House,Kennel}\", \"Kennel\"]],\n",
+            "      \"arrows\": [[\"Dog\", \"age\", \"int\", \"required\"], [\"Dog\", \"chip\", \"int\", \"optional\"], [\"Guide-dog\", \"age\", \"int\", \"required\"], [\"Guide-dog\", \"chip\", \"int\", \"optional\"], [\"Lives\", \"home\", \"House\", \"required\"], [\"Lives\", \"home\", \"Kennel\", \"required\"], [\"Lives\", \"home\", \"{House,Kennel}\", \"required\"], [\"Lives\", \"occ\", \"Dog\", \"required\"]],\n",
+            "      \"keys\": [],\n",
+            "      \"content_hash\": \"8e57783a2ca3b7e2\"\n",
+            "    },\n",
+            "  \"implicit_classes\": [{\"class\": \"{House,Kennel}\", \"members\": [\"House\", \"Kennel\"], \"witness\": \"Lives --home-->\"}],\n",
+            "  \"provenance\": [{\"index\": 0, \"name\": \"kennel\", \"classes\": 3, \"arrows\": 4, \"specializations\": 1, \"optional_arrows\": 2, \"content_hash\": \"bfa983a4e79d965e\"}, {\"index\": 1, \"name\": \"city\", \"classes\": 4, \"arrows\": 3, \"specializations\": 0, \"optional_arrows\": 0, \"content_hash\": \"17fcdf6ae3a6e262\"}],\n",
+            "  \"diagnostics\": [{\"severity\": \"info\", \"code\": \"I-IMPLICIT-CLASSES\", \"message\": \"completion introduced 1 implicit class(es)\", \"origin\": {\"classes\": [\"{House,Kennel}\"]}}]\n",
+            "}\n",
+        );
+        assert_eq!(json, expected);
+    }
+
     #[test]
     fn stats_format_json_emits_rows() {
         let f = write_temp("sj1.sm", "schema S { Dog --age--> int; key Dog {age}; }");

@@ -26,6 +26,10 @@ use crate::proper::ProperSchema;
 use crate::weak::WeakSchema;
 use std::collections::{BTreeMap, BTreeSet};
 
+/// The least upper bound of annotated schemas, computed symbolically —
+/// the oracle of the façade's participation-aware upper merge.
+pub use crate::lower::annotated_join;
+
 /// The least upper bound of a collection of weak schemas, computed with
 /// the symbolic closure. Equal to the façade's compiled join.
 pub fn weak_join_all<'a>(

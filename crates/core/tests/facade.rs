@@ -11,6 +11,9 @@
 //!   `merge_consistent` and `MergeSession::with_consistency` paths are
 //!   differential-tested against `Merger::with_consistency` (accepting
 //!   and rejecting identically, with identical witnesses);
+//! * **participation** joins pointwise: with annotated inputs mixed
+//!   among plain ones, assertions and a compiled base, the upper merge
+//!   equals the symbolic `reference::annotated_join` oracle;
 //! * `MergeReport` renders **deterministically** (snapshot tests).
 //!
 //! Workload-scale differential coverage (random/pathological/ER
@@ -23,8 +26,8 @@ use proptest::prelude::*;
 
 use schema_merge_core::iso::alpha_isomorphic;
 use schema_merge_core::{
-    reference, Class, ConsistencyRelation, MergeError, MergeReport, MergeSession, Merger,
-    PlannedEngine, WeakSchema,
+    reference, AnnotatedSchema, Class, CompiledSchema, ConsistencyRelation, MergeError,
+    MergeReport, MergeSession, Merger, PlannedEngine, WeakSchema,
 };
 
 const NAMES: [&str; 8] = ["c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7"];
@@ -265,6 +268,167 @@ proptest! {
             .join()
             .expect("joins");
         prop_assert_eq!(&onto.into_weak(), &expected);
+    }
+}
+
+/// An annotated input: a generated schema with a random subset of its raw
+/// arrows optional — the `annotated()` generator of `properties.rs`.
+fn annotated() -> impl Strategy<Value = AnnotatedSchema> {
+    (raw_edges(), any::<u64>()).prop_map(|(edges, mask)| {
+        let mut builder = AnnotatedSchema::builder();
+        for (i, edge) in edges.iter().enumerate() {
+            builder = match edge {
+                RawEdge::Spec(sub, sup) if sub != sup => {
+                    builder.specialize(NAMES[*sub], NAMES[*sup])
+                }
+                RawEdge::Spec(..) => builder,
+                RawEdge::Arrow(s, l, t) if mask >> (i % 64) & 1 == 1 => {
+                    builder.optional_arrow(NAMES[*s], LABELS[*l], NAMES[*t])
+                }
+                RawEdge::Arrow(s, l, t) => builder.arrow(NAMES[*s], LABELS[*l], NAMES[*t]),
+            };
+        }
+        builder.build().expect("order-directed schemas are acyclic")
+    })
+}
+
+/// User assertions whose specializations may point against the name
+/// order, so a merge with assertions can be incompatible. Self-loops are
+/// dropped.
+fn free_assertions() -> impl Strategy<Value = Vec<RawEdge>> {
+    let edge = prop_oneof![
+        (0usize..NAMES.len(), 0usize..NAMES.len()).prop_map(|(i, j)| RawEdge::Spec(i, j)),
+        (
+            0usize..NAMES.len(),
+            0usize..LABELS.len(),
+            0usize..NAMES.len()
+        )
+            .prop_map(|(s, l, t)| RawEdge::Arrow(s, l, t)),
+    ];
+    vec(edge, 0..3).prop_map(|edges| {
+        edges
+            .into_iter()
+            .filter(|edge| !matches!(edge, RawEdge::Spec(i, j) if i == j))
+            .collect()
+    })
+}
+
+/// One façade input of the participation differential.
+#[derive(Debug, Clone, Copy)]
+enum Input<'a> {
+    Annotated(&'a AnnotatedSchema),
+    Plain(&'a WeakSchema),
+}
+
+impl Input<'_> {
+    fn weak(&self) -> &WeakSchema {
+        match self {
+            Input::Annotated(annotated) => annotated.schema(),
+            Input::Plain(weak) => weak,
+        }
+    }
+
+    fn annotated(&self) -> AnnotatedSchema {
+        match self {
+            Input::Annotated(annotated) => (*annotated).clone(),
+            Input::Plain(weak) => AnnotatedSchema::all_required((*weak).clone()),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Participation joins pointwise in the upper merge (§4 extended to
+    /// §6's `0/1` arrows). Annotated inputs mixed among plain ones,
+    /// assertions and a compiled base, in any order: `execute()` equals
+    /// the symbolic oracle — `reference::annotated_join`, reference
+    /// completion, then `transfer_to` — in the proper schema, the
+    /// implicit-class table and the participation marks, and `join()`
+    /// equals the reference weak join of the underlying schemas. Both
+    /// sides reject the same inputs.
+    #[test]
+    fn participation_merges_equal_the_annotated_join_oracle(
+        annotated_inputs in vec(annotated(), 0..4),
+        plain in vec(raw_edges().prop_map(|edges| build(&edges)), 0..3),
+        base in raw_edges().prop_map(|edges| build(&edges)),
+        assertions in free_assertions(),
+        shuffle in any::<u64>(),
+    ) {
+        let compiled = CompiledSchema::compile(&base);
+        let mut inputs: Vec<Input<'_>> = annotated_inputs
+            .iter()
+            .map(Input::Annotated)
+            .chain(plain.iter().map(Input::Plain))
+            .collect();
+        permute(&mut inputs, shuffle);
+        let merger = inputs
+            .iter()
+            .fold(Merger::new().onto_base(&compiled), |merger, input| match *input {
+                Input::Annotated(annotated) => merger.with_participation(annotated),
+                Input::Plain(weak) => merger.schema(weak),
+            });
+        let merger = assertions.iter().fold(merger, |merger, edge| match *edge {
+            RawEdge::Spec(sub, sup) => merger.assert_specialization(NAMES[sub], NAMES[sup]),
+            RawEdge::Arrow(s, l, t) => merger.assert_arrow(NAMES[s], LABELS[l], NAMES[t]),
+        });
+        let atoms: Vec<WeakSchema> = assertions
+            .iter()
+            .map(|edge| match *edge {
+                RawEdge::Spec(sub, sup) => WeakSchema::builder().specialize(NAMES[sub], NAMES[sup]),
+                RawEdge::Arrow(s, l, t) => WeakSchema::builder().arrow(NAMES[s], LABELS[l], NAMES[t]),
+            }.build().expect("an assertion is a valid elementary schema"))
+            .collect();
+
+        // The oracle: every input annotated (plain ones all-required),
+        // joined, completed and transferred symbolically.
+        let oracle_inputs: Vec<AnnotatedSchema> = std::iter::once(AnnotatedSchema::all_required(base.clone()))
+            .chain(inputs.iter().map(Input::annotated))
+            .chain(atoms.iter().cloned().map(AnnotatedSchema::all_required))
+            .collect();
+        let expected = reference::annotated_join(oracle_inputs.iter()).map(|joined| {
+            let (proper, implicit) = reference::complete_with_report(joined.schema())
+                .expect("upper completion always succeeds");
+            let transferred = joined.transfer_to(proper.as_weak());
+            (proper, implicit, transferred)
+        });
+        match (merger.execute(), expected) {
+            (Ok(report), Ok((proper, implicit, transferred))) => {
+                prop_assert_eq!(&report.proper, &proper);
+                prop_assert_eq!(&report.implicit, &implicit);
+                let expected_annotated = (!annotated_inputs.is_empty()).then_some(transferred);
+                prop_assert_eq!(report.annotated, expected_annotated);
+            }
+            (Err(actual), Err(oracle)) => {
+                prop_assert!(matches!(actual, MergeError::Incompatible(_)), "{actual}");
+                prop_assert!(matches!(oracle, MergeError::Incompatible(_)), "{oracle}");
+            }
+            (actual, oracle) => prop_assert!(
+                false,
+                "the merge and the oracle disagree on accept/reject: {:?} vs {:?}",
+                actual.map(|report| report.proper),
+                oracle.map(|(proper, ..)| proper)
+            ),
+        }
+
+        let underlying: Vec<&WeakSchema> = std::iter::once(&base)
+            .chain(inputs.iter().map(Input::weak))
+            .chain(atoms.iter())
+            .collect();
+        let joined = merger.join().map(|joined| joined.into_weak());
+        match (joined, reference::weak_join_all(underlying)) {
+            (Ok(actual), Ok(oracle)) => prop_assert_eq!(actual, oracle),
+            (Err(actual), Err(oracle)) => {
+                prop_assert!(matches!(actual, MergeError::Incompatible(_)), "{actual}");
+                prop_assert!(matches!(oracle, MergeError::Incompatible(_)), "{oracle}");
+            }
+            (actual, oracle) => prop_assert!(
+                false,
+                "join and the reference join disagree on accept/reject: {:?} vs {:?}",
+                actual,
+                oracle
+            ),
+        }
     }
 }
 

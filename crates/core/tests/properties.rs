@@ -12,6 +12,8 @@
 //! which lets the LUB laws be tested without conditioning on cycle-freedom.
 //! Incompatible inputs are exercised by dedicated generators below.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -20,8 +22,8 @@ use schema_merge_core::lower::{lower_complete, lower_merge, AnnotatedSchema};
 use schema_merge_core::merge::{weak_join, MergeOutcome, MergeSession};
 use schema_merge_core::merger::{Joined, MergeReport};
 use schema_merge_core::{
-    Class, KeyAssignment, KeySet, Label, MergeError, Merger, ProperSchema, SuperkeyFamily,
-    WeakSchema,
+    Class, KeyAssignment, KeySet, Label, MergeError, Merger, Participation, ProperSchema,
+    SuperkeyFamily, WeakSchema,
 };
 
 /// N-ary join through the façade.
@@ -318,6 +320,86 @@ proptest! {
         let (annotated, proper, _report) = lower_complete(&merged).unwrap();
         prop_assert!(proper.check_d1());
         prop_assert!(annotated.validate().is_ok());
+    }
+}
+
+type Edge = (Class, Label, Class);
+
+/// The closed participation of an annotated schema by the walk the
+/// builder once ran: every closed arrow a raw arrow derives — W1 down to
+/// the source's subclasses, W2 up from the target — takes the join of the
+/// constraints of the raw arrows deriving it, so it is optional only when
+/// every raw arrow deriving it is. Returns the optional arrows.
+fn strength_walk(
+    schema: &WeakSchema,
+    raw: &[(Class, Label, Class, Participation)],
+) -> BTreeSet<Edge> {
+    let mut strength: BTreeMap<Edge, Participation> = BTreeMap::new();
+    for (q, label, r0, k) in raw {
+        for p in schema.classes().filter(|p| schema.specializes(p, q)) {
+            for r in schema.classes().filter(|r| schema.specializes(r0, r)) {
+                let entry = strength
+                    .entry((p.clone(), label.clone(), r.clone()))
+                    .or_insert(Participation::ZeroOrOne);
+                *entry = entry.join(*k).expect("1 and 0/1 always join");
+            }
+        }
+    }
+    strength
+        .into_iter()
+        .filter(|(_, k)| *k == Participation::ZeroOrOne)
+        .map(|(edge, _)| edge)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The builder's closed participation equals the strength walk, also
+    /// when an arrow is declared both required and optional.
+    #[test]
+    fn builder_participation_equals_the_strength_walk(
+        edges in raw_edges(),
+        mask in any::<u64>(),
+        twins in vec(0usize..16, 0..4),
+    ) {
+        let mut raw: Vec<(Class, Label, Class, Participation)> = Vec::new();
+        for (i, edge) in edges.iter().enumerate() {
+            if let RawEdge::Arrow(s, l, t) = edge {
+                let k = if mask >> (i % 64) & 1 == 1 {
+                    Participation::ZeroOrOne
+                } else {
+                    Participation::One
+                };
+                raw.push((Class::named(NAMES[*s]), Label::new(LABELS[*l]), Class::named(NAMES[*t]), k));
+            }
+        }
+        // Declare some arrows a second time with the other constraint.
+        for &twin in &twins {
+            if let Some((s, l, t, k)) = raw.get(twin % raw.len().max(1)).cloned() {
+                let other = if k == Participation::One {
+                    Participation::ZeroOrOne
+                } else {
+                    Participation::One
+                };
+                raw.push((s, l, t, other));
+            }
+        }
+        let mut builder = AnnotatedSchema::builder();
+        for edge in &edges {
+            if let RawEdge::Spec(sub, sup) = edge {
+                if sub != sup {
+                    builder = builder.specialize(NAMES[*sub], NAMES[*sup]);
+                }
+            }
+        }
+        for (s, l, t, k) in &raw {
+            builder = builder.arrow_with(s.clone(), l.clone(), t.clone(), *k);
+        }
+        let g = builder.build().expect("order-directed schemas are acyclic");
+        let optional: BTreeSet<Edge> = g.optional_edges().cloned().collect();
+        prop_assert_eq!(optional, strength_walk(g.schema(), &raw));
+        prop_assert!(g.validate().is_ok());
     }
 }
 
