@@ -57,5 +57,5 @@ pub fn facade_join<'a>(
     Merger::new()
         .schemas(schemas)
         .join()
-        .map(schema_merge_core::Joined::into_weak)
+        .map(|joined| joined.decompile())
 }

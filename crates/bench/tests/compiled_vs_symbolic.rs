@@ -43,10 +43,7 @@ fn assert_engines_agree(schemas: &[&WeakSchema]) {
         let base = Merger::new()
             .schemas(schemas[..k].iter().copied())
             .join()
-            .expect("base joins")
-            .into_parts()
-            .1
-            .expect("compiled base");
+            .expect("base joins");
         let onto = Merger::new()
             .onto_base(&base)
             .schemas(schemas[k..].iter().copied())

@@ -106,12 +106,10 @@ pub use diff::{diff, merge_contribution, SchemaDiff};
 pub use error::{CycleWitness, MergeError, SchemaError};
 pub use functional::{merge_functional, FunctionalSchema, Valence};
 pub use keys::{KeyAssignment, KeySet, SuperkeyFamily};
-pub use lower::{
-    annotated_join, lower_complete, lower_merge, AnnotatedSchema, LowerCompletionReport,
-};
+pub use lower::{lower_complete, lower_merge, AnnotatedSchema, LowerCompletionReport};
 pub use merge::{are_compatible, weak_join, MergeOutcome, MergeSession};
 pub use merger::{
-    InputProvenance, Joined, MergeMode, MergePass, MergePlan, MergeReport, MergeTrace, Merger,
+    InputProvenance, MergeMode, MergePass, MergePlan, MergeReport, MergeTrace, Merger,
     PlannedEngine,
 };
 pub use name::{Label, Name};

@@ -88,6 +88,27 @@ impl AnnotatedSchema {
         AnnotatedSchema::from_parts(schema.clone(), optional)
     }
 
+    /// The underlying schema without its `0/1` arrows: what this schema
+    /// contributes to a join of required arrows.
+    pub(crate) fn required_schema(&self) -> WeakSchema {
+        let mut required = self.schema.clone();
+        for (p, label, r) in &self.optional {
+            let Some(by_label) = required.arrows.get_mut(p) else {
+                continue;
+            };
+            if let Some(targets) = by_label.get_mut(label) {
+                targets.remove(r);
+                if targets.is_empty() {
+                    by_label.remove(label);
+                }
+            }
+            if by_label.is_empty() {
+                required.arrows.remove(p);
+            }
+        }
+        required
+    }
+
     /// The underlying weak schema.
     pub fn schema(&self) -> &WeakSchema {
         &self.schema
@@ -243,9 +264,11 @@ impl fmt::Display for AnnotatedSchema {
 }
 
 /// Builder for [`AnnotatedSchema`]. Raw arrows carry a participation
-/// constraint; the closure derives each implied arrow with the join
-/// (strongest) of the constraints of the raw arrows deriving it, so a
-/// required arrow stays required through inheritance.
+/// constraint. A closed arrow is required exactly when some required raw
+/// arrow derives it — the join of the constraints of the raw arrows
+/// deriving it — so a required arrow stays required through inheritance,
+/// and the optional arrows are those the closure of the required raw
+/// arrows alone lacks.
 #[derive(Default, Clone, Debug)]
 pub struct AnnotatedSchemaBuilder {
     classes: BTreeSet<Class>,
@@ -314,84 +337,29 @@ impl AnnotatedSchemaBuilder {
 
     /// Closes and validates the schema.
     pub fn build(self) -> Result<AnnotatedSchema, SchemaError> {
-        let arrows: Vec<Edge> = self
-            .raw
-            .iter()
-            .map(|(p, a, q, _)| (p.clone(), a.clone(), q.clone()))
-            .collect();
-        let schema = WeakSchema::close(self.classes, self.spec, arrows)?;
-        // Only a `0/1` arrow can derive an optional closed arrow: with
-        // none declared, every closed arrow is required.
-        if self.raw.iter().all(|(.., k)| *k == Participation::One) {
+        let mut arrows: Vec<Edge> = Vec::with_capacity(self.raw.len());
+        let mut required: Vec<Edge> = Vec::new();
+        for (p, a, q, k) in self.raw {
+            if k == Participation::One {
+                required.push((p.clone(), a.clone(), q.clone()));
+            }
+            arrows.push((p, a, q));
+        }
+        // Only a `0/1` arrow can leave a closed arrow optional: with none
+        // declared, every closed arrow is required.
+        if required.len() == arrows.len() {
+            let schema = WeakSchema::close(self.classes, self.spec, arrows)?;
             return Ok(AnnotatedSchema::all_required(schema));
         }
-
-        // Closed participation: join over the raw arrows deriving each
-        // closed arrow. `join` of `1` and `0/1` is `1`; it cannot fail.
-        let mut strength: BTreeMap<Edge, Participation> = BTreeMap::new();
-        for (q, label, r0, k) in &self.raw {
-            let mut sources: Vec<Class> = vec![q.clone()];
-            sources.extend(schema.strict_subs(q));
-            let mut targets: Vec<Class> = vec![r0.clone()];
-            targets.extend(schema.strict_supers(r0).iter().cloned());
-            for p in &sources {
-                for r in &targets {
-                    let key = (p.clone(), label.clone(), r.clone());
-                    let entry = strength.entry(key).or_insert(Participation::ZeroOrOne);
-                    *entry = entry.join(*k).expect("1 and 0/1 always join");
-                }
-            }
-        }
-        let optional: BTreeSet<Edge> = strength
-            .into_iter()
-            .filter(|(_, k)| *k == Participation::ZeroOrOne)
-            .map(|(edge, _)| edge)
+        let schema = WeakSchema::close(self.classes.clone(), self.spec.clone(), arrows)?;
+        let required = WeakSchema::close(self.classes, self.spec, required)?;
+        let optional: BTreeSet<Edge> = schema
+            .arrow_triples()
+            .filter(|(p, a, q)| !required.has_arrow(p, a, q))
+            .map(|(p, a, q)| (p.clone(), a.clone(), q.clone()))
             .collect();
         Ok(AnnotatedSchema::from_parts(schema, optional))
     }
-}
-
-/// The least upper bound of annotated schemas — the *upper* merge of §4
-/// extended pointwise to participation constraints.
-///
-/// Classes, specializations and arrows join as in Prop. 4.1; each arrow's
-/// constraint is the participation *join*, with absence contributing no
-/// information (an undrawn arrow does not mean `0` in the upper reading —
-/// only the lower merge adopts that convention, §6). The join of `0/1`
-/// and `1` is `1`; required-versus-forbidden conflicts cannot arise
-/// because absent arrows are silent.
-///
-/// # Errors
-///
-/// [`crate::error::MergeError::Incompatible`] on specialization cycles,
-/// as for the plain weak join.
-pub fn annotated_join<'a>(
-    schemas: impl IntoIterator<Item = &'a AnnotatedSchema>,
-) -> Result<AnnotatedSchema, crate::error::MergeError> {
-    let inputs: Vec<&AnnotatedSchema> = schemas.into_iter().collect();
-    let mut builder = AnnotatedSchema::builder();
-    for input in &inputs {
-        for class in input.schema.classes() {
-            builder = builder.class(class.clone());
-        }
-        for (sub, sup) in input.schema.specialization_pairs() {
-            builder = builder.specialize(sub.clone(), sup.clone());
-        }
-        for (src, label, tgt) in input.schema.arrow_triples() {
-            builder = builder.arrow_with(
-                src.clone(),
-                label.clone(),
-                tgt.clone(),
-                input.participation(src, label, tgt),
-            );
-        }
-    }
-    builder.build().map_err(|err| match err {
-        SchemaError::SpecializationCycle(witness) => {
-            crate::error::MergeError::Incompatible(witness)
-        }
-        other => crate::error::MergeError::Schema(other),
-    })
 }
 
 /// The greatest lower bound of a collection of annotated schemas under the
@@ -1129,56 +1097,6 @@ mod tests {
         assert!(matches!(
             bogus.validate(),
             Err(SchemaError::AnnotationOnMissingArrow { .. })
-        ));
-    }
-
-    #[test]
-    fn annotated_join_takes_strongest_participation() {
-        let g1 = AnnotatedSchema::builder()
-            .optional_arrow("Dog", "age", "int")
-            .build()
-            .unwrap();
-        let g2 = AnnotatedSchema::builder()
-            .arrow("Dog", "age", "int")
-            .arrow("Dog", "name", "text")
-            .build()
-            .unwrap();
-        let joined = annotated_join([&g1, &g2]).unwrap();
-        assert_eq!(
-            joined.participation(&c("Dog"), &l("age"), &c("int")),
-            Participation::One,
-            "required wins over optional"
-        );
-        assert_eq!(
-            joined.participation(&c("Dog"), &l("name"), &c("text")),
-            Participation::One,
-            "absence is silent in the upper reading"
-        );
-    }
-
-    #[test]
-    fn annotated_join_laws() {
-        let g1 = dog_name_age();
-        let g2 = dog_name_breed();
-        let ab = annotated_join([&g1, &g2]).unwrap();
-        let ba = annotated_join([&g2, &g1]).unwrap();
-        assert_eq!(ab, ba);
-        assert_eq!(annotated_join([&g1, &g1]).unwrap(), g1);
-    }
-
-    #[test]
-    fn annotated_join_detects_cycles() {
-        let g1 = AnnotatedSchema::builder()
-            .specialize("A", "B")
-            .build()
-            .unwrap();
-        let g2 = AnnotatedSchema::builder()
-            .specialize("B", "A")
-            .build()
-            .unwrap();
-        assert!(matches!(
-            annotated_join([&g1, &g2]),
-            Err(crate::error::MergeError::Incompatible(_))
         ));
     }
 }

@@ -36,7 +36,7 @@ use crate::compile::CompiledSchema;
 use crate::complete::CompletionReport;
 use crate::consistency::ConsistencyRelation;
 use crate::error::MergeError;
-use crate::merger::{Joined, Merger};
+use crate::merger::Merger;
 use crate::name::Label;
 use crate::proper::ProperSchema;
 use crate::weak::WeakSchema;
@@ -52,7 +52,7 @@ pub fn weak_join(left: &WeakSchema, right: &WeakSchema) -> Result<WeakSchema, Me
         .schema(left)
         .schema(right)
         .join()
-        .map(Joined::into_weak)
+        .map(|joined| joined.decompile())
 }
 
 /// Whether a collection of schemas is compatible (§4.1): the transitive
@@ -137,9 +137,7 @@ impl MergeSession {
     /// Merges a weak schema into the session: one incremental join onto
     /// the session's compiled base.
     pub fn add_schema(&mut self, schema: &WeakSchema) -> Result<(), MergeError> {
-        let joined = Merger::new().onto_base(&self.base).schema(schema).join()?;
-        let (_, compiled) = joined.into_parts();
-        self.base = compiled.expect("the onto-base engine stays compiled");
+        self.base = Merger::new().onto_base(&self.base).schema(schema).join()?;
         self.current = std::sync::OnceLock::new();
         Ok(())
     }
@@ -212,7 +210,10 @@ mod tests {
     fn join_all<'a>(
         schemas: impl IntoIterator<Item = &'a WeakSchema>,
     ) -> Result<WeakSchema, MergeError> {
-        Merger::new().schemas(schemas).join().map(Joined::into_weak)
+        Merger::new()
+            .schemas(schemas)
+            .join()
+            .map(|joined| joined.decompile())
     }
 
     /// The n-ary join on the compiled engine, both
@@ -220,12 +221,7 @@ mod tests {
     fn join_all_compiled<'a>(
         schemas: impl IntoIterator<Item = &'a WeakSchema>,
     ) -> Result<(WeakSchema, CompiledSchema), MergeError> {
-        let compiled = Merger::new()
-            .schemas(schemas)
-            .join()?
-            .into_parts()
-            .1
-            .expect("the compiled engine keeps the compiled join");
+        let compiled = Merger::new().schemas(schemas).join()?;
         Ok((compiled.decompile(), compiled))
     }
 
@@ -580,13 +576,11 @@ mod tests {
         ] {
             let extra = extra.unwrap();
             let (_, base) = join_all_compiled([&g1, &g2]).unwrap();
-            let (_, compiled) = Merger::new()
+            let compiled = Merger::new()
                 .onto_base(&base)
                 .schema(&extra)
                 .join()
-                .unwrap()
-                .into_parts();
-            let compiled = compiled.unwrap();
+                .unwrap();
             let direct = join_all([&g1, &g2, &extra]).unwrap();
             assert_eq!(compiled.decompile(), direct);
             // The compiled join chains straight into completion: a

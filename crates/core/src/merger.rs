@@ -33,21 +33,25 @@
 //! Planning derives the [`PlannedEngine`] that runs from the inputs and
 //! the mode; there is nothing to choose:
 //!
-//! * **`Compiled`** (upper mode) — one id-space join over every input,
-//!   then completion through the `Imp` fixpoint, end to end in id space
-//!   ([`crate::compile`]) and on the calling thread. Symbolic inputs are
-//!   interned against one shared symbol table; compiled inputs
+//! * **`Compiled`** (every upper plan) — one id-space join over every
+//!   input, then completion through the `Imp` fixpoint, end to end in id
+//!   space ([`crate::compile`]) and on the calling thread. Symbolic
+//!   inputs are interned against one shared symbol table; compiled inputs
 //!   ([`Merger::onto_base`], any number) are already joins and transfer
 //!   their closed rows through an id remap, so a cached join — the
 //!   registry's held base, a registry's join in a supergraph compose —
-//!   is never walked symbolically.
+//!   is never walked symbolically. Annotated inputs join the same way.
+//!   When one carries a `0/1` arrow, the participation pass joins the
+//!   inputs' required arrows a second time in id space: a joined arrow
+//!   is required exactly when that second join has it.
 //! * **`Symbolic`** — every lower-mode plan: the §6 pipeline has no
-//!   compiled variant.
+//!   compiled variant, and it decompiles compiled inputs.
 //!
 //! The compiled engine produces results **equal** to the symbolic
-//! reference algorithms of [`crate::reference`] however its inputs are
-//! split between compiled and symbolic, which the differential suites
-//! property-test per workload family.
+//! reference algorithms of [`crate::reference`] — participation marks
+//! included, against [`crate::reference::annotated_join`] — however its
+//! inputs are split between compiled and symbolic, which the
+//! differential suites property-test per workload family.
 //!
 //! ## Modes
 //!
@@ -58,17 +62,12 @@
 
 use crate::class::Class;
 use crate::compile::{self, CompiledSchema};
-use crate::complete::{
-    check_consistency, complete_from_compiled_impl, complete_impl, CompletionReport,
-    Engine as CompletionEngine,
-};
+use crate::complete::{check_consistency, complete_from_compiled_impl, CompletionReport};
 use crate::consistency::ConsistencyRelation;
 use crate::diagnostic::Diagnostic;
 use crate::error::{MergeError, SchemaError};
 use crate::keys::{KeyAssignment, SuperkeyFamily};
-use crate::lower::{
-    annotated_join, lower_complete, lower_merge, AnnotatedSchema, LowerCompletionReport,
-};
+use crate::lower::{lower_complete, lower_merge, AnnotatedSchema, LowerCompletionReport};
 use crate::name::Label;
 use crate::proper::ProperSchema;
 use crate::weak::WeakSchema;
@@ -183,11 +182,8 @@ impl fmt::Display for MergePass {
 pub struct MergePlan {
     /// Upper or lower merge.
     pub mode: MergeMode,
-    /// The engine that will run. When annotated inputs force the
-    /// participation-aware join, the closure and completion still run on
-    /// this engine, but the compiled join is not retained
-    /// ([`MergeReport::compiled`] is `None`): the participation
-    /// bookkeeping lives on the symbolic representation.
+    /// The engine that will run: `Compiled` for every upper plan,
+    /// annotated inputs included, and `Symbolic` for every lower plan.
     pub engine: PlannedEngine,
     /// The passes, in execution order.
     pub passes: Vec<MergePass>,
@@ -198,8 +194,7 @@ pub struct MergePlan {
     pub num_assertions: usize,
     /// Whether the compiled join reuses cached compiled inputs
     /// ([`Merger::onto_base`]) without walking them symbolically. False
-    /// in lower mode and with annotated inputs, whose symbolic joins
-    /// decompile them.
+    /// in lower mode, whose symbolic pipeline decompiles them.
     pub reuses_base: bool,
     /// Classes carried by the compiled inputs, summed (0 without one).
     pub base_classes: usize,
@@ -433,9 +428,9 @@ impl MergeTrace {
 pub struct MergeReport {
     /// The plan that was executed.
     pub plan: MergePlan,
-    /// The symbolic join, when the engine produced one (the
-    /// participation-aware and lower paths); read through
-    /// [`MergeReport::weak`], which decompiles the compiled join instead.
+    /// The symbolic GLB schema of a lower merge; read through
+    /// [`MergeReport::weak`], which decompiles the compiled join of an
+    /// upper merge instead.
     weak: Option<WeakSchema>,
     /// The completed merged schema — the paper's `Ḡ`.
     pub proper: ProperSchema,
@@ -543,44 +538,6 @@ impl MergeReport {
     }
 }
 
-/// The result of [`Merger::join`]: the pre-completion least upper bound,
-/// in whichever representations the engine produced.
-#[derive(Debug, Clone)]
-pub struct Joined {
-    weak: Option<WeakSchema>,
-    compiled: Option<CompiledSchema>,
-}
-
-impl Joined {
-    /// The symbolic join, when the join materialized it (the
-    /// participation-aware join does; the compiled engine does not).
-    pub fn weak(&self) -> Option<&WeakSchema> {
-        self.weak.as_ref()
-    }
-
-    /// The compiled join, when the compiled engine ran.
-    pub fn compiled(&self) -> Option<&CompiledSchema> {
-        self.compiled.as_ref()
-    }
-
-    /// The symbolic join, decompiling the compiled form if the engine
-    /// skipped the symbolic materialization.
-    pub fn into_weak(self) -> WeakSchema {
-        match self.weak {
-            Some(weak) => weak,
-            None => self
-                .compiled
-                .expect("a join always produces at least one representation")
-                .decompile(),
-        }
-    }
-
-    /// Both representations.
-    pub fn into_parts(self) -> (Option<WeakSchema>, Option<CompiledSchema>) {
-        (self.weak, self.compiled)
-    }
-}
-
 /// A user assertion (§3): an elementary schema merged like any other
 /// input, materialized at execution time.
 #[derive(Debug, Clone)]
@@ -615,23 +572,6 @@ impl InputKind<'_> {
 struct Input<'a> {
     name: Option<String>,
     kind: InputKind<'a>,
-}
-
-/// Owned-or-borrowed annotated schema, so the participation-aware paths
-/// can mix borrowed annotated inputs with on-the-fly conversions of
-/// plain weak inputs without cloning the former.
-enum Ann<'a> {
-    Borrowed(&'a AnnotatedSchema),
-    Owned(AnnotatedSchema),
-}
-
-impl Ann<'_> {
-    fn get(&self) -> &AnnotatedSchema {
-        match self {
-            Ann::Borrowed(annotated) => annotated,
-            Ann::Owned(annotated) => annotated,
-        }
-    }
 }
 
 /// The unified merge builder. See the [module docs](self) for the full
@@ -857,7 +797,7 @@ impl<'a> Merger<'a> {
             passes: Vec::new(),
             num_inputs: self.inputs.len(),
             num_assertions: self.assertions.len(),
-            reuses_base: !self.bases.is_empty() && !self.lower && !self.has_annotated(),
+            reuses_base: !self.bases.is_empty() && !self.lower,
             base_classes,
             estimated_classes,
             estimated_arrows,
@@ -941,16 +881,14 @@ impl<'a> Merger<'a> {
         self.upper_diagnostics(&self.plan(), proper.as_weak(), implicit)
     }
 
-    /// Runs only the join pass: the weak least upper bound of the inputs
-    /// (mode-independent) on the compiled engine, or the symbolic
-    /// participation-aware join when an input is annotated. This is the
-    /// entry point for callers that keep merging — the registry joins
-    /// without completing, `smerge serve` folds a published document
-    /// into one member schema.
-    pub fn join(&self) -> Result<Joined, MergeError> {
+    /// Runs only the join pass: the weak least upper bound of the inputs'
+    /// schemas (mode-independent; participation marks take no part), in
+    /// id space. This is the entry point for callers that keep merging —
+    /// the registry's cold join, [`crate::MergeSession`]'s accumulation;
+    /// [`CompiledSchema::decompile`] gives the symbolic join.
+    pub fn join(&self) -> Result<CompiledSchema, MergeError> {
         let atoms = self.materialize_assertions()?;
-        let (weak, compiled, _) = self.join_stage(&atoms)?;
-        Ok(Joined { weak, compiled })
+        self.join_stage(&atoms)
     }
 
     // ---- internals -------------------------------------------------------
@@ -987,87 +925,95 @@ impl<'a> Merger<'a> {
             .collect()
     }
 
-    /// The join pass. Returns the representations produced (at least one
-    /// is always present) plus, on the participation-aware path, the
-    /// joined annotated schema for the later transfer pass.
-    fn join_stage(&self, atoms: &[WeakSchema]) -> Result<JoinStageOutput, MergeError> {
-        if self.has_annotated() {
-            // Participation-aware join: annotated semantics over every
-            // input (plain schemas read as all-required), then the plain
-            // engines never see participation at all.
-            let anns = self.annotated_inputs(atoms);
-            let joined = annotated_join(anns.iter().map(Ann::get))?;
-            let weak = joined.schema().clone();
-            return Ok((Some(weak), None, Some(joined)));
-        }
-
+    /// The join pass: every input and assertion atom joined onto the
+    /// compiled inputs in id space.
+    fn join_stage(&self, atoms: &[WeakSchema]) -> Result<CompiledSchema, MergeError> {
         let weak_refs: Vec<&WeakSchema> = self
             .inputs
             .iter()
             .map(|input| input.kind.weak())
             .chain(atoms.iter())
             .collect();
-        // Straight to the compiled form: the symbolic join is never
-        // materialized.
-        let compiled = compile::join_ids(&self.bases, &weak_refs).map_err(schema_to_merge)?;
-        Ok((None, Some(compiled), None))
+        compile::join_ids(&self.bases, &weak_refs).map_err(schema_to_merge)
     }
 
-    /// Every input as an annotated schema (compiled inputs decompiled;
-    /// they, weak inputs and assertion atoms read as all-required),
-    /// preserving input order.
-    fn annotated_inputs(&self, atoms: &[WeakSchema]) -> Vec<Ann<'_>> {
-        let mut anns: Vec<Ann<'_>> = Vec::new();
+    /// The participation pass of an upper merge with annotated inputs.
+    /// A joined arrow is required exactly when some input's required
+    /// arrow derives it, so the optional arrows of `join` are those a
+    /// second id-space join, of the inputs' required arrows, lacks: plain
+    /// inputs, compiled inputs and assertions join as they are, and an
+    /// annotated input brings only its required arrows. The joined marks
+    /// are then transferred onto the completed schema.
+    fn participation(
+        &self,
+        atoms: &[WeakSchema],
+        join: &CompiledSchema,
+        completed: &WeakSchema,
+    ) -> AnnotatedSchema {
+        if self
+            .inputs
+            .iter()
+            .all(|input| input.kind.optional_arrows() == 0)
+        {
+            return AnnotatedSchema::all_required(completed.clone());
+        }
+        let required: Vec<Cow<'_, WeakSchema>> = self
+            .inputs
+            .iter()
+            .map(|input| match input.kind {
+                InputKind::Annotated(annotated) if annotated.num_optional() > 0 => {
+                    Cow::Owned(annotated.required_schema())
+                }
+                _ => Cow::Borrowed(input.kind.weak()),
+            })
+            .collect();
+        let refs: Vec<&WeakSchema> = required
+            .iter()
+            .map(Cow::as_ref)
+            .chain(atoms.iter())
+            .collect();
+        let required_join = compile::join_ids(&self.bases, &refs)
+            .expect("the required arrows join over the order the full join closed");
+        let optional = join.arrows_missing_from(&required_join);
+        AnnotatedSchema::from_parts(join.decompile(), optional).transfer_to(completed)
+    }
+
+    /// Every input as an annotated schema for the symbolic lower merge
+    /// (compiled inputs decompiled; they, weak inputs and assertion atoms
+    /// read as all-required), preserving input order.
+    fn annotated_inputs(&self, atoms: &[WeakSchema]) -> Vec<Cow<'_, AnnotatedSchema>> {
+        let mut anns: Vec<Cow<'_, AnnotatedSchema>> = Vec::new();
         for base in &self.bases {
-            anns.push(Ann::Owned(AnnotatedSchema::all_required(base.decompile())));
+            anns.push(Cow::Owned(AnnotatedSchema::all_required(base.decompile())));
         }
         for input in &self.inputs {
             anns.push(match input.kind {
-                InputKind::Annotated(annotated) => Ann::Borrowed(annotated),
-                InputKind::Weak(weak) => Ann::Owned(AnnotatedSchema::all_required(weak.clone())),
+                InputKind::Annotated(annotated) => Cow::Borrowed(annotated),
+                InputKind::Weak(weak) => Cow::Owned(AnnotatedSchema::all_required(weak.clone())),
             });
         }
         for atom in atoms {
-            anns.push(Ann::Owned(AnnotatedSchema::all_required(atom.clone())));
+            anns.push(Cow::Owned(AnnotatedSchema::all_required(atom.clone())));
         }
         anns
     }
 
     fn execute_upper(&self, plan: MergePlan) -> Result<MergeReport, MergeError> {
         let atoms = self.materialize_assertions()?;
-        let (weak, compiled, joined_annotated) = if self.is_base_only() {
-            (None, None, None)
+        let compiled = if self.is_base_only() {
+            None
         } else {
             let mut span = telemetry::span(MergePass::Join.as_str());
-            let joined = self.join_stage(&atoms)?;
-            match (&joined.0, &joined.1) {
-                (_, Some(compiled)) => {
-                    span.attr_usize("classes", compiled.num_classes());
-                    span.attr_usize("arrows", compiled.num_arrows());
-                }
-                (Some(weak), None) => {
-                    span.attr_usize("classes", weak.num_classes());
-                    span.attr_usize("arrows", weak.num_arrows());
-                }
-                (None, None) => {}
-            }
-            joined
+            let compiled = self.join_stage(&atoms)?;
+            span.attr_usize("classes", compiled.num_classes());
+            span.attr_usize("arrows", compiled.num_arrows());
+            Some(compiled)
         };
 
         let mut completion_span = telemetry::span(MergePass::Completion.as_str());
-        let (proper, implicit) = match (&weak, &compiled) {
-            // The participation-aware join is symbolic; its closure and
-            // completion still run on the compiled engine.
-            (Some(weak), _) => {
-                complete_impl(weak, None, CompletionEngine::Compiled).map_err(MergeError::Schema)?
-            }
-            (None, Some(compiled)) => {
-                complete_from_compiled_impl(compiled).map_err(MergeError::Schema)?
-            }
-            (None, None) => {
-                complete_from_compiled_impl(self.bases[0]).map_err(MergeError::Schema)?
-            }
-        };
+        // A base-only plan completes its lone base: the base is the join.
+        let join = compiled.as_ref().unwrap_or_else(|| self.bases[0]);
+        let (proper, implicit) = complete_from_compiled_impl(join).map_err(MergeError::Schema)?;
         completion_span.attr_usize("classes", proper.as_weak().num_classes());
         completion_span.attr_usize("implicit_classes", implicit.num_implicit());
         drop(completion_span);
@@ -1085,16 +1031,19 @@ impl<'a> Merger<'a> {
             span.attr_usize("keyed_classes", keys.num_keyed_classes());
             keys
         };
-        let annotated = joined_annotated.map(|joined| {
-            let _span = telemetry::span(MergePass::ParticipationTransfer.as_str());
-            joined.transfer_to(proper.as_weak())
-        });
+        let annotated = match &compiled {
+            Some(join) if self.has_annotated() => {
+                let _span = telemetry::span(MergePass::ParticipationTransfer.as_str());
+                Some(self.participation(&atoms, join, proper.as_weak()))
+            }
+            _ => None,
+        };
         let diagnostics = self.upper_diagnostics(&plan, proper.as_weak(), &implicit);
 
         Ok(MergeReport {
             plan,
             provenance: self.provenance(),
-            weak,
+            weak: None,
             proper,
             implicit,
             keys,
@@ -1111,7 +1060,7 @@ impl<'a> Merger<'a> {
         let merged = {
             let mut span = telemetry::span(MergePass::Join.as_str());
             let anns = self.annotated_inputs(&atoms);
-            let merged = lower_merge(anns.iter().map(Ann::get));
+            let merged = lower_merge(anns.iter().map(Cow::as_ref));
             span.attr_usize("classes", merged.schema().num_classes());
             span.attr_usize("arrows", merged.schema().num_arrows());
             merged
@@ -1380,15 +1329,6 @@ impl fmt::Debug for Merger<'_> {
     }
 }
 
-/// What the join pass hands to completion: the symbolic and/or compiled
-/// join, plus (on the participation-aware path) the joined annotated
-/// schema for the later transfer pass.
-type JoinStageOutput = (
-    Option<WeakSchema>,
-    Option<CompiledSchema>,
-    Option<AnnotatedSchema>,
-);
-
 /// The standard error mapping: a specialization cycle discovered while
 /// joining means the inputs are incompatible (§4.1).
 fn schema_to_merge(err: SchemaError) -> MergeError {
@@ -1493,13 +1433,7 @@ mod tests {
         // The symbolic side is the retained reference merge.
         let expected = crate::reference::merge([&g1, &g2, &g3]).unwrap();
 
-        let base = Merger::new()
-            .schemas([&g1, &g2])
-            .join()
-            .unwrap()
-            .into_parts()
-            .1
-            .unwrap();
+        let base = Merger::new().schemas([&g1, &g2]).join().unwrap();
         let onto = Merger::new()
             .onto_base(&base)
             .schema(&g3)
@@ -1511,13 +1445,7 @@ mod tests {
         assert!(onto.weak.is_none(), "onto-base skips the symbolic join");
         // Compiled inputs join like any other: two cached joins and no
         // symbolic input run the join pass.
-        let g3_join = Merger::new()
-            .schema(&g3)
-            .join()
-            .unwrap()
-            .into_parts()
-            .1
-            .unwrap();
+        let g3_join = Merger::new().schema(&g3).join().unwrap();
         let both = Merger::new()
             .onto_base(&base)
             .onto_base(&g3_join)
@@ -1531,34 +1459,28 @@ mod tests {
         assert_eq!(both.plan.passes[0], MergePass::Join);
         assert_eq!(both.proper, expected.proper);
         assert_eq!(both.implicit, expected.report);
-        // An annotated input overrides the base reuse but not the result.
+        // An annotated input joins onto the base like any other.
         let g3_annotated = AnnotatedSchema::all_required(g3.clone());
         let annotated_onto = Merger::new()
             .onto_base(&base)
             .with_participation(&g3_annotated)
             .execute()
             .unwrap();
-        assert!(!annotated_onto.plan.reuses_base);
+        assert!(annotated_onto.plan.reuses_base);
         assert_eq!(annotated_onto.proper, expected.proper);
         assert!(
-            !annotated_onto
+            annotated_onto
                 .diagnostics
                 .iter()
                 .any(|d| d.code() == "I-BASE-REUSED"),
-            "the annotated plan re-walks the base and must not claim reuse"
+            "the annotated plan joins onto the base without walking it"
         );
     }
 
     #[test]
     fn base_only_plan_skips_the_join_pass() {
         let (g1, g2) = dogs();
-        let base = Merger::new()
-            .schemas([&g1, &g2])
-            .join()
-            .unwrap()
-            .into_parts()
-            .1
-            .unwrap();
+        let base = Merger::new().schemas([&g1, &g2]).join().unwrap();
         let merger = Merger::new().onto_base(&base);
         let plan = merger.plan();
         assert!(plan.reuses_base);
@@ -1764,25 +1686,15 @@ mod tests {
         let (g1, g2) = dogs();
         let expected = crate::reference::weak_join_all([&g1, &g2]).unwrap();
 
-        // The compiled engine produces the compiled join only; into_weak
-        // decompiles on demand.
+        // The join is compiled; the symbolic join is its decompilation.
         let joined = Merger::new().schema(&g1).schema(&g2).join().unwrap();
-        assert!(joined.weak().is_none());
-        assert!(joined.compiled().is_some());
-        let weak = joined.into_weak();
+        let weak = joined.decompile();
         assert_eq!(weak, expected);
 
-        // So does the onto-base join.
-        let base = Merger::new()
-            .schema(&g1)
-            .join()
-            .unwrap()
-            .into_parts()
-            .1
-            .unwrap();
+        // So is the onto-base join.
+        let base = Merger::new().schema(&g1).join().unwrap();
         let onto = Merger::new().onto_base(&base).schema(&g2).join().unwrap();
-        assert!(onto.weak().is_none());
-        assert_eq!(onto.into_weak(), weak);
+        assert_eq!(onto.decompile(), weak);
     }
 
     #[test]

@@ -20,15 +20,12 @@
 use crate::class::Class;
 use crate::complete::{complete_impl, CompletionReport, Engine};
 use crate::error::{MergeError, SchemaError};
+use crate::lower::AnnotatedSchema;
 use crate::merge::MergeOutcome;
 use crate::name::Label;
 use crate::proper::ProperSchema;
 use crate::weak::WeakSchema;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// The least upper bound of annotated schemas, computed symbolically —
-/// the oracle of the façade's participation-aware upper merge.
-pub use crate::lower::annotated_join;
 
 /// The least upper bound of a collection of weak schemas, computed with
 /// the symbolic closure. Equal to the façade's compiled join.
@@ -49,10 +46,55 @@ pub fn weak_join_all<'a>(
                 .map(|(p, a, q)| (p.clone(), a.clone(), q.clone())),
         );
     }
-    WeakSchema::close_symbolic(classes, spec, arrows).map_err(|err| match err {
+    WeakSchema::close_symbolic(classes, spec, arrows).map_err(incompatible)
+}
+
+/// The least upper bound of annotated schemas — the *upper* merge of §4
+/// extended pointwise to participation constraints — built symbolically
+/// through [`AnnotatedSchema::builder`]. The oracle of the façade's
+/// upper merge of annotated inputs, which computes the same marks in id
+/// space.
+///
+/// Classes, specializations and arrows join as in Prop. 4.1; each arrow's
+/// constraint is the participation *join*, with absence contributing no
+/// information (an undrawn arrow does not mean `0` in the upper reading —
+/// only the lower merge adopts that convention, §6). The join of `0/1`
+/// and `1` is `1`; required-versus-forbidden conflicts cannot arise
+/// because absent arrows are silent.
+///
+/// # Errors
+///
+/// [`MergeError::Incompatible`] on specialization cycles, as for the
+/// plain weak join.
+pub fn annotated_join<'a>(
+    schemas: impl IntoIterator<Item = &'a AnnotatedSchema>,
+) -> Result<AnnotatedSchema, MergeError> {
+    let mut builder = AnnotatedSchema::builder();
+    for input in schemas {
+        let schema = input.schema();
+        builder = builder.classes(schema.classes().cloned());
+        for (sub, sup) in schema.specialization_pairs() {
+            builder = builder.specialize(sub.clone(), sup.clone());
+        }
+        for (src, label, tgt) in schema.arrow_triples() {
+            builder = builder.arrow_with(
+                src.clone(),
+                label.clone(),
+                tgt.clone(),
+                input.participation(src, label, tgt),
+            );
+        }
+    }
+    builder.build().map_err(incompatible)
+}
+
+/// A specialization cycle found while joining means the inputs are
+/// incompatible (§4.1).
+fn incompatible(err: SchemaError) -> MergeError {
+    match err {
         SchemaError::SpecializationCycle(witness) => MergeError::Incompatible(witness),
         other => MergeError::Schema(other),
-    })
+    }
 }
 
 /// Completion with the symbolic `Imp` fixpoint and closure. Equal to
@@ -86,14 +128,23 @@ pub fn merge<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::merger::{Joined, Merger};
+    use crate::merger::Merger;
+    use crate::participation::Participation;
+
+    fn c(s: &str) -> Class {
+        Class::named(s)
+    }
+
+    fn l(s: &str) -> Label {
+        Label::new(s)
+    }
 
     /// The façade's compiled-engine join, for differential comparison.
     fn facade_join(schemas: &[&WeakSchema]) -> Result<WeakSchema, MergeError> {
         Merger::new()
             .schemas(schemas.iter().copied())
             .join()
-            .map(Joined::into_weak)
+            .map(|joined| joined.decompile())
     }
 
     /// The façade's compiled-engine merge, as the historical triple.
@@ -155,5 +206,63 @@ mod tests {
             }
             other => panic!("expected incompatibility, got {other}"),
         }
+    }
+
+    #[test]
+    fn annotated_join_takes_strongest_participation() {
+        let g1 = AnnotatedSchema::builder()
+            .optional_arrow("Dog", "age", "int")
+            .build()
+            .unwrap();
+        let g2 = AnnotatedSchema::builder()
+            .arrow("Dog", "age", "int")
+            .arrow("Dog", "name", "text")
+            .build()
+            .unwrap();
+        let joined = annotated_join([&g1, &g2]).unwrap();
+        assert_eq!(
+            joined.participation(&c("Dog"), &l("age"), &c("int")),
+            Participation::One,
+            "required wins over optional"
+        );
+        assert_eq!(
+            joined.participation(&c("Dog"), &l("name"), &c("text")),
+            Participation::One,
+            "absence is silent in the upper reading"
+        );
+    }
+
+    #[test]
+    fn annotated_join_laws() {
+        let g1 = AnnotatedSchema::builder()
+            .arrow("Dog", "name", "string")
+            .arrow("Dog", "age", "int")
+            .build()
+            .unwrap();
+        let g2 = AnnotatedSchema::builder()
+            .arrow("Dog", "name", "string")
+            .arrow("Dog", "breed", "Breed")
+            .build()
+            .unwrap();
+        let ab = annotated_join([&g1, &g2]).unwrap();
+        let ba = annotated_join([&g2, &g1]).unwrap();
+        assert_eq!(ab, ba);
+        assert_eq!(annotated_join([&g1, &g1]).unwrap(), g1);
+    }
+
+    #[test]
+    fn annotated_join_detects_cycles() {
+        let g1 = AnnotatedSchema::builder()
+            .specialize("A", "B")
+            .build()
+            .unwrap();
+        let g2 = AnnotatedSchema::builder()
+            .specialize("B", "A")
+            .build()
+            .unwrap();
+        assert!(matches!(
+            annotated_join([&g1, &g2]),
+            Err(MergeError::Incompatible(_))
+        ));
     }
 }

@@ -16,14 +16,17 @@ use proptest::prelude::*;
 
 use schema_merge_core::iso::alpha_isomorphic;
 use schema_merge_core::merge::MergeOutcome;
-use schema_merge_core::merger::{Joined, MergeReport};
+use schema_merge_core::merger::MergeReport;
 use schema_merge_core::{reference, Class, CompiledSchema, MergeError, Merger, WeakSchema};
 
 /// N-ary join on the compiled engine, through the façade.
 fn weak_join_all<'a>(
     schemas: impl IntoIterator<Item = &'a WeakSchema>,
 ) -> Result<WeakSchema, MergeError> {
-    Merger::new().schemas(schemas).join().map(Joined::into_weak)
+    Merger::new()
+        .schemas(schemas)
+        .join()
+        .map(|joined| joined.decompile())
 }
 
 /// Merge on the compiled engine, through the façade.
@@ -279,10 +282,7 @@ proptest! {
         let expected_join = Merger::new()
             .schemas(symbolic.iter().copied())
             .join()
-            .expect("compatible")
-            .into_parts()
-            .1
-            .expect("compiled join");
+            .expect("compatible");
         let expected = reference::merge(symbolic.iter().copied());
 
         let mut shuffled: Vec<&(WeakSchema, bool, u32)> = family.iter().collect();
@@ -299,7 +299,7 @@ proptest! {
                 None => merger.schema(g),
             });
 
-        let joined = split.join().expect("compatible").into_parts().1.expect("compiled join");
+        let joined = split.join().expect("compatible");
         prop_assert_eq!(&joined, &expected_join);
         // Literals whose origins the family makes comparable, or whose
         // flattened origin sets collide, can leave no proper completion;

@@ -104,10 +104,7 @@ proptest! {
         let base = Merger::new()
             .schemas(refs[..k].iter().copied())
             .join()
-            .expect("base joins")
-            .into_parts()
-            .1
-            .expect("compiled base");
+            .expect("base joins");
         let onto = Merger::new()
             .onto_base(&base)
             .schemas(refs[k..].iter().copied())
@@ -258,10 +255,7 @@ proptest! {
         let base = Merger::new()
             .schemas(refs[..k].iter().copied())
             .join()
-            .expect("base joins")
-            .into_parts()
-            .1
-            .expect("compiled base");
+            .expect("base joins");
         let onto = Merger::new()
             .onto_base(&base)
             .schemas(refs[k..].iter().copied())

@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use schema_merge_core::complete::complete_with_report;
 use schema_merge_core::lower::{lower_complete, lower_merge, AnnotatedSchema};
 use schema_merge_core::merge::{weak_join, MergeOutcome, MergeSession};
-use schema_merge_core::merger::{Joined, MergeReport};
+use schema_merge_core::merger::MergeReport;
 use schema_merge_core::{
     Class, KeyAssignment, KeySet, Label, MergeError, Merger, Participation, ProperSchema,
     SuperkeyFamily, WeakSchema,
@@ -30,7 +30,10 @@ use schema_merge_core::{
 fn weak_join_all<'a>(
     schemas: impl IntoIterator<Item = &'a WeakSchema>,
 ) -> Result<WeakSchema, MergeError> {
-    Merger::new().schemas(schemas).join().map(Joined::into_weak)
+    Merger::new()
+        .schemas(schemas)
+        .join()
+        .map(|joined| joined.decompile())
 }
 
 /// Full merge (join + completion) through the façade, as the historical

@@ -169,9 +169,7 @@ impl JoinState {
             let planned = match self.reusable(unchanged, key) {
                 Some(held) => (Arc::clone(held), MergeStrategy::Incremental),
                 None => {
-                    let joined = join_parts(Merger::new(), unchanged).join()?;
-                    let (_, compiled) = joined.into_parts();
-                    let cold = compiled.expect("the compiled engine keeps the compiled join");
+                    let cold = join_parts(Merger::new(), unchanged).join()?;
                     (Arc::new(cold), MergeStrategy::Full)
                 }
             };
