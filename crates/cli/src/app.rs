@@ -1476,6 +1476,25 @@ mod tests {
         assert!(err.to_string().contains("do not conform"));
     }
 
+    /// An instance that every input accepts conforms to their merge:
+    /// completion's arrow from X to the implicit class {B,C} is optional
+    /// like the two `l`-arrows it stands for.
+    #[test]
+    fn conform_keeps_completion_arrows_of_optional_attributes_optional() {
+        let schema = write_temp(
+            "cf-opt.sm",
+            "schema A { X --l?--> B; }\nschema C { X --l?--> C; }\n",
+        );
+        let lonely = write_temp("cf-opt.smi", "instance lonely { x => X; }");
+        let text = run_ok(&args(&["conform", &schema, &lonely]));
+        assert_eq!(text, "lonely: conforms\n");
+        let json = run_ok(&args(&["merge", "--format", "json", &schema]));
+        assert!(
+            json.contains("[\"X\", \"l\", \"{B,C}\", \"optional\"]"),
+            "{json}"
+        );
+    }
+
     #[test]
     fn query_evaluates_paths_and_prints_names() {
         let schema = write_temp(

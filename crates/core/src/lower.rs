@@ -75,17 +75,58 @@ impl AnnotatedSchema {
     /// Transfers this schema's participation annotations onto a larger
     /// schema — typically its completion, which works on the bare weak
     /// schema and would otherwise forget which arrows were optional.
-    /// Edges of `schema` that this schema marks optional stay `0/1`;
-    /// everything else (including completion-introduced edges) is
-    /// required.
+    /// Arrows of this schema keep their marks. An arrow `(p, l, r)` this
+    /// schema lacks is optional exactly when this schema has an `l`-arrow
+    /// from some class `q` with `p ≤ q` in `schema`, and every such arrow
+    /// is optional: whatever demands the new arrow, a `p`-object need not
+    /// have an `l` at all. Otherwise it is required.
     pub fn transfer_to(&self, schema: &WeakSchema) -> AnnotatedSchema {
-        let optional = self
-            .optional
-            .iter()
-            .filter(|(src, label, tgt)| schema.has_arrow(src, label, tgt))
-            .cloned()
-            .collect();
+        if self.optional.is_empty() {
+            return AnnotatedSchema::all_required(schema.clone());
+        }
+        let mut optional = BTreeSet::new();
+        for (p, by_label) in &schema.arrows {
+            for (label, targets) in by_label {
+                // Whether every `label`-arrow from `p` or above is
+                // optional, computed once per pair that needs it.
+                let mut only_optional_above: Option<bool> = None;
+                for r in targets {
+                    let edge = (p.clone(), label.clone(), r.clone());
+                    let is_optional = if self.schema.has_arrow(p, label, r) {
+                        self.optional.contains(&edge)
+                    } else {
+                        *only_optional_above
+                            .get_or_insert_with(|| self.only_optional_above(schema, p, label))
+                    };
+                    if is_optional {
+                        optional.insert(edge);
+                    }
+                }
+            }
+        }
         AnnotatedSchema::from_parts(schema.clone(), optional)
+    }
+
+    /// Whether this schema has a `label`-arrow from `p` or from a class
+    /// above `p` in `order`, and every such arrow is optional.
+    fn only_optional_above(&self, order: &WeakSchema, p: &Class, label: &Label) -> bool {
+        let above = std::iter::once(p).chain(order.supers.get(p).into_iter().flatten());
+        let mut any = false;
+        for q in above {
+            let Some(targets) = self.schema.arrows.get(q).and_then(|by| by.get(label)) else {
+                continue;
+            };
+            for r in targets {
+                if !self
+                    .optional
+                    .contains(&(q.clone(), label.clone(), r.clone()))
+                {
+                    return false;
+                }
+                any = true;
+            }
+        }
+        any
     }
 
     /// The underlying schema without its `0/1` arrows: what this schema
@@ -1086,6 +1127,57 @@ mod tests {
         let pruned = annotated.transfer_to(&unrelated);
         assert!(pruned.validate().is_ok());
         assert_eq!(pruned.num_optional(), 0);
+    }
+
+    #[test]
+    fn transfer_to_marks_completion_arrows_by_the_arrows_above_them() {
+        // Both `l`-arrows of X are optional, so completion's arrow to
+        // {B,C} is too: an X need not have an `l` at all. The implicit
+        // class inherits B's and C's `m`-arrows, optional on both.
+        let annotated = AnnotatedSchema::builder()
+            .optional_arrow("X", "l", "B")
+            .optional_arrow("X", "l", "C")
+            .optional_arrow("B", "m", "D")
+            .optional_arrow("C", "m", "D")
+            .build()
+            .unwrap();
+        let proper = crate::complete(annotated.schema()).unwrap();
+        let transferred = annotated.transfer_to(proper.as_weak());
+        let bc = Class::implicit([c("B"), c("C")]);
+        assert_eq!(
+            transferred.participation(&c("X"), &l("l"), &bc),
+            Participation::ZeroOrOne
+        );
+        assert_eq!(
+            transferred.participation(&bc, &l("m"), &c("D")),
+            Participation::ZeroOrOne
+        );
+        assert!(transferred.validate().is_ok());
+
+        // One required arrow among those above makes the new arrow
+        // required.
+        let mixed = AnnotatedSchema::builder()
+            .optional_arrow("X", "l", "B")
+            .arrow("X", "l", "C")
+            .arrow("B", "m", "D")
+            .optional_arrow("C", "m", "D")
+            .build()
+            .unwrap();
+        let proper = crate::complete(mixed.schema()).unwrap();
+        let transferred = mixed.transfer_to(proper.as_weak());
+        assert_eq!(
+            transferred.participation(&c("X"), &l("l"), &bc),
+            Participation::One
+        );
+        assert_eq!(
+            transferred.participation(&bc, &l("m"), &c("D")),
+            Participation::One
+        );
+        // The join's own arrows keep their marks.
+        assert_eq!(
+            transferred.participation(&c("X"), &l("l"), &c("B")),
+            Participation::ZeroOrOne
+        );
     }
 
     #[test]
