@@ -11,7 +11,7 @@ use std::io::Write;
 
 use schema_merge_core::{KeyAssignment, MergeError, Merger, SuperkeyFamily};
 use schema_merge_text::{
-    parse_document, print_schema, render_ascii, to_dot, DotOptions, NamedSchema,
+    parse_document, print_schema, print_weak, render_ascii, to_dot, DotOptions, NamedSchema,
 };
 
 use crate::json;
@@ -334,12 +334,7 @@ fn compose_command(args: &[&String], out: &mut dyn Write) -> Result<(), CliError
     for hint in view.hints() {
         writeln!(out, "hint[{}] {}", hint.code, hint.message)?;
     }
-    let doc = NamedSchema {
-        name: "supergraph".into(),
-        schema: schema_merge_core::AnnotatedSchema::all_required(weak.clone()),
-        keys: KeyAssignment::new(),
-    };
-    write!(out, "{}", print_schema(&doc))?;
+    write!(out, "{}", print_weak("supergraph", weak))?;
     writeln!(out, "// origins:")?;
     for (class, labels) in &view.origins().classes {
         writeln!(out, "//   {class}: {}", labels.join(", "))?;
@@ -384,7 +379,7 @@ fn merge_command(
     if trace {
         merger = merger.trace(true);
     }
-    let report = merger
+    let mut report = merger
         .execute()
         .map_err(|err| CliError::merge("merge failed", &err))?;
 
@@ -396,9 +391,10 @@ fn merge_command(
     if !explain_only {
         let merged = NamedSchema {
             name: "merged".into(),
-            schema: schema_merge_core::AnnotatedSchema::all_required(
-                report.proper.as_weak().clone(),
-            ),
+            schema: report
+                .annotated
+                .take()
+                .expect("annotated inputs produce an annotated result"),
             keys: report.keys.clone(),
         };
         write!(out, "{}", print_schema(&merged))?;
@@ -1218,6 +1214,40 @@ mod tests {
             "}\n",
         );
         assert_eq!(json, expected);
+    }
+
+    /// The text and JSON forms of a merge mark the same arrows optional:
+    /// `chip` is optional on `Dog` and on the inheriting `Guide-dog`.
+    #[test]
+    fn merge_text_and_json_agree_on_every_arrow_mark() {
+        let f = write_temp(
+            "mt-marks.sm",
+            "schema A { Dog --chip?--> int; Dog --age--> int; }\n\
+             schema B { Guide-dog => Dog; }\n",
+        );
+        let text = run_ok(&args(&["merge", &f]));
+        assert!(text.contains("    Dog --chip?--> int;\n"), "{text}");
+        assert!(text.contains("    Guide-dog --chip?--> int;\n"), "{text}");
+        let json = run_ok(&args(&["merge", "--format", "json", &f]));
+        let mut arrows = 0;
+        for line in text.lines().filter(|line| line.contains("--> ")) {
+            let line = line.trim().trim_end_matches(';');
+            let (src, rest) = line.split_once(" --").expect("an arrow line");
+            let (label, tgt) = rest.split_once("--> ").expect("an arrow line");
+            let (label, mark) = match label.strip_suffix('?') {
+                Some(label) => (label, "optional"),
+                None => (label, "required"),
+            };
+            let entry = format!("[\"{src}\", \"{label}\", \"{tgt}\", \"{mark}\"]");
+            assert!(json.contains(&entry), "{entry} is not in {json}");
+            arrows += 1;
+        }
+        assert_eq!(arrows, 4, "{text}");
+        assert_eq!(
+            json.matches("\"required\"]").count() + json.matches("\"optional\"]").count(),
+            arrows,
+            "{json}"
+        );
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! Run with `cargo run --example dsl_and_dot`.
 
+use schema_merge_core::KeyAssignment;
 use schema_merge_core::Merger;
-use schema_merge_core::{AnnotatedSchema, KeyAssignment};
 use schema_merge_text::{
     parse_document, print_schema, render_ascii, to_dot, DotOptions, NamedSchema,
 };
@@ -45,7 +45,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         merger = merger.with_participation_named(doc.name.clone(), &doc.schema);
     }
     let merged = merger.execute()?;
-    let (proper, report) = (merged.proper, merged.implicit);
     let mut keys = KeyAssignment::new();
     for doc in &docs {
         for class in doc.keys.keyed_classes() {
@@ -53,13 +52,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
+    let implicit = merged.implicit.num_implicit();
     let merged = NamedSchema {
         name: "CityView".into(),
-        schema: AnnotatedSchema::all_required(proper.as_weak().clone()),
+        schema: merged
+            .annotated
+            .expect("annotated inputs produce an annotated result"),
         keys,
     };
     println!("merged schema in canonical DSL:\n{}", print_schema(&merged));
-    println!("implicit classes introduced: {}", report.num_implicit());
+    println!("implicit classes introduced: {implicit}");
 
     // Round-trip guarantee: the printed form parses back identically.
     let reparsed = schema_merge_text::parse_schema(&print_schema(&merged))?;
