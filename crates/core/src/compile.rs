@@ -237,35 +237,6 @@ impl CompiledSchema {
         self.decompile()
     }
 
-    /// The arrows of this schema that `sub` lacks, symbolically. `sub`
-    /// must share this schema's class table: a join of the same inputs
-    /// with some of their arrows left out.
-    pub(crate) fn arrows_missing_from(
-        &self,
-        sub: &CompiledSchema,
-    ) -> BTreeSet<(Class, Label, Class)> {
-        debug_assert_eq!(self.classes, sub.classes, "one class table");
-        let mut missing = BTreeSet::new();
-        for p in 0..self.classes.len() as u32 {
-            for (label, (start, end)) in self.pairs_of(p) {
-                let symbol = &self.labels[label as usize];
-                let kept = sub
-                    .label_id(symbol)
-                    .map_or(&[][..], |label| sub.arrow_targets(p, label));
-                for &t in &self.targets[start as usize..end as usize] {
-                    if kept.binary_search(&t).is_err() {
-                        missing.insert((
-                            self.classes[p as usize].clone(),
-                            symbol.clone(),
-                            self.classes[t as usize].clone(),
-                        ));
-                    }
-                }
-            }
-        }
-        missing
-    }
-
     /// Number of classes.
     pub fn num_classes(&self) -> usize {
         self.classes.len()

@@ -242,6 +242,17 @@ impl From<SchemaError> for MergeError {
     }
 }
 
+impl MergeError {
+    /// The error of a join: a specialization cycle discovered while
+    /// joining means the inputs are incompatible (§4.1).
+    pub(crate) fn from_join(err: SchemaError) -> Self {
+        match err {
+            SchemaError::SpecializationCycle(witness) => MergeError::Incompatible(witness),
+            other => MergeError::Schema(other),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -72,6 +72,19 @@ impl AnnotatedSchema {
         AnnotatedSchema { schema, optional }
     }
 
+    /// `schema` with every arrow `required` lacks marked optional — the
+    /// participation rule of a closure: a closed arrow is required
+    /// exactly when some required raw arrow derives it, that is, when
+    /// `required`, the closure of the required raw arrows alone, has it.
+    pub(crate) fn from_closures(schema: WeakSchema, required: &WeakSchema) -> Self {
+        let optional = schema
+            .arrow_triples()
+            .filter(|(p, a, q)| !required.has_arrow(p, a, q))
+            .map(|(p, a, q)| (p.clone(), a.clone(), q.clone()))
+            .collect();
+        AnnotatedSchema { schema, optional }
+    }
+
     /// Transfers this schema's participation annotations onto a larger
     /// schema — typically its completion, which works on the bare weak
     /// schema and would otherwise forget which arrows were optional.
@@ -81,52 +94,32 @@ impl AnnotatedSchema {
     /// is optional: whatever demands the new arrow, a `p`-object need not
     /// have an `l` at all. Otherwise it is required.
     pub fn transfer_to(&self, schema: &WeakSchema) -> AnnotatedSchema {
-        if self.optional.is_empty() {
-            return AnnotatedSchema::all_required(schema.clone());
-        }
-        let mut optional = BTreeSet::new();
-        for (p, by_label) in &schema.arrows {
-            for (label, targets) in by_label {
-                // Whether every `label`-arrow from `p` or above is
-                // optional, computed once per pair that needs it.
-                let mut only_optional_above: Option<bool> = None;
-                for r in targets {
-                    let edge = (p.clone(), label.clone(), r.clone());
-                    let is_optional = if self.schema.has_arrow(p, label, r) {
-                        self.optional.contains(&edge)
-                    } else {
-                        *only_optional_above
-                            .get_or_insert_with(|| self.only_optional_above(schema, p, label))
-                    };
-                    if is_optional {
-                        optional.insert(edge);
-                    }
+        let optional = schema
+            .arrow_triples()
+            .map(|(p, l, r)| (p.clone(), l.clone(), r.clone()))
+            .filter(|edge| {
+                let (p, l, r) = edge;
+                if self.schema.has_arrow(p, l, r) {
+                    self.optional.contains(edge)
+                } else {
+                    self.only_optional_above(schema, p, l)
                 }
-            }
-        }
+            })
+            .collect();
         AnnotatedSchema::from_parts(schema.clone(), optional)
     }
 
     /// Whether this schema has a `label`-arrow from `p` or from a class
     /// above `p` in `order`, and every such arrow is optional.
     fn only_optional_above(&self, order: &WeakSchema, p: &Class, label: &Label) -> bool {
-        let above = std::iter::once(p).chain(order.supers.get(p).into_iter().flatten());
-        let mut any = false;
-        for q in above {
-            let Some(targets) = self.schema.arrows.get(q).and_then(|by| by.get(label)) else {
-                continue;
-            };
-            for r in targets {
-                if !self
-                    .optional
-                    .contains(&(q.clone(), label.clone(), r.clone()))
-                {
-                    return false;
-                }
-                any = true;
-            }
-        }
-        any
+        let mut above = std::iter::once(p)
+            .chain(order.supers.get(p).into_iter().flatten())
+            .flat_map(|q| {
+                let targets = self.schema.arrow_targets(q, label);
+                targets.into_iter().map(|r| (q.clone(), label.clone(), r))
+            })
+            .peekable();
+        above.peek().is_some() && above.all(|edge| self.optional.contains(&edge))
     }
 
     /// The underlying schema without its `0/1` arrows: what this schema
@@ -394,12 +387,7 @@ impl AnnotatedSchemaBuilder {
         }
         let schema = WeakSchema::close(self.classes.clone(), self.spec.clone(), arrows)?;
         let required = WeakSchema::close(self.classes, self.spec, required)?;
-        let optional: BTreeSet<Edge> = schema
-            .arrow_triples()
-            .filter(|(p, a, q)| !required.has_arrow(p, a, q))
-            .map(|(p, a, q)| (p.clone(), a.clone(), q.clone()))
-            .collect();
-        Ok(AnnotatedSchema::from_parts(schema, optional))
+        Ok(AnnotatedSchema::from_closures(schema, &required))
     }
 }
 

@@ -65,7 +65,7 @@ use crate::compile::{self, CompiledSchema};
 use crate::complete::{check_consistency, complete_from_compiled_impl, CompletionReport};
 use crate::consistency::ConsistencyRelation;
 use crate::diagnostic::Diagnostic;
-use crate::error::{MergeError, SchemaError};
+use crate::error::MergeError;
 use crate::keys::{KeyAssignment, SuperkeyFamily};
 use crate::lower::{lower_complete, lower_merge, AnnotatedSchema, LowerCompletionReport};
 use crate::name::Label;
@@ -934,7 +934,7 @@ impl<'a> Merger<'a> {
             .map(|input| input.kind.weak())
             .chain(atoms.iter())
             .collect();
-        compile::join_ids(&self.bases, &weak_refs).map_err(schema_to_merge)
+        compile::join_ids(&self.bases, &weak_refs).map_err(MergeError::from_join)
     }
 
     /// The participation pass of an upper merge with annotated inputs.
@@ -974,8 +974,8 @@ impl<'a> Merger<'a> {
             .collect();
         let required_join = compile::join_ids(&self.bases, &refs)
             .expect("the required arrows join over the order the full join closed");
-        let optional = join.arrows_missing_from(&required_join);
-        AnnotatedSchema::from_parts(join.decompile(), optional).transfer_to(completed)
+        AnnotatedSchema::from_closures(join.decompile(), &required_join.decompile())
+            .transfer_to(completed)
     }
 
     /// Every input as an annotated schema for the symbolic lower merge
@@ -1326,15 +1326,6 @@ impl fmt::Debug for Merger<'_> {
             .field("bases", &self.bases.len())
             .field("lower", &self.lower)
             .finish_non_exhaustive()
-    }
-}
-
-/// The standard error mapping: a specialization cycle discovered while
-/// joining means the inputs are incompatible (§4.1).
-fn schema_to_merge(err: SchemaError) -> MergeError {
-    match err {
-        SchemaError::SpecializationCycle(witness) => MergeError::Incompatible(witness),
-        other => MergeError::Schema(other),
     }
 }
 

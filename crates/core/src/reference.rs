@@ -46,7 +46,7 @@ pub fn weak_join_all<'a>(
                 .map(|(p, a, q)| (p.clone(), a.clone(), q.clone())),
         );
     }
-    WeakSchema::close_symbolic(classes, spec, arrows).map_err(incompatible)
+    WeakSchema::close_symbolic(classes, spec, arrows).map_err(MergeError::from_join)
 }
 
 /// The least upper bound of annotated schemas — the *upper* merge of §4
@@ -85,16 +85,7 @@ pub fn annotated_join<'a>(
             );
         }
     }
-    builder.build().map_err(incompatible)
-}
-
-/// A specialization cycle found while joining means the inputs are
-/// incompatible (§4.1).
-fn incompatible(err: SchemaError) -> MergeError {
-    match err {
-        SchemaError::SpecializationCycle(witness) => MergeError::Incompatible(witness),
-        other => MergeError::Schema(other),
-    }
+    builder.build().map_err(MergeError::from_join)
 }
 
 /// Completion with the symbolic `Imp` fixpoint and closure. Equal to
