@@ -371,20 +371,20 @@ impl AnnotatedSchemaBuilder {
 
     /// Closes and validates the schema.
     pub fn build(self) -> Result<AnnotatedSchema, SchemaError> {
-        let mut arrows: Vec<Edge> = Vec::with_capacity(self.raw.len());
-        let mut required: Vec<Edge> = Vec::new();
-        for (p, a, q, k) in self.raw {
-            if k == Participation::One {
-                required.push((p.clone(), a.clone(), q.clone()));
-            }
-            arrows.push((p, a, q));
-        }
         // Only a `0/1` arrow can leave a closed arrow optional: with none
         // declared, every closed arrow is required.
-        if required.len() == arrows.len() {
+        if self.raw.iter().all(|(.., k)| *k == Participation::One) {
+            let arrows = self.raw.into_iter().map(|(p, a, q, _)| (p, a, q)).collect();
             let schema = WeakSchema::close(self.classes, self.spec, arrows)?;
             return Ok(AnnotatedSchema::all_required(schema));
         }
+        let required: Vec<Edge> = self
+            .raw
+            .iter()
+            .filter(|(.., k)| *k == Participation::One)
+            .map(|(p, a, q, _)| (p.clone(), a.clone(), q.clone()))
+            .collect();
+        let arrows = self.raw.into_iter().map(|(p, a, q, _)| (p, a, q)).collect();
         let schema = WeakSchema::close(self.classes.clone(), self.spec.clone(), arrows)?;
         let required = WeakSchema::close(self.classes, self.spec, required)?;
         Ok(AnnotatedSchema::from_closures(schema, &required))

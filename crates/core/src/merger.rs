@@ -149,8 +149,10 @@ pub enum MergePass {
     ConsistencyCheck,
     /// §5: the unique minimal satisfactory key assignment.
     KeyAssignment,
-    /// Transfer of the joined participation annotations onto the
-    /// completed schema.
+    /// The joined participation marks, transferred onto the completed
+    /// schema. In upper mode an input's `0/1` arrow makes this pass join
+    /// the inputs' required arrows a second time, in id space: the
+    /// joined arrows that join lacks are the optional ones.
     ParticipationTransfer,
 }
 
